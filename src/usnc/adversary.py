@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import AliceChannel, BobChannel
+from .channel import AliceChannel, BobChannel, typical_window
 from .entropy import gtd
 from .gf2 import BitString, CosetId
 from .hashing import HashSeed, enumerate_full_rank_seeds, hash_codeword
@@ -107,7 +107,7 @@ def _binding_exact(strategy: AliceStrategy, cfg: CommitConfig) -> float:
         raise ValueError("exact binding enumeration needs n <= 16")
     code = cfg.code
     all_z = np.arange(1 << n, dtype=np.uint32)
-    lo, hi = n * (cfg.p - cfg.eps), n * (cfg.p + cfg.eps)
+    lo, hi = typical_window(n, cfg.p, cfg.eps)
     window_cache: dict[int, np.ndarray] = {}
 
     def window_mask(center: int) -> np.ndarray:

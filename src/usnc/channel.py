@@ -10,7 +10,10 @@ declare the symmetry that makes one representative sufficient.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.special import gammaln, logsumexp, xlogy
@@ -25,6 +28,7 @@ __all__ = [
     "BobChannel",
     "CheckReport",
     "bsc_transmit",
+    "typical_window",
     "typical_membership",
     "typicality_tail_exact",
     "check_c2",
@@ -73,28 +77,43 @@ def bsc_transmit(x: BitString, p: float, rng: np.random.Generator) -> BitString:
     return BitString._wrap(np.bitwise_xor(x.bits, flips))
 
 
+@functools.lru_cache(maxsize=1024)
+def typical_window(n: int, p: float, eps: float) -> tuple[int, int]:
+    """Integer edges (w_lo, w_hi) of the window n(p - eps) <= w <= n(p + eps).
+
+    p and eps are read as the decimals they print as (0.1 is 1/10), so the
+    edges are exact: n = 5, p = 0.02, eps = 0.18 gives w_hi = 1, where the
+    float product is 0.9999999999999999. Edges are clipped to [0, n]; the
+    window is empty when w_lo > w_hi.
+    """
+    pf, ef = Fraction(repr(float(p))), Fraction(repr(float(eps)))
+    return (max(0, math.ceil(n * (pf - ef))),
+            min(n, math.floor(n * (pf + ef))))
+
+
 def typical_membership(x: BitString, z: BitString, p: float,
                        eps: float) -> bool:
-    """n(p - eps) <= HD(x, z) <= n(p + eps), inclusive real-valued bounds."""
+    """n(p - eps) <= HD(x, z) <= n(p + eps), inclusive, at exact edges."""
     if len(x) != len(z):
         raise ValueError("length mismatch")
-    n = len(x)
+    w_lo, w_hi = typical_window(len(x), p, eps)
     d = int(np.count_nonzero(x.bits != z.bits))
-    return n * (p - eps) <= d <= n * (p + eps)
+    return w_lo <= d <= w_hi
 
 
 def typicality_tail_exact(n: int, p: float, eps: float) -> float:
     """Exact probability that BSC noise weight falls outside the window.
 
-    Binomial(n, p) mass at weights w with w < n(p-eps) or w > n(p+eps),
+    Binomial(n, p) mass at weights outside ``typical_window(n, p, eps)``,
     summed in log space; independent of the transmitted string by symmetry.
     """
     if not 1 <= n <= 10 ** 6:
         raise ValueError("need 1 <= n <= 10^6")
     if not 0.0 < p < 0.5 or eps < 0.0:
         raise ValueError("need 0 < p < 1/2 and eps >= 0")
+    w_lo, w_hi = typical_window(n, p, eps)
     w = np.arange(n + 1, dtype=np.float64)
-    outside = (w < n * (p - eps)) | (w > n * (p + eps))
+    outside = (w < w_lo) | (w > w_hi)
     if not outside.any():
         return 0.0
     w = w[outside]

@@ -3,15 +3,12 @@
 Every randomized command requires --seed and is bit-reproducible: the same
 command line writes byte-identical outputs. Numbers print with 12 significant
 digits. Exit codes: 0 success, 1 a verified check failed, 2 usage error.
-Flag values override --config (key=value lines) which overrides defaults;
---threads (or USNC_THREADS) is accepted for symmetry with batch use but
-results never depend on it.
+Flag values override --config (key=value lines) which overrides defaults.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -429,16 +426,8 @@ def _cmd_nqs_povm(args, config) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _env_threads():
-    try:
-        return int(os.environ.get("USNC_THREADS", "0")) or None
-    except ValueError:
-        return None
-
-
 def _add_common(sp):
     sp.add_argument("--config", default=None)
-    sp.add_argument("--threads", type=int, default=_env_threads())
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -18,7 +18,6 @@ __all__ = [
     "hamming_distance",
     "xor",
     "gf2_rank",
-    "gf2_solve",
     "gf2_solution_space",
     "gf2_kernel_basis",
     "random_linear_code",
@@ -169,27 +168,6 @@ def gf2_rank(mat: np.ndarray) -> int:
     return len(_rref_ints(rows, np.asarray(mat).shape[1]))
 
 
-def gf2_solve(mat: np.ndarray, rhs: np.ndarray):
-    """One solution u of mat @ u = rhs over GF(2), or None if inconsistent."""
-    a = np.asarray(mat, dtype=np.uint8)
-    b = np.asarray(rhs, dtype=np.uint8).reshape(-1)
-    if a.shape[0] != b.size:
-        raise ValueError("shape mismatch")
-    ncols = a.shape[1]
-    rows = _pack_rows(a)
-    rows = [row | (int(b[i]) << ncols) for i, row in enumerate(rows)]
-    pivots = _rref_ints(rows, ncols)
-    # inconsistent iff some zero row carries a nonzero augmented bit
-    for i in range(len(pivots), len(rows)):
-        if rows[i]:
-            return None
-    u = 0
-    for row_idx, c in enumerate(pivots):
-        if rows[row_idx] >> ncols & 1:
-            u |= 1 << c
-    return _unpack_row(u, ncols)
-
-
 def gf2_kernel_basis(mat: np.ndarray) -> np.ndarray:
     """Basis of {u : mat @ u = 0} as rows; shape (nullity, ncols)."""
     a = np.asarray(mat, dtype=np.uint8)
@@ -252,12 +230,22 @@ class CosetId:
 
 
 def _pack_u64(bits: np.ndarray) -> np.ndarray:
-    """1-D 0/1 array -> little-endian uint64 words."""
-    b = np.packbits(bits, bitorder="little")
-    pad = (-b.size) % 8
+    """0/1 array -> little-endian uint64 words along the last axis.
+
+    Bit i of a row lands at bit i % 64 of word i // 64; padding bits are zero.
+    """
+    b = np.packbits(bits, axis=-1, bitorder="little")
+    pad = (-b.shape[-1]) % 8
     if pad:
-        b = np.concatenate([b, np.zeros(pad, dtype=np.uint8)])
+        b = np.concatenate(
+            [b, np.zeros(b.shape[:-1] + (pad,), dtype=np.uint8)], axis=-1)
     return b.view(np.uint64)
+
+
+def _unpack_u64(words: np.ndarray, nbits: int) -> np.ndarray:
+    """Inverse of ``_pack_u64``: the first nbits bits of each row, as 0/1."""
+    return np.unpackbits(words.view(np.uint8), axis=-1,
+                         bitorder="little")[..., :nbits]
 
 
 class LinearCode:
@@ -336,9 +324,21 @@ class LinearCode:
         word = np.empty(self.n, dtype=np.uint8)
         word[: self.k] = u
         r = self.n - self.k
-        word[self.k:] = np.unpackbits(
-            self._check_words(u).view(np.uint8), bitorder="little")[:r]
+        word[self.k:] = _unpack_u64(self._check_words(u), r)
         return word
+
+    def check_words_batch(self, u: np.ndarray) -> np.ndarray:
+        """Packed check bits u P of a block of packed k-bit messages.
+
+        ``u`` is a (T, ceil(k/64)) uint64 array laid out as ``_pack_u64``
+        leaves it; the result is (T, ceil((n-k)/64)) words, one row per
+        message, built by XORing the packed rows of P that u selects.
+        """
+        out = np.zeros((u.shape[0], self._p_words.shape[1]), dtype=np.uint64)
+        for i in range(self.k):
+            sel = (u[:, i >> 6] >> np.uint64(i & 63)) & np.uint64(1)
+            out ^= self._p_words[i] * sel[:, None]
+        return out
 
     def message_coords(self, x: BitString) -> BitString:
         if len(x) != self.n:
@@ -357,7 +357,7 @@ class LinearCode:
             raise ValueError("length %d != n=%d" % (len(x), self.n))
         r = self.n - self.k
         words = self._check_words(x.bits[: self.k]) ^ _pack_u64(x.bits[self.k:])
-        s = np.unpackbits(words.view(np.uint8), bitorder="little")[:r]
+        s = _unpack_u64(words, r)
         return CosetId(BitString._wrap(s))
 
     def coset_representative(self, cid: CosetId) -> BitString:

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from .bounds import intersection_bound
-from .channel import BobChannel, typicality_tail_exact
+from .channel import BobChannel, typical_window, typicality_tail_exact
 from .entropy import (ClassicalDistribution, JointDistribution,
                       cond_min_entropy, gtd, min_entropy)
 from .gf2 import BitString, LinearCode
@@ -43,7 +43,7 @@ def typical_intersection_exact(n: int, p: float, eps: float, x: BitString,
     z = np.arange(1 << n, dtype=np.uint32)
     dx = np.bitwise_count(z ^ np.uint32(x.to_int()))
     dy = np.bitwise_count(z ^ np.uint32(y.to_int()))
-    lo, hi = n * (p - eps), n * (p + eps)
+    lo, hi = typical_window(n, p, eps)
     return int(np.count_nonzero((dx >= lo) & (dx <= hi)
                                 & (dy >= lo) & (dy <= hi)))
 
@@ -123,7 +123,7 @@ def clipped_bsc_construction(n: int, p: float, eps: float,
     z = np.arange(1 << n, dtype=np.uint32)
     d = np.bitwise_count(z).astype(np.float64)  # distances from input 0
     full = np.exp(xlogy(d, p) + xlogy(n - d, 1.0 - p))
-    lo, hi = n * (p - eps), n * (p + eps)
+    lo, hi = typical_window(n, p, eps)
     inside = (d >= lo) & (d <= hi)
     clipped = np.where(inside, full, 0.0)
     gtd_actual = gtd(ClassicalDistribution(full), ClassicalDistribution(clipped))
@@ -142,7 +142,7 @@ def clipped_bsc_construction(n: int, p: float, eps: float,
                             cond_min_entropy=cond)
 
 
-def _clipped_cond_min_entropy(n: int, p: float, lo: float, hi: float) -> float:
+def _clipped_cond_min_entropy(n: int, p: float, lo: int, hi: int) -> float:
     """Conditional min-entropy of the clipped joint, summed in output chunks.
 
     The joint is 2^-n Q(z|x) over all (x, z); per output z the guessing mass

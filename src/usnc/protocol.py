@@ -8,8 +8,14 @@ outputs M unconditionally and accepts iff X is a codeword, the stored channel
 output is typical for X + x_C', and the hash of X matches M + Mbar.
 Consumers must gate on the flag, not on the returned message.
 
-Runs derive per-run randomness from (master_seed, run_index), so Monte Carlo
-results are identical for any worker partitioning.
+The completeness Monte Carlo runs on the batched engine: ``run_honest_batch``
+commits and opens a block of trials at once as packed uint64 words, and
+``bob_verify_batch`` applies the three accept tests to every opening of a
+block. Block b of a run draws all its randomness from
+``default_rng([master_seed, b])``, so results depend only on the
+configuration, the trial count and the master seed, never on how blocks are
+grouped into calls. The scalar ``run_honest``/``bob_verify`` remain the
+reference the batch path is tested against.
 """
 
 from __future__ import annotations
@@ -20,8 +26,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import bsc_transmit, typical_membership
-from .gf2 import BitString, CosetId, LinearCode
+from .channel import bsc_transmit, typical_membership, typical_window
+from .gf2 import BitString, CosetId, LinearCode, _pack_u64, _unpack_u64
 from .hashing import HashSeed, hash_codeword, preimage_sample, sample_seed
 
 __all__ = [
@@ -40,6 +46,10 @@ __all__ = [
     "bob_verify",
     "run_honest",
     "HonestRun",
+    "BLOCK",
+    "TranscriptBatch",
+    "run_honest_batch",
+    "bob_verify_batch",
     "estimate_completeness",
     "CompletenessEstimate",
     "transcript_to_json",
@@ -205,6 +215,234 @@ def run_honest(m: BitString, cfg: CommitConfig,
                      transcript=replace(t, opening=opening))
 
 
+# ---------------------------------------------------------------------------
+# Batched honest engine: one block of trials as packed uint64 words
+# ---------------------------------------------------------------------------
+
+BLOCK = 1000  # trials per random stream; a block's arrays stay a few MB
+_NOISE_CHUNK_BITS = 1 << 18  # BSC draws per chunk: 2 MB of float64
+
+
+def _nwords(nbits: int) -> int:
+    return (nbits + 63) // 64
+
+
+def _random_words(rng: np.random.Generator, shape: tuple,
+                  nbits: int) -> np.ndarray:
+    """Uniform nbits-bit strings, packed as ``_pack_u64`` lays them out."""
+    words = rng.integers(0, 1 << 64, size=shape + (_nwords(nbits),),
+                         dtype=np.uint64)
+    if nbits % 64:
+        words[..., -1] &= np.uint64((1 << (nbits % 64)) - 1)
+    return words
+
+
+def _pack_split(bits: np.ndarray, k: int) -> np.ndarray:
+    """n-bit 0/1 rows -> message words then check words (systematic split)."""
+    return np.concatenate([_pack_u64(bits[..., :k]), _pack_u64(bits[..., k:])],
+                          axis=-1)
+
+
+def _unpack_split(words: np.ndarray, k: int, n: int) -> np.ndarray:
+    wk = _nwords(k)
+    return np.concatenate([_unpack_u64(words[..., :wk], k),
+                           _unpack_u64(words[..., wk:], n - k)], axis=-1)
+
+
+@dataclass(frozen=True)
+class TranscriptBatch:
+    """Stored commitments with their openings, one row per trial.
+
+    Every field holds little-endian uint64 words: bit i of a string sits at
+    bit i % 64 of word i // 64, and padding bits are zero. An n-bit string
+    is kept in the code's systematic split, its k message coordinates and
+    then its n - k check coordinates starting on a fresh word, so encoding,
+    the coset shift and the membership test work on whole words.
+    """
+
+    seed: np.ndarray   # (T, hash_m, words(k)): rows of S
+    mbar: np.ndarray   # (T, words(hash_m))
+    coset: np.ndarray  # (T, words(n - k)): syndrome of C'
+    z: np.ndarray      # (T, words(k) + words(n - k)): channel output
+    m: np.ndarray      # (T, words(hash_m)): announced message
+    x: np.ndarray      # (T, words(k) + words(n - k)): announced codeword
+
+    def __len__(self) -> int:
+        return self.m.shape[0]
+
+    @classmethod
+    def from_transcripts(cls, transcripts,
+                         cfg: CommitConfig) -> "TranscriptBatch":
+        """Pack opened scalar transcripts whose lengths match ``cfg``."""
+        k = cfg.code.k
+        shape = ((cfg.hash_m, k), cfg.hash_m, cfg.n - k, cfg.n, cfg.hash_m,
+                 cfg.n)
+        for i, t in enumerate(transcripts):
+            if t.opening is None or shape != (
+                    t.seed.matrix.shape, len(t.mbar), len(t.coset), len(t.z),
+                    len(t.opening.m), len(t.opening.x)):
+                raise ValueError("transcript %d is unopened or does not "
+                                 "match the configuration" % i)
+
+        def stack(get):
+            return np.stack([get(t) for t in transcripts])
+
+        return cls(seed=_pack_u64(stack(lambda t: t.seed.matrix)),
+                   mbar=_pack_u64(stack(lambda t: t.mbar.bits)),
+                   coset=_pack_u64(stack(lambda t: t.coset.syndrome.bits)),
+                   z=_pack_split(stack(lambda t: t.z.bits), k),
+                   m=_pack_u64(stack(lambda t: t.opening.m.bits)),
+                   x=_pack_split(stack(lambda t: t.opening.x.bits), k))
+
+    def transcript(self, i: int, cfg: CommitConfig) -> CommitmentTranscript:
+        """Trial i as a scalar transcript carrying its opening."""
+        k, n, hm = cfg.code.k, cfg.n, cfg.hash_m
+        return CommitmentTranscript(
+            seed=HashSeed(_unpack_u64(self.seed[i], k)),
+            mbar=BitString(_unpack_u64(self.mbar[i], hm)),
+            coset=CosetId(BitString(_unpack_u64(self.coset[i], n - k))),
+            z=BitString(_unpack_split(self.z[i], k, n)),
+            opening=Opening(m=BitString(_unpack_u64(self.m[i], hm)),
+                            x=BitString(_unpack_split(self.x[i], k, n))))
+
+
+def _gauss_jordan(rows: np.ndarray, rhs: np.ndarray, k: int):
+    """Reduce every system rows @ u = rhs over GF(2) at once.
+
+    ``rows`` is (T, h, words(k)) packed rows, ``rhs`` (T, h) 0/1. Returns
+    reduced copies of both and the pivot column of every row, -1 where a
+    row found none (a rank deficiency). Each pivot column is cleared from
+    all other rows, so each pivot coordinate is fixed by its row's
+    right-hand side and the free coordinates.
+    """
+    rows, rhs = rows.copy(), rhs.copy()
+    pivot = np.full(rhs.shape, -1, dtype=np.int64)
+    for c in range(k):
+        bit = ((rows[:, :, c >> 6] >> np.uint64(c & 63)) & np.uint64(1)) \
+            .astype(bool)
+        cand = bit & (pivot < 0)
+        sel = np.flatnonzero(cand.any(axis=1))
+        if not sel.size:
+            continue
+        prow = cand[sel].argmax(axis=1)
+        clear = bit[sel]
+        clear[np.arange(sel.size), prow] = False
+        rows[sel] ^= np.where(clear[:, :, None], rows[sel, prow][:, None, :],
+                              np.uint64(0))
+        rhs[sel] ^= clear & rhs[sel, prow][:, None].astype(bool)
+        pivot[sel, prow] = c
+        if (pivot >= 0).all():
+            break
+    return rows, rhs, pivot
+
+
+def _seeds_and_preimages(rng: np.random.Generator, digests: np.ndarray,
+                         k: int):
+    """Uniform full-rank seeds S and uniform u with S u = digest, per row.
+
+    Seeds are uniform matrices; those the elimination finds rank deficient
+    are redrawn, and only those, until none is left. The reduced systems
+    then give u: free coordinates uniform, pivot coordinates solved.
+    """
+    t, hm = digests.shape
+    seed = _random_words(rng, (t, hm), k)
+    rows, rhs, pivot = _gauss_jordan(seed, digests, k)
+    bad = np.flatnonzero((pivot < 0).any(axis=1))
+    while bad.size:
+        seed[bad] = _random_words(rng, (bad.size, hm), k)
+        rows[bad], rhs[bad], pivot[bad] = _gauss_jordan(seed[bad],
+                                                        digests[bad], k)
+        bad = bad[(pivot[bad] < 0).any(axis=1)]
+    ar = np.arange(t)
+    word, bit = pivot >> 6, (pivot & 63).astype(np.uint64)
+    pivot_mask = np.zeros((t, _nwords(k)), dtype=np.uint64)
+    for j in range(hm):
+        pivot_mask[ar, word[:, j]] |= np.uint64(1) << bit[:, j]
+    u = _random_words(rng, (t,), k) & ~pivot_mask
+    solved = (np.bitwise_count(rows & u[:, None, :]).sum(axis=2) & 1) ^ rhs
+    for j in range(hm):
+        u[ar, word[:, j]] |= solved[:, j].astype(np.uint64) << bit[:, j]
+    return seed, u
+
+
+def run_honest_batch(cfg: CommitConfig, master_seed: int, block: int,
+                     size: int = BLOCK) -> TranscriptBatch:
+    """Block ``block`` of honest commit + open runs on uniform messages.
+
+    Every draw comes from ``default_rng([master_seed, block])``: messages,
+    masks, seeds (rank-deficient ones redrawn), free preimage coordinates
+    and cosets for all BLOCK trials, then the BSC noise in row chunks for
+    the first ``size`` trials only. Trial j of a block is therefore the
+    same for every ``size`` > j.
+    """
+    if not 1 <= size <= BLOCK:
+        raise ValueError("need 1 <= size <= %d" % BLOCK)
+    rng = np.random.default_rng([master_seed, block])
+    code, hm = cfg.code, cfg.hash_m
+    k, n = code.k, code.n
+    m = _random_words(rng, (BLOCK,), hm)
+    mbar = _random_words(rng, (BLOCK,), hm)
+    seed, u = _seeds_and_preimages(rng, _unpack_u64(m ^ mbar, hm), k)
+    coset = _random_words(rng, (BLOCK,), n - k)
+    m, mbar, seed, u, coset = (a[:size] for a in (m, mbar, seed, u, coset))
+    x = np.concatenate([u, code.check_words_batch(u)], axis=1)
+    z = x.copy()
+    z[:, _nwords(k):] ^= coset  # the transmitted lift X + x_C'
+    chunk = max(1, _NOISE_CHUNK_BITS // n)
+    for start in range(0, size, chunk):
+        flips = rng.random((min(chunk, size - start), n)) < cfg.p
+        z[start: start + flips.shape[0]] ^= _pack_split(flips, k)
+    return TranscriptBatch(seed=seed, mbar=mbar, coset=coset, z=z, m=m, x=x)
+
+
+def _padding_clear(words: np.ndarray, nbits: int) -> bool:
+    """No bit at or beyond nbits is set in rows of packed nbits-bit strings."""
+    return not nbits % 64 or not np.any(words[..., -1]
+                                        >> np.uint64(nbits % 64))
+
+
+def _check_layout(t: TranscriptBatch, cfg: CommitConfig) -> None:
+    """Refuse a batch whose shapes or padding bits do not fit ``cfg``."""
+    k, r, hm = cfg.code.k, cfg.n - cfg.code.k, cfg.hash_m
+    wk, size = _nwords(k), len(t)
+    split = (size, wk + _nwords(r))
+    shapes = {"seed": (size, hm, wk), "mbar": (size, _nwords(hm)),
+              "coset": (size, _nwords(r)), "z": split,
+              "m": (size, _nwords(hm)), "x": split}
+    for name, shape in shapes.items():
+        arr = getattr(t, name)
+        if arr.dtype != np.uint64 or arr.shape != shape:
+            raise ValueError("batch field %s is %s %s, expected uint64 %s"
+                             % (name, arr.dtype, arr.shape, shape))
+    if not (_padding_clear(t.seed, k) and _padding_clear(t.mbar, hm)
+            and _padding_clear(t.m, hm) and _padding_clear(t.coset, r)
+            and all(_padding_clear(a[:, :wk], k)
+                    and _padding_clear(a[:, wk:], r) for a in (t.z, t.x))):
+        raise ValueError("batch has bits set beyond a string's length")
+
+
+def bob_verify_batch(t: TranscriptBatch, cfg: CommitConfig) -> np.ndarray:
+    """Accept mask of the receiver's test on every opening of a batch.
+
+    Trial i is accepted iff x_i is a codeword, HD(x_i + x_C', z_i) lies in
+    ``typical_window``, and the seed hash of x_i equals m_i + Mbar_i: the
+    three tests of ``bob_verify``, applied to arbitrary openings.
+    """
+    _check_layout(t, cfg)
+    code = cfg.code
+    wk = _nwords(code.k)
+    u = t.x[:, :wk]
+    member = (code.check_words_batch(u) == t.x[:, wk:]).all(axis=1)
+    diff = t.x ^ t.z
+    diff[:, wk:] ^= t.coset
+    weight = np.bitwise_count(diff).sum(axis=1)
+    w_lo, w_hi = typical_window(cfg.n, cfg.p, cfg.eps)
+    typical = (weight >= w_lo) & (weight <= w_hi)
+    digest = np.bitwise_count(t.seed & u[:, None, :]).sum(axis=2) & 1
+    hashed = (digest == _unpack_u64(t.m ^ t.mbar, cfg.hash_m)).all(axis=1)
+    return member & typical & hashed
+
+
 @dataclass(frozen=True)
 class CompletenessEstimate:
     reject_rate: float
@@ -218,31 +456,46 @@ def estimate_completeness(cfg: CommitConfig, trials: int,
                           master_seed: int) -> CompletenessEstimate:
     """Monte Carlo rejection-rate estimate over uniformly sampled messages.
 
-    The acceptance probability is message-independent (the noise weight test
-    does not see the message, and the other two tests pass identically on
-    honest runs), so the pooled rate is the operative estimate; the worst
-    per-message observed rate is tracked as a cross-check. The interval is a
-    two-sided 99% Wilson interval on the pooled rate.
+    Trials run on the batched engine in blocks of BLOCK, block b drawing
+    from its own stream ``default_rng([master_seed, b])`` (see
+    ``run_honest_batch``); the last block may be cut short. The acceptance
+    probability is message-independent (the noise weight test does not see
+    the message, and the other two tests pass identically on honest runs),
+    so the pooled rate is the operative estimate; the worst per-message
+    observed rate is tracked as a cross-check. The interval is a two-sided
+    99% Wilson interval on the pooled rate.
     """
     if trials < 10 ** 3:
         raise ValueError("need trials >= 1000")
-    rejects = 0
-    per_message: dict[bytes, list[int]] = {}
-    for i in range(trials):
-        rng = np.random.default_rng([master_seed, i])
-        m = BitString.random(cfg.hash_m, rng)
-        run = run_honest(m, cfg, rng)
-        bad = run.flag != ACC
-        rejects += bad
-        cell = per_message.setdefault(m.bits.tobytes(), [0, 0])
-        cell[0] += bad
-        cell[1] += 1
+    rejects, per_message = _completeness_counts(cfg, trials, master_seed)
     rate = rejects / trials
     low, high = _wilson_99(rejects, trials)
     worst = max((c[0] / c[1] for c in per_message.values()), default=0.0)
     return CompletenessEstimate(reject_rate=rate, wilson_low=low,
                                 wilson_high=high, worst_message_rate=worst,
                                 trials=trials)
+
+
+def _completeness_counts(cfg: CommitConfig, trials: int, master_seed: int,
+                         first_block: int = 0):
+    """Rejects, and [rejects, runs] per message, over ``trials`` honest runs
+    in blocks ``first_block``, ``first_block + 1``, ..."""
+    rejects = 0
+    per_message: dict[bytes, list[int]] = {}
+    for i, start in enumerate(range(0, trials, BLOCK)):
+        batch = run_honest_batch(cfg, master_seed, first_block + i,
+                                 min(BLOCK, trials - start))
+        bad = ~bob_verify_batch(batch, cfg)
+        rejects += int(bad.sum())
+        keys, inverse = np.unique(batch.m, axis=0, return_inverse=True)
+        inverse = inverse.reshape(-1)
+        runs = np.bincount(inverse, minlength=len(keys))
+        fails = np.bincount(inverse, weights=bad, minlength=len(keys))
+        for key, f, r in zip(keys, fails, runs):
+            cell = per_message.setdefault(key.tobytes(), [0, 0])
+            cell[0] += int(f)
+            cell[1] += int(r)
+    return rejects, per_message
 
 
 def _wilson_99(successes: int, trials: int):

@@ -5,7 +5,8 @@ import pytest
 
 from usnc.channel import (AliceChannel, BobChannel, UsncParams, bsc_law_dense,
                           bsc_transmit, check_c2, check_c3,
-                          typical_membership, typicality_tail_exact)
+                          typical_membership, typical_window,
+                          typicality_tail_exact)
 from usnc.entropy import ClassicalDistribution, smooth_min_entropy
 from usnc.gf2 import BitString, hamming_distance
 
@@ -81,6 +82,35 @@ class TestTypicalMembership:
             x, z, y = (BitString.random(24, rng) for _ in range(3))
             assert typical_membership(x, z, 0.2, 0.1) == \
                 typical_membership(x ^ y, z ^ y, 0.2, 0.1)
+
+    def test_integral_upper_edge_is_inclusive(self):
+        # 5 * (0.02 + 0.18) evaluates to 0.9999999999999999 in floats
+        x = BitString.zeros(5)
+        z = BitString.from01("10000")
+        assert typical_window(5, 0.02, 0.18) == (0, 1)
+        assert typical_membership(x, z, 0.02, 0.18)
+
+
+class TestTypicalWindow:
+    def test_matches_integer_arithmetic_on_decimal_grid(self):
+        # p = i/100 and eps = j/100 over the valid protocol range
+        # (eps < 1/2 - p), every n <= 400 at which an edge n(p -/+ eps) is
+        # an integer: only there can rounding move a weight across an edge
+        # (the float form n * (p + eps) misses 2,570 of these edges)
+        for i in range(1, 50):
+            for j in range(1, 50 - i):
+                for n in range(1, 401):
+                    lo_num, hi_num = n * (i - j), n * (i + j)
+                    if lo_num % 100 and hi_num % 100:
+                        continue
+                    expected = (max(0, -(-lo_num // 100)), hi_num // 100)
+                    assert typical_window(n, i / 100, j / 100) == expected, \
+                        (n, i, j)
+
+    def test_clipped_to_weights_and_possibly_empty(self):
+        assert typical_window(50, 0.2, 0.8) == (0, 50)
+        assert typical_window(5, 0.02, 0.01) == (1, 0)  # no weight fits
+        assert typical_window(4096, np.float64(0.1), 0.06) == (164, 655)
 
 
 class TestTypicalityTail:

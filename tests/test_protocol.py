@@ -1,16 +1,23 @@
 import json
 import math
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from usnc.bounds import completeness_bound
-from usnc.gf2 import BitString, hamming_7_4, random_linear_code
-from usnc.hashing import hash_codeword
-from usnc.protocol import (ACC, REJ, CommitConfig, CommitWire,
-                           NoiselessTransmission, alice_commit,
-                           bob_receive, bob_verify, estimate_completeness,
-                           run_honest, transcript_from_json,
+from usnc.channel import typical_window, typicality_tail_exact
+from usnc.gf2 import (BitString, CosetId, LinearCode, even_weight_code,
+                      hamming_7_4, random_linear_code)
+from usnc.hashing import HashSeed, count_full_rank, hash_codeword
+from usnc.protocol import (ACC, BLOCK, REJ, CommitConfig, CommitWire,
+                           NoiselessTransmission, Opening, TranscriptBatch,
+                           _completeness_counts, alice_commit, bob_receive,
+                           bob_verify, bob_verify_batch,
+                           estimate_completeness, run_honest,
+                           run_honest_batch, transcript_from_json,
                            transcript_to_json)
 
 
@@ -224,7 +231,7 @@ class TestCompleteness:
         cfg = CommitConfig(code=code, hash_m=4, p=0.1, eps=0.25)
         est1 = estimate_completeness(cfg, 2000, 99)
         est2 = estimate_completeness(cfg, 2000, 99)
-        assert est1 == est2  # counter-based per-run randomness
+        assert est1 == est2  # counter-based per-block randomness
         assert est1.reject_rate <= completeness_bound(64, 0.25)
         assert 0.0 <= est1.wilson_low <= est1.wilson_high <= 1.0
 
@@ -244,3 +251,145 @@ class TestCompleteness:
         cfg = CommitConfig(code=hamming_7_4(), hash_m=1, p=0.25, eps=0.2)
         with pytest.raises(ValueError):
             estimate_completeness(cfg, 10, 0)
+
+
+# ---------------------------------------------------------------------------
+# Batched honest engine, pinned against the scalar path
+# ---------------------------------------------------------------------------
+
+BATCH_CONFIGS = {
+    "hamming74": lambda: CommitConfig(code=hamming_7_4(), hash_m=1, p=0.25,
+                                      eps=0.2),
+    "even:14": lambda: CommitConfig(code=even_weight_code(14), hash_m=1,
+                                    p=0.25, eps=0.05),
+    "random[4096,16]": lambda: CommitConfig(
+        code=random_linear_code(4096, 16, 1024, np.random.default_rng(1)),
+        hash_m=8, p=0.1, eps=0.01),
+    # k and hash_m past one 64-bit word; the distance is only declared
+    "random[200,70]": lambda: CommitConfig(
+        code=LinearCode(np.random.default_rng(2).integers(0, 2, (70, 130)),
+                        d_claimed=5),
+        hash_m=66, p=0.1, eps=0.05),
+}
+
+
+def _noise_of_weight(n, w, rng):
+    bits = np.zeros(n, dtype=np.uint8)
+    bits[rng.choice(n, size=w, replace=False)] = 1
+    return BitString(bits)
+
+
+def _tampered(t, cfg, rng):
+    """Honest transcript t plus openings and channel outputs that break one
+    accept test each, and channel outputs at and just beyond both window
+    edges."""
+    code, op = cfg.code, t.opening
+    sent = op.x ^ code.coset_representative(t.coset)
+    flip_m = BitString.from_int(1, cfg.hash_m)
+    off_code = op.x ^ BitString.from_int(1, cfg.n)  # message coordinate 0
+    other = CosetId(t.coset.syndrome ^ BitString.from_int(1, cfg.n - code.k))
+    out = [t,
+           replace(t, opening=Opening(m=op.m ^ flip_m, x=op.x)),
+           replace(t, opening=Opening(m=op.m, x=off_code)),
+           replace(t, coset=other)]
+    w_lo, w_hi = typical_window(cfg.n, cfg.p, cfg.eps)
+    for w in (w_lo - 1, w_lo, w_hi, w_hi + 1):
+        if 0 <= w <= cfg.n:
+            out.append(replace(t, z=sent ^ _noise_of_weight(cfg.n, w, rng)))
+    return out
+
+
+class TestBatchEngine:
+    @pytest.mark.parametrize("name", sorted(BATCH_CONFIGS))
+    def test_batch_and_scalar_verdicts_agree(self, name):
+        cfg = BATCH_CONFIGS[name]()
+        rng = np.random.default_rng(40)
+        honest = run_honest_batch(cfg, master_seed=41, block=3, size=40)
+        transcripts = []
+        for i in range(len(honest)):
+            transcripts += _tampered(honest.transcript(i, cfg), cfg, rng)
+        batch = TranscriptBatch.from_transcripts(transcripts, cfg)
+        scalar = np.array([bob_verify(t, t.opening.m, t.opening.x, cfg) == ACC
+                           for t in transcripts])
+        assert np.array_equal(bob_verify_batch(batch, cfg), scalar)
+        assert scalar.any() and not scalar.all()
+
+    @pytest.mark.parametrize("name", sorted(BATCH_CONFIGS))
+    def test_honest_runs_fail_only_on_noise_weight(self, name):
+        # the lift, encoding and coset shift are right exactly when every
+        # honest verdict is the window test on the channel noise alone
+        cfg = BATCH_CONFIGS[name]()
+        batch = run_honest_batch(cfg, master_seed=42, block=0, size=200)
+        w_lo, w_hi = typical_window(cfg.n, cfg.p, cfg.eps)
+        for i in range(len(batch)):
+            t = batch.transcript(i, cfg)
+            sent = t.opening.x ^ cfg.code.coset_representative(t.coset)
+            w = (sent ^ t.z).weight()
+            assert bob_verify(t, t.opening.m, t.opening.x, cfg) == \
+                (ACC if w_lo <= w <= w_hi else REJ)
+        assert bob_verify_batch(batch, cfg).any()
+
+    def test_seeds_and_preimages_uniform(self):
+        # (S, u) must be uniform over full-rank seeds x all k-bit messages,
+        # independently of the committed message m; with k = 4 and
+        # hash_m = 2 every field is one word per row
+        cfg = CommitConfig(code=hamming_7_4(), hash_m=2, p=0.25, eps=0.2)
+        cols = []
+        for block in range(20):
+            b = run_honest_batch(cfg, 43, block)
+            cols.append(np.stack([b.seed[:, 0, 0], b.seed[:, 1, 0], b.m[:, 0],
+                                  b.x[:, 0]], axis=1))
+        draws = np.concatenate(cols)
+        seeds, seed_counts = np.unique(draws[:, :2], axis=0,
+                                       return_counts=True)
+        assert len(seeds) == count_full_rank(4, 2)
+        for rows in seeds:
+            HashSeed(((rows[:, None] >> np.arange(4, dtype=np.uint64)) & 1)
+                     .astype(np.uint8))
+        _, mu_counts = np.unique(draws[:, 2:], axis=0, return_counts=True)
+        assert len(mu_counts) == 4 * 16
+        for counts in (seed_counts, mu_counts):
+            expected = counts.sum() / counts.size
+            stat = float(((counts - expected) ** 2 / expected).sum())
+            assert stat < chi2.ppf(0.999, df=counts.size - 1)
+
+    def test_blocks_independent_of_call_partition(self):
+        cfg = BATCH_CONFIGS["even:14"]()
+        whole = _completeness_counts(cfg, 10 * BLOCK, 44)
+        rejects, per_message = 0, {}
+        for block in range(10):
+            r, cells = _completeness_counts(cfg, BLOCK, 44, first_block=block)
+            rejects += r
+            for key, (bad, runs) in cells.items():
+                cell = per_message.setdefault(key, [0, 0])
+                cell[0] += bad
+                cell[1] += runs
+        assert whole == (rejects, per_message)
+        assert 0 < rejects < 10 * BLOCK
+
+    def test_short_block_is_prefix_of_full_block(self):
+        cfg = BATCH_CONFIGS["hamming74"]()
+        full = run_honest_batch(cfg, 45, 2)
+        short = run_honest_batch(cfg, 45, 2, size=123)
+        for f in ("seed", "mbar", "coset", "z", "m", "x"):
+            assert np.array_equal(getattr(short, f), getattr(full, f)[:123])
+
+    def test_rejection_rate_matches_exact_window_tail(self):
+        cfg = BATCH_CONFIGS["hamming74"]()
+        tail = typicality_tail_exact(7, cfg.p, cfg.eps)
+        trials = 20 * BLOCK
+        est = estimate_completeness(cfg, trials, 46)
+        se = math.sqrt(tail * (1 - tail) / trials)
+        assert est.reject_rate == pytest.approx(tail, abs=4 * se)
+
+    def test_malformed_batch_refused(self):
+        cfg = BATCH_CONFIGS["hamming74"]()
+        batch = run_honest_batch(cfg, 47, 0, size=5)
+        with pytest.raises(ValueError, match="expected"):
+            bob_verify_batch(replace(batch, z=batch.z[:, :1]), cfg)
+        padded = batch.x.copy()
+        padded[0, 0] |= np.uint64(1) << np.uint64(4)  # beyond k = 4
+        with pytest.raises(ValueError, match="beyond"):
+            bob_verify_batch(replace(batch, x=padded), cfg)
+        with pytest.raises(ValueError):
+            run_honest_batch(cfg, 47, 0, size=BLOCK + 1)
