@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import AliceChannel, BobChannel, typical_window
+from .channel import AliceChannel, BobChannel, typical_window_mask
 from .entropy import gtd
-from .gf2 import BitString, CosetId
-from .hashing import HashSeed, enumerate_full_rank_seeds, hash_codeword
+from .gf2 import BitString, CosetId, all_bits
+from .hashing import (HashSeed, digest_table, enumerate_full_rank_seeds,
+                      hash_codeword)
 from .protocol import (ACC, CommitConfig, CommitmentTranscript,
                        NoiselessTransmission, alice_commit, bob_verify)
 
@@ -106,16 +107,14 @@ def _binding_exact(strategy: AliceStrategy, cfg: CommitConfig) -> float:
     if n > 16:
         raise ValueError("exact binding enumeration needs n <= 16")
     code = cfg.code
-    all_z = np.arange(1 << n, dtype=np.uint32)
-    lo, hi = typical_window(n, cfg.p, cfg.eps)
     window_cache: dict[int, np.ndarray] = {}
 
-    def window_mask(center: int) -> np.ndarray:
-        mask = window_cache.get(center)
+    def window_mask(center: BitString) -> np.ndarray:
+        key = center.to_int()
+        mask = window_cache.get(key)
         if mask is None:
-            d = np.bitwise_count(all_z ^ np.uint32(center))
-            mask = (d >= lo) & (d <= hi)
-            window_cache[center] = mask
+            mask = typical_window_mask(center, cfg.p, cfg.eps)
+            window_cache[key] = mask
         return mask
 
     law_cache: dict[object, np.ndarray] = {}
@@ -134,7 +133,7 @@ def _binding_exact(strategy: AliceStrategy, cfg: CommitConfig) -> float:
         if not ok:
             continue
         rep = code.coset_representative(atom.coset)
-        mask = window_mask((x0 ^ rep).to_int()) & window_mask((x1 ^ rep).to_int())
+        mask = window_mask(x0 ^ rep) & window_mask(x1 ^ rep)
         if atom.label not in law_cache:
             law_cache[atom.label] = strategy.channel.law(atom.label).mass
         total += atom.prob * float(law_cache[atom.label][mask].sum())
@@ -274,17 +273,14 @@ def _view_joint(strategy: BobStrategy, cfg: CommitConfig,
     if cells > 1 << 24:
         raise ValueError("view space too large for exact mode "
                          "(%d cells > 2^24)" % cells)
-    msgs = np.arange(1 << code.k, dtype=np.uint32)
-    umat = ((msgs[:, None] >> np.arange(code.k)) & 1).astype(np.uint8)
-    codewords = [BitString(row @ code.gen & 1) for row in umat]
+    codewords = [BitString(row @ code.gen & 1) for row in all_bits(code.k)]
     reps = [code.coset_representative(
         CosetId(BitString.from_int(ci, code.n - code.k)))
         for ci in range(n_cosets)]
     out = np.zeros((len(seeds), 1 << cfg.hash_m, n_cosets, view.view_size))
-    digest_pow = 1 << np.arange(cfg.hash_m)
     law_cache: dict[int, np.ndarray] = {}
     for si, seed in enumerate(seeds):
-        digests = ((umat @ seed.matrix.T) & 1) @ digest_pow
+        digests = digest_table(seed.matrix)
         for mbar_int in range(1 << cfg.hash_m):
             masked = (m ^ BitString.from_int(mbar_int, cfg.hash_m)).to_int()
             sel = np.flatnonzero(digests == masked)

@@ -29,6 +29,7 @@ __all__ = [
     "CheckReport",
     "bsc_transmit",
     "typical_window",
+    "typical_window_mask",
     "typical_membership",
     "typicality_tail_exact",
     "check_c2",
@@ -89,6 +90,22 @@ def typical_window(n: int, p: float, eps: float) -> tuple[int, int]:
     pf, ef = Fraction(repr(float(p))), Fraction(repr(float(eps)))
     return (max(0, math.ceil(n * (pf - ef))),
             min(n, math.floor(n * (pf + ef))))
+
+
+def typical_window_mask(center: BitString, p: float, eps: float) -> np.ndarray:
+    """``typical_membership(center, z, p, eps)`` for every n-bit string z.
+
+    Entry z (integer order, bit i of z is coordinate i) is True iff
+    HD(center, z) lies in ``typical_window(n, p, eps)``.
+    """
+    n = len(center)
+    if n > _DENSE_N_LIMIT:
+        raise ValueError("dense window masks limited to n <= %d"
+                         % _DENSE_N_LIMIT)
+    w_lo, w_hi = typical_window(n, p, eps)
+    z = np.arange(1 << n, dtype=np.uint32)
+    d = np.bitwise_count(z ^ np.uint32(center.to_int()))
+    return (d >= w_lo) & (d <= w_hi)
 
 
 def typical_membership(x: BitString, z: BitString, p: float,

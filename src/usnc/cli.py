@@ -76,6 +76,14 @@ def _code_from_spec(spec: str, d_claimed=None) -> LinearCode:
     return code
 
 
+def _commit_config(args, config, code: LinearCode) -> protocol.CommitConfig:
+    """Protocol instance over ``code``, its fields from flags over config."""
+    return protocol.CommitConfig(
+        code=code, hash_m=_resolve(args, config, "hash_m", int, required=True),
+        p=_resolve(args, config, "p", float, required=True),
+        eps=_resolve(args, config, "eps", float, required=True))
+
+
 def _message_bits(hex_str: str, nbits: int) -> BitString:
     value = int(hex_str, 16)
     if value >> nbits:
@@ -93,13 +101,10 @@ def _cmd_commit_run(args, config) -> int:
     n = _resolve(args, config, "n", int, default=code.n)
     if n != code.n:
         raise UsageError("--n %d does not match the code length %d" % (n, code.n))
-    hash_m = _resolve(args, config, "hash_m", int, required=True)
-    p = _resolve(args, config, "p", float, required=True)
-    eps = _resolve(args, config, "eps", float, required=True)
+    cfg = _commit_config(args, config, code)
     seed = _resolve(args, config, "seed", int, required=True)
-    cfg = protocol.CommitConfig(code=code, hash_m=hash_m, p=p, eps=eps)
     m = _message_bits(_resolve(args, config, "message", str, required=True),
-                      hash_m)
+                      cfg.hash_m)
     run = protocol.run_honest(m, cfg, np.random.default_rng([seed, 0]))
     text = protocol.transcript_to_json(run.transcript)
     if args.out:
@@ -114,10 +119,7 @@ def _cmd_commit_run(args, config) -> int:
 
 def _cmd_commit_replay(args, config) -> int:
     code = _code_from_spec(_resolve(args, config, "code", str, required=True))
-    hash_m = _resolve(args, config, "hash_m", int, required=True)
-    p = _resolve(args, config, "p", float, required=True)
-    eps = _resolve(args, config, "eps", float, required=True)
-    cfg = protocol.CommitConfig(code=code, hash_m=hash_m, p=p, eps=eps)
+    cfg = _commit_config(args, config, code)
     with open(args.transcript) as fh:
         t = protocol.transcript_from_json(fh.read())
     if t.opening is None:
@@ -129,9 +131,6 @@ def _cmd_commit_replay(args, config) -> int:
 
 
 def _cmd_commit_complete(args, config) -> int:
-    hash_m = _resolve(args, config, "hash_m", int, required=True)
-    p = _resolve(args, config, "p", float, required=True)
-    eps = _resolve(args, config, "eps", float, required=True)
     seed = _resolve(args, config, "seed", int, required=True)
     trials = _resolve(args, config, "trials", int, default=10 ** 4)
     code_spec = _resolve(args, config, "code", str)
@@ -144,12 +143,11 @@ def _cmd_commit_complete(args, config) -> int:
                             default=max(1, n // 4))
         code = random_linear_code(n, k, target_d,
                                   np.random.default_rng([seed, 9000]))
-    cfg = protocol.CommitConfig(code=code, hash_m=hash_m, p=p, eps=eps)
+    cfg = _commit_config(args, config, code)
     est = protocol.estimate_completeness(cfg, trials, seed)
-    bound = bounds.completeness_bound(cfg.n, eps)
+    bound = bounds.completeness_bound(cfg.n, cfg.eps)
     print("reject_rate: %s" % _fmt(est.reject_rate))
     print("wilson_99: [%s, %s]" % (_fmt(est.wilson_low), _fmt(est.wilson_high)))
-    print("worst_message_rate: %s" % _fmt(est.worst_message_rate))
     print("bound: %s" % _fmt(bound))
     ok = _pass_line("completeness tail bound", est.reject_rate <= bound
                     or est.wilson_low <= bound)
@@ -161,17 +159,16 @@ def _cmd_commit_complete(args, config) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_binding_strategy(desc: dict):
-    code = _code_from_spec(desc["code"])
-    cfg = protocol.CommitConfig(code=code, hash_m=int(desc.get("hash_m", 1)),
-                                p=float(desc["p"]), eps=float(desc["eps"]))
+def _build_binding_strategy(args, desc: dict):
+    code = _code_from_spec(_resolve(args, desc, "code", str, required=True))
+    cfg = _commit_config(args, desc, code)
     if desc.get("strategy", "midpoint") != "midpoint":
         raise ValueError("unknown binding strategy %r" % desc.get("strategy"))
     if "x0" in desc or "x1" in desc:
-        x0 = BitString.from01(desc["x0"])
-        x1 = BitString.from01(desc["x1"])
+        x0 = _resolve(args, desc, "x0", BitString.from01, required=True)
+        x1 = _resolve(args, desc, "x1", BitString.from01, required=True)
     else:
-        w = int(desc["weight"])
+        w = _resolve(args, desc, "weight", int, required=True)
         x0 = BitString.zeros(code.n)
         bits = np.zeros(code.n, dtype=np.uint8)
         bits[:w] = 1
@@ -185,7 +182,8 @@ def _build_binding_strategy(desc: dict):
 
 
 def _cmd_attack(args, config) -> int:
-    desc = _read_config(args.strategy)
+    # descriptors commit to a one-bit message unless they say otherwise
+    desc = {"hash_m": "1", **_read_config(args.strategy)}
     kind = desc.get("kind", args.kind)
     if kind != args.kind:
         raise UsageError("strategy file is for %r, command expects %r"
@@ -197,7 +195,7 @@ def _cmd_attack(args, config) -> int:
             raise UsageError("--seed is required in Monte Carlo mode")
         rng = np.random.default_rng([args.seed, 77])
     if args.kind == "binding":
-        strategy, cfg = _build_binding_strategy(desc)
+        strategy, cfg = _build_binding_strategy(args, desc)
         law = strategy.channel.law(strategy.channel.labels[0])
         l_a = min_entropy(law)
         params = UsncParams(n=cfg.n, p=cfg.p, eps_a=0.0, l_a=l_a,
@@ -218,12 +216,12 @@ def _cmd_attack(args, config) -> int:
         ok = _pass_line("double-opening success bound", success <= bound + slack)
         return 0 if ok else CHECK_FAILED
     # hiding
-    code = _code_from_spec(desc["code"])
-    cfg = protocol.CommitConfig(code=code, hash_m=int(desc.get("hash_m", 1)),
-                                p=float(desc["p"]), eps=float(desc["eps"]))
+    code = _code_from_spec(_resolve(args, desc, "code", str, required=True))
+    cfg = _commit_config(args, desc, code)
     if desc.get("strategy", "less_noisy_bob") != "less_noisy_bob":
         raise ValueError("unknown hiding strategy %r" % desc.get("strategy"))
-    strategy = adversary.less_noisy_bob(float(desc["p_b"]), cfg.n)
+    strategy = adversary.less_noisy_bob(
+        _resolve(args, desc, "p_b", float, required=True), cfg.n)
     joint = strategy.view_channel.joint_with_uniform_input()
     l_b = cond_min_entropy(joint)
     params = UsncParams(n=cfg.n, p=cfg.p, eps_a=0.0, l_a=0.0,

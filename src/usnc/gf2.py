@@ -20,6 +20,7 @@ __all__ = [
     "gf2_rank",
     "gf2_solution_space",
     "gf2_kernel_basis",
+    "all_bits",
     "random_linear_code",
     "hamming_7_4",
     "even_weight_code",
@@ -131,6 +132,12 @@ def xor(x: BitString, y: BitString) -> BitString:
 # ---------------------------------------------------------------------------
 # GF(2) matrix routines (dense uint8 arrays of 0/1)
 # ---------------------------------------------------------------------------
+
+
+def all_bits(k: int) -> np.ndarray:
+    """All k-bit vectors as a (2^k, k) uint8 array; row u holds the bits of u."""
+    ints = np.arange(1 << k, dtype=np.uint32)
+    return ((ints[:, None] >> np.arange(k)) & 1).astype(np.uint8)
 
 
 def _pack_rows(mat: np.ndarray) -> list[int]:
@@ -273,8 +280,7 @@ class LinearCode:
         self.n = k + r
         self.d_claimed = d_claimed
         self.d_verified = d_verified
-        self._p_words = np.vstack([_pack_u64(row) for row in p]) if r else \
-            np.zeros((k, 0), dtype=np.uint64)
+        self._p_words = _pack_u64(p)
 
     # -- construction -------------------------------------------------------
 
@@ -386,15 +392,9 @@ class LinearCode:
                              "(got k=%d)" % self.k)
         if self.k == self.n and self.k >= 1:
             return 1
-        # rows packed into uint64 words; Gray-code steps XOR one row at a time
-        nwords = (self.n + 63) // 64
-        packed = np.zeros((self.k, nwords), dtype=np.uint64)
-        gen = self.gen
-        for i in range(self.k):
-            idx = np.flatnonzero(gen[i])
-            np.bitwise_or.at(packed[i], idx // 64,
-                             (np.uint64(1) << (idx % 64).astype(np.uint64)))
-        cur = np.zeros(nwords, dtype=np.uint64)
+        # Gray-code steps XOR one packed generator row at a time
+        packed = _pack_u64(self.gen)
+        cur = np.zeros(packed.shape[1], dtype=np.uint64)
         best = self.n + 1
         for j in range(1, 1 << self.k):
             # Gray code: bit flipped between j-1 and j is trailing-zero count
@@ -464,33 +464,50 @@ def repetition_code(n: int) -> LinearCode:
 
 
 # ---------------------------------------------------------------------------
-# Code files: first line "n k", then k generator rows of n characters
+# Bit-matrix files: a two-integer header, then one row of 0/1 characters per
+# line. Code files are "n k" then k generator rows, seed files "m k" then m
+# rows.
 # ---------------------------------------------------------------------------
 
 
-def save_code(code: LinearCode, path) -> None:
+def _write_bit_matrix(path, header: tuple[int, int], mat: np.ndarray) -> None:
     with open(path, "w") as fh:
-        fh.write("%d %d\n" % (code.n, code.k))
-        gen = code.gen
-        for row in gen:
+        fh.write("%d %d\n" % header)
+        for row in mat:
             fh.write("".join("1" if b else "0" for b in row) + "\n")
 
 
-def load_code(path, d_claimed: int | None = None) -> LinearCode:
+def _read_bit_matrix(path, what: str, header: str, row_noun: str,
+                    shape) -> np.ndarray:
+    """Rows of a bit-matrix file as a uint8 array.
+
+    ``header`` names the two header integers for error messages ("n k");
+    ``shape`` maps them to the (rows, columns) the body must have.
+    """
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
-        raise ValueError("empty code file")
+        raise ValueError("empty %s file" % what)
     try:
-        n, k = (int(t) for t in lines[0].split())
+        nrows, ncols = shape(*(int(t) for t in lines[0].split()))
     except Exception as exc:
-        raise ValueError("bad header, expected 'n k'") from exc
-    if len(lines) != k + 1:
-        raise ValueError("expected %d generator rows, got %d"
-                         % (k, len(lines) - 1))
-    gen = np.zeros((k, n), dtype=np.uint8)
+        raise ValueError("bad header, expected '%s'" % header) from exc
+    if len(lines) != nrows + 1:
+        raise ValueError("expected %d %s, got %d"
+                         % (nrows, row_noun, len(lines) - 1))
+    mat = np.zeros((nrows, ncols), dtype=np.uint8)
     for i, ln in enumerate(lines[1:]):
-        if len(ln) != n or set(ln) - {"0", "1"}:
-            raise ValueError("row %d is not %d characters of 0/1" % (i, n))
-        gen[i] = np.frombuffer(ln.encode(), dtype=np.uint8) - ord("0")
+        if len(ln) != ncols or set(ln) - {"0", "1"}:
+            raise ValueError("row %d is not %d characters of 0/1" % (i, ncols))
+        mat[i] = np.frombuffer(ln.encode(), dtype=np.uint8) - ord("0")
+    return mat
+
+
+def save_code(code: LinearCode, path) -> None:
+    _write_bit_matrix(path, (code.n, code.k), code.gen)
+
+
+def load_code(path, d_claimed: int | None = None) -> LinearCode:
+    gen = _read_bit_matrix(path, "code", "n k", "generator rows",
+                          lambda n, k: (k, n))
     return LinearCode.from_generator(gen, d_claimed=d_claimed)

@@ -14,7 +14,8 @@ from itertools import product
 
 import numpy as np
 
-from .gf2 import BitString, LinearCode, gf2_rank, gf2_solution_space
+from .gf2 import (BitString, LinearCode, _read_bit_matrix, _write_bit_matrix,
+                  all_bits, gf2_rank, gf2_solution_space)
 
 __all__ = [
     "HashSeed",
@@ -22,6 +23,7 @@ __all__ = [
     "hash_codeword",
     "preimage_sample",
     "shifted_hash",
+    "digest_table",
     "verify_balanced",
     "estimate_collision_probability",
     "exact_collision_probability",
@@ -116,6 +118,17 @@ def shifted_hash(seed: HashSeed, code: LinearCode, cprime_rep: BitString,
     return hash_codeword(seed, code, c_in_coset ^ cprime_rep)
 
 
+def digest_table(matrix: np.ndarray) -> np.ndarray:
+    """Digest T u of every k-bit message u under an m x k 0/1 matrix T.
+
+    Entry u is for row u of ``gf2.all_bits(k)``; digest bit j is bit j of
+    the entry, as in ``hash_codeword(...).to_int()``. T may be rank
+    deficient.
+    """
+    m, k = matrix.shape
+    return ((all_bits(k) @ matrix.T) & 1) @ (1 << np.arange(m))
+
+
 def verify_balanced(seed, code: LinearCode) -> dict:
     """Exhaustively check that all 2^m digests have 2^(k-m) preimages.
 
@@ -127,10 +140,10 @@ def verify_balanced(seed, code: LinearCode) -> dict:
     k, m = code.k, matrix.shape[0]
     if k > 20:
         raise ValueError("balance check enumerates 2^k codewords; k <= 20 only")
-    msgs = _all_bits(k)
-    digests = (msgs @ matrix.T) & 1
-    codes_int = digests @ (1 << np.arange(m))
-    counts = np.bincount(codes_int, minlength=1 << m)
+    if matrix.shape[1] != k:
+        raise ValueError("matrix width %d != code dimension %d"
+                         % (matrix.shape[1], k))
+    counts = np.bincount(digest_table(matrix), minlength=1 << m)
     expected = 1 << (k - m)
     return {
         "balanced": bool(np.all(counts == expected)),
@@ -182,47 +195,20 @@ def enumerate_full_rank_seeds(k: int, m: int) -> list[HashSeed]:
     """All full-rank m x k matrices; feasible only for m*k <= 24."""
     if m * k > 24:
         raise ValueError("enumeration of 2^(m*k) matrices needs m*k <= 24")
-    rows = _all_bits(k)
-    if m == 1:  # full rank = nonzero row
-        return [HashSeed(rows[i: i + 1]) for i in range(1, 1 << k)]
+    rows = all_bits(k)
     seeds = []
     for combo in product(range(1 << k), repeat=m):
-        mat = rows[list(combo)]
-        if gf2_rank(mat) == m:
-            seeds.append(HashSeed(mat))
+        try:
+            seeds.append(HashSeed(rows[list(combo)]))
+        except ValueError:  # rank deficient
+            continue
     return seeds
 
 
-def _all_bits(k: int) -> np.ndarray:
-    """All k-bit vectors as a (2^k, k) uint8 array, integer order."""
-    ints = np.arange(1 << k, dtype=np.uint32)
-    return ((ints[:, None] >> np.arange(k)) & 1).astype(np.uint8)
-
-
-# seed files share the code-file layout: "m k" header, then m rows of k bits
-
-
 def save_seed(seed: HashSeed, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("%d %d\n" % (seed.m, seed.k))
-        for row in seed.matrix:
-            fh.write("".join("1" if b else "0" for b in row) + "\n")
+    _write_bit_matrix(path, (seed.m, seed.k), seed.matrix)
 
 
 def load_seed(path) -> HashSeed:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise ValueError("empty seed file")
-    try:
-        m, k = (int(t) for t in lines[0].split())
-    except Exception as exc:
-        raise ValueError("bad header, expected 'm k'") from exc
-    if len(lines) != m + 1:
-        raise ValueError("expected %d rows, got %d" % (m, len(lines) - 1))
-    mat = np.zeros((m, k), dtype=np.uint8)
-    for i, ln in enumerate(lines[1:]):
-        if len(ln) != k or set(ln) - {"0", "1"}:
-            raise ValueError("row %d is not %d characters of 0/1" % (i, k))
-        mat[i] = np.frombuffer(ln.encode(), dtype=np.uint8) - ord("0")
-    return HashSeed(mat)
+    return HashSeed(_read_bit_matrix(path, "seed", "m k", "rows",
+                                     lambda m, k: (m, k)))

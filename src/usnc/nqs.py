@@ -17,6 +17,7 @@ from typing import Callable
 
 import numpy as np
 
+from .bounds import binary_entropy
 from .channel import UsncParams
 from .gf2 import BitString
 
@@ -201,7 +202,7 @@ def nqs_channel_params(params: NqsParams,
     the honest noise level is sin^2(pi/8).
     """
     n = params.n
-    h_round = _binary_entropy(SIN2_PI_8)
+    h_round = binary_entropy(SIN2_PI_8)
     l_a, eps_a = azuma_min_entropy(h_round, n, params.lambda_a, 2,
                                    log_base=log_base)
     lam_b = params.lambda_b
@@ -240,9 +241,3 @@ def bounded_storage_success_log2(n_r: float, d: int) -> float:
     if d < 0:
         raise ValueError("need d >= 0")
     return min(0.0, d - n_r)
-
-
-def _binary_entropy(q: float) -> float:
-    if q in (0.0, 1.0):
-        return 0.0
-    return -q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q)

@@ -13,12 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from .bounds import intersection_bound
-from .channel import BobChannel, typical_window, typicality_tail_exact
+from .bounds import binary_entropy, intersection_bound
+from .channel import (BobChannel, bsc_law_dense, typical_window,
+                      typical_window_mask, typicality_tail_exact)
 from .entropy import (ClassicalDistribution, JointDistribution,
                       cond_min_entropy, gtd, min_entropy)
-from .gf2 import BitString, LinearCode
-from .hashing import enumerate_full_rank_seeds, sample_seed
+from .gf2 import BitString, LinearCode, all_bits
+from .hashing import digest_table, enumerate_full_rank_seeds, sample_seed
 
 __all__ = [
     "typical_intersection_exact",
@@ -40,12 +41,8 @@ def typical_intersection_exact(n: int, p: float, eps: float, x: BitString,
         raise ValueError("exact intersection enumeration needs n <= 20")
     if len(x) != n or len(y) != n:
         raise ValueError("length mismatch")
-    z = np.arange(1 << n, dtype=np.uint32)
-    dx = np.bitwise_count(z ^ np.uint32(x.to_int()))
-    dy = np.bitwise_count(z ^ np.uint32(y.to_int()))
-    lo, hi = typical_window(n, p, eps)
-    return int(np.count_nonzero((dx >= lo) & (dx <= hi)
-                                & (dy >= lo) & (dy <= hi)))
+    return int(np.count_nonzero(typical_window_mask(x, p, eps)
+                                & typical_window_mask(y, p, eps)))
 
 
 @dataclass(frozen=True)
@@ -120,23 +117,19 @@ def clipped_bsc_construction(n: int, p: float, eps: float,
     """
     if n > 16:
         raise ValueError("dense construction needs n <= 16")
-    z = np.arange(1 << n, dtype=np.uint32)
-    d = np.bitwise_count(z).astype(np.float64)  # distances from input 0
-    full = np.exp(xlogy(d, p) + xlogy(n - d, 1.0 - p))
-    lo, hi = typical_window(n, p, eps)
-    inside = (d >= lo) & (d <= hi)
-    clipped = np.where(inside, full, 0.0)
+    zero = BitString.zeros(n)
+    full = bsc_law_dense(n, zero, p).mass
+    clipped = np.where(typical_window_mask(zero, p, eps), full, 0.0)
     gtd_actual = gtd(ClassicalDistribution(full), ClassicalDistribution(clipped))
     tail = typicality_tail_exact(n, p, eps)
     h_in = min_entropy(ClassicalDistribution(clipped))
     c = np.log2((1.0 - p) / p)
-    hp = -(xlogy(p, p) + xlogy(1 - p, 1 - p)) / np.log(2.0)
-    floor = n * (float(hp) - eps * float(c))
+    floor = n * (binary_entropy(p) - eps * float(c))
     cond = None
     if with_conditional:
         if n > 14:
             raise ValueError("conditional construction needs n <= 14")
-        cond = _clipped_cond_min_entropy(n, p, lo, hi)
+        cond = _clipped_cond_min_entropy(n, p, *typical_window(n, p, eps))
     return ClippedBscResult(gtd_actual=gtd_actual, tail=tail,
                             min_entropy_per_input=h_in, entropy_floor=floor,
                             cond_min_entropy=cond)
@@ -193,19 +186,16 @@ def lhl_check(code: LinearCode, hash_m: int, view_channel: BobChannel,
         if rng is None:
             raise ValueError("sampled seeds need an rng")
         seeds = [sample_seed(k, hash_m, rng) for _ in range(seeds)]
-    msgs = np.arange(1 << k, dtype=np.uint32)
-    umat = ((msgs[:, None] >> np.arange(k)) & 1).astype(np.uint8)
     laws = np.stack([view_channel.law(code.encode(BitString(u))).mass
-                     for u in umat])  # (2^k, V)
+                     for u in all_bits(k)])  # (2^k, V)
     ncw = laws.shape[0]
     marginal = laws.mean(axis=0)
     joint = laws / ncw
     h_min = cond_min_entropy(JointDistribution(joint))
-    digest_pow = 1 << np.arange(hash_m)
     target = np.tile(marginal / (1 << hash_m), (1 << hash_m, 1))
     dist_sum = 0.0
     for seed in seeds:
-        digests = ((umat @ seed.matrix.T) & 1) @ digest_pow
+        digests = digest_table(seed.matrix)
         per_digest = np.zeros(((1 << hash_m), laws.shape[1]))
         np.add.at(per_digest, digests, laws / ncw)
         dist_sum += float(np.abs(per_digest - target).sum())

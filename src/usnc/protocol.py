@@ -448,7 +448,6 @@ class CompletenessEstimate:
     reject_rate: float
     wilson_low: float
     wilson_high: float
-    worst_message_rate: float
     trials: int
 
 
@@ -461,41 +460,27 @@ def estimate_completeness(cfg: CommitConfig, trials: int,
     ``run_honest_batch``); the last block may be cut short. The acceptance
     probability is message-independent (the noise weight test does not see
     the message, and the other two tests pass identically on honest runs),
-    so the pooled rate is the operative estimate; the worst per-message
-    observed rate is tracked as a cross-check. The interval is a two-sided
+    so the rate is pooled over all messages. The interval is a two-sided
     99% Wilson interval on the pooled rate.
     """
     if trials < 10 ** 3:
         raise ValueError("need trials >= 1000")
-    rejects, per_message = _completeness_counts(cfg, trials, master_seed)
-    rate = rejects / trials
+    rejects = _completeness_counts(cfg, trials, master_seed)
     low, high = _wilson_99(rejects, trials)
-    worst = max((c[0] / c[1] for c in per_message.values()), default=0.0)
-    return CompletenessEstimate(reject_rate=rate, wilson_low=low,
-                                wilson_high=high, worst_message_rate=worst,
-                                trials=trials)
+    return CompletenessEstimate(reject_rate=rejects / trials, wilson_low=low,
+                                wilson_high=high, trials=trials)
 
 
 def _completeness_counts(cfg: CommitConfig, trials: int, master_seed: int,
-                         first_block: int = 0):
-    """Rejects, and [rejects, runs] per message, over ``trials`` honest runs
-    in blocks ``first_block``, ``first_block + 1``, ..."""
+                         first_block: int = 0) -> int:
+    """Rejects over ``trials`` honest runs in blocks ``first_block``,
+    ``first_block + 1``, ..."""
     rejects = 0
-    per_message: dict[bytes, list[int]] = {}
     for i, start in enumerate(range(0, trials, BLOCK)):
         batch = run_honest_batch(cfg, master_seed, first_block + i,
                                  min(BLOCK, trials - start))
-        bad = ~bob_verify_batch(batch, cfg)
-        rejects += int(bad.sum())
-        keys, inverse = np.unique(batch.m, axis=0, return_inverse=True)
-        inverse = inverse.reshape(-1)
-        runs = np.bincount(inverse, minlength=len(keys))
-        fails = np.bincount(inverse, weights=bad, minlength=len(keys))
-        for key, f, r in zip(keys, fails, runs):
-            cell = per_message.setdefault(key.tobytes(), [0, 0])
-            cell[0] += int(f)
-            cell[1] += int(r)
-    return rejects, per_message
+        rejects += int((~bob_verify_batch(batch, cfg)).sum())
+    return rejects
 
 
 def _wilson_99(successes: int, trials: int):
@@ -545,23 +530,29 @@ def transcript_to_json(t: CommitmentTranscript) -> str:
 
 
 def transcript_from_json(text: str) -> CommitmentTranscript:
-    obj = json.loads(text)
+    """Parse ``transcript_to_json`` output; malformed input raises ValueError."""
     try:
+        obj = json.loads(text)
         seed_obj = obj["seed"]
         m, k = int(seed_obj["m"]), int(seed_obj["k"])
         raw = np.unpackbits(
             np.frombuffer(bytes.fromhex(seed_obj["hex"]), dtype=np.uint8))
-        if raw.size < m * k:
-            raise ValueError("seed payload too short")
+        if m < 1 or k < 1 or raw.size < m * k:
+            raise ValueError("seed shape %dx%d does not fit its payload"
+                             % (m, k))
         seed = HashSeed(raw[: m * k].reshape(m, k))
         mbar = _bits_from_hex(obj["mbar"])
         coset = CosetId(_bits_from_hex(obj["coset"]))
         z = _bits_from_hex(obj["z"])
         opening = obj["opening"]
+        if opening is not None:
+            opening = Opening(m=_bits_from_hex(opening["m"]),
+                              x=_bits_from_hex(opening["x"]))
     except KeyError as exc:
         raise ValueError("transcript missing field %s" % exc) from exc
-    if opening is not None:
-        opening = Opening(m=_bits_from_hex(opening["m"]),
-                          x=_bits_from_hex(opening["x"]))
+    except (TypeError, OverflowError) as exc:
+        # a JSON value of the wrong type where an object, an integer or a
+        # hex string belongs
+        raise ValueError("malformed transcript: %s" % exc) from exc
     return CommitmentTranscript(seed=seed, mbar=mbar, coset=coset, z=z,
                                 opening=opening)

@@ -6,7 +6,7 @@ import pytest
 from usnc.channel import (AliceChannel, BobChannel, UsncParams, bsc_law_dense,
                           bsc_transmit, check_c2, check_c3,
                           typical_membership, typical_window,
-                          typicality_tail_exact)
+                          typical_window_mask, typicality_tail_exact)
 from usnc.entropy import ClassicalDistribution, smooth_min_entropy
 from usnc.gf2 import BitString, hamming_distance
 
@@ -89,6 +89,21 @@ class TestTypicalMembership:
         z = BitString.from01("10000")
         assert typical_window(5, 0.02, 0.18) == (0, 1)
         assert typical_membership(x, z, 0.02, 0.18)
+
+
+    def test_window_mask_matches_membership(self):
+        # the grid puts an edge on an integer at n = 5 (0.02 +- 0.18),
+        # n = 10 (0.1 +- 0.1, 0.25 +- 0.05, 0.3 +- 0.2) and elsewhere
+        rng = np.random.default_rng(5)
+        for n in range(1, 11):
+            strings = [BitString.from_int(z, n) for z in range(1 << n)]
+            center = BitString.random(n, rng)
+            for p in (0.02, 0.1, 0.25, 0.3):
+                for eps in (0.05, 0.1, 0.18, 0.2):
+                    mask = typical_window_mask(center, p, eps)
+                    assert mask.tolist() == [
+                        typical_membership(center, z, p, eps)
+                        for z in strings], (n, p, eps)
 
 
 class TestTypicalWindow:

@@ -1,14 +1,46 @@
+import json
+
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from usnc.cli import main
-from usnc.gf2 import hamming_7_4, save_code
-from usnc.protocol import transcript_from_json
+from usnc.gf2 import BitString, hamming_7_4, save_code
+from usnc.protocol import (CommitConfig, run_honest, transcript_from_json,
+                           transcript_to_json)
 
 
 def run_cli(capsys, *args):
     code = main(list(args))
     out = capsys.readouterr().out
     return code, out
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=8)
+
+VALID_TRANSCRIPT = json.loads(transcript_to_json(run_honest(
+    BitString.from01("1"),
+    CommitConfig(code=hamming_7_4(), hash_m=1, p=0.25, eps=0.2),
+    np.random.default_rng(8)).transcript))
+
+FIELD_PATHS = [("seed",), ("seed", "m"), ("seed", "k"), ("seed", "hex"),
+               ("mbar",), ("mbar", "len"), ("coset",), ("coset", "hex"),
+               ("z",), ("z", "len"), ("opening",), ("opening", "m"),
+               ("opening", "x"), ("opening", "x", "hex")]
+
+
+def _with_field(path, value):
+    """The valid transcript with the field at ``path`` set to ``value``."""
+    obj = json.loads(json.dumps(VALID_TRANSCRIPT))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return obj
 
 
 class TestBoundsEval:
@@ -94,6 +126,27 @@ class TestCommit:
         assert code == 0
         assert flag_line in replay_out
 
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(transcript=JSON_VALUES | st.builds(
+        _with_field, st.sampled_from(FIELD_PATHS), JSON_VALUES))
+    @example(transcript=[])
+    @example(transcript={"seed": 5})
+    @example(transcript=_with_field(("opening",), 5))
+    @example(transcript=_with_field(("seed", "m"), float("inf")))
+    def test_replay_any_json_replays_or_is_usage_error(self, capsys, tmp_path,
+                                                       transcript):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(transcript))
+        capsys.readouterr()
+        code = main(["commit", "replay", "--transcript", str(path),
+                     "--code", "hamming74", "--hash-m", "1", "--p", "0.25",
+                     "--eps", "0.2"])
+        err = capsys.readouterr().err
+        assert code in (0, 2)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_complete_small(self, capsys):
         code, out = run_cli(capsys, "commit", "complete", "--code", "even:64",
                             "--hash-m", "1", "--p", "0.1", "--eps", "0.25",
@@ -106,6 +159,17 @@ class TestCommit:
                           "--n", "9", "--hash-m", "1", "--p", "0.25",
                           "--eps", "0.2", "--message", "1", "--seed", "1")
         assert code == 2
+
+
+DESCRIPTORS = {
+    "binding": {"kind": "binding", "code": "even:14", "hash_m": "1",
+                "p": "0.25", "eps": "0.05", "weight": "6"},
+    "binding-pair": {"kind": "binding", "code": "even:14", "p": "0.25",
+                     "eps": "0.05", "x0": "0" * 14,
+                     "x1": "1" * 6 + "0" * 8},
+    "hiding": {"kind": "hiding", "code": "hamming74", "hash_m": "1",
+               "p": "0.25", "eps": "0.2", "p_b": "0.25"},
+}
 
 
 class TestAttack:
@@ -128,6 +192,22 @@ class TestAttack:
                             "--strategy", str(desc))
         assert code == 0
         assert "view-distance bound: PASS" in out
+
+    @pytest.mark.parametrize("name, key", [
+        ("binding", "code"), ("binding", "p"), ("binding", "eps"),
+        ("binding", "weight"), ("binding-pair", "x0"),
+        ("binding-pair", "x1"), ("hiding", "code"), ("hiding", "p"),
+        ("hiding", "eps"), ("hiding", "p_b")])
+    def test_incomplete_descriptor_is_usage_error(self, capsys, tmp_path,
+                                                  name, key):
+        fields = DESCRIPTORS[name]
+        desc = tmp_path / "desc.txt"
+        desc.write_text("".join("%s = %s\n" % item for item in fields.items()
+                                if item[0] != key))
+        code = main(["attack", fields["kind"], "--strategy", str(desc)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: missing required option")
 
     def test_kind_mismatch(self, capsys, tmp_path):
         desc = tmp_path / "binding.txt"

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from usnc.gf2 import BitString, hamming_7_4
-from usnc.hashing import (HashSeed, count_full_rank, enumerate_full_rank_seeds,
+from usnc.gf2 import BitString, all_bits, even_weight_code, hamming_7_4
+from usnc.hashing import (HashSeed, count_full_rank, digest_table,
+                          enumerate_full_rank_seeds,
                           estimate_collision_probability,
                           exact_collision_probability, hash_codeword,
                           load_seed, preimage_sample, sample_seed, save_seed,
@@ -82,6 +83,20 @@ class TestHash:
         seed = HashSeed(np.array([[1, 0, 0, 0], [0, 1, 0, 0]], dtype=np.uint8))
         c = hamming.encode(BitString.from01("1011"))
         assert hash_codeword(seed, hamming, c) == BitString.from01("10")
+
+    @pytest.mark.parametrize("code", [hamming_7_4(), even_weight_code(8)],
+                             ids=["hamming74", "even:8"])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_digest_table_matches_hash_codeword(self, code, m):
+        # every seed, except an even stride of the 16,002 seeds of even:8 at
+        # m = 2, where all 2M reference calls would take about a minute
+        seeds = enumerate_full_rank_seeds(code.k, m)
+        seeds = seeds[::max(1, len(seeds) // 128)]
+        codewords = [code.encode(BitString(u)) for u in all_bits(code.k)]
+        for s in seeds:
+            table = digest_table(s.matrix)
+            assert [hash_codeword(s, code, c).to_int()
+                    for c in codewords] == table.tolist()
 
     def test_non_codeword_rejected(self, hamming):
         s = sample_seed(4, 1, np.random.default_rng(5))
@@ -182,10 +197,14 @@ class TestBalanced:
 
 
 class TestTwoUniversality:
-    @pytest.mark.parametrize("k, m", [(4, 1), (4, 2), (5, 2), (6, 2)])
+    @pytest.mark.parametrize("k, m", [(4, 1), (4, 2), (5, 2), (6, 2), (3, 3)])
     def test_exact_over_all_seeds(self, k, m):
         seeds = enumerate_full_rank_seeds(k, m)
         assert len(seeds) == count_full_rank(k, m)
+        # rows read as integers: strictly increasing combos, so no repeats
+        combos = [tuple((s.matrix @ (1 << np.arange(k))).tolist())
+                  for s in seeds]
+        assert all(a < b for a, b in zip(combos, combos[1:]))
         mats = np.stack([s.matrix for s in seeds])
         for w_int in range(1, 1 << k):
             w = ((w_int >> np.arange(k)) & 1).astype(np.uint8)
