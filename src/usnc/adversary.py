@@ -1,10 +1,12 @@
 """Concrete cheating strategies and harnesses measuring their success.
 
 Strategies are finite explicit objects, not quantified adversaries: the
-harness can falsify a security bound but never prove one. Exact mode sums the
-strategy's joint law against dense channel laws; Monte Carlo mode replays the
-actual receiver verification on sampled runs, so the two modes exercise
-independent code paths and are cross-checked against each other.
+harness can falsify a security bound but never prove one. Both harnesses are
+exact: they sum the strategy's joint law against dense channel laws. Binding
+also has a Monte Carlo mode that replays the actual receiver verification on
+sampled runs, an independent code path cross-checked against the exact sum.
+Hiding has none: its view space is the exact mode's own enumeration, and an
+empirical trace distance over it only adds upward-biased sampling noise.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from .entropy import gtd
 from .gf2 import BitString, CosetId, all_bits
 from .hashing import (HashSeed, digest_table, enumerate_full_rank_seeds,
                       hash_codeword)
-from .protocol import (ACC, CommitConfig, CommitmentTranscript,
-                       NoiselessTransmission, alice_commit, bob_verify)
+from .protocol import ACC, CommitConfig, CommitmentTranscript, alice_commit, \
+    bob_verify
 
 __all__ = [
     "StrategyAtom",
@@ -211,17 +213,13 @@ def honest_alice_strategy(cfg: CommitConfig, m: BitString,
     The commit law is represented by ``n_atoms`` sampled honest draws. Both
     openings coincide, so the double-opening success is zero by definition.
     """
-    code = cfg.code
     atoms = []
     table = {}
     for i in range(n_atoms):
-        state, wire, _ = alice_commit(m, cfg, rng,
-                                      transmission=NoiselessTransmission())
-        xbar = state.x ^ code.coset_representative(wire.coset)
-        table[i] = xbar
+        opening, wire, table[i] = alice_commit(m, cfg, rng)
         atoms.append(StrategyAtom(prob=1.0 / n_atoms, seed=wire.seed,
                                   label=i, mbar=wire.mbar, coset=wire.coset,
-                                  aux=state.x))
+                                  aux=opening.x))
     from .channel import bsc_law_dense, bsc_transmit
 
     ch = AliceChannel(cfg.n, list(table),
@@ -237,26 +235,18 @@ def honest_alice_strategy(cfg: CommitConfig, m: BitString,
 
 
 def hiding_advantage(strategy: BobStrategy, cfg: CommitConfig,
-                     m0: BitString, m1: BitString, mode: str = "exact",
-                     trials: int = 10 ** 5,
-                     rng: np.random.Generator | None = None,
+                     m0: BitString, m1: BitString,
                      for_bound_comparison: bool = False) -> float:
     """Trace distance between the receiver's full commit-phase views.
 
     The view is (channel output, S, Mbar, C') conditioned on the committed
-    message; exact mode enumerates the joint over all full-rank seeds, masks,
+    message; the joint is enumerated exactly over all full-rank seeds, masks,
     cosets, and view symbols.
     """
     _require_certifiable(strategy.view_channel, for_bound_comparison)
     if len(m0) != cfg.hash_m or len(m1) != cfg.hash_m:
         raise ValueError("message length mismatch")
-    if mode == "exact":
-        return gtd(_view_joint(strategy, cfg, m0), _view_joint(strategy, cfg, m1))
-    if mode == "mc":
-        if rng is None:
-            raise ValueError("Monte Carlo mode needs an rng")
-        return _hiding_mc(strategy, cfg, m0, m1, trials, rng)
-    raise ValueError("mode must be 'exact' or 'mc'")
+    return gtd(_view_joint(strategy, cfg, m0), _view_joint(strategy, cfg, m1))
 
 
 def _view_joint(strategy: BobStrategy, cfg: CommitConfig,
@@ -298,30 +288,6 @@ def _view_joint(strategy: BobStrategy, cfg: CommitConfig,
     out /= len(seeds) * (1 << cfg.hash_m) * n_cosets
     out /= 1 << (code.k - cfg.hash_m)
     return out.ravel()
-
-
-def _hiding_mc(strategy: BobStrategy, cfg: CommitConfig, m0: BitString,
-               m1: BitString, trials: int, rng: np.random.Generator) -> float:
-    """Trace distance between empirical view histograms.
-
-    Biased upward by sampling noise; prefer exact mode whenever the view
-    space is enumerable.
-    """
-    code = cfg.code
-    seeds = enumerate_full_rank_seeds(code.k, cfg.hash_m)
-    seed_index = {s: i for i, s in enumerate(seeds)}
-    n_cosets = 1 << (code.n - code.k)
-    shape = (len(seeds), 1 << cfg.hash_m, n_cosets,
-             strategy.view_channel.view_size)
-    hists = [np.zeros(shape), np.zeros(shape)]
-    for which, m in ((0, m0), (1, m1)):
-        for _ in range(trials):
-            state, wire, xbar = alice_commit(
-                m, cfg, rng, transmission=NoiselessTransmission())
-            v = strategy.view_channel.sample(xbar, rng)
-            hists[which][seed_index[wire.seed], wire.mbar.to_int(),
-                         wire.coset.syndrome.to_int(), v] += 1
-    return gtd(hists[0].ravel() / trials, hists[1].ravel() / trials)
 
 
 def less_noisy_bob(p_b: float, n: int) -> BobStrategy:

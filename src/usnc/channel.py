@@ -226,21 +226,15 @@ class AliceChannel:
 class BobChannel:
     """Dishonest-receiver view channel: n-bit input -> distribution over views."""
 
-    def __init__(self, n: int, view_size: int, law_fn, sample_fn,
-                 name: str = "", symmetric: bool = False):
+    def __init__(self, n: int, view_size: int, law_fn, name: str = ""):
         self.n = n
         self.view_size = view_size
         self._law_fn = law_fn
-        self._sample_fn = sample_fn
         self.name = name
-        self.symmetric = symmetric
         self.certified = False
 
     def law(self, x: BitString) -> ClassicalDistribution:
         return self._law_fn(x)
-
-    def sample(self, x: BitString, rng: np.random.Generator) -> int:
-        return self._sample_fn(x, rng)
 
     def joint_with_uniform_input(self) -> JointDistribution:
         """Joint (input, view) mass under a uniform n-bit input."""
@@ -259,18 +253,13 @@ class BobChannel:
         def law(x: BitString):
             return bsc_law_dense(n, x, p_b)
 
-        def sample(x: BitString, rng):
-            return bsc_transmit(x, p_b, rng).to_int()
-
-        return cls(n, 1 << n, law, sample, name="bsc_view(p_b=%g)" % p_b,
-                   symmetric=True)
+        return cls(n, 1 << n, law, name="bsc_view(p_b=%g)" % p_b)
 
     @classmethod
     def constant_view(cls, n: int) -> "BobChannel":
         """View independent of the input (a single dummy symbol)."""
         dist = ClassicalDistribution(np.ones(1))
-        return cls(n, 1, lambda x: dist, lambda x, rng: 0,
-                   name="constant_view", symmetric=True)
+        return cls(n, 1, lambda x: dist, name="constant_view")
 
 
 @dataclass(frozen=True)

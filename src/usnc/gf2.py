@@ -463,51 +463,30 @@ def repetition_code(n: int) -> LinearCode:
                       d_claimed=n, d_verified=True)
 
 
-# ---------------------------------------------------------------------------
-# Bit-matrix files: a two-integer header, then one row of 0/1 characters per
-# line. Code files are "n k" then k generator rows, seed files "m k" then m
-# rows.
-# ---------------------------------------------------------------------------
-
-
-def _write_bit_matrix(path, header: tuple[int, int], mat: np.ndarray) -> None:
+def save_code(code: LinearCode, path) -> None:
+    """Write the header "n k", then the k generator rows as 0/1 characters."""
     with open(path, "w") as fh:
-        fh.write("%d %d\n" % header)
-        for row in mat:
+        fh.write("%d %d\n" % (code.n, code.k))
+        for row in code.gen:
             fh.write("".join("1" if b else "0" for b in row) + "\n")
 
 
-def _read_bit_matrix(path, what: str, header: str, row_noun: str,
-                    shape) -> np.ndarray:
-    """Rows of a bit-matrix file as a uint8 array.
-
-    ``header`` names the two header integers for error messages ("n k");
-    ``shape`` maps them to the (rows, columns) the body must have.
-    """
+def load_code(path, d_claimed: int | None = None) -> LinearCode:
+    """Read a ``save_code`` file; malformed files raise ValueError."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
-        raise ValueError("empty %s file" % what)
+        raise ValueError("empty code file")
     try:
-        nrows, ncols = shape(*(int(t) for t in lines[0].split()))
-    except Exception as exc:
-        raise ValueError("bad header, expected '%s'" % header) from exc
-    if len(lines) != nrows + 1:
-        raise ValueError("expected %d %s, got %d"
-                         % (nrows, row_noun, len(lines) - 1))
-    mat = np.zeros((nrows, ncols), dtype=np.uint8)
+        n, k = (int(t) for t in lines[0].split())
+    except ValueError as exc:
+        raise ValueError("bad header, expected 'n k'") from exc
+    if len(lines) != k + 1:
+        raise ValueError("expected %d generator rows, got %d"
+                         % (k, len(lines) - 1))
+    gen = np.zeros((k, n), dtype=np.uint8)
     for i, ln in enumerate(lines[1:]):
-        if len(ln) != ncols or set(ln) - {"0", "1"}:
-            raise ValueError("row %d is not %d characters of 0/1" % (i, ncols))
-        mat[i] = np.frombuffer(ln.encode(), dtype=np.uint8) - ord("0")
-    return mat
-
-
-def save_code(code: LinearCode, path) -> None:
-    _write_bit_matrix(path, (code.n, code.k), code.gen)
-
-
-def load_code(path, d_claimed: int | None = None) -> LinearCode:
-    gen = _read_bit_matrix(path, "code", "n k", "generator rows",
-                          lambda n, k: (k, n))
+        if len(ln) != n or set(ln) - {"0", "1"}:
+            raise ValueError("row %d is not %d characters of 0/1" % (i, n))
+        gen[i] = np.frombuffer(ln.encode(), dtype=np.uint8) - ord("0")
     return LinearCode.from_generator(gen, d_claimed=d_claimed)

@@ -14,8 +14,8 @@ from itertools import product
 
 import numpy as np
 
-from .gf2 import (BitString, LinearCode, _read_bit_matrix, _write_bit_matrix,
-                  all_bits, gf2_rank, gf2_solution_space)
+from .gf2 import (BitString, LinearCode, all_bits, gf2_rank,
+                  gf2_solution_space)
 
 __all__ = [
     "HashSeed",
@@ -29,8 +29,6 @@ __all__ = [
     "exact_collision_probability",
     "enumerate_full_rank_seeds",
     "count_full_rank",
-    "save_seed",
-    "load_seed",
 ]
 
 
@@ -42,8 +40,9 @@ class HashSeed:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.uint8) & 1
-        if m.ndim != 2:
-            raise ValueError("seed must be a 2-D 0/1 matrix")
+        if m.ndim != 2 or m.shape[0] < 1:
+            raise ValueError("seed must be a 2-D 0/1 matrix with at least "
+                             "one row")
         if gf2_rank(m) != m.shape[0]:
             raise ValueError("seed matrix is rank deficient")
         m.setflags(write=False)
@@ -193,6 +192,8 @@ def count_full_rank(k: int, m: int) -> int:
 
 def enumerate_full_rank_seeds(k: int, m: int) -> list[HashSeed]:
     """All full-rank m x k matrices; feasible only for m*k <= 24."""
+    if not (1 <= m <= k):
+        raise ValueError("need 1 <= m <= k")
     if m * k > 24:
         raise ValueError("enumeration of 2^(m*k) matrices needs m*k <= 24")
     rows = all_bits(k)
@@ -203,12 +204,3 @@ def enumerate_full_rank_seeds(k: int, m: int) -> list[HashSeed]:
         except ValueError:  # rank deficient
             continue
     return seeds
-
-
-def save_seed(seed: HashSeed, path) -> None:
-    _write_bit_matrix(path, (seed.m, seed.k), seed.matrix)
-
-
-def load_seed(path) -> HashSeed:
-    return HashSeed(_read_bit_matrix(path, "seed", "m k", "rows",
-                                     lambda m, k: (m, k)))

@@ -28,7 +28,6 @@ __all__ = [
     "measure_prob",
     "Protocol2Run",
     "run_conjugate_channel",
-    "ConjugateChannelTransmission",
     "PovmReport",
     "povm_verify",
     "azuma_min_entropy",
@@ -45,20 +44,16 @@ COS2_PI_8 = math.cos(math.pi / 8) ** 2
 class NqsParams:
     """Free parameters of the storage-channel construction at block length n.
 
-    ``p_succ`` maps a bit count nR to the maximal success probability of
-    pushing nR uniform bits through the storage channel. ``p_succ_log2``,
-    when supplied, gives log2 of the same quantity and avoids float underflow
-    at block lengths where the probability itself is subnormal. ``nu`` and
-    ``d`` describe tensor-power and bounded-storage specializations.
+    ``p_succ_log2`` maps a bit count nR to log2 of the maximal success
+    probability of pushing nR uniform bits through the storage channel. The
+    log form stays exact at block lengths where the probability itself
+    underflows; -inf means the channel never succeeds.
     """
 
     n: int
     lambda_a: float
     lambda_b: float
-    p_succ: Callable[[float], float]
-    p_succ_log2: Callable[[float], float] | None = None
-    nu: float | None = None
-    d: int | None = None
+    p_succ_log2: Callable[[float], float]
 
     def __post_init__(self):
         if self.n < 1:
@@ -128,13 +123,6 @@ def run_conjugate_channel(x: BitString, seed) -> Protocol2Run:
                         theta_prime=theta_prime, k=k)
 
 
-class ConjugateChannelTransmission:
-    """Adapter: use the storage-based channel as the commit-phase noisy leg."""
-
-    def transmit(self, x: BitString, rng: np.random.Generator) -> BitString:
-        return run_conjugate_channel(x, rng).z
-
-
 @dataclass(frozen=True)
 class PovmReport:
     completeness_error: float
@@ -197,7 +185,7 @@ def nqs_channel_params(params: NqsParams,
 
     l_a = (h(sin^2 pi/8) - 2 lam_a) n with
     eps_a = exp(-lam_a^2 n / (32 (1 - log2 lam_a)^2));
-    l_b = -log2 p_succ((1/2 - lam_b) n) with
+    l_b = -p_succ_log2((1/2 - lam_b) n) with
     eps_b = 2 exp(-(lam_b/4)^2 n / (32 (2 + log2(4/lam_b))^2));
     the honest noise level is sin^2(pi/8).
     """
@@ -209,21 +197,12 @@ def nqs_channel_params(params: NqsParams,
     log_term = math.log(4.0 / lam_b, log_base) + 2.0
     eps_b = 2.0 * math.exp(-(lam_b / 4.0) ** 2 * n
                            / (32.0 * log_term * log_term))
-    bits = (0.5 - lam_b) * n
-    if params.p_succ_log2 is not None:
-        l_b = -params.p_succ_log2(bits)
-        if l_b < -1e-9:
-            raise ValueError("p_succ_log2 must be <= 0")
-    else:
-        psucc = params.p_succ(bits)
-        if psucc < 0.0 or psucc > 1.0:
-            raise ValueError("p_succ must return a probability")
-        if psucc == 0.0:
-            warnings.warn("p_succ returned 0; the receiver entropy floor is "
-                          "unbounded (reported as inf)")
-            l_b = math.inf
-        else:
-            l_b = -math.log2(psucc)
+    l_b = -params.p_succ_log2((0.5 - lam_b) * n)
+    if not l_b >= -1e-9:  # also refuses NaN
+        raise ValueError("p_succ_log2 must be <= 0")
+    if l_b == math.inf:
+        warnings.warn("p_succ_log2 returned -inf; the receiver entropy floor "
+                      "is unbounded (reported as inf)")
     return UsncParams(n=n, p=SIN2_PI_8, eps_a=min(eps_a, 1.0), l_a=l_a,
                       eps_b=min(eps_b, 1.0), l_b=max(l_b, 0.0))
 

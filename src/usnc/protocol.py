@@ -3,10 +3,13 @@
 Commit: the sender draws a hash seed S, a mask Mbar, and a coset C'
 (uniform syndrome), masks the message, lifts it to a uniform codeword
 preimage X, and transmits X + x_C' through the noisy channel while S, Mbar,
-C' travel noiselessly. Reveal: the sender announces (M, X); the receiver
-outputs M unconditionally and accepts iff X is a codeword, the stored channel
-output is typical for X + x_C', and the hash of X matches M + Mbar.
-Consumers must gate on the flag, not on the returned message.
+C' travel noiselessly. ``alice_commit`` returns the opening, the noiseless
+wire and the string X + x_C'; ``run_honest`` sends that string through
+BSC(p), and callers with another channel apply their own. Reveal: the sender
+announces (M, X); the receiver outputs M unconditionally and accepts iff X is
+a codeword, the stored channel output is typical for X + x_C', and the hash
+of X matches M + Mbar. Consumers must gate on the flag, not on the returned
+message.
 
 The completeness Monte Carlo runs on the batched engine: ``run_honest_batch``
 commits and opens a block of trials at once as packed uint64 words, and
@@ -37,12 +40,8 @@ __all__ = [
     "CommitWire",
     "Opening",
     "CommitmentTranscript",
-    "AliceCommitState",
-    "BscTransmission",
-    "NoiselessTransmission",
     "alice_commit",
     "bob_receive",
-    "alice_reveal",
     "bob_verify",
     "run_honest",
     "HonestRun",
@@ -112,51 +111,22 @@ class CommitmentTranscript:
     opening: Opening | None = None
 
 
-@dataclass(frozen=True)
-class AliceCommitState:
-    m: BitString
-    x: BitString
-
-
-class BscTransmission:
-    """Honest noisy leg of the commit phase."""
-
-    def __init__(self, p: float):
-        self.p = p
-
-    def transmit(self, x: BitString, rng: np.random.Generator) -> BitString:
-        return bsc_transmit(x, self.p, rng)
-
-
-class NoiselessTransmission:
-    """Test double: the receiver sees exactly what was sent."""
-
-    def transmit(self, x: BitString, rng: np.random.Generator) -> BitString:
-        return x
-
-
-def alice_commit(m: BitString, cfg: CommitConfig, rng: np.random.Generator,
-                 transmission=None):
-    """Commit phase; returns (sender state, noiseless wire, channel output).
+def alice_commit(m: BitString, cfg: CommitConfig, rng: np.random.Generator):
+    """Commit phase; returns (opening, noiseless wire, transmitted string).
 
     The transmitted string is the masked-codeword lift X + x_C'; its syndrome
-    always equals C', and the seed hash of X always equals m + Mbar.
+    always equals C', and the seed hash of X always equals m + Mbar. The
+    caller sends it through the channel (``run_honest`` uses BSC(p)).
     """
     if len(m) != cfg.hash_m:
         raise ValueError("message length %d != hash_m=%d" % (len(m), cfg.hash_m))
-    if transmission is None:
-        transmission = BscTransmission(cfg.p)
     code = cfg.code
     seed = sample_seed(code.k, cfg.hash_m, rng)
     mbar = BitString.random(cfg.hash_m, rng)
     coset = code.random_coset(rng)
-    masked = m ^ mbar
-    x = preimage_sample(seed, code, masked, rng)
-    xbar = x ^ code.coset_representative(coset)
-    z = transmission.transmit(xbar, rng)
-    return (AliceCommitState(m=m, x=x),
-            CommitWire(seed=seed, mbar=mbar, coset=coset),
-            z)
+    x = preimage_sample(seed, code, m ^ mbar, rng)
+    return (Opening(m=m, x=x), CommitWire(seed=seed, mbar=mbar, coset=coset),
+            x ^ code.coset_representative(coset))
 
 
 def bob_receive(wire: CommitWire, z: BitString,
@@ -175,10 +145,6 @@ def bob_receive(wire: CommitWire, z: BitString,
         raise ValueError("channel output length %d != n=%d" % (len(z), cfg.n))
     return CommitmentTranscript(seed=wire.seed, mbar=wire.mbar,
                                 coset=wire.coset, z=z)
-
-
-def alice_reveal(state: AliceCommitState) -> Opening:
-    return Opening(m=state.m, x=state.x)
 
 
 def bob_verify(t: CommitmentTranscript, m: BitString, x: BitString,
@@ -207,9 +173,8 @@ class HonestRun:
 def run_honest(m: BitString, cfg: CommitConfig,
                rng: np.random.Generator) -> HonestRun:
     """Commit + reveal with both parties honest; m_hat always equals m."""
-    state, wire, z = alice_commit(m, cfg, rng)
-    t = bob_receive(wire, z, cfg)
-    opening = alice_reveal(state)
+    opening, wire, xbar = alice_commit(m, cfg, rng)
+    t = bob_receive(wire, bsc_transmit(xbar, cfg.p, rng), cfg)
     flag = bob_verify(t, opening.m, opening.x, cfg)
     return HonestRun(m_hat=opening.m, flag=flag,
                      transcript=replace(t, opening=opening))

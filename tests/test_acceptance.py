@@ -20,9 +20,8 @@ from usnc.entropy import (ClassicalDistribution, cond_min_entropy,
 from usnc.gf2 import (BitString, even_weight_code, hamming_7_4,
                       random_linear_code)
 from usnc.hashing import enumerate_full_rank_seeds
-from usnc.nqs import (SIN2_PI_8, NqsParams, bounded_storage_success,
-                      bounded_storage_success_log2, nqs_channel_params,
-                      povm_verify, run_conjugate_channel)
+from usnc.nqs import (SIN2_PI_8, NqsParams, bounded_storage_success_log2,
+                      nqs_channel_params, povm_verify, run_conjugate_channel)
 from usnc.oracle import (clipped_bsc_construction, lhl_check,
                          smooth_entropy_search, verify_intersection_bound)
 from usnc.protocol import CommitConfig, estimate_completeness
@@ -188,8 +187,7 @@ def test_criterion_10_storage_params_and_rate():
     lam = n ** (-1.0 / 3.0)
     theta = nqs_channel_params(NqsParams(
         n=n, lambda_a=lam, lambda_b=lam,
-        p_succ=lambda bits: bounded_storage_success(bits, d),
-        p_succ_log2=lambda bits: bounded_storage_success_log2(bits, d), d=d))
+        p_succ_log2=lambda bits: bounded_storage_success_log2(bits, d)))
     h_round = binary_entropy(SIN2_PI_8)
     ok = abs(theta.l_a / n - h_round) <= 1e-2
     ok = ok and abs(theta.l_b / n - 0.5) <= 1e-2

@@ -169,22 +169,3 @@ class TestHidingAdvantage:
         values = [hiding_advantage(less_noisy_bob(pb, 7), cfg74, m0, m1)
                   for pb in grid]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
-
-    def test_monte_carlo_matches_disjoint_and_equal_cases(self):
-        cfg = CommitConfig(code=even_weight_code(6), hash_m=1, p=0.2,
-                           eps=0.25)
-        m0, m1 = BitString.from01("0"), BitString.from01("1")
-        rng = np.random.default_rng(2)
-        # identity view: conditional views have disjoint supports, so the
-        # empirical distance is exactly 1 for any sample size
-        mc = hiding_advantage(less_noisy_bob(0.0, 6), cfg, m0, m1,
-                              mode="mc", trials=4000, rng=rng)
-        assert mc == pytest.approx(1.0, abs=1e-12)
-        # constant view: exact distance 0; the empirical value only carries
-        # sampling noise
-        from usnc.adversary import BobStrategy
-        from usnc.channel import BobChannel
-        strategy = BobStrategy(view_channel=BobChannel.constant_view(6))
-        mc0 = hiding_advantage(strategy, cfg, m0, m1, mode="mc",
-                               trials=30000, rng=rng)
-        assert mc0 <= 0.1

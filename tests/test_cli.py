@@ -172,6 +172,12 @@ DESCRIPTORS = {
 }
 
 
+def _kv_text(fields, drop=()):
+    """``key = value`` lines of ``fields``, leaving out the keys in ``drop``."""
+    return "".join("%s = %s\n" % item for item in fields.items()
+                   if item[0] not in drop)
+
+
 class TestAttack:
     def test_binding_exact(self, capsys, tmp_path):
         desc = tmp_path / "binding.txt"
@@ -202,12 +208,48 @@ class TestAttack:
                                                   name, key):
         fields = DESCRIPTORS[name]
         desc = tmp_path / "desc.txt"
-        desc.write_text("".join("%s = %s\n" % item for item in fields.items()
-                                if item[0] != key))
+        desc.write_text(_kv_text(fields, drop=(key,)))
         code = main(["attack", fields["kind"], "--strategy", str(desc)])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: missing required option")
+
+    def test_config_supplies_missing_descriptor_key(self, capsys, tmp_path):
+        desc = tmp_path / "desc.txt"
+        desc.write_text(_kv_text(DESCRIPTORS["binding"], drop=("eps",)))
+        conf = tmp_path / "conf.txt"
+        conf.write_text("eps = 0.05\n")
+        code, out = run_cli(capsys, "attack", "binding", "--strategy",
+                            str(desc), "--config", str(conf))
+        assert code == 0
+        assert "double-opening success bound: PASS" in out
+
+    def test_descriptor_wins_over_config(self, capsys, tmp_path):
+        desc = tmp_path / "desc.txt"
+        desc.write_text(_kv_text(DESCRIPTORS["hiding"]))
+        conf = tmp_path / "conf.txt"
+        conf.write_text("p_b = 0\neps = 0.1\nhash_m = 2\n")
+        args = ["attack", "hiding", "--strategy", str(desc)]
+        code, alone = run_cli(capsys, *args)
+        code2, with_config = run_cli(capsys, *args, "--config", str(conf))
+        assert code == code2 == 0
+        assert with_config == alone
+        assert "advantage: 0.418880208333" in alone
+        # a key the descriptor lacks comes from the config file
+        desc.write_text(_kv_text(DESCRIPTORS["hiding"], drop=("p_b",)))
+        code3, out3 = run_cli(capsys, *args, "--config", str(conf))
+        assert code3 == 0
+        assert "advantage: 1\n" in out3
+
+    def test_hiding_monte_carlo_is_usage_error(self, capsys, tmp_path):
+        desc = tmp_path / "desc.txt"
+        desc.write_text(_kv_text(DESCRIPTORS["hiding"]))
+        code = main(["attack", "hiding", "--strategy", str(desc), "--mode",
+                     "mc", "--seed", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "binding only" in err
 
     def test_kind_mismatch(self, capsys, tmp_path):
         desc = tmp_path / "binding.txt"
@@ -230,6 +272,14 @@ class TestOracleCommands:
                             "--seed", "5")
         assert code == 0
         assert "leftover-hash inequality: PASS" in out
+
+    @pytest.mark.parametrize("extra", [(), ("--seeds", "5", "--seed", "1")])
+    def test_lhl_zero_digest_bits_is_usage_error(self, capsys, extra):
+        code = main(["oracle", "lhl", "--hash-m", "0", *extra])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "PASS" not in captured.out
+        assert captured.err == "error: need 1 <= m <= k\n"
 
     def test_clipped(self, capsys):
         code, out = run_cli(capsys, "oracle", "clipped", "--n", "10",
@@ -278,3 +328,83 @@ class TestConfigPrecedence:
                               "--config", str(cfg))
         assert code2 == 0
         assert float(out2.strip()) == pytest.approx(8 * 2 ** (-1000 * 0.04))
+
+
+# desk-scale values for every key a descriptor or a commit config reads,
+# valid and invalid; the codes keep each exact harness call short
+KEY_VALUES = {
+    "kind": ["binding", "hiding", "other"],
+    "strategy": ["midpoint", "less_noisy_bob", "other"],
+    "code": ["hamming74", "even:5", "even:6", "rep:3", "even:1", "even:40",
+             "even:x", "no-such-file"],
+    "hash_m": ["0", "1", "2", "5", "-1", "1.5", "x"],
+    "p": ["0.1", "0.25", "0", "0.5", "-1", "nan", "inf", "x"],
+    "eps": ["0.05", "0.2", "0", "0.4", "-1", "nan", "x"],
+    "p_b": ["0", "0.1", "0.25", "0.5", "0.7", "-0.1", "nan", "x"],
+    "spread": ["0", "0.3", "0.5", "0.7", "nan", "x"],
+    "weight": ["0", "2", "3", "4", "6", "9", "-1", "x"],
+    "x0": ["000000", "0000000", "110000", "1110000", "11", "01x"],
+    "x1": ["000000", "0000000", "110000", "1110000", "11", "01x"],
+    "m0": ["0", "1", "3", "ff", "-1", "zz"],
+    "m1": ["0", "1", "3", "ff", "-1", "zz"],
+    "n": ["5", "7", "0", "x"],
+    "message": ["0", "1", "3", "zz"],
+    "seed": ["0", "7", "-1", "x"],
+}
+# complete files each fuzzed input starts from
+BASE_FIELDS = {
+    "binding": {"kind": "binding", "strategy": "midpoint", "code": "even:6",
+                "hash_m": "1", "p": "0.25", "eps": "0.2", "weight": "2",
+                "spread": "0.5"},
+    "hiding": DESCRIPTORS["hiding"],
+    "commit": {"code": "hamming74", "hash_m": "1", "p": "0.25", "eps": "0.2",
+               "message": "1", "seed": "7"},
+}
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+KV_PAIR = st.sampled_from(sorted(KEY_VALUES)).flatmap(
+    lambda key: st.tuples(st.just(key), st.sampled_from(KEY_VALUES[key])))
+JUNK_LINE = (st.builds("{} = {}".format, _TEXT, _TEXT)
+             | st.builds("# {}".format, _TEXT) | _TEXT)
+
+
+@st.composite
+def kv_file(draw, base):
+    """``base`` with a few keys dropped, a few drawn values and junk lines,
+    as the text of a key = value file."""
+    fields = dict(base)
+    for key in draw(st.sets(st.sampled_from(sorted(fields)), max_size=3)
+                    if fields else st.just(())):
+        del fields[key]
+    fields.update(draw(st.lists(KV_PAIR, max_size=3)))
+    lines = ["%s = %s" % item for item in fields.items()]
+    lines += draw(st.lists(JUNK_LINE, max_size=2))
+    return "".join(line + "\n" for line in draw(st.permutations(lines)))
+
+
+class TestKeyValueFiles:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(),
+           command=st.sampled_from(["binding", "hiding", "commit"]))
+    def test_any_descriptor_or_config_exits_cleanly(self, capsys, tmp_path,
+                                                    data, command):
+        # the first file is the attack descriptor, or the --config file that
+        # gives ``commit run`` every field; attacks may also get a config
+        first = data.draw(kv_file(BASE_FIELDS[command]), label="first")
+        path = tmp_path / "first.txt"
+        path.write_text(first, encoding="utf-8")
+        if command == "commit":
+            argv = ["commit", "run", "--config", str(path)]
+        else:
+            argv = ["attack", command, "--strategy", str(path)]
+            config = data.draw(st.none() | kv_file({}), label="config")
+            if config is not None:
+                conf_path = tmp_path / "conf.txt"
+                conf_path.write_text(config, encoding="utf-8")
+                argv += ["--config", str(conf_path)]
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1

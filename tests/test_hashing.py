@@ -9,8 +9,8 @@ from usnc.hashing import (HashSeed, count_full_rank, digest_table,
                           enumerate_full_rank_seeds,
                           estimate_collision_probability,
                           exact_collision_probability, hash_codeword,
-                          load_seed, preimage_sample, sample_seed, save_seed,
-                          shifted_hash, verify_balanced)
+                          preimage_sample, sample_seed, shifted_hash,
+                          verify_balanced)
 
 
 def _rank_reference(mat):
@@ -61,6 +61,16 @@ class TestSampleSeed:
     def test_rank_deficient_matrix_rejected(self):
         with pytest.raises(ValueError, match="rank"):
             HashSeed(np.array([[1, 0, 1], [1, 0, 1]], dtype=np.uint8))
+
+    def test_zero_row_seed_rejected(self):
+        # a zero-bit digest hashes nothing; every seed source refuses it
+        with pytest.raises(ValueError, match="at least one row"):
+            HashSeed(np.zeros((0, 4), dtype=np.uint8))
+        with pytest.raises(ValueError, match="1 <= m <= k"):
+            sample_seed(4, 0, np.random.default_rng(0))
+        for k, m in ((4, 0), (3, 4)):
+            with pytest.raises(ValueError, match="1 <= m <= k"):
+                enumerate_full_rank_seeds(k, m)
 
 
 class TestHash:
@@ -224,21 +234,3 @@ class TestTwoUniversality:
     def test_injective_when_m_equals_k(self):
         rng = np.random.default_rng(15)
         assert estimate_collision_probability(4, 4, trials=10, rng=rng) == 0.0
-
-
-class TestSeedFiles:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(16)
-        seed = sample_seed(6, 3, rng)
-        path = tmp_path / "seed.txt"
-        save_seed(seed, path)
-        assert load_seed(path) == seed
-
-    def test_malformed(self, tmp_path):
-        path = tmp_path / "seed.txt"
-        path.write_text("2 3\n101\n")
-        with pytest.raises(ValueError, match="rows"):
-            load_seed(path)
-        path.write_text("1 3\n10\n")
-        with pytest.raises(ValueError):
-            load_seed(path)

@@ -5,11 +5,12 @@ import pytest
 
 from usnc.bounds import achievable_rate, binary_entropy, completeness_bound
 from usnc.gf2 import BitString, random_linear_code
-from usnc.nqs import (COS2_PI_8, SIN2_PI_8, ConjugateChannelTransmission,
-                      NqsParams, azuma_min_entropy, bounded_storage_success,
-                      bounded_storage_success_log2, measure_prob,
-                      nqs_channel_params, povm_verify, run_conjugate_channel)
-from usnc.protocol import ACC, CommitConfig
+from usnc.nqs import (COS2_PI_8, SIN2_PI_8, NqsParams, azuma_min_entropy,
+                      bounded_storage_success, bounded_storage_success_log2,
+                      measure_prob, nqs_channel_params, povm_verify,
+                      run_conjugate_channel)
+from usnc.protocol import (ACC, CommitConfig, alice_commit, bob_receive,
+                           bob_verify)
 
 
 class TestMeasureProb:
@@ -132,9 +133,7 @@ class TestChannelParams:
         lam = n ** (-1.0 / 3.0)
         return NqsParams(
             n=n, lambda_a=lam, lambda_b=lam,
-            p_succ=lambda bits: bounded_storage_success(bits, d),
-            p_succ_log2=lambda bits: bounded_storage_success_log2(bits, d),
-            d=d)
+            p_succ_log2=lambda bits: bounded_storage_success_log2(bits, d))
 
     def test_limits_at_large_n(self):
         n = 10 ** 9
@@ -162,23 +161,29 @@ class TestChannelParams:
             return -gamma(rate / nu) * n * nu
 
         theta = nqs_channel_params(NqsParams(
-            n=n, lambda_a=lam, lambda_b=lam,
-            p_succ=lambda bits: 2.0 ** p_succ_log2(bits),
-            p_succ_log2=p_succ_log2, nu=nu))
+            n=n, lambda_a=lam, lambda_b=lam, p_succ_log2=p_succ_log2))
         want = n * nu * gamma((0.5 - lam) / nu)
         assert theta.l_b == pytest.approx(want)
         assert math.isfinite(theta.l_b)
 
     def test_zero_success_inf_sentinel(self):
         params = NqsParams(n=100, lambda_a=0.1, lambda_b=0.1,
-                           p_succ=lambda bits: 0.0)
+                           p_succ_log2=lambda bits: -math.inf)
         with pytest.warns(UserWarning, match="inf"):
             theta = nqs_channel_params(params)
         assert math.isinf(theta.l_b)
 
+    @pytest.mark.parametrize("value", [0.5, math.nan])
+    def test_success_log2_outside_domain_refused(self, value):
+        params = NqsParams(n=100, lambda_a=0.1, lambda_b=0.1,
+                           p_succ_log2=lambda bits: value)
+        with pytest.raises(ValueError, match="<= 0"):
+            nqs_channel_params(params)
+
     def test_lambda_domain(self):
         with pytest.raises(ValueError):
-            NqsParams(n=10, lambda_a=0.5, lambda_b=0.1, p_succ=lambda b: 1.0)
+            NqsParams(n=10, lambda_a=0.5, lambda_b=0.1,
+                      p_succ_log2=lambda b: 0.0)
 
 
 class TestComposedCommitment:
@@ -197,14 +202,7 @@ class TestComposedCommitment:
         for i in range(trials):
             rng = np.random.default_rng([31, i])
             m = BitString.random(4, rng)
-            state, wire, z = _commit_over_storage_channel(m, cfg, rng)
-            from usnc.protocol import bob_receive, bob_verify
-            t = bob_receive(wire, z, cfg)
-            rejects += bob_verify(t, m, state.x, cfg) != ACC
+            opening, wire, xbar = alice_commit(m, cfg, rng)
+            t = bob_receive(wire, run_conjugate_channel(xbar, rng).z, cfg)
+            rejects += bob_verify(t, m, opening.x, cfg) != ACC
         assert rejects / trials <= completeness_bound(n, 0.1)
-
-
-def _commit_over_storage_channel(m, cfg, rng):
-    from usnc.protocol import alice_commit
-    return alice_commit(m, cfg, rng,
-                        transmission=ConjugateChannelTransmission())

@@ -8,15 +8,14 @@ import pytest
 from scipy.stats import chi2
 
 from usnc.bounds import completeness_bound
-from usnc.channel import typical_window, typicality_tail_exact
+from usnc.channel import bsc_transmit, typical_window, typicality_tail_exact
 from usnc.gf2 import (BitString, CosetId, LinearCode, even_weight_code,
                       hamming_7_4, random_linear_code)
 from usnc.hashing import HashSeed, count_full_rank, hash_codeword
 from usnc.protocol import (ACC, BLOCK, REJ, CommitConfig, CommitWire,
-                           NoiselessTransmission, Opening, TranscriptBatch,
-                           _completeness_counts, alice_commit, bob_receive,
-                           bob_verify, bob_verify_batch,
-                           estimate_completeness, run_honest,
+                           Opening, TranscriptBatch, _completeness_counts,
+                           alice_commit, bob_receive, bob_verify,
+                           bob_verify_batch, estimate_completeness, run_honest,
                            run_honest_batch, transcript_from_json,
                            transcript_to_json)
 
@@ -46,24 +45,31 @@ class TestCommitPhase:
         for i in range(30):
             rng = np.random.default_rng([10, i])
             m = BitString.random(1, rng)
-            state, wire, _ = alice_commit(m, cfg, rng)
-            xbar = state.x ^ cfg.code.coset_representative(wire.coset)
+            opening, wire, xbar = alice_commit(m, cfg, rng)
+            assert xbar == opening.x ^ cfg.code.coset_representative(
+                wire.coset)
             assert cfg.code.syndrome(xbar) == wire.coset
 
     def test_hash_equation_holds(self, cfg):
         for i in range(30):
             rng = np.random.default_rng([11, i])
             m = BitString.random(1, rng)
-            state, wire, _ = alice_commit(m, cfg, rng)
-            assert hash_codeword(wire.seed, cfg.code, state.x) == \
+            opening, wire, _ = alice_commit(m, cfg, rng)
+            assert opening.m == m
+            assert hash_codeword(wire.seed, cfg.code, opening.x) == \
                 (m ^ wire.mbar)
 
     def test_noiseless_double_delivers_shifted_codeword(self, cfg):
-        rng = np.random.default_rng(12)
+        # a noiseless channel hands the receiver the returned string, the
+        # coset-shifted codeword; run_honest draws BSC(p) noise on exactly
+        # that string, after the commit draws
         m = BitString.from01("1")
-        state, wire, z = alice_commit(m, cfg, rng,
-                                      transmission=NoiselessTransmission())
-        assert z == state.x ^ cfg.code.coset_representative(wire.coset)
+        rng = np.random.default_rng(12)
+        opening, wire, xbar = alice_commit(m, cfg, rng)
+        z = bsc_transmit(xbar, cfg.p, rng)
+        run = run_honest(m, cfg, np.random.default_rng(12))
+        assert run.transcript == replace(bob_receive(wire, z, cfg),
+                                         opening=opening)
 
 
 class TestBobReceive:
@@ -85,9 +91,9 @@ class TestBobReceive:
 class TestBobVerify:
     def test_non_codeword_rejected(self, cfg):
         rng = np.random.default_rng(14)
-        state, wire, z = alice_commit(BitString.from01("0"), cfg, rng)
-        t = bob_receive(wire, z, cfg)
-        bad = state.x ^ BitString.from_int(1, 7)  # weight-1 offset
+        opening, wire, xbar = alice_commit(BitString.from01("0"), cfg, rng)
+        t = bob_receive(wire, xbar, cfg)
+        bad = opening.x ^ BitString.from_int(1, 7)  # weight-1 offset
         assert bob_verify(t, BitString.from01("0"), bad, cfg) == REJ
 
     def test_tampered_message_rejected(self):
@@ -96,11 +102,10 @@ class TestBobVerify:
         cfg = CommitConfig(code=hamming_7_4(), hash_m=1, p=0.2, eps=0.24)
         rng = np.random.default_rng(15)
         m = BitString.from01("0")
-        state, wire, z = alice_commit(m, cfg, rng,
-                                      transmission=NoiselessTransmission())
-        t = bob_receive(wire, z, cfg)
-        assert bob_verify(t, m, state.x, cfg) == ACC
-        assert bob_verify(t, m ^ BitString.from01("1"), state.x, cfg) == REJ
+        opening, wire, xbar = alice_commit(m, cfg, rng)
+        t = bob_receive(wire, xbar, cfg)
+        assert bob_verify(t, m, opening.x, cfg) == ACC
+        assert bob_verify(t, m ^ BitString.from01("1"), opening.x, cfg) == REJ
 
     def test_accept_iff_noise_weight_in_window(self, cfg):
         n, p, eps = 7, 0.25, 0.2
@@ -242,10 +247,9 @@ class TestCompleteness:
         rng = np.random.default_rng(23)
         for _ in range(20):
             m = BitString.random(1, rng)
-            state, wire, z = alice_commit(
-                m, cfg, rng, transmission=NoiselessTransmission())
-            t = bob_receive(wire, z, cfg)
-            assert bob_verify(t, m, state.x, cfg) == REJ
+            opening, wire, xbar = alice_commit(m, cfg, rng)
+            t = bob_receive(wire, xbar, cfg)
+            assert bob_verify(t, m, opening.x, cfg) == REJ
 
     def test_trials_floor(self):
         cfg = CommitConfig(code=hamming_7_4(), hash_m=1, p=0.25, eps=0.2)
