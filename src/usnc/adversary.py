@@ -1,31 +1,35 @@
 """Concrete cheating strategies and harnesses measuring their success.
 
 Strategies are finite explicit objects, not quantified adversaries: the
-harness can falsify a security bound but never prove one. Both harnesses are
-exact: they sum the strategy's joint law against dense channel laws. Binding
-also has a Monte Carlo mode that replays the actual receiver verification on
-sampled runs, an independent code path cross-checked against the exact sum.
-Hiding has none: its view space is the exact mode's own enumeration, and an
-empirical trace distance over it only adds upward-biased sampling noise.
+harness can falsify a security bound but never prove one. A cheating sender
+is a table of atoms that also holds both openings it announces per atom.
+Both harnesses are exact: they sum the strategy's joint law against dense
+channel laws, binding once per group of valid atoms. Binding also has a Monte
+Carlo mode that samples channel outputs and runs the batched verifier, an
+independent code path cross-checked against the exact sum. Hiding has none:
+its view space is the exact mode's own enumeration, and an empirical trace
+distance over it only adds upward-biased sampling noise.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import AliceChannel, BobChannel, typical_window_mask
+from .channel import (AliceChannel, BobChannel, bsc_law_dense, bsc_transmit,
+                      typical_window_mask)
 from .entropy import gtd
-from .gf2 import BitString, CosetId, all_bits
+from .gf2 import BitString, CosetId, _pack_u64, all_bits
+# hash_codeword is not called here; benchmarks/tracing.py wraps it by name
 from .hashing import (HashSeed, digest_table, enumerate_full_rank_seeds,
                       hash_codeword)
-from .protocol import ACC, CommitConfig, CommitmentTranscript, alice_commit, \
-    bob_verify
+from .protocol import (BLOCK, CommitConfig, TranscriptBatch, _pack_split,
+                       alice_commit, bob_verify_batch)
 
 __all__ = [
-    "StrategyAtom",
+    "ATOM_DTYPE",
     "AliceStrategy",
     "BobStrategy",
     "binding_success",
@@ -35,36 +39,27 @@ __all__ = [
     "less_noisy_bob",
 ]
 
-
-@dataclass(frozen=True)
-class StrategyAtom:
-    """One outcome of the commit-phase law: (S, input label, Mbar, C', aux).
-
-    ``aux`` is the extra register carried from commit to reveal; reveal-phase
-    private randomness is assumed folded into the law (standard
-    derandomization).
-    """
-
-    prob: float
-    seed: HashSeed
-    label: object
-    mbar: BitString
-    coset: CosetId
-    aux: object = None
+ATOM_DTYPE = np.dtype([(name, np.float64 if name == "prob" else np.int64)
+                       for name in ("prob", "seed", "label", "mbar", "coset",
+                                    "x0", "m0", "x1", "m1")])
 
 
 @dataclass(frozen=True)
 class AliceStrategy:
-    """Cheating sender: commit-phase law plus two deterministic reveal maps.
+    """Cheating sender: seed stack, atom table and output channel.
 
-    Each reveal map takes an atom to the announced (codeword, message) pair.
+    ``seeds`` stacks (S, m, k) 0/1 matrices; ``atoms`` is an ``ATOM_DTYPE``
+    record array with one row per commit-phase outcome (S, input label,
+    Mbar, C'): its probability, ``seed`` and ``label`` indices into
+    ``seeds`` and the channel's labels, the syndrome of C', and the openings
+    (x0, m0), (x1, m1) of the two reveals; strings are ints, bit j being
+    coordinate j. Reveal-phase private randomness is assumed folded into the
+    law (standard derandomization).
     """
 
-    atoms: tuple
-    reveal0: object
-    reveal1: object
+    seeds: np.ndarray
+    atoms: np.recarray
     channel: AliceChannel
-    name: str = ""
 
 
 @dataclass(frozen=True)
@@ -85,80 +80,97 @@ def _require_certifiable(channel, for_bound_comparison: bool):
                   "against the security bounds")
 
 
+def _bits(values: np.ndarray, nbits: int) -> np.ndarray:
+    """Int strings as rows of nbits 0/1 coordinates."""
+    return ((values[:, None] >> np.arange(nbits)) & 1).astype(np.uint8)
+
+
 def binding_success(strategy: AliceStrategy, cfg: CommitConfig,
                     mode: str = "exact", trials: int = 10 ** 5,
                     rng: np.random.Generator | None = None,
                     for_bound_comparison: bool = False) -> float:
-    """Probability that both reveal maps get accepted with distinct messages.
+    """Probability that both reveals get accepted with distinct messages.
 
-    Exact mode enumerates all 2^n channel outputs per atom (n <= 16);
-    Monte Carlo mode samples transcripts and calls the real verifier.
+    Exact mode enumerates all 2^n channel outputs per group of atoms
+    (n <= 16); Monte Carlo mode samples transcripts and runs the verifier.
     """
+    _check_table(strategy, cfg)
     _require_certifiable(strategy.channel, for_bound_comparison)
     if mode == "exact":
         return _binding_exact(strategy, cfg)
     if mode == "mc":
         if rng is None:
             raise ValueError("Monte Carlo mode needs an rng")
+        if trials < 1:
+            raise ValueError("need trials >= 1")
         return _binding_mc(strategy, cfg, trials, rng)
     raise ValueError("mode must be 'exact' or 'mc'")
 
 
+def _check_table(strategy: AliceStrategy, cfg: CommitConfig) -> None:
+    """Refuse a strategy whose seeds, indices or strings do not fit cfg."""
+    n, k, hm = cfg.n, cfg.code.k, cfg.hash_m
+    if strategy.seeds.shape[1:] != (hm, k) or strategy.channel.n != n:
+        raise ValueError("strategy does not match the configuration")
+    limits = dict(seed=len(strategy.seeds), label=len(strategy.channel.labels),
+                  mbar=1 << hm, coset=1 << (n - k), x0=1 << n, m0=1 << hm,
+                  x1=1 << n, m1=1 << hm)
+    for name, limit in limits.items():
+        col = strategy.atoms[name]
+        if col.size and not 0 <= col.min() <= col.max() < limit:
+            raise ValueError("atom column %s outside [0, %d)" % (name, limit))
+
+
 def _binding_exact(strategy: AliceStrategy, cfg: CommitConfig) -> float:
-    n = cfg.n
+    n, code, a = cfg.n, cfg.code, strategy.atoms
     if n > 16:
         raise ValueError("exact binding enumeration needs n <= 16")
-    code = cfg.code
-    window_cache: dict[int, np.ndarray] = {}
-
-    def window_mask(center: BitString) -> np.ndarray:
-        key = center.to_int()
-        mask = window_cache.get(key)
-        if mask is None:
-            mask = typical_window_mask(center, cfg.p, cfg.eps)
-            window_cache[key] = mask
-        return mask
-
-    law_cache: dict[object, np.ndarray] = {}
-    total = 0.0
-    for atom in strategy.atoms:
-        x0, m0 = strategy.reveal0(atom)
-        x1, m1 = strategy.reveal1(atom)
-        if m0 == m1:
-            continue
-        ok = True
-        for x, m in ((x0, m0), (x1, m1)):
-            if not code.contains(x) or \
-                    hash_codeword(atom.seed, code, x) != (m ^ atom.mbar):
-                ok = False
-                break
-        if not ok:
-            continue
-        rep = code.coset_representative(atom.coset)
-        mask = window_mask(x0 ^ rep) & window_mask(x1 ^ rep)
-        if atom.label not in law_cache:
-            law_cache[atom.label] = strategy.channel.law(atom.label).mass
-        total += atom.prob * float(law_cache[atom.label][mask].sum())
-    return total
+    xs, which = np.unique(np.concatenate([a.x0, a.x1]), return_inverse=True)
+    xbits = _bits(xs, n)
+    member = ~((xbits @ code.par.T) & 1).any(axis=1)
+    # digest of each atom's two openings under its seed, in one matmul
+    seeds = strategy.seeds[np.concatenate([a.seed, a.seed])]
+    digest = ((seeds @ xbits[which, :code.k, None])[..., 0] & 1) \
+        @ (1 << np.arange(cfg.hash_m))
+    ok = member[which] & (digest == np.concatenate([a.m0 ^ a.mbar,
+                                                    a.m1 ^ a.mbar]))
+    valid = ok[:len(a)] & ok[len(a):] & (a.m0 != a.m1)
+    keys = np.stack([a.label, a.coset, a.x0, a.x1], axis=1)[valid]
+    groups, group = np.unique(keys, axis=0, return_inverse=True)
+    laws = {label: strategy.channel.law(strategy.channel.labels[label]).mass
+            for label in set(groups[:, 0].tolist())}
+    group_mass = np.empty(len(groups))
+    for g, (label, coset, x0, x1) in enumerate(groups.tolist()):
+        rep = coset << code.k  # the coset representative as an int
+        mask0, mask1 = (typical_window_mask(BitString.from_int(x ^ rep, n),
+                                            cfg.p, cfg.eps) for x in (x0, x1))
+        group_mass[g] = laws[label][mask0 & mask1].sum()
+    weight = np.bincount(group.ravel(), weights=a.prob[valid],
+                         minlength=len(groups))
+    return float(weight @ group_mass)
 
 
 def _binding_mc(strategy: AliceStrategy, cfg: CommitConfig, trials: int,
                 rng: np.random.Generator) -> float:
-    probs = np.array([a.prob for a in strategy.atoms])
-    picks = rng.choice(len(strategy.atoms), size=trials, p=probs / probs.sum())
+    a, channel = strategy.atoms, strategy.channel
+    picks = rng.choice(len(a), size=trials, p=a.prob / a.prob.sum())
+    k, n, hm = cfg.code.k, cfg.n, cfg.hash_m
     wins = 0
-    for i in picks:
-        atom = strategy.atoms[i]
-        z = strategy.channel.sample(atom.label, rng)
-        t = CommitmentTranscript(seed=atom.seed, mbar=atom.mbar,
-                                 coset=atom.coset, z=z)
-        x0, m0 = strategy.reveal0(atom)
-        x1, m1 = strategy.reveal1(atom)
-        if m0 == m1:
-            continue
-        if (bob_verify(t, m0, x0, cfg) == ACC
-                and bob_verify(t, m1, x1, cfg) == ACC):
-            wins += 1
+    for start in range(0, trials, BLOCK):  # bounded memory at any trials
+        t = a[picks[start: start + BLOCK]]
+        z = np.stack([channel.sample(channel.labels[label], rng).bits
+                      for label in t.label])
+        batch = TranscriptBatch(
+            seed=_pack_u64(strategy.seeds[t.seed]),
+            mbar=_pack_u64(_bits(t.mbar, hm)),
+            coset=_pack_u64(_bits(t.coset, n - k)),
+            z=_pack_split(z, k),
+            m=_pack_u64(_bits(t.m0, hm)),
+            x=_pack_split(_bits(t.x0, n), k))
+        accepted = bob_verify_batch(batch, cfg) & bob_verify_batch(
+            replace(batch, m=_pack_u64(_bits(t.m1, hm)),
+                    x=_pack_split(_bits(t.x1, n), k)), cfg)
+        wins += int((accepted & (t.m0 != t.m1)).sum())
     return wins / trials
 
 
@@ -169,69 +181,66 @@ def midpoint_attack(cfg: CommitConfig, x0: BitString, x1: BitString,
     two codewords.
 
     The channel concentrates BSC(spread) noise around a Hamming midpoint of
-    the (coset-shifted) codewords; each reveal map announces one codeword
-    with the message that makes its digest check pass, so the attack succeeds
+    the (coset-shifted) codewords; each reveal announces one codeword with
+    the message that makes its digest check pass, so the attack succeeds
     exactly when the output lands in both typical windows and the two digests
     differ. The coset is fixed to the code itself (zero syndrome); success is
-    translation invariant in the coset choice.
+    translation invariant in the coset choice. Atoms run over seeds, then
+    masks.
     """
     code = cfg.code
     if x0 == x1 or not (code.contains(x0) and code.contains(x1)):
         raise ValueError("need two distinct codewords")
     if not 0.0 <= spread <= 0.5:
         raise ValueError("need 0 <= spread <= 1/2")
+    if cfg.n > 63:
+        raise ValueError("strategy tables hold strings of at most 63 bits")
     diff = np.flatnonzero((x0 ^ x1).bits)
     center = x0.bits.copy()
     center[diff[: diff.size // 2]] ^= 1
     channel = AliceChannel.centered_bsc(cfg.n, BitString(center), spread)
     if seeds is None:
         seeds = enumerate_full_rank_seeds(code.k, cfg.hash_m)
-    mbars = [BitString.from_int(v, cfg.hash_m) for v in range(1 << cfg.hash_m)]
-    zero_coset = CosetId(BitString.zeros(code.n - code.k))
-    prob = 1.0 / (len(seeds) * len(mbars))
-    atoms = tuple(
-        StrategyAtom(prob=prob, seed=s, label=channel.labels[0],
-                     mbar=mb, coset=zero_coset)
-        for s in seeds for mb in mbars)
-
-    def reveal(x):
-        def announce(atom):
-            return x, hash_codeword(atom.seed, code, x) ^ atom.mbar
-        return announce
-
-    return AliceStrategy(atoms=atoms, reveal0=reveal(x0), reveal1=reveal(x1),
-                         channel=channel,
-                         name="midpoint(hd=%d, spread=%g)"
-                              % ((x0 ^ x1).weight(), spread))
+    stack = np.stack([s.matrix for s in seeds])
+    u = np.stack([x0.bits[: code.k], x1.bits[: code.k]], axis=1)
+    d0, d1 = ((stack @ u) & 1).transpose(2, 0, 1) \
+        @ (1 << np.arange(cfg.hash_m))
+    seed = np.repeat(np.arange(len(seeds)), 1 << cfg.hash_m)
+    mbar = np.tile(np.arange(1 << cfg.hash_m), len(seeds))
+    atoms = np.recarray(seed.size, dtype=ATOM_DTYPE)
+    atoms.prob = 1.0 / seed.size
+    atoms.seed, atoms.mbar = seed, mbar
+    atoms.label = atoms.coset = 0
+    atoms.x0, atoms.m0 = x0.to_int(), d0[seed] ^ mbar
+    atoms.x1, atoms.m1 = x1.to_int(), d1[seed] ^ mbar
+    return AliceStrategy(seeds=stack, atoms=atoms, channel=channel)
 
 
 def honest_alice_strategy(cfg: CommitConfig, m: BitString,
                           rng: np.random.Generator,
                           n_atoms: int = 64) -> AliceStrategy:
-    """Honest committer cast as a strategy; both reveal maps tell the truth.
+    """Honest committer cast as a strategy; both reveals tell the truth.
 
-    The commit law is represented by ``n_atoms`` sampled honest draws. Both
-    openings coincide, so the double-opening success is zero by definition.
+    The commit law is represented by ``n_atoms`` sampled honest draws, one
+    channel label each. Both openings coincide, so the double-opening success
+    is zero by definition.
     """
-    atoms = []
-    table = {}
-    for i in range(n_atoms):
-        opening, wire, table[i] = alice_commit(m, cfg, rng)
-        atoms.append(StrategyAtom(prob=1.0 / n_atoms, seed=wire.seed,
-                                  label=i, mbar=wire.mbar, coset=wire.coset,
-                                  aux=opening.x))
-    from .channel import bsc_law_dense, bsc_transmit
-
-    ch = AliceChannel(cfg.n, list(table),
-                      lambda label: bsc_law_dense(cfg.n, table[label], cfg.p),
-                      lambda label, r: bsc_transmit(table[label], cfg.p, r),
+    draws = [alice_commit(m, cfg, rng) for _ in range(n_atoms)]
+    sent = [xbar for _, _, xbar in draws]
+    ch = AliceChannel(cfg.n, range(n_atoms),
+                      lambda label: bsc_law_dense(cfg.n, sent[label], cfg.p),
+                      lambda label, r: bsc_transmit(sent[label], cfg.p, r),
                       name="honest", symmetric=True)
-
-    def reveal(atom):
-        return atom.aux, m
-
-    return AliceStrategy(atoms=tuple(atoms), reveal0=reveal, reveal1=reveal,
-                         channel=ch, name="honest")
+    atoms = np.recarray(n_atoms, dtype=ATOM_DTYPE)
+    atoms.prob = 1.0 / n_atoms
+    atoms.seed = atoms.label = np.arange(n_atoms)
+    atoms.mbar = [wire.mbar.to_int() for _, wire, _ in draws]
+    atoms.coset = [wire.coset.syndrome.to_int() for _, wire, _ in draws]
+    atoms.x0 = atoms.x1 = [opening.x.to_int() for opening, _, _ in draws]
+    atoms.m0 = atoms.m1 = m.to_int()
+    return AliceStrategy(
+        seeds=np.stack([wire.seed.matrix for _, wire, _ in draws]),
+        atoms=atoms, channel=ch)
 
 
 def hiding_advantage(strategy: BobStrategy, cfg: CommitConfig,
@@ -292,7 +301,7 @@ def _view_joint(strategy: BobStrategy, cfg: CommitConfig,
 
 def less_noisy_bob(p_b: float, n: int) -> BobStrategy:
     """Receiver who downgrades the channel to BSC(p_b); p_b = 0 sees the input."""
-    if p_b < 0:
-        raise ValueError("need p_b >= 0")
+    if not 0.0 <= p_b <= 1.0:  # also refuses NaN
+        raise ValueError("need 0 <= p_b <= 1")
     return BobStrategy(view_channel=BobChannel.bsc_view(n, p_b),
                        name="less_noisy_bob(p_b=%g)" % p_b)

@@ -272,8 +272,8 @@ class RatePoint:
 
 def rate_surface(p: float, grid_steps: int) -> list[RatePoint]:
     """Achievable rate on a grid over [2p, h(p)] x [0, h(p)], row-major."""
-    if grid_steps < 2:
-        raise ValueError("need grid_steps >= 2")
+    if not 2 <= grid_steps <= 1000:  # 10^6 points take about 40 s
+        raise ValueError("need 2 <= grid_steps <= 1000")
     hp = binary_entropy(p)
     xas = np.linspace(2.0 * p, hp, grid_steps)
     xbs = np.linspace(0.0, hp, grid_steps)

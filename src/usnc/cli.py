@@ -180,7 +180,7 @@ def _build_binding_strategy(args, desc: dict):
                              "give x0/x1 explicitly" % w)
     spread = float(desc.get("spread", 0.5))
     strategy = adversary.midpoint_attack(cfg, x0, x1, spread)
-    return strategy, cfg
+    return strategy, cfg, (x0 ^ x1).weight()
 
 
 def _cmd_attack(args, config) -> int:
@@ -200,7 +200,7 @@ def _cmd_attack(args, config) -> int:
             raise UsageError("--seed is required in Monte Carlo mode")
         rng = np.random.default_rng([args.seed, 77])
     if args.kind == "binding":
-        strategy, cfg = _build_binding_strategy(args, desc)
+        strategy, cfg, distance = _build_binding_strategy(args, desc)
         law = strategy.channel.law(strategy.channel.labels[0])
         l_a = min_entropy(law)
         params = UsncParams(n=cfg.n, p=cfg.p, eps_a=0.0, l_a=l_a,
@@ -210,9 +210,7 @@ def _cmd_attack(args, config) -> int:
         success = adversary.binding_success(
             strategy, cfg, mode=mode, trials=args.trials, rng=rng,
             for_bound_comparison=True)
-        x0, _ = strategy.reveal0(strategy.atoms[0])
-        x1, _ = strategy.reveal1(strategy.atoms[0])
-        sigma = (x0 ^ x1).weight() / (2.0 * cfg.n)
+        sigma = distance / (2.0 * cfg.n)
         bound = bounds.binding_bound(cfg.n, cfg.eps, sigma, cfg.p, l_a, 0.0)
         print("success: %s" % _fmt(success))
         print("bound: %s" % _fmt(bound))

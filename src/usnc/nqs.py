@@ -32,7 +32,6 @@ __all__ = [
     "povm_verify",
     "azuma_min_entropy",
     "nqs_channel_params",
-    "bounded_storage_success",
     "bounded_storage_success_log2",
 ]
 
@@ -207,16 +206,8 @@ def nqs_channel_params(params: NqsParams,
                       eps_b=min(eps_b, 1.0), l_b=max(l_b, 0.0))
 
 
-def bounded_storage_success(n_r: float, d: int) -> float:
-    """min(1, 2^(d - nR)): success of squeezing nR bits into d stored qubits."""
-    if d < 0:
-        raise ValueError("need d >= 0")
-    expo = d - n_r
-    return 1.0 if expo >= 0 else 2.0 ** expo
-
-
 def bounded_storage_success_log2(n_r: float, d: int) -> float:
-    """log2 of bounded_storage_success; exact at any block length."""
+    """log2 min(1, 2^(d - nR)): success of storing nR bits in d qubits."""
     if d < 0:
         raise ValueError("need d >= 0")
     return min(0.0, d - n_r)

@@ -1,19 +1,21 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from usnc.adversary import (binding_success, hiding_advantage,
-                            honest_alice_strategy, less_noisy_bob,
-                            midpoint_attack)
+from usnc.adversary import (ATOM_DTYPE, AliceStrategy, binding_success,
+                            hiding_advantage, honest_alice_strategy,
+                            less_noisy_bob, midpoint_attack)
 from usnc.bounds import binding_bound, hiding_bound
-from usnc.channel import UsncParams, check_c2, check_c3
-from usnc.entropy import cond_min_entropy, min_entropy
-from usnc.gf2 import BitString, even_weight_code, hamming_7_4
-from usnc.hashing import (enumerate_full_rank_seeds,
-                          exact_collision_probability)
+from usnc.channel import (AliceChannel, UsncParams, check_c2, check_c3,
+                          typical_window_mask)
+from usnc.entropy import ClassicalDistribution, cond_min_entropy, min_entropy
+from usnc.gf2 import BitString, CosetId, even_weight_code, hamming_7_4
+from usnc.hashing import (HashSeed, enumerate_full_rank_seeds,
+                          exact_collision_probability, hash_codeword)
 from usnc.oracle import typical_intersection_exact
-from usnc.protocol import CommitConfig
+from usnc.protocol import ACC, CommitConfig, CommitmentTranscript, bob_verify
 
 
 def weight_string(n, w):
@@ -33,6 +35,73 @@ def seeds13():
 @pytest.fixture(scope="module")
 def cfg74():
     return CommitConfig(code=hamming_7_4(), hash_m=1, p=0.25, eps=0.2)
+
+
+def _atom(strategy, cfg, i):
+    """Atom i of a strategy table as scalar objects:
+    (seed, Mbar, C', (x0, m0), (x1, m1))."""
+    a, n, hm = strategy.atoms, cfg.n, cfg.hash_m
+
+    def bits(value, nbits):
+        return BitString.from_int(int(value), nbits)
+
+    return (HashSeed(strategy.seeds[a.seed[i]]), bits(a.mbar[i], hm),
+            CosetId(bits(a.coset[i], n - cfg.code.k)),
+            (bits(a.x0[i], n), bits(a.m0[i], hm)),
+            (bits(a.x1[i], n), bits(a.m1[i], hm)))
+
+
+def binding_exact_reference(strategy, cfg):
+    """Per-atom reference for exact binding: each atom's two openings go
+    through the scalar membership and digest tests, and a valid atom adds
+    its probability times the law mass of both typical windows."""
+    code, a = cfg.code, strategy.atoms
+    total = 0.0
+    for i in range(len(a)):
+        seed, mbar, coset, (x0, m0), (x1, m1) = _atom(strategy, cfg, i)
+        if m0 == m1:
+            continue
+        if not all(code.contains(x) and hash_codeword(seed, code, x)
+                   == (m ^ mbar) for x, m in ((x0, m0), (x1, m1))):
+            continue
+        rep = code.coset_representative(coset)
+        mask = typical_window_mask(x0 ^ rep, cfg.p, cfg.eps) \
+            & typical_window_mask(x1 ^ rep, cfg.p, cfg.eps)
+        law = strategy.channel.law(strategy.channel.labels[a.label[i]])
+        total += a.prob[i] * float(law.mass[mask].sum())
+    return total
+
+
+def binding_mc_reference(strategy, cfg, trials, rng):
+    """Per-trial reference for Monte Carlo binding: the same draws as the
+    batched harness, each opening checked by the scalar verifier."""
+    a, channel = strategy.atoms, strategy.channel
+    picks = rng.choice(len(a), size=trials, p=a.prob / a.prob.sum())
+    wins = 0
+    for i in picks:
+        z = channel.sample(channel.labels[a.label[i]], rng)
+        seed, mbar, coset, (x0, m0), (x1, m1) = _atom(strategy, cfg, i)
+        t = CommitmentTranscript(seed=seed, mbar=mbar, coset=coset, z=z)
+        if m0 != m1 and bob_verify(t, m0, x0, cfg) == ACC \
+                and bob_verify(t, m1, x1, cfg) == ACC:
+            wins += 1
+    return wins / trials
+
+
+def assert_matches_references(strategy, cfg, trials=2000, seed=7):
+    """Grouped exact value within 1e-12 of the per-atom loop, Monte Carlo
+    estimate equal to the per-trial loop's; returns the exact value."""
+    # a zero entropy floor certifies any channel
+    check_c2(strategy.channel, UsncParams(n=cfg.n, p=cfg.p, eps_a=0.0,
+                                          l_a=0.0, eps_b=0.0, l_b=0.0))
+    exact = binding_success(strategy, cfg, for_bound_comparison=True)
+    assert abs(exact - binding_exact_reference(strategy, cfg)) <= 1e-12
+    mc = binding_success(strategy, cfg, mode="mc", trials=trials,
+                         rng=np.random.default_rng(seed),
+                         for_bound_comparison=True)
+    assert mc == binding_mc_reference(strategy, cfg, trials,
+                                      np.random.default_rng(seed))
+    return exact
 
 
 def certify_sender(strategy, cfg):
@@ -57,6 +126,7 @@ class TestBindingSuccess:
         w = 6
         x0, x1 = BitString.zeros(14), weight_string(14, w)
         strategy = midpoint_attack(cfg14, x0, x1, 0.5, seeds=seeds13)
+        assert len(strategy.atoms) == 2 * 8191  # every seed and mask
         l_a = certify_sender(strategy, cfg14)
         assert l_a == pytest.approx(14.0)
         success = binding_success(strategy, cfg14, for_bound_comparison=True)
@@ -110,6 +180,132 @@ class TestBindingSuccess:
                              rng=np.random.default_rng(1))
         se = math.sqrt(exact * (1 - exact) / trials)
         assert mc == pytest.approx(exact, abs=3.5 * se)
+
+
+def codeword(code, value):
+    return code.encode(BitString.from_int(value, code.k))
+
+
+def hand_built_strategy(cfg, rows, seeds, laws):
+    """Strategy over explicit rows (prob, seed, label, mbar, coset, x0, m0,
+    x1, m1), strings as BitStrings and seeds as indices into ``seeds``."""
+    channel = AliceChannel.from_table(
+        cfg.n, {label: ClassicalDistribution(mass)
+                for label, mass in enumerate(laws)})
+    records = [tuple(v.to_int() if isinstance(v, BitString) else v
+                     for v in row) for row in rows]
+    return AliceStrategy(seeds=np.stack([s.matrix for s in seeds]),
+                         atoms=np.rec.fromrecords(records, dtype=ATOM_DTYPE),
+                         channel=channel)
+
+
+class TestGroupedBindingMatchesReference:
+    """The array harnesses against the per-atom and per-trial loops."""
+
+    @pytest.mark.parametrize("code,hash_m,eps", [
+        (hamming_7_4(), 1, 0.2), (hamming_7_4(), 2, 0.2),
+        (even_weight_code(8), 1, 0.125)],
+        ids=["hamming74-m1", "hamming74-m2", "even8-m1"])
+    def test_midpoint_all_seeds(self, code, hash_m, eps):
+        cfg = CommitConfig(code=code, hash_m=hash_m, p=0.25, eps=eps)
+        rng = np.random.default_rng(hash_m)
+        seeds = enumerate_full_rank_seeds(code.k, hash_m)
+        values = []
+        for spread in (0.5, 0.3, 0.1):
+            x0 = codeword(code, int(rng.integers(1 << code.k)))
+            x1 = x0 ^ codeword(code, int(rng.integers(1, 1 << code.k)))
+            strategy = midpoint_attack(cfg, x0, x1, spread, seeds=seeds)
+            assert len(strategy.atoms) == len(seeds) << hash_m
+            values.append(assert_matches_references(strategy, cfg))
+        assert max(values) > 0.0
+
+    def test_midpoint_even14_seed_subsample(self, cfg14, seeds13):
+        for w, spread in [(2, 0.5), (6, 0.35), (10, 0.25)]:
+            strategy = midpoint_attack(cfg14, BitString.zeros(14),
+                                       weight_string(14, w), spread,
+                                       seeds=seeds13[::64])
+            assert len(strategy.atoms) == 2 * 128
+            assert_matches_references(strategy, cfg14)
+
+    def test_honest_strategy_with_a_second_opening(self, cfg74):
+        # 64 labels and random cosets; truthful reveals give zero, and a
+        # second digest-matched codeword opening turns every atom whose
+        # digests differ into a candidate
+        strategy = honest_alice_strategy(cfg74, BitString.from01("1"),
+                                         np.random.default_rng(3))
+        a = strategy.atoms
+        assert len(set(a.label.tolist())) == 64
+        assert len(set(a.coset.tolist())) > 1
+        assert assert_matches_references(strategy, cfg74) == 0.0
+        shift = codeword(cfg74.code, 0b1011)
+        x1 = [_atom(strategy, cfg74, i)[3][0] ^ shift for i in range(len(a))]
+        m1 = [(hash_codeword(HashSeed(strategy.seeds[a.seed[i]]),
+                             cfg74.code, x) ^ BitString.from_int(
+                                 int(a.mbar[i]), 1)).to_int()
+              for i, x in enumerate(x1)]
+        atoms = a.copy()
+        atoms.x1, atoms.m1 = [x.to_int() for x in x1], m1
+        equivocating = replace(strategy, atoms=atoms)
+        assert assert_matches_references(equivocating, cfg74) > 0.0
+
+    def test_hand_built_tables_with_invalid_reveals(self):
+        cfg = CommitConfig(code=hamming_7_4(), hash_m=2, p=0.25, eps=0.2)
+        code = cfg.code
+        all_seeds = enumerate_full_rank_seeds(4, 2)
+        seeds = [all_seeds[0], all_seeds[57], all_seeds[150]]
+        rng = np.random.default_rng(11)
+        laws = [rng.dirichlet(np.ones(1 << 7)) for _ in range(3)]
+
+        def digest(si, x, mbar):
+            return (hash_codeword(seeds[si], code, x)
+                    ^ BitString.from_int(mbar, 2)).to_int()
+
+        def opening_pair(si, label, mbar, coset, u0, u1):
+            x0, x1 = codeword(code, u0), codeword(code, u1)
+            return [1.0, si, label, mbar, coset, x0, digest(si, x0, mbar),
+                    x1, digest(si, x1, mbar)]
+
+        valid = opening_pair(0, 1, 2, 5, 0b0001, 0b0111)
+        assert valid[6] != valid[8]
+        non_codeword = list(valid)
+        non_codeword[7] = valid[7] ^ BitString.from_int(1 << 6, 7)
+        wrong_digest = list(valid)
+        wrong_digest[8] = valid[8] ^ 1
+        same_message = list(valid)
+        same_message[8] = valid[6]
+        same_message[7] = valid[5]
+        assert assert_matches_references(
+            hand_built_strategy(cfg, [valid], seeds, laws), cfg) > 0.0
+        for bad in (non_codeword, wrong_digest, same_message):
+            assert assert_matches_references(
+                hand_built_strategy(cfg, [bad], seeds, laws), cfg) == 0.0
+        # a mixed table: random atoms over three labels, three seeds and all
+        # cosets, repeated rows sharing a group, and the invalid rows
+        rows = [valid, valid, non_codeword, wrong_digest, same_message]
+        for _ in range(60):
+            row = opening_pair(int(rng.integers(3)), int(rng.integers(3)),
+                               int(rng.integers(4)), int(rng.integers(8)),
+                               int(rng.integers(16)), int(rng.integers(16)))
+            row[0] = float(rng.random())
+            rows += [row] * int(rng.integers(1, 3))
+        strategy = hand_built_strategy(cfg, rows, seeds, laws)
+        assert assert_matches_references(strategy, cfg, trials=3000) > 0.0
+
+    @pytest.mark.parametrize("column,shift", [
+        ("x1", 1 << 7), ("m0", 2), ("coset", 8), ("seed", 1), ("label", 1),
+        ("mbar", -2)])
+    def test_table_outside_configuration_refused(self, cfg74, column, shift):
+        strategy = midpoint_attack(cfg74, codeword(cfg74.code, 0),
+                                   codeword(cfg74.code, 0b0011), 0.3)
+        atoms = strategy.atoms.copy()
+        atoms[column] += shift
+        for mode in ("exact", "mc"):
+            with pytest.raises(ValueError, match="column %s outside" % column):
+                binding_success(replace(strategy, atoms=atoms), cfg74,
+                                mode=mode, rng=np.random.default_rng(0))
+        other = CommitConfig(code=hamming_7_4(), hash_m=2, p=0.25, eps=0.2)
+        with pytest.raises(ValueError, match="does not match"):
+            binding_success(strategy, other)
 
 
 class TestHidingAdvantage:

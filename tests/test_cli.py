@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from usnc import bounds
 from usnc.cli import main
 from usnc.gf2 import BitString, hamming_7_4, save_code
 from usnc.protocol import (CommitConfig, run_honest, transcript_from_json,
@@ -82,6 +83,19 @@ class TestRate:
         lines = b1.decode().splitlines()
         assert lines[0] == "xi_a,xi_b,rate"
         assert len(lines) == 1 + 12 * 12
+
+    def test_surface_steps_above_cap_refused_before_allocating(
+            self, capsys, monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid allocated before the steps check")
+
+        monkeypatch.setattr(bounds.np, "linspace", no_grid)
+        for steps in ("1001", "100000000"):
+            code = main(["rate", "surface", "--p", "0.1", "--steps", steps])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err == "error: need 2 <= grid_steps <= 1000\n"
 
 
 class TestCommit:
@@ -187,7 +201,17 @@ class TestAttack:
         code, out = run_cli(capsys, "attack", "binding",
                             "--strategy", str(desc))
         assert code == 0
+        assert "success: 0.00549383469662\n" in out
         assert "double-opening success bound: PASS" in out
+        code, out = run_cli(capsys, "attack", "binding", "--strategy",
+                            str(desc), "--mode", "mc", "--seed", "11",
+                            "--trials", "20000")
+        assert code == 0
+        assert "success: 0.00545\n" in out
+        code = main(["attack", "binding", "--strategy", str(desc), "--mode",
+                     "mc", "--seed", "11", "--trials", "0"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: need trials >= 1\n"
 
     def test_hiding_exact(self, capsys, tmp_path):
         desc = tmp_path / "hiding.txt"
@@ -280,6 +304,15 @@ class TestOracleCommands:
         assert code == 2
         assert "PASS" not in captured.out
         assert captured.err == "error: need 1 <= m <= k\n"
+
+    @pytest.mark.parametrize("p_b", ["nan", "1.5"])
+    def test_lhl_view_noise_outside_unit_interval_is_usage_error(self, capsys,
+                                                                p_b):
+        code = main(["oracle", "lhl", "--p-b", p_b])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: need 0 <= p_b <= 1\n"
 
     def test_clipped(self, capsys):
         code, out = run_cli(capsys, "oracle", "clipped", "--n", "10",

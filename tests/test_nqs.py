@@ -6,9 +6,8 @@ import pytest
 from usnc.bounds import achievable_rate, binary_entropy, completeness_bound
 from usnc.gf2 import BitString, random_linear_code
 from usnc.nqs import (COS2_PI_8, SIN2_PI_8, NqsParams, azuma_min_entropy,
-                      bounded_storage_success, bounded_storage_success_log2,
-                      measure_prob, nqs_channel_params, povm_verify,
-                      run_conjugate_channel)
+                      bounded_storage_success_log2, measure_prob,
+                      nqs_channel_params, povm_verify, run_conjugate_channel)
 from usnc.protocol import (ACC, CommitConfig, alice_commit, bob_receive,
                            bob_verify)
 
@@ -119,13 +118,14 @@ class TestAzuma:
 
 class TestBoundedStorage:
     def test_fits_exactly(self):
-        assert bounded_storage_success(100.0, 100) == 1.0
+        assert 2.0 ** bounded_storage_success_log2(100.0, 100) == 1.0
 
     def test_excess_bits(self):
-        assert bounded_storage_success(110.0, 100) == pytest.approx(2.0 ** -10)
+        assert 2.0 ** bounded_storage_success_log2(110.0, 100) \
+            == pytest.approx(2.0 ** -10)
 
     def test_never_above_one(self):
-        assert bounded_storage_success(5.0, 100) == 1.0
+        assert 2.0 ** bounded_storage_success_log2(5.0, 100) == 1.0
 
 
 class TestChannelParams:
