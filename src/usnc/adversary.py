@@ -2,13 +2,15 @@
 
 Strategies are finite explicit objects, not quantified adversaries: the
 harness can falsify a security bound but never prove one. A cheating sender
-is a table of atoms that also holds both openings it announces per atom.
-Both harnesses are exact: they sum the strategy's joint law against dense
-channel laws, binding once per group of valid atoms. Binding also has a Monte
-Carlo mode that samples channel outputs and runs the batched verifier, an
-independent code path cross-checked against the exact sum. Hiding has none:
-its view space is the exact mode's own enumeration, and an empirical trace
-distance over it only adds upward-biased sampling noise.
+is a (S, m, k) seed stack plus a table of atoms that also holds both
+openings it announces per atom. Both harnesses are exact: they sum the
+strategy's joint law against dense channel laws, binding once per group of
+valid atoms, hiding as one 0/1 digest match of the whole seed family against
+a table of view laws. Binding also has a Monte Carlo mode that samples
+channel outputs and runs the batched verifier, an independent code path
+cross-checked against the exact sum. Hiding has none: its view space is the
+exact mode's own enumeration, and an empirical trace distance over it only
+adds upward-biased sampling noise.
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ import numpy as np
 from .channel import (AliceChannel, BobChannel, bsc_law_dense, bsc_transmit,
                       typical_window_mask)
 from .entropy import gtd
-from .gf2 import BitString, CosetId, _pack_u64, all_bits
+from .gf2 import BitString, _pack_u64, _unpack_ints, all_bits
 # hash_codeword is not called here; benchmarks/tracing.py wraps it by name
-from .hashing import (HashSeed, digest_table, enumerate_full_rank_seeds,
-                      hash_codeword)
+from .hashing import (_digests, count_full_rank, digest_table,
+                      enumerate_full_rank_seeds, hash_codeword)
 from .protocol import (BLOCK, CommitConfig, TranscriptBatch, _pack_split,
                        alice_commit, bob_verify_batch)
 
@@ -67,7 +69,6 @@ class BobStrategy:
     """Cheating receiver: a view channel applied to the transmitted string."""
 
     view_channel: BobChannel
-    name: str = ""
 
 
 def _require_certifiable(channel, for_bound_comparison: bool):
@@ -78,11 +79,6 @@ def _require_certifiable(channel, for_bound_comparison: bool):
                          "constraint; run the channel check first")
     warnings.warn("channel not certified; measured value is not comparable "
                   "against the security bounds")
-
-
-def _bits(values: np.ndarray, nbits: int) -> np.ndarray:
-    """Int strings as rows of nbits 0/1 coordinates."""
-    return ((values[:, None] >> np.arange(nbits)) & 1).astype(np.uint8)
 
 
 def binding_success(strategy: AliceStrategy, cfg: CommitConfig,
@@ -126,12 +122,11 @@ def _binding_exact(strategy: AliceStrategy, cfg: CommitConfig) -> float:
     if n > 16:
         raise ValueError("exact binding enumeration needs n <= 16")
     xs, which = np.unique(np.concatenate([a.x0, a.x1]), return_inverse=True)
-    xbits = _bits(xs, n)
+    xbits = _unpack_ints(xs, n)
     member = ~((xbits @ code.par.T) & 1).any(axis=1)
     # digest of each atom's two openings under its seed, in one matmul
-    seeds = strategy.seeds[np.concatenate([a.seed, a.seed])]
-    digest = ((seeds @ xbits[which, :code.k, None])[..., 0] & 1) \
-        @ (1 << np.arange(cfg.hash_m))
+    digest = _digests(strategy.seeds[np.concatenate([a.seed, a.seed])],
+                      xbits[which, None, :code.k])[:, 0]
     ok = member[which] & (digest == np.concatenate([a.m0 ^ a.mbar,
                                                     a.m1 ^ a.mbar]))
     valid = ok[:len(a)] & ok[len(a):] & (a.m0 != a.m1)
@@ -162,21 +157,21 @@ def _binding_mc(strategy: AliceStrategy, cfg: CommitConfig, trials: int,
                       for label in t.label])
         batch = TranscriptBatch(
             seed=_pack_u64(strategy.seeds[t.seed]),
-            mbar=_pack_u64(_bits(t.mbar, hm)),
-            coset=_pack_u64(_bits(t.coset, n - k)),
+            mbar=_pack_u64(_unpack_ints(t.mbar, hm)),
+            coset=_pack_u64(_unpack_ints(t.coset, n - k)),
             z=_pack_split(z, k),
-            m=_pack_u64(_bits(t.m0, hm)),
-            x=_pack_split(_bits(t.x0, n), k))
+            m=_pack_u64(_unpack_ints(t.m0, hm)),
+            x=_pack_split(_unpack_ints(t.x0, n), k))
         accepted = bob_verify_batch(batch, cfg) & bob_verify_batch(
-            replace(batch, m=_pack_u64(_bits(t.m1, hm)),
-                    x=_pack_split(_bits(t.x1, n), k)), cfg)
+            replace(batch, m=_pack_u64(_unpack_ints(t.m1, hm)),
+                    x=_pack_split(_unpack_ints(t.x1, n), k)), cfg)
         wins += int((accepted & (t.m0 != t.m1)).sum())
     return wins / trials
 
 
 def midpoint_attack(cfg: CommitConfig, x0: BitString, x1: BitString,
                     spread: float,
-                    seeds: list[HashSeed] | None = None) -> AliceStrategy:
+                    seeds: np.ndarray | None = None) -> AliceStrategy:
     """Double-opening attempt aiming the channel output halfway between the
     two codewords.
 
@@ -185,8 +180,8 @@ def midpoint_attack(cfg: CommitConfig, x0: BitString, x1: BitString,
     the message that makes its digest check pass, so the attack succeeds
     exactly when the output lands in both typical windows and the two digests
     differ. The coset is fixed to the code itself (zero syndrome); success is
-    translation invariant in the coset choice. Atoms run over seeds, then
-    masks.
+    translation invariant in the coset choice. ``seeds`` is a (S, m, k)
+    stack, by default every full-rank seed; atoms run over seeds, then masks.
     """
     code = cfg.code
     if x0 == x1 or not (code.contains(x0) and code.contains(x1)):
@@ -201,10 +196,8 @@ def midpoint_attack(cfg: CommitConfig, x0: BitString, x1: BitString,
     channel = AliceChannel.centered_bsc(cfg.n, BitString(center), spread)
     if seeds is None:
         seeds = enumerate_full_rank_seeds(code.k, cfg.hash_m)
-    stack = np.stack([s.matrix for s in seeds])
-    u = np.stack([x0.bits[: code.k], x1.bits[: code.k]], axis=1)
-    d0, d1 = ((stack @ u) & 1).transpose(2, 0, 1) \
-        @ (1 << np.arange(cfg.hash_m))
+    d0, d1 = _digests(seeds, np.stack([x0.bits[: code.k],
+                                       x1.bits[: code.k]])).T
     seed = np.repeat(np.arange(len(seeds)), 1 << cfg.hash_m)
     mbar = np.tile(np.arange(1 << cfg.hash_m), len(seeds))
     atoms = np.recarray(seed.size, dtype=ATOM_DTYPE)
@@ -213,7 +206,7 @@ def midpoint_attack(cfg: CommitConfig, x0: BitString, x1: BitString,
     atoms.label = atoms.coset = 0
     atoms.x0, atoms.m0 = x0.to_int(), d0[seed] ^ mbar
     atoms.x1, atoms.m1 = x1.to_int(), d1[seed] ^ mbar
-    return AliceStrategy(seeds=stack, atoms=atoms, channel=channel)
+    return AliceStrategy(seeds=seeds, atoms=atoms, channel=channel)
 
 
 def honest_alice_strategy(cfg: CommitConfig, m: BitString,
@@ -230,7 +223,7 @@ def honest_alice_strategy(cfg: CommitConfig, m: BitString,
     ch = AliceChannel(cfg.n, range(n_atoms),
                       lambda label: bsc_law_dense(cfg.n, sent[label], cfg.p),
                       lambda label, r: bsc_transmit(sent[label], cfg.p, r),
-                      name="honest", symmetric=True)
+                      symmetric=True)
     atoms = np.recarray(n_atoms, dtype=ATOM_DTYPE)
     atoms.prob = 1.0 / n_atoms
     atoms.seed = atoms.label = np.arange(n_atoms)
@@ -261,41 +254,40 @@ def hiding_advantage(strategy: BobStrategy, cfg: CommitConfig,
 def _view_joint(strategy: BobStrategy, cfg: CommitConfig,
                 m: BitString) -> np.ndarray:
     """Dense view distribution given the committed message, flattened over
-    axes (seed, mask, coset, view symbol)."""
-    code = cfg.code
-    if code.k > 16 or code.k * cfg.hash_m > 24:
+    axes (seed, mask, coset, view symbol).
+
+    Cell (S, Mbar, C') sums the view laws of c + rep(C') over the codewords
+    c whose digest under S is m + Mbar: one 0/1 match of the digest table
+    against m + Mbar, times the table of shifted view laws, in seed chunks
+    that keep every intermediate within 2^24 entries.
+    """
+    code, hm = cfg.code, cfg.hash_m
+    if code.k > 16 or code.k * hm > 24:
         raise ValueError("exact hiding enumeration is desk-scale only")
     n_cosets = 1 << (code.n - code.k)
     view = strategy.view_channel
-    seeds = enumerate_full_rank_seeds(code.k, cfg.hash_m)
-    cells = len(seeds) * (1 << cfg.hash_m) * n_cosets * view.view_size
+    n_seeds = count_full_rank(code.k, hm)
+    cells = n_seeds * (1 << hm) * n_cosets * view.view_size
     if cells > 1 << 24:
         raise ValueError("view space too large for exact mode "
                          "(%d cells > 2^24)" % cells)
-    codewords = [BitString(row @ code.gen & 1) for row in all_bits(code.k)]
-    reps = [code.coset_representative(
-        CosetId(BitString.from_int(ci, code.n - code.k)))
-        for ci in range(n_cosets)]
-    out = np.zeros((len(seeds), 1 << cfg.hash_m, n_cosets, view.view_size))
-    law_cache: dict[int, np.ndarray] = {}
-    for si, seed in enumerate(seeds):
-        digests = digest_table(seed.matrix)
-        for mbar_int in range(1 << cfg.hash_m):
-            masked = (m ^ BitString.from_int(mbar_int, cfg.hash_m)).to_int()
-            sel = np.flatnonzero(digests == masked)
-            for ci, rep in enumerate(reps):
-                acc = out[si, mbar_int, ci]
-                for idx in sel:
-                    shifted = codewords[idx] ^ rep
-                    key = shifted.to_int()
-                    lawvec = law_cache.get(key)
-                    if lawvec is None:
-                        lawvec = view.law(shifted).mass
-                        law_cache[key] = lawvec
-                    acc += lawvec
+    seeds = enumerate_full_rank_seeds(code.k, hm)
+    # codeword u shifted into coset c: its int with c in the check positions
+    codewords = _pack_u64((all_bits(code.k) @ code.gen) & 1)[:, 0]
+    shifted = codewords[:, None] ^ (np.arange(n_cosets, dtype=np.uint64)
+                                    << np.uint64(code.k))
+    laws = view.law_table()[shifted].reshape(1 << code.k, -1)
+    targets = m.to_int() ^ np.arange(1 << hm)  # the digest each mask needs
+    out = np.empty((n_seeds, 1 << hm, laws.shape[1]))
+    step = max(1, (1 << 24) >> (hm + code.k))
+    for lo in range(0, n_seeds, step):
+        match = digest_table(seeds[lo: lo + step])[:, None, :] \
+            == targets[:, None]
+        out[lo: lo + step] = (match.reshape(-1, 1 << code.k) @ laws) \
+            .reshape(-1, 1 << hm, laws.shape[1])
     # priors 1/(#seeds * |M| * #cosets), preimage weight |M|/|C|
-    out /= len(seeds) * (1 << cfg.hash_m) * n_cosets
-    out /= 1 << (code.k - cfg.hash_m)
+    out /= n_seeds * (1 << hm) * n_cosets
+    out /= 1 << (code.k - hm)
     return out.ravel()
 
 
@@ -303,5 +295,4 @@ def less_noisy_bob(p_b: float, n: int) -> BobStrategy:
     """Receiver who downgrades the channel to BSC(p_b); p_b = 0 sees the input."""
     if not 0.0 <= p_b <= 1.0:  # also refuses NaN
         raise ValueError("need 0 <= p_b <= 1")
-    return BobStrategy(view_channel=BobChannel.bsc_view(n, p_b),
-                       name="less_noisy_bob(p_b=%g)" % p_b)
+    return BobStrategy(view_channel=BobChannel.bsc_view(n, p_b))

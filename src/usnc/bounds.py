@@ -46,6 +46,8 @@ def completeness_bound(n: int, eps: float) -> float:
     """Honest-run failure ceiling 8 * 2^(-n eps^2)."""
     if n < 1 or eps <= 0:
         raise ValueError("need n >= 1 and eps > 0")
+    if not math.isfinite(eps):
+        raise ValueError("eps must be finite")
     return _exp2(3.0 - n * eps * eps)
 
 
@@ -73,6 +75,8 @@ def binding_bound(n: int, eps: float, sigma: float, p: float, l_a: float,
     _check_window(p, eps)
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
+    if math.isnan(l_a) or math.isnan(eps_a):
+        raise ValueError("l_a and eps_a must not be NaN")
     if sigma > p + 2 * eps:
         return eps_a
     log2_count = intersection_bound_log2(n, p, eps, sigma)

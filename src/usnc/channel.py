@@ -159,13 +159,12 @@ class AliceChannel:
     bound comparisons only involve constraint-satisfying channels.
     """
 
-    def __init__(self, n: int, labels, law_fn, sample_fn, name: str = "",
+    def __init__(self, n: int, labels, law_fn, sample_fn,
                  symmetric: bool = False):
         self.n = n
         self.labels = list(labels)
         self._law_fn = law_fn
         self._sample_fn = sample_fn
-        self.name = name
         self.symmetric = symmetric  # output-law entropy independent of label
         self.certified = False
 
@@ -180,7 +179,7 @@ class AliceChannel:
         return self.labels[:1] if self.symmetric else self.labels
 
     @classmethod
-    def from_table(cls, n: int, table: dict, name: str = "table") -> "AliceChannel":
+    def from_table(cls, n: int, table: dict) -> "AliceChannel":
         laws = dict(table)
 
         def sample(label, rng):
@@ -188,7 +187,7 @@ class AliceChannel:
             idx = rng.choice(mass.size, p=mass / mass.sum())
             return BitString.from_int(int(idx), n)
 
-        return cls(n, laws.keys(), laws.__getitem__, sample, name=name)
+        return cls(n, laws.keys(), laws.__getitem__, sample)
 
     @classmethod
     def honest_bsc(cls, n: int, p: float) -> "AliceChannel":
@@ -205,8 +204,7 @@ class AliceChannel:
         def sample(label: BitString, rng):
             return bsc_transmit(label, p, rng)
 
-        return cls(n, [BitString.zeros(n)], law, sample,
-                   name="bsc(p=%g)" % p, symmetric=True)
+        return cls(n, [BitString.zeros(n)], law, sample, symmetric=True)
 
     @classmethod
     def centered_bsc(cls, n: int, center: BitString, spread: float,
@@ -219,32 +217,32 @@ class AliceChannel:
         def sample(_label, rng):
             return bsc_transmit(center, spread, rng)
 
-        return cls(n, [label], law, sample,
-                   name="centered_bsc(spread=%g)" % spread, symmetric=True)
+        return cls(n, [label], law, sample, symmetric=True)
 
 
 class BobChannel:
     """Dishonest-receiver view channel: n-bit input -> distribution over views."""
 
-    def __init__(self, n: int, view_size: int, law_fn, name: str = ""):
+    def __init__(self, n: int, view_size: int, law_fn):
         self.n = n
         self.view_size = view_size
         self._law_fn = law_fn
-        self.name = name
         self.certified = False
 
     def law(self, x: BitString) -> ClassicalDistribution:
         return self._law_fn(x)
 
+    def law_table(self) -> np.ndarray:
+        """(2^n, view_size) view laws of every input; row x is the law of
+        the n-bit string whose bit i is coordinate i."""
+        return np.stack([self.law(BitString.from_int(x, self.n)).mass
+                         for x in range(1 << self.n)])
+
     def joint_with_uniform_input(self) -> JointDistribution:
         """Joint (input, view) mass under a uniform n-bit input."""
         if self.n + int(np.log2(self.view_size)) > _DENSE_N_LIMIT:
             raise ValueError("joint too large to enumerate")
-        size = 1 << self.n
-        mass = np.empty((size, self.view_size))
-        for xi in range(size):
-            mass[xi] = self.law(BitString.from_int(xi, self.n)).mass
-        return JointDistribution(mass / size)
+        return JointDistribution(self.law_table() / (1 << self.n))
 
     @classmethod
     def bsc_view(cls, n: int, p_b: float) -> "BobChannel":
@@ -253,13 +251,13 @@ class BobChannel:
         def law(x: BitString):
             return bsc_law_dense(n, x, p_b)
 
-        return cls(n, 1 << n, law, name="bsc_view(p_b=%g)" % p_b)
+        return cls(n, 1 << n, law)
 
     @classmethod
     def constant_view(cls, n: int) -> "BobChannel":
         """View independent of the input (a single dummy symbol)."""
         dist = ClassicalDistribution(np.ones(1))
-        return cls(n, 1, lambda x: dist, name="constant_view")
+        return cls(n, 1, lambda x: dist)
 
 
 @dataclass(frozen=True)

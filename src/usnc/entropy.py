@@ -84,14 +84,6 @@ class JointDistribution:
         arr.setflags(write=False)
         self.mass = arr
 
-    @classmethod
-    def from_conditional(cls, px: np.ndarray,
-                         cond: np.ndarray) -> "JointDistribution":
-        """Joint p(x) * w(z|x) from a prior and a stochastic matrix."""
-        px = np.asarray(px, dtype=np.float64)
-        cond = np.asarray(cond, dtype=np.float64)
-        return cls(px[:, None] * cond)
-
     def total(self) -> float:
         return float(self.mass.sum())
 

@@ -70,7 +70,7 @@ class BitString:
     def from_int(cls, value: int, n: int) -> "BitString":
         if value < 0 or value >> n:
             raise ValueError("value does not fit in %d bits" % n)
-        return cls._wrap(((value >> np.arange(n)) & 1).astype(np.uint8))
+        return cls._wrap(_unpack_row(value, n))
 
     @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "BitString":
@@ -103,10 +103,7 @@ class BitString:
         return "".join("1" if b else "0" for b in self._bits)
 
     def to_int(self) -> int:
-        v = 0
-        for i in np.flatnonzero(self._bits):
-            v |= 1 << int(i)
-        return v
+        return _pack_row(self._bits)
 
     def __repr__(self) -> str:
         s = self.to01()
@@ -136,19 +133,33 @@ def xor(x: BitString, y: BitString) -> BitString:
 
 def all_bits(k: int) -> np.ndarray:
     """All k-bit vectors as a (2^k, k) uint8 array; row u holds the bits of u."""
-    ints = np.arange(1 << k, dtype=np.uint32)
-    return ((ints[:, None] >> np.arange(k)) & 1).astype(np.uint8)
+    return _unpack_ints(np.arange(1 << k), k)
+
+
+def _pack_row(bits: np.ndarray) -> int:
+    """0/1 vector as a Python int of any width, bit i = entry i."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(),
+                          "little")
+
+
+def _unpack_row(value: int, ncols: int) -> np.ndarray:
+    """Inverse of ``_pack_row`` for a nonnegative int below 2^ncols."""
+    raw = value.to_bytes((ncols + 7) // 8, "little")
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
+                         bitorder="little")[:ncols]
+
+
+def _unpack_ints(values, nbits: int) -> np.ndarray:
+    """Int array (each entry below 2^64) as 0/1 bits along a new last axis
+    of length nbits <= 64; entry i of that axis is bit i."""
+    raw = np.array(values, dtype="<u8")[..., None].view(np.uint8)
+    return np.unpackbits(raw[..., :(nbits + 7) // 8], axis=-1,
+                         bitorder="little")[..., :nbits]
 
 
 def _pack_rows(mat: np.ndarray) -> list[int]:
     """Matrix rows as integers, bit i of a row = column i."""
-    mat = np.asarray(mat, dtype=np.uint8) & 1
-    return [int.from_bytes(np.packbits(r, bitorder="little").tobytes(),
-                           "little") for r in mat]
-
-
-def _unpack_row(value: int, ncols: int) -> np.ndarray:
-    return ((value >> np.arange(ncols)) & 1).astype(np.uint8)
+    return [_pack_row(r) for r in np.asarray(mat, dtype=np.uint8) & 1]
 
 
 def _rref_ints(rows: list[int], ncols: int):

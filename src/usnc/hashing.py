@@ -5,16 +5,19 @@ systematic message coordinates of a codeword. Every member is balanced (all
 preimages are affine subspaces of equal size 2^(k-m)) and the family is
 2-universal; conditioning on full rank only improves the collision bound,
 since Pr[T w = 0] = (2^(k-m) - 1)/(2^k - 1) < 2^-m for w != 0.
+
+A single seed is a ``HashSeed``; a family of seeds, such as the whole
+enumerated family, is one (S, m, k) uint8 stack, and ``digest_table`` digests
+every message under every seed of a stack at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
-from .gf2 import (BitString, LinearCode, all_bits, gf2_rank,
+from .gf2 import (BitString, LinearCode, _unpack_ints, all_bits, gf2_rank,
                   gf2_solution_space)
 
 __all__ = [
@@ -22,10 +25,8 @@ __all__ = [
     "sample_seed",
     "hash_codeword",
     "preimage_sample",
-    "shifted_hash",
     "digest_table",
     "verify_balanced",
-    "estimate_collision_probability",
     "exact_collision_probability",
     "enumerate_full_rank_seeds",
     "count_full_rank",
@@ -105,27 +106,24 @@ def preimage_sample(seed: HashSeed, code: LinearCode, m_val: BitString,
     return code.encode(BitString._wrap(u0.astype(np.uint8)))
 
 
-def shifted_hash(seed: HashSeed, code: LinearCode, cprime_rep: BitString,
-                 c_in_coset: BitString) -> BitString:
-    """Hash of a coset element after translating the coset back to the code.
+def _digests(seeds: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Digest ints T u of message rows u (..., N, k) under 0/1 matrices T
+    (..., m, k), broadcast over the leading axes; returns (..., N).
 
-    The input must lie in the coset identified by cprime_rep (equal
-    syndromes); the digest is hash(c_in_coset + cprime_rep).
+    Digest bit j is bit j of the int, as in ``hash_codeword(...).to_int()``.
     """
-    if code.syndrome(c_in_coset) != code.syndrome(cprime_rep):
-        raise ValueError("input is not in the coset of the given representative")
-    return hash_codeword(seed, code, c_in_coset ^ cprime_rep)
+    return ((u @ np.swapaxes(seeds, -1, -2)) & 1) \
+        @ (1 << np.arange(seeds.shape[-2]))
 
 
-def digest_table(matrix: np.ndarray) -> np.ndarray:
-    """Digest T u of every k-bit message u under an m x k 0/1 matrix T.
+def digest_table(seeds: np.ndarray) -> np.ndarray:
+    """Digest of every k-bit message under a stack (..., m, k) of matrices.
 
-    Entry u is for row u of ``gf2.all_bits(k)``; digest bit j is bit j of
-    the entry, as in ``hash_codeword(...).to_int()``. T may be rank
-    deficient.
+    Returns (..., 2^k): entry u is for row u of ``gf2.all_bits(k)``, as an
+    int (see ``_digests``). One m x k matrix gives one row of 2^k digests.
+    The matrices may be rank deficient.
     """
-    m, k = matrix.shape
-    return ((all_bits(k) @ matrix.T) & 1) @ (1 << np.arange(m))
+    return _digests(seeds, all_bits(seeds.shape[-1]))
 
 
 def verify_balanced(seed, code: LinearCode) -> dict:
@@ -151,32 +149,6 @@ def verify_balanced(seed, code: LinearCode) -> dict:
     }
 
 
-def estimate_collision_probability(k: int, m: int, trials: int,
-                                   rng: np.random.Generator,
-                                   n_pairs: int = 20) -> float:
-    """Worst empirical collision rate over sampled distinct message pairs.
-
-    For each pair u1 != u2, draws ``trials`` full-rank seeds and counts
-    T u1 = T u2 events; returns the max rate over pairs.
-    """
-    if trials < 1:
-        raise ValueError("need trials >= 1")
-    if m == k:
-        return 0.0  # injective: kernel is trivial
-    worst = 0.0
-    for _ in range(n_pairs):
-        w = np.zeros(k, dtype=np.uint8)
-        while not w.any():
-            w = rng.integers(0, 2, size=k, dtype=np.uint8)
-        hits = 0
-        for _ in range(trials):
-            t = sample_seed(k, m, rng)
-            if not ((t.matrix @ w) & 1).any():
-                hits += 1
-        worst = max(worst, hits / trials)
-    return worst
-
-
 def exact_collision_probability(k: int, m: int) -> float:
     """Pr[T w = 0] for fixed w != 0 over uniform full-rank seeds."""
     return ((1 << (k - m)) - 1) / ((1 << k) - 1)
@@ -190,17 +162,27 @@ def count_full_rank(k: int, m: int) -> int:
     return cnt
 
 
-def enumerate_full_rank_seeds(k: int, m: int) -> list[HashSeed]:
-    """All full-rank m x k matrices; feasible only for m*k <= 24."""
+def enumerate_full_rank_seeds(k: int, m: int) -> np.ndarray:
+    """Every full-rank m x k 0/1 matrix, as one (S, m, k) uint8 stack.
+
+    Seeds run in lexicographic order of their rows read as k-bit ints, row 0
+    first: the order of ``itertools.product(range(2^k), repeat=m)``. Rows
+    are full rank iff every nonempty subset of them XORs to nonzero (m <= 4
+    under the cap m*k <= 24, so at most 15 subsets). The stack grows one row
+    at a time: a prefix keeps each next row outside the XORs of its own
+    subsets, in increasing order, which preserves the lexicographic order.
+    """
     if not (1 <= m <= k):
         raise ValueError("need 1 <= m <= k")
     if m * k > 24:
         raise ValueError("enumeration of 2^(m*k) matrices needs m*k <= 24")
-    rows = all_bits(k)
-    seeds = []
-    for combo in product(range(1 << k), repeat=m):
-        try:
-            seeds.append(HashSeed(rows[list(combo)]))
-        except ValueError:  # rank deficient
-            continue
-    return seeds
+    rows = np.zeros((1, 0), dtype=np.int64)  # full-rank prefixes, rows as ints
+    for _ in range(m):
+        span = np.zeros((len(rows), 1), dtype=np.int64)  # subset XORs
+        for col in rows.T:
+            span = np.concatenate([span, span ^ col[:, None]], axis=1)
+        free = np.ones((len(rows), 1 << k), dtype=bool)
+        np.put_along_axis(free, span, False, axis=1)
+        prefix, row = np.nonzero(free)  # row-major, so in lexicographic order
+        rows = np.column_stack([rows[prefix], row])
+    return _unpack_ints(rows, k)

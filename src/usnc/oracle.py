@@ -168,24 +168,28 @@ class LhlResult:
 
 
 def lhl_check(code: LinearCode, hash_m: int, view_channel: BobChannel,
-              seeds=None, rng: np.random.Generator | None = None) -> LhlResult:
+              seeds: int | None = None,
+              rng: np.random.Generator | None = None) -> LhlResult:
     """Extractor quality vs the min-entropy ceiling, by full enumeration.
 
     lhs: average over seeds of the l1 distance between (digest, view) and
     (uniform digest) x (view marginal), with the input uniform on the code.
     rhs: 2 * 2^((hash_m - Hmin(input|view)) / 2) with the exact conditional
-    min-entropy. seeds may be "all" (default), an explicit list, or an int
-    sample size (requires rng).
+    min-entropy. seeds is None (every full-rank seed) or a sample size >= 1
+    drawn with rng.
     """
     k, n = code.k, code.n
     if n > 10 or k > 6:
         raise ValueError("full enumeration needs n <= 10 and k <= 6")
-    if seeds is None or seeds == "all":
+    if seeds is None:
         seeds = enumerate_full_rank_seeds(k, hash_m)
-    elif isinstance(seeds, int):
+    else:
+        if seeds < 1:
+            raise ValueError("need at least one sampled seed")
         if rng is None:
             raise ValueError("sampled seeds need an rng")
-        seeds = [sample_seed(k, hash_m, rng) for _ in range(seeds)]
+        seeds = np.stack([sample_seed(k, hash_m, rng).matrix
+                          for _ in range(seeds)])
     laws = np.stack([view_channel.law(code.encode(BitString(u))).mass
                      for u in all_bits(k)])  # (2^k, V)
     ncw = laws.shape[0]
@@ -195,9 +199,8 @@ def lhl_check(code: LinearCode, hash_m: int, view_channel: BobChannel,
     target = np.tile(marginal / (1 << hash_m), (1 << hash_m, 1))
     dist_sum = 0.0
     for seed in seeds:
-        digests = digest_table(seed.matrix)
         per_digest = np.zeros(((1 << hash_m), laws.shape[1]))
-        np.add.at(per_digest, digests, laws / ncw)
+        np.add.at(per_digest, digest_table(seed), laws / ncw)
         dist_sum += float(np.abs(per_digest - target).sum())
     lhs = dist_sum / len(seeds)
     rhs = 2.0 * 2.0 ** (0.5 * (hash_m - h_min))

@@ -4,15 +4,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from usnc.adversary import (ATOM_DTYPE, AliceStrategy, binding_success,
-                            hiding_advantage, honest_alice_strategy,
-                            less_noisy_bob, midpoint_attack)
+from usnc.adversary import (ATOM_DTYPE, AliceStrategy, BobStrategy,
+                            _view_joint, binding_success, hiding_advantage,
+                            honest_alice_strategy, less_noisy_bob,
+                            midpoint_attack)
 from usnc.bounds import binding_bound, hiding_bound
-from usnc.channel import (AliceChannel, UsncParams, check_c2, check_c3,
-                          typical_window_mask)
+from usnc.channel import (AliceChannel, BobChannel, UsncParams, check_c2,
+                          check_c3, typical_window_mask)
 from usnc.entropy import ClassicalDistribution, cond_min_entropy, min_entropy
-from usnc.gf2 import BitString, CosetId, even_weight_code, hamming_7_4
-from usnc.hashing import (HashSeed, enumerate_full_rank_seeds,
+from usnc.gf2 import (BitString, CosetId, all_bits, even_weight_code,
+                      hamming_7_4)
+from usnc.hashing import (HashSeed, digest_table, enumerate_full_rank_seeds,
                           exact_collision_probability, hash_codeword)
 from usnc.oracle import typical_intersection_exact
 from usnc.protocol import ACC, CommitConfig, CommitmentTranscript, bob_verify
@@ -188,13 +190,14 @@ def codeword(code, value):
 
 def hand_built_strategy(cfg, rows, seeds, laws):
     """Strategy over explicit rows (prob, seed, label, mbar, coset, x0, m0,
-    x1, m1), strings as BitStrings and seeds as indices into ``seeds``."""
+    x1, m1), strings as BitStrings and seeds as indices into the (S, m, k)
+    stack ``seeds``."""
     channel = AliceChannel.from_table(
         cfg.n, {label: ClassicalDistribution(mass)
                 for label, mass in enumerate(laws)})
     records = [tuple(v.to_int() if isinstance(v, BitString) else v
                      for v in row) for row in rows]
-    return AliceStrategy(seeds=np.stack([s.matrix for s in seeds]),
+    return AliceStrategy(seeds=seeds,
                          atoms=np.rec.fromrecords(records, dtype=ATOM_DTYPE),
                          channel=channel)
 
@@ -251,13 +254,12 @@ class TestGroupedBindingMatchesReference:
     def test_hand_built_tables_with_invalid_reveals(self):
         cfg = CommitConfig(code=hamming_7_4(), hash_m=2, p=0.25, eps=0.2)
         code = cfg.code
-        all_seeds = enumerate_full_rank_seeds(4, 2)
-        seeds = [all_seeds[0], all_seeds[57], all_seeds[150]]
+        seeds = enumerate_full_rank_seeds(4, 2)[[0, 57, 150]]
         rng = np.random.default_rng(11)
         laws = [rng.dirichlet(np.ones(1 << 7)) for _ in range(3)]
 
         def digest(si, x, mbar):
-            return (hash_codeword(seeds[si], code, x)
+            return (hash_codeword(HashSeed(seeds[si]), code, x)
                     ^ BitString.from_int(mbar, 2)).to_int()
 
         def opening_pair(si, label, mbar, coset, u0, u1):
@@ -316,8 +318,6 @@ class TestHidingAdvantage:
         assert adv == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_view_reveals_nothing(self, cfg74):
-        from usnc.adversary import BobStrategy
-        from usnc.channel import BobChannel
         strategy = BobStrategy(view_channel=BobChannel.constant_view(7))
         adv = hiding_advantage(strategy, cfg74, BitString.from01("0"),
                                BitString.from01("1"))
@@ -345,8 +345,6 @@ class TestHidingAdvantage:
     def test_nonvacuous_bound_instance(self, cfg74):
         # a very noisy view pushes the conditional floor high enough that
         # the bound drops below 1 while still dominating the exact advantage
-        from usnc.adversary import BobStrategy
-        from usnc.channel import BobChannel
         strategy = BobStrategy(view_channel=BobChannel.bsc_view(7, 0.45))
         joint = strategy.view_channel.joint_with_uniform_input()
         l_b = cond_min_entropy(joint)
@@ -365,3 +363,68 @@ class TestHidingAdvantage:
         values = [hiding_advantage(less_noisy_bob(pb, 7), cfg74, m0, m1)
                   for pb in grid]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
+
+
+def view_joint_reference(strategy, cfg, m):
+    """Loop reference for the exact hiding joint: per seed, mask, coset and
+    matching codeword, add the view law of the shifted codeword."""
+    code = cfg.code
+    n_cosets = 1 << (code.n - code.k)
+    view = strategy.view_channel
+    seeds = enumerate_full_rank_seeds(code.k, cfg.hash_m)
+    codewords = [BitString(row @ code.gen & 1) for row in all_bits(code.k)]
+    reps = [code.coset_representative(
+        CosetId(BitString.from_int(ci, code.n - code.k)))
+        for ci in range(n_cosets)]
+    out = np.zeros((len(seeds), 1 << cfg.hash_m, n_cosets, view.view_size))
+    law_cache = {}
+    for si, seed in enumerate(seeds):
+        digests = digest_table(seed)
+        for mbar_int in range(1 << cfg.hash_m):
+            masked = (m ^ BitString.from_int(mbar_int, cfg.hash_m)).to_int()
+            for ci, rep in enumerate(reps):
+                for idx in np.flatnonzero(digests == masked):
+                    shifted = codewords[idx] ^ rep
+                    key = shifted.to_int()
+                    if key not in law_cache:
+                        law_cache[key] = view.law(shifted).mass
+                    out[si, mbar_int, ci] += law_cache[key]
+    out /= len(seeds) * (1 << cfg.hash_m) * n_cosets
+    out /= 1 << (code.k - cfg.hash_m)
+    return out.ravel()
+
+
+class TestViewJointMatchesReference:
+    @pytest.mark.parametrize("code,hash_m", [
+        (hamming_7_4(), 1), (hamming_7_4(), 2), (even_weight_code(8), 1)],
+        ids=["hamming74-m1", "hamming74-m2", "even8-m1"])
+    @pytest.mark.parametrize("p_b", [0.0, 0.1, 0.25, None],
+                             ids=["pb0", "pb0.1", "pb0.25", "constant"])
+    def test_array_joint_equals_loop(self, code, hash_m, p_b):
+        cfg = CommitConfig(code=code, hash_m=hash_m, p=0.25, eps=0.2)
+        view = BobChannel.constant_view(code.n) if p_b is None \
+            else BobChannel.bsc_view(code.n, p_b)
+        strategy = BobStrategy(view_channel=view)
+        for m_int in (0, (1 << hash_m) - 1):
+            m = BitString.from_int(m_int, hash_m)
+            joint = _view_joint(strategy, cfg, m)
+            ref = view_joint_reference(strategy, cfg, m)
+            assert joint.shape == ref.shape
+            assert np.abs(joint - ref).max() <= 1e-15
+            assert joint.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_refusals_keep_their_texts(self):
+        big = CommitConfig(code=even_weight_code(18), hash_m=1, p=0.25,
+                           eps=0.05)
+        wide = CommitConfig(code=even_weight_code(14), hash_m=2, p=0.25,
+                            eps=0.05)
+        many = CommitConfig(code=even_weight_code(14), hash_m=1, p=0.25,
+                            eps=0.05)
+        m = BitString.from01("0")
+        for cfg in (big, wide):
+            strategy = less_noisy_bob(0.1, cfg.n)
+            with pytest.raises(ValueError, match="desk-scale only"):
+                _view_joint(strategy, cfg, BitString.zeros(cfg.hash_m))
+        with pytest.raises(ValueError, match=r"\(%d cells > 2\^24\)"
+                           % (8191 * 2 * 2 * (1 << 14))):
+            _view_joint(less_noisy_bob(0.1, 14), many, m)

@@ -63,6 +63,32 @@ class TestBoundsEval:
                           "--n", "1000")
         assert code == 2
 
+    @pytest.mark.parametrize("args", [
+        ("dc", "--n", "10", "--eps", "nan"),
+        ("dc", "--n", "10", "--eps", "inf"),
+        ("db", "--n", "10", "--eps", "0.05", "--sigma", "0.1", "--p", "0.1",
+         "--l-a", "nan", "--eps-a", "0"),
+        ("db", "--n", "10", "--eps", "0.05", "--sigma", "0.1", "--p", "0.1",
+         "--l-a", "5", "--eps-a", "nan"),
+        ("db", "--n", "10", "--eps", "0.05", "--sigma", "0.4", "--p", "0.1",
+         "--l-a", "5", "--eps-a", "nan")],
+        ids=["dc-eps-nan", "dc-eps-inf", "db-l_a-nan", "db-eps_a-nan",
+             "db-eps_a-nan-beyond"])
+    def test_non_finite_inputs_are_usage_errors(self, capsys, args):
+        code = main(["bounds", "eval", "--which", *args])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_infinite_entropy_floor_leaves_smoothing_term(self, capsys):
+        code, out = run_cli(capsys, "bounds", "eval", "--which", "db",
+                            "--n", "10", "--eps", "0.05", "--sigma", "0.1",
+                            "--p", "0.1", "--l-a", "inf", "--eps-a", "0.01")
+        assert code == 0
+        assert out == "0.01\n"
+
 
 class TestRate:
     def test_point_maximum(self, capsys):
@@ -124,6 +150,14 @@ class TestCommit:
                             "--out", str(out_path))
         assert code == 0
         transcript_from_json(out_path.read_text())
+
+    def test_run_with_message_space_beyond_64_bits(self, capsys):
+        # even:65 has k = 64: the preimage lift eliminates on 65-bit rows
+        code, out = run_cli(capsys, "commit", "run", "--code", "even:65",
+                            "--hash-m", "1", "--p", "0.1", "--eps", "0.05",
+                            "--seed", "1", "--message", "1")
+        assert code == 0
+        assert "m_hat: 1" in out
 
     def test_replay_reproduces_flag(self, capsys, tmp_path):
         out = tmp_path / "t.json"
@@ -304,6 +338,16 @@ class TestOracleCommands:
         assert code == 2
         assert "PASS" not in captured.out
         assert captured.err == "error: need 1 <= m <= k\n"
+
+    def test_lhl_sampled_seed_count(self, capsys):
+        code = main(["oracle", "lhl", "--seeds", "-3", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: need at least one sampled seed\n"
+        # zero means every full-rank seed, as without the option
+        assert run_cli(capsys, "oracle", "lhl", "--seeds", "0") \
+            == run_cli(capsys, "oracle", "lhl")
 
     @pytest.mark.parametrize("p_b", ["nan", "1.5"])
     def test_lhl_view_noise_outside_unit_interval_is_usage_error(self, capsys,

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from usnc.gf2 import (BitString, CosetId, LinearCode, even_weight_code,
-                      gf2_kernel_basis, gf2_rank, hamming_7_4,
+                      gf2_kernel_basis, gf2_rank, gf2_solution_space,
+                      hamming_7_4,
                       hamming_distance, load_code, random_linear_code,
                       repetition_code, save_code, xor)
 
@@ -21,6 +22,13 @@ class TestBitString:
         assert BitString.from_int(5, 4).to01() == "1010"
         assert BitString.from_int(5, 4).to_int() == 5
         assert BitString.zeros(3).to01() == "000"
+
+    def test_int_roundtrip_beyond_64_bits(self):
+        value = (1 << 70) | (1 << 63) | 5
+        b = BitString.from_int(value, 80)
+        assert np.flatnonzero(b.bits).tolist() == [0, 2, 63, 70]
+        assert b.to_int() == value
+        assert BitString.from_int(1 << 70, 80).to_int() == 1 << 70
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -235,3 +243,19 @@ def test_kernel_basis_spans_kernel():
         assert basis.shape[0] == k - gf2_rank(a)
         for row in basis:
             assert not ((a @ row) % 2).any()
+
+
+def test_wide_systems_satisfy_their_equations():
+    # 70 columns: packed rows and solutions are ints beyond 64 bits
+    ones = np.ones((1, 70), dtype=np.uint8)
+    basis = gf2_kernel_basis(ones)
+    assert basis.shape == (69, 70)
+    assert gf2_rank(basis) == 69
+    assert not ((ones @ basis.T) % 2).any()
+    rng = np.random.default_rng(10)
+    a = rng.integers(0, 2, size=(5, 70), dtype=np.uint8)
+    rhs = rng.integers(0, 2, size=5, dtype=np.uint8)
+    u, basis = gf2_solution_space(a, rhs)
+    assert np.array_equal((a @ u) % 2, rhs)
+    assert basis.shape == (70 - gf2_rank(a), 70)
+    assert not ((a @ basis.T) % 2).any()

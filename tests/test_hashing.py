@@ -7,10 +7,8 @@ from scipy.stats import chi2
 from usnc.gf2 import BitString, all_bits, even_weight_code, hamming_7_4
 from usnc.hashing import (HashSeed, count_full_rank, digest_table,
                           enumerate_full_rank_seeds,
-                          estimate_collision_probability,
                           exact_collision_probability, hash_codeword,
-                          preimage_sample, sample_seed, shifted_hash,
-                          verify_balanced)
+                          preimage_sample, sample_seed, verify_balanced)
 
 
 def _rank_reference(mat):
@@ -99,14 +97,17 @@ class TestHash:
     @pytest.mark.parametrize("m", [1, 2])
     def test_digest_table_matches_hash_codeword(self, code, m):
         # every seed, except an even stride of the 16,002 seeds of even:8 at
-        # m = 2, where all 2M reference calls would take about a minute
+        # m = 2, where all 2M reference calls would take about a minute; each
+        # seed alone and the whole stack at once give the same rows
         seeds = enumerate_full_rank_seeds(code.k, m)
         seeds = seeds[::max(1, len(seeds) // 128)]
+        stacked = digest_table(seeds)
+        assert stacked.shape == (len(seeds), 1 << code.k)
         codewords = [code.encode(BitString(u)) for u in all_bits(code.k)]
-        for s in seeds:
-            table = digest_table(s.matrix)
-            assert [hash_codeword(s, code, c).to_int()
-                    for c in codewords] == table.tolist()
+        for s, row in zip(seeds, stacked):
+            table = digest_table(s)
+            assert [hash_codeword(HashSeed(s), code, c).to_int()
+                    for c in codewords] == table.tolist() == row.tolist()
 
     def test_non_codeword_rejected(self, hamming):
         s = sample_seed(4, 1, np.random.default_rng(5))
@@ -134,6 +135,16 @@ class TestPreimage:
             assert hamming.contains(c)
             assert hash_codeword(s, hamming, c) == target
 
+    def test_message_space_beyond_64_bits(self):
+        code = even_weight_code(71)  # k = 70
+        rng = np.random.default_rng(16)
+        for m in (1, 3):
+            s = sample_seed(70, m, rng)
+            target = BitString.random(m, rng)
+            c = preimage_sample(s, code, target, rng)
+            assert code.contains(c)
+            assert hash_codeword(s, code, c) == target
+
     def test_uniform_on_preimage_chi_square(self, hamming):
         # enumerate the exact preimage set, then test 1e5 draws against it
         rng = np.random.default_rng(8)
@@ -155,41 +166,6 @@ class TestPreimage:
         assert stat < chi2.ppf(0.99, df=7)
 
 
-class TestShiftedHash:
-    def test_zero_shift(self, hamming):
-        rng = np.random.default_rng(9)
-        s = sample_seed(4, 2, rng)
-        c = hamming.encode(BitString.random(4, rng))
-        zero_rep = BitString.zeros(7)
-        assert shifted_hash(s, hamming, zero_rep, c) == hash_codeword(s, hamming, c)
-
-    def test_self_shift(self, hamming):
-        rng = np.random.default_rng(10)
-        s = sample_seed(4, 2, rng)
-        rep = hamming.coset_representative(
-            hamming.syndrome(BitString.from01("1000000")))
-        assert shifted_hash(s, hamming, rep, rep).weight() == 0
-
-    def test_definition(self, hamming):
-        rng = np.random.default_rng(11)
-        s = sample_seed(4, 2, rng)
-        rep = hamming.coset_representative(
-            hamming.syndrome(BitString.from01("0000001")))
-        for _ in range(20):
-            c = hamming.encode(BitString.random(4, rng))
-            assert (shifted_hash(s, hamming, rep, c ^ rep)
-                    == hash_codeword(s, hamming, c))
-
-    def test_wrong_coset_rejected(self, hamming):
-        rng = np.random.default_rng(12)
-        s = sample_seed(4, 2, rng)
-        rep = hamming.coset_representative(
-            hamming.syndrome(BitString.from01("1000000")))
-        c = hamming.encode(BitString.random(4, rng))  # zero syndrome
-        with pytest.raises(ValueError, match="coset"):
-            shifted_hash(s, hamming, rep, c)
-
-
 class TestBalanced:
     def test_full_rank_balanced(self, hamming):
         rng = np.random.default_rng(13)
@@ -206,16 +182,60 @@ class TestBalanced:
         assert (rep["counts"] == 0).any()
 
 
+def enumeration_reference(k, m):
+    """Every full-rank seed as the itertools loop over row combinations
+    builds it, one HashSeed per candidate; returns the (S, m, k) stack."""
+    rows = all_bits(k)
+    seeds = []
+    for combo in itertools.product(range(1 << k), repeat=m):
+        try:
+            seeds.append(HashSeed(rows[list(combo)]).matrix)
+        except ValueError:  # rank deficient
+            continue
+    return np.stack(seeds)
+
+
+class TestEnumeration:
+    @pytest.mark.parametrize("k, m", [(4, 1), (4, 2), (3, 3), (7, 1), (7, 2),
+                                      (13, 1)])
+    def test_matches_itertools_reference(self, k, m):
+        seeds = enumerate_full_rank_seeds(k, m)
+        assert seeds.dtype == np.uint8
+        assert np.array_equal(seeds, enumeration_reference(k, m))
+
+    def test_square_family_at_five_bits(self):
+        # the reference takes half a minute on all 2^20 candidates at
+        # (5, 4): compare the seeds with three fixed leading row pairs with
+        # the reference restricted to those rows, and check the whole stack
+        # by count, strict lexicographic order and a surjective digest map
+        k, m = 5, 4
+        seeds = enumerate_full_rank_seeds(k, m)
+        assert seeds.shape == (count_full_rank(k, m), m, k)
+        combos = seeds @ (1 << np.arange(k))
+        keys = combos @ (1 << (k * np.arange(m - 1, -1, -1)))
+        assert (np.diff(keys) > 0).all()
+        table = np.sort(digest_table(seeds), axis=1)
+        assert ((np.diff(table, axis=1) != 0).sum(axis=1) == (1 << m) - 1).all()
+        rows = all_bits(k)
+        for lead in ((1, 2), (22, 9), (31, 30)):
+            ref = []
+            for rest in itertools.product(range(1 << k), repeat=m - 2):
+                try:
+                    ref.append(HashSeed(rows[[*lead, *rest]]).matrix)
+                except ValueError:
+                    continue
+            sel = (combos[:, :2] == lead).all(axis=1)
+            assert np.array_equal(seeds[sel], np.stack(ref))
+
+
 class TestTwoUniversality:
     @pytest.mark.parametrize("k, m", [(4, 1), (4, 2), (5, 2), (6, 2), (3, 3)])
     def test_exact_over_all_seeds(self, k, m):
-        seeds = enumerate_full_rank_seeds(k, m)
-        assert len(seeds) == count_full_rank(k, m)
+        mats = enumerate_full_rank_seeds(k, m)
+        assert len(mats) == count_full_rank(k, m)
         # rows read as integers: strictly increasing combos, so no repeats
-        combos = [tuple((s.matrix @ (1 << np.arange(k))).tolist())
-                  for s in seeds]
+        combos = [tuple(row) for row in (mats @ (1 << np.arange(k))).tolist()]
         assert all(a < b for a, b in zip(combos, combos[1:]))
-        mats = np.stack([s.matrix for s in seeds])
         for w_int in range(1, 1 << k):
             w = ((w_int >> np.arange(k)) & 1).astype(np.uint8)
             collisions = ~(((mats @ w) & 1).any(axis=1))
@@ -224,13 +244,18 @@ class TestTwoUniversality:
             assert frac == pytest.approx(exact_collision_probability(k, m))
 
     def test_empirical_estimate(self):
+        # worst collision rate over 20 fixed nonzero differences, each over
+        # 2000 sampled seeds
         rng = np.random.default_rng(14)
-        est = estimate_collision_probability(6, 2, trials=2000, rng=rng)
+        trials, worst = 2000, 0.0
+        for _ in range(20):
+            w = np.zeros(6, dtype=np.uint8)
+            while not w.any():
+                w = rng.integers(0, 2, size=6, dtype=np.uint8)
+            hits = sum(not ((sample_seed(6, 2, rng).matrix @ w) & 1).any()
+                       for _ in range(trials))
+            worst = max(worst, hits / trials)
         exact = exact_collision_probability(6, 2)
-        se = np.sqrt(exact * (1 - exact) / 2000)
-        assert est <= 2.0 ** -2 + 3 * se
-        assert est == pytest.approx(exact, abs=4 * se)
-
-    def test_injective_when_m_equals_k(self):
-        rng = np.random.default_rng(15)
-        assert estimate_collision_probability(4, 4, trials=10, rng=rng) == 0.0
+        se = np.sqrt(exact * (1 - exact) / trials)
+        assert worst <= 2.0 ** -2 + 3 * se
+        assert worst == pytest.approx(exact, abs=4 * se)
