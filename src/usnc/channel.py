@@ -227,6 +227,7 @@ class BobChannel:
         self.n = n
         self.view_size = view_size
         self._law_fn = law_fn
+        self._law_table = None
         self.certified = False
 
     def law(self, x: BitString) -> ClassicalDistribution:
@@ -234,9 +235,16 @@ class BobChannel:
 
     def law_table(self) -> np.ndarray:
         """(2^n, view_size) view laws of every input; row x is the law of
-        the n-bit string whose bit i is coordinate i."""
-        return np.stack([self.law(BitString.from_int(x, self.n)).mass
-                         for x in range(1 << self.n)])
+        the n-bit string whose bit i is coordinate i.
+
+        Built on the first call and returned read-only from then on.
+        """
+        if self._law_table is None:
+            table = np.stack([self.law(BitString.from_int(x, self.n)).mass
+                              for x in range(1 << self.n)])
+            table.setflags(write=False)
+            self._law_table = table
+        return self._law_table
 
     def joint_with_uniform_input(self) -> JointDistribution:
         """Joint (input, view) mass under a uniform n-bit input."""

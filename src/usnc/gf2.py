@@ -247,6 +247,11 @@ class CosetId:
         return len(self.syndrome)
 
 
+# Largest block of packed codewords ``min_distance_exact`` holds at once:
+# 2^16 uint64 words (512 KB). Larger blocks raise peak memory, not speed.
+_SPAN_BLOCK_WORDS = 1 << 16
+
+
 def _pack_u64(bits: np.ndarray) -> np.ndarray:
     """0/1 array -> little-endian uint64 words along the last axis.
 
@@ -394,27 +399,37 @@ class LinearCode:
         return CosetId(BitString.random(self.n - self.k, rng))
 
     def min_distance_exact(self) -> int:
-        """Exact minimum distance by Gray-code enumeration of 2^k - 1 words.
+        """Exact minimum distance, enumerating all 2^k - 1 nonzero codewords.
 
-        Refuses for k > 24.
+        The span of the first j generator rows is built once by doubling, as
+        a block of 2^j packed codewords, with j as large as keeps the block
+        within ``_SPAN_BLOCK_WORDS`` uint64 words. A Gray-code walk over the
+        remaining k - j rows then XORs one offset codeword onto the whole
+        block per step and takes the least row popcount; the zero word is
+        left out only at offset 0. Refuses for k > 24.
         """
         if self.k > 24:
             raise ValueError("exact distance enumeration limited to k <= 24 "
                              "(got k=%d)" % self.k)
         if self.k == self.n and self.k >= 1:
             return 1
-        # Gray-code steps XOR one packed generator row at a time
         packed = _pack_u64(self.gen)
-        cur = np.zeros(packed.shape[1], dtype=np.uint64)
+        j = min(self.k, max(
+            0, (_SPAN_BLOCK_WORDS // packed.shape[1]).bit_length() - 1))
+        block = np.zeros((1 << j, packed.shape[1]), dtype=np.uint64)
+        for i in range(j):
+            np.bitwise_xor(block[: 1 << i], packed[i],
+                           out=block[1 << i: 2 << i])
         best = self.n + 1
-        for j in range(1, 1 << self.k):
-            # Gray code: bit flipped between j-1 and j is trailing-zero count
-            cur ^= packed[(j & -j).bit_length() - 1]
-            w = int(np.bitwise_count(cur).sum())
-            if w < best:
-                best = w
-                if best == 1:
-                    break
+        if j:  # offset 0: every word of the block but the zero word
+            best = int(np.bitwise_count(block[1:]).sum(axis=1).min())
+        shifted = np.empty_like(block)
+        offset = np.zeros(packed.shape[1], dtype=np.uint64)
+        for t in range(1, 1 << (self.k - j)):
+            # Gray code: the row flipped between t-1 and t is t's lowest bit
+            offset ^= packed[j + (t & -t).bit_length() - 1]
+            np.bitwise_xor(block, offset, out=shifted)
+            best = min(best, int(np.bitwise_count(shifted).sum(axis=1).min()))
         return best
 
 
@@ -428,11 +443,13 @@ def random_linear_code(n: int, k: int, target_d: int,
     unverified design distance and a warning. Existence for rates below the
     Gilbert-Varshamov threshold k/n <= 1 - h(target_d/n) is guaranteed only
     asymptotically, so small instances may legitimately exhaust the budget.
+    A target above the Singleton bound n - k + 1 is refused up front: no
+    such code exists.
     """
     if not (1 <= k <= n):
         raise ValueError("need 1 <= k <= n")
-    if not (1 <= target_d <= n):
-        raise ValueError("need 1 <= target_d <= n")
+    if not (1 <= target_d <= n - k + 1):
+        raise ValueError("need 1 <= target_d <= n - k + 1 (Singleton bound)")
     if k > 24:
         code = LinearCode(rng.integers(0, 2, size=(k, n - k), dtype=np.uint8),
                           d_claimed=target_d, d_verified=False)

@@ -19,7 +19,8 @@ from .channel import (BobChannel, bsc_law_dense, typical_window,
 from .entropy import (ClassicalDistribution, JointDistribution,
                       cond_min_entropy, gtd, min_entropy)
 from .gf2 import BitString, LinearCode, all_bits
-from .hashing import digest_table, enumerate_full_rank_seeds, sample_seed
+from .hashing import (count_full_rank, digest_table,
+                      enumerate_full_rank_seeds, sample_seed)
 
 __all__ = [
     "typical_intersection_exact",
@@ -140,19 +141,32 @@ def _clipped_cond_min_entropy(n: int, p: float, lo: int, hi: int) -> float:
 
     The joint is 2^-n Q(z|x) over all (x, z); per output z the guessing mass
     max over x is found by enumerating every input, in blocks to bound memory.
+    The mass depends on x only through the distance d(z, x), so each block
+    gathers the uint8 rank of that distance's mass (a stable argsort of the
+    n + 1 window masses), takes the largest rank per output and maps it back
+    to its mass: the same maxima, summed in the same order, as gathering the
+    float64 masses themselves.
     """
     w = np.arange(n + 1, dtype=np.float64)
     pmf_w = np.exp(xlogy(w, p) + xlogy(n - w, 1.0 - p))
     pmf_w = np.where((w >= lo) & (w <= hi), pmf_w, 0.0)
+    order = np.argsort(pmf_w, kind="stable")
+    rank = np.empty(n + 1, dtype=np.uint8)
+    rank[order] = np.arange(n + 1)
+    by_rank = pmf_w[order]
     size = 1 << n
-    x_ints = np.arange(size, dtype=np.uint32)
+    x_ints = np.arange(size, dtype=np.uint16)  # callers keep n <= 16
     chunk = max(1, (1 << 22) // size)
     total = 0.0
     for start in range(0, size, chunk):
-        zc = np.arange(start, min(start + chunk, size), dtype=np.uint32)
+        zc = np.arange(start, min(start + chunk, size), dtype=np.uint16)
         dists = np.bitwise_count(zc[:, None] ^ x_ints[None, :])
-        total += float(pmf_w[dists].max(axis=1).sum())
+        total += float(by_rank[rank[dists].max(axis=1)].sum())
     return -float(np.log2(total / size))
+
+
+# Most seeds ``lhl_check`` walks (one Python step, about 0.25 ms, each).
+_LHL_MAX_SEEDS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -176,16 +190,24 @@ def lhl_check(code: LinearCode, hash_m: int, view_channel: BobChannel,
     (uniform digest) x (view marginal), with the input uniform on the code.
     rhs: 2 * 2^((hash_m - Hmin(input|view)) / 2) with the exact conditional
     min-entropy. seeds is None (every full-rank seed) or a sample size >= 1
-    drawn with rng.
+    drawn with rng. Either way a family of more than 2^18 seeds is refused
+    before any seed is built.
     """
     k, n = code.k, code.n
     if n > 10 or k > 6:
         raise ValueError("full enumeration needs n <= 10 and k <= 6")
     if seeds is None:
+        count = count_full_rank(k, hash_m)
+        if count > _LHL_MAX_SEEDS:
+            raise ValueError("the family of %d full-rank seeds exceeds the "
+                             "%d-seed limit" % (count, _LHL_MAX_SEEDS))
         seeds = enumerate_full_rank_seeds(k, hash_m)
     else:
         if seeds < 1:
             raise ValueError("need at least one sampled seed")
+        if seeds > _LHL_MAX_SEEDS:
+            raise ValueError("%d sampled seeds exceed the %d-seed limit"
+                             % (seeds, _LHL_MAX_SEEDS))
         if rng is None:
             raise ValueError("sampled seeds need an rng")
         seeds = np.stack([sample_seed(k, hash_m, rng).matrix

@@ -228,6 +228,36 @@ class TestCheckC3:
             assert loose.passed
 
 
+class TestLawTable:
+    def test_built_once_and_read_only(self):
+        n = 4
+        calls = []
+
+        def law(x):
+            calls.append(x)
+            return bsc_law_dense(n, x, 0.2)
+
+        ch = BobChannel(n, 1 << n, law)
+        table = ch.law_table()
+        assert len(calls) == 1 << n
+        assert ch.law_table() is table
+        joint = ch.joint_with_uniform_input()
+        assert len(calls) == 1 << n
+        assert np.array_equal(joint.mass, table / (1 << n))
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+        for x in range(1 << n):
+            expect = bsc_law_dense(n, BitString.from_int(x, n), 0.2).mass
+            assert np.array_equal(table[x], expect)
+        # a fresh channel's joint builds the table once as well
+        calls.clear()
+        fresh = BobChannel(n, 1 << n, law)
+        fresh.joint_with_uniform_input()
+        fresh.joint_with_uniform_input()
+        assert len(calls) == 1 << n
+
+
 class TestUsncParams:
     def test_validation(self):
         with pytest.raises(ValueError):

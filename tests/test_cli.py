@@ -5,9 +5,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from usnc import bounds
+from usnc import bounds, oracle
 from usnc.cli import main
-from usnc.gf2 import BitString, hamming_7_4, save_code
+from usnc.gf2 import BitString, LinearCode, hamming_7_4, save_code
 from usnc.protocol import (CommitConfig, run_honest, transcript_from_json,
                            transcript_to_json)
 
@@ -202,6 +202,22 @@ class TestCommit:
         assert code == 0
         assert "completeness tail bound: PASS" in out
 
+    def test_complete_beyond_singleton_is_usage_error(self, capsys,
+                                                      monkeypatch):
+        def fail(self):
+            raise AssertionError("distance search ran")
+
+        monkeypatch.setattr(LinearCode, "min_distance_exact", fail)
+        code = main(["commit", "complete", "--n", "64", "--k", "16",
+                     "--target-d", "60", "--hash-m", "8", "--p", "0.1",
+                     "--eps", "0.05", "--trials", "10", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "Singleton" in captured.err
+
     def test_mismatched_n_rejected(self, capsys):
         code, _ = run_cli(capsys, "commit", "run", "--code", "hamming74",
                           "--n", "9", "--hash-m", "1", "--p", "0.25",
@@ -348,6 +364,25 @@ class TestOracleCommands:
         # zero means every full-rank seed, as without the option
         assert run_cli(capsys, "oracle", "lhl", "--seeds", "0") \
             == run_cli(capsys, "oracle", "lhl")
+
+    @pytest.mark.parametrize("extra, count", [
+        (("--hash-m", "4"), "13124160 full-rank seeds"),
+        (("--seeds", "300000", "--seed", "1"), "300000 sampled seeds")])
+    def test_lhl_oversized_seed_family_is_usage_error(self, capsys,
+                                                      monkeypatch, extra,
+                                                      count):
+        def fail(*args):
+            raise AssertionError("seeds were built")
+
+        monkeypatch.setattr(oracle, "enumerate_full_rank_seeds", fail)
+        monkeypatch.setattr(oracle, "sample_seed", fail)
+        code = main(["oracle", "lhl", "--code", "even:7", *extra])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert count in captured.err
 
     @pytest.mark.parametrize("p_b", ["nan", "1.5"])
     def test_lhl_view_noise_outside_unit_interval_is_usage_error(self, capsys,

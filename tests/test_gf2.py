@@ -5,15 +5,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from usnc.gf2 import (BitString, CosetId, LinearCode, even_weight_code,
-                      gf2_kernel_basis, gf2_rank, gf2_solution_space,
-                      hamming_7_4,
+from usnc.gf2 import (BitString, CosetId, LinearCode, _pack_u64,
+                      even_weight_code, gf2_kernel_basis, gf2_rank,
+                      gf2_solution_space, hamming_7_4,
                       hamming_distance, load_code, random_linear_code,
                       repetition_code, save_code, xor)
 
 
 def bs(s):
     return BitString.from01(s)
+
+
+def gray_min_distance(code):
+    """Reference minimum distance: a Gray-code walk over all 2^k - 1 nonzero
+    messages, XORing one packed generator row per step."""
+    if code.k == code.n:
+        return 1
+    packed = _pack_u64(code.gen)
+    cur = np.zeros(packed.shape[1], dtype=np.uint64)
+    best = code.n + 1
+    for j in range(1, 1 << code.k):
+        # the bit flipped between j-1 and j is j's trailing-zero count
+        cur ^= packed[(j & -j).bit_length() - 1]
+        best = min(best, int(np.bitwise_count(cur).sum()))
+    return best
 
 
 class TestBitString:
@@ -176,8 +191,43 @@ class TestLinearCode:
 
     def test_min_distance_refuses_large_k(self):
         code = LinearCode(np.zeros((25, 3), dtype=np.uint8))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^exact distance enumeration "
+                           r"limited to k <= 24 \(got k=25\)$"):
             code.min_distance_exact()
+
+    @pytest.mark.parametrize("n, k", [(7, 4), (7, 6), (64, 9), (64, 16),
+                                      (65, 12), (130, 10), (200, 16)])
+    def test_span_distance_matches_gray_walk(self, n, k):
+        rng = np.random.default_rng([n, k])
+        for _ in range(2):
+            code = LinearCode(rng.integers(0, 2, size=(k, n - k),
+                                           dtype=np.uint8))
+            assert code.min_distance_exact() == gray_min_distance(code)
+
+    @pytest.mark.parametrize("n, k", [(1000, 14), (4096, 12)])
+    def test_span_distance_walks_high_rows(self, n, k):
+        # wide words shrink the doubled span below k rows, so offsets run
+        code = LinearCode(np.random.default_rng(n).integers(
+            0, 2, size=(k, n - k), dtype=np.uint8))
+        assert code.min_distance_exact() == gray_min_distance(code)
+
+    @pytest.mark.parametrize("n, k", [(1000, 14), (4096, 12)])
+    def test_span_distance_minimum_on_a_high_row(self, n, k):
+        # the lightest codeword is the last generator row alone, which the
+        # walk meets only as an offset onto the zero word of the block
+        p = np.random.default_rng(n).integers(0, 2, size=(k, n - k),
+                                              dtype=np.uint8)
+        p[-1] = 0
+        p[-1, :2] = 1
+        code = LinearCode(p)
+        assert code.min_distance_exact() == gray_min_distance(code) == 3
+
+    @pytest.mark.parametrize("code", [
+        hamming_7_4(), repetition_code(9), even_weight_code(6),
+        repetition_code(1), LinearCode(np.zeros((5, 0), dtype=np.uint8)),
+        LinearCode(np.zeros((3, 4), dtype=np.uint8))])
+    def test_span_distance_edge_cases(self, code):
+        assert code.min_distance_exact() == gray_min_distance(code)
 
     def test_systematic_required(self):
         gen = np.array([[1, 1, 0], [0, 1, 1]], dtype=np.uint8)
@@ -200,6 +250,20 @@ class TestRandomLinearCode:
         with pytest.raises(RuntimeError, match="best distance"):
             random_linear_code(7, 4, 4, np.random.default_rng(0),
                                max_retries=60)
+
+    def test_singleton_violation_refused_before_search(self, monkeypatch):
+        def fail(self):
+            raise AssertionError("distance search ran")
+
+        monkeypatch.setattr(LinearCode, "min_distance_exact", fail)
+        with pytest.raises(ValueError, match="Singleton"):
+            random_linear_code(64, 16, 60, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="Singleton"):
+            random_linear_code(64, 30, 36, np.random.default_rng(0))
+
+    def test_singleton_bound_itself_is_searched(self):
+        code = random_linear_code(6, 1, 6, np.random.default_rng(0))
+        assert code.min_distance_exact() == 6
 
     def test_unverified_beyond_limit(self):
         with pytest.warns(UserWarning, match="unverified"):

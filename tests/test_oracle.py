@@ -4,9 +4,12 @@ import pathlib
 import numpy as np
 import pytest
 
+from scipy.special import xlogy
+
+from usnc import oracle
 from usnc.adversary import less_noisy_bob
 from usnc.bounds import intersection_bound
-from usnc.channel import BobChannel, typicality_tail_exact
+from usnc.channel import BobChannel, typical_window, typicality_tail_exact
 from usnc.entropy import ClassicalDistribution, min_entropy, smooth_min_entropy
 from usnc.gf2 import BitString, even_weight_code, hamming_7_4
 from usnc.oracle import (clipped_bsc_construction, lhl_check,
@@ -89,6 +92,41 @@ class TestClippedConstruction:
         assert res.cond_min_entropy <= res.min_entropy_per_input + 1e-12
 
 
+def float_gather_cond_min_entropy(n, p, lo, hi):
+    """Reference clipped conditional min-entropy: gathers the float64 mass
+    of every (z, x) distance and takes its maximum per output z."""
+    w = np.arange(n + 1, dtype=np.float64)
+    pmf_w = np.exp(xlogy(w, p) + xlogy(n - w, 1.0 - p))
+    pmf_w = np.where((w >= lo) & (w <= hi), pmf_w, 0.0)
+    size = 1 << n
+    x_ints = np.arange(size, dtype=np.uint32)
+    chunk = max(1, (1 << 22) // size)
+    total = 0.0
+    for start in range(0, size, chunk):
+        zc = np.arange(start, min(start + chunk, size), dtype=np.uint32)
+        dists = np.bitwise_count(zc[:, None] ^ x_ints[None, :])
+        total += float(pmf_w[dists].max(axis=1).sum())
+    return -float(np.log2(total / size))
+
+
+def _window_nonempty(n, p, eps):
+    lo, hi = typical_window(n, p, eps)
+    return lo <= hi
+
+
+CLIPPED_GRID = [(n, p, eps) for n in (1, 4, 7, 10, 12)
+                for p in (0.05, 0.1, 0.25, 0.5) for eps in (0.05, 0.1, 0.2)
+                if _window_nonempty(n, p, eps)]
+
+
+class TestClippedRankGather:
+    @pytest.mark.parametrize("n, p, eps", CLIPPED_GRID)
+    def test_bit_identical_to_float_gather(self, n, p, eps):
+        lo, hi = typical_window(n, p, eps)
+        got = oracle._clipped_cond_min_entropy(n, p, lo, hi)
+        assert got == float_gather_cond_min_entropy(n, p, lo, hi)
+
+
 class TestLhlCheck:
     def test_hamming_instance(self):
         strat = less_noisy_bob(0.25, 7)
@@ -122,6 +160,29 @@ class TestLhlCheck:
         big = even_weight_code(12)
         with pytest.raises(ValueError):
             lhl_check(big, 1, less_noisy_bob(0.1, 12).view_channel)
+
+    def test_seed_family_refused_before_enumeration(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("seeds were built")
+
+        monkeypatch.setattr(oracle, "enumerate_full_rank_seeds", fail)
+        monkeypatch.setattr(oracle, "sample_seed", fail)
+        view = less_noisy_bob(0.25, 7).view_channel
+        with pytest.raises(ValueError, match="13124160 full-rank seeds"):
+            lhl_check(even_weight_code(7), 4, view)
+        with pytest.raises(ValueError, match="300000 sampled seeds"):
+            lhl_check(even_weight_code(7), 1, view, seeds=300000,
+                      rng=np.random.default_rng(1))
+
+    def test_seed_family_under_limit_accepted(self, monkeypatch):
+        # even:7 with m = 3 has 234,360 seeds, under the 2^18 limit; the
+        # stub keeps the first three so the walk stays short
+        full = oracle.enumerate_full_rank_seeds
+        monkeypatch.setattr(oracle, "enumerate_full_rank_seeds",
+                            lambda k, m: full(k, m)[:3])
+        res = lhl_check(even_weight_code(7), 3,
+                        less_noisy_bob(0.25, 7).view_channel)
+        assert res.n_seeds == 3
 
 
 class TestSmoothEntropySearch:
