@@ -346,18 +346,15 @@ def _cmd_oracle_clipped(args, config) -> int:
     n = _resolve(args, config, "n", int, required=True)
     p = _resolve(args, config, "p", float, required=True)
     eps = _resolve(args, config, "eps", float, required=True)
-    res = oracle.clipped_bsc_construction(n, p, eps,
-                                          with_conditional=n <= 14)
+    res = oracle.clipped_bsc_construction(n, p, eps)
     print("gtd_actual: %s" % _fmt(res.gtd_actual))
     print("tail: %s" % _fmt(res.tail))
     print("min_entropy_per_input: %s" % _fmt(res.min_entropy_per_input))
     print("entropy_floor: %s" % _fmt(res.entropy_floor))
-    if res.cond_min_entropy is not None:
-        print("cond_min_entropy: %s" % _fmt(res.cond_min_entropy))
+    print("cond_min_entropy: %s" % _fmt(res.cond_min_entropy))
     ok = (abs(res.gtd_actual - res.tail) <= 1e-12
           and res.min_entropy_per_input >= res.entropy_floor - 1e-9
-          and (res.cond_min_entropy is None
-               or res.cond_min_entropy >= res.entropy_floor - 1e-9))
+          and res.cond_min_entropy >= res.entropy_floor - 1e-9)
     ok = _pass_line("clipped-channel construction", ok)
     return 0 if ok else CHECK_FAILED
 

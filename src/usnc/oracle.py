@@ -113,11 +113,13 @@ def clipped_bsc_construction(n: int, p: float, eps: float,
     Returns the exact distance to the unclipped law (equals the window tail:
     clipping removes precisely the tail mass), the per-input min-entropy of
     the clipped conditional law, the analytic floor
-    n (h(p) - eps log2((1-p)/p)), and, for n <= 14, the conditional
-    min-entropy of the clipped joint under a uniform input.
+    n (h(p) - eps log2((1-p)/p)), and, with with_conditional, the
+    conditional min-entropy of the clipped joint under a uniform input.
+    Both enumerate densely, so n outside 1..16 is refused before anything
+    is built.
     """
-    if n > 16:
-        raise ValueError("dense construction needs n <= 16")
+    if not 1 <= n <= 16:
+        raise ValueError("dense construction needs 1 <= n <= 16")
     zero = BitString.zeros(n)
     full = bsc_law_dense(n, zero, p).mass
     clipped = np.where(typical_window_mask(zero, p, eps), full, 0.0)
@@ -128,8 +130,6 @@ def clipped_bsc_construction(n: int, p: float, eps: float,
     floor = n * (binary_entropy(p) - eps * float(c))
     cond = None
     if with_conditional:
-        if n > 14:
-            raise ValueError("conditional construction needs n <= 14")
         cond = _clipped_cond_min_entropy(n, p, *typical_window(n, p, eps))
     return ClippedBscResult(gtd_actual=gtd_actual, tail=tail,
                             min_entropy_per_input=h_in, entropy_floor=floor,
@@ -140,29 +140,54 @@ def _clipped_cond_min_entropy(n: int, p: float, lo: int, hi: int) -> float:
     """Conditional min-entropy of the clipped joint, summed in output chunks.
 
     The joint is 2^-n Q(z|x) over all (x, z); per output z the guessing mass
-    max over x is found by enumerating every input, in blocks to bound memory.
-    The mass depends on x only through the distance d(z, x), so each block
-    gathers the uint8 rank of that distance's mass (a stable argsort of the
-    n + 1 window masses), takes the largest rank per output and maps it back
-    to its mass: the same maxima, summed in the same order, as gathering the
-    float64 masses themselves.
+    max over x is found by enumerating every input, in chunks of 2^22 pairs
+    to bound memory. Each chunk materialises the Hamming distance of every
+    (z, x) pair in uint8: an n-bit string splits into a low byte and a high
+    part, each block's distances come from byte popcounts, and their sum is
+    the pair's distance. The mass depends on x only through that distance,
+    so ``_top_mass_per_row`` reads each output's maximum off which distances
+    its row contains. The chunks, the maxima and their summation order are
+    those of gathering the float64 mass of every pair, so the result is the
+    same bit for bit.
     """
     w = np.arange(n + 1, dtype=np.float64)
     pmf_w = np.exp(xlogy(w, p) + xlogy(n - w, 1.0 - p))
     pmf_w = np.where((w >= lo) & (w <= hi), pmf_w, 0.0)
-    order = np.argsort(pmf_w, kind="stable")
-    rank = np.empty(n + 1, dtype=np.uint8)
-    rank[order] = np.arange(n + 1)
-    by_rank = pmf_w[order]
+    low = min(n, 8)  # callers keep n <= 16, so the high part fits a byte too
+    x_low = np.arange(1 << low, dtype=np.uint8)
+    x_high = np.arange(1 << (n - low), dtype=np.uint8)
     size = 1 << n
-    x_ints = np.arange(size, dtype=np.uint16)  # callers keep n <= 16
     chunk = max(1, (1 << 22) // size)
     total = 0.0
     for start in range(0, size, chunk):
-        zc = np.arange(start, min(start + chunk, size), dtype=np.uint16)
-        dists = np.bitwise_count(zc[:, None] ^ x_ints[None, :])
-        total += float(by_rank[rank[dists].max(axis=1)].sum())
+        zc = np.arange(start, min(start + chunk, size))
+        d_low = np.bitwise_count((zc & 0xFF).astype(np.uint8)[:, None] ^ x_low)
+        d_high = np.bitwise_count((zc >> low).astype(np.uint8)[:, None]
+                                  ^ x_high)
+        # x = high * 2^low + low, the order of a plain range over inputs
+        dists = (d_high[:, :, None] + d_low[:, None, :]).reshape(len(zc), size)
+        total += float(_top_mass_per_row(dists, pmf_w).sum())
     return -float(np.log2(total / size))
+
+
+def _top_mass_per_row(dists: np.ndarray, pmf_w: np.ndarray) -> np.ndarray:
+    """``pmf_w[dists].max(axis=1)`` for a uint8 distance matrix, by scanning.
+
+    Distances are tried from the highest mass down; each row takes the mass
+    of the first one it contains, and the scan stops once every row has
+    one. Rows need not contain every distance.
+    """
+    best = np.zeros(len(dists))
+    todo = np.arange(len(dists))
+    for d in np.argsort(pmf_w, kind="stable")[::-1]:
+        if todo.size == 0:
+            break
+        rows = dists if todo.size == len(dists) else dists[todo]
+        # a uint8 scalar keeps the comparison in uint8 (NEP 50)
+        hit = (rows == np.uint8(d)).any(axis=1)
+        best[todo[hit]] = pmf_w[d]
+        todo = todo[~hit]
+    return best
 
 
 # Most seeds ``lhl_check`` walks (one Python step, about 0.25 ms, each).

@@ -399,6 +399,22 @@ class TestOracleCommands:
         assert code == 0
         assert "clipped-channel construction: PASS" in out
 
+    def test_clipped_conditional_beyond_fourteen(self, capsys):
+        code, out = run_cli(capsys, "oracle", "clipped", "--n", "15",
+                            "--p", "0.1", "--eps", "0.1")
+        assert code == 0
+        assert "cond_min_entropy: " in out
+        assert "clipped-channel construction: PASS" in out
+
+    @pytest.mark.parametrize("n", ["-1", "0", "17"])
+    def test_clipped_length_outside_range_is_usage_error(self, capsys, n):
+        code = main(["oracle", "clipped", "--n", n, "--p", "0.1",
+                     "--eps", "0.1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: dense construction needs 1 <= n <= 16\n"
+
 
 class TestNqsCommands:
     def test_simulate_csv(self, capsys, tmp_path):

@@ -114,17 +114,35 @@ def _window_nonempty(n, p, eps):
     return lo <= hi
 
 
-CLIPPED_GRID = [(n, p, eps) for n in (1, 4, 7, 10, 12)
+CLIPPED_GRID = [(n, p, eps) for n in (1, 4, 7, 8, 9, 10, 12)
                 for p in (0.05, 0.1, 0.25, 0.5) for eps in (0.05, 0.1, 0.2)
                 if _window_nonempty(n, p, eps)]
+CLIPPED_GRID += [(13, 0.1, 0.1), (14, 0.1, 0.1)]
 
 
 class TestClippedRankGather:
+    """The clipped oracle's byte-popcount kernel and presence scan against
+    the float64 gather of every pair's mass."""
+
     @pytest.mark.parametrize("n, p, eps", CLIPPED_GRID)
     def test_bit_identical_to_float_gather(self, n, p, eps):
         lo, hi = typical_window(n, p, eps)
         got = oracle._clipped_cond_min_entropy(n, p, lo, hi)
         assert got == float_gather_cond_min_entropy(n, p, lo, hi)
+
+    # n = 6, window 1..3 of p = 0.1: distance 1 has the top mass
+    PMF = np.where((np.arange(7) >= 1) & (np.arange(7) <= 3),
+                   0.1 ** np.arange(7) * 0.9 ** (6 - np.arange(7)), 0.0)
+
+    @pytest.mark.parametrize("rows", [
+        [[0, 2, 3, 2], [1, 1, 0, 6], [3, 3, 3, 3]],   # rows miss distance 1
+        [[0, 4, 5, 6], [6, 6, 6, 6], [2, 0, 4, 1]],   # miss the whole window
+        [[1, 2, 3, 0], [0, 1, 2, 3], [3, 2, 1, 0]],   # every row has all
+    ])
+    def test_scan_equals_gather_when_rows_miss_distances(self, rows):
+        dists = np.array(rows, dtype=np.uint8)
+        got = oracle._top_mass_per_row(dists, self.PMF)
+        assert np.array_equal(got, self.PMF[dists].max(axis=1))
 
 
 class TestLhlCheck:
