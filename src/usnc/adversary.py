@@ -3,10 +3,12 @@
 Strategies are finite explicit objects, not quantified adversaries: the
 harness can falsify a security bound but never prove one. A cheating sender
 is a (S, m, k) seed stack plus a table of atoms that also holds both
-openings it announces per atom. Both harnesses are exact: they sum the
+openings it announces per atom; its channel is BSC noise around one string
+per label (``AliceChannel.bsc``). Both harnesses are exact: they sum the
 strategy's joint law against dense channel laws, binding once per group of
-valid atoms, hiding as one 0/1 digest match of the whole seed family against
-a table of view laws. Binding also has a Monte Carlo mode that samples
+valid atoms under popcount window masks, hiding as one 0/1 digest match of
+the whole seed family against the receiver's view-law table (rows gathered
+at codeword ints). Binding also has a Monte Carlo mode that samples
 channel outputs and runs the batched verifier, an independent code path
 cross-checked against the exact sum. Hiding has none: its view space is the
 exact mode's own enumeration, and an empirical trace distance over it only
@@ -20,10 +22,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import (AliceChannel, BobChannel, bsc_law_dense, bsc_transmit,
-                      typical_window_mask)
+from .channel import (AliceChannel, BobChannel, hamming_distances,
+                      typical_window)
 from .entropy import gtd
-from .gf2 import BitString, _pack_u64, _unpack_ints, all_bits
+from .gf2 import BitString, _pack_u64, _unpack_ints
 # hash_codeword is not called here; benchmarks/tracing.py wraps it by name
 from .hashing import (_digests, count_full_rank, digest_table,
                       enumerate_full_rank_seeds, hash_codeword)
@@ -134,12 +136,13 @@ def _binding_exact(strategy: AliceStrategy, cfg: CommitConfig) -> float:
     groups, group = np.unique(keys, axis=0, return_inverse=True)
     laws = {label: strategy.channel.law(strategy.channel.labels[label]).mass
             for label in set(groups[:, 0].tolist())}
+    w_lo, w_hi = typical_window(n, cfg.p, cfg.eps)
     group_mass = np.empty(len(groups))
     for g, (label, coset, x0, x1) in enumerate(groups.tolist()):
         rep = coset << code.k  # the coset representative as an int
-        mask0, mask1 = (typical_window_mask(BitString.from_int(x ^ rep, n),
-                                            cfg.p, cfg.eps) for x in (x0, x1))
-        group_mass[g] = laws[label][mask0 & mask1].sum()
+        d = hamming_distances(n, [x0 ^ rep, x1 ^ rep])
+        both = ((d >= w_lo) & (d <= w_hi)).all(axis=0)  # both windows
+        group_mass[g] = laws[label][both].sum()
     weight = np.bincount(group.ravel(), weights=a.prob[valid],
                          minlength=len(groups))
     return float(weight @ group_mass)
@@ -193,7 +196,7 @@ def midpoint_attack(cfg: CommitConfig, x0: BitString, x1: BitString,
     diff = np.flatnonzero((x0 ^ x1).bits)
     center = x0.bits.copy()
     center[diff[: diff.size // 2]] ^= 1
-    channel = AliceChannel.centered_bsc(cfg.n, BitString(center), spread)
+    channel = AliceChannel.bsc(cfg.n, [BitString(center)], spread)
     if seeds is None:
         seeds = enumerate_full_rank_seeds(code.k, cfg.hash_m)
     d0, d1 = _digests(seeds, np.stack([x0.bits[: code.k],
@@ -219,11 +222,7 @@ def honest_alice_strategy(cfg: CommitConfig, m: BitString,
     is zero by definition.
     """
     draws = [alice_commit(m, cfg, rng) for _ in range(n_atoms)]
-    sent = [xbar for _, _, xbar in draws]
-    ch = AliceChannel(cfg.n, range(n_atoms),
-                      lambda label: bsc_law_dense(cfg.n, sent[label], cfg.p),
-                      lambda label, r: bsc_transmit(sent[label], cfg.p, r),
-                      symmetric=True)
+    ch = AliceChannel.bsc(cfg.n, [xbar for _, _, xbar in draws], cfg.p)
     atoms = np.recarray(n_atoms, dtype=ATOM_DTYPE)
     atoms.prob = 1.0 / n_atoms
     atoms.seed = atoms.label = np.arange(n_atoms)
@@ -273,9 +272,8 @@ def _view_joint(strategy: BobStrategy, cfg: CommitConfig,
                          "(%d cells > 2^24)" % cells)
     seeds = enumerate_full_rank_seeds(code.k, hm)
     # codeword u shifted into coset c: its int with c in the check positions
-    codewords = _pack_u64((all_bits(code.k) @ code.gen) & 1)[:, 0]
-    shifted = codewords[:, None] ^ (np.arange(n_cosets, dtype=np.uint64)
-                                    << np.uint64(code.k))
+    shifted = code.codeword_ints()[:, None] ^ (
+        np.arange(n_cosets, dtype=np.uint64) << np.uint64(code.k))
     laws = view.law_table()[shifted].reshape(1 << code.k, -1)
     targets = m.to_int() ^ np.arange(1 << hm)  # the digest each mask needs
     out = np.empty((n_seeds, 1 << hm, laws.shape[1]))

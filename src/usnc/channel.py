@@ -2,10 +2,12 @@
 
 Adversarial channels are explicit finite probability tables at desk scale
 (dense laws over 2^n outputs, or over a finite view space), plus named
-analytic families for larger n. The entropic-constraint checks quantify only
-over a channel's representative inputs: a universally quantified condition
-can be falsified but never proven by an artifact, and the analytic families
-declare the symmetry that makes one representative sufficient.
+analytic families for larger n. Every BSC law, the sender's or a view, is
+``bsc_weight_mass`` gathered at ``hamming_distances``. The entropic-constraint
+checks quantify only over a channel's representative inputs: a universally
+quantified condition can be falsified but never proven by an artifact, and
+the analytic families declare the symmetry that makes one representative
+sufficient.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ __all__ = [
     "check_c2",
     "check_c3",
     "bsc_law_dense",
+    "bsc_weight_mass",
+    "hamming_distances",
 ]
 
 _DENSE_N_LIMIT = 20
@@ -87,6 +91,9 @@ def typical_window(n: int, p: float, eps: float) -> tuple[int, int]:
     float product is 0.9999999999999999. Edges are clipped to [0, n]; the
     window is empty when w_lo > w_hi.
     """
+    for name, value in (("p", p), ("eps", eps)):
+        if not math.isfinite(value):
+            raise ValueError("%s must be finite" % name)
     pf, ef = Fraction(repr(float(p))), Fraction(repr(float(eps)))
     return (max(0, math.ceil(n * (pf - ef))),
             min(n, math.floor(n * (pf + ef))))
@@ -99,12 +106,8 @@ def typical_window_mask(center: BitString, p: float, eps: float) -> np.ndarray:
     HD(center, z) lies in ``typical_window(n, p, eps)``.
     """
     n = len(center)
-    if n > _DENSE_N_LIMIT:
-        raise ValueError("dense window masks limited to n <= %d"
-                         % _DENSE_N_LIMIT)
     w_lo, w_hi = typical_window(n, p, eps)
-    z = np.arange(1 << n, dtype=np.uint32)
-    d = np.bitwise_count(z ^ np.uint32(center.to_int()))
+    d = hamming_distances(n, center.to_int())
     return (d >= w_lo) & (d <= w_hi)
 
 
@@ -139,17 +142,27 @@ def typicality_tail_exact(n: int, p: float, eps: float) -> float:
     return float(np.exp(logsumexp(logpmf)))
 
 
+def hamming_distances(n: int, centers) -> np.ndarray:
+    """uint8 popcount(c ^ z) for int centres c (any shape) along a new last
+    axis over every n-bit string z in integer order (bit i = coordinate i)."""
+    if n > _DENSE_N_LIMIT:
+        raise ValueError("dense tables limited to n <= %d" % _DENSE_N_LIMIT)
+    z = np.arange(1 << n, dtype=np.uint32)
+    return np.bitwise_count(np.asarray(centers, dtype=np.uint32)[..., None]
+                            ^ z)
+
+
+def bsc_weight_mass(n: int, p: float) -> np.ndarray:
+    """Mass BSC(p) noise on n bits puts on one string at each distance 0..n
+    from the input: p^d (1-p)^(n-d), exact 0/1 at p in {0, 1}."""
+    d = np.arange(n + 1, dtype=np.float64)
+    return np.exp(xlogy(d, p) + xlogy(n - d, 1.0 - p))
+
+
 def bsc_law_dense(n: int, center: BitString, p: float) -> ClassicalDistribution:
     """Dense output law of BSC(p) noise around ``center``, over all 2^n strings."""
-    if n > _DENSE_N_LIMIT:
-        raise ValueError("dense laws limited to n <= %d" % _DENSE_N_LIMIT)
-    z = np.arange(1 << n, dtype=np.uint32)
-    d = np.bitwise_count(z ^ np.uint32(center.to_int())).astype(np.float64)
-    if p == 0.0:
-        mass = (d == 0).astype(np.float64)
-    else:
-        mass = np.exp(xlogy(d, p) + xlogy(n - d, 1.0 - p))
-    return ClassicalDistribution(mass)
+    return ClassicalDistribution(
+        bsc_weight_mass(n, p)[hamming_distances(n, center.to_int())])
 
 
 class AliceChannel:
@@ -190,48 +203,31 @@ class AliceChannel:
         return cls(n, laws.keys(), laws.__getitem__, sample)
 
     @classmethod
-    def honest_bsc(cls, n: int, p: float) -> "AliceChannel":
-        """The honest channel wrapped as an adversarial object.
+    def bsc(cls, n: int, centers, spread: float) -> "AliceChannel":
+        """Label i is BSC(spread) noise around ``centers[i]`` (BitStrings).
 
-        Labels are n-bit inputs; translation invariance of the noise makes
-        the output-law entropy label-independent, so certification checks a
-        single representative.
+        Translation invariance of the noise makes the output-law entropy
+        label-independent, so certification checks a single representative.
         """
-
-        def law(label: BitString):
-            return bsc_law_dense(n, label, p)
-
-        def sample(label: BitString, rng):
-            return bsc_transmit(label, p, rng)
-
-        return cls(n, [BitString.zeros(n)], law, sample, symmetric=True)
-
-    @classmethod
-    def centered_bsc(cls, n: int, center: BitString, spread: float,
-                     label: str = "attack") -> "AliceChannel":
-        """Single-label channel: BSC(spread) noise around a fixed string."""
-
-        def law(_label):
-            return bsc_law_dense(n, center, spread)
-
-        def sample(_label, rng):
-            return bsc_transmit(center, spread, rng)
-
-        return cls(n, [label], law, sample, symmetric=True)
+        centers = list(centers)
+        return cls(n, range(len(centers)),
+                   lambda i: bsc_law_dense(n, centers[i], spread),
+                   lambda i, rng: bsc_transmit(centers[i], spread, rng),
+                   symmetric=True)
 
 
 class BobChannel:
-    """Dishonest-receiver view channel: n-bit input -> distribution over views."""
+    """Dishonest-receiver view channel: n-bit input -> distribution over views.
 
-    def __init__(self, n: int, view_size: int, law_fn):
+    ``build_table()`` returns the table ``law_table`` keeps; it runs lazily.
+    """
+
+    def __init__(self, n: int, view_size: int, build_table):
         self.n = n
         self.view_size = view_size
-        self._law_fn = law_fn
+        self._build_table = build_table
         self._law_table = None
         self.certified = False
-
-    def law(self, x: BitString) -> ClassicalDistribution:
-        return self._law_fn(x)
 
     def law_table(self) -> np.ndarray:
         """(2^n, view_size) view laws of every input; row x is the law of
@@ -240,8 +236,7 @@ class BobChannel:
         Built on the first call and returned read-only from then on.
         """
         if self._law_table is None:
-            table = np.stack([self.law(BitString.from_int(x, self.n)).mass
-                              for x in range(1 << self.n)])
+            table = self._build_table()
             table.setflags(write=False)
             self._law_table = table
         return self._law_table
@@ -255,17 +250,13 @@ class BobChannel:
     @classmethod
     def bsc_view(cls, n: int, p_b: float) -> "BobChannel":
         """View = transmitted string through BSC(p_b); p_b = 0 is the identity."""
-
-        def law(x: BitString):
-            return bsc_law_dense(n, x, p_b)
-
-        return cls(n, 1 << n, law)
+        return cls(n, 1 << n, lambda: bsc_weight_mass(n, p_b)[
+            hamming_distances(n, np.arange(1 << n))])
 
     @classmethod
     def constant_view(cls, n: int) -> "BobChannel":
         """View independent of the input (a single dummy symbol)."""
-        dist = ClassicalDistribution(np.ones(1))
-        return cls(n, 1, lambda x: dist)
+        return cls(n, 1, lambda: np.ones((1 << n, 1)))
 
 
 @dataclass(frozen=True)

@@ -171,6 +171,8 @@ def _build_binding_strategy(args, desc: dict):
         x1 = _resolve(args, desc, "x1", BitString.from01, required=True)
     else:
         w = _resolve(args, desc, "weight", int, required=True)
+        if not 1 <= w <= code.n:
+            raise ValueError("need 1 <= weight <= %d" % code.n)
         x0 = BitString.zeros(code.n)
         bits = np.zeros(code.n, dtype=np.uint8)
         bits[:w] = 1

@@ -108,19 +108,19 @@ def gtd(p, q) -> float:
 
 
 def min_entropy(p: ClassicalDistribution) -> float:
-    """-log2 of the largest mass."""
+    """-log2 of the largest mass; +0.0 for a point mass."""
     top = float(p.mass.max())
     if top <= 0.0:
         raise ValueError("zero distribution has no min-entropy")
-    return -np.log2(top)
+    return 0.0 - np.log2(top)  # 0.0 - x, unlike -x, is never -0.0
 
 
 def cond_min_entropy(j: JointDistribution) -> float:
-    """-log2 sum_z max_x j(x, z)."""
+    """-log2 sum_z max_x j(x, z); +0.0 when the view determines x."""
     s = float(j.mass.max(axis=0).sum())
     if s <= 0.0:
         raise ValueError("zero distribution has no min-entropy")
-    return -np.log2(s)
+    return 0.0 - np.log2(s)
 
 
 def smooth_min_entropy(p: ClassicalDistribution, eps: float) -> float:

@@ -336,6 +336,10 @@ class LinearCode:
             raise ValueError("message length %d != k=%d" % (len(u), self.k))
         return BitString._wrap(self._encode_arr(u.bits))
 
+    def codeword_ints(self) -> np.ndarray:
+        """uint64 int of each row of ``all_bits(k)`` encoded; n <= 64."""
+        return _pack_u64((all_bits(self.k) @ self.gen) & 1)[:, 0]
+
     def _check_words(self, u: np.ndarray) -> np.ndarray:
         sel = np.flatnonzero(u)
         if sel.size:

@@ -1,8 +1,9 @@
 """Brute-force ground truth for the combinatorial and entropic claims.
 
 Everything here enumerates rather than derives: string spaces are walked as
-integer ranges with hardware popcounts, probabilities are summed directly,
-and the randomized entropy search proposes perturbations instead of solving.
+integer ranges with hardware popcounts, BSC masses are the channel's one
+per-distance law, probabilities are summed directly, and the randomized
+entropy search proposes perturbations instead of solving.
 The oracles refuse beyond their size limits rather than approximate.
 """
 
@@ -11,14 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .bounds import binary_entropy, intersection_bound
-from .channel import (BobChannel, bsc_law_dense, typical_window,
-                      typical_window_mask, typicality_tail_exact)
+from .channel import (BobChannel, bsc_law_dense, bsc_weight_mass,
+                      typical_window, typical_window_mask,
+                      typicality_tail_exact)
 from .entropy import (ClassicalDistribution, JointDistribution,
                       cond_min_entropy, gtd, min_entropy)
-from .gf2 import BitString, LinearCode, all_bits
+from .gf2 import BitString, LinearCode
 from .hashing import (count_full_rank, digest_table,
                       enumerate_full_rank_seeds, sample_seed)
 
@@ -72,9 +73,10 @@ def verify_intersection_bound(n: int, p: float, eps: float) -> IntersectionRepor
     Translation invariance reduces all pairs at distance w to (0, any
     weight-w string), so one count per weight covers every pair. Checks the
     bound for each class and that counts vanish beyond sigma = p + 2 eps.
+    n outside 1..16 is refused before anything is built.
     """
-    if n > 16:
-        raise ValueError("weight sweep needs n <= 16")
+    if not 1 <= n <= 16:
+        raise ValueError("weight sweep needs 1 <= n <= 16")
     zero = BitString.zeros(n)
     rows = []
     max_ratio = 0.0
@@ -150,9 +152,8 @@ def _clipped_cond_min_entropy(n: int, p: float, lo: int, hi: int) -> float:
     those of gathering the float64 mass of every pair, so the result is the
     same bit for bit.
     """
-    w = np.arange(n + 1, dtype=np.float64)
-    pmf_w = np.exp(xlogy(w, p) + xlogy(n - w, 1.0 - p))
-    pmf_w = np.where((w >= lo) & (w <= hi), pmf_w, 0.0)
+    w = np.arange(n + 1)
+    pmf_w = np.where((w >= lo) & (w <= hi), bsc_weight_mass(n, p), 0.0)
     low = min(n, 8)  # callers keep n <= 16, so the high part fits a byte too
     x_low = np.arange(1 << low, dtype=np.uint8)
     x_high = np.arange(1 << (n - low), dtype=np.uint8)
@@ -212,7 +213,8 @@ def lhl_check(code: LinearCode, hash_m: int, view_channel: BobChannel,
     """Extractor quality vs the min-entropy ceiling, by full enumeration.
 
     lhs: average over seeds of the l1 distance between (digest, view) and
-    (uniform digest) x (view marginal), with the input uniform on the code.
+    (uniform digest) x (view marginal), with the input uniform on the code;
+    the codewords' view laws are rows of ``view_channel.law_table()``.
     rhs: 2 * 2^((hash_m - Hmin(input|view)) / 2) with the exact conditional
     min-entropy. seeds is None (every full-rank seed) or a sample size >= 1
     drawn with rng. Either way a family of more than 2^18 seeds is refused
@@ -237,8 +239,7 @@ def lhl_check(code: LinearCode, hash_m: int, view_channel: BobChannel,
             raise ValueError("sampled seeds need an rng")
         seeds = np.stack([sample_seed(k, hash_m, rng).matrix
                           for _ in range(seeds)])
-    laws = np.stack([view_channel.law(code.encode(BitString(u))).mass
-                     for u in all_bits(k)])  # (2^k, V)
+    laws = view_channel.law_table()[code.codeword_ints()]  # (2^k, V)
     ncw = laws.shape[0]
     marginal = laws.mean(axis=0)
     joint = laws / ncw
@@ -247,7 +248,7 @@ def lhl_check(code: LinearCode, hash_m: int, view_channel: BobChannel,
     dist_sum = 0.0
     for seed in seeds:
         per_digest = np.zeros(((1 << hash_m), laws.shape[1]))
-        np.add.at(per_digest, digest_table(seed), laws / ncw)
+        np.add.at(per_digest, digest_table(seed), joint)
         dist_sum += float(np.abs(per_digest - target).sum())
     lhs = dist_sum / len(seeds)
     rhs = 2.0 * 2.0 ** (0.5 * (hash_m - h_min))

@@ -9,8 +9,8 @@ from usnc.adversary import (ATOM_DTYPE, AliceStrategy, BobStrategy,
                             honest_alice_strategy, less_noisy_bob,
                             midpoint_attack)
 from usnc.bounds import binding_bound, hiding_bound
-from usnc.channel import (AliceChannel, BobChannel, UsncParams, check_c2,
-                          check_c3, typical_window_mask)
+from usnc.channel import (AliceChannel, BobChannel, UsncParams, bsc_law_dense,
+                          check_c2, check_c3, typical_window_mask)
 from usnc.entropy import ClassicalDistribution, cond_min_entropy, min_entropy
 from usnc.gf2 import (BitString, CosetId, all_bits, even_weight_code,
                       hamming_7_4)
@@ -365,9 +365,10 @@ class TestHidingAdvantage:
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
 
-def view_joint_reference(strategy, cfg, m):
+def view_joint_reference(strategy, cfg, m, view_law):
     """Loop reference for the exact hiding joint: per seed, mask, coset and
-    matching codeword, add the view law of the shifted codeword."""
+    matching codeword, add the view law of the shifted codeword, computed
+    by ``view_law`` on its own rather than read off the channel's table."""
     code = cfg.code
     n_cosets = 1 << (code.n - code.k)
     view = strategy.view_channel
@@ -387,7 +388,7 @@ def view_joint_reference(strategy, cfg, m):
                     shifted = codewords[idx] ^ rep
                     key = shifted.to_int()
                     if key not in law_cache:
-                        law_cache[key] = view.law(shifted).mass
+                        law_cache[key] = view_law(shifted)
                     out[si, mbar_int, ci] += law_cache[key]
     out /= len(seeds) * (1 << cfg.hash_m) * n_cosets
     out /= 1 << (code.k - cfg.hash_m)
@@ -402,13 +403,17 @@ class TestViewJointMatchesReference:
                              ids=["pb0", "pb0.1", "pb0.25", "constant"])
     def test_array_joint_equals_loop(self, code, hash_m, p_b):
         cfg = CommitConfig(code=code, hash_m=hash_m, p=0.25, eps=0.2)
-        view = BobChannel.constant_view(code.n) if p_b is None \
-            else BobChannel.bsc_view(code.n, p_b)
+        if p_b is None:
+            view = BobChannel.constant_view(code.n)
+            view_law = lambda x: np.ones(1)
+        else:
+            view = BobChannel.bsc_view(code.n, p_b)
+            view_law = lambda x: bsc_law_dense(code.n, x, p_b).mass
         strategy = BobStrategy(view_channel=view)
         for m_int in (0, (1 << hash_m) - 1):
             m = BitString.from_int(m_int, hash_m)
             joint = _view_joint(strategy, cfg, m)
-            ref = view_joint_reference(strategy, cfg, m)
+            ref = view_joint_reference(strategy, cfg, m, view_law)
             assert joint.shape == ref.shape
             assert np.abs(joint - ref).max() <= 1e-15
             assert joint.sum() == pytest.approx(1.0, abs=1e-12)

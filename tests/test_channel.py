@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from usnc.channel import (AliceChannel, BobChannel, UsncParams, bsc_law_dense,
-                          bsc_transmit, check_c2, check_c3,
-                          typical_membership, typical_window,
-                          typical_window_mask, typicality_tail_exact)
+                          bsc_transmit, bsc_weight_mass, check_c2, check_c3,
+                          hamming_distances, typical_membership,
+                          typical_window, typical_window_mask,
+                          typicality_tail_exact)
 from usnc.entropy import ClassicalDistribution, smooth_min_entropy
 from usnc.gf2 import BitString, hamming_distance
 
@@ -122,6 +123,13 @@ class TestTypicalWindow:
                     assert typical_window(n, i / 100, j / 100) == expected, \
                         (n, i, j)
 
+    @pytest.mark.parametrize("p, eps, name", [
+        (float("nan"), 0.1, "p"), (float("inf"), 0.1, "p"),
+        (0.25, float("nan"), "eps"), (0.25, float("-inf"), "eps")])
+    def test_non_finite_inputs_refused_by_name(self, p, eps, name):
+        with pytest.raises(ValueError, match="^%s must be finite$" % name):
+            typical_window(10, p, eps)
+
     def test_clipped_to_weights_and_possibly_empty(self):
         assert typical_window(50, 0.2, 0.8) == (0, 50)
         assert typical_window(5, 0.02, 0.01) == (1, 0)  # no weight fits
@@ -178,7 +186,7 @@ class TestCheckC2:
 
     def test_honest_bsc_achieves_exact_smooth_entropy(self):
         n, p, eps_a = 8, 0.25, 0.01
-        ch = AliceChannel.honest_bsc(n, p)
+        ch = AliceChannel.bsc(n, [BitString.zeros(n)], p)
         law = bsc_law_dense(n, BitString.zeros(n), p)
         achievable = smooth_min_entropy(law, eps_a)
         report = check_c2(ch, _params(n, l_a=achievable, eps_a=eps_a, p=p))
@@ -190,7 +198,7 @@ class TestCheckC2:
 
     def test_monotone_in_constraints(self):
         n = 6
-        ch = AliceChannel.honest_bsc(n, 0.2)
+        ch = AliceChannel.bsc(n, [BitString.zeros(n)], 0.2)
         base = check_c2(ch, _params(n, l_a=1.2, eps_a=0.05, p=0.2))
         looser_l = check_c2(ch, _params(n, l_a=0.9, eps_a=0.05, p=0.2))
         looser_eps = check_c2(ch, _params(n, l_a=1.2, eps_a=0.2, p=0.2))
@@ -232,17 +240,19 @@ class TestLawTable:
     def test_built_once_and_read_only(self):
         n = 4
         calls = []
+        build = BobChannel.bsc_view(n, 0.2)._build_table
 
-        def law(x):
-            calls.append(x)
-            return bsc_law_dense(n, x, 0.2)
+        def counting_build():
+            calls.append(1)
+            return build()
 
-        ch = BobChannel(n, 1 << n, law)
+        ch = BobChannel(n, 1 << n, counting_build)
+        assert len(calls) == 0  # nothing is built at construction
         table = ch.law_table()
-        assert len(calls) == 1 << n
+        assert len(calls) == 1
         assert ch.law_table() is table
         joint = ch.joint_with_uniform_input()
-        assert len(calls) == 1 << n
+        assert len(calls) == 1
         assert np.array_equal(joint.mass, table / (1 << n))
         assert not table.flags.writeable
         with pytest.raises(ValueError):
@@ -252,10 +262,72 @@ class TestLawTable:
             assert np.array_equal(table[x], expect)
         # a fresh channel's joint builds the table once as well
         calls.clear()
-        fresh = BobChannel(n, 1 << n, law)
+        fresh = BobChannel(n, 1 << n, counting_build)
         fresh.joint_with_uniform_input()
         fresh.joint_with_uniform_input()
-        assert len(calls) == 1 << n
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n", [1, 4, 7, 8, 10])
+    def test_view_tables_equal_per_input_laws(self, n):
+        # one gather of the distance-indexed mass against a law per input
+        for p_b in (0.0, 0.1, 0.25, 0.45, 0.5, 1.0):
+            table = BobChannel.bsc_view(n, p_b).law_table()
+            expect = np.stack([bsc_law_dense(n, BitString.from_int(x, n),
+                                             p_b).mass
+                               for x in range(1 << n)])
+            assert table.dtype == expect.dtype
+            assert np.array_equal(table, expect), (n, p_b)
+        table = BobChannel.constant_view(n).law_table()
+        assert np.array_equal(table, np.ones((1 << n, 1)))
+
+
+class TestBscLaw:
+    def test_distances_match_pairwise_popcount(self):
+        rng = np.random.default_rng(6)
+        for n in (1, 5, 11):
+            centers = rng.integers(0, 1 << n, size=3)
+            d = hamming_distances(n, centers)
+            assert d.shape == (3, 1 << n) and d.dtype == np.uint8
+            for c, row in zip(centers, d):
+                assert row.tolist() == [
+                    hamming_distance(BitString.from_int(int(c), n),
+                                     BitString.from_int(z, n))
+                    for z in range(1 << n)]
+        assert np.array_equal(hamming_distances(5, 9),
+                              hamming_distances(5, [9])[0])
+
+    def test_weight_mass_is_the_product_law(self):
+        n = 9
+        for p in (0.1, 0.25, 0.5):
+            expect = [p ** d * (1 - p) ** (n - d) for d in range(n + 1)]
+            assert bsc_weight_mass(n, p) == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("p, at", [(0.0, "center"), (1.0, "complement")])
+    def test_noiseless_edges_are_point_masses(self, p, at):
+        # exact zeros and a single one, without a separate p = 0 formula
+        n = 6
+        center = BitString.from01("101100")
+        target = center if at == "center" else center ^ BitString.from01(
+            "111111")
+        law = bsc_law_dense(n, center, p).mass
+        expect = np.zeros(1 << n)
+        expect[target.to_int()] = 1.0
+        assert np.array_equal(law, expect)
+
+    def test_sender_bsc_laws_and_samples(self):
+        n, spread = 8, 0.3
+        rng = np.random.default_rng(7)
+        centers = [BitString.random(n, rng) for _ in range(4)]
+        ch = AliceChannel.bsc(n, centers, spread)
+        assert ch.labels == [0, 1, 2, 3] and ch.symmetric
+        assert ch.check_labels() == [0]
+        got_rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+        for i, center in enumerate(centers):
+            assert np.array_equal(ch.law(i).mass,
+                                  bsc_law_dense(n, center, spread).mass)
+            for _ in range(5):
+                assert ch.sample(i, got_rng) == bsc_transmit(center, spread,
+                                                             ref_rng)
 
 
 class TestUsncParams:

@@ -325,6 +325,31 @@ class TestAttack:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "binding only" in err
 
+    @pytest.mark.parametrize("weight", ["-2", "0", "15", "100"])
+    def test_binding_weight_outside_length_is_usage_error(self, capsys,
+                                                          tmp_path, weight):
+        # a slice bits[:w] would silently run another weight's instance
+        desc = tmp_path / "desc.txt"
+        desc.write_text(_kv_text({**DESCRIPTORS["binding"],
+                                  "weight": weight}))
+        code = main(["attack", "binding", "--strategy", str(desc)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: need 1 <= weight <= 14\n"
+
+    @pytest.mark.parametrize("kind, field", [
+        ("binding", ("spread", "0")), ("hiding", ("p_b", "1"))])
+    def test_point_mass_channel_check_prints_positive_zero(self, capsys,
+                                                           tmp_path, kind,
+                                                           field):
+        desc = tmp_path / "desc.txt"
+        desc.write_text(_kv_text({**DESCRIPTORS[kind], field[0]: field[1]}))
+        code, out = run_cli(capsys, "attack", kind, "--strategy", str(desc))
+        assert code == 0
+        assert out.startswith(
+            "channel check: pass: achieved 0, required 0\n")
+
     def test_kind_mismatch(self, capsys, tmp_path):
         desc = tmp_path / "binding.txt"
         desc.write_text("kind = binding\ncode = even:14\np = 0.25\n"
@@ -340,6 +365,28 @@ class TestOracleCommands:
         assert code == 0
         assert "typical-set intersection bound: PASS" in out
         assert "max_ratio:" in out
+
+    @pytest.mark.parametrize("n", ["-3", "0", "17"])
+    def test_intersection_length_outside_range_is_usage_error(self, capsys,
+                                                              n):
+        code = main(["oracle", "intersection", "--n", n, "--p", "0.25",
+                     "--eps", "0.125"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: weight sweep needs 1 <= n <= 16\n"
+
+    @pytest.mark.parametrize("command", ["intersection", "clipped"])
+    @pytest.mark.parametrize("p, eps, name", [
+        ("nan", "0.1", "p"), ("inf", "0.1", "p"), ("0.1", "nan", "eps")])
+    def test_non_finite_window_inputs_are_usage_errors(self, capsys, command,
+                                                       p, eps, name):
+        code = main(["oracle", command, "--n", "10", "--p", p,
+                     "--eps", eps])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: %s must be finite\n" % name
 
     def test_lhl(self, capsys):
         code, out = run_cli(capsys, "oracle", "lhl", "--seeds", "100",

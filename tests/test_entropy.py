@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,12 @@ class TestMinEntropy:
     def test_point_mass(self):
         assert min_entropy(ClassicalDistribution.point_mass(4, 2)) == 0.0
 
+    def test_point_mass_is_positive_zero(self):
+        # -log2(1.0) is -0.0, which prints as "-0"
+        for dist_ in (ClassicalDistribution.point_mass(4, 2), dist(1.0)):
+            assert math.copysign(1.0, min_entropy(dist_)) == 1.0
+        assert math.copysign(1.0, smooth_min_entropy(dist(1.0), 0.0)) == 1.0
+
     def test_direct(self):
         assert min_entropy(dist(0.5, 0.25, 0.25)) == 1.0
 
@@ -62,6 +70,8 @@ class TestCondMinEntropy:
     def test_perfectly_correlated(self):
         j = JointDistribution(np.eye(4) / 4)
         assert cond_min_entropy(j) == 0.0
+        assert math.copysign(1.0, cond_min_entropy(j)) == 1.0
+        assert math.copysign(1.0, smooth_cond_min_entropy(j, 0.0)) == 1.0
 
     def test_bsc_one_bit(self):
         j = JointDistribution([[0.375, 0.125], [0.125, 0.375]])

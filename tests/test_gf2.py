@@ -130,6 +130,15 @@ class TestLinearCode:
             cw = hamming.encode(u)
             assert not hamming.syndrome(cw).syndrome.bits.any()
 
+    @pytest.mark.parametrize("code", [hamming_7_4(), even_weight_code(7),
+                                      repetition_code(5)],
+                             ids=["hamming74", "even7", "rep5"])
+    def test_codeword_ints_follow_encode(self, code):
+        # entry u is the int of encode(u), u read as k bits, bit i first
+        expect = [code.encode(BitString.from_int(u, code.k)).to_int()
+                  for u in range(1 << code.k)]
+        assert code.codeword_ints().tolist() == expect
+
     def test_encode_length_check(self, hamming):
         with pytest.raises(ValueError):
             hamming.encode(bs("10100"))

@@ -9,9 +9,12 @@ from scipy.special import xlogy
 from usnc import oracle
 from usnc.adversary import less_noisy_bob
 from usnc.bounds import intersection_bound
-from usnc.channel import BobChannel, typical_window, typicality_tail_exact
-from usnc.entropy import ClassicalDistribution, min_entropy, smooth_min_entropy
-from usnc.gf2 import BitString, even_weight_code, hamming_7_4
+from usnc.channel import (BobChannel, bsc_law_dense, typical_window,
+                          typicality_tail_exact)
+from usnc.entropy import (ClassicalDistribution, JointDistribution,
+                          cond_min_entropy, min_entropy, smooth_min_entropy)
+from usnc.gf2 import BitString, all_bits, even_weight_code, hamming_7_4
+from usnc.hashing import digest_table, enumerate_full_rank_seeds, sample_seed
 from usnc.oracle import (clipped_bsc_construction, lhl_check,
                          smooth_entropy_search, typical_intersection_exact,
                          verify_intersection_bound)
@@ -145,7 +148,53 @@ class TestClippedRankGather:
         assert np.array_equal(got, self.PMF[dists].max(axis=1))
 
 
+def lhl_loop_reference(code, hash_m, view_law, seeds):
+    """(lhs, h_min) of the leftover-hash check by the per-codeword loop the
+    table gather replaced: each codeword encoded and its view law computed
+    on its own by ``view_law``, then the same sums over the seed stack."""
+    laws = np.stack([view_law(code.encode(BitString(u)))
+                     for u in all_bits(code.k)])
+    ncw = laws.shape[0]
+    h_min = cond_min_entropy(JointDistribution(laws / ncw))
+    target = np.tile(laws.mean(axis=0) / (1 << hash_m), (1 << hash_m, 1))
+    dist_sum = 0.0
+    for seed in seeds:
+        per_digest = np.zeros(((1 << hash_m), laws.shape[1]))
+        np.add.at(per_digest, digest_table(seed), laws / ncw)
+        dist_sum += float(np.abs(per_digest - target).sum())
+    return dist_sum / len(seeds), h_min
+
+
 class TestLhlCheck:
+    @pytest.mark.parametrize("code, hash_m, sampled", [
+        (hamming_7_4(), 1, None), (hamming_7_4(), 3, None),
+        (even_weight_code(7), 1, None), (even_weight_code(7), 3, 200)],
+        ids=["hamming74-m1", "hamming74-m3", "even7-m1", "even7-m3-sampled"])
+    @pytest.mark.parametrize("p_b", [0.0, 0.25, None],
+                             ids=["pb0", "pb0.25", "constant"])
+    def test_table_rows_equal_encode_law_loop(self, code, hash_m, sampled,
+                                              p_b):
+        # even:7 at m = 3 has 234,360 seeds; a sample keeps the walk short
+        if p_b is None:
+            view, view_law = BobChannel.constant_view(code.n), \
+                lambda x: np.ones(1)
+        else:
+            view = less_noisy_bob(p_b, code.n).view_channel
+            view_law = lambda x: bsc_law_dense(code.n, x, p_b).mass
+        if sampled is None:
+            res = lhl_check(code, hash_m, view)
+            seeds = enumerate_full_rank_seeds(code.k, hash_m)
+        else:
+            res = lhl_check(code, hash_m, view, seeds=sampled,
+                            rng=np.random.default_rng(3))
+            rng = np.random.default_rng(3)
+            seeds = [sample_seed(code.k, hash_m, rng).matrix
+                     for _ in range(sampled)]
+        lhs, h_min = lhl_loop_reference(code, hash_m, view_law, seeds)
+        assert res.n_seeds == len(seeds)
+        assert res.lhs == lhs
+        assert res.h_min == h_min
+
     def test_hamming_instance(self):
         strat = less_noisy_bob(0.25, 7)
         res = lhl_check(hamming_7_4(), 1, strat.view_channel)
