@@ -5,14 +5,16 @@ harness can falsify a security bound but never prove one. A cheating sender
 is a (S, m, k) seed stack plus a table of atoms that also holds both
 openings it announces per atom; its channel is BSC noise around one string
 per label (``AliceChannel.bsc``). Both harnesses are exact: they sum the
-strategy's joint law against dense channel laws, binding once per group of
-valid atoms under popcount window masks, hiding as one 0/1 digest match of
-the whole seed family against the receiver's view-law table (rows gathered
-at codeword ints). Binding also has a Monte Carlo mode that samples
-channel outputs and runs the batched verifier, an independent code path
-cross-checked against the exact sum. Hiding has none: its view space is the
-exact mode's own enumeration, and an empirical trace distance over it only
-adds upward-biased sampling noise.
+strategy's joint law against dense channel laws. Binding checks each
+opening as a packed int (popcount parities against parity-check and seed
+rows), groups the valid atoms by one lexsort of their (label, coset, x0,
+x1) columns and sums each group once under popcount window masks. Hiding
+is one 0/1 digest match of the whole seed family against the receiver's
+view-law table (rows gathered at codeword ints). Binding also has a Monte
+Carlo mode that samples channel outputs and runs the batched verifier, an
+independent code path cross-checked against the exact sum. Hiding has none:
+its view space is the exact mode's own enumeration, and an empirical trace
+distance over it only adds upward-biased sampling noise.
 """
 
 from __future__ import annotations
@@ -120,20 +122,38 @@ def _check_table(strategy: AliceStrategy, cfg: CommitConfig) -> None:
 
 
 def _binding_exact(strategy: AliceStrategy, cfg: CommitConfig) -> float:
+    """Sum each group of valid atoms' probability times its window mass.
+
+    Openings are checked on the int strings: a parity row or a seed row is
+    one int, and a dot product is the parity of a popcount. Valid atoms are
+    grouped by (label, coset, x0, x1) with one stable lexsort, label first;
+    that is the row order ``np.unique(axis=0)`` gives, so the groups, their
+    order and the atom order of each group's weight sum, and hence the
+    float result, match the row-sorting grouping bit for bit.
+    """
     n, code, a = cfg.n, cfg.code, strategy.atoms
     if n > 16:
         raise ValueError("exact binding enumeration needs n <= 16")
-    xs, which = np.unique(np.concatenate([a.x0, a.x1]), return_inverse=True)
-    xbits = _unpack_ints(xs, n)
-    member = ~((xbits @ code.par.T) & 1).any(axis=1)
-    # digest of each atom's two openings under its seed, in one matmul
-    digest = _digests(strategy.seeds[np.concatenate([a.seed, a.seed])],
-                      xbits[which, None, :code.k])[:, 0]
-    ok = member[which] & (digest == np.concatenate([a.m0 ^ a.mbar,
-                                                    a.m1 ^ a.mbar]))
-    valid = ok[:len(a)] & ok[len(a):] & (a.m0 != a.m1)
-    keys = np.stack([a.label, a.coset, a.x0, a.x1], axis=1)[valid]
-    groups, group = np.unique(keys, axis=0, return_inverse=True)
+    checks = _pack_u64(code.par)[:, 0].astype(np.int64)  # one int per row
+    seed_rows = _pack_u64(strategy.seeds)[..., 0].astype(np.int64)[a.seed]
+    bit_values = 1 << np.arange(cfg.hash_m)
+
+    def opens(x, m):
+        """Whether each atom's opening (x, m) passes both checks."""
+        member = ~(np.bitwise_count(x[:, None] & checks) & 1).any(axis=1)
+        u = x & ((1 << code.k) - 1)
+        digest = (np.bitwise_count(seed_rows & u[:, None]) & 1) @ bit_values
+        return member & (digest == m ^ a.mbar)
+
+    valid = opens(a.x0, a.m0) & opens(a.x1, a.m1) & (a.m0 != a.m1)
+    keys = np.stack([a.label, a.coset, a.x0, a.x1])[:, valid]
+    order = np.lexsort(keys[::-1])  # lexsort's last key is the primary one
+    keys = keys[:, order]
+    start = np.ones(len(order), dtype=bool)
+    start[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    group = np.empty(len(order), dtype=np.int64)
+    group[order] = np.cumsum(start) - 1
+    groups = keys[:, start].T
     laws = {label: strategy.channel.law(strategy.channel.labels[label]).mass
             for label in set(groups[:, 0].tolist())}
     w_lo, w_hi = typical_window(n, cfg.p, cfg.eps)
@@ -143,8 +163,7 @@ def _binding_exact(strategy: AliceStrategy, cfg: CommitConfig) -> float:
         d = hamming_distances(n, [x0 ^ rep, x1 ^ rep])
         both = ((d >= w_lo) & (d <= w_hi)).all(axis=0)  # both windows
         group_mass[g] = laws[label][both].sum()
-    weight = np.bincount(group.ravel(), weights=a.prob[valid],
-                         minlength=len(groups))
+    weight = np.bincount(group, weights=a.prob[valid], minlength=len(groups))
     return float(weight @ group_mass)
 
 

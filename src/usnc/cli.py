@@ -126,6 +126,17 @@ def _cmd_commit_replay(args, config) -> int:
         t = protocol.transcript_from_json(fh.read())
     if t.opening is None:
         raise UsageError("transcript has no opening to replay")
+    n, k, hm = cfg.n, code.k, cfg.hash_m
+    for what, got, need in [
+            ("seed shape", "%dx%d" % t.seed.matrix.shape, "%dx%d" % (hm, k)),
+            ("mask length", len(t.mbar), hm),
+            ("syndrome length", len(t.coset), n - k),
+            ("z length", len(t.z), n),
+            ("opening m length", len(t.opening.m), hm),
+            ("opening x length", len(t.opening.x), n)]:
+        if got != need:
+            raise UsageError("transcript %s is %s, the configuration needs %s"
+                             % (what, got, need))
     flag = protocol.bob_verify(t, t.opening.m, t.opening.x, cfg)
     print("flag: %s" % flag)
     print("m_hat: %s" % t.opening.m.to01())

@@ -10,12 +10,15 @@ from usnc.adversary import (ATOM_DTYPE, AliceStrategy, BobStrategy,
                             midpoint_attack)
 from usnc.bounds import binding_bound, hiding_bound
 from usnc.channel import (AliceChannel, BobChannel, UsncParams, bsc_law_dense,
-                          check_c2, check_c3, typical_window_mask)
+                          check_c2, check_c3, hamming_distances,
+                          typical_window, typical_window_mask)
 from usnc.entropy import ClassicalDistribution, cond_min_entropy, min_entropy
-from usnc.gf2 import (BitString, CosetId, all_bits, even_weight_code,
-                      hamming_7_4)
-from usnc.hashing import (HashSeed, digest_table, enumerate_full_rank_seeds,
-                          exact_collision_probability, hash_codeword)
+from usnc.gf2 import (BitString, CosetId, LinearCode, _unpack_ints, all_bits,
+                      even_weight_code, hamming_7_4)
+from usnc.hashing import (HashSeed, _digests, digest_table,
+                          enumerate_full_rank_seeds,
+                          exact_collision_probability, hash_codeword,
+                          sample_seed)
 from usnc.oracle import typical_intersection_exact
 from usnc.protocol import ACC, CommitConfig, CommitmentTranscript, bob_verify
 
@@ -90,14 +93,50 @@ def binding_mc_reference(strategy, cfg, trials, rng):
     return wins / trials
 
 
-def assert_matches_references(strategy, cfg, trials=2000, seed=7):
-    """Grouped exact value within 1e-12 of the per-atom loop, Monte Carlo
-    estimate equal to the per-trial loop's; returns the exact value."""
+def binding_grouped_reference(strategy, cfg):
+    """Row-sorting reference for exact binding: openings unpacked to bit
+    rows and checked by matmul, valid atoms grouped by ``np.unique(axis=0)``
+    over (label, coset, x0, x1) key rows, one window mass per group."""
+    n, code, a = cfg.n, cfg.code, strategy.atoms
+    xs, which = np.unique(np.concatenate([a.x0, a.x1]), return_inverse=True)
+    xbits = _unpack_ints(xs, n)
+    member = ~((xbits @ code.par.T) & 1).any(axis=1)
+    digest = _digests(strategy.seeds[np.concatenate([a.seed, a.seed])],
+                      xbits[which, None, :code.k])[:, 0]
+    ok = member[which] & (digest == np.concatenate([a.m0 ^ a.mbar,
+                                                    a.m1 ^ a.mbar]))
+    valid = ok[:len(a)] & ok[len(a):] & (a.m0 != a.m1)
+    keys = np.stack([a.label, a.coset, a.x0, a.x1], axis=1)[valid]
+    groups, group = np.unique(keys, axis=0, return_inverse=True)
+    w_lo, w_hi = typical_window(n, cfg.p, cfg.eps)
+    group_mass = np.empty(len(groups))
+    for g, (label, coset, x0, x1) in enumerate(groups.tolist()):
+        rep = coset << code.k
+        d = hamming_distances(n, [x0 ^ rep, x1 ^ rep])
+        both = ((d >= w_lo) & (d <= w_hi)).all(axis=0)
+        law = strategy.channel.law(strategy.channel.labels[label])
+        group_mass[g] = law.mass[both].sum()
+    weight = np.bincount(group.ravel(), weights=a.prob[valid],
+                         minlength=len(groups))
+    return float(weight @ group_mass)
+
+
+def exact_binding_checked(strategy, cfg):
+    """Exact value, equal to the row-sorting reference and within 1e-12 of
+    the per-atom loop."""
     # a zero entropy floor certifies any channel
     check_c2(strategy.channel, UsncParams(n=cfg.n, p=cfg.p, eps_a=0.0,
                                           l_a=0.0, eps_b=0.0, l_b=0.0))
     exact = binding_success(strategy, cfg, for_bound_comparison=True)
+    assert exact == binding_grouped_reference(strategy, cfg)
     assert abs(exact - binding_exact_reference(strategy, cfg)) <= 1e-12
+    return exact
+
+
+def assert_matches_references(strategy, cfg, trials=2000, seed=7):
+    """Exact value checked by ``exact_binding_checked``, Monte Carlo
+    estimate equal to the per-trial loop's; returns the exact value."""
+    exact = exact_binding_checked(strategy, cfg)
     mc = binding_success(strategy, cfg, mode="mc", trials=trials,
                          rng=np.random.default_rng(seed),
                          for_bound_comparison=True)
@@ -186,6 +225,13 @@ class TestBindingSuccess:
 
 def codeword(code, value):
     return code.encode(BitString.from_int(value, code.k))
+
+
+def random_systematic_code(k, r, seed):
+    """Random [k + r, k] code [I_k | P] with its exact distance."""
+    p_block = np.random.default_rng(seed).integers(0, 2, size=(k, r))
+    distance = LinearCode(p_block).min_distance_exact()
+    return LinearCode(p_block, d_claimed=distance)
 
 
 def hand_built_strategy(cfg, rows, seeds, laws):
@@ -292,6 +338,64 @@ class TestGroupedBindingMatchesReference:
             rows += [row] * int(rng.integers(1, 3))
         strategy = hand_built_strategy(cfg, rows, seeds, laws)
         assert assert_matches_references(strategy, cfg, trials=3000) > 0.0
+
+    def test_benchmark_grid_equals_grouped_reference(self, cfg14, seeds13):
+        # the binding-exact workload's shape: even:14, every full-rank seed
+        # and mask, 4 opening weights x 3 spreads, hash_m = 1
+        code, rng = cfg14.code, np.random.default_rng(5)
+        values = []
+        for w in (2, 6, 10, 14):
+            x0 = codeword(code, int(rng.integers(1 << code.k)))
+            diff = np.zeros(14, dtype=np.uint8)
+            diff[rng.choice(14, size=w, replace=False)] = 1
+            for spread in (0.5, 0.35, 0.25):
+                strategy = midpoint_attack(cfg14, x0, x0 ^ BitString(diff),
+                                           spread, seeds=seeds13)
+                assert len(strategy.atoms) == 2 * 8191
+                certify_sender(strategy, cfg14)
+                values.append(binding_success(strategy, cfg14,
+                                              for_bound_comparison=True))
+                assert values[-1] == binding_grouped_reference(strategy,
+                                                               cfg14)
+        assert min(values) == 0.0 < max(values)
+
+    @pytest.mark.parametrize("code,hash_m", [
+        (hamming_7_4(), 2), (hamming_7_4(), 3),
+        (LinearCode([[1, 0, 0, 0]], d_claimed=2), 1),
+        (random_systematic_code(6, 6, 12), 2)],
+        ids=["hamming74-m2", "hamming74-m3", "5x1-m1", "random12x6-m2"])
+    def test_random_tables_with_invalid_openings(self, code, hash_m):
+        # several parity rows and digest bits, so a wrong bit order in the
+        # packed checks rejects valid openings or accepts invalid ones; the
+        # [5,1] code has rep:5's four parity rows but distance 2, as the
+        # protocol refuses distances >= n/2
+        cfg = CommitConfig(code=code, hash_m=hash_m, p=0.25, eps=0.2)
+        n, k = cfg.n, code.k
+        rng = np.random.default_rng(hash_m)
+        seeds = np.stack([sample_seed(k, hash_m, rng).matrix
+                          for _ in range(4)])
+        laws = [rng.dirichlet(np.ones(1 << n)) for _ in range(3)]
+        rows, faults = [], set()
+        while len(rows) < 150:
+            si, mbar = int(rng.integers(4)), int(rng.integers(1 << hash_m))
+            xs = [codeword(code, int(u)) for u in rng.integers(1 << k, size=2)]
+            ms = [(hash_codeword(HashSeed(seeds[si]), code, x)
+                   ^ BitString.from_int(mbar, hash_m)).to_int() for x in xs]
+            fault, side = int(rng.integers(4)), int(rng.integers(2))
+            if fault == 1:  # one flipped bit: off the code when d >= 2
+                xs[side] = xs[side] ^ BitString.from_int(
+                    1 << int(rng.integers(n)), n)
+            elif fault == 2:  # one wrong digest bit
+                ms[side] ^= 1 << int(rng.integers(hash_m))
+            elif fault == 3:  # the same message twice
+                ms[side] = ms[1 - side]
+            faults.add(fault)
+            row = [float(rng.random()), si, int(rng.integers(3)), mbar,
+                   int(rng.integers(1 << (n - k))), xs[0], ms[0], xs[1], ms[1]]
+            rows += [row] * int(rng.integers(1, 3))  # repeated rows
+        assert faults == {0, 1, 2, 3}
+        strategy = hand_built_strategy(cfg, rows, seeds, laws)
+        assert exact_binding_checked(strategy, cfg) > 0.0
 
     @pytest.mark.parametrize("column,shift", [
         ("x1", 1 << 7), ("m0", 2), ("coset", 8), ("seed", 1), ("label", 1),

@@ -174,6 +174,43 @@ class TestCommit:
         assert code == 0
         assert flag_line in replay_out
 
+    @pytest.mark.parametrize("flags,field,need", [
+        (["--code", "even:8"], None, "seed shape is 1x4, the configuration "
+         "needs 1x7"),
+        (["--code", "even:7"], None, "seed shape is 1x4, the configuration "
+         "needs 1x6"),
+        (["--hash-m", "2"], None, "seed shape is 1x4, the configuration "
+         "needs 2x4"),
+        ([], ("mbar", "len"), "mask length is 2, the configuration needs 1"),
+        ([], ("coset", "len"), "syndrome length is 4, the configuration "
+         "needs 3"),
+        ([], ("z", "len"), "z length is 8, the configuration needs 7"),
+        ([], ("opening", "m", "len"), "opening m length is 2, the "
+         "configuration needs 1"),
+        ([], ("opening", "x", "len"), "opening x length is 8, the "
+         "configuration needs 7")],
+        ids=["even8", "even7", "hash-m2", "mask", "syndrome", "z",
+             "opening-m", "opening-x"])
+    def test_replay_shape_mismatch_is_usage_error(self, capsys, tmp_path,
+                                                  flags, field, need):
+        # the transcript is the hamming74, hash_m = 1 one; a field one bit
+        # longer still parses, as its hex holds a whole byte
+        transcript = VALID_TRANSCRIPT
+        if field is not None:
+            length = VALID_TRANSCRIPT
+            for key in field:
+                length = length[key]
+            transcript = _with_field(field, length + 1)
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(transcript))
+        code = main(["commit", "replay", "--transcript", str(path),
+                     "--code", "hamming74", "--hash-m", "1", "--p", "0.25",
+                     "--eps", "0.2"] + flags)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: transcript %s\n" % need
+
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(transcript=JSON_VALUES | st.builds(
