@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -391,3 +392,93 @@ class TestBatchEngine:
             bob_verify_batch(replace(batch, x=padded), cfg)
         with pytest.raises(ValueError):
             run_honest_batch(cfg, 47, 0, size=BLOCK + 1)
+
+
+# ---------------------------------------------------------------------------
+# Stream pins: the honest engine's draws, digested
+# ---------------------------------------------------------------------------
+
+# k = 4 with a square 4 x 4 seed: about 69% of seeds are rank deficient, so
+# most blocks redraw seeds over several rounds
+STREAM_CONFIGS = dict(BATCH_CONFIGS, **{
+    "hamming74 m=4": lambda: CommitConfig(code=hamming_7_4(), hash_m=4,
+                                          p=0.25, eps=0.2)})
+STREAM_BLOCKS = [(name, BLOCK) for name in sorted(STREAM_CONFIGS)] + [
+    ("random[4096,16]", 123)]  # a short block ending inside a noise chunk
+
+
+def _field_digest(words: np.ndarray) -> str:
+    """First 16 hex digits of the sha256 of a field's little-endian words."""
+    raw = np.ascontiguousarray(words, dtype="<u8").tobytes()
+    return hashlib.sha256(raw).hexdigest()[:16]
+
+
+# run_honest_batch(cfg, 51, 2, size) field digests and the rejects of
+# _completeness_counts(cfg, 2500, 52) (two full blocks and a 500-trial
+# one), recorded before the encoding, elimination and BSC kernels were
+# rewritten. A kernel rewrite must reproduce these exactly; a change here
+# is a change of every `commit complete` result.
+STREAM_PINS = {
+    ("even:14", BLOCK): {
+        "rejects": 1360,
+        "fields": {
+            "seed": "94b5ec3f72a4aae4", "mbar": "d297a0991671e698",
+            "coset": "0610c16518714267", "z": "170d2307d674c81b",
+            "m": "8151e8b0bf2144ef", "x": "9769f553f752eb2f",
+        },
+    },
+    ("hamming74", BLOCK): {
+        "rejects": 494,
+        "fields": {
+            "seed": "d404d3fb01443647", "mbar": "d297a0991671e698",
+            "coset": "896143773f32bc08", "z": "da73f0e8648e909d",
+            "m": "8151e8b0bf2144ef", "x": "2d8c8fdcd1fde57a",
+        },
+    },
+    ("hamming74 m=4", BLOCK): {
+        "rejects": 509,
+        "fields": {
+            "seed": "fcf6f73e794c999b", "mbar": "999e213e09414061",
+            "coset": "014b9dda0d4135be", "z": "4544362687e6d983",
+            "m": "894a38b6513ae4db", "x": "6ad6bab3ab379d19",
+        },
+    },
+    ("random[200,70]", BLOCK): {
+        "rejects": 27,
+        "fields": {
+            "seed": "b4a9ccc7bc9f63a2", "mbar": "a4300a0393b4b6c5",
+            "coset": "91655e6970538f73", "z": "43442001a2a96436",
+            "m": "f6dece3bcaa20361", "x": "26f0d93aa71d7b0a",
+        },
+    },
+    ("random[4096,16]", BLOCK): {
+        "rejects": 63,
+        "fields": {
+            "seed": "9ac6a8583ff01384", "mbar": "b24d2e848eceb07a",
+            "coset": "c9bc3f4a879c72b3", "z": "c055dcf0a951fb9e",
+            "m": "9329f94acef3aaed", "x": "659d0fcbcb561ab2",
+        },
+    },
+    ("random[4096,16]", 123): {
+        "fields": {
+            "seed": "6cda292e46444ae7", "mbar": "030b9ca8b51c6070",
+            "coset": "f5f3fced15ee1c69", "z": "68d879318a694e97",
+            "m": "8abd1bf36bd20f13", "x": "99329ebcb4f0b987",
+        },
+    },
+}
+
+
+class TestStreamPins:
+    @pytest.mark.parametrize("name,size", STREAM_BLOCKS)
+    def test_batch_fields_pinned(self, name, size):
+        batch = run_honest_batch(STREAM_CONFIGS[name](), 51, 2, size)
+        got = {f: _field_digest(getattr(batch, f))
+               for f in ("seed", "mbar", "coset", "z", "m", "x")}
+        assert got == STREAM_PINS[name, size]["fields"]
+
+    @pytest.mark.parametrize("name", sorted(STREAM_CONFIGS))
+    def test_completeness_counts_pinned(self, name):
+        cfg = STREAM_CONFIGS[name]()
+        assert _completeness_counts(cfg, 2500, 52) == \
+            STREAM_PINS[name, BLOCK]["rejects"]
