@@ -19,6 +19,7 @@ distance over it only adds upward-biased sampling noise.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, replace
 
@@ -66,6 +67,11 @@ class AliceStrategy:
     seeds: np.ndarray
     atoms: np.recarray
     channel: AliceChannel
+
+    @functools.cached_property
+    def seed_words(self) -> np.ndarray:
+        """``seeds`` packed once: (S, m, words(k)) uint64 rows."""
+        return _pack_u64(self.seeds)
 
 
 @dataclass(frozen=True)
@@ -135,7 +141,7 @@ def _binding_exact(strategy: AliceStrategy, cfg: CommitConfig) -> float:
     if n > 16:
         raise ValueError("exact binding enumeration needs n <= 16")
     checks = _pack_u64(code.par)[:, 0].astype(np.int64)  # one int per row
-    seed_rows = _pack_u64(strategy.seeds)[..., 0].astype(np.int64)[a.seed]
+    seed_rows = strategy.seed_words[..., 0].astype(np.int64)[a.seed]
     bit_values = 1 << np.arange(cfg.hash_m)
 
     def opens(x, m):
@@ -178,7 +184,7 @@ def _binding_mc(strategy: AliceStrategy, cfg: CommitConfig, trials: int,
         z = np.stack([channel.sample(channel.labels[label], rng).bits
                       for label in t.label])
         batch = TranscriptBatch(
-            seed=_pack_u64(strategy.seeds[t.seed]),
+            seed=strategy.seed_words[t.seed],
             mbar=_pack_u64(_unpack_ints(t.mbar, hm)),
             coset=_pack_u64(_unpack_ints(t.coset, n - k)),
             z=_pack_split(z, k),

@@ -250,6 +250,20 @@ class CosetId:
 # Largest block of packed codewords ``min_distance_exact`` holds at once:
 # 2^16 uint64 words (512 KB). Larger blocks raise peak memory, not speed.
 _SPAN_BLOCK_WORDS = 1 << 16
+# Most packed codeword words an exact distance enumeration visits,
+# 2^k ceil(n/64): [64,24] and [4096,16] (2^22) are within it.
+_DISTANCE_WORDS_CAP = 1 << 24
+# Most bits of the P block ``random_linear_code`` draws: 4 MB as uint8
+# (its encoding tables are about four times that).
+_P_BLOCK_BITS_CAP = 1 << 22
+
+
+def _check_distance_words(n: int, k: int) -> None:
+    words = (1 << k) * ((n + 63) // 64)
+    if words > _DISTANCE_WORDS_CAP:
+        raise ValueError("exact distance of an [%d,%d] code enumerates "
+                         "2^k ceil(n/64) = %d words, above the cap of 2^24"
+                         % (n, k, words))
 
 
 def _pack_u64(bits: np.ndarray) -> np.ndarray:
@@ -280,7 +294,8 @@ class LinearCode:
     of P packed into 64-bit words.
     """
 
-    __slots__ = ("n", "k", "p_block", "d_claimed", "d_verified", "_p_words")
+    __slots__ = ("n", "k", "p_block", "d_claimed", "d_verified", "_p_words",
+                 "_byte_table")
 
     def __init__(self, p_block: np.ndarray, d_claimed: int | None = None,
                  d_verified: bool = False):
@@ -297,6 +312,7 @@ class LinearCode:
         self.d_claimed = d_claimed
         self.d_verified = d_verified
         self._p_words = _pack_u64(p)
+        self._byte_table = None  # built by the first check_words_batch
 
     # -- construction -------------------------------------------------------
 
@@ -358,13 +374,33 @@ class LinearCode:
 
         ``u`` is a (T, ceil(k/64)) uint64 array laid out as ``_pack_u64``
         leaves it; the result is (T, ceil((n-k)/64)) words, one row per
-        message, built by XORing the packed rows of P that u selects.
+        message. Byte b of a message holds message bits 8b..8b+7, and row v
+        of byte b's table is the XOR of the rows of P those bits of v select
+        (the "Four Russians" table of M4RI), so the check words are
+        ceil(k/8) row gathers XORed together. Table rows past bit k are
+        zero, so padding bits of u select nothing. The tables are built on
+        the first call and kept on the code.
         """
-        out = np.zeros((u.shape[0], self._p_words.shape[1]), dtype=np.uint64)
-        for i in range(self.k):
-            sel = (u[:, i >> 6] >> np.uint64(i & 63)) & np.uint64(1)
-            out ^= self._p_words[i] * sel[:, None]
+        if self._byte_table is None:
+            self._byte_table = self._build_byte_table()
+        table = self._byte_table
+        ubytes = u.view(np.uint8)
+        out = table[0][ubytes[:, 0]]
+        for b in range(1, table.shape[0]):
+            out ^= table[b][ubytes[:, b]]
         return out
+
+    def _build_byte_table(self) -> np.ndarray:
+        """(ceil(k/8), 256, ceil((n-k)/64)) XOR combinations of P's rows."""
+        nbytes = (self.k + 7) // 8
+        rows = np.zeros((8 * nbytes, self._p_words.shape[1]), dtype=np.uint64)
+        rows[: self.k] = self._p_words
+        rows = rows.reshape(nbytes, 8, -1)
+        table = np.zeros((nbytes, 256, rows.shape[2]), dtype=np.uint64)
+        for i in range(8):  # entries with top bit i: the lower ones plus row i
+            np.bitwise_xor(table[:, : 1 << i], rows[:, i, None],
+                           out=table[:, 1 << i: 2 << i])
+        return table
 
     def message_coords(self, x: BitString) -> BitString:
         if len(x) != self.n:
@@ -410,11 +446,13 @@ class LinearCode:
         within ``_SPAN_BLOCK_WORDS`` uint64 words. A Gray-code walk over the
         remaining k - j rows then XORs one offset codeword onto the whole
         block per step and takes the least row popcount; the zero word is
-        left out only at offset 0. Refuses for k > 24.
+        left out only at offset 0. Refuses for k > 24 and beyond 2^24
+        enumerated words.
         """
         if self.k > 24:
             raise ValueError("exact distance enumeration limited to k <= 24 "
                              "(got k=%d)" % self.k)
+        _check_distance_words(self.n, self.k)
         if self.k == self.n and self.k >= 1:
             return 1
         packed = _pack_u64(self.gen)
@@ -448,18 +486,25 @@ def random_linear_code(n: int, k: int, target_d: int,
     Gilbert-Varshamov threshold k/n <= 1 - h(target_d/n) is guaranteed only
     asymptotically, so small instances may legitimately exhaust the budget.
     A target above the Singleton bound n - k + 1 is refused up front: no
-    such code exists.
+    such code exists. So are sizes beyond the desk caps, before anything is
+    drawn: a P block of more than 2^22 bits, and for k <= 24 a distance
+    check over more than 2^24 words.
     """
     if not (1 <= k <= n):
         raise ValueError("need 1 <= k <= n")
     if not (1 <= target_d <= n - k + 1):
         raise ValueError("need 1 <= target_d <= n - k + 1 (Singleton bound)")
+    if k * (n - k) > _P_BLOCK_BITS_CAP:
+        raise ValueError("a random [%d,%d] code draws a P block of k(n-k) = "
+                         "%d bits, above the cap of 2^22"
+                         % (n, k, k * (n - k)))
     if k > 24:
         code = LinearCode(rng.integers(0, 2, size=(k, n - k), dtype=np.uint8),
                           d_claimed=target_d, d_verified=False)
         warnings.warn("k=%d > 24: design distance %d left unverified"
                       % (k, target_d))
         return code
+    _check_distance_words(n, k)
     best = -1
     for _ in range(max_retries):
         code = LinearCode(rng.integers(0, 2, size=(k, n - k), dtype=np.uint8))

@@ -185,7 +185,8 @@ def run_honest(m: BitString, cfg: CommitConfig,
 # ---------------------------------------------------------------------------
 
 BLOCK = 1000  # trials per random stream; a block's arrays stay a few MB
-_NOISE_CHUNK_BITS = 1 << 18  # BSC draws per chunk: 2 MB of float64
+_BLOCK_WORDS_CAP = 1 << 20  # words of one n-bit field of a block: 8 MB
+_NOISE_CHUNK_BITS = 1 << 18  # BSC draws per chunk: 2 MB of uint64
 
 
 def _nwords(nbits: int) -> int:
@@ -271,33 +272,34 @@ class TranscriptBatch:
                             x=BitString(_unpack_split(self.x[i], k, n))))
 
 
-def _gauss_jordan(rows: np.ndarray, rhs: np.ndarray, k: int):
+def _gauss_jordan(rows: np.ndarray, rhs: np.ndarray):
     """Reduce every system rows @ u = rhs over GF(2) at once.
 
     ``rows`` is (T, h, words(k)) packed rows, ``rhs`` (T, h) 0/1. Returns
     reduced copies of both and the pivot column of every row, -1 where a
-    row found none (a rank deficiency). Each pivot column is cleared from
-    all other rows, so each pivot coordinate is fixed by its row's
-    right-hand side and the free coordinates.
+    row found none (a rank deficiency). The rows are taken in order: row
+    j's pivot is its lowest set bit left after the earlier rows' clears,
+    and that bit is cleared from every other row and right-hand side, so
+    h steps reduce a block. Row j comes up empty exactly when it lies in
+    the span of rows 0..j-1. A full-rank system ends in its unique reduced
+    row echelon form, every row paired with the same pivot and right-hand
+    side as under column-by-column elimination.
     """
     rows, rhs = rows.copy(), rhs.copy()
-    pivot = np.full(rhs.shape, -1, dtype=np.int64)
-    for c in range(k):
-        bit = ((rows[:, :, c >> 6] >> np.uint64(c & 63)) & np.uint64(1)) \
-            .astype(bool)
-        cand = bit & (pivot < 0)
-        sel = np.flatnonzero(cand.any(axis=1))
-        if not sel.size:
-            continue
-        prow = cand[sel].argmax(axis=1)
-        clear = bit[sel]
-        clear[np.arange(sel.size), prow] = False
-        rows[sel] ^= np.where(clear[:, :, None], rows[sel, prow][:, None, :],
-                              np.uint64(0))
-        rhs[sel] ^= clear & rhs[sel, prow][:, None].astype(bool)
-        pivot[sel, prow] = c
-        if (pivot >= 0).all():
-            break
+    t, h, _ = rows.shape
+    ar = np.arange(t)
+    pivot = np.full((t, h), -1, dtype=np.int64)
+    for j in range(h):
+        row = rows[:, j].copy()
+        word = (row != 0).argmax(axis=1)  # first nonzero word, 0 if none
+        low = row[ar, word]
+        low &= ~low + np.uint64(1)  # lowest set bit; 0 for an empty row
+        hit = (rows[ar, :, word] & low[:, None]) != 0
+        hit[:, j] = False
+        rows ^= np.where(hit[:, :, None], row[:, None, :], np.uint64(0))
+        rhs ^= hit & rhs[:, j, None].astype(bool)
+        pivot[:, j] = np.where(low != 0, 64 * word
+                               + np.bitwise_count(low - np.uint64(1)), -1)
     return rows, rhs, pivot
 
 
@@ -311,12 +313,12 @@ def _seeds_and_preimages(rng: np.random.Generator, digests: np.ndarray,
     """
     t, hm = digests.shape
     seed = _random_words(rng, (t, hm), k)
-    rows, rhs, pivot = _gauss_jordan(seed, digests, k)
+    rows, rhs, pivot = _gauss_jordan(seed, digests)
     bad = np.flatnonzero((pivot < 0).any(axis=1))
     while bad.size:
         seed[bad] = _random_words(rng, (bad.size, hm), k)
         rows[bad], rhs[bad], pivot[bad] = _gauss_jordan(seed[bad],
-                                                        digests[bad], k)
+                                                        digests[bad])
         bad = bad[(pivot[bad] < 0).any(axis=1)]
     ar = np.arange(t)
     word, bit = pivot >> 6, (pivot & 63).astype(np.uint64)
@@ -330,6 +332,16 @@ def _seeds_and_preimages(rng: np.random.Generator, digests: np.ndarray,
     return seed, u
 
 
+def _flip_threshold(p: float) -> np.uint64:
+    """The t with raw < t exactly when ``Generator.random() < p`` flips.
+
+    For PCG64, ``random`` turns a raw 64-bit output into (raw >> 11) 2^-53,
+    and that is below p exactly when raw >> 11 < ceil(p 2^53), i.e. when
+    raw < ceil(p 2^53) << 11. For 0 < p < 1/2 this is at most 2^63.
+    """
+    return np.uint64(math.ceil(p * 2.0 ** 53) << 11)
+
+
 def run_honest_batch(cfg: CommitConfig, master_seed: int, block: int,
                      size: int = BLOCK) -> TranscriptBatch:
     """Block ``block`` of honest commit + open runs on uniform messages.
@@ -338,13 +350,28 @@ def run_honest_batch(cfg: CommitConfig, master_seed: int, block: int,
     masks, seeds (rank-deficient ones redrawn), free preimage coordinates
     and cosets for all BLOCK trials, then the BSC noise in row chunks for
     the first ``size`` trials only. Trial j of a block is therefore the
-    same for every ``size`` > j.
+    same for every ``size`` > j. A block whose n-bit fields would hold
+    more than 2^20 words each (n above about 67,000) is refused before
+    anything is drawn.
+
+    The kernels are exact rewrites that leave every stream as it was:
+    seeds are reduced row by row (``_gauss_jordan``), which finds the same
+    rank deficiencies, pivots and reduced rows as column-wise elimination;
+    encoding gathers from byte tables (``check_words_batch``); and a BSC
+    flip compares a raw PCG64 output with an integer threshold, the same
+    test ``Generator.random() < p`` makes on the same outputs, so the
+    flips and the generator state after them are unchanged.
     """
     if not 1 <= size <= BLOCK:
         raise ValueError("need 1 <= size <= %d" % BLOCK)
-    rng = np.random.default_rng([master_seed, block])
     code, hm = cfg.code, cfg.hash_m
     k, n = code.k, code.n
+    words = BLOCK * (_nwords(k) + _nwords(n - k))
+    if words > _BLOCK_WORDS_CAP:
+        raise ValueError("an honest block of %d runs at n=%d holds %d words "
+                         "per n-bit field, above the cap of 2^20"
+                         % (BLOCK, n, words))
+    rng = np.random.default_rng([master_seed, block])
     m = _random_words(rng, (BLOCK,), hm)
     mbar = _random_words(rng, (BLOCK,), hm)
     seed, u = _seeds_and_preimages(rng, _unpack_u64(m ^ mbar, hm), k)
@@ -353,10 +380,12 @@ def run_honest_batch(cfg: CommitConfig, master_seed: int, block: int,
     x = np.concatenate([u, code.check_words_batch(u)], axis=1)
     z = x.copy()
     z[:, _nwords(k):] ^= coset  # the transmitted lift X + x_C'
+    threshold = _flip_threshold(cfg.p)
     chunk = max(1, _NOISE_CHUNK_BITS // n)
     for start in range(0, size, chunk):
-        flips = rng.random((min(chunk, size - start), n)) < cfg.p
-        z[start: start + flips.shape[0]] ^= _pack_split(flips, k)
+        rows = min(chunk, size - start)
+        flips = rng.bit_generator.random_raw(rows * n) < threshold
+        z[start: start + rows] ^= _pack_split(flips.reshape(rows, n), k)
     return TranscriptBatch(seed=seed, mbar=mbar, coset=coset, z=z, m=m, x=x)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from usnc import bounds, oracle
+from usnc import bounds, oracle, protocol
 from usnc.cli import main
 from usnc.gf2 import BitString, LinearCode, hamming_7_4, save_code
 from usnc.protocol import (CommitConfig, run_honest, transcript_from_json,
@@ -254,6 +254,35 @@ class TestCommit:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
         assert "Singleton" in captured.err
+
+    @pytest.mark.parametrize("n,k,cap", [
+        ("100000000", "16", "2^22"),  # the P block alone is 1.6 GB
+        ("2000", "20", "2^24"),  # distance check over 2^25 words
+        ("100000", "2", "2^20")])  # 1.56M words per field of a block
+    def test_complete_oversized_is_refused_before_allocating(
+            self, capsys, monkeypatch, n, k, cap):
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError("a random draw was reached")
+
+        def fail(*args):
+            raise AssertionError("an oversized allocation was reached")
+
+        if cap == "2^20":  # the small [100000,2] code is drawn and checked
+            monkeypatch.setattr(protocol, "_random_words", fail)
+        else:
+            monkeypatch.setattr(np.random, "default_rng",
+                                lambda *args: NoDraws())
+            monkeypatch.setattr(LinearCode, "min_distance_exact", fail)
+        code = main(["commit", "complete", "--n", n, "--k", k, "--hash-m",
+                     "1", "--p", "0.1", "--eps", "0.2", "--trials", "1000",
+                     "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "cap of " + cap in captured.err
 
     def test_mismatched_n_rejected(self, capsys):
         code, _ = run_cli(capsys, "commit", "run", "--code", "hamming74",

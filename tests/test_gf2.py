@@ -204,6 +204,17 @@ class TestLinearCode:
                            r"limited to k <= 24 \(got k=25\)$"):
             code.min_distance_exact()
 
+    def test_min_distance_refuses_beyond_word_cap(self, monkeypatch):
+        # 2^20 messages of 32 words each: refused before the span is built
+        def fail(self):
+            raise AssertionError("generator rows packed")
+
+        code = LinearCode(np.zeros((20, 1980), dtype=np.uint8))
+        monkeypatch.setattr(LinearCode, "gen", property(fail))
+        with pytest.raises(ValueError, match=r"= 33554432 words, above the "
+                           r"cap of 2\^24$"):
+            code.min_distance_exact()
+
     @pytest.mark.parametrize("n, k", [(7, 4), (7, 6), (64, 9), (64, 16),
                                       (65, 12), (130, 10), (200, 16)])
     def test_span_distance_matches_gray_walk(self, n, k):
@@ -242,6 +253,34 @@ class TestLinearCode:
         gen = np.array([[1, 1, 0], [0, 1, 1]], dtype=np.uint8)
         with pytest.raises(ValueError):
             LinearCode.from_generator(gen)
+
+
+def check_words_reference(code, u):
+    """Per-bit encoding: the packed row i of P XORed onto every message
+    whose bit i is set, for i < k."""
+    p_words = _pack_u64(code.p_block)
+    out = np.zeros((u.shape[0], p_words.shape[1]), dtype=np.uint64)
+    for i in range(code.k):
+        sel = (u[:, i >> 6] >> np.uint64(i & 63)) & np.uint64(1)
+        out ^= p_words[i] * sel[:, None]
+    return out
+
+
+class TestCheckWordsBatch:
+    @pytest.mark.parametrize("k", [1, 4, 8, 9, 16, 63, 64, 65, 70, 130])
+    def test_matches_per_bit_reference(self, k):
+        # n - k = 65 and 129 start a new check word with one bit; padding
+        # bits of u past k are set at random and must select nothing
+        rng = np.random.default_rng([70, k])
+        wk = (k + 63) // 64
+        for r in (0, 1, 63, 64, 65, 129):
+            code = LinearCode(rng.integers(0, 2, (k, r)))
+            assert code._byte_table is None  # built on first use only
+            words = rng.integers(0, 1 << 64, size=(300, wk + 1),
+                                 dtype=np.uint64)
+            u = words[:, :wk]  # a strided slice, as the verifier passes
+            assert np.array_equal(code.check_words_batch(u),
+                                  check_words_reference(code, u))
 
 
 class TestRandomLinearCode:

@@ -15,6 +15,7 @@ from usnc.gf2 import (BitString, CosetId, LinearCode, even_weight_code,
 from usnc.hashing import HashSeed, count_full_rank, hash_codeword
 from usnc.protocol import (ACC, BLOCK, REJ, CommitConfig, CommitWire,
                            Opening, TranscriptBatch, _completeness_counts,
+                           _flip_threshold, _gauss_jordan, _random_words,
                            alice_commit, bob_receive, bob_verify,
                            bob_verify_batch, estimate_completeness, run_honest,
                            run_honest_batch, transcript_from_json,
@@ -482,3 +483,70 @@ class TestStreamPins:
         cfg = STREAM_CONFIGS[name]()
         assert _completeness_counts(cfg, 2500, 52) == \
             STREAM_PINS[name, BLOCK]["rejects"]
+
+
+# ---------------------------------------------------------------------------
+# Honest-engine kernels pinned against the references they replaced
+# ---------------------------------------------------------------------------
+
+
+def gauss_jordan_reference(rows, rhs, k):
+    """Column-wise elimination: for each column in turn, the first row
+    without a pivot that has the bit takes it as its pivot, and the column
+    is cleared from every other row and right-hand side."""
+    rows, rhs = rows.copy(), rhs.copy()
+    pivot = np.full(rhs.shape, -1, dtype=np.int64)
+    for c in range(k):
+        bit = ((rows[:, :, c >> 6] >> np.uint64(c & 63)) & np.uint64(1)) \
+            .astype(bool)
+        cand = bit & (pivot < 0)
+        sel = np.flatnonzero(cand.any(axis=1))
+        if not sel.size:
+            continue
+        prow = cand[sel].argmax(axis=1)
+        clear = bit[sel]
+        clear[np.arange(sel.size), prow] = False
+        rows[sel] ^= np.where(clear[:, :, None], rows[sel, prow][:, None, :],
+                              np.uint64(0))
+        rhs[sel] ^= clear & rhs[sel, prow][:, None].astype(bool)
+        pivot[sel, prow] = c
+        if (pivot >= 0).all():
+            break
+    return rows, rhs, pivot
+
+
+class TestKernels:
+    @pytest.mark.parametrize("k", [1, 4, 8, 9, 16, 63, 64, 65, 70, 130])
+    def test_gauss_jordan_matches_column_reference(self, k):
+        # h up to 66 rows, as many as hash_m allows; in the first 100
+        # systems the last row is an XOR of earlier ones (zero when h = 1),
+        # so every shape has rank-deficient systems
+        rng = np.random.default_rng([60, k])
+        for h in sorted({1, min(k, 3), min(k, 8), min(k, 66)}):
+            rows = _random_words(rng, (400, h), k)
+            pick = rng.integers(0, 2, (100, h - 1, 1)).astype(bool)
+            rows[:100, -1] = np.bitwise_xor.reduce(
+                np.where(pick, rows[:100, :-1], np.uint64(0)), axis=1)
+            rhs = rng.integers(0, 2, (400, h), dtype=np.uint8)
+            got = _gauss_jordan(rows, rhs)
+            want = gauss_jordan_reference(rows, rhs, k)
+            deficient = (want[2] < 0).any(axis=1)
+            assert deficient[:100].all() and not deficient.all()
+            assert np.array_equal((got[2] < 0).any(axis=1), deficient)
+            for g, w in zip(got, want):  # full rank: the same reduced rows
+                assert np.array_equal(g[~deficient], w[~deficient])
+
+    @pytest.mark.parametrize("p", [1e-9, 0.1, 0.25, 0.5 - 2.0 ** -53])
+    def test_flip_threshold_is_random_below_p(self, p):
+        # 0.25 * 2^53 is an integer; 1/2 - 2^-53 is the largest p < 1/2
+        t = int(_flip_threshold(p))
+        edge = np.array([v for v in (t - 2049, t - 2048, t - 1, t, t + 1,
+                                     t + 2047, t + 2048) if 0 <= v < 2 ** 64],
+                        dtype=np.uint64)
+        scaled = (edge >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+        assert np.array_equal(edge < np.uint64(t), scaled < p)
+        raw, gen = np.random.default_rng(61), np.random.default_rng(61)
+        flips = raw.bit_generator.random_raw(50_000) < np.uint64(t)
+        assert np.array_equal(flips, gen.random(50_000) < p)
+        assert raw.bit_generator.state == gen.bit_generator.state
+        assert np.array_equal(raw.random(100), gen.random(100))
