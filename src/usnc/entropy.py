@@ -5,8 +5,9 @@ distributions within generalized trace distance eps of the input. For a
 modification that removes total mass R and adds total mass A (disjoint
 coordinates), the distance is max(R, A); adding mass never lowers a maximum,
 so the optimum only removes mass and the ball constraint reduces to a removal
-budget of eps. Capping the largest entries against that budget is therefore
-exact, both unconditionally and per side-information column.
+budget of eps. Capping the largest entries of each side-information column
+against that budget is therefore exact; the unconditional case is the one
+with a single column.
 """
 
 from __future__ import annotations
@@ -25,6 +26,25 @@ __all__ = [
 
 _MASS_TOL = 1e-12
 _MAX_DENSE = 1 << 20
+_SHAPES = {1: ("1-D vector", "distributions"), 2: ("2-D matrix", "joints")}
+
+
+def _checked_mass(mass, ndim: int) -> np.ndarray:
+    """Read-only float64 copy of a subnormalized mass array of ``ndim`` axes,
+    with float noise below zero clipped."""
+    shape, kind = _SHAPES[ndim]
+    arr = np.asarray(mass, dtype=np.float64)
+    if arr.ndim != ndim or arr.size < 1:
+        raise ValueError("mass must be a " + shape)
+    if arr.size > _MAX_DENSE:
+        raise ValueError("dense %s limited to 2^20 entries" % kind)
+    if arr.min(initial=0.0) < -_MASS_TOL:
+        raise ValueError("negative probability mass")
+    if arr.sum() > 1.0 + _MASS_TOL:
+        raise ValueError("total mass exceeds 1")
+    arr = np.maximum(arr, 0.0)
+    arr.setflags(write=False)
+    return arr
 
 
 class ClassicalDistribution:
@@ -33,18 +53,7 @@ class ClassicalDistribution:
     __slots__ = ("mass",)
 
     def __init__(self, mass):
-        arr = np.asarray(mass, dtype=np.float64)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("mass must be a 1-D vector")
-        if arr.size > _MAX_DENSE:
-            raise ValueError("dense distributions limited to 2^20 entries")
-        if arr.min(initial=0.0) < -_MASS_TOL:
-            raise ValueError("negative probability mass")
-        if arr.sum() > 1.0 + _MASS_TOL:
-            raise ValueError("total mass exceeds 1")
-        arr = np.maximum(arr, 0.0)
-        arr.setflags(write=False)
-        self.mass = arr
+        self.mass = _checked_mass(mass, 1)
 
     @classmethod
     def uniform(cls, nbits: int) -> "ClassicalDistribution":
@@ -71,18 +80,7 @@ class JointDistribution:
     __slots__ = ("mass",)
 
     def __init__(self, mass):
-        arr = np.asarray(mass, dtype=np.float64)
-        if arr.ndim != 2 or arr.size < 1:
-            raise ValueError("mass must be a 2-D matrix")
-        if arr.size > _MAX_DENSE:
-            raise ValueError("dense joints limited to 2^20 entries")
-        if arr.min(initial=0.0) < -_MASS_TOL:
-            raise ValueError("negative probability mass")
-        if arr.sum() > 1.0 + _MASS_TOL:
-            raise ValueError("total mass exceeds 1")
-        arr = np.maximum(arr, 0.0)
-        arr.setflags(write=False)
-        self.mass = arr
+        self.mass = _checked_mass(mass, 2)
 
     def total(self) -> float:
         return float(self.mass.sum())
@@ -124,55 +122,35 @@ def cond_min_entropy(j: JointDistribution) -> float:
 
 
 def smooth_min_entropy(p: ClassicalDistribution, eps: float) -> float:
-    """Max min-entropy over the distance-eps ball of subnormalized vectors.
-
-    The optimum caps all entries at the threshold t* where the mass above t*
-    equals eps; the result is -log2 t*.
-    """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    total = p.total()
-    if eps >= total:
-        raise ValueError("eps >= total mass: entropy unbounded")
+    """Max min-entropy over the distance-eps ball of subnormalized vectors:
+    the conditional case with a single side-information column."""
     if eps == 0.0:
         return min_entropy(p)
-    t_star = _cap_threshold(p.mass, eps)
-    # t* >= (total - eps)/support holds exactly; clamp away roundoff when
-    # eps sits within float noise of the total mass
-    t_star = max(t_star, (total - eps) / p.mass.size)
-    return -np.log2(t_star)
-
-
-def _cap_threshold(mass: np.ndarray, budget: float) -> float:
-    """Threshold t with sum(max(mass - t, 0)) == budget, by water-filling."""
-    v = np.sort(mass[mass > 0])[::-1]
-    csum = np.cumsum(v)
-    # lowering the cap from v[i-1] to v[i] removes i * (v[i-1] - v[i]) mass
-    ranks = np.arange(1, v.size + 1)
-    lower = np.append(v[1:], 0.0)
-    removed_at_lower = csum - ranks * lower  # removal when cap = next level
-    idx = int(np.searchsorted(removed_at_lower, budget))
-    # cap sits in segment idx: removal = csum[idx] - (idx+1) * t = budget
-    return (csum[idx] - budget) / (idx + 1)
+    return _smooth_guess_entropy(p.mass[:, None], eps)
 
 
 def smooth_cond_min_entropy(j: JointDistribution, eps: float) -> float:
-    """Max conditional min-entropy over the distance-eps ball.
-
-    Solves min sum_z t_z subject to sum_z sum_x max(j(x,z) - t_z, 0) <= eps
-    exactly: the objective is the guessing mass, its reduction per column is
-    piecewise linear with integer slopes, and spending the removal budget on
-    segments of ascending slope is optimal (the one-sided removal argument in
-    the module docstring turns the eps-ball into this budget).
-    """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    total = j.total()
-    if eps >= total:
-        raise ValueError("eps >= total mass: entropy unbounded")
+    """Max conditional min-entropy over the distance-eps ball."""
     if eps == 0.0:
         return cond_min_entropy(j)
-    rates, widths, guess0 = _column_segments(j.mass)
+    return _smooth_guess_entropy(j.mass, eps)
+
+
+def _smooth_guess_entropy(mass: np.ndarray, eps: float) -> float:
+    """-log2 of the least guessing mass sum_z t_z with removal
+    sum_z sum_x max(j(x,z) - t_z, 0) <= eps.
+
+    Solved exactly: the objective is the guessing mass, its reduction per
+    column is piecewise linear with integer slopes, and spending the removal
+    budget on segments of ascending slope is optimal (the one-sided removal
+    argument in the module docstring turns the eps-ball into this budget).
+    """
+    if not eps >= 0.0:  # also refuses NaN
+        raise ValueError("eps must be nonnegative, got %r" % eps)
+    total = float(mass.sum())
+    if eps >= total:
+        raise ValueError("eps >= total mass: entropy unbounded")
+    rates, widths, guess0 = _column_segments(mass)
     order = np.argsort(rates, kind="stable")
     rates, widths = rates[order], widths[order]
     costs = rates * widths
@@ -185,7 +163,7 @@ def smooth_cond_min_entropy(j: JointDistribution, eps: float) -> float:
     t_sum = guess0 - reduced
     # the guessing mass is at least (total - eps)/rows exactly; clamp away
     # roundoff when eps sits within float noise of the total mass
-    t_sum = max(t_sum, (total - eps) / j.mass.shape[0])
+    t_sum = max(t_sum, (total - eps) / mass.shape[0])
     return -np.log2(t_sum)
 
 

@@ -19,7 +19,6 @@ __all__ = [
     "xor",
     "gf2_rank",
     "gf2_solution_space",
-    "gf2_kernel_basis",
     "all_bits",
     "random_linear_code",
     "hamming_7_4",
@@ -184,15 +183,6 @@ def _rref_ints(rows: list[int], ncols: int):
 def gf2_rank(mat: np.ndarray) -> int:
     rows = _pack_rows(mat)
     return len(_rref_ints(rows, np.asarray(mat).shape[1]))
-
-
-def gf2_kernel_basis(mat: np.ndarray) -> np.ndarray:
-    """Basis of {u : mat @ u = 0} as rows; shape (nullity, ncols)."""
-    a = np.asarray(mat, dtype=np.uint8)
-    ncols = a.shape[1]
-    rows = _pack_rows(a)
-    pivots = _rref_ints(rows, ncols)
-    return _kernel_from_rref(rows, pivots, ncols)
 
 
 def _kernel_from_rref(rows: list[int], pivots: list[int],

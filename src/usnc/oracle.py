@@ -2,8 +2,8 @@
 
 Everything here enumerates rather than derives: string spaces are walked as
 integer ranges with hardware popcounts, BSC masses are the channel's one
-per-distance law, probabilities are summed directly, and the randomized
-entropy search proposes perturbations instead of solving.
+per-distance law, probabilities are summed directly, and smoothing is solved
+as a generic linear program instead of by the production cap-lowering rule.
 The oracles refuse beyond their size limits rather than approximate.
 """
 
@@ -32,8 +32,10 @@ __all__ = [
     "clipped_bsc_construction",
     "LhlResult",
     "lhl_check",
-    "smooth_entropy_search",
+    "smooth_entropy_lp",
 ]
+
+_MAX_LP_CELLS = 1 << 16
 
 
 def typical_intersection_exact(n: int, p: float, eps: float, x: BitString,
@@ -255,36 +257,42 @@ def lhl_check(code: LinearCode, hash_m: int, view_channel: BobChannel,
     return LhlResult(lhs=lhs, rhs=rhs, h_min=h_min, n_seeds=len(seeds))
 
 
-def smooth_entropy_search(p: ClassicalDistribution, eps: float,
-                          proposals: int, rng: np.random.Generator) -> float:
-    """Best min-entropy found by random perturbations inside the distance ball.
+def smooth_entropy_lp(joint, eps: float) -> float:
+    """Smooth conditional min-entropy solved as a linear program.
 
-    Proposals remove random mass patterns (total at most eps, pointwise at
-    most the available mass), including threshold-shaped ones; the search can
-    approach but never legitimately exceed the analytic smoothing optimum.
+    Minimises sum_z t_z over removals r with j(x,z) - r(x,z) <= t_z,
+    0 <= r <= j and sum r <= eps, by HiGHS on sparse constraints. A
+    ``ClassicalDistribution`` is the joint with one side-information column.
     """
-    if p.size > 1 << 12:
-        raise ValueError("search oracle limited to support <= 2^12")
-    mass = p.mass
-    best_max = float(mass.max())  # eps = 0 proposal: the distribution itself
-    batch = 1024
-    done = 0
-    top = float(mass.max())
-    while done < proposals:
-        b = min(batch, proposals - done)
-        done += b
-        kind = rng.integers(0, 2)
-        if kind == 0:
-            # random nonnegative removal directions, scaled to the budget
-            w = rng.random((b, mass.size)) ** 4
-            w = np.minimum(mass, eps * w / w.sum(axis=1, keepdims=True))
-        else:
-            # random cap levels, removal proportional to the overshoot
-            t = rng.random((b, 1)) * top
-            over = np.maximum(mass - t, 0.0)
-            tot = over.sum(axis=1, keepdims=True)
-            scale = np.minimum(1.0, eps / np.where(tot > 0, tot, 1.0))
-            w = over * scale
-        q = mass - w
-        best_max = min(best_max, float(q.max(axis=1).min()))
-    return -float(np.log2(best_max))
+    mass = joint.mass
+    if mass.ndim == 1:
+        mass = mass[:, None]
+    if mass.size > _MAX_LP_CELLS:
+        raise ValueError("smoothing LP limited to 2^16 cells, got %d"
+                         % mass.size)
+    if not eps >= 0.0:  # also refuses NaN
+        raise ValueError("eps must be nonnegative, got %r" % eps)
+    if eps >= mass.sum():
+        raise ValueError("eps >= total mass: entropy unbounded")
+    # imported on call: loading scipy.optimize takes longer than the CLI's
+    # whole import, which never needs it
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    cells, nz = mass.size, mass.shape[1]
+    cell = np.arange(cells)
+    # rows 0..cells-1: -r(x,z) - t_z <= -j(x,z); last row: sum r <= eps
+    rows = np.concatenate([cell, cell, np.full(cells, cells)])
+    cols = np.concatenate([cell, cells + cell % nz, cell])
+    vals = np.concatenate([-np.ones(2 * cells), np.ones(cells)])
+    a_ub = sparse.csr_array((vals, (rows, cols)), shape=(cells + 1,
+                                                         cells + nz))
+    b_ub = np.append(-mass.ravel(), eps)
+    bounds = np.zeros((cells + nz, 2))
+    bounds[:cells, 1] = mass.ravel()
+    bounds[cells:, 1] = np.inf
+    cost = np.append(np.zeros(cells), np.ones(nz))
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    if not res.success:
+        raise RuntimeError("smoothing LP failed: %s" % res.message)
+    return 0.0 - float(np.log2(res.fun))

@@ -10,6 +10,7 @@ from usnc.channel import (AliceChannel, BobChannel, UsncParams, bsc_law_dense,
                           typicality_tail_exact)
 from usnc.entropy import ClassicalDistribution, smooth_min_entropy
 from usnc.gf2 import BitString, hamming_distance
+from usnc.oracle import smooth_entropy_lp
 
 
 class TestBscTransmit:
@@ -205,6 +206,19 @@ class TestCheckC2:
         if base.passed:
             assert looser_l.passed and looser_eps.passed
 
+    @pytest.mark.parametrize("eps_a", [0.01, 0.1])
+    @pytest.mark.parametrize("n, spread", [(3, 0.1), (5, 0.25), (6, 0.2)])
+    def test_certifies_at_the_lp_optimum(self, n, spread, eps_a):
+        # every label's law, not only the representative that symmetry
+        # lets the check read, sits at the certified value
+        rng = np.random.default_rng(n)
+        centers = [BitString.zeros(n), BitString.random(n, rng)]
+        ch = AliceChannel.bsc(n, centers, spread)
+        report = check_c2(ch, _params(n, eps_a=eps_a, p=spread))
+        lp = min(smooth_entropy_lp(ch.law(label), eps_a)
+                 for label in ch.labels)
+        assert abs(report.achieved - lp) <= 1e-9
+
 
 class TestCheckC3:
     def test_full_view_fails_any_positive_floor(self):
@@ -234,6 +248,14 @@ class TestCheckC3:
         loose = check_c3(ch, _params(n, l_b=0.7, eps_b=0.1))
         if strict.passed:
             assert loose.passed
+
+    @pytest.mark.parametrize("eps_b", [0.01, 0.1])
+    @pytest.mark.parametrize("n, p_b", [(3, 0.1), (5, 0.2), (6, 0.25)])
+    def test_certifies_at_the_lp_optimum(self, n, p_b, eps_b):
+        ch = BobChannel.bsc_view(n, p_b)
+        report = check_c3(ch, _params(n, eps_b=eps_b))
+        lp = smooth_entropy_lp(ch.joint_with_uniform_input(), eps_b)
+        assert abs(report.achieved - lp) <= 1e-9
 
 
 class TestLawTable:

@@ -1,10 +1,15 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import usnc
 from usnc import bounds, oracle, protocol
 from usnc.cli import main
 from usnc.gf2 import BitString, LinearCode, hamming_7_4, save_code
@@ -649,3 +654,16 @@ class TestKeyValueFiles:
         assert code in (0, 1, 2)
         if code == 2:
             assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_import_leaves_lp_solver_unloaded():
+    # the smoothing LP imports scipy.optimize and scipy.sparse when it is
+    # called, so starting the CLI pays for neither
+    src = str(pathlib.Path(usnc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, usnc.cli; print(' '.join(m for m in "
+             "('scipy.optimize', 'scipy.sparse') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == ""

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
 
 from usnc.entropy import (ClassicalDistribution, JointDistribution,
                           cond_min_entropy, gtd, min_entropy,
                           smooth_cond_min_entropy, smooth_min_entropy)
-from usnc.oracle import smooth_entropy_search
+from usnc.oracle import smooth_entropy_lp
 
 
 def dist(*mass):
@@ -126,14 +125,14 @@ class TestSmoothMinEntropy:
 
     @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2])
     def test_never_beaten_by_search(self, eps):
+        # two-sided: the exact LP neither beats nor falls short of the cap
         rng = np.random.default_rng(42)
         for _ in range(5):
             size = int(rng.integers(3, 13))
             v = rng.random(size) ** 2
             p = ClassicalDistribution(v / v.sum())
             analytic = smooth_min_entropy(p, eps)
-            searched = smooth_entropy_search(p, eps, 10 ** 4, rng)
-            assert searched <= analytic + 1e-9
+            assert abs(smooth_entropy_lp(p, eps) - analytic) <= 1e-9
 
 
 class TestSmoothCondMinEntropy:
@@ -158,35 +157,15 @@ class TestSmoothCondMinEntropy:
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_matches_lp_oracle(self):
-        # independent linear program over (q, t): min sum(t) subject to
-        # q <= j, q <= t columnwise, total removed mass <= eps
         rng = np.random.default_rng(2)
         for _ in range(6):
             nx, nz = int(rng.integers(2, 5)), int(rng.integers(2, 6))
             j = rng.random((nx, nz))
             j /= j.sum() * float(rng.uniform(1.0, 1.5))
             eps = float(rng.uniform(0.02, 0.2))
-            nq = nx * nz
-            c = np.concatenate([np.zeros(nq), np.ones(nz)])
-            rows, rhs = [], []
-            for x in range(nx):
-                for z in range(nz):
-                    row = np.zeros(nq + nz)
-                    row[x * nz + z] = 1.0
-                    row[nq + z] = -1.0
-                    rows.append(row)
-                    rhs.append(0.0)
-            row = np.zeros(nq + nz)
-            row[:nq] = -1.0
-            rows.append(row)
-            rhs.append(eps - j.sum())
-            lims = [(0.0, j[x, z]) for x in range(nx) for z in range(nz)]
-            lims += [(0.0, None)] * nz
-            res = linprog(c, A_ub=np.array(rows), b_ub=np.array(rhs),
-                          bounds=lims, method="highs")
-            assert res.success
-            ours = smooth_cond_min_entropy(JointDistribution(j), eps)
-            assert ours == pytest.approx(-np.log2(res.fun), abs=1e-9)
+            joint = JointDistribution(j)
+            assert smooth_cond_min_entropy(joint, eps) == pytest.approx(
+                smooth_entropy_lp(joint, eps), abs=1e-9)
 
     def test_too_large_refused(self):
         with pytest.raises(ValueError, match="2\\^20"):
@@ -205,3 +184,17 @@ class TestValidation:
     def test_joint_shape(self):
         with pytest.raises(ValueError):
             JointDistribution([0.5, 0.5])
+
+
+HALF_QUARTERS = [0.5, 0.25, 0.25]
+
+
+@pytest.mark.parametrize("smooth, law", [
+    (smooth_min_entropy, ClassicalDistribution(HALF_QUARTERS)),
+    (smooth_cond_min_entropy, JointDistribution(np.diag(HALF_QUARTERS))),
+    (smooth_entropy_lp, ClassicalDistribution(HALF_QUARTERS)),
+], ids=["smooth_min_entropy", "smooth_cond_min_entropy", "smooth_entropy_lp"])
+@pytest.mark.parametrize("eps", [math.nan, -0.1])
+def test_bad_radius_refused(smooth, law, eps):
+    with pytest.raises(ValueError, match="eps must be nonnegative"):
+        smooth(law, eps)

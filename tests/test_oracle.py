@@ -12,11 +12,12 @@ from usnc.bounds import intersection_bound
 from usnc.channel import (BobChannel, bsc_law_dense, typical_window,
                           typicality_tail_exact)
 from usnc.entropy import (ClassicalDistribution, JointDistribution,
-                          cond_min_entropy, min_entropy, smooth_min_entropy)
+                          cond_min_entropy, min_entropy,
+                          smooth_cond_min_entropy, smooth_min_entropy)
 from usnc.gf2 import BitString, all_bits, even_weight_code, hamming_7_4
 from usnc.hashing import digest_table, enumerate_full_rank_seeds, sample_seed
 from usnc.oracle import (clipped_bsc_construction, lhl_check,
-                         smooth_entropy_search, typical_intersection_exact,
+                         smooth_entropy_lp, typical_intersection_exact,
                          verify_intersection_bound)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "oracle_golden.txt"
@@ -252,27 +253,61 @@ class TestLhlCheck:
         assert res.n_seeds == 3
 
 
-class TestSmoothEntropySearch:
+class TestSmoothEntropyLp:
     def test_zero_smoothing_recovers_min_entropy(self):
         rng = np.random.default_rng(1)
         v = rng.random(16)
         p = ClassicalDistribution(v / v.sum())
-        assert smooth_entropy_search(p, 0.0, 500, rng) == \
-            pytest.approx(min_entropy(p))
+        assert smooth_entropy_lp(p, 0.0) == pytest.approx(min_entropy(p),
+                                                          rel=1e-12)
 
     def test_point_mass(self):
         p = ClassicalDistribution.point_mass(4, 0)
-        rng = np.random.default_rng(2)
-        found = smooth_entropy_search(p, 0.5, 5000, rng)
-        assert found <= 1.0 + 1e-9
-        assert found == pytest.approx(1.0, abs=1e-6)
+        assert smooth_entropy_lp(p, 0.5) == pytest.approx(1.0, abs=1e-12)
 
-    def test_uniform_capping_is_unbeatable(self):
+    def test_uniform_closed_form(self):
         p = ClassicalDistribution.uniform(4)
-        rng = np.random.default_rng(3)
-        analytic = smooth_min_entropy(p, 0.2)
-        assert analytic == pytest.approx(4 - math.log2(1 - 0.2))
-        assert smooth_entropy_search(p, 0.2, 5000, rng) <= analytic + 1e-9
+        want = 4 - math.log2(1 - 0.2)
+        assert smooth_min_entropy(p, 0.2) == pytest.approx(want, rel=1e-12)
+        assert smooth_entropy_lp(p, 0.2) == pytest.approx(want, rel=1e-12)
+
+    def test_one_column_joint_is_the_classical_case(self):
+        rng = np.random.default_rng(4)
+        v = rng.random(40) ** 2
+        mass = v / v.sum()
+        lp_classical = smooth_entropy_lp(ClassicalDistribution(mass), 0.15)
+        lp_joint = smooth_entropy_lp(JointDistribution(mass[:, None]), 0.15)
+        assert lp_classical == lp_joint
+        assert smooth_cond_min_entropy(JointDistribution(mass[:, None]),
+                                       0.15) == \
+            pytest.approx(lp_joint, rel=1e-12)
+
+    def test_size_refused_before_solving(self, monkeypatch):
+        import scipy.optimize
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the LP was solved")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", fail)
+        joint = JointDistribution(np.zeros((257, 256)))
+        with pytest.raises(ValueError, match="2\\^16 cells, got 65792"):
+            smooth_entropy_lp(joint, 0.1)
+
+    def test_failed_solve_raises(self, monkeypatch):
+        import scipy.optimize
+
+        class Failed:
+            success = False
+            message = "stub failure"
+
+        monkeypatch.setattr(scipy.optimize, "linprog",
+                            lambda *args, **kwargs: Failed())
+        with pytest.raises(RuntimeError, match="stub failure"):
+            smooth_entropy_lp(ClassicalDistribution.uniform(2), 0.1)
+
+    def test_radius_at_total_mass_refused(self):
+        with pytest.raises(ValueError, match="unbounded"):
+            smooth_entropy_lp(ClassicalDistribution([0.3, 0.2]), 0.5)
 
 
 class TestGoldenValues:
@@ -295,11 +330,16 @@ class TestGoldenValues:
                        "hmin": clipped.min_entropy_per_input,
                        "cond": clipped.cond_min_entropy}[parts[4]]
                 assert val == pytest.approx(want, rel=1e-11), line
-            elif parts[0] == "search":
+            elif parts[0] == "smooth":
                 seed = int(parts[1].split("=")[1])
+                eps = float(parts[2].split("=")[1])
                 rng = np.random.default_rng(seed)
                 v = rng.random(64) ** 2
                 p = ClassicalDistribution(v / v.sum())
-                val = smooth_entropy_search(p, 0.1, 20000,
-                                            np.random.default_rng(seed + 1))
-                assert val == pytest.approx(float(parts[3]), rel=1e-11), line
+                want = float(parts[3])
+                assert smooth_entropy_lp(p, eps) == \
+                    pytest.approx(want, rel=1e-11), line
+                assert smooth_min_entropy(p, eps) == \
+                    pytest.approx(want, rel=1e-11), line
+            else:
+                raise AssertionError("unknown golden line: " + line)
