@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, xlogy
 
 from .entropy import (ClassicalDistribution, JointDistribution,
                       smooth_cond_min_entropy, smooth_min_entropy)
@@ -126,20 +125,24 @@ def typicality_tail_exact(n: int, p: float, eps: float) -> float:
 
     Binomial(n, p) mass at weights outside ``typical_window(n, p, eps)``,
     summed in log space; independent of the transmitted string by symmetry.
+    The binomial coefficients come from a table of log-factorials built
+    with ``math.lgamma``, and the terms are summed shifted by their maximum.
     """
     if not 1 <= n <= 10 ** 6:
         raise ValueError("need 1 <= n <= 10^6")
     if not 0.0 < p < 0.5 or eps < 0.0:
         raise ValueError("need 0 < p < 1/2 and eps >= 0")
     w_lo, w_hi = typical_window(n, p, eps)
-    w = np.arange(n + 1, dtype=np.float64)
-    outside = (w < w_lo) | (w > w_hi)
-    if not outside.any():
+    w = np.arange(n + 1)
+    w = w[(w < w_lo) | (w > w_hi)]
+    if not w.size:
         return 0.0
-    w = w[outside]
-    logpmf = (gammaln(n + 1) - gammaln(w + 1) - gammaln(n - w + 1)
-              + xlogy(w, p) + xlogy(n - w, 1.0 - p))
-    return float(np.exp(logsumexp(logpmf)))
+    log_fact = np.fromiter(map(math.lgamma, range(1, n + 2)),
+                           dtype=np.float64, count=n + 1)  # log(i!) at i
+    logpmf = (log_fact[n] - log_fact[w] - log_fact[n - w]
+              + w * math.log(p) + (n - w) * math.log(1.0 - p))
+    top = logpmf.max()
+    return math.exp(top + math.log(np.exp(logpmf - top).sum()))
 
 
 def hamming_distances(n: int, centers) -> np.ndarray:
@@ -154,9 +157,25 @@ def hamming_distances(n: int, centers) -> np.ndarray:
 
 def bsc_weight_mass(n: int, p: float) -> np.ndarray:
     """Mass BSC(p) noise on n bits puts on one string at each distance 0..n
-    from the input: p^d (1-p)^(n-d), exact 0/1 at p in {0, 1}."""
+    from the input: p^d (1-p)^(n-d), exact 0/1 at p in {0, 1}.
+
+    Each log is taken once by ``math.log``, and a zero multiplier gives 0
+    even where its log is -inf: the arithmetic of ``scipy.special.xlogy``,
+    bit for bit. For p NaN or outside [0, 1] the entries that need the log
+    of NaN or of a negative number are NaN, as there, without a warning.
+    """
     d = np.arange(n + 1, dtype=np.float64)
-    return np.exp(xlogy(d, p) + xlogy(n - d, 1.0 - p))
+    log_mass = np.zeros(n + 1)
+    log_mass[1:] = d[1:] * _log_or_nan(p)
+    log_mass[:-1] += (n - d[:-1]) * _log_or_nan(1.0 - p)
+    return np.exp(log_mass)
+
+
+def _log_or_nan(x: float) -> float:
+    """``math.log`` extended to log(0) = -inf and NaN below 0 or at NaN."""
+    if x > 0.0:
+        return math.log(x)
+    return -math.inf if x == 0.0 else math.nan
 
 
 def bsc_law_dense(n: int, center: BitString, p: float) -> ClassicalDistribution:

@@ -120,21 +120,22 @@ def clipped_bsc_construction(n: int, p: float, eps: float,
     n (h(p) - eps log2((1-p)/p)), and, with with_conditional, the
     conditional min-entropy of the clipped joint under a uniform input.
     Both enumerate densely, so n outside 1..16 is refused before anything
-    is built.
+    is built, as are a non-finite p or eps, p outside (0, 1/2) and eps < 0.
     """
     if not 1 <= n <= 16:
         raise ValueError("dense construction needs 1 <= n <= 16")
+    window = typical_window(n, p, eps)  # refuses NaN and inf first
+    tail = typicality_tail_exact(n, p, eps)  # then the ranges of p and eps
     zero = BitString.zeros(n)
     full = bsc_law_dense(n, zero, p).mass
     clipped = np.where(typical_window_mask(zero, p, eps), full, 0.0)
     gtd_actual = gtd(ClassicalDistribution(full), ClassicalDistribution(clipped))
-    tail = typicality_tail_exact(n, p, eps)
     h_in = min_entropy(ClassicalDistribution(clipped))
     c = np.log2((1.0 - p) / p)
     floor = n * (binary_entropy(p) - eps * float(c))
     cond = None
     if with_conditional:
-        cond = _clipped_cond_min_entropy(n, p, *typical_window(n, p, eps))
+        cond = _clipped_cond_min_entropy(n, p, *window)
     return ClippedBscResult(gtd_actual=gtd_actual, tail=tail,
                             min_entropy_per_input=h_in, entropy_floor=floor,
                             cond_min_entropy=cond)
@@ -274,8 +275,8 @@ def smooth_entropy_lp(joint, eps: float) -> float:
         raise ValueError("eps must be nonnegative, got %r" % eps)
     if eps >= mass.sum():
         raise ValueError("eps >= total mass: entropy unbounded")
-    # imported on call: loading scipy.optimize takes longer than the CLI's
-    # whole import, which never needs it
+    # imported on call: this LP is the package's only use of scipy, whose
+    # import takes several times as long as the CLI's whole start-up
     from scipy import sparse
     from scipy.optimize import linprog
 

@@ -1,7 +1,10 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, logsumexp, xlogy
 
 from usnc.channel import (AliceChannel, BobChannel, UsncParams, bsc_law_dense,
                           bsc_transmit, bsc_weight_mass, check_c2, check_c3,
@@ -161,6 +164,32 @@ class TestTypicalityTail:
     def test_production_scale_instance(self):
         tail = typicality_tail_exact(4096, 0.1, 0.06)
         assert tail <= 2.9e-4
+
+    @pytest.mark.parametrize("n, p, eps", [(200, 0.1, 0.05), (1000, 0.1, 0.01),
+                                           (2000, 0.25, 0.01)])
+    def test_matches_exact_integer_sum(self, n, p, eps):
+        # a float p is dyadic, num / den, so the window's mass is a ratio of
+        # integers; n = 4096 at p = 0.1 takes tens of seconds and is left out
+        num, den = Fraction(p).as_integer_ratio()
+        w_lo, w_hi = typical_window(n, p, eps)
+        inside = sum(math.comb(n, w) * num ** w * (den - num) ** (n - w)
+                     for w in range(w_lo, w_hi + 1))
+        exact = float(1 - Fraction(inside, den ** n))
+        assert typicality_tail_exact(n, p, eps) == pytest.approx(exact,
+                                                                 rel=1e-12)
+
+    @pytest.mark.parametrize("n", [4096, 10 ** 5, 10 ** 6])
+    def test_matches_gammaln_logsumexp_formula(self, n):
+        # 1e-9 is the float64 floor here: half an ulp of log(10^6!) is 9e-10
+        p, eps = 0.1, 0.01
+        w_lo, w_hi = typical_window(n, p, eps)
+        w = np.arange(n + 1, dtype=np.float64)
+        w = w[(w < w_lo) | (w > w_hi)]
+        logpmf = (gammaln(n + 1) - gammaln(w + 1) - gammaln(n - w + 1)
+                  + xlogy(w, p) + xlogy(n - w, 1.0 - p))
+        reference = float(np.exp(logsumexp(logpmf)))
+        assert typicality_tail_exact(n, p, eps) == pytest.approx(reference,
+                                                                 rel=1e-9)
 
 
 def _params(n, l_a=0.0, eps_a=0.0, l_b=0.0, eps_b=0.0, p=0.25):
@@ -323,6 +352,33 @@ class TestBscLaw:
         for p in (0.1, 0.25, 0.5):
             expect = [p ** d * (1 - p) ** (n - d) for d in range(n + 1)]
             assert bsc_weight_mass(n, p) == pytest.approx(expect, rel=1e-12)
+
+    @staticmethod
+    def _xlogy_mass(n, p):
+        d = np.arange(n + 1, dtype=np.float64)
+        return np.exp(xlogy(d, p) + xlogy(n - d, 1.0 - p))
+
+    def test_weight_mass_equals_xlogy_formula(self):
+        rng = np.random.default_rng(14)
+        cases = [(n, p) for n in range(1, 21)
+                 for p in (0.0, 5e-324, 1e-300, 0.1, 0.25, 0.5, 1 - 2 ** -53,
+                           1.0)]
+        cases += [(int(n), float(p)) for n, p in
+                  zip(rng.integers(1, 4097, 1000), rng.random(1000))]
+        for n, p in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = bsc_weight_mass(n, p)
+            assert np.array_equal(got, self._xlogy_mass(n, p)), (n, p)
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
+    def test_weight_mass_outside_unit_interval_is_nan(self, p):
+        # NaN exactly where the xlogy formula has it, without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = bsc_weight_mass(7, p)
+        assert np.isnan(got).any()
+        assert np.array_equal(got, self._xlogy_mass(7, p), equal_nan=True)
 
     @pytest.mark.parametrize("p, at", [(0.0, "center"), (1.0, "complement")])
     def test_noiseless_edges_are_point_masses(self, p, at):

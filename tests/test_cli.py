@@ -524,6 +524,18 @@ class TestOracleCommands:
         assert "cond_min_entropy: " in out
         assert "clipped-channel construction: PASS" in out
 
+    @pytest.mark.parametrize("p, eps", [("-0.1", "0.1"), ("0", "0.1"),
+                                        ("0.5", "0.1"), ("0.7", "0.1"),
+                                        ("0.1", "-0.1")])
+    def test_clipped_crossover_outside_range_is_usage_error(self, capsys, p,
+                                                            eps):
+        # refused before any law is built from the out-of-range p
+        code = main(["oracle", "clipped", "--n", "8", "--p", p, "--eps", eps])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: need 0 < p < 1/2 and eps >= 0\n"
+
     @pytest.mark.parametrize("n", ["-1", "0", "17"])
     def test_clipped_length_outside_range_is_usage_error(self, capsys, n):
         code = main(["oracle", "clipped", "--n", n, "--p", "0.1",
@@ -657,13 +669,20 @@ class TestKeyValueFiles:
 
 
 def test_cli_import_leaves_lp_solver_unloaded():
-    # the smoothing LP imports scipy.optimize and scipy.sparse when it is
-    # called, so starting the CLI pays for neither
+    # scipy is imported only by the smoothing LP when it is called: starting
+    # the CLI, the exact window tail and the BSC laws load none of it
     src = str(pathlib.Path(usnc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = ("import sys, usnc.cli; print(' '.join(m for m in "
-             "('scipy.optimize', 'scipy.sparse') if m in sys.modules))")
+    probe = ("import sys, usnc, usnc.cli\n"
+             "from usnc.channel import bsc_law_dense, typicality_tail_exact\n"
+             "from usnc.gf2 import BitString\n"
+             "from usnc.oracle import clipped_bsc_construction\n"
+             "typicality_tail_exact(4096, 0.1, 0.01)\n"
+             "bsc_law_dense(8, BitString.zeros(8), 0.1)\n"
+             "clipped_bsc_construction(8, 0.1, 0.1)\n"
+             "print(' '.join(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))")
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == ""
