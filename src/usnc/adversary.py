@@ -5,16 +5,16 @@ harness can falsify a security bound but never prove one. A cheating sender
 is a (S, m, k) seed stack plus a table of atoms that also holds both
 openings it announces per atom; its channel is BSC noise around one string
 per label (``AliceChannel.bsc``). Both harnesses are exact: they sum the
-strategy's joint law against dense channel laws. Binding checks each
-opening as a packed int (popcount parities against parity-check and seed
-rows), groups the valid atoms by one lexsort of their (label, coset, x0,
-x1) columns and sums each group once under popcount window masks. Hiding
-is one 0/1 digest match of the whole seed family against the receiver's
-view-law table (rows gathered at codeword ints). Binding also has a Monte
-Carlo mode that samples channel outputs and runs the batched verifier, an
-independent code path cross-checked against the exact sum. Hiding has none:
-its view space is the exact mode's own enumeration, and an empirical trace
-distance over it only adds upward-biased sampling noise.
+strategy's joint law against dense channel laws. Binding checks both
+openings of every atom with the receiver's packed opening test, groups the
+valid atoms by one lexsort of their (label, coset, x0, x1) columns and sums
+each group once under popcount window masks. Hiding is one 0/1 digest match
+of the whole seed family against the receiver's view-law table (rows
+gathered at codeword ints). Binding also has a Monte Carlo mode that samples
+channel outputs and runs the batched verifier, an independent code path
+cross-checked against the exact sum. Hiding has none: its view space is the
+exact mode's own enumeration, and an empirical trace distance over it only
+adds upward-biased sampling noise.
 """
 
 from __future__ import annotations
@@ -28,12 +28,13 @@ import numpy as np
 from .channel import (AliceChannel, BobChannel, hamming_distances,
                       typical_window)
 from .entropy import gtd
-from .gf2 import BitString, _pack_u64, _unpack_ints
+from .gf2 import BitString, _pack_u64
 # hash_codeword is not called here; benchmarks/tracing.py wraps it by name
 from .hashing import (_digests, count_full_rank, digest_table,
                       enumerate_full_rank_seeds, hash_codeword)
-from .protocol import (BLOCK, CommitConfig, TranscriptBatch, _pack_split,
-                       alice_commit, bob_verify_batch)
+from .protocol import (BLOCK, CommitConfig, TranscriptBatch, _nwords,
+                       _openings_pass, _pack_split, alice_commit,
+                       bob_verify_batch)
 
 __all__ = [
     "ATOM_DTYPE",
@@ -127,31 +128,38 @@ def _check_table(strategy: AliceStrategy, cfg: CommitConfig) -> None:
             raise ValueError("atom column %s outside [0, %d)" % (name, limit))
 
 
+def _int_words(values: np.ndarray, nbits: int) -> np.ndarray:
+    """int64 strings of nbits <= 63 bits packed as by ``_pack_u64`` (a
+    view: one word, or none at nbits = 0)."""
+    return values[:, None].view(np.uint64)[:, :_nwords(nbits)]
+
+
+def _split_words(values: np.ndarray, k: int, n: int) -> np.ndarray:
+    """int64 strings of n <= 63 bits packed as by ``_pack_split``."""
+    words = np.empty((len(values), 1 + _nwords(n - k)), dtype=np.int64)
+    np.bitwise_and(values, (1 << k) - 1, out=words[:, 0])
+    np.right_shift(values[:, None], k, out=words[:, 1:])
+    return words.view(np.uint64)
+
+
 def _binding_exact(strategy: AliceStrategy, cfg: CommitConfig) -> float:
     """Sum each group of valid atoms' probability times its window mass.
 
-    Openings are checked on the int strings: a parity row or a seed row is
-    one int, and a dot product is the parity of a popcount. Valid atoms are
-    grouped by (label, coset, x0, x1) with one stable lexsort, label first;
-    that is the row order ``np.unique(axis=0)`` gives, so the groups, their
-    order and the atom order of each group's weight sum, and hence the
-    float result, match the row-sorting grouping bit for bit.
+    Openings are checked by ``_openings_pass``. Valid atoms are grouped by
+    (label, coset, x0, x1) with one stable lexsort, label first; that is the
+    row order ``np.unique(axis=0)`` gives, so the groups, their order and
+    the atom order of each group's weight sum, and hence the float result,
+    match the row-sorting grouping bit for bit.
     """
-    n, code, a = cfg.n, cfg.code, strategy.atoms
+    n, k, hm, a = cfg.n, cfg.code.k, cfg.hash_m, strategy.atoms
     if n > 16:
         raise ValueError("exact binding enumeration needs n <= 16")
-    checks = _pack_u64(code.par)[:, 0].astype(np.int64)  # one int per row
-    seed_rows = strategy.seed_words[..., 0].astype(np.int64)[a.seed]
-    bit_values = 1 << np.arange(cfg.hash_m)
-
-    def opens(x, m):
-        """Whether each atom's opening (x, m) passes both checks."""
-        member = ~(np.bitwise_count(x[:, None] & checks) & 1).any(axis=1)
-        u = x & ((1 << code.k) - 1)
-        digest = (np.bitwise_count(seed_rows & u[:, None]) & 1) @ bit_values
-        return member & (digest == m ^ a.mbar)
-
-    valid = opens(a.x0, a.m0) & opens(a.x1, a.m1) & (a.m0 != a.m1)
+    seed = np.take(strategy.seed_words, a.seed, axis=0)
+    mbar = _int_words(a.mbar, hm)
+    valid = (a.m0 != a.m1) & _openings_pass(
+        cfg, seed, mbar, _int_words(a.m0, hm), _split_words(a.x0, k, n)) \
+        & _openings_pass(cfg, seed, mbar, _int_words(a.m1, hm),
+                         _split_words(a.x1, k, n))
     keys = np.stack([a.label, a.coset, a.x0, a.x1])[:, valid]
     order = np.lexsort(keys[::-1])  # lexsort's last key is the primary one
     keys = keys[:, order]
@@ -165,7 +173,7 @@ def _binding_exact(strategy: AliceStrategy, cfg: CommitConfig) -> float:
     w_lo, w_hi = typical_window(n, cfg.p, cfg.eps)
     group_mass = np.empty(len(groups))
     for g, (label, coset, x0, x1) in enumerate(groups.tolist()):
-        rep = coset << code.k  # the coset representative as an int
+        rep = coset << k  # the coset representative as an int
         d = hamming_distances(n, [x0 ^ rep, x1 ^ rep])
         both = ((d >= w_lo) & (d <= w_hi)).all(axis=0)  # both windows
         group_mass[g] = laws[label][both].sum()
@@ -184,15 +192,12 @@ def _binding_mc(strategy: AliceStrategy, cfg: CommitConfig, trials: int,
         z = np.stack([channel.sample(channel.labels[label], rng).bits
                       for label in t.label])
         batch = TranscriptBatch(
-            seed=strategy.seed_words[t.seed],
-            mbar=_pack_u64(_unpack_ints(t.mbar, hm)),
-            coset=_pack_u64(_unpack_ints(t.coset, n - k)),
-            z=_pack_split(z, k),
-            m=_pack_u64(_unpack_ints(t.m0, hm)),
-            x=_pack_split(_unpack_ints(t.x0, n), k))
+            seed=strategy.seed_words[t.seed], mbar=_int_words(t.mbar, hm),
+            coset=_int_words(t.coset, n - k), z=_pack_split(z, k),
+            m=_int_words(t.m0, hm), x=_split_words(t.x0, k, n))
         accepted = bob_verify_batch(batch, cfg) & bob_verify_batch(
-            replace(batch, m=_pack_u64(_unpack_ints(t.m1, hm)),
-                    x=_pack_split(_unpack_ints(t.x1, n), k)), cfg)
+            replace(batch, m=_int_words(t.m1, hm),
+                    x=_split_words(t.x1, k, n)), cfg)
         wins += int((accepted & (t.m0 != t.m1)).sum())
     return wins / trials
 

@@ -54,7 +54,9 @@ def completeness_bound(n: int, eps: float) -> float:
 def hiding_bound(n: int, log_m: float, log_c: float, l_b: float,
                  eps_b: float) -> float:
     """Distinguishing-advantage ceiling 2 * 2^((n + log_m - log_c - l_b)/2) + 8 eps_b."""
-    for v in (n, log_m, log_c, eps_b):
+    _check_n(n)
+    _check_smoothing("eps_b", eps_b)
+    for v in (n, log_m, log_c):
         if not math.isfinite(v):
             raise ValueError("arguments must be finite")
     if math.isnan(l_b):
@@ -72,11 +74,10 @@ def binding_bound(n: int, eps: float, sigma: float, p: float, l_a: float,
     is (1-2s) h((p-s+eps)/(1-2s)) + 2s; for sigma > p + 2 eps the typical-set
     intersection is empty and only eps_a remains.
     """
-    _check_window(p, eps)
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    if math.isnan(l_a) or math.isnan(eps_a):
-        raise ValueError("l_a and eps_a must not be NaN")
+    _check_intersection(n, p, eps, sigma)
+    _check_smoothing("eps_a", eps_a)
+    if math.isnan(l_a):
+        raise ValueError("l_a must not be NaN")
     if sigma > p + 2 * eps:
         return eps_a
     log2_count = intersection_bound_log2(n, p, eps, sigma)
@@ -88,9 +89,7 @@ def intersection_bound(n: int, p: float, eps: float, sigma: float) -> float:
 
     Zero beyond sigma = p + 2 eps.
     """
-    _check_window(p, eps)
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    _check_intersection(n, p, eps, sigma)
     if sigma > p + 2 * eps:
         return 0.0
     return _exp2(intersection_bound_log2(n, p, eps, sigma))
@@ -300,7 +299,20 @@ def _check_p(p: float) -> None:
         raise ValueError("need 0 < p < 1/2, got %r" % (p,))
 
 
-def _check_window(p: float, eps: float) -> None:
+def _check_n(n: int) -> None:
+    if not n >= 1:
+        raise ValueError("need n >= 1, got %r" % (n,))
+
+
+def _check_smoothing(name: str, eps: float) -> None:
+    if not 0.0 <= eps <= 1.0:  # also refuses NaN
+        raise ValueError("need 0 <= %s <= 1, got %r" % (name, eps))
+
+
+def _check_intersection(n: int, p: float, eps: float, sigma: float) -> None:
+    _check_n(n)
     _check_p(p)
     if not 0.0 < eps < 0.5 - p:
         raise ValueError("need 0 < eps < 1/2 - p")
+    if not sigma >= 0.0:  # also refuses NaN
+        raise ValueError("sigma must be nonnegative, got %r" % (sigma,))

@@ -126,18 +126,9 @@ def _cmd_commit_replay(args, config) -> int:
         t = protocol.transcript_from_json(fh.read())
     if t.opening is None:
         raise UsageError("transcript has no opening to replay")
-    n, k, hm = cfg.n, code.k, cfg.hash_m
-    for what, got, need in [
-            ("seed shape", "%dx%d" % t.seed.matrix.shape, "%dx%d" % (hm, k)),
-            ("mask length", len(t.mbar), hm),
-            ("syndrome length", len(t.coset), n - k),
-            ("z length", len(t.z), n),
-            ("opening m length", len(t.opening.m), hm),
-            ("opening x length", len(t.opening.x), n)]:
-        if got != need:
-            raise UsageError("transcript %s is %s, the configuration needs %s"
-                             % (what, got, need))
-    flag = protocol.bob_verify(t, t.opening.m, t.opening.x, cfg)
+    batch = protocol.TranscriptBatch.from_transcripts([t], cfg)
+    accepted = protocol.bob_verify_batch(batch, cfg)[0]
+    flag = protocol.ACC if accepted else protocol.REJ
     print("flag: %s" % flag)
     print("m_hat: %s" % t.opening.m.to01())
     return 0
@@ -432,120 +423,66 @@ def _cmd_nqs_povm(args, config) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sp):
-    sp.add_argument("--config", default=None)
+# every command as (group or None, name, handler, options); an option is a
+# flag with its add_argument keywords, and every command also takes --config
+_S, _I, _F = {}, {"type": int}, {"type": float}
+_COMMANDS = [
+    ("commit", "run", _cmd_commit_run, [
+        ("--code", _S), ("--message", _S), ("--n", _I), ("--hash-m", _I),
+        ("--seed", _I), ("--p", _F), ("--eps", _F), ("--out", _S)]),
+    ("commit", "replay", _cmd_commit_replay, [
+        ("--transcript", {"required": True}), ("--code", _S),
+        ("--hash-m", _I), ("--p", _F), ("--eps", _F)]),
+    ("commit", "complete", _cmd_commit_complete, [
+        ("--code", _S), ("--n", _I), ("--k", _I), ("--target-d", _I),
+        ("--hash-m", _I), ("--trials", _I), ("--seed", _I), ("--p", _F),
+        ("--eps", _F)]),
+    (None, "attack", _cmd_attack, [
+        ("kind", {"choices": ["binding", "hiding"]}),
+        ("--strategy", {"required": True}),
+        ("--mode", {"choices": ["exact", "mc"], "default": "exact"}),
+        ("--trials", {"type": int, "default": 10 ** 5}), ("--seed", _I)]),
+    ("bounds", "eval", _cmd_bounds_eval, [
+        ("--which", {"choices": ["dc", "dh", "db", "intersection"],
+                     "required": True}), ("--n", _I)]
+     + [(flag, _F) for flag in ("--eps", "--p", "--sigma", "--l-a", "--eps-a",
+                                "--l-b", "--eps-b", "--log-m", "--log-c")]),
+    ("rate", "surface", _cmd_rate_surface, [
+        ("--p", _F), ("--steps", _I), ("--out", _S)]),
+    ("rate", "point", _cmd_rate_point, [
+        ("--p", _F), ("--xia", _F), ("--xib", _F)]),
+    ("oracle", "intersection", _cmd_oracle_intersection, [
+        ("--n", _I), ("--p", _F), ("--eps", _F)]),
+    ("oracle", "lhl", _cmd_oracle_lhl, [
+        ("--code", _S), ("--hash-m", _I), ("--p-b", _F), ("--seeds", _I),
+        ("--seed", _I)]),
+    ("oracle", "clipped", _cmd_oracle_clipped, [
+        ("--n", _I), ("--p", _F), ("--eps", _F)]),
+    ("nqs", "simulate", _cmd_nqs_simulate, [
+        ("--n", _I), ("--seed", _I), ("--out", _S)]),
+    ("nqs", "params", _cmd_nqs_params, [
+        ("--n", _I), ("--lambda-a", _F), ("--lambda-b", _F),
+        ("--storage-dim", _I)]),
+    ("nqs", "povm-verify", _cmd_nqs_povm, []),
+]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``usnc`` parser; no parser takes abbreviated option names."""
     ap = argparse.ArgumentParser(
-        prog="usnc",
+        prog="usnc", allow_abbrev=False,
         description="String commitment over unstructured noisy channels")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    commit = sub.add_parser("commit").add_subparsers(dest="sub", required=True)
-    run = commit.add_parser("run")
-    for flag in ("--code", "--message"):
-        run.add_argument(flag)
-    for flag in ("--n", "--hash-m", "--seed"):
-        run.add_argument(flag, type=int)
-    for flag in ("--p", "--eps"):
-        run.add_argument(flag, type=float)
-    run.add_argument("--out", default=None)
-    _add_common(run)
-    run.set_defaults(func=_cmd_commit_run)
-
-    replay = commit.add_parser("replay")
-    replay.add_argument("--transcript", required=True)
-    replay.add_argument("--code")
-    replay.add_argument("--hash-m", type=int)
-    for flag in ("--p", "--eps"):
-        replay.add_argument(flag, type=float)
-    _add_common(replay)
-    replay.set_defaults(func=_cmd_commit_replay)
-
-    comp = commit.add_parser("complete")
-    comp.add_argument("--code")
-    for flag in ("--n", "--k", "--target-d", "--hash-m", "--trials", "--seed"):
-        comp.add_argument(flag, type=int)
-    for flag in ("--p", "--eps"):
-        comp.add_argument(flag, type=float)
-    _add_common(comp)
-    comp.set_defaults(func=_cmd_commit_complete)
-
-    attack = sub.add_parser("attack")
-    attack.add_argument("kind", choices=["binding", "hiding"])
-    attack.add_argument("--strategy", required=True)
-    attack.add_argument("--mode", choices=["exact", "mc"], default="exact")
-    attack.add_argument("--trials", type=int, default=10 ** 5)
-    attack.add_argument("--seed", type=int)
-    _add_common(attack)
-    attack.set_defaults(func=_cmd_attack)
-
-    bnd = sub.add_parser("bounds").add_subparsers(dest="sub", required=True)
-    ev = bnd.add_parser("eval")
-    ev.add_argument("--which", choices=["dc", "dh", "db", "intersection"],
-                    required=True)
-    ev.add_argument("--n", type=int)
-    for flag in ("--eps", "--p", "--sigma", "--l-a", "--eps-a", "--l-b",
-                 "--eps-b", "--log-m", "--log-c"):
-        ev.add_argument(flag, type=float)
-    _add_common(ev)
-    ev.set_defaults(func=_cmd_bounds_eval)
-
-    rate = sub.add_parser("rate").add_subparsers(dest="sub", required=True)
-    surf = rate.add_parser("surface")
-    surf.add_argument("--p", type=float)
-    surf.add_argument("--steps", type=int)
-    surf.add_argument("--out", default=None)
-    _add_common(surf)
-    surf.set_defaults(func=_cmd_rate_surface)
-    point = rate.add_parser("point")
-    point.add_argument("--p", type=float)
-    point.add_argument("--xia", type=float)
-    point.add_argument("--xib", type=float)
-    _add_common(point)
-    point.set_defaults(func=_cmd_rate_point)
-
-    orc = sub.add_parser("oracle").add_subparsers(dest="sub", required=True)
-    lem = orc.add_parser("intersection")
-    lem.add_argument("--n", type=int)
-    lem.add_argument("--p", type=float)
-    lem.add_argument("--eps", type=float)
-    _add_common(lem)
-    lem.set_defaults(func=_cmd_oracle_intersection)
-    lhl = orc.add_parser("lhl")
-    lhl.add_argument("--code")
-    lhl.add_argument("--hash-m", type=int)
-    lhl.add_argument("--p-b", type=float)
-    lhl.add_argument("--seeds", type=int)
-    lhl.add_argument("--seed", type=int)
-    _add_common(lhl)
-    lhl.set_defaults(func=_cmd_oracle_lhl)
-    apb = orc.add_parser("clipped")
-    apb.add_argument("--n", type=int)
-    apb.add_argument("--p", type=float)
-    apb.add_argument("--eps", type=float)
-    _add_common(apb)
-    apb.set_defaults(func=_cmd_oracle_clipped)
-
-    qn = sub.add_parser("nqs").add_subparsers(dest="sub", required=True)
-    sim = qn.add_parser("simulate")
-    sim.add_argument("--n", type=int)
-    sim.add_argument("--seed", type=int)
-    sim.add_argument("--out", default=None)
-    _add_common(sim)
-    sim.set_defaults(func=_cmd_nqs_simulate)
-    par = qn.add_parser("params")
-    par.add_argument("--n", type=int)
-    par.add_argument("--lambda-a", type=float)
-    par.add_argument("--lambda-b", type=float)
-    par.add_argument("--storage-dim", type=int)
-    _add_common(par)
-    par.set_defaults(func=_cmd_nqs_params)
-    pov = qn.add_parser("povm-verify")
-    _add_common(pov)
-    pov.set_defaults(func=_cmd_nqs_povm)
-
+    groups = {None: sub}
+    for group, name, func, options in _COMMANDS:
+        if group not in groups:
+            groups[group] = sub.add_parser(
+                group, allow_abbrev=False).add_subparsers(dest="sub",
+                                                          required=True)
+        sp = groups[group].add_parser(name, allow_abbrev=False)
+        for flag, kwargs in options + [("--config", _S)]:
+            sp.add_argument(flag, **kwargs)
+        sp.set_defaults(func=func)
     return ap
 
 

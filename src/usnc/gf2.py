@@ -343,8 +343,13 @@ class LinearCode:
         return BitString._wrap(self._encode_arr(u.bits))
 
     def codeword_ints(self) -> np.ndarray:
-        """uint64 int of each row of ``all_bits(k)`` encoded; n <= 64."""
-        return _pack_u64((all_bits(self.k) @ self.gen) & 1)[:, 0]
+        """uint64 int of the codeword of every message u in 0..2^k-1 (row
+        u); n <= 64. The check bits come from ``check_words_batch``."""
+        u = np.arange(1 << self.k, dtype=np.uint64)
+        if self.k == self.n:
+            return u
+        return u | self.check_words_batch(u[:, None])[:, 0] << np.uint64(
+            self.k)
 
     def _check_words(self, u: np.ndarray) -> np.ndarray:
         sel = np.flatnonzero(u)
@@ -375,9 +380,9 @@ class LinearCode:
             self._byte_table = self._build_byte_table()
         table = self._byte_table
         ubytes = u.view(np.uint8)
-        out = table[0][ubytes[:, 0]]
+        out = np.take(table[0], ubytes[:, 0], axis=0)
         for b in range(1, table.shape[0]):
-            out ^= table[b][ubytes[:, b]]
+            out ^= np.take(table[b], ubytes[:, b], axis=0)
         return out
 
     def _build_byte_table(self) -> np.ndarray:

@@ -14,8 +14,9 @@ message.
 The completeness Monte Carlo runs on the batched engine: ``run_honest_batch``
 commits and opens a block of trials at once as packed uint64 words, and
 ``bob_verify_batch`` applies the three accept tests to every opening of a
-block. Block b of a run draws all its randomness from
-``default_rng([master_seed, b])``, so results depend only on the
+block; its codeword-and-digest half, ``_openings_pass``, is also the one
+opening test of exact binding. Block b of a run draws all its randomness
+from ``default_rng([master_seed, b])``, so results depend only on the
 configuration, the trial count and the master seed, never on how blocks are
 grouped into calls. The scalar ``run_honest``/``bob_verify`` remain the
 reference the batch path is tested against.
@@ -129,22 +130,31 @@ def alice_commit(m: BitString, cfg: CommitConfig, rng: np.random.Generator):
             x ^ code.coset_representative(coset))
 
 
+def _check_shape(t: CommitmentTranscript, cfg: CommitConfig) -> None:
+    """Refuse a transcript, naming its first field that does not fit cfg."""
+    n, k, hm = cfg.n, cfg.code.k, cfg.hash_m
+    fields = [("seed shape", "%dx%d" % t.seed.matrix.shape, "%dx%d" % (hm, k)),
+              ("mask length", len(t.mbar), hm),
+              ("syndrome length", len(t.coset), n - k),
+              ("z length", len(t.z), n)]
+    if t.opening is not None:
+        fields += [("opening m length", len(t.opening.m), hm),
+                   ("opening x length", len(t.opening.x), n)]
+    for what, got, need in fields:
+        if got != need:
+            raise ValueError("transcript %s is %s, the configuration needs %s"
+                             % (what, got, need))
+
+
 def bob_receive(wire: CommitWire, z: BitString,
                 cfg: CommitConfig) -> CommitmentTranscript:
     """Store the commitment; rejects malformed wires."""
     if not isinstance(wire, CommitWire):
         raise ValueError("malformed wire")
-    if wire.seed.k != cfg.code.k or wire.seed.m != cfg.hash_m:
-        raise ValueError("seed shape %dx%d does not match the configuration"
-                         % (wire.seed.m, wire.seed.k))
-    if len(wire.mbar) != cfg.hash_m:
-        raise ValueError("mask length mismatch")
-    if len(wire.coset) != cfg.code.n - cfg.code.k:
-        raise ValueError("coset syndrome length mismatch")
-    if len(z) != cfg.n:
-        raise ValueError("channel output length %d != n=%d" % (len(z), cfg.n))
-    return CommitmentTranscript(seed=wire.seed, mbar=wire.mbar,
-                                coset=wire.coset, z=z)
+    t = CommitmentTranscript(seed=wire.seed, mbar=wire.mbar, coset=wire.coset,
+                             z=z)
+    _check_shape(t, cfg)
+    return t
 
 
 def bob_verify(t: CommitmentTranscript, m: BitString, x: BitString,
@@ -239,16 +249,12 @@ class TranscriptBatch:
     @classmethod
     def from_transcripts(cls, transcripts,
                          cfg: CommitConfig) -> "TranscriptBatch":
-        """Pack opened scalar transcripts whose lengths match ``cfg``."""
+        """Pack opened scalar transcripts whose fields fit ``cfg``."""
+        for t in transcripts:
+            if t.opening is None:
+                raise ValueError("transcript has no opening")
+            _check_shape(t, cfg)
         k = cfg.code.k
-        shape = ((cfg.hash_m, k), cfg.hash_m, cfg.n - k, cfg.n, cfg.hash_m,
-                 cfg.n)
-        for i, t in enumerate(transcripts):
-            if t.opening is None or shape != (
-                    t.seed.matrix.shape, len(t.mbar), len(t.coset), len(t.z),
-                    len(t.opening.m), len(t.opening.x)):
-                raise ValueError("transcript %d is unopened or does not "
-                                 "match the configuration" % i)
 
         def stack(get):
             return np.stack([get(t) for t in transcripts])
@@ -418,23 +424,34 @@ def _check_layout(t: TranscriptBatch, cfg: CommitConfig) -> None:
 def bob_verify_batch(t: TranscriptBatch, cfg: CommitConfig) -> np.ndarray:
     """Accept mask of the receiver's test on every opening of a batch.
 
-    Trial i is accepted iff x_i is a codeword, HD(x_i + x_C', z_i) lies in
-    ``typical_window``, and the seed hash of x_i equals m_i + Mbar_i: the
-    three tests of ``bob_verify``, applied to arbitrary openings.
+    Trial i is accepted iff HD(x_i + x_C', z_i) lies in ``typical_window``
+    and the opening (m_i, x_i) passes ``_openings_pass``: the three tests of
+    ``bob_verify``, applied to arbitrary openings.
     """
     _check_layout(t, cfg)
-    code = cfg.code
-    wk = _nwords(code.k)
-    u = t.x[:, :wk]
-    member = (code.check_words_batch(u) == t.x[:, wk:]).all(axis=1)
+    wk = _nwords(cfg.code.k)
     diff = t.x ^ t.z
     diff[:, wk:] ^= t.coset
     weight = np.bitwise_count(diff).sum(axis=1)
     w_lo, w_hi = typical_window(cfg.n, cfg.p, cfg.eps)
     typical = (weight >= w_lo) & (weight <= w_hi)
-    digest = np.bitwise_count(t.seed & u[:, None, :]).sum(axis=2) & 1
-    hashed = (digest == _unpack_u64(t.m ^ t.mbar, cfg.hash_m)).all(axis=1)
-    return member & typical & hashed
+    return typical & _openings_pass(cfg, t.seed, t.mbar, t.m, t.x)
+
+
+def _openings_pass(cfg: CommitConfig, seed: np.ndarray, mbar: np.ndarray,
+                  m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Whether each packed opening (row of ``TranscriptBatch`` fields) has a
+    codeword x_i whose seed hash, packed into words, equals m_i + Mbar_i."""
+    code, hm = cfg.code, cfg.hash_m
+    wk = _nwords(code.k)
+    u = x[:, :wk]
+    member = (code.check_words_batch(u) == x[:, wk:]).all(axis=1)
+    parity = np.bitwise_count(np.bitwise_xor.reduce(seed & u[:, None, :],
+                                                    axis=2)) & np.uint8(1)
+    digest = np.zeros_like(m)
+    for j in range(hm):
+        digest[:, j >> 6] |= parity[:, j] << np.uint64(j & 63)
+    return member & (digest == m ^ mbar).all(axis=1)
 
 
 @dataclass(frozen=True)

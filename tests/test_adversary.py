@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from usnc.adversary import (ATOM_DTYPE, AliceStrategy, BobStrategy,
-                            _view_joint, binding_success, hiding_advantage,
+                            _int_words, _split_words, _view_joint,
+                            binding_success, hiding_advantage,
                             honest_alice_strategy, less_noisy_bob,
                             midpoint_attack)
 from usnc.bounds import binding_bound, hiding_bound
@@ -13,14 +14,15 @@ from usnc.channel import (AliceChannel, BobChannel, UsncParams, bsc_law_dense,
                           check_c2, check_c3, hamming_distances,
                           typical_window, typical_window_mask)
 from usnc.entropy import ClassicalDistribution, cond_min_entropy, min_entropy
-from usnc.gf2 import (BitString, CosetId, LinearCode, _unpack_ints, all_bits,
-                      even_weight_code, hamming_7_4)
+from usnc.gf2 import (BitString, CosetId, LinearCode, _pack_u64,
+                      _unpack_ints, all_bits, even_weight_code, hamming_7_4)
 from usnc.hashing import (HashSeed, _digests, digest_table,
                           enumerate_full_rank_seeds,
                           exact_collision_probability, hash_codeword,
                           sample_seed)
 from usnc.oracle import typical_intersection_exact
-from usnc.protocol import ACC, CommitConfig, CommitmentTranscript, bob_verify
+from usnc.protocol import (ACC, CommitConfig, CommitmentTranscript,
+                           _openings_pass, _pack_split, bob_verify)
 
 
 def weight_string(n, w):
@@ -412,6 +414,92 @@ class TestGroupedBindingMatchesReference:
         other = CommitConfig(code=hamming_7_4(), hash_m=2, p=0.25, eps=0.2)
         with pytest.raises(ValueError, match="does not match"):
             binding_success(strategy, other)
+
+
+OPENING_CODES = {
+    "k=n": lambda: LinearCode(np.zeros((6, 0), dtype=np.uint8), d_claimed=1),
+    "k=8": lambda: random_systematic_code(8, 2, 21),  # one message byte
+    "k=9": lambda: random_systematic_code(9, 2, 22),  # two message bytes
+}
+
+
+class TestPackedOpeningTest:
+    """The receiver's packed codeword-and-digest test, as exact binding
+    runs it on atom ints, against the scalar checks per atom."""
+
+    @staticmethod
+    def faulted_rows(cfg, seeds, rng):
+        """(fault, row) pairs: each row breaks at most one check."""
+        code, n, k, hm = cfg.code, cfg.n, cfg.code.k, cfg.hash_m
+
+        def digest(si, x):
+            return hash_codeword(HashSeed(seeds[si]), code, x).to_int()
+
+        def draw():
+            return codeword(code, int(rng.integers(1 << k)))
+
+        # at k = n every string is a codeword
+        kinds = ("valid", "digest", "equal") + (("membership",) if k < n
+                                                 else ())
+        out = []
+        while len(out) < 12:
+            si, mbar = int(rng.integers(len(seeds))), int(rng.integers(1 << hm))
+            x0, x1 = draw(), draw()
+            m0, m1 = digest(si, x0) ^ mbar, digest(si, x1) ^ mbar
+            fault = kinds[len(out) % len(kinds)]
+            if fault == "valid" and m0 == m1:
+                continue
+            if fault == "membership":
+                x1 = x1 ^ BitString.from_int(1 << int(rng.integers(k, n)), n)
+            elif fault == "digest":
+                m1 ^= 1 << int(rng.integers(hm))
+            elif fault == "equal":
+                if m0 != m1 or x0 == x1:
+                    continue  # two codewords that hash alike
+            row = [float(rng.random()), si, int(rng.integers(2)), mbar,
+                   int(rng.integers(1 << (n - k))), x0, m0, x1, m1]
+            out.append((fault, row))
+        return out
+
+    @pytest.mark.parametrize("hash_m", [1, 3])
+    @pytest.mark.parametrize("name", sorted(OPENING_CODES))
+    def test_one_check_faults_match_scalar_reference(self, name, hash_m):
+        code = OPENING_CODES[name]()
+        cfg = CommitConfig(code=code, hash_m=hash_m, p=0.25, eps=0.2)
+        n, k = cfg.n, code.k
+        rng = np.random.default_rng([k, hash_m])
+        seeds = np.stack([sample_seed(k, hash_m, rng).matrix
+                          for _ in range(3)])
+        laws = [rng.dirichlet(np.ones(1 << n)) for _ in range(2)]
+        rows = self.faulted_rows(cfg, seeds, rng)
+        strategy = hand_built_strategy(cfg, [row for _, row in rows], seeds,
+                                       laws)
+        a = strategy.atoms
+        # the int-to-word helpers lay strings out as the batch packers do
+        assert np.array_equal(_split_words(a.x1, k, n),
+                              _pack_split(_unpack_ints(a.x1, n), k))
+        assert np.array_equal(_int_words(a.m1, hash_m),
+                              _pack_u64(_unpack_ints(a.m1, hash_m)))
+        for side in ("0", "1"):
+            packed = _openings_pass(
+                cfg, strategy.seed_words[a.seed], _int_words(a.mbar, hash_m),
+                _int_words(a["m" + side], hash_m),
+                _split_words(a["x" + side], k, n))
+            scalar = []
+            for i in range(len(a)):
+                seed, mbar, _, *openings = _atom(strategy, cfg, i)
+                x, m = openings[int(side)]
+                scalar.append(code.contains(x) and hash_codeword(
+                    seed, code, x) == m ^ mbar)
+            assert packed.tolist() == scalar
+        faults = {fault for fault, _ in rows}
+        assert faults == ({"valid", "digest", "equal"} if k == n
+                          else {"valid", "membership", "digest", "equal"})
+        for fault, row in rows:
+            value = exact_binding_checked(
+                hand_built_strategy(cfg, [row], seeds, laws), cfg)
+            assert fault == "valid" or value == 0.0
+        assert assert_matches_references(strategy, cfg, trials=300) > 0.0
 
 
 class TestHidingAdvantage:

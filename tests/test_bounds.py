@@ -57,6 +57,23 @@ class TestHidingBound:
         with pytest.raises(ValueError):
             hiding_bound(7, 1, 4, math.nan, 0.0)
 
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_length_below_one_refused(self, n):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            hiding_bound(n, 1, 2, 1, 0.0)
+
+    @pytest.mark.parametrize("eps_b", [-3.0, -1e-12, 1.5, math.nan])
+    def test_smoothing_outside_unit_interval_refused(self, eps_b):
+        # -3 once gave the negative "bound" -18.34
+        with pytest.raises(ValueError, match="eps_b"):
+            hiding_bound(5, 1, 2, 1, eps_b)
+        with pytest.raises(ValueError, match="eps_b"):
+            hiding_bound(5, 1, 2, math.inf, eps_b)
+
+    def test_smoothing_at_unit_interval_ends(self):
+        assert hiding_bound(7, 1, 4, math.inf, 0.0) == 0.0
+        assert hiding_bound(7, 1, 4, math.inf, 1.0) == 8.0
+
 
 class TestBindingBound:
     def test_empty_intersection_case(self):
@@ -79,6 +96,21 @@ class TestBindingBound:
         with pytest.raises(ValueError):
             binding_bound(10, 0.3, 0.1, 0.25, 1.0, 0.0)  # eps >= 1/2 - p
 
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_length_below_one_refused(self, n):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            binding_bound(n, 0.05, 0.1, 0.25, 1.0, 0.0)
+
+    @pytest.mark.parametrize("sigma", [0.1, 0.4])  # inside, beyond threshold
+    @pytest.mark.parametrize("eps_a", [-0.5, 1.01, math.nan])
+    def test_smoothing_outside_unit_interval_refused(self, sigma, eps_a):
+        with pytest.raises(ValueError, match="eps_a"):
+            binding_bound(100, 0.05, sigma, 0.25, 10.0, eps_a)
+
+    def test_nan_sigma_refused_by_name(self):
+        with pytest.raises(ValueError, match="sigma must be nonnegative"):
+            binding_bound(100, 0.05, math.nan, 0.25, 10.0, 0.0)
+
 
 class TestIntersectionBound:
     def test_vanishes_beyond_threshold(self):
@@ -87,6 +119,16 @@ class TestIntersectionBound:
     def test_log_space_no_overflow(self):
         big = intersection_bound(10 ** 6, 0.25, 0.05, 0.1)
         assert math.isinf(big)  # vacuously huge, reported as inf not error
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_length_below_one_refused(self, n):
+        # n = -5 once gave 0.022
+        with pytest.raises(ValueError, match="need n >= 1"):
+            intersection_bound(n, 0.25, 0.05, 0.1)
+
+    def test_nan_sigma_refused_by_name(self):
+        with pytest.raises(ValueError, match="sigma must be nonnegative"):
+            intersection_bound(20, 0.25, 0.05, math.nan)
 
 
 class TestRateTradeoff:

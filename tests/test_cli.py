@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import pathlib
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import usnc
 from usnc import bounds, oracle, protocol
-from usnc.cli import main
+from usnc.cli import build_parser, main
 from usnc.gf2 import BitString, LinearCode, hamming_7_4, save_code
 from usnc.protocol import (CommitConfig, run_honest, transcript_from_json,
                            transcript_to_json)
@@ -86,6 +87,19 @@ class TestBoundsEval:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("args,err", [
+        (("dh", "--n", "5", "--log-m", "1", "--log-c", "2", "--l-b", "1",
+          "--eps-b", "-3"), "need 0 <= eps_b <= 1, got -3.0"),
+        (("intersection", "--n", "-5", "--eps", "0.05", "--sigma", "0.1",
+          "--p", "0.25"), "need n >= 1, got -5")],
+        ids=["dh-eps_b-negative", "intersection-n-negative"])
+    def test_out_of_domain_inputs_are_usage_errors(self, capsys, args, err):
+        code = main(["bounds", "eval", "--which", *args])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: %s\n" % err
 
     def test_infinite_entropy_floor_leaves_smoothing_term(self, capsys):
         code, out = run_cli(capsys, "bounds", "eval", "--which", "db",
@@ -666,6 +680,27 @@ class TestKeyValueFiles:
         assert code in (0, 1, 2)
         if code == 2:
             assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestOptionNames:
+    def test_abbreviated_option_is_usage_error(self, capsys):
+        # argparse's prefix matching once read --p as --p-b and passed
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "lhl", "--seeds", "4", "--seed", "1",
+                  "--p", "0.7"])
+        assert exc.value.code == 2
+        assert "PASS" not in capsys.readouterr().out
+
+    def test_every_parser_refuses_abbreviations(self):
+        parsers, seen = [build_parser()], 0
+        while parsers:
+            parser = parsers.pop()
+            assert parser.allow_abbrev is False, parser.prog
+            seen += 1
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    parsers += action.choices.values()
+        assert seen == 19  # the root, 5 command groups and 13 commands
 
 
 def test_cli_import_leaves_lp_solver_unloaded():

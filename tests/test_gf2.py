@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from usnc.gf2 import (BitString, CosetId, LinearCode, _pack_u64,
+from usnc.gf2 import (BitString, CosetId, LinearCode, _pack_u64, all_bits,
                       even_weight_code, gf2_rank, gf2_solution_space,
                       hamming_7_4, hamming_distance, load_code,
                       random_linear_code, repetition_code, save_code, xor)
@@ -137,6 +137,16 @@ class TestLinearCode:
         expect = [code.encode(BitString.from_int(u, code.k)).to_int()
                   for u in range(1 << code.k)]
         assert code.codeword_ints().tolist() == expect
+
+    @pytest.mark.parametrize("k,r", [(4, 3), (5, 0), (8, 8), (9, 40),
+                                     (16, 48)])
+    def test_codeword_ints_equal_generator_matmul(self, k, r):
+        # the byte-table encoding against all_bits(k) @ G; k = n has no
+        # check words, k = 9 spans two message bytes
+        code = LinearCode(np.random.default_rng(k).integers(0, 2, (k, r)))
+        matmul = _pack_u64((all_bits(k) @ code.gen) & 1)[:, 0]
+        assert code.codeword_ints().dtype == np.uint64
+        assert np.array_equal(code.codeword_ints(), matmul)
 
     def test_encode_length_check(self, hamming):
         with pytest.raises(ValueError):

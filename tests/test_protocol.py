@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from usnc import cli
 from usnc.bounds import completeness_bound
 from usnc.channel import bsc_transmit, typical_window, typicality_tail_exact
 from usnc.gf2 import (BitString, CosetId, LinearCode, even_weight_code,
@@ -319,6 +320,30 @@ class TestBatchEngine:
                            for t in transcripts])
         assert np.array_equal(bob_verify_batch(batch, cfg), scalar)
         assert scalar.any() and not scalar.all()
+
+    @pytest.mark.parametrize("name", sorted(BATCH_CONFIGS))
+    def test_replay_verdicts_equal_scalar(self, name, monkeypatch, tmp_path,
+                                          capsys):
+        # commit replay decides through a one-row batch; the code comes
+        # from the configuration, as the random codes have no CLI spec
+        cfg = BATCH_CONFIGS[name]()
+        monkeypatch.setattr(cli, "_code_from_spec", lambda spec: cfg.code)
+        rng = np.random.default_rng(48)
+        honest = run_honest_batch(cfg, master_seed=49, block=0, size=3)
+        path = tmp_path / "t.json"
+        flags = set()
+        for i in range(len(honest)):
+            for t in _tampered(honest.transcript(i, cfg), cfg, rng):
+                path.write_text(transcript_to_json(t))
+                assert cli.main(["commit", "replay", "--transcript",
+                                 str(path), "--code", name, "--hash-m",
+                                 str(cfg.hash_m), "--p", repr(cfg.p),
+                                 "--eps", repr(cfg.eps)]) == 0
+                flag = bob_verify(t, t.opening.m, t.opening.x, cfg)
+                assert capsys.readouterr().out == "flag: %s\nm_hat: %s\n" \
+                    % (flag, t.opening.m.to01())
+                flags.add(flag)
+        assert flags == {ACC, REJ}
 
     @pytest.mark.parametrize("name", sorted(BATCH_CONFIGS))
     def test_honest_runs_fail_only_on_noise_weight(self, name):
