@@ -22,7 +22,7 @@ from .channel import UsncParams, bsc_transmit, typical_membership, \
 from .entropy import (ClassicalDistribution, JointDistribution,
                       cond_min_entropy, gtd, min_entropy,
                       smooth_cond_min_entropy, smooth_min_entropy)
-from .gf2 import BitString, CosetId, LinearCode, hamming_distance, \
+from .gf2 import BitString, LinearCode, hamming_distance, \
     random_linear_code, xor
 from .hashing import HashSeed, hash_codeword, preimage_sample, sample_seed
 from .protocol import ACC, REJ, CommitConfig, bob_verify, run_honest
@@ -35,7 +35,6 @@ __all__ = [
     "BitString",
     "ClassicalDistribution",
     "CommitConfig",
-    "CosetId",
     "HashSeed",
     "JointDistribution",
     "LinearCode",

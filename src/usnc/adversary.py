@@ -25,8 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import (AliceChannel, BobChannel, hamming_distances,
-                      typical_window)
+from .channel import AliceChannel, BobChannel, typical_window_mask
 from .entropy import gtd
 from .gf2 import BitString, _pack_u64
 # hash_codeword is not called here; benchmarks/tracing.py wraps it by name
@@ -46,6 +45,10 @@ __all__ = [
     "hiding_advantage",
     "less_noisy_bob",
 ]
+
+# Most Monte Carlo binding trials: their atom picks are drawn at once, 8
+# bytes each, so 10^7 trials hold 80 MB of picks.
+_MC_TRIALS_CAP = 10 ** 7
 
 ATOM_DTYPE = np.dtype([(name, np.float64 if name == "prob" else np.int64)
                        for name in ("prob", "seed", "label", "mbar", "coset",
@@ -99,7 +102,8 @@ def binding_success(strategy: AliceStrategy, cfg: CommitConfig,
     """Probability that both reveals get accepted with distinct messages.
 
     Exact mode enumerates all 2^n channel outputs per group of atoms
-    (n <= 16); Monte Carlo mode samples transcripts and runs the verifier.
+    (n <= 16); Monte Carlo mode samples transcripts and runs the verifier,
+    and refuses more than 10^7 trials before it draws anything.
     """
     _check_table(strategy, cfg)
     _require_certifiable(strategy.channel, for_bound_comparison)
@@ -110,6 +114,9 @@ def binding_success(strategy: AliceStrategy, cfg: CommitConfig,
             raise ValueError("Monte Carlo mode needs an rng")
         if trials < 1:
             raise ValueError("need trials >= 1")
+        if trials > _MC_TRIALS_CAP:
+            raise ValueError("%d Monte Carlo trials are above the cap of "
+                             "10^7" % trials)
         return _binding_mc(strategy, cfg, trials, rng)
     raise ValueError("mode must be 'exact' or 'mc'")
 
@@ -170,12 +177,11 @@ def _binding_exact(strategy: AliceStrategy, cfg: CommitConfig) -> float:
     groups = keys[:, start].T
     laws = {label: strategy.channel.law(strategy.channel.labels[label]).mass
             for label in set(groups[:, 0].tolist())}
-    w_lo, w_hi = typical_window(n, cfg.p, cfg.eps)
     group_mass = np.empty(len(groups))
     for g, (label, coset, x0, x1) in enumerate(groups.tolist()):
         rep = coset << k  # the coset representative as an int
-        d = hamming_distances(n, [x0 ^ rep, x1 ^ rep])
-        both = ((d >= w_lo) & (d <= w_hi)).all(axis=0)  # both windows
+        both = typical_window_mask(n, [x0 ^ rep, x1 ^ rep], cfg.p,
+                                   cfg.eps).all(axis=0)
         group_mass[g] = laws[label][both].sum()
     weight = np.bincount(group, weights=a.prob[valid], minlength=len(groups))
     return float(weight @ group_mass)
@@ -187,7 +193,7 @@ def _binding_mc(strategy: AliceStrategy, cfg: CommitConfig, trials: int,
     picks = rng.choice(len(a), size=trials, p=a.prob / a.prob.sum())
     k, n, hm = cfg.code.k, cfg.n, cfg.hash_m
     wins = 0
-    for start in range(0, trials, BLOCK):  # bounded memory at any trials
+    for start in range(0, trials, BLOCK):  # picks are capped, batches BLOCK
         t = a[picks[start: start + BLOCK]]
         z = np.stack([channel.sample(channel.labels[label], rng).bits
                       for label in t.label])
@@ -257,7 +263,7 @@ def honest_alice_strategy(cfg: CommitConfig, m: BitString,
     atoms.prob = 1.0 / n_atoms
     atoms.seed = atoms.label = np.arange(n_atoms)
     atoms.mbar = [wire.mbar.to_int() for _, wire, _ in draws]
-    atoms.coset = [wire.coset.syndrome.to_int() for _, wire, _ in draws]
+    atoms.coset = [wire.coset.to_int() for _, wire, _ in draws]
     atoms.x0 = atoms.x1 = [opening.x.to_int() for opening, _, _ in draws]
     atoms.m0 = atoms.m1 = m.to_int()
     return AliceStrategy(

@@ -232,9 +232,6 @@ class AsymptoticParams:
     log_m: float
     feasible: bool
 
-    def hiding_exponent(self, n: int, xi_b: float) -> float:
-        return self.log_m + n - self.log_c - n * xi_b
-
 
 def asymptotic_protocol_params(p: float, xi_a: float, xi_b: float,
                                eps_prime: float, n: int) -> AsymptoticParams:

@@ -98,15 +98,12 @@ def typical_window(n: int, p: float, eps: float) -> tuple[int, int]:
             min(n, math.floor(n * (pf + ef))))
 
 
-def typical_window_mask(center: BitString, p: float, eps: float) -> np.ndarray:
-    """``typical_membership(center, z, p, eps)`` for every n-bit string z.
-
-    Entry z (integer order, bit i of z is coordinate i) is True iff
-    HD(center, z) lies in ``typical_window(n, p, eps)``.
-    """
-    n = len(center)
+def typical_window_mask(n: int, centers, p: float, eps: float) -> np.ndarray:
+    """Whether HD(c, z) lies in ``typical_window(n, p, eps)``, laid out as
+    ``hamming_distances(n, centers)``: int centres c of any shape, then
+    every n-bit string z in integer order along a new last axis."""
     w_lo, w_hi = typical_window(n, p, eps)
-    d = hamming_distances(n, center.to_int())
+    d = hamming_distances(n, centers)
     return (d >= w_lo) & (d <= w_hi)
 
 
@@ -209,17 +206,6 @@ class AliceChannel:
     def check_labels(self):
         """Labels the entropy check must cover (one suffices under symmetry)."""
         return self.labels[:1] if self.symmetric else self.labels
-
-    @classmethod
-    def from_table(cls, n: int, table: dict) -> "AliceChannel":
-        laws = dict(table)
-
-        def sample(label, rng):
-            mass = laws[label].mass
-            idx = rng.choice(mass.size, p=mass / mass.sum())
-            return BitString.from_int(int(idx), n)
-
-        return cls(n, laws.keys(), laws.__getitem__, sample)
 
     @classmethod
     def bsc(cls, n: int, centers, spread: float) -> "AliceChannel":

@@ -23,6 +23,8 @@ from .gf2 import (BitString, LinearCode, even_weight_code, hamming_7_4,
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+# Most rounds ``nqs simulate`` draws and prints (one CSV line each).
+_NQS_ROUNDS_CAP = 1 << 20
 
 
 class UsageError(Exception):
@@ -370,6 +372,8 @@ def _cmd_oracle_clipped(args, config) -> int:
 
 def _cmd_nqs_simulate(args, config) -> int:
     n = _resolve(args, config, "n", int, required=True)
+    if not 1 <= n <= _NQS_ROUNDS_CAP:
+        raise UsageError("need 1 <= n <= 2^20 rounds, got %d" % n)
     seed = _resolve(args, config, "seed", int, required=True)
     rng = np.random.default_rng([seed, 1])
     x = BitString.random(n, rng)

@@ -55,23 +55,9 @@ class ClassicalDistribution:
     def __init__(self, mass):
         self.mass = _checked_mass(mass, 1)
 
-    @classmethod
-    def uniform(cls, nbits: int) -> "ClassicalDistribution":
-        size = 1 << nbits
-        return cls(np.full(size, 1.0 / size))
-
-    @classmethod
-    def point_mass(cls, size: int, index: int) -> "ClassicalDistribution":
-        v = np.zeros(size)
-        v[index] = 1.0
-        return cls(v)
-
     @property
     def size(self) -> int:
         return self.mass.size
-
-    def total(self) -> float:
-        return float(self.mass.sum())
 
 
 class JointDistribution:
@@ -81,9 +67,6 @@ class JointDistribution:
 
     def __init__(self, mass):
         self.mass = _checked_mass(mass, 2)
-
-    def total(self) -> float:
-        return float(self.mass.sum())
 
 
 def _mass_of(obj) -> np.ndarray:

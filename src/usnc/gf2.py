@@ -7,13 +7,11 @@ constructors take an explicit ``numpy.random.Generator``.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "BitString",
-    "CosetId",
     "LinearCode",
     "hamming_distance",
     "xor",
@@ -227,25 +225,22 @@ def gf2_solution_space(mat: np.ndarray, rhs: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CosetId:
-    """Syndrome indexing one coset of a code; length n - k."""
-
-    syndrome: BitString
-
-    def __len__(self) -> int:
-        return len(self.syndrome)
-
-
 # Largest block of packed codewords ``min_distance_exact`` holds at once:
 # 2^16 uint64 words (512 KB). Larger blocks raise peak memory, not speed.
 _SPAN_BLOCK_WORDS = 1 << 16
 # Most packed codeword words an exact distance enumeration visits,
 # 2^k ceil(n/64): [64,24] and [4096,16] (2^22) are within it.
 _DISTANCE_WORDS_CAP = 1 << 24
-# Most bits of the P block ``random_linear_code`` draws: 4 MB as uint8
-# (its encoding tables are about four times that).
+# Most bits of the P block a named or random code allocates (4 MB as uint8).
 _P_BLOCK_BITS_CAP = 1 << 22
+# Random codes ``random_linear_code`` draws before giving up on a distance.
+_DISTANCE_RETRIES = 500
+
+
+def _check_p_block(n: int, k: int) -> None:
+    if k * (n - k) > _P_BLOCK_BITS_CAP:
+        raise ValueError("an [%d,%d] code has a P block of k(n-k) = %d bits, "
+                         "above the cap of 2^22" % (n, k, k * (n - k)))
 
 
 def _check_distance_words(n: int, k: int) -> None:
@@ -326,14 +321,6 @@ class LinearCode:
         g[:, self.k:] = self.p_block
         return g
 
-    @property
-    def par(self) -> np.ndarray:
-        r = self.n - self.k
-        h = np.zeros((r, self.n), dtype=np.uint8)
-        h[:, : self.k] = self.p_block.T
-        h[:, self.k:] = np.eye(r, dtype=np.uint8)
-        return h
-
     # -- operations ---------------------------------------------------------
 
     def encode(self, u: BitString) -> BitString:
@@ -397,41 +384,37 @@ class LinearCode:
                            out=table[:, 1 << i: 2 << i])
         return table
 
-    def message_coords(self, x: BitString) -> BitString:
-        if len(x) != self.n:
-            raise ValueError("length %d != n=%d" % (len(x), self.n))
-        return BitString._wrap(x.bits[: self.k].copy())
-
     def contains(self, x: BitString) -> bool:
         if len(x) != self.n:
             raise ValueError("length %d != n=%d" % (len(x), self.n))
         return bool(np.array_equal(self._check_words(x.bits[: self.k]),
                                    _pack_u64(x.bits[self.k:])))
 
-    def syndrome(self, x: BitString) -> CosetId:
-        """Syndrome H x; zero exactly on codewords."""
+    def syndrome(self, x: BitString) -> BitString:
+        """Syndrome H x, the n - k bits naming x's coset; zero exactly on
+        codewords."""
         if len(x) != self.n:
             raise ValueError("length %d != n=%d" % (len(x), self.n))
         r = self.n - self.k
         words = self._check_words(x.bits[: self.k]) ^ _pack_u64(x.bits[self.k:])
-        s = _unpack_u64(words, r)
-        return CosetId(BitString._wrap(s))
+        return BitString._wrap(_unpack_u64(words, r))
 
-    def coset_representative(self, cid: CosetId) -> BitString:
+    def coset_representative(self, syndrome: BitString) -> BitString:
         """Deterministic coset element: syndrome in the check positions.
 
         Zero syndrome maps to the all-zero string, so the code itself is its
         own representative's coset.
         """
-        if len(cid) != self.n - self.k:
+        if len(syndrome) != self.n - self.k:
             raise ValueError("syndrome length %d != n-k=%d"
-                             % (len(cid), self.n - self.k))
+                             % (len(syndrome), self.n - self.k))
         x = np.zeros(self.n, dtype=np.uint8)
-        x[self.k:] = cid.syndrome.bits
+        x[self.k:] = syndrome.bits
         return BitString._wrap(x)
 
-    def random_coset(self, rng: np.random.Generator) -> CosetId:
-        return CosetId(BitString.random(self.n - self.k, rng))
+    def random_coset(self, rng: np.random.Generator) -> BitString:
+        """Uniform syndrome, naming a uniform coset."""
+        return BitString.random(self.n - self.k, rng)
 
     def min_distance_exact(self) -> int:
         """Exact minimum distance, enumerating all 2^k - 1 nonzero codewords.
@@ -471,15 +454,14 @@ class LinearCode:
 
 
 def random_linear_code(n: int, k: int, target_d: int,
-                       rng: np.random.Generator,
-                       max_retries: int = 500) -> LinearCode:
+                       rng: np.random.Generator) -> LinearCode:
     """Random systematic [n, k] code with minimum distance >= target_d.
 
-    For k <= 24 the distance is verified exactly, retrying up to
-    ``max_retries`` times; beyond that the code is returned with an
-    unverified design distance and a warning. Existence for rates below the
-    Gilbert-Varshamov threshold k/n <= 1 - h(target_d/n) is guaranteed only
-    asymptotically, so small instances may legitimately exhaust the budget.
+    For k <= 24 the distance is verified exactly, drawing up to 500 codes;
+    beyond that the code is returned with an unverified design distance and
+    a warning. Existence for rates below the Gilbert-Varshamov threshold
+    k/n <= 1 - h(target_d/n) is guaranteed only asymptotically, so small
+    instances may legitimately exhaust the budget.
     A target above the Singleton bound n - k + 1 is refused up front: no
     such code exists. So are sizes beyond the desk caps, before anything is
     drawn: a P block of more than 2^22 bits, and for k <= 24 a distance
@@ -489,10 +471,7 @@ def random_linear_code(n: int, k: int, target_d: int,
         raise ValueError("need 1 <= k <= n")
     if not (1 <= target_d <= n - k + 1):
         raise ValueError("need 1 <= target_d <= n - k + 1 (Singleton bound)")
-    if k * (n - k) > _P_BLOCK_BITS_CAP:
-        raise ValueError("a random [%d,%d] code draws a P block of k(n-k) = "
-                         "%d bits, above the cap of 2^22"
-                         % (n, k, k * (n - k)))
+    _check_p_block(n, k)
     if k > 24:
         code = LinearCode(rng.integers(0, 2, size=(k, n - k), dtype=np.uint8),
                           d_claimed=target_d, d_verified=False)
@@ -501,7 +480,7 @@ def random_linear_code(n: int, k: int, target_d: int,
         return code
     _check_distance_words(n, k)
     best = -1
-    for _ in range(max_retries):
+    for _ in range(_DISTANCE_RETRIES):
         code = LinearCode(rng.integers(0, 2, size=(k, n - k), dtype=np.uint8))
         d = code.min_distance_exact()
         if d >= target_d:
@@ -510,7 +489,8 @@ def random_linear_code(n: int, k: int, target_d: int,
         best = max(best, d)
     raise RuntimeError(
         "no [%d,%d] code with distance >= %d found in %d tries "
-        "(best distance seen: %d)" % (n, k, target_d, max_retries, best))
+        "(best distance seen: %d)" % (n, k, target_d, _DISTANCE_RETRIES,
+                                       best))
 
 
 def hamming_7_4() -> LinearCode:
@@ -523,6 +503,7 @@ def even_weight_code(n: int) -> LinearCode:
     """The [n, n-1] even-weight (single parity) code, distance 2."""
     if n < 2:
         raise ValueError("need n >= 2")
+    _check_p_block(n, n - 1)
     return LinearCode(np.ones((n - 1, 1), dtype=np.uint8),
                       d_claimed=2, d_verified=True)
 
@@ -531,6 +512,7 @@ def repetition_code(n: int) -> LinearCode:
     """The [n, 1] repetition code, distance n."""
     if n < 1:
         raise ValueError("need n >= 1")
+    _check_p_block(n, 1)
     return LinearCode(np.ones((1, n - 1), dtype=np.uint8),
                       d_claimed=n, d_verified=True)
 

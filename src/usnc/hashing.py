@@ -26,7 +26,6 @@ __all__ = [
     "hash_codeword",
     "preimage_sample",
     "digest_table",
-    "verify_balanced",
     "exact_collision_probability",
     "enumerate_full_rank_seeds",
     "count_full_rank",
@@ -124,29 +123,6 @@ def digest_table(seeds: np.ndarray) -> np.ndarray:
     The matrices may be rank deficient.
     """
     return _digests(seeds, all_bits(seeds.shape[-1]))
-
-
-def verify_balanced(seed, code: LinearCode) -> dict:
-    """Exhaustively check that all 2^m digests have 2^(k-m) preimages.
-
-    Accepts a HashSeed or a raw 0/1 matrix (so deliberately rank-deficient
-    matrices, which HashSeed refuses, can be shown unbalanced).
-    """
-    matrix = seed.matrix if isinstance(seed, HashSeed) else \
-        np.asarray(seed, dtype=np.uint8) & 1
-    k, m = code.k, matrix.shape[0]
-    if k > 20:
-        raise ValueError("balance check enumerates 2^k codewords; k <= 20 only")
-    if matrix.shape[1] != k:
-        raise ValueError("matrix width %d != code dimension %d"
-                         % (matrix.shape[1], k))
-    counts = np.bincount(digest_table(matrix), minlength=1 << m)
-    expected = 1 << (k - m)
-    return {
-        "balanced": bool(np.all(counts == expected)),
-        "counts": counts,
-        "expected": expected,
-    }
 
 
 def exact_collision_probability(k: int, m: int) -> float:

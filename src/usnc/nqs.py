@@ -155,14 +155,12 @@ def povm_verify(tol: float = 1e-12) -> PovmReport:
                       max_eigenvalue_err=max_err, passed=passed)
 
 
-def azuma_min_entropy(h_floor: float, n: int, lam: float, alphabet_size: int,
-                      log_base: float = 2.0):
+def azuma_min_entropy(h_floor: float, n: int, lam: float, alphabet_size: int):
     """Sequence-level smooth min-entropy floor from per-round Shannon floors.
 
     Returns (bound, eps) with bound = (h_floor - 2 lam) n, clamped at zero
     with a warning when the penalty swallows the floor, and
-    eps = exp(-lam^2 n / (32 log(alphabet/lam)^2)). The log inside eps is
-    base-2 by default; pass log_base=math.e for the natural-log reading.
+    eps = exp(-lam^2 n / (32 log2(alphabet/lam)^2)).
     """
     if not 0.0 < lam < 0.5:
         raise ValueError("need 0 < lam < 1/2")
@@ -173,13 +171,12 @@ def azuma_min_entropy(h_floor: float, n: int, lam: float, alphabet_size: int,
         warnings.warn("penalty 2*lam exceeds the per-round floor; "
                       "clamping the bound to 0")
         bound = 0.0
-    log_term = math.log(alphabet_size / lam, log_base)
+    log_term = math.log2(alphabet_size / lam)
     eps = math.exp(-lam * lam * n / (32.0 * log_term * log_term))
     return bound, eps
 
 
-def nqs_channel_params(params: NqsParams,
-                       log_base: float = 2.0) -> UsncParams:
+def nqs_channel_params(params: NqsParams) -> UsncParams:
     """Entropic channel parameters achieved by the storage-based construction.
 
     l_a = (h(sin^2 pi/8) - 2 lam_a) n with
@@ -190,10 +187,9 @@ def nqs_channel_params(params: NqsParams,
     """
     n = params.n
     h_round = binary_entropy(SIN2_PI_8)
-    l_a, eps_a = azuma_min_entropy(h_round, n, params.lambda_a, 2,
-                                   log_base=log_base)
+    l_a, eps_a = azuma_min_entropy(h_round, n, params.lambda_a, 2)
     lam_b = params.lambda_b
-    log_term = math.log(4.0 / lam_b, log_base) + 2.0
+    log_term = math.log2(4.0 / lam_b) + 2.0
     eps_b = 2.0 * math.exp(-(lam_b / 4.0) ** 2 * n
                            / (32.0 * log_term * log_term))
     l_b = -params.p_succ_log2((0.5 - lam_b) * n)

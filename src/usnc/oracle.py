@@ -45,8 +45,8 @@ def typical_intersection_exact(n: int, p: float, eps: float, x: BitString,
         raise ValueError("exact intersection enumeration needs n <= 20")
     if len(x) != n or len(y) != n:
         raise ValueError("length mismatch")
-    return int(np.count_nonzero(typical_window_mask(x, p, eps)
-                                & typical_window_mask(y, p, eps)))
+    both = typical_window_mask(n, [x.to_int(), y.to_int()], p, eps)
+    return int(np.count_nonzero(both.all(axis=0)))
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,7 @@ def clipped_bsc_construction(n: int, p: float, eps: float,
     tail = typicality_tail_exact(n, p, eps)  # then the ranges of p and eps
     zero = BitString.zeros(n)
     full = bsc_law_dense(n, zero, p).mass
-    clipped = np.where(typical_window_mask(zero, p, eps), full, 0.0)
+    clipped = np.where(typical_window_mask(n, 0, p, eps), full, 0.0)
     gtd_actual = gtd(ClassicalDistribution(full), ClassicalDistribution(clipped))
     h_in = min_entropy(ClassicalDistribution(clipped))
     c = np.log2((1.0 - p) / p)

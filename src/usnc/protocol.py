@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import bsc_transmit, typical_membership, typical_window
-from .gf2 import BitString, CosetId, LinearCode, _pack_u64, _unpack_u64
+from .gf2 import BitString, LinearCode, _pack_u64, _unpack_u64
 from .hashing import HashSeed, hash_codeword, preimage_sample, sample_seed
 
 __all__ = [
@@ -92,7 +92,7 @@ class CommitWire:
 
     seed: HashSeed
     mbar: BitString
-    coset: CosetId
+    coset: BitString  # syndrome of C'
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ class CommitmentTranscript:
 
     seed: HashSeed
     mbar: BitString
-    coset: CosetId
+    coset: BitString  # syndrome of C'
     z: BitString
     opening: Opening | None = None
 
@@ -261,7 +261,7 @@ class TranscriptBatch:
 
         return cls(seed=_pack_u64(stack(lambda t: t.seed.matrix)),
                    mbar=_pack_u64(stack(lambda t: t.mbar.bits)),
-                   coset=_pack_u64(stack(lambda t: t.coset.syndrome.bits)),
+                   coset=_pack_u64(stack(lambda t: t.coset.bits)),
                    z=_pack_split(stack(lambda t: t.z.bits), k),
                    m=_pack_u64(stack(lambda t: t.opening.m.bits)),
                    x=_pack_split(stack(lambda t: t.opening.x.bits), k))
@@ -272,7 +272,7 @@ class TranscriptBatch:
         return CommitmentTranscript(
             seed=HashSeed(_unpack_u64(self.seed[i], k)),
             mbar=BitString(_unpack_u64(self.mbar[i], hm)),
-            coset=CosetId(BitString(_unpack_u64(self.coset[i], n - k))),
+            coset=BitString(_unpack_u64(self.coset[i], n - k)),
             z=BitString(_unpack_split(self.z[i], k, n)),
             opening=Opening(m=BitString(_unpack_u64(self.m[i], hm)),
                             x=BitString(_unpack_split(self.x[i], k, n))))
@@ -482,13 +482,12 @@ def estimate_completeness(cfg: CommitConfig, trials: int,
                                 wilson_high=high, trials=trials)
 
 
-def _completeness_counts(cfg: CommitConfig, trials: int, master_seed: int,
-                         first_block: int = 0) -> int:
-    """Rejects over ``trials`` honest runs in blocks ``first_block``,
-    ``first_block + 1``, ..."""
+def _completeness_counts(cfg: CommitConfig, trials: int,
+                         master_seed: int) -> int:
+    """Rejects over ``trials`` honest runs in blocks 0, 1, ..."""
     rejects = 0
-    for i, start in enumerate(range(0, trials, BLOCK)):
-        batch = run_honest_batch(cfg, master_seed, first_block + i,
+    for block, start in enumerate(range(0, trials, BLOCK)):
+        batch = run_honest_batch(cfg, master_seed, block,
                                  min(BLOCK, trials - start))
         rejects += int((~bob_verify_batch(batch, cfg)).sum())
     return rejects
@@ -530,7 +529,7 @@ def transcript_to_json(t: CommitmentTranscript) -> str:
         "seed": {"m": t.seed.m, "k": t.seed.k,
                  "hex": np.packbits(t.seed.matrix.ravel()).tobytes().hex()},
         "mbar": _bits_to_hex(t.mbar),
-        "coset": _bits_to_hex(t.coset.syndrome),
+        "coset": _bits_to_hex(t.coset),
         "z": _bits_to_hex(t.z),
         "opening": None if t.opening is None else {
             "m": _bits_to_hex(t.opening.m),
@@ -553,7 +552,7 @@ def transcript_from_json(text: str) -> CommitmentTranscript:
                              % (m, k))
         seed = HashSeed(raw[: m * k].reshape(m, k))
         mbar = _bits_from_hex(obj["mbar"])
-        coset = CosetId(_bits_from_hex(obj["coset"]))
+        coset = _bits_from_hex(obj["coset"])
         z = _bits_from_hex(obj["z"])
         opening = obj["opening"]
         if opening is not None:

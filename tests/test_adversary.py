@@ -14,8 +14,8 @@ from usnc.channel import (AliceChannel, BobChannel, UsncParams, bsc_law_dense,
                           check_c2, check_c3, hamming_distances,
                           typical_window, typical_window_mask)
 from usnc.entropy import ClassicalDistribution, cond_min_entropy, min_entropy
-from usnc.gf2 import (BitString, CosetId, LinearCode, _pack_u64,
-                      _unpack_ints, all_bits, even_weight_code, hamming_7_4)
+from usnc.gf2 import (BitString, LinearCode, _pack_u64, _unpack_ints,
+                      all_bits, even_weight_code, hamming_7_4)
 from usnc.hashing import (HashSeed, _digests, digest_table,
                           enumerate_full_rank_seeds,
                           exact_collision_probability, hash_codeword,
@@ -53,7 +53,7 @@ def _atom(strategy, cfg, i):
         return BitString.from_int(int(value), nbits)
 
     return (HashSeed(strategy.seeds[a.seed[i]]), bits(a.mbar[i], hm),
-            CosetId(bits(a.coset[i], n - cfg.code.k)),
+            bits(a.coset[i], n - cfg.code.k),
             (bits(a.x0[i], n), bits(a.m0[i], hm)),
             (bits(a.x1[i], n), bits(a.m1[i], hm)))
 
@@ -72,8 +72,9 @@ def binding_exact_reference(strategy, cfg):
                    == (m ^ mbar) for x, m in ((x0, m0), (x1, m1))):
             continue
         rep = code.coset_representative(coset)
-        mask = typical_window_mask(x0 ^ rep, cfg.p, cfg.eps) \
-            & typical_window_mask(x1 ^ rep, cfg.p, cfg.eps)
+        mask = typical_window_mask(cfg.n, (x0 ^ rep).to_int(), cfg.p,
+                                   cfg.eps) \
+            & typical_window_mask(cfg.n, (x1 ^ rep).to_int(), cfg.p, cfg.eps)
         law = strategy.channel.law(strategy.channel.labels[a.label[i]])
         total += a.prob[i] * float(law.mass[mask].sum())
     return total
@@ -102,7 +103,8 @@ def binding_grouped_reference(strategy, cfg):
     n, code, a = cfg.n, cfg.code, strategy.atoms
     xs, which = np.unique(np.concatenate([a.x0, a.x1]), return_inverse=True)
     xbits = _unpack_ints(xs, n)
-    member = ~((xbits @ code.par.T) & 1).any(axis=1)
+    member = ~((xbits[:, :code.k] @ code.p_block + xbits[:, code.k:]) & 1) \
+        .any(axis=1)
     digest = _digests(strategy.seeds[np.concatenate([a.seed, a.seed])],
                       xbits[which, None, :code.k])[:, 0]
     ok = member[which] & (digest == np.concatenate([a.m0 ^ a.mbar,
@@ -225,6 +227,22 @@ class TestBindingSuccess:
         assert mc == pytest.approx(exact, abs=3.5 * se)
 
 
+    @pytest.mark.filterwarnings("ignore:channel not certified")
+    def test_monte_carlo_trials_refused_above_cap_before_drawing(self,
+                                                                 cfg74):
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError("a random draw was reached")
+
+        strategy = midpoint_attack(cfg74, BitString.zeros(7),
+                                   codeword(cfg74.code, 15), 0.5)
+        for trials in (10 ** 7 + 1, 10 ** 12):
+            with pytest.raises(ValueError, match=r"^%d Monte Carlo trials "
+                               r"are above the cap of 10\^7$" % trials):
+                binding_success(strategy, cfg74, mode="mc", trials=trials,
+                                rng=NoDraws())
+
+
 def codeword(code, value):
     return code.encode(BitString.from_int(value, code.k))
 
@@ -239,10 +257,16 @@ def random_systematic_code(k, r, seed):
 def hand_built_strategy(cfg, rows, seeds, laws):
     """Strategy over explicit rows (prob, seed, label, mbar, coset, x0, m0,
     x1, m1), strings as BitStrings and seeds as indices into the (S, m, k)
-    stack ``seeds``."""
-    channel = AliceChannel.from_table(
-        cfg.n, {label: ClassicalDistribution(mass)
-                for label, mass in enumerate(laws)})
+    stack ``seeds``; label i outputs z with probability ``laws[i][z]``."""
+    dists = [ClassicalDistribution(mass) for mass in laws]
+
+    def sample(label, rng):
+        mass = dists[label].mass
+        return BitString.from_int(
+            int(rng.choice(mass.size, p=mass / mass.sum())), cfg.n)
+
+    channel = AliceChannel(cfg.n, range(len(dists)), dists.__getitem__,
+                           sample)
     records = [tuple(v.to_int() if isinstance(v, BitString) else v
                      for v in row) for row in rows]
     return AliceStrategy(seeds=seeds,
@@ -566,9 +590,8 @@ def view_joint_reference(strategy, cfg, m, view_law):
     view = strategy.view_channel
     seeds = enumerate_full_rank_seeds(code.k, cfg.hash_m)
     codewords = [BitString(row @ code.gen & 1) for row in all_bits(code.k)]
-    reps = [code.coset_representative(
-        CosetId(BitString.from_int(ci, code.n - code.k)))
-        for ci in range(n_cosets)]
+    reps = [code.coset_representative(BitString.from_int(ci, code.n - code.k))
+            for ci in range(n_cosets)]
     out = np.zeros((len(seeds), 1 << cfg.hash_m, n_cosets, view.view_size))
     law_cache = {}
     for si, seed in enumerate(seeds):

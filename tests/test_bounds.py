@@ -251,9 +251,12 @@ class TestAsymptoticParams:
             for xi_a in np.linspace(2 * p, hp, 6):
                 for xi_b in (0.3 * hp, 0.7 * hp, hp):
                     for eps_prime in (1e-3, 1e-2):
+                        n = 10 ** 6
                         params = asymptotic_protocol_params(
-                            p, float(xi_a), float(xi_b), eps_prime, 10 ** 6)
-                        assert params.hiding_exponent(10 ** 6, float(xi_b)) < 0
+                            p, float(xi_a), float(xi_b), eps_prime, n)
+                        # log|M| + n - log|C| - n xi_b
+                        assert params.log_m + n - params.log_c \
+                            - n * float(xi_b) < 0
 
     def test_binding_exponent_negative(self):
         # with sigma = inverse(xi_a) + eps', the sender exponent is

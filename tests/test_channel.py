@@ -105,10 +105,21 @@ class TestTypicalMembership:
             center = BitString.random(n, rng)
             for p in (0.02, 0.1, 0.25, 0.3):
                 for eps in (0.05, 0.1, 0.18, 0.2):
-                    mask = typical_window_mask(center, p, eps)
+                    mask = typical_window_mask(n, center.to_int(), p, eps)
                     assert mask.tolist() == [
                         typical_membership(center, z, p, eps)
                         for z in strings], (n, p, eps)
+
+    def test_window_mask_takes_centres_of_any_shape(self):
+        # a (2, 3) array of centres gives one mask per centre along a new
+        # last axis, as hamming_distances lays out its distances
+        n, p, eps = 6, 0.25, 0.1
+        centers = np.random.default_rng(6).integers(0, 1 << n, size=(2, 3))
+        masks = typical_window_mask(n, centers, p, eps)
+        assert masks.shape == (2, 3, 1 << n) and masks.dtype == bool
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(masks[idx], typical_window_mask(
+                n, int(centers[idx]), p, eps))
 
 
 class TestTypicalWindow:
@@ -196,19 +207,25 @@ def _params(n, l_a=0.0, eps_a=0.0, l_b=0.0, eps_b=0.0, p=0.25):
     return UsncParams(n=n, p=p, eps_a=eps_a, l_a=l_a, eps_b=eps_b, l_b=l_b)
 
 
+def table_channel(n, laws):
+    """Sender channel with an explicit output mass vector per label; the
+    entropy checks read its laws only, so it has no sampler."""
+    dists = {label: ClassicalDistribution(mass)
+             for label, mass in laws.items()}
+    return AliceChannel(n, dists, dists.__getitem__, None)
+
+
 class TestCheckC2:
     def test_uniform_output_passes_maximal_floor(self):
         n = 6
-        uniform = ClassicalDistribution.uniform(n)
-        ch = AliceChannel.from_table(n, {"u": uniform})
+        ch = table_channel(n, {"u": np.full(1 << n, 2.0 ** -n)})
         report = check_c2(ch, _params(n, l_a=float(n)))
         assert report.passed and ch.certified
 
     def test_deterministic_output_fails(self):
         # a point mass smoothed by eps still has entropy only -log2(1 - eps)
         n = 5
-        point = ClassicalDistribution.point_mass(1 << n, 3)
-        ch = AliceChannel.from_table(n, {"d": point})
+        ch = table_channel(n, {"d": np.eye(1 << n)[3]})
         report = check_c2(ch, _params(n, l_a=0.5, eps_a=0.01))
         assert not report.passed and not ch.certified
         assert report.witness == "d"

@@ -24,6 +24,17 @@ def run_cli(capsys, *args):
     return code, out
 
 
+class NoDraws:
+    """Stands in for a generator; any draw fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError("a random draw was reached")
+
+
+def _no_allocation(*args, **kwargs):
+    raise AssertionError("an oversized array was allocated")
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
     lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
@@ -280,10 +291,6 @@ class TestCommit:
         ("100000", "2", "2^20")])  # 1.56M words per field of a block
     def test_complete_oversized_is_refused_before_allocating(
             self, capsys, monkeypatch, n, k, cap):
-        class NoDraws:
-            def __getattr__(self, name):
-                raise AssertionError("a random draw was reached")
-
         def fail(*args):
             raise AssertionError("an oversized allocation was reached")
 
@@ -585,6 +592,47 @@ class TestNqsCommands:
         code, out = run_cli(capsys, "nqs", "povm-verify")
         assert code == 0
         assert "measurement operator pair: PASS" in out
+
+
+class TestOversizedInputs:
+    """Sizes whose arrays would not fit in memory exit 2 with one error
+    line, refused before anything is drawn or allocated."""
+
+    def assert_refused(self, capsys, argv, err, out=""):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == out
+        assert captured.err == "error: %s\n" % err
+
+    @pytest.mark.parametrize("spec, k", [("even:3000000000", 2999999999),
+                                         ("rep:3000000000", 1)])
+    def test_named_code_p_block(self, capsys, monkeypatch, spec, k):
+        monkeypatch.setattr(np, "ones", _no_allocation)
+        self.assert_refused(
+            capsys, ["oracle", "lhl", "--code", spec],
+            "an [3000000000,%d] code has a P block of k(n-k) = 2999999999 "
+            "bits, above the cap of 2^22" % k)
+
+    @pytest.mark.parametrize("n", ["3000000000", "1048577", "0"])
+    def test_nqs_simulate_rounds(self, capsys, monkeypatch, n):
+        monkeypatch.setattr(np.random, "default_rng", lambda *args: NoDraws())
+        self.assert_refused(capsys, ["nqs", "simulate", "--n", n, "--seed",
+                                     "1"],
+                            "need 1 <= n <= 2^20 rounds, got %s" % n)
+
+    def test_binding_monte_carlo_trials(self, capsys, monkeypatch, tmp_path):
+        desc = tmp_path / "binding.txt"
+        desc.write_text(
+            "kind = binding\nstrategy = midpoint\ncode = even:14\n"
+            "hash_m = 1\np = 0.25\neps = 0.05\nweight = 6\nspread = 0.5\n")
+        monkeypatch.setattr(np.random, "default_rng", lambda *args: NoDraws())
+        # the channel check runs before the trial count is read
+        self.assert_refused(
+            capsys, ["attack", "binding", "--strategy", str(desc), "--mode",
+                     "mc", "--seed", "3", "--trials", str(10 ** 12)],
+            "1000000000000 Monte Carlo trials are above the cap of 10^7",
+            out="channel check: pass: achieved 14, required 14\n")
 
 
 class TestConfigPrecedence:

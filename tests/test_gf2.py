@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from usnc.gf2 import (BitString, CosetId, LinearCode, _pack_u64, all_bits,
+from usnc.gf2 import (BitString, LinearCode, _pack_u64, all_bits,
                       even_weight_code, gf2_rank, gf2_solution_space,
                       hamming_7_4, hamming_distance, load_code,
                       random_linear_code, repetition_code, save_code, xor)
@@ -13,6 +13,12 @@ from usnc.gf2 import (BitString, CosetId, LinearCode, _pack_u64, all_bits,
 
 def bs(s):
     return BitString.from01(s)
+
+
+def parity_check(code):
+    """The parity-check matrix H = [P^T | I_{n-k}] of a systematic code."""
+    return np.hstack([code.p_block.T,
+                      np.eye(code.n - code.k, dtype=np.uint8)])
 
 
 def gray_min_distance(code):
@@ -115,7 +121,7 @@ def hamming():
 
 class TestLinearCode:
     def test_structure(self, hamming):
-        g, h = hamming.gen, hamming.par
+        g, h = hamming.gen, parity_check(hamming)
         assert gf2_rank(g) == 4 and gf2_rank(h) == 3
         assert not ((g @ h.T) % 2).any()
 
@@ -127,7 +133,7 @@ class TestLinearCode:
         for _ in range(20):
             u = BitString.random(4, rng)
             cw = hamming.encode(u)
-            assert not hamming.syndrome(cw).syndrome.bits.any()
+            assert not hamming.syndrome(cw).bits.any()
 
     @pytest.mark.parametrize("code", [hamming_7_4(), even_weight_code(7),
                                       repetition_code(5)],
@@ -159,34 +165,29 @@ class TestLinearCode:
             c = hamming.encode(BitString.random(4, rng))
             assert hamming.syndrome(x) == hamming.syndrome(x ^ c)
         e1 = BitString.from_int(1, 7)  # weight-1 at position 0
-        assert np.array_equal(hamming.syndrome(e1).syndrome.bits,
-                              hamming.par[:, 0])
+        assert np.array_equal(hamming.syndrome(e1).bits,
+                              parity_check(hamming)[:, 0])
 
     def test_coset_representative(self, hamming):
-        zero = CosetId(BitString.zeros(3))
+        zero = BitString.zeros(3)
         assert hamming.coset_representative(zero) == BitString.zeros(7)
         # right inverse of syndrome, exhaustively over all 8 cosets
         for v in range(8):
-            cid = CosetId(BitString.from_int(v, 3))
-            rep = hamming.coset_representative(cid)
-            assert hamming.syndrome(rep) == cid
-            assert np.array_equal(rep.bits[3:], np.zeros(0)) or True
+            syndrome = BitString.from_int(v, 3)
+            rep = hamming.coset_representative(syndrome)
+            assert hamming.syndrome(rep) == syndrome
+            assert not rep.bits[:4].any()  # zero message coordinates
         # distinct syndromes -> distinct cosets
-        r1 = hamming.coset_representative(CosetId(BitString.from_int(1, 3)))
-        r2 = hamming.coset_representative(CosetId(BitString.from_int(2, 3)))
+        r1 = hamming.coset_representative(BitString.from_int(1, 3))
+        r2 = hamming.coset_representative(BitString.from_int(2, 3))
         assert not hamming.contains(r1 ^ r2)
 
     def test_coset_right_inverse_larger(self):
         code = random_linear_code(12, 4, 2, np.random.default_rng(3))
         for v in range(1 << 8):
-            cid = CosetId(BitString.from_int(v, 8))
-            assert code.syndrome(code.coset_representative(cid)) == cid
-
-    def test_message_coords_roundtrip(self, hamming):
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            u = BitString.random(4, rng)
-            assert hamming.message_coords(hamming.encode(u)) == u
+            syndrome = BitString.from_int(v, 8)
+            assert code.syndrome(code.coset_representative(syndrome)) \
+                == syndrome
 
     def test_min_distance(self, hamming):
         assert hamming.min_distance_exact() == 3
@@ -305,8 +306,7 @@ class TestRandomLinearCode:
     def test_impossible_distance_errors(self):
         # no [7,4] code has distance 4
         with pytest.raises(RuntimeError, match="best distance"):
-            random_linear_code(7, 4, 4, np.random.default_rng(0),
-                               max_retries=60)
+            random_linear_code(7, 4, 4, np.random.default_rng(0))
 
     def test_singleton_violation_refused_before_search(self, monkeypatch):
         def fail(self):
@@ -332,6 +332,41 @@ class TestRandomLinearCode:
         code = random_linear_code(15, 5, 5, np.random.default_rng(11))
         for row in code.gen:
             assert code.contains(BitString(row))
+
+
+class TestPBlockCap:
+    """Named and random codes refuse a P block of more than 2^22 bits
+    before they allocate or draw it."""
+
+    @pytest.mark.parametrize("make, n, k", [
+        (even_weight_code, (1 << 22) + 2, (1 << 22) + 1),
+        (even_weight_code, 3 * 10 ** 9, 3 * 10 ** 9 - 1),
+        (repetition_code, (1 << 22) + 2, 1),
+        (repetition_code, 3 * 10 ** 9, 1)])
+    def test_named_code_refused_before_allocating(self, monkeypatch, make,
+                                                  n, k):
+        def fail(*args, **kwargs):
+            raise AssertionError("P block allocated")
+
+        monkeypatch.setattr(np, "ones", fail)
+        with pytest.raises(ValueError, match=r"^an \[%d,%d\] code has a P "
+                           r"block of k\(n-k\) = %d bits, above the cap of "
+                           r"2\^22$" % (n, k, n - 1)):
+            make(n)
+
+    def test_random_code_refused_before_drawing(self):
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError("a random draw was reached")
+
+        with pytest.raises(ValueError, match=r"^an \[300000,16\] code has a "
+                           r"P block of k\(n-k\) = 4799744 bits, above the "
+                           r"cap of 2\^22$"):
+            random_linear_code(300000, 16, 1, NoDraws())
+
+    def test_cap_itself_is_allowed(self):
+        code = repetition_code((1 << 22) + 1)
+        assert code.p_block.shape == (1, 1 << 22)
 
 
 class TestCodeFiles:

@@ -106,11 +106,6 @@ class TestAzuma:
             bound, _ = azuma_min_entropy(0.6, 100, 0.4, 2)
         assert bound == 0.0
 
-    def test_natural_log_switch(self):
-        _, eps2 = azuma_min_entropy(0.6, 1000, 0.1, 2, log_base=2.0)
-        _, epse = azuma_min_entropy(0.6, 1000, 0.1, 2, log_base=math.e)
-        assert epse != eps2  # the documented constant-factor ambiguity
-
     def test_domain(self):
         with pytest.raises(ValueError):
             azuma_min_entropy(0.6, 100, 0.6, 2)

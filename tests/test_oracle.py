@@ -262,11 +262,11 @@ class TestSmoothEntropyLp:
                                                           rel=1e-12)
 
     def test_point_mass(self):
-        p = ClassicalDistribution.point_mass(4, 0)
+        p = ClassicalDistribution([1.0, 0.0, 0.0, 0.0])
         assert smooth_entropy_lp(p, 0.5) == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform_closed_form(self):
-        p = ClassicalDistribution.uniform(4)
+        p = ClassicalDistribution(np.full(16, 1 / 16))
         want = 4 - math.log2(1 - 0.2)
         assert smooth_min_entropy(p, 0.2) == pytest.approx(want, rel=1e-12)
         assert smooth_entropy_lp(p, 0.2) == pytest.approx(want, rel=1e-12)
@@ -303,7 +303,7 @@ class TestSmoothEntropyLp:
         monkeypatch.setattr(scipy.optimize, "linprog",
                             lambda *args, **kwargs: Failed())
         with pytest.raises(RuntimeError, match="stub failure"):
-            smooth_entropy_lp(ClassicalDistribution.uniform(2), 0.1)
+            smooth_entropy_lp(ClassicalDistribution([0.25] * 4), 0.1)
 
     def test_radius_at_total_mass_refused(self):
         with pytest.raises(ValueError, match="unbounded"):
