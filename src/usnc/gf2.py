@@ -231,7 +231,8 @@ _SPAN_BLOCK_WORDS = 1 << 16
 # Most packed codeword words an exact distance enumeration visits,
 # 2^k ceil(n/64): [64,24] and [4096,16] (2^22) are within it.
 _DISTANCE_WORDS_CAP = 1 << 24
-# Most bits of the P block a named or random code allocates (4 MB as uint8).
+# Most bits of the P block a named or random code allocates (4 MB as uint8),
+# and of the kernel basis ``hashing.preimage_sample`` eliminates for.
 _P_BLOCK_BITS_CAP = 1 << 22
 # Random codes ``random_linear_code`` draws before giving up on a distance.
 _DISTANCE_RETRIES = 500

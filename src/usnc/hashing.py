@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import (BitString, LinearCode, _unpack_ints, all_bits, gf2_rank,
-                  gf2_solution_space)
+from .gf2 import (_P_BLOCK_BITS_CAP, BitString, LinearCode, _unpack_ints,
+                  all_bits, gf2_rank, gf2_solution_space)
 
 __all__ = [
     "HashSeed",
@@ -94,9 +94,16 @@ def preimage_sample(seed: HashSeed, code: LinearCode, m_val: BitString,
 
     Full rank makes every digest's preimage a nonempty coset of the kernel,
     so the sample is a particular solution plus a uniform kernel element.
+    The dense (k - m) x k kernel basis is refused above the P-block cap of
+    2^22 bits before any elimination.
     """
     if len(m_val) != seed.m:
         raise ValueError("digest length %d != m=%d" % (len(m_val), seed.m))
+    bits = (seed.k - seed.m) * seed.k
+    if bits > _P_BLOCK_BITS_CAP:
+        raise ValueError("a %d-bit message space has a kernel basis of "
+                         "(k-m)k = %d bits, above the cap of 2^22"
+                         % (seed.k, bits))
     u0, basis = gf2_solution_space(seed.matrix, m_val.bits)
     assert u0 is not None  # guaranteed by full rank
     if basis.shape[0]:

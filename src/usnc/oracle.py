@@ -141,18 +141,24 @@ def clipped_bsc_construction(n: int, p: float, eps: float,
                             cond_min_entropy=cond)
 
 
+# Most (z, x) pairs one row block of ``_clipped_cond_min_entropy`` holds:
+# 2^19 uint8 distances (512 KiB) and their compare masks stay in a 2 MiB L2.
+_CLIPPED_BLOCK_PAIRS = 1 << 19
+
+
 def _clipped_cond_min_entropy(n: int, p: float, lo: int, hi: int) -> float:
-    """Conditional min-entropy of the clipped joint, summed in output chunks.
+    """Conditional min-entropy of the clipped joint, in cache-sized row blocks.
 
     The joint is 2^-n Q(z|x) over all (x, z); per output z the guessing mass
-    max over x is found by enumerating every input, in chunks of 2^22 pairs
-    to bound memory. Each chunk materialises the Hamming distance of every
-    (z, x) pair in uint8: an n-bit string splits into a low byte and a high
-    part, each block's distances come from byte popcounts, and their sum is
-    the pair's distance. The mass depends on x only through that distance,
-    so ``_top_mass_per_row`` reads each output's maximum off which distances
-    its row contains. The chunks, the maxima and their summation order are
-    those of gathering the float64 mass of every pair, so the result is the
+    max over x is found by enumerating every input. Each block of outputs
+    materialises the Hamming distance of every (z, x) pair, at most
+    ``_CLIPPED_BLOCK_PAIRS`` of them, in uint8: an n-bit string splits into
+    a low byte and a high part, each part's distances come from byte
+    popcounts, and their sum is the pair's distance. The mass depends on x
+    only through that distance, so ``_top_mass_per_row`` reads each output's
+    maximum off which distances its row contains. The maxima are then summed
+    over the rows of 2^22 pairs at a time, the order of gathering the
+    float64 mass of every pair in 2^22-pair chunks, so the result is the
     same bit for bit.
     """
     w = np.arange(n + 1)
@@ -161,16 +167,20 @@ def _clipped_cond_min_entropy(n: int, p: float, lo: int, hi: int) -> float:
     x_low = np.arange(1 << low, dtype=np.uint8)
     x_high = np.arange(1 << (n - low), dtype=np.uint8)
     size = 1 << n
-    chunk = max(1, (1 << 22) // size)
-    total = 0.0
-    for start in range(0, size, chunk):
-        zc = np.arange(start, min(start + chunk, size))
+    best = np.zeros(size)
+    block = max(1, _CLIPPED_BLOCK_PAIRS // size)
+    for start in range(0, size, block):
+        zc = np.arange(start, min(start + block, size))
         d_low = np.bitwise_count((zc & 0xFF).astype(np.uint8)[:, None] ^ x_low)
         d_high = np.bitwise_count((zc >> low).astype(np.uint8)[:, None]
                                   ^ x_high)
         # x = high * 2^low + low, the order of a plain range over inputs
         dists = (d_high[:, :, None] + d_low[:, None, :]).reshape(len(zc), size)
-        total += float(_top_mass_per_row(dists, pmf_w).sum())
+        best[start:start + len(zc)] = _top_mass_per_row(dists, pmf_w)
+    chunk = max(1, (1 << 22) // size)
+    total = 0.0
+    for start in range(0, size, chunk):
+        total += float(best[start:start + chunk].sum())
     return -float(np.log2(total / size))
 
 
@@ -194,8 +204,11 @@ def _top_mass_per_row(dists: np.ndarray, pmf_w: np.ndarray) -> np.ndarray:
     return best
 
 
-# Most seeds ``lhl_check`` walks (one Python step, about 0.25 ms, each).
+# Most seeds ``lhl_check`` walks; all 2^18 take a few seconds in seed blocks.
 _LHL_MAX_SEEDS = 1 << 18
+# Most codeword-row floats one seed block of ``lhl_check`` covers: 2^k rows of
+# the view width per seed, 2^19 floats (4 MiB) in all.
+_LHL_BLOCK_FLOATS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -222,6 +235,14 @@ def lhl_check(code: LinearCode, hash_m: int, view_channel: BobChannel,
     min-entropy. seeds is None (every full-rank seed) or a sample size >= 1
     drawn with rng. Either way a family of more than 2^18 seeds is refused
     before any seed is built.
+
+    Seeds are walked in blocks of ``_LHL_BLOCK_FLOATS`` codeword-row floats.
+    Every seed is balanced, so a stable argsort of its digest row lists each
+    digest's 2^(k-m) codewords together in increasing order, and the
+    digest's law is their joint rows added one group position at a time:
+    the order in which ``np.add.at`` adds them. The per-seed distances are
+    then summed in seed order, so ``lhs`` is the same bit for bit as adding
+    one seed at a time.
     """
     k, n = code.k, code.n
     if n > 10 or k > 6:
@@ -248,12 +269,18 @@ def lhl_check(code: LinearCode, hash_m: int, view_channel: BobChannel,
     joint = laws / ncw
     h_min = cond_min_entropy(JointDistribution(joint))
     target = np.tile(marginal / (1 << hash_m), (1 << hash_m, 1))
-    dist_sum = 0.0
-    for seed in seeds:
-        per_digest = np.zeros(((1 << hash_m), laws.shape[1]))
-        np.add.at(per_digest, digest_table(seed), joint)
-        dist_sum += float(np.abs(per_digest - target).sum())
-    lhs = dist_sum / len(seeds)
+    dists = np.zeros(len(seeds))
+    block = max(1, _LHL_BLOCK_FLOATS // joint.size)
+    for start in range(0, len(seeds), block):
+        stack = seeds[start:start + block]
+        order = np.argsort(digest_table(stack), axis=1, kind="stable")
+        groups = order.reshape(len(stack), 1 << hash_m, -1)
+        per_digest = joint[groups[:, :, 0]]
+        for j in range(1, groups.shape[2]):
+            per_digest += joint[groups[:, :, j]]
+        dists[start:start + len(stack)] = np.abs(per_digest - target).reshape(
+            len(stack), -1).sum(axis=1)
+    lhs = float(np.cumsum(dists)[-1]) / len(seeds)  # cumsum adds in order
     rhs = 2.0 * 2.0 ** (0.5 * (hash_m - h_min))
     return LhlResult(lhs=lhs, rhs=rhs, h_min=h_min, n_seeds=len(seeds))
 

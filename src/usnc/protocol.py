@@ -196,6 +196,9 @@ def run_honest(m: BitString, cfg: CommitConfig,
 
 BLOCK = 1000  # trials per random stream; a block's arrays stay a few MB
 _BLOCK_WORDS_CAP = 1 << 20  # words of one n-bit field of a block: 8 MB
+# Most completeness trials: at about 3 * 10^4 trials a second, 10^8 run for
+# about 50 minutes.
+_COMPLETENESS_TRIALS_CAP = 10 ** 8
 _NOISE_CHUNK_BITS = 1 << 18  # BSC draws per chunk: 2 MB of uint64
 
 
@@ -472,10 +475,14 @@ def estimate_completeness(cfg: CommitConfig, trials: int,
     probability is message-independent (the noise weight test does not see
     the message, and the other two tests pass identically on honest runs),
     so the rate is pooled over all messages. The interval is a two-sided
-    99% Wilson interval on the pooled rate.
+    99% Wilson interval on the pooled rate. Fewer than 10^3 or more than
+    10^8 trials are refused before any draw.
     """
     if trials < 10 ** 3:
         raise ValueError("need trials >= 1000")
+    if trials > _COMPLETENESS_TRIALS_CAP:
+        raise ValueError("%d completeness trials are above the cap of 10^8"
+                         % trials)
     rejects = _completeness_counts(cfg, trials, master_seed)
     low, high = _wilson_99(rejects, trials)
     return CompletenessEstimate(reject_rate=rejects / trials, wilson_low=low,

@@ -310,6 +310,26 @@ class TestCommit:
         assert captured.err.count("\n") == 1
         assert "cap of " + cap in captured.err
 
+    @pytest.mark.parametrize("args, stub, err", [
+        (["run", "--code", "even:100000", "--message", "1"],
+         (usnc.hashing, "gf2_solution_space"),
+         "error: a 99999-bit message space has a kernel basis of (k-m)k = "
+         "9999700002 bits, above the cap of 2^22\n"),
+        (["complete", "--code", "hamming74",
+          "--trials", "99999999999999999999"],
+         (protocol, "_completeness_counts"),
+         "error: 99999999999999999999 completeness trials are above the "
+         "cap of 10^8\n")], ids=["kernel-basis", "trials"])
+    def test_oversized_scalar_inputs_refused_before_allocating(
+            self, capsys, monkeypatch, args, stub, err):
+        monkeypatch.setattr(*stub, _no_allocation)
+        code = main(["commit"] + args + ["--hash-m", "1", "--p", "0.1",
+                                         "--eps", "0.2", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == err
+
     def test_mismatched_n_rejected(self, capsys):
         code, _ = run_cli(capsys, "commit", "run", "--code", "hamming74",
                           "--n", "9", "--hash-m", "1", "--p", "0.25",

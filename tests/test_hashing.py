@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from usnc import hashing
 from usnc.gf2 import BitString, all_bits, even_weight_code, hamming_7_4
 from usnc.hashing import (HashSeed, count_full_rank, digest_table,
                           enumerate_full_rank_seeds,
@@ -144,6 +145,27 @@ class TestPreimage:
             c = preimage_sample(s, code, target, rng)
             assert code.contains(c)
             assert hash_codeword(s, code, c) == target
+
+    @pytest.mark.parametrize("k, refused", [(2048, False), (2049, True)])
+    def test_kernel_basis_above_cap_refused_before_elimination(
+            self, monkeypatch, k, refused):
+        # with m = 1 the (k-1) x k basis crosses 2^22 bits between k = 2048
+        # and k = 2049
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(hashing, "gf2_solution_space", reached)
+        seed = HashSeed(np.ones((1, k), dtype=np.uint8))
+        code = even_weight_code(k + 1)
+        with pytest.raises(ValueError if refused else Reached) as exc:
+            preimage_sample(seed, code, BitString.from01("1"), None)
+        if refused:
+            assert str(exc.value) == (
+                "a 2049-bit message space has a kernel basis of (k-m)k = "
+                "4196352 bits, above the cap of 2^22")
 
     def test_uniform_on_preimage_chi_square(self, hamming):
         # enumerate the exact preimage set, then test 1e5 draws against it

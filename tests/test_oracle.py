@@ -134,6 +134,22 @@ class TestClippedRankGather:
         got = oracle._clipped_cond_min_entropy(n, p, lo, hi)
         assert got == float_gather_cond_min_entropy(n, p, lo, hi)
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("n", [9, 13])
+    def test_row_blocks_neither_drop_nor_repeat_rows(self, monkeypatch, n,
+                                                     rows):
+        # 3 rows leave a short last block; 1 row makes every row its own
+        monkeypatch.setattr(oracle, "_CLIPPED_BLOCK_PAIRS", rows << n)
+        lo, hi = typical_window(n, 0.1, 0.1)
+        got = oracle._clipped_cond_min_entropy(n, 0.1, lo, hi)
+        assert got == float_gather_cond_min_entropy(n, 0.1, lo, hi)
+
+    def test_bit_identical_to_float_gather_at_sixteen_bits(self):
+        # the float gather's value, recorded: at n = 16 it takes about 30 s
+        lo, hi = typical_window(16, 0.1, 0.1)
+        got = oracle._clipped_cond_min_entropy(16, 0.1, lo, hi)
+        assert got == 2.4320494951208156
+
     # n = 6, window 1..3 of p = 0.1: distance 1 has the top mass
     PMF = np.where((np.arange(7) >= 1) & (np.arange(7) <= 3),
                    0.1 ** np.arange(7) * 0.9 ** (6 - np.arange(7)), 0.0)
@@ -192,6 +208,32 @@ class TestLhlCheck:
             seeds = [sample_seed(code.k, hash_m, rng).matrix
                      for _ in range(sampled)]
         lhs, h_min = lhl_loop_reference(code, hash_m, view_law, seeds)
+        assert res.n_seeds == len(seeds)
+        assert res.lhs == lhs
+        assert res.h_min == h_min
+
+    @pytest.mark.parametrize("per_block", [1, 7])
+    @pytest.mark.parametrize("code, sampled", [
+        (hamming_7_4(), None), (even_weight_code(7), 200)],
+        ids=["hamming74-m3", "even7-m3-sampled"])
+    def test_seed_blocks_neither_drop_nor_repeat_seeds(
+            self, monkeypatch, code, sampled, per_block):
+        # 7 seeds leave a short last block (2,520 and 200 seeds); 1 seed
+        # makes every seed its own
+        view = less_noisy_bob(0.25, code.n).view_channel
+        floats = (1 << code.k) * view.law_table().shape[1]
+        monkeypatch.setattr(oracle, "_LHL_BLOCK_FLOATS", per_block * floats)
+        if sampled is None:
+            res = lhl_check(code, 3, view)
+            seeds = enumerate_full_rank_seeds(code.k, 3)
+        else:
+            res = lhl_check(code, 3, view, seeds=sampled,
+                            rng=np.random.default_rng(4))
+            rng = np.random.default_rng(4)
+            seeds = [sample_seed(code.k, 3, rng).matrix
+                     for _ in range(sampled)]
+        view_law = lambda x: bsc_law_dense(code.n, x, 0.25).mass
+        lhs, h_min = lhl_loop_reference(code, 3, view_law, seeds)
         assert res.n_seeds == len(seeds)
         assert res.lhs == lhs
         assert res.h_min == h_min

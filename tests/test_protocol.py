@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from usnc import cli
+from usnc import cli, protocol
 from usnc.bounds import completeness_bound
 from usnc.channel import bsc_transmit, typical_window, typicality_tail_exact
 from usnc.gf2 import (BitString, LinearCode, even_weight_code, hamming_7_4,
@@ -257,6 +257,17 @@ class TestCompleteness:
         cfg = CommitConfig(code=hamming_7_4(), hash_m=1, p=0.25, eps=0.2)
         with pytest.raises(ValueError):
             estimate_completeness(cfg, 10, 0)
+
+    def test_trials_refused_above_cap_before_drawing(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a block of trials was drawn")
+
+        monkeypatch.setattr(protocol, "_completeness_counts", fail)
+        cfg = CommitConfig(code=hamming_7_4(), hash_m=1, p=0.25, eps=0.2)
+        for trials in (10 ** 8 + 1, 10 ** 20):
+            with pytest.raises(ValueError, match=r"^%d completeness trials "
+                               r"are above the cap of 10\^8$" % trials):
+                estimate_completeness(cfg, trials, 0)
 
 
 # ---------------------------------------------------------------------------
