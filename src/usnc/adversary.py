@@ -7,10 +7,11 @@ openings it announces per atom; its channel is BSC noise around one string
 per label (``AliceChannel.bsc``). Both harnesses are exact: they sum the
 strategy's joint law against dense channel laws. Binding checks both
 openings of every atom with the receiver's packed opening test, groups the
-valid atoms by one lexsort of their (label, coset, x0, x1) columns and sums
-each group once under popcount window masks. Hiding is one 0/1 digest match
-of the whole seed family against the receiver's view-law table (rows
-gathered at codeword ints). Binding also has a Monte Carlo mode that samples
+valid atoms by one ``np.unique`` of a packed (label, coset, x0, x1) int64
+key and sums each group once under popcount window masks. Hiding builds one
+message-free table, a 0/1 digest match of the whole seed family against the
+receiver's view-law table (rows gathered at codeword ints), and reads both
+messages' joints off it. Binding also has a Monte Carlo mode that samples
 channel outputs and runs the batched verifier, an independent code path
 cross-checked against the exact sum. Hiding has none: its view space is the
 exact mode's own enumeration, and an empirical trace distance over it only
@@ -153,37 +154,39 @@ def _binding_exact(strategy: AliceStrategy, cfg: CommitConfig) -> float:
     """Sum each group of valid atoms' probability times its window mass.
 
     Openings are checked by ``_openings_pass``. Valid atoms are grouped by
-    (label, coset, x0, x1) with one stable lexsort, label first; that is the
-    row order ``np.unique(axis=0)`` gives, so the groups, their order and
-    the atom order of each group's weight sum, and hence the float result,
-    match the row-sorting grouping bit for bit.
+    one ``np.unique`` of the key ((label << (n-k) | coset) << n | x0) << n
+    | x1, refused before any work if it needs more than 63 bits. Its fields
+    are bounded (``_check_table``), so key order is the row order that
+    ``np.unique(axis=0)`` gives: the groups, their order and the atom order
+    of each group's weight sum, and hence the float result, match the
+    row-sorting grouping bit for bit.
     """
     n, k, hm, a = cfg.n, cfg.code.k, cfg.hash_m, strategy.atoms
     if n > 16:
         raise ValueError("exact binding enumeration needs n <= 16")
+    bits = (len(strategy.channel.labels) - 1).bit_length() + 3 * n - k
+    if bits > 63:
+        raise ValueError("exact binding's group key needs %d > 63 bits" % bits)
     seed = np.take(strategy.seed_words, a.seed, axis=0)
     mbar = _int_words(a.mbar, hm)
     valid = (a.m0 != a.m1) & _openings_pass(
         cfg, seed, mbar, _int_words(a.m0, hm), _split_words(a.x0, k, n)) \
         & _openings_pass(cfg, seed, mbar, _int_words(a.m1, hm),
                          _split_words(a.x1, k, n))
-    keys = np.stack([a.label, a.coset, a.x0, a.x1])[:, valid]
-    order = np.lexsort(keys[::-1])  # lexsort's last key is the primary one
-    keys = keys[:, order]
-    start = np.ones(len(order), dtype=bool)
-    start[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
-    group = np.empty(len(order), dtype=np.int64)
-    group[order] = np.cumsum(start) - 1
-    groups = keys[:, start].T
+    key = ((a.label << (n - k) | a.coset) << n | a.x0) << n | a.x1
+    _, first, group = np.unique(key[valid], return_index=True,
+                                return_inverse=True)
+    heads = a[np.flatnonzero(valid)[first]]  # each group's first atom
     laws = {label: strategy.channel.law(strategy.channel.labels[label]).mass
-            for label in set(groups[:, 0].tolist())}
-    group_mass = np.empty(len(groups))
-    for g, (label, coset, x0, x1) in enumerate(groups.tolist()):
+            for label in set(heads.label.tolist())}
+    group_mass = np.empty(len(heads))
+    for g, (label, coset, x0, x1) in enumerate(
+            heads[["label", "coset", "x0", "x1"]].tolist()):
         rep = coset << k  # the coset representative as an int
         both = typical_window_mask(n, [x0 ^ rep, x1 ^ rep], cfg.p,
                                    cfg.eps).all(axis=0)
         group_mass[g] = laws[label][both].sum()
-    weight = np.bincount(group, weights=a.prob[valid], minlength=len(groups))
+    weight = np.bincount(group, weights=a.prob[valid], minlength=len(heads))
     return float(weight @ group_mass)
 
 
@@ -278,23 +281,25 @@ def hiding_advantage(strategy: BobStrategy, cfg: CommitConfig,
 
     The view is (channel output, S, Mbar, C') conditioned on the committed
     message; the joint is enumerated exactly over all full-rank seeds, masks,
-    cosets, and view symbols.
+    cosets, and view symbols; both are read off one ``_view_table``.
     """
     _require_certifiable(strategy.view_channel, for_bound_comparison)
     if len(m0) != cfg.hash_m or len(m1) != cfg.hash_m:
         raise ValueError("message length mismatch")
-    return gtd(_view_joint(strategy, cfg, m0), _view_joint(strategy, cfg, m1))
+    table = _view_table(strategy, cfg)
+    masks = np.arange(1 << cfg.hash_m)
+    return gtd(table[:, m0.to_int() ^ masks].ravel(),
+               table[:, m1.to_int() ^ masks].ravel())
 
 
-def _view_joint(strategy: BobStrategy, cfg: CommitConfig,
-                m: BitString) -> np.ndarray:
-    """Dense view distribution given the committed message, flattened over
-    axes (seed, mask, coset, view symbol).
+def _view_table(strategy: BobStrategy, cfg: CommitConfig) -> np.ndarray:
+    """Message-free view table, axes (seed, digest, coset x view symbol).
 
-    Cell (S, Mbar, C') sums the view laws of c + rep(C') over the codewords
-    c whose digest under S is m + Mbar: one 0/1 match of the digest table
-    against m + Mbar, times the table of shifted view laws, in seed chunks
-    that keep every intermediate within 2^24 entries.
+    Cell (S, d, C') sums the view laws of c + rep(C') over the codewords c
+    whose digest under S is d: one 0/1 match of the digest table against
+    every digest, times the table of shifted view laws, in seed chunks that
+    keep every intermediate within 2^24 entries. Normalised as a joint, its
+    digest m + Mbar is the cell (S, Mbar, C') of message m's joint.
     """
     code, hm = cfg.code, cfg.hash_m
     if code.k > 16 or code.k * hm > 24:
@@ -311,18 +316,17 @@ def _view_joint(strategy: BobStrategy, cfg: CommitConfig,
     shifted = code.codeword_ints()[:, None] ^ (
         np.arange(n_cosets, dtype=np.uint64) << np.uint64(code.k))
     laws = view.law_table()[shifted].reshape(1 << code.k, -1)
-    targets = m.to_int() ^ np.arange(1 << hm)  # the digest each mask needs
     out = np.empty((n_seeds, 1 << hm, laws.shape[1]))
     step = max(1, (1 << 24) >> (hm + code.k))
     for lo in range(0, n_seeds, step):
         match = digest_table(seeds[lo: lo + step])[:, None, :] \
-            == targets[:, None]
+            == np.arange(1 << hm)[:, None]
         out[lo: lo + step] = (match.reshape(-1, 1 << code.k) @ laws) \
             .reshape(-1, 1 << hm, laws.shape[1])
     # priors 1/(#seeds * |M| * #cosets), preimage weight |M|/|C|
     out /= n_seeds * (1 << hm) * n_cosets
     out /= 1 << (code.k - hm)
-    return out.ravel()
+    return out
 
 
 def less_noisy_bob(p_b: float, n: int) -> BobStrategy:

@@ -121,10 +121,7 @@ def rate_tradeoff(sigma: float, p: float) -> float:
     _check_p(p)
     if not 0.0 <= sigma <= p:
         raise ValueError("sigma must be in [0, p]")
-    if 1.0 - 2.0 * sigma <= 0.0:
-        return 2.0 * sigma
-    return (1.0 - 2.0 * sigma) * binary_entropy((p - sigma) / (1.0 - 2.0 * sigma)) \
-        + 2.0 * sigma
+    return _interval_bracket(p, 0.0, sigma)
 
 
 def rate_tradeoff_inverse(y: float, p: float) -> float:

@@ -25,6 +25,8 @@ USAGE_ERROR = 2
 CHECK_FAILED = 1
 # Most rounds ``nqs simulate`` draws and prints (one CSV line each).
 _NQS_ROUNDS_CAP = 1 << 20
+# How far below 2p or above h(p) a rounded ``rate point`` anchor may lie.
+_CLAMP_TOL = 1e-3
 
 
 class UsageError(Exception):
@@ -301,10 +303,10 @@ def _cmd_rate_point(args, config) -> int:
     return 0
 
 
-def _clamp_near(value: float, lo: float, hi: float, tol: float = 1e-3) -> float:
-    if lo - tol <= value <= lo:
+def _clamp_near(value: float, lo: float, hi: float) -> float:
+    if lo - _CLAMP_TOL <= value <= lo:
         return lo
-    if hi <= value <= hi + tol:
+    if hi <= value <= hi + _CLAMP_TOL:
         return hi
     return value
 

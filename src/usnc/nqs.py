@@ -122,6 +122,10 @@ def run_conjugate_channel(x: BitString, seed) -> Protocol2Run:
                         theta_prime=theta_prime, k=k)
 
 
+# Largest deviation ``povm_verify`` accepts in completeness and eigenvalues.
+_POVM_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class PovmReport:
     completeness_error: float
@@ -130,7 +134,7 @@ class PovmReport:
     passed: bool
 
 
-def povm_verify(tol: float = 1e-12) -> PovmReport:
+def povm_verify() -> PovmReport:
     """Check the receiver's measurement-plus-postprocessing operator pair.
 
     The operators act on (announced basis bit) x (qubit). Completeness
@@ -150,7 +154,8 @@ def povm_verify(tol: float = 1e-12) -> PovmReport:
     min_eig = float(min(eig0.min(), eig1.min()))
     max_err = float(max(abs(eig0.max() - COS2_PI_8),
                         abs(eig1.max() - COS2_PI_8)))
-    passed = completeness <= tol and min_eig >= -tol and max_err <= tol
+    passed = completeness <= _POVM_TOL and min_eig >= -_POVM_TOL \
+        and max_err <= _POVM_TOL
     return PovmReport(completeness_error=completeness, min_eigenvalue=min_eig,
                       max_eigenvalue_err=max_err, passed=passed)
 

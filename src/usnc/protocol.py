@@ -222,12 +222,6 @@ def _pack_split(bits: np.ndarray, k: int) -> np.ndarray:
                           axis=-1)
 
 
-def _unpack_split(words: np.ndarray, k: int, n: int) -> np.ndarray:
-    wk = _nwords(k)
-    return np.concatenate([_unpack_u64(words[..., :wk], k),
-                           _unpack_u64(words[..., wk:], n - k)], axis=-1)
-
-
 @dataclass(frozen=True)
 class TranscriptBatch:
     """Stored commitments with their openings, one row per trial.
@@ -268,17 +262,6 @@ class TranscriptBatch:
                    z=_pack_split(stack(lambda t: t.z.bits), k),
                    m=_pack_u64(stack(lambda t: t.opening.m.bits)),
                    x=_pack_split(stack(lambda t: t.opening.x.bits), k))
-
-    def transcript(self, i: int, cfg: CommitConfig) -> CommitmentTranscript:
-        """Trial i as a scalar transcript carrying its opening."""
-        k, n, hm = cfg.code.k, cfg.n, cfg.hash_m
-        return CommitmentTranscript(
-            seed=HashSeed(_unpack_u64(self.seed[i], k)),
-            mbar=BitString(_unpack_u64(self.mbar[i], hm)),
-            coset=BitString(_unpack_u64(self.coset[i], n - k)),
-            z=BitString(_unpack_split(self.z[i], k, n)),
-            opening=Opening(m=BitString(_unpack_u64(self.m[i], hm)),
-                            x=BitString(_unpack_split(self.x[i], k, n))))
 
 
 def _gauss_jordan(rows: np.ndarray, rhs: np.ndarray):

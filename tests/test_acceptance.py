@@ -175,7 +175,7 @@ def test_criterion_09_nqs_honest_channel():
         for tp in (0, 1):
             cell = (run.theta == t) & (run.theta_prime == tp)
             ok = ok and abs(flips[cell].mean() - SIN2_PI_8) <= 0.002
-    povm = povm_verify(tol=1e-12)
+    povm = povm_verify()
     ok = ok and povm.passed
     _report(9, "storage-channel honest case", ok,
             "flip rate %.5f vs %.5f; operator check %s"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from usnc.adversary import (ATOM_DTYPE, AliceStrategy, BobStrategy,
-                            _int_words, _split_words, _view_joint,
+                            _int_words, _split_words, _view_table,
                             binding_success, hiding_advantage,
                             honest_alice_strategy, less_noisy_bob,
                             midpoint_attack)
@@ -439,6 +439,34 @@ class TestGroupedBindingMatchesReference:
         with pytest.raises(ValueError, match="does not match"):
             binding_success(strategy, other)
 
+    @pytest.mark.parametrize("n_labels, refused", [(1 << 16, False),
+                                                   ((1 << 16) + 1, True)])
+    def test_label_capacity_of_the_packed_key(self, n_labels, refused):
+        # a [16, 1] code: 15 coset bits and two 16-bit openings leave 16
+        # bits of the 63-bit group key for the label
+        cfg = CommitConfig(code=LinearCode([[1] + [0] * 14], d_claimed=2),
+                           hash_m=1, p=0.25, eps=0.05)
+        strategy = midpoint_attack(cfg, codeword(cfg.code, 0),
+                                   codeword(cfg.code, 1), 0.3)
+        built = []
+
+        def law(label):
+            built.append(label)
+            return strategy.channel.law(strategy.channel.labels[0])
+
+        lazy = replace(strategy, channel=AliceChannel(
+            cfg.n, range(n_labels), law, strategy.channel.sample))
+        for s in (strategy, lazy):
+            s.channel.certified = True
+        if refused:
+            with pytest.raises(ValueError, match="needs 64 > 63 bits"):
+                binding_success(lazy, cfg)
+            assert built == []
+        else:
+            assert binding_success(lazy, cfg) \
+                == binding_success(strategy, cfg) > 0.0
+            assert built == [0]
+
 
 OPENING_CODES = {
     "k=n": lambda: LinearCode(np.zeros((6, 0), dtype=np.uint8), d_claimed=1),
@@ -573,6 +601,23 @@ class TestHidingAdvantage:
         bound = hiding_bound(7, 1, 4, l_b, 0.0)
         assert adv <= bound < 1.0
 
+    @pytest.mark.parametrize("code", [hamming_7_4(), even_weight_code(6)],
+                             ids=["hamming74", "even6"])
+    @pytest.mark.parametrize("p_b", [0.0, 0.1, 0.25])
+    @pytest.mark.filterwarnings("ignore:channel not certified")
+    def test_every_message_pair_gives_one_advantage(self, code, p_b):
+        # the advantage depends on the seed's row space and on m0 + m1 only,
+        # and over all full-rank seeds every nonzero m0 + m1 is as likely
+        cfg = CommitConfig(code=code, hash_m=2, p=0.25, eps=0.2)
+        strategy = less_noisy_bob(p_b, code.n)
+        messages = [BitString.from_int(v, 2) for v in range(4)]
+        values = {(i, j): hiding_advantage(strategy, cfg, mi, mj)
+                  for i, mi in enumerate(messages)
+                  for j, mj in enumerate(messages)}
+        distinct = [v for (i, j), v in values.items() if i != j]
+        assert max(distinct) - min(distinct) <= 1e-15
+        assert all(values[i, i] == 0.0 for i in range(4))
+
     def test_monotone_in_view_noise(self, cfg74):
         m0, m1 = BitString.from01("0"), BitString.from01("1")
         grid = [0.0, 0.0625, 0.125, 0.1875, 0.25]
@@ -625,9 +670,11 @@ class TestViewJointMatchesReference:
             view = BobChannel.bsc_view(code.n, p_b)
             view_law = lambda x: bsc_law_dense(code.n, x, p_b).mass
         strategy = BobStrategy(view_channel=view)
+        table = _view_table(strategy, cfg)
+        masks = np.arange(1 << hash_m)
         for m_int in (0, (1 << hash_m) - 1):
             m = BitString.from_int(m_int, hash_m)
-            joint = _view_joint(strategy, cfg, m)
+            joint = table[:, m_int ^ masks].ravel()
             ref = view_joint_reference(strategy, cfg, m, view_law)
             assert joint.shape == ref.shape
             assert np.abs(joint - ref).max() <= 1e-15
@@ -640,11 +687,10 @@ class TestViewJointMatchesReference:
                             eps=0.05)
         many = CommitConfig(code=even_weight_code(14), hash_m=1, p=0.25,
                             eps=0.05)
-        m = BitString.from01("0")
         for cfg in (big, wide):
             strategy = less_noisy_bob(0.1, cfg.n)
             with pytest.raises(ValueError, match="desk-scale only"):
-                _view_joint(strategy, cfg, BitString.zeros(cfg.hash_m))
+                _view_table(strategy, cfg)
         with pytest.raises(ValueError, match=r"\(%d cells > 2\^24\)"
                            % (8191 * 2 * 2 * (1 << 14))):
-            _view_joint(less_noisy_bob(0.1, 14), many, m)
+            _view_table(less_noisy_bob(0.1, 14), many)

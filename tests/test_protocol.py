@@ -11,16 +11,35 @@ from scipy.stats import chi2
 from usnc import cli, protocol
 from usnc.bounds import completeness_bound
 from usnc.channel import bsc_transmit, typical_window, typicality_tail_exact
-from usnc.gf2 import (BitString, LinearCode, even_weight_code, hamming_7_4,
-                      random_linear_code)
+from usnc.gf2 import (BitString, LinearCode, _unpack_u64, even_weight_code,
+                      hamming_7_4, random_linear_code)
 from usnc.hashing import HashSeed, count_full_rank, hash_codeword
 from usnc.protocol import (ACC, BLOCK, REJ, CommitConfig, CommitWire,
-                           Opening, TranscriptBatch, _completeness_counts,
-                           _flip_threshold, _gauss_jordan, _random_words,
+                           CommitmentTranscript, Opening, TranscriptBatch,
+                           _completeness_counts, _flip_threshold,
+                           _gauss_jordan, _nwords, _random_words,
                            alice_commit, bob_receive, bob_verify,
                            bob_verify_batch, estimate_completeness, run_honest,
                            run_honest_batch, transcript_from_json,
                            transcript_to_json)
+
+
+def batch_transcript(batch, i, cfg):
+    """Trial i of a ``TranscriptBatch`` as a scalar transcript carrying its
+    opening."""
+    k, n, hm, wk = cfg.code.k, cfg.n, cfg.hash_m, _nwords(cfg.code.k)
+
+    def split(words):  # message words, then check words
+        return BitString(np.concatenate([_unpack_u64(words[:wk], k),
+                                         _unpack_u64(words[wk:], n - k)]))
+
+    return CommitmentTranscript(
+        seed=HashSeed(_unpack_u64(batch.seed[i], k)),
+        mbar=BitString(_unpack_u64(batch.mbar[i], hm)),
+        coset=BitString(_unpack_u64(batch.coset[i], n - k)),
+        z=split(batch.z[i]),
+        opening=Opening(m=BitString(_unpack_u64(batch.m[i], hm)),
+                        x=split(batch.x[i])))
 
 
 @pytest.fixture(scope="module")
@@ -207,7 +226,6 @@ class TestTranscriptCodec:
     def test_roundtrip_arbitrary_shapes(self):
         # codec handles bit lengths away from byte boundaries
         from usnc.hashing import sample_seed
-        from usnc.protocol import CommitmentTranscript, Opening
         rng = np.random.default_rng(24)
         for _ in range(25):
             k = int(rng.integers(2, 12))
@@ -324,7 +342,8 @@ class TestBatchEngine:
         honest = run_honest_batch(cfg, master_seed=41, block=3, size=40)
         transcripts = []
         for i in range(len(honest)):
-            transcripts += _tampered(honest.transcript(i, cfg), cfg, rng)
+            transcripts += _tampered(batch_transcript(honest, i, cfg), cfg,
+                                     rng)
         batch = TranscriptBatch.from_transcripts(transcripts, cfg)
         scalar = np.array([bob_verify(t, t.opening.m, t.opening.x, cfg) == ACC
                            for t in transcripts])
@@ -343,7 +362,7 @@ class TestBatchEngine:
         path = tmp_path / "t.json"
         flags = set()
         for i in range(len(honest)):
-            for t in _tampered(honest.transcript(i, cfg), cfg, rng):
+            for t in _tampered(batch_transcript(honest, i, cfg), cfg, rng):
                 path.write_text(transcript_to_json(t))
                 assert cli.main(["commit", "replay", "--transcript",
                                  str(path), "--code", name, "--hash-m",
@@ -363,7 +382,7 @@ class TestBatchEngine:
         batch = run_honest_batch(cfg, master_seed=42, block=0, size=200)
         w_lo, w_hi = typical_window(cfg.n, cfg.p, cfg.eps)
         for i in range(len(batch)):
-            t = batch.transcript(i, cfg)
+            t = batch_transcript(batch, i, cfg)
             sent = t.opening.x ^ cfg.code.coset_representative(t.coset)
             w = (sent ^ t.z).weight()
             assert bob_verify(t, t.opening.m, t.opening.x, cfg) == \
