@@ -159,7 +159,9 @@ def _binding_exact(strategy: AliceStrategy, cfg: CommitConfig) -> float:
     are bounded (``_check_table``), so key order is the row order that
     ``np.unique(axis=0)`` gives: the groups, their order and the atom order
     of each group's weight sum, and hence the float result, match the
-    row-sorting grouping bit for bit.
+    row-sorting grouping bit for bit. Groups come label-major, so the
+    channel, which keeps its latest law, builds each label's law at most
+    once per call.
     """
     n, k, hm, a = cfg.n, cfg.code.k, cfg.hash_m, strategy.atoms
     if n > 16:
@@ -177,15 +179,14 @@ def _binding_exact(strategy: AliceStrategy, cfg: CommitConfig) -> float:
     _, first, group = np.unique(key[valid], return_index=True,
                                 return_inverse=True)
     heads = a[np.flatnonzero(valid)[first]]  # each group's first atom
-    laws = {label: strategy.channel.law(strategy.channel.labels[label]).mass
-            for label in set(heads.label.tolist())}
+    channel = strategy.channel
     group_mass = np.empty(len(heads))
     for g, (label, coset, x0, x1) in enumerate(
             heads[["label", "coset", "x0", "x1"]].tolist()):
         rep = coset << k  # the coset representative as an int
         both = typical_window_mask(n, [x0 ^ rep, x1 ^ rep], cfg.p,
                                    cfg.eps).all(axis=0)
-        group_mass[g] = laws[label][both].sum()
+        group_mass[g] = channel.law(channel.labels[label]).mass[both].sum()
     weight = np.bincount(group, weights=a.prob[valid], minlength=len(heads))
     return float(weight @ group_mass)
 
@@ -288,8 +289,8 @@ def hiding_advantage(strategy: BobStrategy, cfg: CommitConfig,
         raise ValueError("message length mismatch")
     table = _view_table(strategy, cfg)
     masks = np.arange(1 << cfg.hash_m)
-    return gtd(table[:, m0.to_int() ^ masks].ravel(),
-               table[:, m1.to_int() ^ masks].ravel())
+    return gtd(np.take(table, m0.to_int() ^ masks, axis=1).ravel(),
+               np.take(table, m1.to_int() ^ masks, axis=1).ravel())
 
 
 def _view_table(strategy: BobStrategy, cfg: CommitConfig) -> np.ndarray:

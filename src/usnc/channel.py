@@ -177,6 +177,9 @@ def _log_or_nan(x: float) -> float:
 
 def bsc_law_dense(n: int, center: BitString, p: float) -> ClassicalDistribution:
     """Dense output law of BSC(p) noise around ``center``, over all 2^n strings."""
+    if len(center) != n:
+        raise ValueError("center has %d bits, law needs n = %d"
+                         % (len(center), n))
     return ClassicalDistribution(
         bsc_weight_mass(n, p)[hamming_distances(n, center.to_int())])
 
@@ -184,6 +187,9 @@ def bsc_law_dense(n: int, center: BitString, p: float) -> ClassicalDistribution:
 class AliceChannel:
     """Dishonest-sender channel: input label -> distribution over n-bit outputs.
 
+    Keeps the law of the latest label ``law`` built, and nothing else: the
+    entropy check and exact binding ask for one label many times in a row,
+    while a dict of every label would hold 2^n floats per label.
     ``certified`` is set by check_c2 and consumed by the adversary harness so
     bound comparisons only involve constraint-satisfying channels.
     """
@@ -193,12 +199,17 @@ class AliceChannel:
         self.n = n
         self.labels = list(labels)
         self._law_fn = law_fn
+        self._latest = None  # (label, law) of the latest law built
         self._sample_fn = sample_fn
         self.symmetric = symmetric  # output-law entropy independent of label
         self.certified = False
 
     def law(self, label) -> ClassicalDistribution:
-        return self._law_fn(label)
+        """Output law of ``label`` (read-only mass), built unless it is the
+        label asked for last."""
+        if self._latest is None or self._latest[0] != label:
+            self._latest = (label, self._law_fn(label))
+        return self._latest[1]
 
     def sample(self, label, rng: np.random.Generator) -> BitString:
         return self._sample_fn(label, rng)
@@ -224,7 +235,8 @@ class AliceChannel:
 class BobChannel:
     """Dishonest-receiver view channel: n-bit input -> distribution over views.
 
-    ``build_table()`` returns the table ``law_table`` keeps; it runs lazily.
+    Keeps the view-law table (``build_table()`` runs on first use) and the
+    joint with a uniform input, each built once.
     """
 
     def __init__(self, n: int, view_size: int, build_table):
@@ -232,6 +244,7 @@ class BobChannel:
         self.view_size = view_size
         self._build_table = build_table
         self._law_table = None
+        self._joint = None
         self.certified = False
 
     def law_table(self) -> np.ndarray:
@@ -247,10 +260,13 @@ class BobChannel:
         return self._law_table
 
     def joint_with_uniform_input(self) -> JointDistribution:
-        """Joint (input, view) mass under a uniform n-bit input."""
-        if self.n + int(np.log2(self.view_size)) > _DENSE_N_LIMIT:
-            raise ValueError("joint too large to enumerate")
-        return JointDistribution(self.law_table() / (1 << self.n))
+        """Joint (input, view) mass under a uniform n-bit input; built on
+        the first call and returned from then on."""
+        if self._joint is None:
+            if self.n + int(np.log2(self.view_size)) > _DENSE_N_LIMIT:
+                raise ValueError("joint too large to enumerate")
+            self._joint = JointDistribution(self.law_table() / (1 << self.n))
+        return self._joint
 
     @classmethod
     def bsc_view(cls, n: int, p_b: float) -> "BobChannel":

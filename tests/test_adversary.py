@@ -439,6 +439,61 @@ class TestGroupedBindingMatchesReference:
         with pytest.raises(ValueError, match="does not match"):
             binding_success(strategy, other)
 
+    def test_attack_sequence_builds_one_law(self, cfg74, monkeypatch):
+        # the floor, check_c2 and exact binding all read label 0's law, as
+        # `usnc attack binding` does; the channel builds it once
+        strategy = midpoint_attack(cfg74, codeword(cfg74.code, 0),
+                                   codeword(cfg74.code, 0b0011), 0.3)
+        built = []
+
+        def counting_law(n, center, p):
+            built.append(center)
+            return bsc_law_dense(n, center, p)
+
+        monkeypatch.setattr("usnc.channel.bsc_law_dense", counting_law)
+        certify_sender(strategy, cfg74)
+        first = binding_success(strategy, cfg74, for_bound_comparison=True)
+        assert binding_success(strategy, cfg74) == first > 0.0
+        assert len(built) == 1
+
+    def test_each_label_built_once_per_call(self):
+        # atoms of three labels in mixed order: the groups come label-major,
+        # so the channel, which keeps only its latest law, builds each
+        # label once per call
+        cfg = CommitConfig(code=hamming_7_4(), hash_m=1, p=0.25, eps=0.2)
+        code = cfg.code
+        x0, x1 = codeword(code, 0b0001), codeword(code, 0b0111)
+        seeds = enumerate_full_rank_seeds(4, 1)
+        d0, d1 = _digests(seeds, np.stack([x0.bits[:4], x1.bits[:4]])).T
+        seeds = seeds[d0 != d1][:3]  # every atom is a valid double opening
+        rng = np.random.default_rng(4)
+        laws = [rng.dirichlet(np.ones(1 << 7)) for _ in range(3)]
+        rows = []
+        for label in (2, 0, 1, 2, 0, 1, 1):
+            si, mbar = int(rng.integers(3)), int(rng.integers(2))
+            rows.append([1.0 / 7, si, label, mbar, int(rng.integers(8))]
+                        + [v for x in (x0, x1) for v in (
+                            x, (hash_codeword(HashSeed(seeds[si]), code, x)
+                                ^ BitString.from_int(mbar, 1)).to_int())])
+        strategy = hand_built_strategy(cfg, rows, seeds, laws)
+        built = []
+
+        def law(label):
+            built.append(label)
+            return ClassicalDistribution(laws[label])
+
+        counted = replace(strategy, channel=AliceChannel(
+            cfg.n, range(3), law, strategy.channel.sample))
+        for s in (strategy, counted):
+            s.channel.certified = True
+        value = binding_success(counted, cfg)
+        assert value == binding_grouped_reference(strategy, cfg) > 0.0
+        assert built == [0, 1, 2]
+        counted.channel.law(2)  # the last label's law outlives the call
+        assert built == [0, 1, 2]
+        assert binding_success(counted, cfg) == value
+        assert built == [0, 1, 2] * 2
+
     @pytest.mark.parametrize("n_labels, refused", [(1 << 16, False),
                                                    ((1 << 16) + 1, True)])
     def test_label_capacity_of_the_packed_key(self, n_labels, refused):

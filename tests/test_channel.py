@@ -321,6 +321,7 @@ class TestLawTable:
         assert ch.law_table() is table
         joint = ch.joint_with_uniform_input()
         assert len(calls) == 1
+        assert ch.joint_with_uniform_input() is joint  # kept as well
         assert np.array_equal(joint.mass, table / (1 << n))
         assert not table.flags.writeable
         with pytest.raises(ValueError):
@@ -423,6 +424,45 @@ class TestBscLaw:
             for _ in range(5):
                 assert ch.sample(i, got_rng) == bsc_transmit(center, spread,
                                                              ref_rng)
+
+
+class TestSenderLaw:
+    def test_latest_law_kept(self):
+        n = 5
+        built = []
+
+        def law(label):
+            built.append(label)
+            return bsc_law_dense(n, BitString.from_int(label, n), 0.2)
+
+        ch = AliceChannel(n, range(4), law, None)
+        first = ch.law(1)
+        assert built == [1]
+        assert ch.law(1) is first and ch.law(1) is first
+        assert built == [1]
+        assert not first.mass.flags.writeable
+        with pytest.raises(ValueError):
+            first.mass[0] = 1.0
+        other = ch.law(3)
+        assert built == [1, 3]
+        assert np.array_equal(other.mass,
+                              bsc_law_dense(n, BitString.from_int(3, n),
+                                            0.2).mass)
+        assert ch.law(1) is not first  # only the latest label is kept
+        assert built == [1, 3, 1]
+        assert np.array_equal(ch.law(1).mass, first.mass)
+
+    @pytest.mark.parametrize("value, bits", [(1, 3), (17, 5)],
+                             ids=["shorter", "longer"])
+    def test_center_of_another_length_refused(self, value, bits):
+        # a short centre used to give the law around its zero-padded int,
+        # a long one an IndexError
+        center = BitString.from_int(value, bits)
+        for build in (lambda: bsc_law_dense(4, center, 0.1),
+                      lambda: AliceChannel.bsc(4, [center], 0.1).law(0)):
+            with pytest.raises(ValueError, match="^center has %d bits, law "
+                               "needs n = 4$" % bits):
+                build()
 
 
 class TestUsncParams:
