@@ -282,8 +282,12 @@ def hiding_advantage(strategy: BobStrategy, cfg: CommitConfig,
 
     The view is (channel output, S, Mbar, C') conditioned on the committed
     message; the joint is enumerated exactly over all full-rank seeds, masks,
-    cosets, and view symbols; both are read off one ``_view_table``.
+    cosets, and view symbols; both are read off one ``_view_table``. A view
+    channel whose n is not the code's is refused.
     """
+    if strategy.view_channel.n != cfg.n:
+        raise ValueError("view channel has n = %d, the code has n = %d"
+                         % (strategy.view_channel.n, cfg.n))
     _require_certifiable(strategy.view_channel, for_bound_comparison)
     if len(m0) != cfg.hash_m or len(m1) != cfg.hash_m:
         raise ValueError("message length mismatch")

@@ -3,11 +3,12 @@
 Adversarial channels are explicit finite probability tables at desk scale
 (dense laws over 2^n outputs, or over a finite view space), plus named
 analytic families for larger n. Every BSC law, the sender's or a view, is
-``bsc_weight_mass`` gathered at ``hamming_distances``. The entropic-constraint
-checks quantify only over a channel's representative inputs: a universally
-quantified condition can be falsified but never proven by an artifact, and
-the analytic families declare the symmetry that makes one representative
-sufficient.
+``bsc_weight_mass`` gathered at ``hamming_distances``, the one distance
+kernel, which the window masks and the oracles read too. The
+entropic-constraint checks quantify only over a channel's representative
+inputs: a universally quantified condition can be falsified but never
+proven by an artifact, and the analytic families declare the symmetry that
+makes one representative sufficient.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .entropy import (ClassicalDistribution, JointDistribution,
                       smooth_cond_min_entropy, smooth_min_entropy)
-from .gf2 import BitString
+from .gf2 import BitString, hamming_distance
 
 __all__ = [
     "UsncParams",
@@ -110,10 +111,8 @@ def typical_window_mask(n: int, centers, p: float, eps: float) -> np.ndarray:
 def typical_membership(x: BitString, z: BitString, p: float,
                        eps: float) -> bool:
     """n(p - eps) <= HD(x, z) <= n(p + eps), inclusive, at exact edges."""
-    if len(x) != len(z):
-        raise ValueError("length mismatch")
+    d = hamming_distance(x, z)  # refuses a length mismatch
     w_lo, w_hi = typical_window(len(x), p, eps)
-    d = int(np.count_nonzero(x.bits != z.bits))
     return w_lo <= d <= w_hi
 
 
@@ -143,13 +142,24 @@ def typicality_tail_exact(n: int, p: float, eps: float) -> float:
 
 
 def hamming_distances(n: int, centers) -> np.ndarray:
-    """uint8 popcount(c ^ z) for int centres c (any shape) along a new last
-    axis over every n-bit string z in integer order (bit i = coordinate i)."""
+    """uint8 popcount(c ^ z) for int centres c in [0, 2^n) (any shape) along
+    a new last axis over every n-bit string z in integer order (bit i =
+    coordinate i): z = high * 2^8 + low, and the popcounts of each part (the
+    high one in uint8 to n = 16, uint16 above) add in one broadcast."""
     if n > _DENSE_N_LIMIT:
         raise ValueError("dense tables limited to n <= %d" % _DENSE_N_LIMIT)
-    z = np.arange(1 << n, dtype=np.uint32)
-    return np.bitwise_count(np.asarray(centers, dtype=np.uint32)[..., None]
-                            ^ z)
+    c = np.asarray(centers, dtype=np.int64)
+    if c.size and not 0 <= c.min() <= c.max() < 1 << n:
+        raise ValueError("centres %d..%d outside [0, 2^%d)"
+                         % (c.min(), c.max(), n))
+    low = min(n, 8)
+    high = np.uint8 if n <= 16 else np.uint16
+    d_low = np.bitwise_count(c.astype(np.uint8)[..., None]  # the low byte
+                             ^ np.arange(1 << low, dtype=np.uint8))
+    d_high = np.bitwise_count((c >> low).astype(high)[..., None]
+                              ^ np.arange(1 << (n - low), dtype=high))
+    return (d_high[..., None] + d_low[..., None, :]).reshape(
+        c.shape + (1 << n,))
 
 
 def bsc_weight_mass(n: int, p: float) -> np.ndarray:
@@ -297,6 +307,7 @@ class CheckReport:
 def check_c2(ch: AliceChannel, params: UsncParams) -> CheckReport:
     """Verify the dishonest-sender floor: every output law keeps
     smooth min-entropy >= l_a at smoothing eps_a; sets ch.certified."""
+    _check_length(ch, params)
     if ch.n > _DENSE_N_LIMIT:
         raise ValueError("exact check needs n <= %d" % _DENSE_N_LIMIT)
     worst = np.inf
@@ -315,8 +326,16 @@ def check_c2(ch: AliceChannel, params: UsncParams) -> CheckReport:
 def check_c3(ch: BobChannel, params: UsncParams) -> CheckReport:
     """Verify the dishonest-receiver floor: smooth conditional min-entropy of
     a uniform input given the view is >= l_b at smoothing eps_b."""
+    _check_length(ch, params)
     joint = ch.joint_with_uniform_input()
     h = smooth_cond_min_entropy(joint, params.eps_b)
     passed = bool(h >= params.l_b)
     ch.certified = passed
     return CheckReport(passed=passed, achieved=float(h), required=params.l_b)
+
+
+def _check_length(ch, params: UsncParams) -> None:
+    """Refuse to certify a channel at another block length than params'."""
+    if ch.n != params.n:
+        raise ValueError("channel has n = %d, params are for n = %d"
+                         % (ch.n, params.n))

@@ -68,15 +68,15 @@ def _resolve(args, config, name, type_fn, default=None, required=False):
     return val
 
 
-def _code_from_spec(spec: str, d_claimed=None) -> LinearCode:
+def _code_from_spec(spec: str) -> LinearCode:
     if spec == "hamming74":
         return hamming_7_4()
     if spec.startswith("even:"):
         return even_weight_code(int(spec.split(":", 1)[1]))
     if spec.startswith("rep:"):
         return repetition_code(int(spec.split(":", 1)[1]))
-    code = load_code(spec, d_claimed=d_claimed)
-    if code.d_claimed is None and code.k <= 24:
+    code = load_code(spec)
+    if code.k <= 24:
         d = code.min_distance_exact()
         code = LinearCode(code.p_block, d_claimed=d, d_verified=True)
     return code

@@ -102,16 +102,15 @@ class Protocol2Run:
     k: np.ndarray
 
 
-def run_conjugate_channel(x: BitString, seed) -> Protocol2Run:
+def run_conjugate_channel(x: BitString,
+                          rng: np.random.Generator) -> Protocol2Run:
     """Honest run of the storage-based channel on input x.
 
     Per round: uniform basis bits theta (sender) and theta' (receiver), raw
     outcome K from the closed-form probability, output Z = K xor
-    (theta & theta'). Rounds are independent; a fixed seed fixes the
-    transcript.
+    (theta & theta'). Rounds are independent; generators in the same state
+    give the same transcript.
     """
-    rng = seed if isinstance(seed, np.random.Generator) \
-        else np.random.default_rng(seed)
     n = len(x)
     theta = rng.integers(0, 2, size=n, dtype=np.uint8)
     theta_prime = rng.integers(0, 2, size=n, dtype=np.uint8)

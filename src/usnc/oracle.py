@@ -1,10 +1,10 @@
 """Brute-force ground truth for the combinatorial and entropic claims.
 
 Everything here enumerates rather than derives: string spaces are walked as
-integer ranges with hardware popcounts, BSC masses are the channel's one
-per-distance law, probabilities are summed directly, and smoothing is solved
-as a generic linear program instead of by the production cap-lowering rule.
-The oracles refuse beyond their size limits rather than approximate.
+integer ranges with the channel's distance kernel, BSC masses are the
+channel's one per-distance law, probabilities are summed directly, and
+smoothing is a generic linear program instead of the production cap-lowering
+rule. The oracles refuse beyond their size limits rather than approximate.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .bounds import binary_entropy, intersection_bound
 from .channel import (BobChannel, bsc_law_dense, bsc_weight_mass,
-                      typical_window, typical_window_mask,
+                      hamming_distances, typical_window, typical_window_mask,
                       typicality_tail_exact)
 from .entropy import (ClassicalDistribution, JointDistribution,
                       cond_min_entropy, gtd, min_entropy)
@@ -73,20 +73,21 @@ def verify_intersection_bound(n: int, p: float, eps: float) -> IntersectionRepor
     """Exact intersection counts vs the analytic ceiling, per weight class.
 
     Translation invariance reduces all pairs at distance w to (0, any
-    weight-w string), so one count per weight covers every pair. Checks the
+    weight-w string), so one count per weight covers every pair; one
+    ``typical_window_mask`` call covers the centres (1 << w) - 1. Checks the
     bound for each class and that counts vanish beyond sigma = p + 2 eps.
     n outside 1..16 is refused before anything is built.
     """
     if not 1 <= n <= 16:
         raise ValueError("weight sweep needs 1 <= n <= 16")
-    zero = BitString.zeros(n)
+    masks = typical_window_mask(n, (1 << np.arange(n + 1)) - 1, p, eps)
+    counts = (masks[0] & masks).sum(axis=1)
     rows = []
     max_ratio = 0.0
     witness = None
     passed = True
     for w in range(n + 1):
-        y = BitString((np.arange(n) < w).astype(np.uint8))
-        exact = typical_intersection_exact(n, p, eps, zero, y)
+        exact = int(counts[w])
         sigma = w / (2.0 * n)
         bound = intersection_bound(n, p, eps, sigma)
         row = IntersectionRow(weight=w, sigma=sigma, exact=exact, bound=bound)
@@ -151,31 +152,24 @@ def _clipped_cond_min_entropy(n: int, p: float, lo: int, hi: int) -> float:
 
     The joint is 2^-n Q(z|x) over all (x, z); per output z the guessing mass
     max over x is found by enumerating every input. Each block of outputs
-    materialises the Hamming distance of every (z, x) pair, at most
-    ``_CLIPPED_BLOCK_PAIRS`` of them, in uint8: an n-bit string splits into
-    a low byte and a high part, each part's distances come from byte
-    popcounts, and their sum is the pair's distance. The mass depends on x
-    only through that distance, so ``_top_mass_per_row`` reads each output's
-    maximum off which distances its row contains. The maxima are then summed
-    over the rows of 2^22 pairs at a time, the order of gathering the
-    float64 mass of every pair in 2^22-pair chunks, so the result is the
-    same bit for bit.
+    takes the uint8 Hamming distance of every (z, x) pair, at most
+    ``_CLIPPED_BLOCK_PAIRS`` of them, from ``hamming_distances``. The mass
+    depends on x only through that distance, so ``_top_mass_per_row`` reads
+    each output's maximum off which distances its row contains. The maxima
+    are then summed over the rows of 2^22 pairs at a time, the order of
+    gathering the float64 mass of every pair in 2^22-pair chunks, so the
+    result is the same bit for bit.
     """
     w = np.arange(n + 1)
     pmf_w = np.where((w >= lo) & (w <= hi), bsc_weight_mass(n, p), 0.0)
-    low = min(n, 8)  # callers keep n <= 16, so the high part fits a byte too
-    x_low = np.arange(1 << low, dtype=np.uint8)
-    x_high = np.arange(1 << (n - low), dtype=np.uint8)
     size = 1 << n
     best = np.zeros(size)
     block = max(1, _CLIPPED_BLOCK_PAIRS // size)
     for start in range(0, size, block):
         zc = np.arange(start, min(start + block, size))
-        d_low = np.bitwise_count((zc & 0xFF).astype(np.uint8)[:, None] ^ x_low)
-        d_high = np.bitwise_count((zc >> low).astype(np.uint8)[:, None]
-                                  ^ x_high)
-        # x = high * 2^low + low, the order of a plain range over inputs
-        dists = (d_high[:, :, None] + d_low[:, None, :]).reshape(len(zc), size)
+        # named: freeing the last block's table before this one is built
+        # hands its pages back to the OS to fault in again, 5x slower
+        dists = hamming_distances(n, zc)
         best[start:start + len(zc)] = _top_mass_per_row(dists, pmf_w)
     chunk = max(1, (1 << 22) // size)
     total = 0.0
@@ -232,9 +226,10 @@ def lhl_check(code: LinearCode, hash_m: int, view_channel: BobChannel,
     (uniform digest) x (view marginal), with the input uniform on the code;
     the codewords' view laws are rows of ``view_channel.law_table()``.
     rhs: 2 * 2^((hash_m - Hmin(input|view)) / 2) with the exact conditional
-    min-entropy. seeds is None (every full-rank seed) or a sample size >= 1
-    drawn with rng. Either way a family of more than 2^18 seeds is refused
-    before any seed is built.
+    min-entropy. A view channel whose n is not the code's is refused. seeds
+    is None (every full-rank seed) or a sample size >= 1 drawn with rng.
+    Either way a family of more than 2^18 seeds is refused before any seed
+    is built.
 
     Seeds are walked in blocks of ``_LHL_BLOCK_FLOATS`` codeword-row floats.
     Every seed is balanced, so a stable argsort of its digest row lists each
@@ -247,6 +242,9 @@ def lhl_check(code: LinearCode, hash_m: int, view_channel: BobChannel,
     k, n = code.k, code.n
     if n > 10 or k > 6:
         raise ValueError("full enumeration needs n <= 10 and k <= 6")
+    if view_channel.n != n:
+        raise ValueError("view channel has n = %d, the code has n = %d"
+                         % (view_channel.n, n))
     if seeds is None:
         count = count_full_rank(k, hash_m)
         if count > _LHL_MAX_SEEDS:

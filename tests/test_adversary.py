@@ -164,7 +164,8 @@ class TestBindingSuccess:
         rng = np.random.default_rng(0)
         strategy = honest_alice_strategy(cfg74, BitString.from01("1"), rng,
                                          n_atoms=8)
-        assert binding_success(strategy, cfg74) == 0.0
+        with pytest.warns(UserWarning, match="not certified"):
+            assert binding_success(strategy, cfg74) == 0.0
 
     def test_uniform_spread_matches_product_form(self, cfg14, seeds13):
         # independent decomposition: Pr[digests differ] * window mass
@@ -219,10 +220,12 @@ class TestBindingSuccess:
         seeds = enumerate_full_rank_seeds(9, 1)
         x0, x1 = BitString.zeros(10), weight_string(10, 2)
         strategy = midpoint_attack(cfg, x0, x1, 0.3, seeds=seeds)
-        exact = binding_success(strategy, cfg, mode="exact")
         trials = 20000
-        mc = binding_success(strategy, cfg, mode="mc", trials=trials,
-                             rng=np.random.default_rng(1))
+        with pytest.warns(UserWarning, match="not certified"):
+            exact = binding_success(strategy, cfg, mode="exact")
+        with pytest.warns(UserWarning, match="not certified"):
+            mc = binding_success(strategy, cfg, mode="mc", trials=trials,
+                                 rng=np.random.default_rng(1))
         se = math.sqrt(exact * (1 - exact) / trials)
         assert mc == pytest.approx(exact, abs=3.5 * se)
 
@@ -612,20 +615,23 @@ class TestPackedOpeningTest:
 class TestHidingAdvantage:
     def test_identity_view_reveals_everything(self, cfg74):
         strategy = less_noisy_bob(0.0, 7)
-        adv = hiding_advantage(strategy, cfg74, BitString.from01("0"),
-                               BitString.from01("1"))
+        with pytest.warns(UserWarning, match="not certified"):
+            adv = hiding_advantage(strategy, cfg74, BitString.from01("0"),
+                                   BitString.from01("1"))
         assert adv == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_view_reveals_nothing(self, cfg74):
         strategy = BobStrategy(view_channel=BobChannel.constant_view(7))
-        adv = hiding_advantage(strategy, cfg74, BitString.from01("0"),
-                               BitString.from01("1"))
+        with pytest.warns(UserWarning, match="not certified"):
+            adv = hiding_advantage(strategy, cfg74, BitString.from01("0"),
+                                   BitString.from01("1"))
         assert adv == pytest.approx(0.0, abs=1e-12)
 
     def test_equal_messages_indistinguishable(self, cfg74):
         strategy = less_noisy_bob(0.1, 7)
-        adv = hiding_advantage(strategy, cfg74, BitString.from01("1"),
-                               BitString.from01("1"))
+        with pytest.warns(UserWarning, match="not certified"):
+            adv = hiding_advantage(strategy, cfg74, BitString.from01("1"),
+                                   BitString.from01("1"))
         assert adv == 0.0
 
     def test_bounded_by_hiding_bound(self, cfg74):
@@ -676,9 +682,22 @@ class TestHidingAdvantage:
     def test_monotone_in_view_noise(self, cfg74):
         m0, m1 = BitString.from01("0"), BitString.from01("1")
         grid = [0.0, 0.0625, 0.125, 0.1875, 0.25]
-        values = [hiding_advantage(less_noisy_bob(pb, 7), cfg74, m0, m1)
-                  for pb in grid]
+        with pytest.warns(UserWarning, match="not certified"):
+            values = [hiding_advantage(less_noisy_bob(pb, 7), cfg74, m0, m1)
+                      for pb in grid]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("view_n", [6, 8])
+    def test_view_channel_of_another_length_refused(self, cfg74, view_n):
+        def fail():
+            raise AssertionError("the view table was built")
+
+        m0, m1 = BitString.from01("0"), BitString.from01("1")
+        for strategy in (BobStrategy(view_channel=BobChannel(view_n, 2, fail)),
+                         less_noisy_bob(0.1, view_n)):
+            with pytest.raises(ValueError, match="view channel has n = %d, "
+                               "the code has n = 7" % view_n):
+                hiding_advantage(strategy, cfg74, m0, m1)
 
 
 def view_joint_reference(strategy, cfg, m, view_law):

@@ -88,6 +88,11 @@ class TestTypicalMembership:
             assert typical_membership(x, z, 0.2, 0.1) == \
                 typical_membership(x ^ y, z ^ y, 0.2, 0.1)
 
+    def test_length_mismatch_refused(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            typical_membership(BitString.zeros(4), BitString.zeros(5), 0.1,
+                               0.1)
+
     def test_integral_upper_edge_is_inclusive(self):
         # 5 * (0.02 + 0.18) evaluates to 0.9999999999999999 in floats
         x = BitString.zeros(5)
@@ -265,6 +270,14 @@ class TestCheckC2:
                  for label in ch.labels)
         assert abs(report.achieved - lp) <= 1e-9
 
+    @pytest.mark.parametrize("params_n", [7, 14])
+    def test_other_block_length_refused(self, params_n):
+        ch = AliceChannel.bsc(8, [BitString.zeros(8)], 0.3)
+        with pytest.raises(ValueError, match="channel has n = 8, params are "
+                           "for n = %d" % params_n):
+            check_c2(ch, _params(params_n, l_a=1.0))
+        assert not ch.certified
+
 
 class TestCheckC3:
     def test_full_view_fails_any_positive_floor(self):
@@ -302,6 +315,17 @@ class TestCheckC3:
         report = check_c3(ch, _params(n, eps_b=eps_b))
         lp = smooth_entropy_lp(ch.joint_with_uniform_input(), eps_b)
         assert abs(report.achieved - lp) <= 1e-9
+
+    @pytest.mark.parametrize("params_n", [4, 6])
+    def test_other_block_length_refused_before_building(self, params_n):
+        def fail():
+            raise AssertionError("the view table was built")
+
+        ch = BobChannel(5, 2, fail)
+        with pytest.raises(ValueError, match="channel has n = 5, params are "
+                           "for n = %d" % params_n):
+            check_c3(ch, _params(params_n))
+        assert not ch.certified
 
 
 class TestLawTable:
@@ -348,6 +372,35 @@ class TestLawTable:
             assert np.array_equal(table, expect), (n, p_b)
         table = BobChannel.constant_view(n).law_table()
         assert np.array_equal(table, np.ones((1 << n, 1)))
+
+
+def uint32_xor_distances(n, centers):
+    """Reference distance table: every centre XORed against every n-bit
+    string in one uint32 array, then popcounted."""
+    z = np.arange(1 << n, dtype=np.uint32)
+    return np.bitwise_count(np.asarray(centers, dtype=np.uint32)[..., None]
+                            ^ z)
+
+
+class TestHammingDistances:
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_equals_uint32_xor_reference(self, n):
+        top = (1 << n) - 1
+        rng = np.random.default_rng(n)
+        grid = rng.integers(0, 1 << n, size=(2, 3))
+        grid[0, 0], grid[1, 2] = 0, top
+        for centers in (0, top, [top, int(rng.integers(1 << n)), 0], grid):
+            got = hamming_distances(n, centers)
+            expect = uint32_xor_distances(n, centers)
+            assert got.dtype == expect.dtype == np.uint8
+            assert got.shape == expect.shape == np.shape(centers) + (1 << n,)
+            assert np.array_equal(got, expect), (n, centers)
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 16, 20])
+    def test_centre_outside_range_refused(self, n):
+        for centers in (1 << n, -1, [0, 1 << n], [[0], [-1]]):
+            with pytest.raises(ValueError, match=r"outside \[0, 2\^%d\)" % n):
+                hamming_distances(n, centers)
 
 
 class TestBscLaw:

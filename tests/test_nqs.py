@@ -44,8 +44,8 @@ class TestMeasureProb:
 class TestConjugateChannelRun:
     def test_deterministic_transcript(self):
         x = BitString.random(64, np.random.default_rng(0))
-        r1 = run_conjugate_channel(x, 7)
-        r2 = run_conjugate_channel(x, 7)
+        r1 = run_conjugate_channel(x, np.random.default_rng(7))
+        r2 = run_conjugate_channel(x, np.random.default_rng(7))
         assert r1.z == r2.z
         assert np.array_equal(r1.theta, r2.theta)
         assert np.array_equal(r1.k, r2.k)

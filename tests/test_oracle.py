@@ -73,6 +73,16 @@ class TestVerifyIntersectionBound:
             if row.sigma > p + 2 * 0.125:
                 assert row.exact == 0
 
+    @pytest.mark.parametrize("n, p, eps", [(1, 0.25, 0.125), (7, 0.1, 0.2),
+                                           (12, 0.25, 0.125),
+                                           (16, 0.125, 0.0625)])
+    def test_counts_equal_pairwise_reference(self, n, p, eps):
+        report = verify_intersection_bound(n, p, eps)
+        assert [row.exact for row in report.rows] == [
+            typical_intersection_exact(n, p, eps, BitString.zeros(n),
+                                       weight_string(n, w))
+            for w in range(n + 1)]
+
     def test_max_ratio_is_tightness_diagnostic(self):
         report = verify_intersection_bound(12, 0.25, 0.125)
         assert 0.0 < report.max_ratio < 0.05  # loose but sound at n=12
@@ -270,6 +280,18 @@ class TestLhlCheck:
         big = even_weight_code(12)
         with pytest.raises(ValueError):
             lhl_check(big, 1, less_noisy_bob(0.1, 12).view_channel)
+
+    @pytest.mark.parametrize("view_n", [6, 8])
+    def test_view_channel_of_another_length_refused(self, view_n):
+        def fail():
+            raise AssertionError("the view table was built")
+
+        with pytest.raises(ValueError, match="view channel has n = %d, the "
+                           "code has n = 7" % view_n):
+            lhl_check(hamming_7_4(), 1, BobChannel(view_n, 2, fail))
+        with pytest.raises(ValueError, match="view channel has n = %d"
+                           % view_n):
+            lhl_check(hamming_7_4(), 1, BobChannel.bsc_view(view_n, 0.25))
 
     def test_seed_family_refused_before_enumeration(self, monkeypatch):
         def fail(*args):
