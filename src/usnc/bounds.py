@@ -151,14 +151,21 @@ def rate_tradeoff_inverse(y: float, p: float) -> float:
 
 def achievable_rate(p: float, xi_a: float, xi_b: float) -> float:
     """Commitment bits per channel use: max(0, xi_b - h(2 * inverse(xi_a)))."""
+    return _rate_row(p, xi_a, [xi_b])[0]
+
+
+def _rate_row(p: float, xi_a: float, xi_bs) -> list[float]:
+    """``achievable_rate(p, xi_a, xi_b)`` for every xi_b, inverting once."""
     _check_p(p)
     hp = binary_entropy(p)
     if not 2.0 * p - 1e-12 <= xi_a <= hp + 1e-12:
         raise ValueError("xi_a must be in [2p, h(p)]")
-    if not -1e-12 <= xi_b <= hp + 1e-12:
-        raise ValueError("xi_b must be in [0, h(p)]")
+    for xi_b in xi_bs:
+        if not -1e-12 <= xi_b <= hp + 1e-12:
+            raise ValueError("xi_b must be in [0, h(p)]")
     sigma = rate_tradeoff_inverse(xi_a, p)
-    return max(0.0, xi_b - binary_entropy(min(2.0 * sigma, 1.0)))
+    cost = binary_entropy(min(2.0 * sigma, 1.0))
+    return [max(0.0, xi_b - cost) for xi_b in xi_bs]
 
 
 def iid_rate(p: float, p_a: float, p_b: float, clamp: bool = True) -> float:
@@ -272,10 +279,10 @@ def rate_surface(p: float, grid_steps: int) -> list[RatePoint]:
     if not 2 <= grid_steps <= 1000:  # 10^6 points take about 40 s
         raise ValueError("need 2 <= grid_steps <= 1000")
     hp = binary_entropy(p)
-    xas = np.linspace(2.0 * p, hp, grid_steps)
-    xbs = np.linspace(0.0, hp, grid_steps)
-    return [RatePoint(float(xa), float(xb), achievable_rate(p, float(xa), float(xb)))
-            for xa in xas for xb in xbs]
+    xas = np.linspace(2.0 * p, hp, grid_steps).tolist()
+    xbs = np.linspace(0.0, hp, grid_steps).tolist()
+    return [RatePoint(xa, xb, r) for xa in xas
+            for xb, r in zip(xbs, _rate_row(p, xa, xbs))]
 
 
 def _exp2(log2_value: float) -> float:

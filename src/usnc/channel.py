@@ -102,10 +102,19 @@ def typical_window(n: int, p: float, eps: float) -> tuple[int, int]:
 def typical_window_mask(n: int, centers, p: float, eps: float) -> np.ndarray:
     """Whether HD(c, z) lies in ``typical_window(n, p, eps)``, laid out as
     ``hamming_distances(n, centers)``: int centres c of any shape, then
-    every n-bit string z in integer order along a new last axis."""
+    every n-bit string z in integer order along a new last axis.
+
+    One uint8 table is built and compared in place: d - w_lo wraps past
+    255 below the window, so w_lo <= d <= w_hi reads d - w_lo <= w_hi - w_lo.
+    """
     w_lo, w_hi = typical_window(n, p, eps)
     d = hamming_distances(n, centers)
-    return (d >= w_lo) & (d <= w_hi)
+    if w_lo > w_hi:  # an empty window
+        d.fill(0)
+    else:
+        d -= np.uint8(w_lo)
+        np.less_equal(d, np.uint8(w_hi - w_lo), out=d.view(bool))
+    return d.view(bool)
 
 
 def typical_membership(x: BitString, z: BitString, p: float,

@@ -19,7 +19,11 @@ opening test of exact binding. Block b of a run draws all its randomness
 from ``default_rng([master_seed, b])``, so results depend only on the
 configuration, the trial count and the master seed, never on how blocks are
 grouped into calls. The scalar ``run_honest``/``bob_verify`` remain the
-reference the batch path is tested against.
+reference the batch path is tested against. Both send X + x_C' through
+BSC(p) with the same law, that of ``Generator.random() < p`` per bit, but
+not from the same stream: ``bsc_transmit`` draws one ``random()`` per bit,
+while the batch engine draws its noise bit-sliced, 64 bits per raw output
+(``_bsc_words``).
 """
 
 from __future__ import annotations
@@ -196,10 +200,11 @@ def run_honest(m: BitString, cfg: CommitConfig,
 
 BLOCK = 1000  # trials per random stream; a block's arrays stay a few MB
 _BLOCK_WORDS_CAP = 1 << 20  # words of one n-bit field of a block: 8 MB
-# Most completeness trials: at about 3 * 10^4 trials a second, 10^8 run for
-# about 50 minutes.
+# Most completeness trials: at about 8 * 10^4 trials a second (n = 4096),
+# 10^8 run for about 20 minutes.
 _COMPLETENESS_TRIALS_CAP = 10 ** 8
-_NOISE_CHUNK_BITS = 1 << 18  # BSC draws per chunk: 2 MB of uint64
+_NOISE_CHUNK_WORDS = 1 << 16  # noise words drawn per chunk: 512 KB of uint64
+_NOISE_DENSE_PASSES = 8  # U bits drawn for every word of a chunk
 
 
 def _nwords(nbits: int) -> int:
@@ -324,14 +329,55 @@ def _seeds_and_preimages(rng: np.random.Generator, digests: np.ndarray,
     return seed, u
 
 
-def _flip_threshold(p: float) -> np.uint64:
-    """The t with raw < t exactly when ``Generator.random() < p`` flips.
+def _flip_threshold(p: float) -> int:
+    """The 53-bit T with (raw >> 11) < T exactly when ``random() < p``.
 
-    For PCG64, ``random`` turns a raw 64-bit output into (raw >> 11) 2^-53,
-    and that is below p exactly when raw >> 11 < ceil(p 2^53), i.e. when
-    raw < ceil(p 2^53) << 11. For 0 < p < 1/2 this is at most 2^63.
+    For PCG64, ``Generator.random`` turns a raw 64-bit output into
+    U 2^-53 with U = raw >> 11, and that is below p exactly when
+    U < ceil(p 2^53). For 0 < p < 1/2, T is at most 2^52.
     """
-    return np.uint64(math.ceil(p * 2.0 ** 53) << 11)
+    return math.ceil(p * 2.0 ** 53)
+
+
+def _bsc_words(bitgen, lanes: np.ndarray, rows: int,
+               threshold: int) -> np.ndarray:
+    """BSC flips of ``rows`` strings as packed words, bit-sliced.
+
+    Every bit set in the word mask ``lanes`` is a lane: one channel bit of
+    a row. A lane flips when its 53-bit U, built most significant bit
+    first, is below ``threshold`` T, and one raw output of ``bitgen`` gives
+    the next bit of U to all 64 lanes of a word. At a T bit of 1 an
+    undecided lane with a U bit of 0 is decided as a flip; at a T bit of 0
+    one with a U bit of 1 is decided as no flip. A lane still undecided
+    after T's last 1 bit has U >= T and does not flip. Every lane therefore
+    flips independently with probability exactly T 2^-53, the law of
+    ``random() < p`` at T = ``_flip_threshold(p)``, and a word of 64 lanes
+    takes about ``_NOISE_DENSE_PASSES`` raw outputs, not 64.
+
+    The first ``_NOISE_DENSE_PASSES`` bits of U are drawn for every word,
+    row by row; each later bit only for the words that still hold an
+    undecided lane, in increasing word order. Bits outside ``lanes`` (the
+    padding) start decided and stay zero.
+    """
+    flip = np.zeros(rows * lanes.size, dtype=np.uint64)
+    live = np.tile(lanes, rows)  # lanes still undecided
+    at = slice(None)  # words of flip that live covers
+    for j, bit in enumerate(format(threshold, "053b").rstrip("0")):
+        if j >= _NOISE_DENSE_PASSES:  # only the words still undecided
+            held = np.flatnonzero(live)
+            if not held.size:
+                break
+            at = held if j == _NOISE_DENSE_PASSES else at[held]
+            live = live[held]
+        u = bitgen.random_raw(live.size)
+        np.invert(u, out=u)  # lanes whose U bit is 0
+        if bit == "1":  # U < T on these lanes
+            u &= live
+            flip[at] |= u
+            live ^= u
+        else:  # U > T on the lanes whose U bit is 1
+            live &= u
+    return flip.reshape(rows, lanes.size)
 
 
 def run_honest_batch(cfg: CommitConfig, master_seed: int, block: int,
@@ -340,19 +386,22 @@ def run_honest_batch(cfg: CommitConfig, master_seed: int, block: int,
 
     Every draw comes from ``default_rng([master_seed, block])``: messages,
     masks, seeds (rank-deficient ones redrawn), free preimage coordinates
-    and cosets for all BLOCK trials, then the BSC noise in row chunks for
-    the first ``size`` trials only. Trial j of a block is therefore the
-    same for every ``size`` > j. A block whose n-bit fields would hold
-    more than 2^20 words each (n above about 67,000) is refused before
-    anything is drawn.
+    and cosets for all BLOCK trials, then the BSC noise. The noise is drawn
+    in row chunks of about ``_NOISE_CHUNK_WORDS`` words, whose size depends
+    on the code alone, and the chunk holding trial ``size`` - 1 is drawn
+    whole, so trial j of a block is the same for every ``size`` > j. A
+    block whose n-bit fields would hold more than 2^20 words each (n above
+    about 67,000) is refused before anything is drawn.
 
-    The kernels are exact rewrites that leave every stream as it was:
-    seeds are reduced row by row (``_gauss_jordan``), which finds the same
-    rank deficiencies, pivots and reduced rows as column-wise elimination;
-    encoding gathers from byte tables (``check_words_batch``); and a BSC
-    flip compares a raw PCG64 output with an integer threshold, the same
-    test ``Generator.random() < p`` makes on the same outputs, so the
-    flips and the generator state after them are unchanged.
+    Seeds are reduced row by row (``_gauss_jordan``), which finds the same
+    rank deficiencies, pivots and reduced rows as column-wise elimination,
+    and encoding gathers from byte tables (``check_words_batch``); both
+    leave the streams of the draws before the noise as they were. The noise
+    is bit-sliced (``_bsc_words``): each bit flips with the probability
+    ``Generator.random() < p`` has, but a chunk of 64-bit words takes about
+    ``_NOISE_DENSE_PASSES`` raw outputs per word instead of one per bit, so
+    the flips and the generator state after them are not those of
+    ``random()``.
     """
     if not 1 <= size <= BLOCK:
         raise ValueError("need 1 <= size <= %d" % BLOCK)
@@ -372,12 +421,13 @@ def run_honest_batch(cfg: CommitConfig, master_seed: int, block: int,
     x = np.concatenate([u, code.check_words_batch(u)], axis=1)
     z = x.copy()
     z[:, _nwords(k):] ^= coset  # the transmitted lift X + x_C'
+    lanes = _pack_split(np.ones(n, dtype=np.uint8), k)
     threshold = _flip_threshold(cfg.p)
-    chunk = max(1, _NOISE_CHUNK_BITS // n)
-    for start in range(0, size, chunk):
-        rows = min(chunk, size - start)
-        flips = rng.bit_generator.random_raw(rows * n) < threshold
-        z[start: start + rows] ^= _pack_split(flips.reshape(rows, n), k)
+    chunk = max(1, _NOISE_CHUNK_WORDS // lanes.size)
+    for start in range(0, size, chunk):  # every chunk is drawn whole
+        flips = _bsc_words(rng.bit_generator, lanes,
+                           min(chunk, BLOCK - start), threshold)
+        z[start: start + chunk] ^= flips[: size - start]
     return TranscriptBatch(seed=seed, mbar=mbar, coset=coset, z=z, m=m, x=x)
 
 

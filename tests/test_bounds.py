@@ -295,6 +295,14 @@ class TestRateSurface:
         assert achievable_rate(p, boundary - 1e-6, hp) == 0.0
         assert achievable_rate(p, boundary + 1e-3, hp) > 0.0
 
+    @pytest.mark.parametrize("p", [0.01, 0.1, 0.2, 0.3, 0.45])
+    def test_every_point_is_achievable_rate(self, p):
+        # one inversion per row gives each point's achievable_rate bits
+        pts = rate_surface(p, 13)
+        assert [q.r.hex() for q in pts] == [
+            achievable_rate(p, q.xi_a, q.xi_b).hex() for q in pts]
+        assert len({q.xi_a for q in pts}) == 13
+
     def test_grid_shape(self):
         pts = rate_surface(0.2, 5)
         assert len(pts) == 25

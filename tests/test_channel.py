@@ -126,6 +126,23 @@ class TestTypicalMembership:
             assert np.array_equal(masks[idx], typical_window_mask(
                 n, int(centers[idx]), p, eps))
 
+    def test_window_mask_matches_two_compares_at_every_window(
+            self, monkeypatch):
+        # every window 0 <= w_lo, w_hi <= n at every n <= 16, the empty
+        # ones (w_lo > w_hi) included, against d >= w_lo and d <= w_hi
+        import usnc.channel as channel
+        for n in range(1, 17):
+            centers = np.array([0, (1 << n) - 1, 0x5A5A & ((1 << n) - 1)])
+            d = hamming_distances(n, centers)
+            for w_lo in range(n + 1):
+                for w_hi in range(n + 1):
+                    monkeypatch.setattr(channel, "typical_window",
+                                        lambda *a: (w_lo, w_hi))
+                    mask = typical_window_mask(n, centers, 0.25, 0.1)
+                    assert mask.dtype == bool and mask.shape == d.shape
+                    assert np.array_equal(mask, (d >= w_lo) & (d <= w_hi)), \
+                        (n, w_lo, w_hi)
+
 
 class TestTypicalWindow:
     def test_matches_integer_arithmetic_on_decimal_grid(self):

@@ -770,6 +770,19 @@ class TestOptionNames:
                     parsers += action.choices.values()
         assert seen == 19  # the root, 5 command groups and 13 commands
 
+    def test_main_parses_with_one_parser_per_process(self, capsys):
+        # main reuses one parser; an option given in one call does not
+        # carry over to the next, which gets the defaults of a fresh parser
+        from usnc import cli
+        parser = cli._parser()
+        argv = ["attack", "binding", "--strategy", "honest"]
+        parser.parse_args(argv + ["--mode", "mc", "--trials", "7"])
+        assert vars(parser.parse_args(argv)) == \
+            vars(build_parser().parse_args(argv))
+        assert run_cli(capsys, "rate", "point", "--p", "0.1", "--xia",
+                       "0.4", "--xib", "0.4")[0] == 0
+        assert cli._parser() is parser
+
 
 def test_cli_import_leaves_lp_solver_unloaded():
     # scipy is imported only by the smoothing LP when it is called: starting

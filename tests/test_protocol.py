@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.stats import chi2
+from scipy.stats import binom, chi2
 
 from usnc import cli, protocol
 from usnc.bounds import completeness_bound
@@ -429,6 +429,18 @@ class TestBatchEngine:
         for f in ("seed", "mbar", "coset", "z", "m", "x"):
             assert np.array_equal(getattr(short, f), getattr(full, f)[:123])
 
+    def test_short_block_is_prefix_across_noise_chunks(self, monkeypatch):
+        # 64 noise words a chunk are 32 rows of hamming74: size 123 ends
+        # inside the fourth chunk, which is still drawn whole
+        cfg = BATCH_CONFIGS["hamming74"]()
+        one_chunk = run_honest_batch(cfg, 45, 2).z
+        monkeypatch.setattr(protocol, "_NOISE_CHUNK_WORDS", 64)
+        full = run_honest_batch(cfg, 45, 2).z
+        assert not np.array_equal(full, one_chunk)
+        for size in (1, 32, 33, 123):
+            assert np.array_equal(run_honest_batch(cfg, 45, 2, size=size).z,
+                                  full[:size])
+
     def test_rejection_rate_matches_exact_window_tail(self):
         cfg = BATCH_CONFIGS["hamming74"]()
         tail = typicality_tail_exact(7, cfg.p, cfg.eps)
@@ -460,7 +472,7 @@ STREAM_CONFIGS = dict(BATCH_CONFIGS, **{
     "hamming74 m=4": lambda: CommitConfig(code=hamming_7_4(), hash_m=4,
                                           p=0.25, eps=0.2)})
 STREAM_BLOCKS = [(name, BLOCK) for name in sorted(STREAM_CONFIGS)] + [
-    ("random[4096,16]", 123)]  # a short block ending inside a noise chunk
+    ("random[4096,16]", 123)]  # a short block inside a whole noise chunk
 
 
 def _field_digest(words: np.ndarray) -> str:
@@ -471,31 +483,33 @@ def _field_digest(words: np.ndarray) -> str:
 
 # run_honest_batch(cfg, 51, 2, size) field digests and the rejects of
 # _completeness_counts(cfg, 2500, 52) (two full blocks and a 500-trial
-# one), recorded before the encoding, elimination and BSC kernels were
-# rewritten. A kernel rewrite must reproduce these exactly; a change here
-# is a change of every `commit complete` result.
+# one). The seed, mbar, coset, m and x digests were recorded before the
+# encoding and elimination kernels were rewritten; the z digests and the
+# rejects were re-recorded when the BSC noise became bit-sliced, which
+# left every other digest as it was. A kernel rewrite must reproduce these
+# exactly; a change here is a change of every `commit complete` result.
 STREAM_PINS = {
     ("even:14", BLOCK): {
-        "rejects": 1360,
+        "rejects": 1322,
         "fields": {
             "seed": "94b5ec3f72a4aae4", "mbar": "d297a0991671e698",
-            "coset": "0610c16518714267", "z": "170d2307d674c81b",
+            "coset": "0610c16518714267", "z": "8801252dfa0aecf9",
             "m": "8151e8b0bf2144ef", "x": "9769f553f752eb2f",
         },
     },
     ("hamming74", BLOCK): {
-        "rejects": 494,
+        "rejects": 497,
         "fields": {
             "seed": "d404d3fb01443647", "mbar": "d297a0991671e698",
-            "coset": "896143773f32bc08", "z": "da73f0e8648e909d",
+            "coset": "896143773f32bc08", "z": "9bebbe3a31fc2cc3",
             "m": "8151e8b0bf2144ef", "x": "2d8c8fdcd1fde57a",
         },
     },
     ("hamming74 m=4", BLOCK): {
-        "rejects": 509,
+        "rejects": 519,
         "fields": {
             "seed": "fcf6f73e794c999b", "mbar": "999e213e09414061",
-            "coset": "014b9dda0d4135be", "z": "4544362687e6d983",
+            "coset": "014b9dda0d4135be", "z": "c8da09c3195bcaaa",
             "m": "894a38b6513ae4db", "x": "6ad6bab3ab379d19",
         },
     },
@@ -503,22 +517,22 @@ STREAM_PINS = {
         "rejects": 27,
         "fields": {
             "seed": "b4a9ccc7bc9f63a2", "mbar": "a4300a0393b4b6c5",
-            "coset": "91655e6970538f73", "z": "43442001a2a96436",
+            "coset": "91655e6970538f73", "z": "c14f89a9380594b8",
             "m": "f6dece3bcaa20361", "x": "26f0d93aa71d7b0a",
         },
     },
     ("random[4096,16]", BLOCK): {
-        "rejects": 63,
+        "rejects": 72,
         "fields": {
             "seed": "9ac6a8583ff01384", "mbar": "b24d2e848eceb07a",
-            "coset": "c9bc3f4a879c72b3", "z": "c055dcf0a951fb9e",
+            "coset": "c9bc3f4a879c72b3", "z": "8c263e0984037f8c",
             "m": "9329f94acef3aaed", "x": "659d0fcbcb561ab2",
         },
     },
     ("random[4096,16]", 123): {
         "fields": {
             "seed": "6cda292e46444ae7", "mbar": "030b9ca8b51c6070",
-            "coset": "f5f3fced15ee1c69", "z": "68d879318a694e97",
+            "coset": "f5f3fced15ee1c69", "z": "07947b2b0b15876e",
             "m": "8abd1bf36bd20f13", "x": "99329ebcb4f0b987",
         },
     },
@@ -594,14 +608,102 @@ class TestKernels:
     @pytest.mark.parametrize("p", [1e-9, 0.1, 0.25, 0.5 - 2.0 ** -53])
     def test_flip_threshold_is_random_below_p(self, p):
         # 0.25 * 2^53 is an integer; 1/2 - 2^-53 is the largest p < 1/2
-        t = int(_flip_threshold(p))
+        big_t = _flip_threshold(p)
+        t = big_t << 11
         edge = np.array([v for v in (t - 2049, t - 2048, t - 1, t, t + 1,
                                      t + 2047, t + 2048) if 0 <= v < 2 ** 64],
                         dtype=np.uint64)
         scaled = (edge >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
-        assert np.array_equal(edge < np.uint64(t), scaled < p)
+        assert np.array_equal((edge >> np.uint64(11)) < np.uint64(big_t),
+                              scaled < p)
         raw, gen = np.random.default_rng(61), np.random.default_rng(61)
-        flips = raw.bit_generator.random_raw(50_000) < np.uint64(t)
-        assert np.array_equal(flips, gen.random(50_000) < p)
+        u = raw.bit_generator.random_raw(50_000) >> np.uint64(11)
+        assert np.array_equal(u < np.uint64(big_t), gen.random(50_000) < p)
         assert raw.bit_generator.state == gen.bit_generator.state
         assert np.array_equal(raw.random(100), gen.random(100))
+
+
+# ---------------------------------------------------------------------------
+# Bit-sliced BSC noise pinned against a lane-by-lane reference
+# ---------------------------------------------------------------------------
+
+
+def bsc_lanes_reference(raw, lanes, rows, threshold):
+    """The flips ``_bsc_words`` draws from the raw stream ``raw``, rebuilt
+    lane by lane: every lane keeps its U as one integer and flips iff
+    U < T.
+
+    Pass j (j = 0, ..., 52) hands the next raw word to every word of the
+    block, in order, while j < 8, and after that only to the words holding
+    a lane whose U so far equals T's first j bits; lane l of a word that
+    draws appends bit l of the raw word to its U. U is completed with zero
+    bits, which cannot change U < T once U and T differ.
+    """
+    mask = np.tile(lanes, rows)
+    real = ((mask[:, None] >> np.arange(64, dtype=np.uint64))
+            & np.uint64(1)).astype(bool)
+    u = np.zeros(real.shape, dtype=np.uint64)
+    used = 0
+    for j in range(53):
+        undecided = real & (u == np.uint64(threshold >> (53 - j)))
+        draws = undecided.any(axis=1) | (j < 8)
+        bits = (raw[used: used + draws.sum(), None]
+                >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+        used += draws.sum()
+        u <<= np.uint64(1)
+        u[draws] |= bits
+    flips = (u < np.uint64(threshold)) & real
+    return (flips.astype(np.uint64) << np.arange(64, dtype=np.uint64)) \
+        .sum(axis=1, dtype=np.uint64).reshape(rows, lanes.size)
+
+
+class TestBitSlicedNoise:
+    # 2^-53 has the longest expansion (T = 1), 0.25 the shortest (T = 2^51),
+    # 1/2 - 2^-53 ends in 52 ones, the others cut off inside
+    @pytest.mark.parametrize("p", [2.0 ** -53, 1e-9, 0.1, 0.25, 0.3,
+                                   0.5 - 2.0 ** -53])
+    def test_every_lane_is_u_below_t(self, p):
+        # the split layout of a [200, 70] code: 70 + 130 lanes in 5 words a
+        # row, 96 rows, so 19,200 lanes and 280 padding bits
+        lanes = protocol._pack_split(np.ones(200, dtype=np.uint8), 70)
+        threshold = _flip_threshold(p)
+        got = protocol._bsc_words(np.random.default_rng(62).bit_generator,
+                                  lanes, 96, threshold)
+        raw = np.random.default_rng(62).bit_generator.random_raw(53 * 480)
+        want = bsc_lanes_reference(raw, lanes, 96, threshold)
+        assert got.dtype == np.uint64 and got.shape == (96, 5)
+        assert np.array_equal(got, want)
+        if 1e-9 < p:  # both outcomes occur
+            assert want.any() and (want != np.tile(lanes, (96, 1))).any()
+
+    def test_padding_bits_zero_and_every_lane_used(self):
+        # k = 70 and n - k = 130 leave padding in both parts of the split
+        code = LinearCode(np.random.default_rng(63).integers(0, 2, (70, 130)),
+                          d_claimed=5)
+        cfg = CommitConfig(code=code, hash_m=3, p=0.45, eps=0.01)
+        b = run_honest_batch(cfg, 64, 0)
+        noise = b.x ^ b.z
+        noise[:, 2:] ^= b.coset
+        lanes = protocol._pack_split(np.ones(200, dtype=np.uint8), 70)
+        assert not (noise & ~lanes).any()
+        assert np.array_equal(np.bitwise_or.reduce(noise, axis=0), lanes)
+
+    def test_row_weights_are_binomial(self):
+        # 3000 rows of n = 4096 in the split layout of k = 16, against the
+        # exact Binomial(4096, T 2^-53), cut at its 4% quantiles into 25
+        # cells of at least 2% each
+        n, rows = 4096, 3000
+        lanes = protocol._pack_split(np.ones(n, dtype=np.uint8), 16)
+        threshold = _flip_threshold(0.1)
+        flips = protocol._bsc_words(np.random.default_rng(65).bit_generator,
+                                    lanes, rows, threshold)
+        weight = np.bitwise_count(flips).sum(axis=1)
+        pmf = binom.pmf(np.arange(n + 1), n, threshold * 2.0 ** -53)
+        edges = np.unique(np.searchsorted(np.cumsum(pmf),
+                                          np.arange(0.04, 1.0, 0.04)))
+        expected = np.add.reduceat(pmf, np.r_[0, edges + 1]) * rows
+        counts = np.bincount(np.searchsorted(edges, weight),
+                             minlength=expected.size)
+        assert expected.size == 25 and expected.min() > 0.02 * rows
+        stat = float(((counts - expected) ** 2 / expected).sum())
+        assert stat < chi2.ppf(0.999, df=expected.size - 1)
