@@ -83,6 +83,13 @@ def _code_from_spec(spec: str) -> LinearCode:
     return code
 
 
+def _check_code_length(args, config, code: LinearCode) -> None:
+    """Refuse an --n (flag or config) other than the code's length."""
+    n = _resolve(args, config, "n", int, default=code.n)
+    if n != code.n:
+        raise UsageError("--n %d does not match the code length %d" % (n, code.n))
+
+
 def _commit_config(args, config, code: LinearCode) -> protocol.CommitConfig:
     """Protocol instance over ``code``, its fields from flags over config."""
     return protocol.CommitConfig(
@@ -105,9 +112,7 @@ def _message_bits(hex_str: str, nbits: int) -> BitString:
 
 def _cmd_commit_run(args, config) -> int:
     code = _code_from_spec(_resolve(args, config, "code", str, required=True))
-    n = _resolve(args, config, "n", int, default=code.n)
-    if n != code.n:
-        raise UsageError("--n %d does not match the code length %d" % (n, code.n))
+    _check_code_length(args, config, code)
     cfg = _commit_config(args, config, code)
     seed = _resolve(args, config, "seed", int, required=True)
     m = _message_bits(_resolve(args, config, "message", str, required=True),
@@ -145,6 +150,7 @@ def _cmd_commit_complete(args, config) -> int:
     code_spec = _resolve(args, config, "code", str)
     if code_spec:
         code = _code_from_spec(code_spec)
+        _check_code_length(args, config, code)
     else:
         n = _resolve(args, config, "n", int, required=True)
         k = _resolve(args, config, "k", int, default=16)
@@ -258,18 +264,18 @@ def _cmd_attack(args, config) -> int:
 
 def _cmd_bounds_eval(args, config) -> int:
     which = args.which
-    get = lambda name, required=True: _resolve(args, config, name, float,
-                                               required=required)
+    n = _resolve(args, config, "n", int, required=True)
+    get = lambda name: _resolve(args, config, name, float, required=True)
     if which == "dc":
-        val = bounds.completeness_bound(int(get("n")), get("eps"))
+        val = bounds.completeness_bound(n, get("eps"))
     elif which == "dh":
-        val = bounds.hiding_bound(int(get("n")), get("log_m"), get("log_c"),
-                                  get("l_b"), get("eps_b"))
+        val = bounds.hiding_bound(n, get("log_m"), get("log_c"), get("l_b"),
+                                  get("eps_b"))
     elif which == "db":
-        val = bounds.binding_bound(int(get("n")), get("eps"), get("sigma"),
-                                   get("p"), get("l_a"), get("eps_a"))
+        val = bounds.binding_bound(n, get("eps"), get("sigma"), get("p"),
+                                   get("l_a"), get("eps_a"))
     else:  # the typical-window intersection ceiling
-        val = bounds.intersection_bound(int(get("n")), get("p"), get("eps"),
+        val = bounds.intersection_bound(n, get("p"), get("eps"),
                                         get("sigma"))
     print(_fmt(val))
     return 0

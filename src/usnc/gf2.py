@@ -124,13 +124,13 @@ def xor(x: BitString, y: BitString) -> BitString:
 
 
 # ---------------------------------------------------------------------------
-# GF(2) matrix routines (dense uint8 arrays of 0/1)
+# GF(2) matrix routines: rows packed into Python ints, bit i = column i
 # ---------------------------------------------------------------------------
 
 
 def all_bits(k: int) -> np.ndarray:
     """All k-bit vectors as a (2^k, k) uint8 array; row u holds the bits of u."""
-    return _unpack_ints(np.arange(1 << k), k)
+    return _unpack_u64(np.arange(1 << k, dtype=np.uint64)[:, None], k)
 
 
 def _pack_row(bits: np.ndarray) -> int:
@@ -146,17 +146,14 @@ def _unpack_row(value: int, ncols: int) -> np.ndarray:
                          bitorder="little")[:ncols]
 
 
-def _unpack_ints(values, nbits: int) -> np.ndarray:
-    """Int array (each entry below 2^64) as 0/1 bits along a new last axis
-    of length nbits <= 64; entry i of that axis is bit i."""
-    raw = np.array(values, dtype="<u8")[..., None].view(np.uint8)
-    return np.unpackbits(raw[..., :(nbits + 7) // 8], axis=-1,
-                         bitorder="little")[..., :nbits]
-
-
 def _pack_rows(mat: np.ndarray) -> list[int]:
-    """Matrix rows as integers, bit i of a row = column i."""
-    return [_pack_row(r) for r in np.asarray(mat, dtype=np.uint8) & 1]
+    """Matrix rows as integers, bit i of a row = column i, from one
+    ``packbits`` of the whole matrix (entries mod 2)."""
+    packed = np.packbits(np.asarray(mat, dtype=np.uint8) & 1, axis=-1,
+                         bitorder="little")
+    raw, w = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(raw[i * w:(i + 1) * w], "little")
+            for i in range(packed.shape[0])]
 
 
 def _rref_ints(rows: list[int], ncols: int):
@@ -183,41 +180,33 @@ def gf2_rank(mat: np.ndarray) -> int:
     return len(_rref_ints(rows, np.asarray(mat).shape[1]))
 
 
-def _kernel_from_rref(rows: list[int], pivots: list[int],
-                      ncols: int) -> np.ndarray:
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = np.zeros((len(free), ncols), dtype=np.uint8)
-    for i, f in enumerate(free):
-        vec = 1 << f
-        for row_idx, c in enumerate(pivots):
-            if rows[row_idx] >> f & 1:
-                vec |= 1 << c
-        basis[i] = _unpack_row(vec, ncols)
-    return basis
-
-
 def gf2_solution_space(mat: np.ndarray, rhs: np.ndarray):
-    """(particular solution, kernel basis) of mat @ u = rhs in one elimination.
+    """(particular solution, kernel basis) of mat @ u = rhs from one
+    elimination of [mat | rhs], as ints with bit i = column i.
 
-    The solution is None when the system is inconsistent.
+    The basis holds one int per free column f, in increasing order: bit f
+    and the pivot bits that column f of the reduced form sets. The solution
+    is None when the system is inconsistent.
     """
     a = np.asarray(mat, dtype=np.uint8)
     b = np.asarray(rhs, dtype=np.uint8).reshape(-1)
     if a.shape[0] != b.size:
         raise ValueError("shape mismatch")
     ncols = a.shape[1]
-    rows = _pack_rows(a)
-    rows = [row | (int(b[i]) << ncols) for i, row in enumerate(rows)]
+    rows = _pack_rows(np.column_stack([a, b]))
     pivots = _rref_ints(rows, ncols)
-    for i in range(len(pivots), len(rows)):
-        if rows[i]:
-            return None, None
-    u = 0
-    for row_idx, c in enumerate(pivots):
-        if rows[row_idx] >> ncols & 1:
-            u |= 1 << c
-    masked = [row & ((1 << ncols) - 1) for row in rows]
-    return _unpack_row(u, ncols), _kernel_from_rref(masked, pivots, ncols)
+    if any(rows[len(pivots):]):
+        return None, None
+
+    def on_pivots(j):  # column j of the reduced form, read at the pivots
+        bits = 0
+        for row, c in zip(rows, pivots):
+            if row >> j & 1:
+                bits |= 1 << c
+        return bits
+
+    return on_pivots(ncols), [1 << f | on_pivots(f) for f in range(ncols)
+                              if f not in pivots]
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +255,10 @@ def _pack_u64(bits: np.ndarray) -> np.ndarray:
 
 
 def _unpack_u64(words: np.ndarray, nbits: int) -> np.ndarray:
-    """Inverse of ``_pack_u64``: the first nbits bits of each row, as 0/1."""
-    return np.unpackbits(words.view(np.uint8), axis=-1,
-                         bitorder="little")[..., :nbits]
+    """Inverse of ``_pack_u64``: the first nbits bits of each row of 64-bit
+    words, as 0/1; only the (nbits + 7) // 8 bytes kept are unpacked."""
+    raw = words.view(np.uint8)[..., :(nbits + 7) // 8]
+    return np.unpackbits(raw, axis=-1, bitorder="little")[..., :nbits]
 
 
 class LinearCode:
@@ -539,9 +529,9 @@ def load_code(path, d_claimed: int | None = None) -> LinearCode:
     if len(lines) != k + 1:
         raise ValueError("expected %d generator rows, got %d"
                          % (k, len(lines) - 1))
-    gen = np.zeros((k, n), dtype=np.uint8)
-    for i, ln in enumerate(lines[1:]):
+    for i, ln in enumerate(lines[1:]):  # before allocating: n may be huge
         if len(ln) != n or set(ln) - {"0", "1"}:
             raise ValueError("row %d is not %d characters of 0/1" % (i, n))
-        gen[i] = np.frombuffer(ln.encode(), dtype=np.uint8) - ord("0")
+    gen = (np.frombuffer("".join(lines[1:]).encode(), dtype=np.uint8)
+           - ord("0")).reshape(k, n)
     return LinearCode.from_generator(gen, d_claimed=d_claimed)

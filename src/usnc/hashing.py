@@ -13,11 +13,12 @@ every message under every seed of a stack at once.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import (_P_BLOCK_BITS_CAP, BitString, LinearCode, _unpack_ints,
+from .gf2 import (_P_BLOCK_BITS_CAP, BitString, LinearCode, _unpack_u64,
                   all_bits, gf2_rank, gf2_solution_space)
 
 __all__ = [
@@ -93,9 +94,9 @@ def preimage_sample(seed: HashSeed, code: LinearCode, m_val: BitString,
     """Uniform codeword among those hashing to m_val.
 
     Full rank makes every digest's preimage a nonempty coset of the kernel,
-    so the sample is a particular solution plus a uniform kernel element.
-    The dense (k - m) x k kernel basis is refused above the P-block cap of
-    2^22 bits before any elimination.
+    so the sample is a particular solution XOR the basis ints that k - m
+    uniform bits select (no draw when k = m). A kernel basis of (k - m) k
+    bits above the P-block cap of 2^22 is refused before any elimination.
     """
     if len(m_val) != seed.m:
         raise ValueError("digest length %d != m=%d" % (len(m_val), seed.m))
@@ -106,10 +107,11 @@ def preimage_sample(seed: HashSeed, code: LinearCode, m_val: BitString,
                          % (seed.k, bits))
     u0, basis = gf2_solution_space(seed.matrix, m_val.bits)
     assert u0 is not None  # guaranteed by full rank
-    if basis.shape[0]:
-        coeffs = rng.integers(0, 2, size=basis.shape[0], dtype=np.uint8)
-        u0 = u0 ^ ((coeffs @ basis) & 1)
-    return code.encode(BitString._wrap(u0.astype(np.uint8)))
+    if basis:
+        coeffs = rng.integers(0, 2, size=len(basis), dtype=np.uint8)
+        for row in itertools.compress(basis, coeffs.tolist()):
+            u0 ^= row
+    return code.encode(BitString.from_int(u0, seed.k))
 
 
 def _digests(seeds: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -168,4 +170,4 @@ def enumerate_full_rank_seeds(k: int, m: int) -> np.ndarray:
         np.put_along_axis(free, span, False, axis=1)
         prefix, row = np.nonzero(free)  # row-major, so in lexicographic order
         rows = np.column_stack([rows[prefix], row])
-    return _unpack_ints(rows, k)
+    return _unpack_u64(rows[..., None], k)

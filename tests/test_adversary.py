@@ -14,7 +14,7 @@ from usnc.channel import (AliceChannel, BobChannel, UsncParams, bsc_law_dense,
                           check_c2, check_c3, hamming_distances,
                           typical_window, typical_window_mask)
 from usnc.entropy import ClassicalDistribution, cond_min_entropy, min_entropy
-from usnc.gf2 import (BitString, LinearCode, _pack_u64, _unpack_ints,
+from usnc.gf2 import (BitString, LinearCode, _pack_u64, _unpack_u64,
                       all_bits, even_weight_code, hamming_7_4)
 from usnc.hashing import (HashSeed, _digests, digest_table,
                           enumerate_full_rank_seeds,
@@ -102,7 +102,7 @@ def binding_grouped_reference(strategy, cfg):
     over (label, coset, x0, x1) key rows, one window mass per group."""
     n, code, a = cfg.n, cfg.code, strategy.atoms
     xs, which = np.unique(np.concatenate([a.x0, a.x1]), return_inverse=True)
-    xbits = _unpack_ints(xs, n)
+    xbits = _unpack_u64(xs[:, None], n)
     member = ~((xbits[:, :code.k] @ code.p_block + xbits[:, code.k:]) & 1) \
         .any(axis=1)
     digest = _digests(strategy.seeds[np.concatenate([a.seed, a.seed])],
@@ -587,9 +587,9 @@ class TestPackedOpeningTest:
         a = strategy.atoms
         # the int-to-word helpers lay strings out as the batch packers do
         assert np.array_equal(_split_words(a.x1, k, n),
-                              _pack_split(_unpack_ints(a.x1, n), k))
+                              _pack_split(_unpack_u64(a.x1[:, None], n), k))
         assert np.array_equal(_int_words(a.m1, hash_m),
-                              _pack_u64(_unpack_ints(a.m1, hash_m)))
+                              _pack_u64(_unpack_u64(a.m1[:, None], hash_m)))
         for side in ("0", "1"):
             packed = _openings_pass(
                 cfg, strategy.seed_words[a.seed], _int_words(a.mbar, hash_m),

@@ -112,6 +112,21 @@ class TestBoundsEval:
         assert captured.out == ""
         assert captured.err == "error: %s\n" % err
 
+    @pytest.mark.parametrize("n, err", [
+        ("inf", "invalid literal for int() with base 10: 'inf'"),
+        ("-inf", "invalid literal for int() with base 10: '-inf'"),
+        ("1.5", "invalid literal for int() with base 10: '1.5'")])
+    def test_config_n_is_an_int(self, capsys, tmp_path, n, err):
+        # as the --n flag is: no float read and then cut to an int
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text("n = %s\n" % n)
+        code = main(["bounds", "eval", "--which", "dc", "--eps", "0.1",
+                     "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: %s\n" % err
+
     def test_infinite_entropy_floor_leaves_smoothing_term(self, capsys):
         code, out = run_cli(capsys, "bounds", "eval", "--which", "db",
                             "--n", "10", "--eps", "0.05", "--sigma", "0.1",
@@ -180,6 +195,19 @@ class TestCommit:
                             "--out", str(out_path))
         assert code == 0
         transcript_from_json(out_path.read_text())
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--message", "1"], ["complete", "--trials", "10"]])
+    def test_n_other_than_the_code_length_is_usage_error(self, capsys,
+                                                        command):
+        code = main(["commit", *command, "--code", "hamming74", "--n", "99",
+                     "--hash-m", "1", "--p", "0.1", "--eps", "0.3",
+                     "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == \
+            "error: --n 99 does not match the code length 7\n"
 
     def test_run_with_message_space_beyond_64_bits(self, capsys):
         # even:65 has k = 64: the preimage lift eliminates on 65-bit rows
@@ -633,6 +661,23 @@ class TestOversizedInputs:
             capsys, ["oracle", "lhl", "--code", spec],
             "an [3000000000,%d] code has a P block of k(n-k) = 2999999999 "
             "bits, above the cap of 2^22" % k)
+
+    @pytest.mark.parametrize("argv", [
+        ["commit", "run", "--hash-m", "1", "--p", "0.1", "--eps", "0.3",
+         "--message", "1", "--seed", "1"],
+        ["commit", "replay", "--transcript", "t.json", "--hash-m", "1",
+         "--p", "0.1", "--eps", "0.3"],
+        ["commit", "complete", "--hash-m", "1", "--p", "0.1", "--eps", "0.3",
+         "--seed", "1"],
+        ["oracle", "lhl"]], ids=["run", "replay", "complete", "lhl"])
+    def test_code_file_header(self, capsys, monkeypatch, tmp_path, argv):
+        # every row is checked against the header before the generator is
+        # allocated, so the allocation is bounded by the file
+        path = tmp_path / "code.txt"
+        path.write_text("1000000000000 1\n0\n")
+        monkeypatch.setattr(np, "zeros", _no_allocation)
+        self.assert_refused(capsys, argv + ["--code", str(path)],
+                            "row 0 is not 1000000000000 characters of 0/1")
 
     @pytest.mark.parametrize("n", ["3000000000", "1048577", "0"])
     def test_nqs_simulate_rounds(self, capsys, monkeypatch, n):

@@ -3,13 +3,15 @@
 Each README example (and the golden file's Monte Carlo binding run) runs at
 small sizes with one option replaced, or added, at a time: every option the
 command's parser takes, except the file, mode and selector options and
-``attack``'s ``--trials``, set to each value of ``VALUES`` in turn. Every
-run must exit 0, 1 or 2 without a traceback, and an exit of 2 prints exactly
-one ``error:`` line. The cases are a fixed list, and derandomised hypothesis
-at ``max_examples = len(CASES)`` visits each of them once (it draws a choice
-it has not drawn before until the budget runs out); a failure shrinks to the
-earliest failing case. No command starts a thread or a process, so no value
-can ask for many of them.
+``attack``'s ``--trials``, set to each value of ``VALUES`` in turn. A second
+arm moves each such option out of argv into a ``--config`` file instead, set
+to each value of ``CONFIG_VALUES``, so config values are read through the
+same checks as flags. Every run must exit 0, 1 or 2 without a traceback, and
+an exit of 2 prints exactly one ``error:`` line. The cases are fixed lists,
+and derandomised hypothesis at ``max_examples = len(cases)`` visits each of
+them once (it draws a choice it has not drawn before until the budget runs
+out); a failure shrinks to the earliest failing case. No command starts a
+thread or a process, so no value can ask for many of them.
 """
 
 import argparse
@@ -27,6 +29,9 @@ from usnc.cli import build_parser, main
 
 VALUES = ["0", "-1", "nan", "inf", "-inf", "1e300", str(10 ** 20), "junk",
           "0.5", "1", "2", "64", "65", str(10 ** 5)]
+CONFIG_VALUES = ["inf", "-inf", "nan", "1.5", "junk", "-1", str(10 ** 20),
+                 "1e300", "0"]
+CONFIG_FILE = "probe.cfg"
 # file, mode and selector options keep the example's value
 KEPT = {"-h", "--strategy", "--transcript", "--mode", "--which", "--out",
         "--config"}
@@ -66,23 +71,40 @@ def probed_options(argv):
             and not (argv[0] == "attack" and flag == "--trials")]
 
 
-def with_value(argv, flag, value):
-    """argv with ``flag`` set to ``value``, and its --out file renamed so
-    the replay example's transcript stays the unmodified run's."""
-    argv = list(argv)
-    if flag in argv:
-        argv[argv.index(flag) + 1] = value
-    else:
-        argv += [flag, value]
+def renamed_out(argv):
+    """argv with its --out file renamed, so the replay example's transcript
+    stays the unmodified run's."""
     if "--out" in argv:
         i = argv.index("--out") + 1
         argv[i] = "probe-" + argv[i]
     return argv
 
 
+def with_value(argv, flag, value):
+    """argv with ``flag`` set to ``value``."""
+    argv = list(argv)
+    if flag in argv:
+        argv[argv.index(flag) + 1] = value
+    else:
+        argv += [flag, value]
+    return renamed_out(argv), None
+
+
+def with_config(argv, flag, value):
+    """argv without ``flag`` and reading ``CONFIG_FILE``, and that file's
+    text, which sets ``flag``'s key to ``value``."""
+    argv = list(argv)
+    if flag in argv:
+        del argv[argv.index(flag):argv.index(flag) + 2]
+    return (renamed_out(argv + ["--config", CONFIG_FILE]),
+            "%s = %s\n" % (flag[2:], value))
+
+
 EXAMPLES = small_examples()
 CASES = [(argv, flag, value) for argv in EXAMPLES
          for flag in probed_options(argv) for value in VALUES]
+CONFIG_CASES = [(argv, flag, value) for argv in EXAMPLES
+                for flag in probed_options(argv) for value in CONFIG_VALUES]
 
 
 @pytest.fixture(scope="module")
@@ -108,17 +130,21 @@ def test_every_command_has_an_example():
     assert len(commands) == 13  # build_parser's 13 commands
 
 
-@pytest.mark.filterwarnings("ignore")
-def test_one_option_at_a_time_exits_cleanly(workdir):
-    @settings(max_examples=len(CASES), derandomize=True, database=None,
+def probe(cases, arm, workdir):
+    """Run every case once, as ``arm`` turns it into argv and config text,
+    and check the exit code and stderr of each."""
+    @settings(max_examples=len(cases), derandomize=True, database=None,
               deadline=None)
-    @given(case=st.sampled_from(CASES))
+    @given(case=st.sampled_from(cases))
     def run(case):
-        argv = with_value(*case)
+        argv, config = arm(*case)
         err = io.StringIO()
         cwd = os.getcwd()
         os.chdir(workdir)
         try:
+            if config is not None:
+                with open(CONFIG_FILE, "w") as fh:
+                    fh.write(config)
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(err):
                 code = main(argv)
@@ -131,6 +157,16 @@ def test_one_option_at_a_time_exits_cleanly(workdir):
         assert "Traceback" not in err, argv
         if code == 2:
             assert sum("error:" in line for line in err.splitlines()) == 1, \
-                (argv, err)
+                (argv, config, err)
 
     run()
+
+
+@pytest.mark.filterwarnings("ignore")
+def test_one_option_at_a_time_exits_cleanly(workdir):
+    probe(CASES, with_value, workdir)
+
+
+@pytest.mark.filterwarnings("ignore")
+def test_one_config_value_at_a_time_exits_cleanly(workdir):
+    probe(CONFIG_CASES, with_config, workdir)

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from usnc.gf2 import (BitString, LinearCode, _pack_u64, all_bits,
-                      even_weight_code, gf2_rank, gf2_solution_space,
-                      hamming_7_4, hamming_distance, load_code,
-                      random_linear_code, repetition_code, save_code, xor)
+from usnc.gf2 import (BitString, LinearCode, _pack_row, _pack_rows, _pack_u64,
+                      all_bits, even_weight_code, gf2_rank,
+                      gf2_solution_space, hamming_7_4, hamming_distance,
+                      load_code, random_linear_code, repetition_code,
+                      save_code, xor)
 
 
 def bs(s):
@@ -389,6 +390,33 @@ class TestCodeFiles:
         with pytest.raises(ValueError):
             load_code(path)
 
+    def test_header_length_checked_before_allocation(self, tmp_path,
+                                                     monkeypatch):
+        path = tmp_path / "huge.txt"
+        path.write_text("1000000000000 1\n0\n")
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("the generator was allocated")
+
+        monkeypatch.setattr(np, "zeros", no_allocation)
+        with pytest.raises(ValueError, match="row 0 is not 1000000000000 "):
+            load_code(path)
+
+
+def unpack_ints(values, ncols):
+    """Ints as the rows of a (len(values), ncols) 0/1 matrix."""
+    return np.array([BitString.from_int(v, ncols).bits for v in values],
+                    dtype=np.uint8).reshape(-1, ncols)
+
+
+def check_basis_order(basis, nfree):
+    """Basis int i has the i-th free column as its highest bit and no other
+    free column's bit: one int per free column, in increasing order."""
+    free = [v.bit_length() - 1 for v in basis]
+    assert free == sorted(set(free)) and len(free) == nfree
+    mask = sum(1 << f for f in free)
+    assert all(v & mask == 1 << f for v, f in zip(basis, free))
+
 
 def test_kernel_basis_spans_kernel():
     rng = np.random.default_rng(9)
@@ -396,15 +424,16 @@ def test_kernel_basis_spans_kernel():
         m, k = int(rng.integers(1, 6)), int(rng.integers(1, 9))
         a = rng.integers(0, 2, size=(m, k), dtype=np.uint8)
         basis = gf2_solution_space(a, np.zeros(m, dtype=np.uint8))[1]
-        assert basis.shape[0] == k - gf2_rank(a)
-        for row in basis:
+        assert len(basis) == k - gf2_rank(a)
+        for row in unpack_ints(basis, k):
             assert not ((a @ row) % 2).any()
 
 
 def test_wide_systems_satisfy_their_equations():
     # 70 columns: packed rows and solutions are ints beyond 64 bits
     ones = np.ones((1, 70), dtype=np.uint8)
-    basis = gf2_solution_space(ones, np.zeros(1, dtype=np.uint8))[1]
+    basis = unpack_ints(
+        gf2_solution_space(ones, np.zeros(1, dtype=np.uint8))[1], 70)
     assert basis.shape == (69, 70)
     assert gf2_rank(basis) == 69
     assert not ((ones @ basis.T) % 2).any()
@@ -412,6 +441,61 @@ def test_wide_systems_satisfy_their_equations():
     a = rng.integers(0, 2, size=(5, 70), dtype=np.uint8)
     rhs = rng.integers(0, 2, size=5, dtype=np.uint8)
     u, basis = gf2_solution_space(a, rhs)
-    assert np.array_equal((a @ u) % 2, rhs)
+    assert np.array_equal((a @ unpack_ints([u], 70)[0]) % 2, rhs)
+    basis = unpack_ints(basis, 70)
     assert basis.shape == (70 - gf2_rank(a), 70)
     assert not ((a @ basis.T) % 2).any()
+
+
+class TestIntRows:
+    """The scalar solver's int rows against references that share none of
+    its code: the per-row packer, and brute force over every vector."""
+
+    @pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 63, 64, 65, 4096])
+    def test_pack_rows_matches_per_row_packing(self, width):
+        rng = np.random.default_rng(width)
+        for rows in (1, 3, 8):
+            mat = rng.integers(0, 3, size=(rows, width), dtype=np.uint8)
+            assert _pack_rows(mat) == [_pack_row(row & 1) for row in mat]
+
+    def test_solution_space_equals_brute_force(self):
+        rng = np.random.default_rng(11)
+        outcomes = set()
+        for _ in range(200):
+            m, k = int(rng.integers(1, 7)), int(rng.integers(1, 11))
+            a = rng.integers(0, 2, size=(m, k), dtype=np.uint8)
+            rhs = rng.integers(0, 2, size=m, dtype=np.uint8)
+            vectors = all_bits(k)
+            hits = ((vectors @ a.T) % 2 == rhs).all(axis=1)
+            solutions = set(np.flatnonzero(hits).tolist())
+            u, basis = gf2_solution_space(a, rhs)
+            outcomes.add(u is None)
+            if u is None:
+                assert basis is None and not solutions
+                continue
+            span = {u}
+            for v in basis:
+                span |= {x ^ v for x in span}
+            assert span == solutions
+            assert len(solutions) == 1 << len(basis)
+            check_basis_order(basis, k - gf2_rank(a))
+        assert outcomes == {False, True}
+
+    @pytest.mark.parametrize("width", [63, 64, 65, 70])
+    def test_wide_solution_spaces(self, width):
+        rng = np.random.default_rng(width)
+        for m in (1, 5, 12):
+            a = rng.integers(0, 2, size=(m, width), dtype=np.uint8)
+            a[-1] = a[0]  # rank deficient when m > 1
+            rhs = rng.integers(0, 2, size=m, dtype=np.uint8)
+            rhs[-1] = rhs[0]
+            u, basis = gf2_solution_space(a, rhs)
+            assert u >> width == 0
+            assert np.array_equal((a @ unpack_ints([u], width)[0]) % 2, rhs)
+            dense = unpack_ints(basis, width)
+            assert gf2_rank(dense) == len(basis) == width - gf2_rank(a)
+            assert not ((a @ dense.T) % 2).any()
+            check_basis_order(basis, width - gf2_rank(a))
+            if m > 1:  # the duplicated row with the other right-hand side
+                rhs[-1] ^= 1
+                assert gf2_solution_space(a, rhs) == (None, None)

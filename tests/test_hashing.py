@@ -5,7 +5,8 @@ import pytest
 from scipy.stats import chi2
 
 from usnc import hashing
-from usnc.gf2 import BitString, all_bits, even_weight_code, hamming_7_4
+from usnc.gf2 import (BitString, LinearCode, all_bits, even_weight_code,
+                      hamming_7_4)
 from usnc.hashing import (HashSeed, count_full_rank, digest_table,
                           enumerate_full_rank_seeds,
                           exact_collision_probability, hash_codeword,
@@ -27,6 +28,35 @@ def _rank_reference(mat):
                 rows[i] = [(a + b) % 2 for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def dense_preimage_reference(seed, code, m_val, rng):
+    """The dense-basis preimage path: reduced row echelon form of [T | m]
+    on uint8 rows, the (k - m) x k uint8 kernel basis, and the preimage as
+    u0 + (coeffs @ basis & 1) from the same k - m coefficient draw."""
+    m, k = seed.matrix.shape
+    aug = np.column_stack([seed.matrix, m_val.bits]).astype(np.uint8)
+    pivots = []
+    for c in range(k):
+        r = len(pivots)
+        hits = np.flatnonzero(aug[r:, c])
+        if r == m or not hits.size:
+            continue
+        aug[[r, r + hits[0]]] = aug[[r + hits[0], r]]
+        others = np.flatnonzero(aug[:, c])
+        aug[others[others != r]] ^= aug[r]
+        pivots.append(c)
+    u0 = np.zeros(k, dtype=np.uint8)
+    u0[pivots] = aug[:len(pivots), k]
+    free = [c for c in range(k) if c not in pivots]
+    basis = np.zeros((len(free), k), dtype=np.uint8)
+    for i, f in enumerate(free):
+        basis[i, f] = 1
+        basis[i, pivots] = aug[:len(pivots), f]
+    if basis.shape[0]:
+        coeffs = rng.integers(0, 2, size=basis.shape[0], dtype=np.uint8)
+        u0 = u0 ^ ((coeffs @ basis) & 1)
+    return code.encode(BitString(u0))
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +175,27 @@ class TestPreimage:
             c = preimage_sample(s, code, target, rng)
             assert code.contains(c)
             assert hash_codeword(s, code, c) == target
+
+    @pytest.mark.parametrize("name, m", [
+        ("hamming74", 1), ("hamming74", 3), ("hamming74", 4), ("even:14", 1),
+        ("even:71", 1), ("even:71", 3), ("random[4096,16]", 8)])
+    def test_matches_dense_basis_reference(self, name, m):
+        # the int basis draws the same coefficients and selects the same
+        # rows as the dense basis, so codewords and generator states agree
+        code = {"hamming74": hamming_7_4, "even:14": lambda: even_weight_code(14),
+                "even:71": lambda: even_weight_code(71),
+                "random[4096,16]": lambda: LinearCode(np.random.default_rng(
+                    17).integers(0, 2, size=(16, 4080), dtype=np.uint8)),
+                }[name]()
+        draws = np.random.default_rng([code.k, m])
+        rng, ref_rng = np.random.default_rng(18), np.random.default_rng(18)
+        for _ in range(50):
+            seed = sample_seed(code.k, m, draws)
+            target = BitString.random(m, draws)
+            c = preimage_sample(seed, code, target, rng)
+            assert c == dense_preimage_reference(seed, code, target, ref_rng)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert hash_codeword(seed, code, c) == target
 
     @pytest.mark.parametrize("k, refused", [(2048, False), (2049, True)])
     def test_kernel_basis_above_cap_refused_before_elimination(
