@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "binary_entropy",
     "completeness_bound",
@@ -279,10 +277,17 @@ def rate_surface(p: float, grid_steps: int) -> list[RatePoint]:
     if not 2 <= grid_steps <= 1000:  # 10^6 points take about 40 s
         raise ValueError("need 2 <= grid_steps <= 1000")
     hp = binary_entropy(p)
-    xas = np.linspace(2.0 * p, hp, grid_steps).tolist()
-    xbs = np.linspace(0.0, hp, grid_steps).tolist()
+    xas = _grid(2.0 * p, hp, grid_steps)
+    xbs = _grid(0.0, hp, grid_steps)
     return [RatePoint(xa, xb, r) for xa in xas
             for xb, r in zip(xbs, _rate_row(p, xa, xbs))]
+
+
+def _grid(start: float, stop: float, num: int) -> list[float]:
+    """``np.linspace(start, stop, num).tolist()`` for num >= 2, bit for bit:
+    the same float operations, i * step + start, and stop exactly last."""
+    step = (stop - start) / (num - 1)
+    return [i * step + start for i in range(num - 1)] + [stop]
 
 
 def _exp2(log2_value: float) -> float:

@@ -217,6 +217,8 @@ class AliceChannel:
                  symmetric: bool = False):
         self.n = n
         self.labels = list(labels)
+        if not self.labels:
+            raise ValueError("a sender channel needs at least one label")
         self._law_fn = law_fn
         self._latest = None  # (label, law) of the latest law built
         self._sample_fn = sample_fn

@@ -78,16 +78,25 @@ def _code_from_spec(spec: str) -> LinearCode:
         return repetition_code(int(spec.split(":", 1)[1]))
     code = load_code(spec)
     if code.k <= 24:
-        d = code.min_distance_exact()
-        code = LinearCode(code.p_block, d_claimed=d, d_verified=True)
+        code = LinearCode(code.p_block, d_claimed=code.min_distance_exact())
     return code
 
 
-def _check_code_length(args, config, code: LinearCode) -> None:
-    """Refuse an --n (flag or config) other than the code's length."""
+def _check_code_params(args, config, code: LinearCode) -> None:
+    """Refuse an --n other than the code's length, a --k other than its
+    dimension and a --target-d above its distance (flag or config)."""
     n = _resolve(args, config, "n", int, default=code.n)
     if n != code.n:
         raise UsageError("--n %d does not match the code length %d" % (n, code.n))
+    k = _resolve(args, config, "k", int, default=code.k)
+    if k != code.k:
+        raise UsageError("--k %d does not match the code dimension %d"
+                         % (k, code.k))
+    target_d = _resolve(args, config, "target_d", int)
+    if (target_d is not None and code.d_claimed is not None
+            and target_d > code.d_claimed):
+        raise UsageError("--target-d %d is above the code distance %d"
+                         % (target_d, code.d_claimed))
 
 
 def _commit_config(args, config, code: LinearCode) -> protocol.CommitConfig:
@@ -112,7 +121,7 @@ def _message_bits(hex_str: str, nbits: int) -> BitString:
 
 def _cmd_commit_run(args, config) -> int:
     code = _code_from_spec(_resolve(args, config, "code", str, required=True))
-    _check_code_length(args, config, code)
+    _check_code_params(args, config, code)
     cfg = _commit_config(args, config, code)
     seed = _resolve(args, config, "seed", int, required=True)
     m = _message_bits(_resolve(args, config, "message", str, required=True),
@@ -150,7 +159,7 @@ def _cmd_commit_complete(args, config) -> int:
     code_spec = _resolve(args, config, "code", str)
     if code_spec:
         code = _code_from_spec(code_spec)
-        _check_code_length(args, config, code)
+        _check_code_params(args, config, code)
     else:
         n = _resolve(args, config, "n", int, required=True)
         k = _resolve(args, config, "k", int, default=16)

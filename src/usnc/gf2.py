@@ -14,7 +14,6 @@ __all__ = [
     "BitString",
     "LinearCode",
     "hamming_distance",
-    "xor",
     "gf2_rank",
     "gf2_solution_space",
     "all_bits",
@@ -91,7 +90,11 @@ class BitString:
         return hash((self._bits.size, self._bits.tobytes()))
 
     def __xor__(self, other: "BitString") -> "BitString":
-        return xor(self, other)
+        """Coordinatewise sum mod 2."""
+        if len(self) != len(other):
+            raise ValueError("length mismatch: %d vs %d"
+                             % (len(self), len(other)))
+        return BitString._wrap(np.bitwise_xor(self._bits, other._bits))
 
     def weight(self) -> int:
         return int(np.count_nonzero(self._bits))
@@ -116,13 +119,6 @@ def hamming_distance(x: BitString, y: BitString) -> int:
     return int(np.count_nonzero(x.bits != y.bits))
 
 
-def xor(x: BitString, y: BitString) -> BitString:
-    """Coordinatewise sum mod 2."""
-    if len(x) != len(y):
-        raise ValueError("length mismatch: %d vs %d" % (len(x), len(y)))
-    return BitString._wrap(np.bitwise_xor(x.bits, y.bits))
-
-
 # ---------------------------------------------------------------------------
 # GF(2) matrix routines: rows packed into Python ints, bit i = column i
 # ---------------------------------------------------------------------------
@@ -131,6 +127,19 @@ def xor(x: BitString, y: BitString) -> BitString:
 def all_bits(k: int) -> np.ndarray:
     """All k-bit vectors as a (2^k, k) uint8 array; row u holds the bits of u."""
     return _unpack_u64(np.arange(1 << k, dtype=np.uint64)[:, None], k)
+
+
+def _xor_span(rows: np.ndarray) -> np.ndarray:
+    """Every XOR combination of rows (..., r, w): entry v of the (..., 2^r,
+    w) result is the XOR of the rows v's bits select (bit i, row i), built
+    by doubling."""
+    r = rows.shape[-2]
+    span = np.zeros(rows.shape[:-2] + (1 << r, rows.shape[-1]),
+                    dtype=rows.dtype)
+    for i in range(r):  # entries with top bit i: the lower ones plus row i
+        np.bitwise_xor(span[..., : 1 << i, :], rows[..., i, None, :],
+                       out=span[..., 1 << i: 2 << i, :])
+    return span
 
 
 def _pack_row(bits: np.ndarray) -> int:
@@ -270,11 +279,9 @@ class LinearCode:
     of P packed into 64-bit words.
     """
 
-    __slots__ = ("n", "k", "p_block", "d_claimed", "d_verified", "_p_words",
-                 "_byte_table")
+    __slots__ = ("n", "k", "p_block", "d_claimed", "_p_words", "_byte_table")
 
-    def __init__(self, p_block: np.ndarray, d_claimed: int | None = None,
-                 d_verified: bool = False):
+    def __init__(self, p_block: np.ndarray, d_claimed: int | None = None):
         p = np.asarray(p_block, dtype=np.uint8) & 1
         if p.ndim != 2:
             raise ValueError("P block must be a 2-D 0/1 matrix")
@@ -286,22 +293,20 @@ class LinearCode:
         self.k = k
         self.n = k + r
         self.d_claimed = d_claimed
-        self.d_verified = d_verified
         self._p_words = _pack_u64(p)
         self._byte_table = None  # built by the first check_words_batch
 
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def from_generator(cls, gen: np.ndarray, d_claimed: int | None = None,
-                       d_verified: bool = False) -> "LinearCode":
+    def from_generator(cls, gen: np.ndarray) -> "LinearCode":
         g = np.asarray(gen, dtype=np.uint8) & 1
         k, n = g.shape
         if k > n:
             raise ValueError("k > n")
         if not np.array_equal(g[:, :k], np.eye(k, dtype=np.uint8)):
             raise ValueError("generator is not in systematic form [I_k | P]")
-        return cls(g[:, k:], d_claimed=d_claimed, d_verified=d_verified)
+        return cls(g[:, k:])
 
     # -- matrices -----------------------------------------------------------
 
@@ -354,26 +359,18 @@ class LinearCode:
         zero, so padding bits of u select nothing. The tables are built on
         the first call and kept on the code.
         """
-        if self._byte_table is None:
-            self._byte_table = self._build_byte_table()
+        if self._byte_table is None:  # (ceil(k/8), 256, ceil((n-k)/64))
+            nbytes = (self.k + 7) // 8
+            rows = np.zeros((8 * nbytes, self._p_words.shape[1]),
+                            dtype=np.uint64)
+            rows[: self.k] = self._p_words
+            self._byte_table = _xor_span(rows.reshape(nbytes, 8, -1))
         table = self._byte_table
         ubytes = u.view(np.uint8)
         out = np.take(table[0], ubytes[:, 0], axis=0)
         for b in range(1, table.shape[0]):
             out ^= np.take(table[b], ubytes[:, b], axis=0)
         return out
-
-    def _build_byte_table(self) -> np.ndarray:
-        """(ceil(k/8), 256, ceil((n-k)/64)) XOR combinations of P's rows."""
-        nbytes = (self.k + 7) // 8
-        rows = np.zeros((8 * nbytes, self._p_words.shape[1]), dtype=np.uint64)
-        rows[: self.k] = self._p_words
-        rows = rows.reshape(nbytes, 8, -1)
-        table = np.zeros((nbytes, 256, rows.shape[2]), dtype=np.uint64)
-        for i in range(8):  # entries with top bit i: the lower ones plus row i
-            np.bitwise_xor(table[:, : 1 << i], rows[:, i, None],
-                           out=table[:, 1 << i: 2 << i])
-        return table
 
     def contains(self, x: BitString) -> bool:
         if len(x) != self.n:
@@ -410,13 +407,13 @@ class LinearCode:
     def min_distance_exact(self) -> int:
         """Exact minimum distance, enumerating all 2^k - 1 nonzero codewords.
 
-        The span of the first j generator rows is built once by doubling, as
-        a block of 2^j packed codewords, with j as large as keeps the block
-        within ``_SPAN_BLOCK_WORDS`` uint64 words. A Gray-code walk over the
-        remaining k - j rows then XORs one offset codeword onto the whole
-        block per step and takes the least row popcount; the zero word is
-        left out only at offset 0. Refuses for k > 24 and beyond 2^24
-        enumerated words.
+        The span of the first j generator rows is built once by
+        ``_xor_span``, as a block of 2^j packed codewords, with j as large
+        as keeps the block within ``_SPAN_BLOCK_WORDS`` uint64 words. A
+        Gray-code walk over the remaining k - j rows then XORs one offset
+        codeword onto the whole block per step and takes the least row
+        popcount; the zero word is left out only at offset 0. Refuses for
+        k > 24 and beyond 2^24 enumerated words.
         """
         if self.k > 24:
             raise ValueError("exact distance enumeration limited to k <= 24 "
@@ -427,10 +424,7 @@ class LinearCode:
         packed = _pack_u64(self.gen)
         j = min(self.k, max(
             0, (_SPAN_BLOCK_WORDS // packed.shape[1]).bit_length() - 1))
-        block = np.zeros((1 << j, packed.shape[1]), dtype=np.uint64)
-        for i in range(j):
-            np.bitwise_xor(block[: 1 << i], packed[i],
-                           out=block[1 << i: 2 << i])
+        block = _xor_span(packed[:j])
         best = self.n + 1
         if j:  # offset 0: every word of the block but the zero word
             best = int(np.bitwise_count(block[1:]).sum(axis=1).min())
@@ -465,7 +459,7 @@ def random_linear_code(n: int, k: int, target_d: int,
     _check_p_block(n, k)
     if k > 24:
         code = LinearCode(rng.integers(0, 2, size=(k, n - k), dtype=np.uint8),
-                          d_claimed=target_d, d_verified=False)
+                          d_claimed=target_d)
         warnings.warn("k=%d > 24: design distance %d left unverified"
                       % (k, target_d))
         return code
@@ -475,8 +469,7 @@ def random_linear_code(n: int, k: int, target_d: int,
         code = LinearCode(rng.integers(0, 2, size=(k, n - k), dtype=np.uint8))
         d = code.min_distance_exact()
         if d >= target_d:
-            return LinearCode(code.p_block, d_claimed=target_d,
-                              d_verified=True)
+            return LinearCode(code.p_block, d_claimed=target_d)
         best = max(best, d)
     raise RuntimeError(
         "no [%d,%d] code with distance >= %d found in %d tries "
@@ -487,7 +480,7 @@ def random_linear_code(n: int, k: int, target_d: int,
 def hamming_7_4() -> LinearCode:
     """The [7,4] Hamming code (distance 3) in systematic form."""
     p = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 1, 1]], dtype=np.uint8)
-    return LinearCode(p, d_claimed=3, d_verified=True)
+    return LinearCode(p, d_claimed=3)
 
 
 def even_weight_code(n: int) -> LinearCode:
@@ -495,8 +488,7 @@ def even_weight_code(n: int) -> LinearCode:
     if n < 2:
         raise ValueError("need n >= 2")
     _check_p_block(n, n - 1)
-    return LinearCode(np.ones((n - 1, 1), dtype=np.uint8),
-                      d_claimed=2, d_verified=True)
+    return LinearCode(np.ones((n - 1, 1), dtype=np.uint8), d_claimed=2)
 
 
 def repetition_code(n: int) -> LinearCode:
@@ -504,8 +496,7 @@ def repetition_code(n: int) -> LinearCode:
     if n < 1:
         raise ValueError("need n >= 1")
     _check_p_block(n, 1)
-    return LinearCode(np.ones((1, n - 1), dtype=np.uint8),
-                      d_claimed=n, d_verified=True)
+    return LinearCode(np.ones((1, n - 1), dtype=np.uint8), d_claimed=n)
 
 
 def save_code(code: LinearCode, path) -> None:
@@ -516,7 +507,7 @@ def save_code(code: LinearCode, path) -> None:
             fh.write("".join("1" if b else "0" for b in row) + "\n")
 
 
-def load_code(path, d_claimed: int | None = None) -> LinearCode:
+def load_code(path) -> LinearCode:
     """Read a ``save_code`` file; malformed files raise ValueError."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
@@ -534,4 +525,4 @@ def load_code(path, d_claimed: int | None = None) -> LinearCode:
             raise ValueError("row %d is not %d characters of 0/1" % (i, n))
     gen = (np.frombuffer("".join(lines[1:]).encode(), dtype=np.uint8)
            - ord("0")).reshape(k, n)
-    return LinearCode.from_generator(gen, d_claimed=d_claimed)
+    return LinearCode.from_generator(gen)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf2 import (_P_BLOCK_BITS_CAP, BitString, LinearCode, _unpack_u64,
-                  all_bits, gf2_rank, gf2_solution_space)
+                  _xor_span, all_bits, gf2_rank, gf2_solution_space)
 
 __all__ = [
     "HashSeed",
@@ -163,9 +163,7 @@ def enumerate_full_rank_seeds(k: int, m: int) -> np.ndarray:
         raise ValueError("enumeration of 2^(m*k) matrices needs m*k <= 24")
     rows = np.zeros((1, 0), dtype=np.int64)  # full-rank prefixes, rows as ints
     for _ in range(m):
-        span = np.zeros((len(rows), 1), dtype=np.int64)  # subset XORs
-        for col in rows.T:
-            span = np.concatenate([span, span ^ col[:, None]], axis=1)
+        span = _xor_span(rows[..., None])[..., 0]  # subset XORs
         free = np.ones((len(rows), 1 << k), dtype=bool)
         np.put_along_axis(free, span, False, axis=1)
         prefix, row = np.nonzero(free)  # row-major, so in lexicographic order

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from usnc.bounds import (achievable_rate, asymptotic_protocol_params,
+from usnc.bounds import (_grid, achievable_rate, asymptotic_protocol_params,
                          binary_entropy, binding_bound, completeness_bound,
                          hiding_bound, iid_entropy_floor, iid_rate,
                          iid_rate_vs_capacity, intersection_bound,
@@ -302,6 +302,18 @@ class TestRateSurface:
         assert [q.r.hex() for q in pts] == [
             achievable_rate(p, q.xi_a, q.xi_b).hex() for q in pts]
         assert len({q.xi_a for q in pts}) == 13
+
+    def test_grid_equals_linspace_bit_for_bit(self):
+        # the numpy-free axes of rate_surface are the floats np.linspace
+        # gives, on both axes, for every step count up to the cap
+        ps = np.linspace(0.0024, 0.4976, 200).tolist() + [
+            1e-6, 0.1, 0.11, 0.25, 0.3, 0.4999]
+        for p in ps:
+            hp = binary_entropy(p)
+            for start in (2.0 * p, 0.0):
+                for steps in (2, 3, 7, 50, 60, 61, 999, 1000):
+                    assert _grid(start, hp, steps) == \
+                        np.linspace(start, hp, steps).tolist(), (p, steps)
 
     def test_grid_shape(self):
         pts = rate_surface(0.2, 5)

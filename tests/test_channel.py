@@ -287,6 +287,16 @@ class TestCheckC2:
                  for label in ch.labels)
         assert abs(report.achieved - lp) <= 1e-9
 
+    @pytest.mark.parametrize("make", [
+        lambda: AliceChannel.bsc(4, [], 0.1),
+        lambda: AliceChannel(4, [], None, None)])
+    def test_no_labels_refused(self, make):
+        # a channel without labels has no law to check, so check_c2 would
+        # certify it with an infinite entropy
+        with pytest.raises(ValueError, match="^a sender channel needs at "
+                           "least one label$"):
+            make()
+
     @pytest.mark.parametrize("params_n", [7, 14])
     def test_other_block_length_refused(self, params_n):
         ch = AliceChannel.bsc(8, [BitString.zeros(8)], 0.3)

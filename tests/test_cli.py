@@ -160,7 +160,7 @@ class TestRate:
         def no_grid(*args, **kwargs):
             raise AssertionError("grid allocated before the steps check")
 
-        monkeypatch.setattr(bounds.np, "linspace", no_grid)
+        monkeypatch.setattr(bounds, "_grid", no_grid)
         for steps in ("1001", "100000000"):
             code = main(["rate", "surface", "--p", "0.1", "--steps", steps])
             captured = capsys.readouterr()
@@ -208,6 +208,40 @@ class TestCommit:
         assert captured.out == ""
         assert captured.err == \
             "error: --n 99 does not match the code length 7\n"
+
+    @pytest.mark.parametrize("flags, config, err", [
+        (["--k", "9", "--target-d", "6"], "",
+         "--k 9 does not match the code dimension 4"),
+        (["--target-d", "4"], "",
+         "--target-d 4 is above the code distance 3"),
+        ([], "k = 9\n", "--k 9 does not match the code dimension 4"),
+        ([], "target_d = 4\n", "--target-d 4 is above the code distance 3")])
+    def test_complete_refuses_k_and_target_d_the_code_lacks(
+            self, capsys, tmp_path, flags, config, err):
+        # --k and --target-d size the random code; next to --code they
+        # must describe it, as --n must
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(config)
+        code = main(["commit", "complete", "--code", "hamming74", *flags,
+                     "--hash-m", "1", "--p", "0.1", "--eps", "0.3",
+                     "--trials", "1000", "--seed", "1",
+                     "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: %s\n" % err
+
+    def test_complete_accepts_the_code_own_k_and_distance(
+            self, capsys):
+        code, out = run_cli(capsys, "commit", "complete", "--code",
+                            "hamming74", "--k", "4", "--target-d", "3",
+                            "--hash-m", "1", "--p", "0.1", "--eps", "0.3",
+                            "--trials", "1000", "--seed", "1")
+        assert code == 0
+        assert out == run_cli(capsys, "commit", "complete", "--code",
+                              "hamming74", "--hash-m", "1", "--p", "0.1",
+                              "--eps", "0.3", "--trials", "1000",
+                              "--seed", "1")[1]
 
     def test_run_with_message_space_beyond_64_bits(self, capsys):
         # even:65 has k = 64: the preimage lift eliminates on 65-bit rows
@@ -827,6 +861,20 @@ class TestOptionNames:
         assert run_cli(capsys, "rate", "point", "--p", "0.1", "--xia",
                        "0.4", "--xib", "0.4")[0] == 0
         assert cli._parser() is parser
+
+
+def test_bounds_import_loads_no_numpy():
+    # the closed-form bounds need only math: a fresh import of usnc.bounds
+    # loads the package root and that module, and no numpy module
+    src = str(pathlib.Path(usnc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, usnc.bounds\n"
+             "print(' '.join(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('usnc', 'numpy'))))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["usnc", "usnc.bounds"]
 
 
 def test_cli_import_leaves_lp_solver_unloaded():

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from usnc.gf2 import (BitString, LinearCode, _pack_row, _pack_rows, _pack_u64,
-                      all_bits, even_weight_code, gf2_rank,
+                      _xor_span, all_bits, even_weight_code, gf2_rank,
                       gf2_solution_space, hamming_7_4, hamming_distance,
                       load_code, random_linear_code, repetition_code,
-                      save_code, xor)
+                      save_code)
 
 
 def bs(s):
@@ -102,7 +102,6 @@ class TestXor:
         ("1100", "1010", "0110"),
     ])
     def test_examples(self, x, y, out):
-        assert xor(bs(x), bs(y)) == bs(out)
         assert (bs(x) ^ bs(y)) == bs(out)
 
     @given(st.integers(1, 16), st.randoms(use_true_random=False))
@@ -297,7 +296,6 @@ class TestCheckWordsBatch:
 class TestRandomLinearCode:
     def test_verified_distance(self):
         code = random_linear_code(15, 5, 5, np.random.default_rng(11))
-        assert code.d_verified
         assert code.min_distance_exact() >= 5
 
     def test_hamming_parameters(self):
@@ -326,7 +324,6 @@ class TestRandomLinearCode:
     def test_unverified_beyond_limit(self):
         with pytest.warns(UserWarning, match="unverified"):
             code = random_linear_code(64, 30, 8, np.random.default_rng(0))
-        assert not code.d_verified
         assert code.d_claimed == 8
 
     def test_gen_rows_are_codewords(self):
@@ -374,7 +371,7 @@ class TestCodeFiles:
     def test_roundtrip(self, hamming, tmp_path):
         path = tmp_path / "code.txt"
         save_code(hamming, path)
-        loaded = load_code(path, d_claimed=3)
+        loaded = load_code(path)
         assert loaded.n == 7 and loaded.k == 4
         assert np.array_equal(loaded.gen, hamming.gen)
 
@@ -445,6 +442,35 @@ def test_wide_systems_satisfy_their_equations():
     basis = unpack_ints(basis, 70)
     assert basis.shape == (70 - gf2_rank(a), 70)
     assert not ((a @ basis.T) % 2).any()
+
+
+def xor_span_reference(rows):
+    """Entry v: the XOR of the rows v's bits select, subset by subset."""
+    r = rows.shape[-2]
+    out = np.zeros(rows.shape[:-2] + (1 << r, rows.shape[-1]),
+                   dtype=rows.dtype)
+    for v in range(1 << r):
+        for sel in itertools.compress(range(r), ((v >> i) & 1
+                                                  for i in range(r))):
+            out[..., v, :] ^= rows[..., sel, :]
+    return out
+
+
+class TestXorSpan:
+    """The one doubling kernel behind the byte tables, the distance block
+    and the seed enumeration's subset XORs."""
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    def test_equals_subset_xors(self, dtype, lead):
+        rng = np.random.default_rng(len(lead))
+        for r in range(9):
+            for w in (1, 2):
+                rows = rng.integers(0, 1 << 62, size=lead + (r, w),
+                                    dtype=np.int64).astype(dtype)
+                span = _xor_span(rows)
+                assert span.dtype == dtype
+                assert np.array_equal(span, xor_span_reference(rows))
 
 
 class TestIntRows:
