@@ -6,6 +6,10 @@ digits. Exit codes: 0 success, 1 a verified check failed, 2 usage error.
 Flag values override --config (key=value lines) which overrides defaults;
 ``attack`` reads its descriptor file the same way, and the descriptor's fields
 override --config.
+
+Each handler imports the modules its command needs, so the closed-form
+commands (``bounds eval``, ``rate point``, ``rate surface``) start without
+numpy.
 """
 
 from __future__ import annotations
@@ -13,14 +17,13 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
+from . import bounds
 
-from . import adversary, bounds, nqs, oracle, protocol
-from .channel import UsncParams, check_c2, check_c3
-from .entropy import cond_min_entropy, min_entropy
-from .gf2 import (BitString, LinearCode, even_weight_code, hamming_7_4,
-                  load_code, random_linear_code, repetition_code)
+if TYPE_CHECKING:
+    from .gf2 import BitString, LinearCode
+    from .protocol import CommitConfig
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -70,6 +73,8 @@ def _resolve(args, config, name, type_fn, default=None, required=False):
 
 
 def _code_from_spec(spec: str) -> LinearCode:
+    from .gf2 import (LinearCode, even_weight_code, hamming_7_4, load_code,
+                      repetition_code)
     if spec == "hamming74":
         return hamming_7_4()
     if spec.startswith("even:"):
@@ -99,15 +104,25 @@ def _check_code_params(args, config, code: LinearCode) -> None:
                          % (target_d, code.d_claimed))
 
 
-def _commit_config(args, config, code: LinearCode) -> protocol.CommitConfig:
-    """Protocol instance over ``code``, its fields from flags over config."""
-    return protocol.CommitConfig(
+def _commit_config(args, config, code: LinearCode) -> CommitConfig:
+    """Protocol instance over ``code``, its fields from flags over config.
+
+    A code file with k > 24 has no distance (``_code_from_spec`` computes
+    one only up to k = 24), and the protocol needs one, so it is refused.
+    """
+    from .protocol import CommitConfig
+    if code.d_claimed is None:
+        raise UsageError("the code file's k = %d is above 24, so no distance "
+                         "is computed for it, and the protocol needs one"
+                         % code.k)
+    return CommitConfig(
         code=code, hash_m=_resolve(args, config, "hash_m", int, required=True),
         p=_resolve(args, config, "p", float, required=True),
         eps=_resolve(args, config, "eps", float, required=True))
 
 
 def _message_bits(hex_str: str, nbits: int) -> BitString:
+    from .gf2 import BitString
     value = int(hex_str, 16)
     if value >> nbits:
         raise ValueError("message %r does not fit in %d bits" % (hex_str, nbits))
@@ -120,6 +135,9 @@ def _message_bits(hex_str: str, nbits: int) -> BitString:
 
 
 def _cmd_commit_run(args, config) -> int:
+    import numpy as np
+
+    from . import protocol
     code = _code_from_spec(_resolve(args, config, "code", str, required=True))
     _check_code_params(args, config, code)
     cfg = _commit_config(args, config, code)
@@ -139,6 +157,7 @@ def _cmd_commit_run(args, config) -> int:
 
 
 def _cmd_commit_replay(args, config) -> int:
+    from . import protocol
     code = _code_from_spec(_resolve(args, config, "code", str, required=True))
     cfg = _commit_config(args, config, code)
     with open(args.transcript) as fh:
@@ -154,6 +173,10 @@ def _cmd_commit_replay(args, config) -> int:
 
 
 def _cmd_commit_complete(args, config) -> int:
+    import numpy as np
+
+    from . import protocol
+    from .gf2 import random_linear_code
     seed = _resolve(args, config, "seed", int, required=True)
     trials = _resolve(args, config, "trials", int, default=10 ** 4)
     code_spec = _resolve(args, config, "code", str)
@@ -184,6 +207,10 @@ def _cmd_commit_complete(args, config) -> int:
 
 
 def _build_binding_strategy(args, desc: dict):
+    import numpy as np
+
+    from . import adversary
+    from .gf2 import BitString
     code = _code_from_spec(_resolve(args, desc, "code", str, required=True))
     cfg = _commit_config(args, desc, code)
     if desc.get("strategy", "midpoint") != "midpoint":
@@ -208,6 +235,11 @@ def _build_binding_strategy(args, desc: dict):
 
 
 def _cmd_attack(args, config) -> int:
+    import numpy as np
+
+    from . import adversary
+    from .channel import UsncParams, check_c2, check_c3
+    from .entropy import cond_min_entropy, min_entropy
     if args.kind == "hiding" and args.mode == "mc":
         raise UsageError("--mode mc is for binding only; hiding is exact")
     # descriptor fields win over --config; descriptors commit to a one-bit
@@ -333,6 +365,7 @@ def _clamp_near(value: float, lo: float, hi: float) -> float:
 
 
 def _cmd_oracle_intersection(args, config) -> int:
+    from . import oracle
     n = _resolve(args, config, "n", int, required=True)
     p = _resolve(args, config, "p", float, required=True)
     eps = _resolve(args, config, "eps", float, required=True)
@@ -346,6 +379,9 @@ def _cmd_oracle_intersection(args, config) -> int:
 
 
 def _cmd_oracle_lhl(args, config) -> int:
+    import numpy as np
+
+    from . import adversary, oracle
     code = _code_from_spec(_resolve(args, config, "code", str,
                                     default="hamming74"))
     hash_m = _resolve(args, config, "hash_m", int, default=1)
@@ -367,6 +403,7 @@ def _cmd_oracle_lhl(args, config) -> int:
 
 
 def _cmd_oracle_clipped(args, config) -> int:
+    from . import oracle
     n = _resolve(args, config, "n", int, required=True)
     p = _resolve(args, config, "p", float, required=True)
     eps = _resolve(args, config, "eps", float, required=True)
@@ -389,6 +426,10 @@ def _cmd_oracle_clipped(args, config) -> int:
 
 
 def _cmd_nqs_simulate(args, config) -> int:
+    import numpy as np
+
+    from . import nqs
+    from .gf2 import BitString
     n = _resolve(args, config, "n", int, required=True)
     if not 1 <= n <= _NQS_ROUNDS_CAP:
         raise UsageError("need 1 <= n <= 2^20 rounds, got %d" % n)
@@ -415,6 +456,7 @@ def _cmd_nqs_simulate(args, config) -> int:
 
 
 def _cmd_nqs_params(args, config) -> int:
+    from . import nqs
     n = _resolve(args, config, "n", int, required=True)
     lam_a = _resolve(args, config, "lambda_a", float, required=True)
     lam_b = _resolve(args, config, "lambda_b", float, required=True)
@@ -432,6 +474,7 @@ def _cmd_nqs_params(args, config) -> int:
 
 
 def _cmd_nqs_povm(args, config) -> int:
+    from . import nqs
     report = nqs.povm_verify()
     print("completeness_error: %s" % _fmt(report.completeness_error))
     print("min_eigenvalue: %s" % _fmt(report.min_eigenvalue))

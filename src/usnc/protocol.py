@@ -200,8 +200,8 @@ def run_honest(m: BitString, cfg: CommitConfig,
 
 BLOCK = 1000  # trials per random stream; a block's arrays stay a few MB
 _BLOCK_WORDS_CAP = 1 << 20  # words of one n-bit field of a block: 8 MB
-# Most completeness trials: at about 8 * 10^4 trials a second (n = 4096),
-# 10^8 run for about 20 minutes.
+# Most completeness trials: at about 1.2 * 10^5 trials a second (n = 4096,
+# one core of a shared 2-core Xeon), 10^8 run for about 14 minutes.
 _COMPLETENESS_TRIALS_CAP = 10 ** 8
 _NOISE_CHUNK_WORDS = 1 << 16  # noise words drawn per chunk: 512 KB of uint64
 _NOISE_DENSE_PASSES = 8  # U bits drawn for every word of a chunk
@@ -273,31 +273,47 @@ def _gauss_jordan(rows: np.ndarray, rhs: np.ndarray):
     """Reduce every system rows @ u = rhs over GF(2) at once.
 
     ``rows`` is (T, h, words(k)) packed rows, ``rhs`` (T, h) 0/1. Returns
-    reduced copies of both and the pivot column of every row, -1 where a
-    row found none (a rank deficiency). The rows are taken in order: row
-    j's pivot is its lowest set bit left after the earlier rows' clears,
-    and that bit is cleared from every other row and right-hand side, so
-    h steps reduce a block. Row j comes up empty exactly when it lies in
-    the span of rows 0..j-1. A full-rank system ends in its unique reduced
-    row echelon form, every row paired with the same pivot and right-hand
-    side as under column-by-column elimination.
+    reduced copies of both (the right-hand sides as bool) and the pivot
+    column of every row, -1 where a row found none (a rank deficiency).
+    The rows are taken in order: row j's pivot is its lowest set bit left
+    after the earlier rows' clears, and step j clears that bit from every
+    other row and right-hand side by XOR with row j under an all-ones or
+    all-zero word mask, so h steps reduce a block. Row j comes up empty
+    exactly when it lies in the span of rows 0..j-1. A later step XORs into
+    row j only rows whose pivots lie above row j's, so the bit found at
+    step j is still the reduced row's lowest; the pivot columns are worked
+    out from those bits once, after the last step. A full-rank system ends
+    in its unique reduced row echelon form, every row paired with the same
+    pivot and right-hand side as under column-by-column elimination.
+
+    The work runs on an (h, words(k), T) copy, so every step's word
+    operations run along the T systems, and each step reads the word that
+    holds row j's lowest set bit, in every row, with one gather; the
+    reduced rows come back as a (T, h, words(k)) view of that copy.
     """
-    rows, rhs = rows.copy(), rhs.copy()
-    t, h, _ = rows.shape
+    t, h, w = rows.shape
+    work = rows.transpose(1, 2, 0).copy()  # C order, never a view
+    flat = work.reshape(h, w * t)
+    rhs = rhs.T.astype(bool)
     ar = np.arange(t)
-    pivot = np.full((t, h), -1, dtype=np.int64)
+    lowest = np.empty((h, t), dtype=np.uint64)  # row j's pivot bit ...
+    word = np.empty((h, t), dtype=np.int64)     # ... and its word
+    clear = np.empty_like(work)
     for j in range(h):
-        row = rows[:, j].copy()
-        word = (row != 0).argmax(axis=1)  # first nonzero word, 0 if none
-        low = row[ar, word]
-        low &= ~low + np.uint64(1)  # lowest set bit; 0 for an empty row
-        hit = (rows[ar, :, word] & low[:, None]) != 0
-        hit[:, j] = False
-        rows ^= np.where(hit[:, :, None], row[:, None, :], np.uint64(0))
-        rhs ^= hit & rhs[:, j, None].astype(bool)
-        pivot[:, j] = np.where(low != 0, 64 * word
-                               + np.bitwise_count(low - np.uint64(1)), -1)
-    return rows, rhs, pivot
+        row = work[j]
+        word[j] = (row != 0).argmax(axis=0)  # first nonzero word, 0 if none
+        at = word[j] * t + ar
+        low = np.take(row, at)
+        low &= np.uint64(0) - low  # lowest set bit; 0 for an empty row
+        lowest[j] = low
+        hit = (np.take(flat, at, axis=1) & low) != 0
+        hit[j] = False
+        np.bitwise_and(row, (np.uint64(0) - hit)[:, None, :], out=clear)
+        work ^= clear
+        rhs ^= hit & rhs[j]
+    pivot = np.where(lowest != 0, 64 * word
+                     + np.bitwise_count(lowest - np.uint64(1)), -1)
+    return work.transpose(2, 0, 1), rhs.T, pivot.T
 
 
 def _seeds_and_preimages(rng: np.random.Generator, digests: np.ndarray,
@@ -317,15 +333,15 @@ def _seeds_and_preimages(rng: np.random.Generator, digests: np.ndarray,
         rows[bad], rhs[bad], pivot[bad] = _gauss_jordan(seed[bad],
                                                         digests[bad])
         bad = bad[(pivot[bad] < 0).any(axis=1)]
-    ar = np.arange(t)
     word, bit = pivot >> 6, (pivot & 63).astype(np.uint64)
-    pivot_mask = np.zeros((t, _nwords(k)), dtype=np.uint64)
-    for j in range(hm):
-        pivot_mask[ar, word[:, j]] |= np.uint64(1) << bit[:, j]
-    u = _random_words(rng, (t,), k) & ~pivot_mask
-    solved = (np.bitwise_count(rows & u[:, None, :]).sum(axis=2) & 1) ^ rhs
-    for j in range(hm):
-        u[ar, word[:, j]] |= solved[:, j].astype(np.uint64) << bit[:, j]
+    # (T, hm, words(k)): row j's pivot bit, alone in its word
+    one_hot = np.where(np.arange(_nwords(k)) == word[..., None],
+                       np.uint64(1) << bit[..., None], np.uint64(0))
+    u = _random_words(rng, (t,), k) & ~np.bitwise_or.reduce(one_hot, axis=1)
+    solved = (np.bitwise_count(np.bitwise_xor.reduce(rows & u[:, None, :],
+                                                     axis=2)) & 1) ^ rhs
+    u |= np.bitwise_or.reduce(one_hot & (np.uint64(0) - solved)[..., None],
+                              axis=1)
     return seed, u
 
 
@@ -339,10 +355,11 @@ def _flip_threshold(p: float) -> int:
     return math.ceil(p * 2.0 ** 53)
 
 
-def _bsc_words(bitgen, lanes: np.ndarray, rows: int,
-               threshold: int) -> np.ndarray:
-    """BSC flips of ``rows`` strings as packed words, bit-sliced.
+def _bsc_words(bitgen, lanes: np.ndarray, flip: np.ndarray,
+               threshold: int) -> None:
+    """BSC flips of the rows of ``flip``, set in place, bit-sliced.
 
+    ``flip`` is a zeroed C-contiguous (rows, ``lanes.size``) uint64 array.
     Every bit set in the word mask ``lanes`` is a lane: one channel bit of
     a row. A lane flips when its 53-bit U, built most significant bit
     first, is below ``threshold`` T, and one raw output of ``bitgen`` gives
@@ -359,25 +376,24 @@ def _bsc_words(bitgen, lanes: np.ndarray, rows: int,
     undecided lane, in increasing word order. Bits outside ``lanes`` (the
     padding) start decided and stay zero.
     """
-    flip = np.zeros(rows * lanes.size, dtype=np.uint64)
-    live = np.tile(lanes, rows)  # lanes still undecided
+    flip = flip.reshape(-1)
+    live = np.tile(lanes, flip.size // lanes.size)  # lanes still undecided
     at = slice(None)  # words of flip that live covers
     for j, bit in enumerate(format(threshold, "053b").rstrip("0")):
         if j >= _NOISE_DENSE_PASSES:  # only the words still undecided
-            held = np.flatnonzero(live)
+            held = np.flatnonzero(live != 0)  # far faster on bool than uint64
             if not held.size:
                 break
             at = held if j == _NOISE_DENSE_PASSES else at[held]
             live = live[held]
         u = bitgen.random_raw(live.size)
-        np.invert(u, out=u)  # lanes whose U bit is 0
-        if bit == "1":  # U < T on these lanes
-            u &= live
-            flip[at] |= u
-            live ^= u
-        else:  # U > T on the lanes whose U bit is 1
-            live &= u
-    return flip.reshape(rows, lanes.size)
+        u &= live  # undecided lanes whose U bit is 1
+        live ^= u  # undecided lanes whose U bit is 0
+        if bit == "1":  # U < T on the lanes of live: they flip
+            flip[at] |= live
+            live = u
+        # at a T bit of 0, U > T on the lanes of u: they do not flip
+        del u  # freed before the next pass draws
 
 
 def run_honest_batch(cfg: CommitConfig, master_seed: int, block: int,
@@ -401,7 +417,9 @@ def run_honest_batch(cfg: CommitConfig, master_seed: int, block: int,
     ``Generator.random() < p`` has, but a chunk of 64-bit words takes about
     ``_NOISE_DENSE_PASSES`` raw outputs per word instead of one per bit, so
     the flips and the generator state after them are not those of
-    ``random()``.
+    ``random()``. The flips are drawn straight into a zeroed ``z``, which
+    then takes X + x_C' by two in-place XORs, so no block-sized copy of
+    ``x`` or of the flips is made.
     """
     if not 1 <= size <= BLOCK:
         raise ValueError("need 1 <= size <= %d" % BLOCK)
@@ -419,15 +437,17 @@ def run_honest_batch(cfg: CommitConfig, master_seed: int, block: int,
     coset = _random_words(rng, (BLOCK,), n - k)
     m, mbar, seed, u, coset = (a[:size] for a in (m, mbar, seed, u, coset))
     x = np.concatenate([u, code.check_words_batch(u)], axis=1)
-    z = x.copy()
-    z[:, _nwords(k):] ^= coset  # the transmitted lift X + x_C'
     lanes = _pack_split(np.ones(n, dtype=np.uint8), k)
     threshold = _flip_threshold(cfg.p)
     chunk = max(1, _NOISE_CHUNK_WORDS // lanes.size)
+    drawn = min(BLOCK, -(-size // chunk) * chunk)  # rows of the chunks drawn
+    z = np.zeros((drawn, lanes.size), dtype=np.uint64)
     for start in range(0, size, chunk):  # every chunk is drawn whole
-        flips = _bsc_words(rng.bit_generator, lanes,
-                           min(chunk, BLOCK - start), threshold)
-        z[start: start + chunk] ^= flips[: size - start]
+        _bsc_words(rng.bit_generator, lanes, z[start: start + chunk],
+                   threshold)
+    z = z[:size]
+    np.bitwise_xor(z, x, out=z)  # the noise on the transmitted lift X + x_C'
+    np.bitwise_xor(z[:, _nwords(k):], coset, out=z[:, _nwords(k):])
     return TranscriptBatch(seed=seed, mbar=mbar, coset=coset, z=z, m=m, x=x)
 
 
@@ -462,16 +482,26 @@ def bob_verify_batch(t: TranscriptBatch, cfg: CommitConfig) -> np.ndarray:
 
     Trial i is accepted iff HD(x_i + x_C', z_i) lies in ``typical_window``
     and the opening (m_i, x_i) passes ``_openings_pass``: the three tests of
-    ``bob_verify``, applied to arbitrary openings.
+    ``bob_verify``, applied to arbitrary openings. The batch's shapes and
+    padding bits are checked first (``_check_layout``); the completeness
+    run, which scores batches it has just built, calls ``_accepts``
+    directly.
     """
     _check_layout(t, cfg)
+    return _accepts(t, cfg)
+
+
+def _accepts(t: TranscriptBatch, cfg: CommitConfig) -> np.ndarray:
+    """``bob_verify_batch`` on a batch whose layout fits ``cfg``."""
+    # the opening test first, so its block-sized temporaries are freed
+    # before the weight test allocates its own
+    opened = _openings_pass(cfg, t.seed, t.mbar, t.m, t.x)
     wk = _nwords(cfg.code.k)
     diff = t.x ^ t.z
     diff[:, wk:] ^= t.coset
     weight = np.bitwise_count(diff).sum(axis=1)
     w_lo, w_hi = typical_window(cfg.n, cfg.p, cfg.eps)
-    typical = (weight >= w_lo) & (weight <= w_hi)
-    return typical & _openings_pass(cfg, t.seed, t.mbar, t.m, t.x)
+    return opened & (weight >= w_lo) & (weight <= w_hi)
 
 
 def _openings_pass(cfg: CommitConfig, seed: np.ndarray, mbar: np.ndarray,
@@ -529,7 +559,7 @@ def _completeness_counts(cfg: CommitConfig, trials: int,
     for block, start in enumerate(range(0, trials, BLOCK)):
         batch = run_honest_batch(cfg, master_seed, block,
                                  min(BLOCK, trials - start))
-        rejects += int((~bob_verify_batch(batch, cfg)).sum())
+        rejects += int((~_accepts(batch, cfg)).sum())
     return rejects
 
 

@@ -243,6 +243,28 @@ class TestCommit:
                               "--eps", "0.3", "--trials", "1000",
                               "--seed", "1")[1]
 
+    @pytest.mark.parametrize("argv", [
+        ["commit", "run", "--message", "1", "--seed", "1"],
+        ["commit", "replay", "--transcript", "t.json"],
+        ["commit", "complete", "--trials", "1000", "--seed", "1"]],
+        ids=["run", "replay", "complete"])
+    def test_code_file_without_distance_refused(self, capsys, tmp_path,
+                                                argv):
+        # a code file's distance is computed only up to k = 24, and the
+        # protocol needs one: the refusal names the file's k
+        path = tmp_path / "k30.txt"
+        save_code(LinearCode(np.random.default_rng(5).integers(0, 2,
+                                                               (30, 10))),
+                  path)
+        code = main(argv + ["--code", str(path), "--hash-m", "1", "--p",
+                            "0.1", "--eps", "0.05"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the code file's k = 30 is above 24, so no distance is "
+            "computed for it, and the protocol needs one\n")
+
     def test_run_with_message_space_beyond_64_bits(self, capsys):
         # even:65 has k = 64: the preimage lift eliminates on 65-bit rows
         code, out = run_cli(capsys, "commit", "run", "--code", "even:65",
@@ -875,6 +897,28 @@ def test_bounds_import_loads_no_numpy():
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.split() == ["usnc", "usnc.bounds"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "eval", "--which", "dc", "--n", "1000", "--eps", "0.1"],
+    ["rate", "point", "--p", "0.1", "--xia", "0.469", "--xib", "0.469"]],
+    ids=["bounds-eval", "rate-point"])
+def test_closed_form_commands_load_no_numpy(argv):
+    # cli imports each command's modules inside its handler: a fresh run
+    # of a closed-form command loads the package root, bounds and cli, and
+    # no numpy module
+    src = str(pathlib.Path(usnc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys\n"
+             "from usnc.cli import main\n"
+             "assert main(sys.argv[1:]) == 0\n"
+             "print(' '.join(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('usnc', 'numpy'))))")
+    done = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    value, modules = done.stdout.splitlines()  # the command prints one line
+    assert modules.split() == ["usnc", "usnc.bounds", "usnc.cli"]
 
 
 def test_cli_import_leaves_lp_solver_unloaded():

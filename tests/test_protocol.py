@@ -470,7 +470,12 @@ class TestBatchEngine:
 # most blocks redraw seeds over several rounds
 STREAM_CONFIGS = dict(BATCH_CONFIGS, **{
     "hamming74 m=4": lambda: CommitConfig(code=hamming_7_4(), hash_m=4,
-                                          p=0.25, eps=0.2)})
+                                          p=0.25, eps=0.2),
+    # k past two 64-bit words: three-word seed rows and preimages
+    "random[300,130]": lambda: CommitConfig(
+        code=LinearCode(np.random.default_rng(3).integers(0, 2, (130, 170)),
+                        d_claimed=5),
+        hash_m=8, p=0.1, eps=0.03)})
 STREAM_BLOCKS = [(name, BLOCK) for name in sorted(STREAM_CONFIGS)] + [
     ("random[4096,16]", 123)]  # a short block inside a whole noise chunk
 
@@ -486,8 +491,10 @@ def _field_digest(words: np.ndarray) -> str:
 # one). The seed, mbar, coset, m and x digests were recorded before the
 # encoding and elimination kernels were rewritten; the z digests and the
 # rejects were re-recorded when the BSC noise became bit-sliced, which
-# left every other digest as it was. A kernel rewrite must reproduce these
-# exactly; a change here is a change of every `commit complete` result.
+# left every other digest as it was. The random[300,130] entry was
+# recorded before the elimination moved to one gather per step on a
+# transposed copy. A kernel rewrite must reproduce these exactly; a change
+# here is a change of every `commit complete` result.
 STREAM_PINS = {
     ("even:14", BLOCK): {
         "rejects": 1322,
@@ -519,6 +526,14 @@ STREAM_PINS = {
             "seed": "b4a9ccc7bc9f63a2", "mbar": "a4300a0393b4b6c5",
             "coset": "91655e6970538f73", "z": "c14f89a9380594b8",
             "m": "f6dece3bcaa20361", "x": "26f0d93aa71d7b0a",
+        },
+    },
+    ("random[300,130]", BLOCK): {
+        "rejects": 163,
+        "fields": {
+            "seed": "0749172cdc3b782a", "mbar": "b24d2e848eceb07a",
+            "coset": "0607763952fc4445", "z": "e11a9655c7853be4",
+            "m": "9329f94acef3aaed", "x": "3eaccbb7d365e71f",
         },
     },
     ("random[4096,16]", BLOCK): {
@@ -605,6 +620,20 @@ class TestKernels:
             for g, w in zip(got, want):  # full rank: the same reduced rows
                 assert np.array_equal(g[~deficient], w[~deficient])
 
+    def test_gauss_jordan_leaves_its_input(self):
+        # a single system's transposed rows are already contiguous, so the
+        # working copy must be made explicitly; the redraw loop reduces
+        # one-system blocks
+        rng = np.random.default_rng(66)
+        for t in (1, 2):
+            rows = _random_words(rng, (t, 3), 70)
+            rhs = rng.integers(0, 2, (t, 3), dtype=np.uint8)
+            kept = rows.copy(), rhs.copy()
+            reduced = _gauss_jordan(rows, rhs)[0]
+            assert not np.array_equal(reduced, kept[0])
+            assert np.array_equal(rows, kept[0])
+            assert np.array_equal(rhs, kept[1])
+
     @pytest.mark.parametrize("p", [1e-9, 0.1, 0.25, 0.5 - 2.0 ** -53])
     def test_flip_threshold_is_random_below_p(self, p):
         # 0.25 * 2^53 is an integer; 1/2 - 2^-53 is the largest p < 1/2
@@ -667,8 +696,9 @@ class TestBitSlicedNoise:
         # row, 96 rows, so 19,200 lanes and 280 padding bits
         lanes = protocol._pack_split(np.ones(200, dtype=np.uint8), 70)
         threshold = _flip_threshold(p)
-        got = protocol._bsc_words(np.random.default_rng(62).bit_generator,
-                                  lanes, 96, threshold)
+        got = np.zeros((96, 5), dtype=np.uint64)
+        protocol._bsc_words(np.random.default_rng(62).bit_generator, lanes,
+                            got, threshold)
         raw = np.random.default_rng(62).bit_generator.random_raw(53 * 480)
         want = bsc_lanes_reference(raw, lanes, 96, threshold)
         assert got.dtype == np.uint64 and got.shape == (96, 5)
@@ -695,8 +725,9 @@ class TestBitSlicedNoise:
         n, rows = 4096, 3000
         lanes = protocol._pack_split(np.ones(n, dtype=np.uint8), 16)
         threshold = _flip_threshold(0.1)
-        flips = protocol._bsc_words(np.random.default_rng(65).bit_generator,
-                                    lanes, rows, threshold)
+        flips = np.zeros((rows, lanes.size), dtype=np.uint64)
+        protocol._bsc_words(np.random.default_rng(65).bit_generator, lanes,
+                            flips, threshold)
         weight = np.bitwise_count(flips).sum(axis=1)
         pmf = binom.pmf(np.arange(n + 1), n, threshold * 2.0 ** -53)
         edges = np.unique(np.searchsorted(np.cumsum(pmf),
