@@ -66,7 +66,8 @@ class BitString:
     def from_int(cls, value: int, n: int) -> "BitString":
         if value < 0 or value >> n:
             raise ValueError("value does not fit in %d bits" % n)
-        return cls._wrap(_unpack_row(value, n))
+        raw = value.to_bytes(8 * ((n + 63) // 64), "little")
+        return cls._wrap(_unpack_u64(np.frombuffer(raw, dtype=np.uint64), n))
 
     @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "BitString":
@@ -103,7 +104,7 @@ class BitString:
         return "".join("1" if b else "0" for b in self._bits)
 
     def to_int(self) -> int:
-        return _pack_row(self._bits)
+        return _pack_rows(self._bits[None])[0]
 
     def __repr__(self) -> str:
         s = self.to01()
@@ -140,19 +141,6 @@ def _xor_span(rows: np.ndarray) -> np.ndarray:
         np.bitwise_xor(span[..., : 1 << i, :], rows[..., i, None, :],
                        out=span[..., 1 << i: 2 << i, :])
     return span
-
-
-def _pack_row(bits: np.ndarray) -> int:
-    """0/1 vector as a Python int of any width, bit i = entry i."""
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(),
-                          "little")
-
-
-def _unpack_row(value: int, ncols: int) -> np.ndarray:
-    """Inverse of ``_pack_row`` for a nonnegative int below 2^ncols."""
-    raw = value.to_bytes((ncols + 7) // 8, "little")
-    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
-                         bitorder="little")[:ncols]
 
 
 def _pack_rows(mat: np.ndarray) -> list[int]:

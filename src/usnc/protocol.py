@@ -12,11 +12,12 @@ of X matches M + Mbar. Consumers must gate on the flag, not on the returned
 message.
 
 The completeness Monte Carlo runs on the batched engine: ``run_honest_batch``
-commits and opens a block of trials at once as packed uint64 words, and
-``bob_verify_batch`` applies the three accept tests to every opening of a
-block; its codeword-and-digest half, ``_openings_pass``, is also the one
-opening test of exact binding. Block b of a run draws all its randomness
-from ``default_rng([master_seed, b])``, so results depend only on the
+commits and opens a whole block of BLOCK trials at once as packed uint64
+words, and ``bob_verify_batch`` applies the three accept tests to every
+opening of a block; its codeword-and-digest half, ``_openings_pass``, is
+also the one opening test of exact binding. Block b of a run draws all its
+randomness from ``default_rng([master_seed, b])``, and a run of T trials
+counts the first T verdicts of its blocks, so results depend only on the
 configuration, the trial count and the master seed, never on how blocks are
 grouped into calls. The scalar ``run_honest``/``bob_verify`` remain the
 reference the batch path is tested against. Both send X + x_C' through
@@ -396,18 +397,17 @@ def _bsc_words(bitgen, lanes: np.ndarray, flip: np.ndarray,
         del u  # freed before the next pass draws
 
 
-def run_honest_batch(cfg: CommitConfig, master_seed: int, block: int,
-                     size: int = BLOCK) -> TranscriptBatch:
-    """Block ``block`` of honest commit + open runs on uniform messages.
+def run_honest_batch(cfg: CommitConfig, master_seed: int,
+                     block: int) -> TranscriptBatch:
+    """Block ``block`` of BLOCK honest commit + open runs on uniform messages.
 
     Every draw comes from ``default_rng([master_seed, block])``: messages,
     masks, seeds (rank-deficient ones redrawn), free preimage coordinates
     and cosets for all BLOCK trials, then the BSC noise. The noise is drawn
     in row chunks of about ``_NOISE_CHUNK_WORDS`` words, whose size depends
-    on the code alone, and the chunk holding trial ``size`` - 1 is drawn
-    whole, so trial j of a block is the same for every ``size`` > j. A
-    block whose n-bit fields would hold more than 2^20 words each (n above
-    about 67,000) is refused before anything is drawn.
+    on the code alone, for cache locality. A block whose n-bit fields would
+    hold more than 2^20 words each (n above about 67,000) is refused before
+    anything is drawn.
 
     Seeds are reduced row by row (``_gauss_jordan``), which finds the same
     rank deficiencies, pivots and reduced rows as column-wise elimination,
@@ -421,8 +421,6 @@ def run_honest_batch(cfg: CommitConfig, master_seed: int, block: int,
     then takes X + x_C' by two in-place XORs, so no block-sized copy of
     ``x`` or of the flips is made.
     """
-    if not 1 <= size <= BLOCK:
-        raise ValueError("need 1 <= size <= %d" % BLOCK)
     code, hm = cfg.code, cfg.hash_m
     k, n = code.k, code.n
     words = BLOCK * (_nwords(k) + _nwords(n - k))
@@ -435,17 +433,14 @@ def run_honest_batch(cfg: CommitConfig, master_seed: int, block: int,
     mbar = _random_words(rng, (BLOCK,), hm)
     seed, u = _seeds_and_preimages(rng, _unpack_u64(m ^ mbar, hm), k)
     coset = _random_words(rng, (BLOCK,), n - k)
-    m, mbar, seed, u, coset = (a[:size] for a in (m, mbar, seed, u, coset))
     x = np.concatenate([u, code.check_words_batch(u)], axis=1)
     lanes = _pack_split(np.ones(n, dtype=np.uint8), k)
     threshold = _flip_threshold(cfg.p)
     chunk = max(1, _NOISE_CHUNK_WORDS // lanes.size)
-    drawn = min(BLOCK, -(-size // chunk) * chunk)  # rows of the chunks drawn
-    z = np.zeros((drawn, lanes.size), dtype=np.uint64)
-    for start in range(0, size, chunk):  # every chunk is drawn whole
+    z = np.zeros((BLOCK, lanes.size), dtype=np.uint64)
+    for start in range(0, BLOCK, chunk):
         _bsc_words(rng.bit_generator, lanes, z[start: start + chunk],
                    threshold)
-    z = z[:size]
     np.bitwise_xor(z, x, out=z)  # the noise on the transmitted lift X + x_C'
     np.bitwise_xor(z[:, _nwords(k):], coset, out=z[:, _nwords(k):])
     return TranscriptBatch(seed=seed, mbar=mbar, coset=coset, z=z, m=m, x=x)
@@ -532,14 +527,15 @@ def estimate_completeness(cfg: CommitConfig, trials: int,
                           master_seed: int) -> CompletenessEstimate:
     """Monte Carlo rejection-rate estimate over uniformly sampled messages.
 
-    Trials run on the batched engine in blocks of BLOCK, block b drawing
-    from its own stream ``default_rng([master_seed, b])`` (see
-    ``run_honest_batch``); the last block may be cut short. The acceptance
-    probability is message-independent (the noise weight test does not see
-    the message, and the other two tests pass identically on honest runs),
-    so the rate is pooled over all messages. The interval is a two-sided
-    99% Wilson interval on the pooled rate. Fewer than 10^3 or more than
-    10^8 trials are refused before any draw.
+    Trials run on the batched engine in whole blocks of BLOCK, block b
+    drawing from its own stream ``default_rng([master_seed, b])`` (see
+    ``run_honest_batch``); of the last block only the first trials are
+    counted, so trial j is the same for every trial count above j. The
+    acceptance probability is message-independent (the noise weight test
+    does not see the message, and the other two tests pass identically on
+    honest runs), so the rate is pooled over all messages. The interval is
+    a two-sided 99% Wilson interval on the pooled rate. Fewer than 10^3 or
+    more than 10^8 trials are refused before any draw.
     """
     if trials < 10 ** 3:
         raise ValueError("need trials >= 1000")
@@ -554,12 +550,11 @@ def estimate_completeness(cfg: CommitConfig, trials: int,
 
 def _completeness_counts(cfg: CommitConfig, trials: int,
                          master_seed: int) -> int:
-    """Rejects over ``trials`` honest runs in blocks 0, 1, ..."""
+    """Rejects over the first ``trials`` honest runs of blocks 0, 1, ..."""
     rejects = 0
     for block, start in enumerate(range(0, trials, BLOCK)):
-        batch = run_honest_batch(cfg, master_seed, block,
-                                 min(BLOCK, trials - start))
-        rejects += int((~_accepts(batch, cfg)).sum())
+        accepted = _accepts(run_honest_batch(cfg, master_seed, block), cfg)
+        rejects += int((~accepted[:trials - start]).sum())
     return rejects
 
 
@@ -582,9 +577,18 @@ def _bits_to_hex(b: BitString) -> dict:
     return {"len": len(b), "hex": np.packbits(b.bits).tobytes().hex()}
 
 
+def _json_int(obj: dict, key: str) -> int:
+    """``obj[key]`` if it is a JSON integer (not a float, string or bool)."""
+    value = obj[key]
+    if type(value) is not int:
+        raise ValueError("transcript field %r is %r, not an integer"
+                         % (key, value))
+    return value
+
+
 def _bits_from_hex(obj) -> BitString:
     try:
-        nbits = int(obj["len"])
+        nbits = _json_int(obj, "len")
         raw = bytes.fromhex(obj["hex"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError("malformed bit-string field: %r" % (obj,)) from exc
@@ -614,13 +618,13 @@ def transcript_from_json(text: str) -> CommitmentTranscript:
     try:
         obj = json.loads(text)
         seed_obj = obj["seed"]
-        m, k = int(seed_obj["m"]), int(seed_obj["k"])
-        raw = np.unpackbits(
-            np.frombuffer(bytes.fromhex(seed_obj["hex"]), dtype=np.uint8))
-        if m < 1 or k < 1 or raw.size < m * k:
-            raise ValueError("seed shape %dx%d does not fit its payload"
-                             % (m, k))
-        seed = HashSeed(raw[: m * k].reshape(m, k))
+        m, k = _json_int(seed_obj, "m"), _json_int(seed_obj, "k")
+        raw = bytes.fromhex(seed_obj["hex"])
+        if m < 1 or k < 1 or len(raw) != (m * k + 7) // 8:
+            raise ValueError("seed shape %dx%d does not fit its payload of "
+                             "%d bytes" % (m, k, len(raw)))
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
+        seed = HashSeed(bits[: m * k].reshape(m, k))
         mbar = _bits_from_hex(obj["mbar"])
         coset = _bits_from_hex(obj["coset"])
         z = _bits_from_hex(obj["z"])
@@ -630,9 +634,9 @@ def transcript_from_json(text: str) -> CommitmentTranscript:
                               x=_bits_from_hex(opening["x"]))
     except KeyError as exc:
         raise ValueError("transcript missing field %s" % exc) from exc
-    except (TypeError, OverflowError) as exc:
-        # a JSON value of the wrong type where an object, an integer or a
-        # hex string belongs
+    except TypeError as exc:
+        # a JSON value of the wrong type where an object or a hex string
+        # belongs
         raise ValueError("malformed transcript: %s" % exc) from exc
     return CommitmentTranscript(seed=seed, mbar=mbar, coset=coset, z=z,
                                 opening=opening)

@@ -17,6 +17,7 @@ thread or a process, so no value can ask for many of them.
 import argparse
 import contextlib
 import io
+import json
 import os
 import shlex
 
@@ -170,3 +171,30 @@ def test_one_option_at_a_time_exits_cleanly(workdir):
 @pytest.mark.filterwarnings("ignore")
 def test_one_config_value_at_a_time_exits_cleanly(workdir):
     probe(CONFIG_CASES, with_config, workdir)
+
+
+def test_replay_refuses_lax_seed_payload_and_shapes(workdir):
+    # the README's transcript with 50 bytes after its seed, or with a
+    # float m or len that int() would truncate: each exits 2 with one error
+    argv = next(a for a in EXAMPLES if a[:2] == ["commit", "replay"])
+    where = argv.index("--transcript") + 1
+    with open(os.path.join(workdir, argv[where])) as fh:
+        valid = json.load(fh)
+    edits = [(("seed", "hex"), valid["seed"]["hex"] + "00" * 50),
+             (("seed", "m"), 1.9), (("z", "len"), valid["z"]["len"] + 0.5)]
+    for path, value in edits:
+        obj = json.loads(json.dumps(valid))
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        name = os.path.join(workdir, "probe-lax.json")
+        with open(name, "w") as fh:
+            json.dump(obj, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(err):
+            code = main(argv[:where] + [name] + argv[where + 1:])
+        assert (code, out.getvalue()) == (2, ""), path
+        assert err.getvalue().startswith("error: "), path
+        assert err.getvalue().count("\n") == 1, (path, err.getvalue())

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from usnc.gf2 import (BitString, LinearCode, _pack_row, _pack_rows, _pack_u64,
-                      _xor_span, all_bits, even_weight_code, gf2_rank,
+from usnc.gf2 import (BitString, LinearCode, _pack_rows, _pack_u64, _xor_span,
+                      all_bits, even_weight_code, gf2_rank,
                       gf2_solution_space, hamming_7_4, hamming_distance,
                       load_code, random_linear_code, repetition_code,
                       save_code)
@@ -14,6 +14,12 @@ from usnc.gf2 import (BitString, LinearCode, _pack_row, _pack_rows, _pack_u64,
 
 def bs(s):
     return BitString.from01(s)
+
+
+def binary_string_int(bits):
+    """0/1 entries as an int with bit i = entry i, read as a binary string
+    (the last entry is the most significant digit)."""
+    return int("0" + "".join(map(str, bits[::-1])), 2)
 
 
 def parity_check(code):
@@ -50,6 +56,20 @@ class TestBitString:
         assert np.flatnonzero(b.bits).tolist() == [0, 2, 63, 70]
         assert b.to_int() == value
         assert BitString.from_int(1 << 70, 80).to_int() == 1 << 70
+
+    def test_int_codec_matches_binary_string(self):
+        # every width from 1 to 130, across the 64-bit word edges at 63, 64,
+        # 65 and 128: random strings, all ones and the top bit alone
+        rng = np.random.default_rng(5)
+        for width in range(1, 131):
+            rows = np.vstack([rng.integers(0, 2, (3, width), dtype=np.uint8),
+                              np.ones((1, width), dtype=np.uint8),
+                              np.eye(width, dtype=np.uint8)[-1:]])
+            for bits in rows:
+                value = binary_string_int(bits)
+                assert BitString(bits).to_int() == value
+                assert np.array_equal(BitString.from_int(value, width).bits,
+                                      bits)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -475,14 +495,16 @@ class TestXorSpan:
 
 class TestIntRows:
     """The scalar solver's int rows against references that share none of
-    its code: the per-row packer, and brute force over every vector."""
+    its code: rows read as binary strings, and brute force over every
+    vector."""
 
     @pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 63, 64, 65, 4096])
     def test_pack_rows_matches_per_row_packing(self, width):
         rng = np.random.default_rng(width)
         for rows in (1, 3, 8):
             mat = rng.integers(0, 3, size=(rows, width), dtype=np.uint8)
-            assert _pack_rows(mat) == [_pack_row(row & 1) for row in mat]
+            assert _pack_rows(mat) == [binary_string_int(row & 1)
+                                       for row in mat]
 
     def test_solution_space_equals_brute_force(self):
         rng = np.random.default_rng(11)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -40,6 +41,13 @@ def batch_transcript(batch, i, cfg):
         z=split(batch.z[i]),
         opening=Opening(m=BitString(_unpack_u64(batch.m[i], hm)),
                         x=split(batch.x[i])))
+
+
+def honest_rows(cfg, master_seed, block, rows):
+    """The first ``rows`` trials of the full honest block ``block``."""
+    batch = run_honest_batch(cfg, master_seed, block)
+    return TranscriptBatch(**{f.name: getattr(batch, f.name)[:rows]
+                              for f in dataclasses.fields(batch)})
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +231,43 @@ class TestTranscriptCodec:
         with pytest.raises(ValueError, match="length"):
             transcript_from_json(json.dumps(obj))
 
+    @pytest.mark.parametrize("path,value,match", [
+        (("seed", "m"), 1.9, "'m' is 1.9, not an integer"),
+        (("seed", "k"), 4.0, "'k' is 4.0, not an integer"),
+        (("seed", "m"), True, "'m' is True, not an integer"),
+        (("seed", "k"), "4", "'k' is '4', not an integer"),
+        (("z", "len"), 7.5, "malformed bit-string field"),
+        (("z", "len"), "7", "malformed bit-string field"),
+        (("mbar", "len"), True, "malformed bit-string field"),
+        (("opening", "x", "len"), 7.0, "malformed bit-string field")],
+        ids=["seed-m-float", "seed-k-whole-float", "seed-m-bool",
+             "seed-k-string", "z-len-float", "z-len-string", "mbar-len-bool",
+             "x-len-whole-float"])
+    def test_non_integer_shape_refused(self, cfg, path, value, match):
+        # int() would truncate 1.9 and 7.5 and read "7" and true
+        run = run_honest(BitString.from01("1"), cfg,
+                         np.random.default_rng(25))
+        obj = json.loads(transcript_to_json(run.transcript))
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(ValueError, match=match):
+            transcript_from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("extra", [-1, 1, 50])
+    def test_seed_payload_of_wrong_size_refused(self, cfg, extra):
+        # the 1 x 4 seed of hamming74 at hash_m = 1 is exactly one byte
+        run = run_honest(BitString.from01("1"), cfg,
+                         np.random.default_rng(26))
+        obj = json.loads(transcript_to_json(run.transcript))
+        assert len(obj["seed"]["hex"]) == 2
+        obj["seed"]["hex"] = ("" if extra < 0
+                              else obj["seed"]["hex"] + "00" * extra)
+        with pytest.raises(ValueError, match=r"^seed shape 1x4 does not fit "
+                           r"its payload of %d bytes$" % (1 + extra)):
+            transcript_from_json(json.dumps(obj))
+
     def test_roundtrip_arbitrary_shapes(self):
         # codec handles bit lengths away from byte boundaries
         from usnc.hashing import sample_seed
@@ -339,7 +384,7 @@ class TestBatchEngine:
     def test_batch_and_scalar_verdicts_agree(self, name):
         cfg = BATCH_CONFIGS[name]()
         rng = np.random.default_rng(40)
-        honest = run_honest_batch(cfg, master_seed=41, block=3, size=40)
+        honest = honest_rows(cfg, master_seed=41, block=3, rows=40)
         transcripts = []
         for i in range(len(honest)):
             transcripts += _tampered(batch_transcript(honest, i, cfg), cfg,
@@ -358,7 +403,7 @@ class TestBatchEngine:
         cfg = BATCH_CONFIGS[name]()
         monkeypatch.setattr(cli, "_code_from_spec", lambda spec: cfg.code)
         rng = np.random.default_rng(48)
-        honest = run_honest_batch(cfg, master_seed=49, block=0, size=3)
+        honest = honest_rows(cfg, master_seed=49, block=0, rows=3)
         path = tmp_path / "t.json"
         flags = set()
         for i in range(len(honest)):
@@ -379,7 +424,7 @@ class TestBatchEngine:
         # the lift, encoding and coset shift are right exactly when every
         # honest verdict is the window test on the channel noise alone
         cfg = BATCH_CONFIGS[name]()
-        batch = run_honest_batch(cfg, master_seed=42, block=0, size=200)
+        batch = honest_rows(cfg, master_seed=42, block=0, rows=200)
         w_lo, w_hi = typical_window(cfg.n, cfg.p, cfg.eps)
         for i in range(len(batch)):
             t = batch_transcript(batch, i, cfg)
@@ -422,24 +467,21 @@ class TestBatchEngine:
         assert whole == rejects
         assert 0 < rejects < 10 * BLOCK
 
-    def test_short_block_is_prefix_of_full_block(self):
-        cfg = BATCH_CONFIGS["hamming74"]()
-        full = run_honest_batch(cfg, 45, 2)
-        short = run_honest_batch(cfg, 45, 2, size=123)
-        for f in ("seed", "mbar", "coset", "z", "m", "x"):
-            assert np.array_equal(getattr(short, f), getattr(full, f)[:123])
-
-    def test_short_block_is_prefix_across_noise_chunks(self, monkeypatch):
-        # 64 noise words a chunk are 32 rows of hamming74: size 123 ends
-        # inside the fourth chunk, which is still drawn whole
-        cfg = BATCH_CONFIGS["hamming74"]()
-        one_chunk = run_honest_batch(cfg, 45, 2).z
-        monkeypatch.setattr(protocol, "_NOISE_CHUNK_WORDS", 64)
-        full = run_honest_batch(cfg, 45, 2).z
-        assert not np.array_equal(full, one_chunk)
-        for size in (1, 32, 33, 123):
-            assert np.array_equal(run_honest_batch(cfg, 45, 2, size=size).z,
-                                  full[:size])
+    def test_last_block_counts_only_its_first_trials(self):
+        # BLOCK + j trials are block 0 and the first j trials of block 1, at
+        # every j where block 1 rejects and one trial to either side of it
+        cfg = CommitConfig(code=even_weight_code(14), hash_m=1, p=0.25,
+                           eps=0.2)  # rejects about 4% of runs
+        first = int((~bob_verify_batch(run_honest_batch(cfg, 53, 0),
+                                       cfg)).sum())
+        rejected = ~bob_verify_batch(run_honest_batch(cfg, 53, 1), cfg)
+        counted = np.concatenate([[0], np.cumsum(rejected)])  # of first j
+        hits = np.flatnonzero(rejected)
+        assert 0 < hits.size < BLOCK // 10
+        for j in sorted({i + d for i in hits for d in (-1, 0, 1)}
+                        & set(range(BLOCK + 1))):
+            assert _completeness_counts(cfg, BLOCK + j, 53) == \
+                first + counted[j]
 
     def test_rejection_rate_matches_exact_window_tail(self):
         cfg = BATCH_CONFIGS["hamming74"]()
@@ -451,15 +493,13 @@ class TestBatchEngine:
 
     def test_malformed_batch_refused(self):
         cfg = BATCH_CONFIGS["hamming74"]()
-        batch = run_honest_batch(cfg, 47, 0, size=5)
+        batch = honest_rows(cfg, 47, 0, 5)
         with pytest.raises(ValueError, match="expected"):
             bob_verify_batch(replace(batch, z=batch.z[:, :1]), cfg)
         padded = batch.x.copy()
         padded[0, 0] |= np.uint64(1) << np.uint64(4)  # beyond k = 4
         with pytest.raises(ValueError, match="beyond"):
             bob_verify_batch(replace(batch, x=padded), cfg)
-        with pytest.raises(ValueError):
-            run_honest_batch(cfg, 47, 0, size=BLOCK + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +509,12 @@ class TestBatchEngine:
 # k = 4 with a square 4 x 4 seed: about 69% of seeds are rank deficient, so
 # most blocks redraw seeds over several rounds
 STREAM_CONFIGS = dict(BATCH_CONFIGS, **{
+    # 129 words a row: the noise of a block is drawn in two chunks, of 508
+    # and 492 rows
+    "random[8192,16]": lambda: CommitConfig(
+        code=LinearCode(np.random.default_rng(3).integers(0, 2, (16, 8176)),
+                        d_claimed=2048),
+        hash_m=8, p=0.1, eps=0.01),
     "hamming74 m=4": lambda: CommitConfig(code=hamming_7_4(), hash_m=4,
                                           p=0.25, eps=0.2),
     # k past two 64-bit words: three-word seed rows and preimages
@@ -477,7 +523,7 @@ STREAM_CONFIGS = dict(BATCH_CONFIGS, **{
                         d_claimed=5),
         hash_m=8, p=0.1, eps=0.03)})
 STREAM_BLOCKS = [(name, BLOCK) for name in sorted(STREAM_CONFIGS)] + [
-    ("random[4096,16]", 123)]  # a short block inside a whole noise chunk
+    ("random[4096,16]", 123)]  # a prefix of the block's one noise chunk
 
 
 def _field_digest(words: np.ndarray) -> str:
@@ -486,15 +532,17 @@ def _field_digest(words: np.ndarray) -> str:
     return hashlib.sha256(raw).hexdigest()[:16]
 
 
-# run_honest_batch(cfg, 51, 2, size) field digests and the rejects of
-# _completeness_counts(cfg, 2500, 52) (two full blocks and a 500-trial
-# one). The seed, mbar, coset, m and x digests were recorded before the
-# encoding and elimination kernels were rewritten; the z digests and the
-# rejects were re-recorded when the BSC noise became bit-sliced, which
-# left every other digest as it was. The random[300,130] entry was
-# recorded before the elimination moved to one gather per step on a
-# transposed copy. A kernel rewrite must reproduce these exactly; a change
-# here is a change of every `commit complete` result.
+# Digests of the first `size` rows of each field of run_honest_batch(cfg,
+# 51, 2) and the rejects of _completeness_counts(cfg, 2500, 52) (two full
+# blocks and the first 500 trials of a third). The seed, mbar, coset, m
+# and x digests were recorded before the encoding and elimination kernels
+# were rewritten; the z digests and the rejects were re-recorded when the
+# BSC noise became bit-sliced, which left every other digest as it was.
+# The random[300,130] entry was recorded before the elimination moved to
+# one gather per step on a transposed copy, and the random[8192,16] entry
+# before every block was drawn whole (its noise in two chunks then too). A
+# kernel rewrite must reproduce these exactly; a change here is a change
+# of every `commit complete` result.
 STREAM_PINS = {
     ("even:14", BLOCK): {
         "rejects": 1322,
@@ -544,6 +592,14 @@ STREAM_PINS = {
             "m": "9329f94acef3aaed", "x": "659d0fcbcb561ab2",
         },
     },
+    ("random[8192,16]", BLOCK): {
+        "rejects": 5,
+        "fields": {
+            "seed": "9ac6a8583ff01384", "mbar": "b24d2e848eceb07a",
+            "coset": "40df1960fd8939c0", "z": "1760c726afe0c6ab",
+            "m": "9329f94acef3aaed", "x": "f8e93f626a0d45a2",
+        },
+    },
     ("random[4096,16]", 123): {
         "fields": {
             "seed": "6cda292e46444ae7", "mbar": "030b9ca8b51c6070",
@@ -557,7 +613,7 @@ STREAM_PINS = {
 class TestStreamPins:
     @pytest.mark.parametrize("name,size", STREAM_BLOCKS)
     def test_batch_fields_pinned(self, name, size):
-        batch = run_honest_batch(STREAM_CONFIGS[name](), 51, 2, size)
+        batch = honest_rows(STREAM_CONFIGS[name](), 51, 2, size)
         got = {f: _field_digest(getattr(batch, f))
                for f in ("seed", "mbar", "coset", "z", "m", "x")}
         assert got == STREAM_PINS[name, size]["fields"]
