@@ -33,8 +33,7 @@ from .gf2 import BitString, _pack_u64
 from .hashing import (_digests, count_full_rank, digest_table,
                       enumerate_full_rank_seeds, hash_codeword)
 from .protocol import (BLOCK, CommitConfig, TranscriptBatch, _nwords,
-                       _openings_pass, _pack_split, alice_commit,
-                       bob_verify_batch)
+                       _openings_pass, _pack_split, bob_verify_batch)
 
 __all__ = [
     "ATOM_DTYPE",
@@ -42,7 +41,6 @@ __all__ = [
     "BobStrategy",
     "binding_success",
     "midpoint_attack",
-    "honest_alice_strategy",
     "hiding_advantage",
     "less_noisy_bob",
 ]
@@ -250,29 +248,6 @@ def midpoint_attack(cfg: CommitConfig, x0: BitString, x1: BitString,
     atoms.x0, atoms.m0 = x0.to_int(), d0[seed] ^ mbar
     atoms.x1, atoms.m1 = x1.to_int(), d1[seed] ^ mbar
     return AliceStrategy(seeds=seeds, atoms=atoms, channel=channel)
-
-
-def honest_alice_strategy(cfg: CommitConfig, m: BitString,
-                          rng: np.random.Generator,
-                          n_atoms: int = 64) -> AliceStrategy:
-    """Honest committer cast as a strategy; both reveals tell the truth.
-
-    The commit law is represented by ``n_atoms`` sampled honest draws, one
-    channel label each. Both openings coincide, so the double-opening success
-    is zero by definition.
-    """
-    draws = [alice_commit(m, cfg, rng) for _ in range(n_atoms)]
-    ch = AliceChannel.bsc(cfg.n, [xbar for _, _, xbar in draws], cfg.p)
-    atoms = np.recarray(n_atoms, dtype=ATOM_DTYPE)
-    atoms.prob = 1.0 / n_atoms
-    atoms.seed = atoms.label = np.arange(n_atoms)
-    atoms.mbar = [wire.mbar.to_int() for _, wire, _ in draws]
-    atoms.coset = [wire.coset.to_int() for _, wire, _ in draws]
-    atoms.x0 = atoms.x1 = [opening.x.to_int() for opening, _, _ in draws]
-    atoms.m0 = atoms.m1 = m.to_int()
-    return AliceStrategy(
-        seeds=np.stack([wire.seed.matrix for _, wire, _ in draws]),
-        atoms=atoms, channel=ch)
 
 
 def hiding_advantage(strategy: BobStrategy, cfg: CommitConfig,

@@ -295,11 +295,6 @@ class BobChannel:
         return cls(n, 1 << n, lambda: bsc_weight_mass(n, p_b)[
             hamming_distances(n, np.arange(1 << n))])
 
-    @classmethod
-    def constant_view(cls, n: int) -> "BobChannel":
-        """View independent of the input (a single dummy symbol)."""
-        return cls(n, 1, lambda: np.ones((1 << n, 1)))
-
 
 @dataclass(frozen=True)
 class CheckReport:

@@ -2,9 +2,8 @@
 
 Everything here enumerates rather than derives: string spaces are walked as
 integer ranges with the channel's distance kernel, BSC masses are the
-channel's one per-distance law, probabilities are summed directly, and
-smoothing is a generic linear program instead of the production cap-lowering
-rule. The oracles refuse beyond their size limits rather than approximate.
+channel's one per-distance law, and probabilities are summed directly. The
+oracles refuse beyond their size limits rather than approximate.
 """
 
 from __future__ import annotations
@@ -32,10 +31,7 @@ __all__ = [
     "clipped_bsc_construction",
     "LhlResult",
     "lhl_check",
-    "smooth_entropy_lp",
 ]
-
-_MAX_LP_CELLS = 1 << 16
 
 
 def typical_intersection_exact(n: int, p: float, eps: float, x: BitString,
@@ -281,44 +277,3 @@ def lhl_check(code: LinearCode, hash_m: int, view_channel: BobChannel,
     lhs = float(np.cumsum(dists)[-1]) / len(seeds)  # cumsum adds in order
     rhs = 2.0 * 2.0 ** (0.5 * (hash_m - h_min))
     return LhlResult(lhs=lhs, rhs=rhs, h_min=h_min, n_seeds=len(seeds))
-
-
-def smooth_entropy_lp(joint, eps: float) -> float:
-    """Smooth conditional min-entropy solved as a linear program.
-
-    Minimises sum_z t_z over removals r with j(x,z) - r(x,z) <= t_z,
-    0 <= r <= j and sum r <= eps, by HiGHS on sparse constraints. A
-    ``ClassicalDistribution`` is the joint with one side-information column.
-    """
-    mass = joint.mass
-    if mass.ndim == 1:
-        mass = mass[:, None]
-    if mass.size > _MAX_LP_CELLS:
-        raise ValueError("smoothing LP limited to 2^16 cells, got %d"
-                         % mass.size)
-    if not eps >= 0.0:  # also refuses NaN
-        raise ValueError("eps must be nonnegative, got %r" % eps)
-    if eps >= mass.sum():
-        raise ValueError("eps >= total mass: entropy unbounded")
-    # imported on call: this LP is the package's only use of scipy, whose
-    # import takes several times as long as the CLI's whole start-up
-    from scipy import sparse
-    from scipy.optimize import linprog
-
-    cells, nz = mass.size, mass.shape[1]
-    cell = np.arange(cells)
-    # rows 0..cells-1: -r(x,z) - t_z <= -j(x,z); last row: sum r <= eps
-    rows = np.concatenate([cell, cell, np.full(cells, cells)])
-    cols = np.concatenate([cell, cells + cell % nz, cell])
-    vals = np.concatenate([-np.ones(2 * cells), np.ones(cells)])
-    a_ub = sparse.csr_array((vals, (rows, cols)), shape=(cells + 1,
-                                                         cells + nz))
-    b_ub = np.append(-mass.ravel(), eps)
-    bounds = np.zeros((cells + nz, 2))
-    bounds[:cells, 1] = mass.ravel()
-    bounds[cells:, 1] = np.inf
-    cost = np.append(np.zeros(cells), np.ones(nz))
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if not res.success:
-        raise RuntimeError("smoothing LP failed: %s" % res.message)
-    return 0.0 - float(np.log2(res.fun))

@@ -577,25 +577,32 @@ def _bits_to_hex(b: BitString) -> dict:
     return {"len": len(b), "hex": np.packbits(b.bits).tobytes().hex()}
 
 
-def _json_int(obj: dict, key: str) -> int:
-    """``obj[key]`` if it is a JSON integer (not a float, string or bool)."""
-    value = obj[key]
-    if type(value) is not int:
-        raise ValueError("transcript field %r is %r, not an integer"
-                         % (key, value))
-    return value
+def _field_bits(obj: dict, path: str, *shape_keys: str) -> np.ndarray:
+    """The bits of transcript field ``path``, shaped by its integer keys.
 
-
-def _bits_from_hex(obj) -> BitString:
+    The payload ``obj["hex"]`` must be exactly ceil(nbits / 8) bytes, nbits
+    the product of the shape, with every padding bit clear; each shape key
+    must be a nonnegative JSON integer (not a float, string or bool). An
+    error names the field and the bad key, never the payload.
+    """
+    shape = [obj[key] for key in shape_keys]
+    for key, value in zip(shape_keys, shape):
+        if type(value) is not int or value < 0:
+            raise ValueError("transcript field %s: %r is not a nonnegative "
+                             "integer" % (path, key))
+    nbits = math.prod(shape)
     try:
-        nbits = _json_int(obj, "len")
         raw = bytes.fromhex(obj["hex"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError("malformed bit-string field: %r" % (obj,)) from exc
+    except (TypeError, ValueError):
+        raise ValueError("transcript field %s: 'hex' is not a hex string"
+                         % path) from None
+    if len(raw) != (nbits + 7) // 8:
+        raise ValueError("transcript field %s: %d bits do not fit its "
+                         "payload of %d bytes" % (path, nbits, len(raw)))
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
-    if bits.size < nbits or bits.size - nbits >= 8:
-        raise ValueError("bit-string length does not match payload")
-    return BitString(bits[:nbits])
+    if bits[nbits:].any():
+        raise ValueError("transcript field %s has padding bits set" % path)
+    return bits[:nbits].reshape(shape)
 
 
 def transcript_to_json(t: CommitmentTranscript) -> str:
@@ -617,21 +624,14 @@ def transcript_from_json(text: str) -> CommitmentTranscript:
     """Parse ``transcript_to_json`` output; malformed input raises ValueError."""
     try:
         obj = json.loads(text)
-        seed_obj = obj["seed"]
-        m, k = _json_int(seed_obj, "m"), _json_int(seed_obj, "k")
-        raw = bytes.fromhex(seed_obj["hex"])
-        if m < 1 or k < 1 or len(raw) != (m * k + 7) // 8:
-            raise ValueError("seed shape %dx%d does not fit its payload of "
-                             "%d bytes" % (m, k, len(raw)))
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
-        seed = HashSeed(bits[: m * k].reshape(m, k))
-        mbar = _bits_from_hex(obj["mbar"])
-        coset = _bits_from_hex(obj["coset"])
-        z = _bits_from_hex(obj["z"])
+        seed = HashSeed(_field_bits(obj["seed"], "seed", "m", "k"))
+        mbar, coset, z = (BitString(_field_bits(obj[name], name, "len"))
+                          for name in ("mbar", "coset", "z"))
         opening = obj["opening"]
         if opening is not None:
-            opening = Opening(m=_bits_from_hex(opening["m"]),
-                              x=_bits_from_hex(opening["x"]))
+            opening = Opening(
+                m=BitString(_field_bits(opening["m"], "opening.m", "len")),
+                x=BitString(_field_bits(opening["x"], "opening.x", "len")))
     except KeyError as exc:
         raise ValueError("transcript missing field %s" % exc) from exc
     except TypeError as exc:

@@ -1,0 +1,84 @@
+"""Test-only references: objects only the tests use, kept out of the package.
+
+- ``smooth_entropy_lp``: the smoothing rule solved as a generic linear
+  program, the cross-check of the production cap-lowering rule
+  (``entropy._smooth_guess_entropy``). It is the suite's one use of
+  ``scipy.optimize``.
+- ``constant_view``: a receiver channel whose view is independent of its
+  input.
+- ``honest_alice_strategy``: the honest committer cast as a sender strategy.
+"""
+
+import numpy as np
+
+from usnc.adversary import ATOM_DTYPE, AliceStrategy
+from usnc.channel import AliceChannel, BobChannel
+from usnc.protocol import alice_commit
+
+_MAX_LP_CELLS = 1 << 16
+
+
+def smooth_entropy_lp(joint, eps: float) -> float:
+    """Smooth conditional min-entropy solved as a linear program.
+
+    Minimises sum_z t_z over removals r with j(x,z) - r(x,z) <= t_z,
+    0 <= r <= j and sum r <= eps, by HiGHS on sparse constraints. A
+    ``ClassicalDistribution`` is the joint with one side-information column.
+    """
+    mass = joint.mass
+    if mass.ndim == 1:
+        mass = mass[:, None]
+    if mass.size > _MAX_LP_CELLS:
+        raise ValueError("smoothing LP limited to 2^16 cells, got %d"
+                         % mass.size)
+    if not eps >= 0.0:  # also refuses NaN
+        raise ValueError("eps must be nonnegative, got %r" % eps)
+    if eps >= mass.sum():
+        raise ValueError("eps >= total mass: entropy unbounded")
+    # imported on call, so a test can stub scipy.optimize.linprog
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    cells, nz = mass.size, mass.shape[1]
+    cell = np.arange(cells)
+    # rows 0..cells-1: -r(x,z) - t_z <= -j(x,z); last row: sum r <= eps
+    rows = np.concatenate([cell, cell, np.full(cells, cells)])
+    cols = np.concatenate([cell, cells + cell % nz, cell])
+    vals = np.concatenate([-np.ones(2 * cells), np.ones(cells)])
+    a_ub = sparse.csr_array((vals, (rows, cols)), shape=(cells + 1,
+                                                         cells + nz))
+    b_ub = np.append(-mass.ravel(), eps)
+    bounds = np.zeros((cells + nz, 2))
+    bounds[:cells, 1] = mass.ravel()
+    bounds[cells:, 1] = np.inf
+    cost = np.append(np.zeros(cells), np.ones(nz))
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    if not res.success:
+        raise RuntimeError("smoothing LP failed: %s" % res.message)
+    return 0.0 - float(np.log2(res.fun))
+
+
+def constant_view(n: int) -> BobChannel:
+    """View independent of the input (a single dummy symbol)."""
+    return BobChannel(n, 1, lambda: np.ones((1 << n, 1)))
+
+
+def honest_alice_strategy(cfg, m, rng, n_atoms: int = 64) -> AliceStrategy:
+    """Honest committer cast as a strategy; both reveals tell the truth.
+
+    The commit law is represented by ``n_atoms`` sampled honest draws, one
+    channel label each. Both openings coincide, so the double-opening success
+    is zero by definition.
+    """
+    draws = [alice_commit(m, cfg, rng) for _ in range(n_atoms)]
+    ch = AliceChannel.bsc(cfg.n, [xbar for _, _, xbar in draws], cfg.p)
+    atoms = np.recarray(n_atoms, dtype=ATOM_DTYPE)
+    atoms.prob = 1.0 / n_atoms
+    atoms.seed = atoms.label = np.arange(n_atoms)
+    atoms.mbar = [wire.mbar.to_int() for _, wire, _ in draws]
+    atoms.coset = [wire.coset.to_int() for _, wire, _ in draws]
+    atoms.x0 = atoms.x1 = [opening.x.to_int() for opening, _, _ in draws]
+    atoms.m0 = atoms.m1 = m.to_int()
+    return AliceStrategy(
+        seeds=np.stack([wire.seed.matrix for _, wire, _ in draws]),
+        atoms=atoms, channel=ch)

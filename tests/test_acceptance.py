@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 
+from reference import smooth_entropy_lp
 from usnc.adversary import (binding_success, hiding_advantage, less_noisy_bob,
                             midpoint_attack)
 from usnc.bounds import (achievable_rate, binary_entropy, binding_bound,
@@ -23,7 +24,7 @@ from usnc.hashing import enumerate_full_rank_seeds
 from usnc.nqs import (SIN2_PI_8, NqsParams, bounded_storage_success_log2,
                       nqs_channel_params, povm_verify, run_conjugate_channel)
 from usnc.oracle import (clipped_bsc_construction, lhl_check,
-                         smooth_entropy_lp, verify_intersection_bound)
+                         verify_intersection_bound)
 from usnc.protocol import CommitConfig, estimate_completeness
 
 

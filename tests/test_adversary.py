@@ -4,11 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from reference import constant_view, honest_alice_strategy
 from usnc.adversary import (ATOM_DTYPE, AliceStrategy, BobStrategy,
                             _int_words, _split_words, _view_table,
                             binding_success, hiding_advantage,
-                            honest_alice_strategy, less_noisy_bob,
-                            midpoint_attack)
+                            less_noisy_bob, midpoint_attack)
 from usnc.bounds import binding_bound, hiding_bound
 from usnc.channel import (AliceChannel, BobChannel, UsncParams, bsc_law_dense,
                           check_c2, check_c3, hamming_distances,
@@ -621,7 +621,7 @@ class TestHidingAdvantage:
         assert adv == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_view_reveals_nothing(self, cfg74):
-        strategy = BobStrategy(view_channel=BobChannel.constant_view(7))
+        strategy = BobStrategy(view_channel=constant_view(7))
         with pytest.warns(UserWarning, match="not certified"):
             adv = hiding_advantage(strategy, cfg74, BitString.from01("0"),
                                    BitString.from01("1"))
@@ -738,7 +738,7 @@ class TestViewJointMatchesReference:
     def test_array_joint_equals_loop(self, code, hash_m, p_b):
         cfg = CommitConfig(code=code, hash_m=hash_m, p=0.25, eps=0.2)
         if p_b is None:
-            view = BobChannel.constant_view(code.n)
+            view = constant_view(code.n)
             view_law = lambda x: np.ones(1)
         else:
             view = BobChannel.bsc_view(code.n, p_b)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, logsumexp, xlogy
 
+from reference import constant_view, smooth_entropy_lp
 from usnc.channel import (AliceChannel, BobChannel, UsncParams, bsc_law_dense,
                           bsc_transmit, bsc_weight_mass, check_c2, check_c3,
                           hamming_distances, typical_membership,
@@ -13,7 +14,6 @@ from usnc.channel import (AliceChannel, BobChannel, UsncParams, bsc_law_dense,
                           typicality_tail_exact)
 from usnc.entropy import ClassicalDistribution, smooth_min_entropy
 from usnc.gf2 import BitString, hamming_distance
-from usnc.oracle import smooth_entropy_lp
 
 
 class TestBscTransmit:
@@ -316,7 +316,7 @@ class TestCheckC3:
 
     def test_independent_view_is_maximal(self):
         n = 5
-        ch = BobChannel.constant_view(n)
+        ch = constant_view(n)
         report = check_c3(ch, _params(n, l_b=float(n)))
         assert report.passed and ch.certified
 
@@ -397,7 +397,7 @@ class TestLawTable:
                                for x in range(1 << n)])
             assert table.dtype == expect.dtype
             assert np.array_equal(table, expect), (n, p_b)
-        table = BobChannel.constant_view(n).law_table()
+        table = constant_view(n).law_table()
         assert np.array_equal(table, np.ones((1 << n, 1)))
 
 

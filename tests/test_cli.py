@@ -1,7 +1,9 @@
 import argparse
+import ast
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -921,21 +923,22 @@ def test_closed_form_commands_load_no_numpy(argv):
     assert modules.split() == ["usnc", "usnc.bounds", "usnc.cli"]
 
 
-def test_cli_import_leaves_lp_solver_unloaded():
-    # scipy is imported only by the smoothing LP when it is called: starting
-    # the CLI, the exact window tail and the BSC laws load none of it
-    src = str(pathlib.Path(usnc.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = ("import sys, usnc, usnc.cli\n"
-             "from usnc.channel import bsc_law_dense, typicality_tail_exact\n"
-             "from usnc.gf2 import BitString\n"
-             "from usnc.oracle import clipped_bsc_construction\n"
-             "typicality_tail_exact(4096, 0.1, 0.01)\n"
-             "bsc_law_dense(8, BitString.zeros(8), 0.1)\n"
-             "clipped_bsc_construction(8, 0.1, 0.1)\n"
-             "print(' '.join(m for m in sys.modules "
-             "if m.split('.')[0] == 'scipy'))")
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == ""
+def test_package_imports_only_its_runtime_dependencies():
+    # every import statement of the package, at module level or inside a
+    # function: none names scipy, and the top-level names outside the
+    # standard library are exactly pyproject.toml's runtime dependencies
+    tomllib = pytest.importorskip("tomllib")
+    root = pathlib.Path(__file__).resolve().parents[1]
+    names = set()
+    for path in (root / "src" / "usnc").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    assert "scipy" not in names
+    with open(root / "pyproject.toml", "rb") as fh:
+        dependencies = tomllib.load(fh)["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in
+                dependencies}
+    assert names - set(sys.stdlib_module_names) == declared

@@ -21,12 +21,15 @@ import json
 import os
 import shlex
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_cli_golden import EXTRA, readme_commands, write_descriptors
 from usnc.cli import build_parser, main
+from usnc.gf2 import BitString, random_linear_code
+from usnc.protocol import CommitConfig, run_honest, transcript_to_json
 
 VALUES = ["0", "-1", "nan", "inf", "-inf", "1e300", str(10 ** 20), "junk",
           "0.5", "1", "2", "64", "65", str(10 ** 5)]
@@ -173,28 +176,78 @@ def test_one_config_value_at_a_time_exits_cleanly(workdir):
     probe(CONFIG_CASES, with_config, workdir)
 
 
-def test_replay_refuses_lax_seed_payload_and_shapes(workdir):
-    # the README's transcript with 50 bytes after its seed, or with a
-    # float m or len that int() would truncate: each exits 2 with one error
+def replay(workdir, edit):
+    """Exit code, stdout and stderr of the README's replay example on its
+    transcript after ``edit`` changes the parsed JSON in place."""
     argv = next(a for a in EXAMPLES if a[:2] == ["commit", "replay"])
     where = argv.index("--transcript") + 1
     with open(os.path.join(workdir, argv[where])) as fh:
-        valid = json.load(fh)
-    edits = [(("seed", "hex"), valid["seed"]["hex"] + "00" * 50),
-             (("seed", "m"), 1.9), (("z", "len"), valid["z"]["len"] + 0.5)]
-    for path, value in edits:
-        obj = json.loads(json.dumps(valid))
-        parent = obj
+        obj = json.load(fh)
+    edit(obj)
+    name = os.path.join(workdir, "probe-lax.json")
+    with open(name, "w") as fh:
+        json.dump(obj, fh)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(err):
+        code = main(argv[:where] + [name] + argv[where + 1:])
+    return code, out.getvalue(), err.getvalue()
+
+
+def setter(path, value):
+    """An edit that sets the JSON value at ``path`` to ``value(old)``."""
+    def edit(obj):
         for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = value
-        name = os.path.join(workdir, "probe-lax.json")
-        with open(name, "w") as fh:
-            json.dump(obj, fh)
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()) as out, \
-                contextlib.redirect_stderr(err):
-            code = main(argv[:where] + [name] + argv[where + 1:])
-        assert (code, out.getvalue()) == (2, ""), path
-        assert err.getvalue().startswith("error: "), path
-        assert err.getvalue().count("\n") == 1, (path, err.getvalue())
+            obj = obj[key]
+        obj[path[-1]] = value(obj[path[-1]])
+    return edit
+
+
+def test_replay_refuses_lax_seed_payload_and_shapes(workdir):
+    # the README's transcript with 50 bytes after its seed, or with a
+    # float m or len that int() would truncate: each exits 2 with one error
+    edits = [(("seed", "hex"), lambda hex_: hex_ + "00" * 50),
+             (("seed", "m"), lambda m: 1.9),
+             (("z", "len"), lambda nbits: nbits + 0.5)]
+    for path, value in edits:
+        code, out, err = replay(workdir, setter(path, value))
+        assert (code, out) == (2, ""), path
+        assert err.startswith("error: "), path
+        assert err.count("\n") == 1, (path, err)
+
+
+@pytest.mark.parametrize("path", [("z",), ("opening", "x"), ("seed",)],
+                         ids=["z", "opening.x", "seed"])
+def test_replay_refuses_set_padding_bit(workdir, path):
+    # the README's hamming74 transcript: z and x hold 7 bits and the seed 4
+    # in one byte each; setting the byte's last bit used to replay as acc
+    def set_last_bit(hex_):
+        raw = bytearray.fromhex(hex_)
+        raw[-1] |= 1
+        return raw.hex()
+
+    code, out, err = replay(workdir, setter(path + ("hex",), set_last_bit))
+    assert (code, out) == (2, "")
+    assert err == "error: transcript field %s has padding bits set\n" \
+        % ".".join(path)
+
+
+def test_replay_error_line_is_short_at_n4096(workdir):
+    # a non-integer len in an n = 4096 transcript's z names the field and
+    # key; it used to print the field's whole 1,024-digit payload
+    cfg = CommitConfig(code=random_linear_code(
+        4096, 16, 1024, np.random.default_rng([7, 9000])), hash_m=8, p=0.1,
+        eps=0.06)
+    run = run_honest(BitString.zeros(8), cfg, np.random.default_rng(3))
+    big = json.loads(transcript_to_json(run.transcript))
+    assert len(big["z"]["hex"]) == 1024
+
+    def edit(obj):
+        obj.update(big)
+        obj["z"]["len"] = 4096.5
+
+    code, out, err = replay(workdir, edit)
+    assert (code, out) == (2, "")
+    assert err == "error: transcript field z: 'len' is not a nonnegative " \
+        "integer\n"
+    assert len(err) < 200

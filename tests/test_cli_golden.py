@@ -3,10 +3,11 @@
 Every ``usnc ...`` line of the README's code blocks runs in a scratch
 directory that holds the README's two strategy descriptors, and its stdout,
 the sha256 of each ``--out`` file and its exit code must equal
-``golden/cli_golden.txt`` byte for byte. The completeness example runs at
-20,000 trials instead of the README's 100,000, and the golden file adds one
-Monte Carlo binding run. Run this file as a script to rewrite the golden
-file from the current code.
+``golden/cli_golden.txt`` byte for byte, rendered in a fresh interpreter that
+refuses to import scipy. The completeness example runs at 20,000 trials
+instead of the README's 100,000, and the golden file adds one Monte Carlo
+binding run. Run this file as a script to rewrite the golden file from the
+current code.
 """
 
 import contextlib
@@ -16,9 +17,11 @@ import os
 import pathlib
 import re
 import shlex
+import subprocess
 import sys
 import tempfile
 
+import usnc
 from usnc.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -88,8 +91,33 @@ def test_golden_covers_every_readme_example():
     assert set(golden_commands()) == set(readme_commands() + EXTRA)
 
 
+# Renders the golden commands in a fresh interpreter whose first finder
+# refuses every scipy module: the package's runtime needs numpy alone.
+NO_SCIPY_RENDER = """
+import sys
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError("scipy is not a runtime dependency: " + name)
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+from test_cli_golden import golden_commands, render
+sys.stdout.write(render(golden_commands()))
+"""
+
+
 def test_readme_examples_print_golden_bytes():
-    assert render(golden_commands()) == GOLDEN.read_text()
+    src = str(pathlib.Path(usnc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(ROOT / "tests"), src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_RENDER], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == GOLDEN.read_text()
 
 
 if __name__ == "__main__":

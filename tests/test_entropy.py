@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import smooth_entropy_lp
 from usnc.entropy import (ClassicalDistribution, JointDistribution,
                           cond_min_entropy, gtd, min_entropy,
                           smooth_cond_min_entropy, smooth_min_entropy)
-from usnc.oracle import smooth_entropy_lp
 
 
 def dist(*mass):

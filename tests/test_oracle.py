@@ -6,6 +6,7 @@ import pytest
 
 from scipy.special import xlogy
 
+from reference import constant_view, smooth_entropy_lp
 from usnc import oracle
 from usnc.adversary import less_noisy_bob
 from usnc.bounds import intersection_bound
@@ -17,8 +18,7 @@ from usnc.entropy import (ClassicalDistribution, JointDistribution,
 from usnc.gf2 import BitString, all_bits, even_weight_code, hamming_7_4
 from usnc.hashing import digest_table, enumerate_full_rank_seeds, sample_seed
 from usnc.oracle import (clipped_bsc_construction, lhl_check,
-                         smooth_entropy_lp, typical_intersection_exact,
-                         verify_intersection_bound)
+                         typical_intersection_exact, verify_intersection_bound)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "oracle_golden.txt"
 
@@ -203,7 +203,7 @@ class TestLhlCheck:
                                               p_b):
         # even:7 at m = 3 has 234,360 seeds; a sample keeps the walk short
         if p_b is None:
-            view, view_law = BobChannel.constant_view(code.n), \
+            view, view_law = constant_view(code.n), \
                 lambda x: np.ones(1)
         else:
             view = less_noisy_bob(p_b, code.n).view_channel
@@ -259,7 +259,7 @@ class TestLhlCheck:
         assert res.h_min == pytest.approx(-math.log2(guess))
 
     def test_independent_view_extracts_perfectly(self):
-        res = lhl_check(hamming_7_4(), 1, BobChannel.constant_view(7))
+        res = lhl_check(hamming_7_4(), 1, constant_view(7))
         assert res.lhs == pytest.approx(0.0, abs=1e-14)
 
     def test_bijective_hash_still_bounded(self):

@@ -228,23 +228,28 @@ class TestTranscriptCodec:
         run = run_honest(BitString.from01("0"), cfg, rng)
         obj = json.loads(transcript_to_json(run.transcript))
         obj["z"]["len"] = 200
-        with pytest.raises(ValueError, match="length"):
+        with pytest.raises(ValueError, match=r"^transcript field z: 200 bits "
+                           r"do not fit its payload of 1 bytes$"):
             transcript_from_json(json.dumps(obj))
 
     @pytest.mark.parametrize("path,value,match", [
-        (("seed", "m"), 1.9, "'m' is 1.9, not an integer"),
-        (("seed", "k"), 4.0, "'k' is 4.0, not an integer"),
-        (("seed", "m"), True, "'m' is True, not an integer"),
-        (("seed", "k"), "4", "'k' is '4', not an integer"),
-        (("z", "len"), 7.5, "malformed bit-string field"),
-        (("z", "len"), "7", "malformed bit-string field"),
-        (("mbar", "len"), True, "malformed bit-string field"),
-        (("opening", "x", "len"), 7.0, "malformed bit-string field")],
+        (("seed", "m"), 1.9, "seed: 'm'"),
+        (("seed", "k"), 4.0, "seed: 'k'"),
+        (("seed", "m"), True, "seed: 'm'"),
+        (("seed", "k"), "4", "seed: 'k'"),
+        (("z", "len"), 7.5, "z: 'len'"),
+        (("z", "len"), "7", "z: 'len'"),
+        (("mbar", "len"), True, "mbar: 'len'"),
+        (("opening", "x", "len"), 7.0, "opening.x: 'len'"),
+        (("coset", "len"), -1, "coset: 'len'"),
+        (("seed", "m"), -1, "seed: 'm'")],
         ids=["seed-m-float", "seed-k-whole-float", "seed-m-bool",
              "seed-k-string", "z-len-float", "z-len-string", "mbar-len-bool",
-             "x-len-whole-float"])
+             "x-len-whole-float", "coset-len-negative", "seed-m-negative"])
     def test_non_integer_shape_refused(self, cfg, path, value, match):
-        # int() would truncate 1.9 and 7.5 and read "7" and true
+        # int() would truncate 1.9 and 7.5 and read "7" and true; a
+        # negative len with an empty payload would slice bits off the end
+        match = r"^transcript field %s is not a nonnegative integer$" % match
         run = run_honest(BitString.from01("1"), cfg,
                          np.random.default_rng(25))
         obj = json.loads(transcript_to_json(run.transcript))
@@ -264,9 +269,40 @@ class TestTranscriptCodec:
         assert len(obj["seed"]["hex"]) == 2
         obj["seed"]["hex"] = ("" if extra < 0
                               else obj["seed"]["hex"] + "00" * extra)
-        with pytest.raises(ValueError, match=r"^seed shape 1x4 does not fit "
-                           r"its payload of %d bytes$" % (1 + extra)):
+        with pytest.raises(ValueError, match=r"^transcript field seed: 4 "
+                           r"bits do not fit its payload of %d bytes$"
+                           % (1 + extra)):
             transcript_from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("path", [
+        ("seed",), ("mbar",), ("coset",), ("z",), ("opening", "m"),
+        ("opening", "x")], ids=lambda path: ".".join(path))
+    def test_set_padding_bit_refused(self, cfg, path):
+        # at hamming74 and hash_m = 1 every field ends inside its last byte;
+        # the writer leaves the bits after it clear
+        run = run_honest(BitString.from01("1"), cfg,
+                         np.random.default_rng(27))
+        obj = json.loads(transcript_to_json(run.transcript))
+        field = obj
+        for key in path:
+            field = field[key]
+        raw = bytearray.fromhex(field["hex"])
+        assert raw[-1] & 1 == 0
+        raw[-1] |= 1
+        field["hex"] = raw.hex()
+        with pytest.raises(ValueError, match=r"^transcript field %s has "
+                           r"padding bits set$" % ".".join(path)):
+            transcript_from_json(json.dumps(obj))
+
+    def test_bad_hex_names_the_field_not_the_payload(self, cfg):
+        run = run_honest(BitString.from01("1"), cfg,
+                         np.random.default_rng(28))
+        for bad in ["zz", 7, None]:
+            obj = json.loads(transcript_to_json(run.transcript))
+            obj["opening"]["x"]["hex"] = bad
+            with pytest.raises(ValueError, match=r"^transcript field "
+                               r"opening.x: 'hex' is not a hex string$"):
+                transcript_from_json(json.dumps(obj))
 
     def test_roundtrip_arbitrary_shapes(self):
         # codec handles bit lengths away from byte boundaries
