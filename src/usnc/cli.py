@@ -3,9 +3,9 @@
 Every randomized command requires --seed and is bit-reproducible: the same
 command line writes byte-identical outputs. Numbers print with 12 significant
 digits. Exit codes: 0 success, 1 a verified check failed, 2 usage error.
-Flag values override --config (key=value lines) which overrides defaults;
-``attack`` reads its descriptor file the same way, and the descriptor's fields
-override --config.
+Every option of a command is declared once in ``_COMMANDS`` and resolved in
+``_set_options``: its flag, else ``attack``'s descriptor field, else its
+``--config`` key, else its default.
 
 Each handler imports the modules its command needs, so the closed-form
 commands (``bounds eval``, ``rate point``, ``rate surface``) start without
@@ -31,6 +31,8 @@ CHECK_FAILED = 1
 _NQS_ROUNDS_CAP = 1 << 20
 # How far below 2p or above h(p) a rounded ``rate point`` anchor may lie.
 _CLAMP_TOL = 1e-3
+# The files other options are read from, by precedence; no file sets them.
+_FILES = ("--strategy", "--config")
 
 
 class UsageError(Exception):
@@ -62,14 +64,44 @@ def _read_config(path) -> dict:
     return values
 
 
-def _resolve(args, config, name, type_fn, default=None, required=False):
-    val = getattr(args, name, None)
-    if val is None:
-        raw = config.get(name)
-        val = type_fn(raw) if raw is not None else default
-    if val is None and required:
-        raise UsageError("missing required option --%s" % name.replace("_", "-"))
-    return val
+def _set_options(args) -> None:
+    """Set each option of the command on ``args``: its flag, else attack's
+    descriptor field, else its --config key, else its default. File values
+    are converted and choice-checked as flags are."""
+    files = [(flag, _read_config(getattr(args, flag[2:], None)))
+             for flag in _FILES]
+    if hasattr(args, "kind"):
+        kind = next((v["kind"] for _, v in files if "kind" in v), args.kind)
+        if kind != args.kind:
+            raise UsageError("strategy file is for %r, command expects %r"
+                             % (kind, args.kind))
+    for name, type_fn, default, choices in args.options:
+        key = name.lstrip("-").replace("-", "_")
+        value = getattr(args, key) if name[0] == "-" else None
+        for src, values in files:
+            if value is not None or key not in values or name in _FILES:
+                continue
+            try:
+                value = type_fn(values[key])
+            except ValueError as exc:
+                raise UsageError("%s key %s: %s" % (src, key, exc)) from None
+            if choices and value not in choices:
+                raise UsageError("%s key %s: invalid choice %r (choose from "
+                                 "%s)" % (src, key, value, ", ".join(choices)))
+        if value is None and default is not _REQ:
+            value = default
+        setattr(args, key, value)
+        if default is _REQ:
+            _need(args, key)
+
+
+def _need(args, *keys: str) -> list:
+    """The values of ``keys``, refusing the run if one is unset."""
+    values = [getattr(args, key) for key in keys]
+    if None in values:
+        raise UsageError("missing required option --%s"
+                         % keys[values.index(None)].replace("_", "-"))
+    return values
 
 
 def _code_from_spec(spec: str) -> LinearCode:
@@ -87,25 +119,22 @@ def _code_from_spec(spec: str) -> LinearCode:
     return code
 
 
-def _check_code_params(args, config, code: LinearCode) -> None:
+def _check_code_params(code: LinearCode, n, k=None, target_d=None) -> None:
     """Refuse an --n other than the code's length, a --k other than its
-    dimension and a --target-d above its distance (flag or config)."""
-    n = _resolve(args, config, "n", int, default=code.n)
-    if n != code.n:
+    dimension and a --target-d above its distance."""
+    if n not in (None, code.n):
         raise UsageError("--n %d does not match the code length %d" % (n, code.n))
-    k = _resolve(args, config, "k", int, default=code.k)
-    if k != code.k:
+    if k not in (None, code.k):
         raise UsageError("--k %d does not match the code dimension %d"
                          % (k, code.k))
-    target_d = _resolve(args, config, "target_d", int)
     if (target_d is not None and code.d_claimed is not None
             and target_d > code.d_claimed):
         raise UsageError("--target-d %d is above the code distance %d"
                          % (target_d, code.d_claimed))
 
 
-def _commit_config(args, config, code: LinearCode) -> CommitConfig:
-    """Protocol instance over ``code``, its fields from flags over config.
+def _commit_config(args, code: LinearCode) -> CommitConfig:
+    """Protocol instance over ``code`` with the resolved hash_m, p and eps.
 
     A code file with k > 24 has no distance (``_code_from_spec`` computes
     one only up to k = 24), and the protocol needs one, so it is refused.
@@ -115,10 +144,7 @@ def _commit_config(args, config, code: LinearCode) -> CommitConfig:
         raise UsageError("the code file's k = %d is above 24, so no distance "
                          "is computed for it, and the protocol needs one"
                          % code.k)
-    return CommitConfig(
-        code=code, hash_m=_resolve(args, config, "hash_m", int, required=True),
-        p=_resolve(args, config, "p", float, required=True),
-        eps=_resolve(args, config, "eps", float, required=True))
+    return CommitConfig(code=code, hash_m=args.hash_m, p=args.p, eps=args.eps)
 
 
 def _message_bits(hex_str: str, nbits: int) -> BitString:
@@ -134,17 +160,15 @@ def _message_bits(hex_str: str, nbits: int) -> BitString:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_commit_run(args, config) -> int:
+def _cmd_commit_run(args) -> int:
     import numpy as np
 
     from . import protocol
-    code = _code_from_spec(_resolve(args, config, "code", str, required=True))
-    _check_code_params(args, config, code)
-    cfg = _commit_config(args, config, code)
-    seed = _resolve(args, config, "seed", int, required=True)
-    m = _message_bits(_resolve(args, config, "message", str, required=True),
-                      cfg.hash_m)
-    run = protocol.run_honest(m, cfg, np.random.default_rng([seed, 0]))
+    code = _code_from_spec(args.code)
+    _check_code_params(code, args.n)
+    cfg = _commit_config(args, code)
+    m = _message_bits(args.message, cfg.hash_m)
+    run = protocol.run_honest(m, cfg, np.random.default_rng([args.seed, 0]))
     text = protocol.transcript_to_json(run.transcript)
     if args.out:
         with open(args.out, "w") as fh:
@@ -156,10 +180,9 @@ def _cmd_commit_run(args, config) -> int:
     return 0
 
 
-def _cmd_commit_replay(args, config) -> int:
+def _cmd_commit_replay(args) -> int:
     from . import protocol
-    code = _code_from_spec(_resolve(args, config, "code", str, required=True))
-    cfg = _commit_config(args, config, code)
+    cfg = _commit_config(args, _code_from_spec(args.code))
     with open(args.transcript) as fh:
         t = protocol.transcript_from_json(fh.read())
     if t.opening is None:
@@ -172,26 +195,22 @@ def _cmd_commit_replay(args, config) -> int:
     return 0
 
 
-def _cmd_commit_complete(args, config) -> int:
+def _cmd_commit_complete(args) -> int:
     import numpy as np
 
     from . import protocol
     from .gf2 import random_linear_code
-    seed = _resolve(args, config, "seed", int, required=True)
-    trials = _resolve(args, config, "trials", int, default=10 ** 4)
-    code_spec = _resolve(args, config, "code", str)
-    if code_spec:
-        code = _code_from_spec(code_spec)
-        _check_code_params(args, config, code)
+    if args.code:
+        code = _code_from_spec(args.code)
+        _check_code_params(code, args.n, args.k, args.target_d)
     else:
-        n = _resolve(args, config, "n", int, required=True)
-        k = _resolve(args, config, "k", int, default=16)
-        target_d = _resolve(args, config, "target_d", int,
-                            default=max(1, n // 4))
-        code = random_linear_code(n, k, target_d,
-                                  np.random.default_rng([seed, 9000]))
-    cfg = _commit_config(args, config, code)
-    est = protocol.estimate_completeness(cfg, trials, seed)
+        n, = _need(args, "n")
+        code = random_linear_code(
+            n, 16 if args.k is None else args.k,
+            max(1, n // 4) if args.target_d is None else args.target_d,
+            np.random.default_rng([args.seed, 9000]))
+    cfg = _commit_config(args, code)
+    est = protocol.estimate_completeness(cfg, args.trials, args.seed)
     bound = bounds.completeness_bound(cfg.n, cfg.eps)
     print("reject_rate: %s" % _fmt(est.reject_rate))
     print("wilson_99: [%s, %s]" % (_fmt(est.wilson_low), _fmt(est.wilson_high)))
@@ -206,20 +225,25 @@ def _cmd_commit_complete(args, config) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_binding_strategy(args, desc: dict):
+def _cmd_attack_binding(args) -> int:
     import numpy as np
 
     from . import adversary
+    from .channel import UsncParams, check_c2
+    from .entropy import min_entropy
     from .gf2 import BitString
-    code = _code_from_spec(_resolve(args, desc, "code", str, required=True))
-    cfg = _commit_config(args, desc, code)
-    if desc.get("strategy", "midpoint") != "midpoint":
-        raise ValueError("unknown binding strategy %r" % desc.get("strategy"))
-    if "x0" in desc or "x1" in desc:
-        x0 = _resolve(args, desc, "x0", BitString.from01, required=True)
-        x1 = _resolve(args, desc, "x1", BitString.from01, required=True)
+    rng = None
+    if args.mode == "mc":
+        seed, = _need(args, "seed")
+        rng = np.random.default_rng([seed, 77])
+    code = _code_from_spec(args.code)
+    cfg = _commit_config(args, code)
+    if args.strategy not in (None, "midpoint"):
+        raise ValueError("unknown binding strategy %r" % args.strategy)
+    if args.x0 is not None or args.x1 is not None:
+        x0, x1 = map(BitString.from01, _need(args, "x0", "x1"))
     else:
-        w = _resolve(args, desc, "weight", int, required=True)
+        w, = _need(args, "weight")
         if not 1 <= w <= code.n:
             raise ValueError("need 1 <= weight <= %d" % code.n)
         x0 = BitString.zeros(code.n)
@@ -229,66 +253,46 @@ def _build_binding_strategy(args, desc: dict):
         if not code.contains(x1):
             raise ValueError("weight-%d prefix string is not a codeword; "
                              "give x0/x1 explicitly" % w)
-    spread = float(desc.get("spread", 0.5))
-    strategy = adversary.midpoint_attack(cfg, x0, x1, spread)
-    return strategy, cfg, (x0 ^ x1).weight()
+    strategy = adversary.midpoint_attack(cfg, x0, x1, args.spread)
+    law = strategy.channel.law(strategy.channel.labels[0])
+    l_a = min_entropy(law)
+    params = UsncParams(n=cfg.n, p=cfg.p, eps_a=0.0, l_a=l_a,
+                        eps_b=0.0, l_b=0.0)
+    report = check_c2(strategy.channel, params)
+    print("channel check: %s" % report)
+    success = adversary.binding_success(
+        strategy, cfg, mode=args.mode, trials=args.trials, rng=rng,
+        for_bound_comparison=True)
+    sigma = (x0 ^ x1).weight() / (2.0 * cfg.n)
+    bound = bounds.binding_bound(cfg.n, cfg.eps, sigma, cfg.p, l_a, 0.0)
+    print("success: %s" % _fmt(success))
+    print("bound: %s" % _fmt(bound))
+    slack = 0.0 if args.mode == "exact" else 3.0 * np.sqrt(
+        max(success, bound) / max(args.trials, 1))
+    ok = _pass_line("double-opening success bound", success <= bound + slack)
+    return 0 if ok else CHECK_FAILED
 
 
-def _cmd_attack(args, config) -> int:
-    import numpy as np
-
+def _cmd_attack_hiding(args) -> int:
     from . import adversary
-    from .channel import UsncParams, check_c2, check_c3
-    from .entropy import cond_min_entropy, min_entropy
-    if args.kind == "hiding" and args.mode == "mc":
+    from .channel import UsncParams, check_c3
+    from .entropy import cond_min_entropy
+    if args.mode == "mc":
         raise UsageError("--mode mc is for binding only; hiding is exact")
-    # descriptor fields win over --config; descriptors commit to a one-bit
-    # message unless one of them says otherwise
-    desc = {"hash_m": "1", **config, **_read_config(args.strategy)}
-    kind = desc.get("kind", args.kind)
-    if kind != args.kind:
-        raise UsageError("strategy file is for %r, command expects %r"
-                         % (kind, args.kind))
-    mode = args.mode
-    rng = None
-    if mode == "mc":
-        if args.seed is None:
-            raise UsageError("--seed is required in Monte Carlo mode")
-        rng = np.random.default_rng([args.seed, 77])
-    if args.kind == "binding":
-        strategy, cfg, distance = _build_binding_strategy(args, desc)
-        law = strategy.channel.law(strategy.channel.labels[0])
-        l_a = min_entropy(law)
-        params = UsncParams(n=cfg.n, p=cfg.p, eps_a=0.0, l_a=l_a,
-                            eps_b=0.0, l_b=0.0)
-        report = check_c2(strategy.channel, params)
-        print("channel check: %s" % report)
-        success = adversary.binding_success(
-            strategy, cfg, mode=mode, trials=args.trials, rng=rng,
-            for_bound_comparison=True)
-        sigma = distance / (2.0 * cfg.n)
-        bound = bounds.binding_bound(cfg.n, cfg.eps, sigma, cfg.p, l_a, 0.0)
-        print("success: %s" % _fmt(success))
-        print("bound: %s" % _fmt(bound))
-        slack = 0.0 if mode == "exact" else 3.0 * np.sqrt(
-            max(success, bound) / max(args.trials, 1))
-        ok = _pass_line("double-opening success bound", success <= bound + slack)
-        return 0 if ok else CHECK_FAILED
-    # hiding
-    code = _code_from_spec(_resolve(args, desc, "code", str, required=True))
-    cfg = _commit_config(args, desc, code)
-    if desc.get("strategy", "less_noisy_bob") != "less_noisy_bob":
-        raise ValueError("unknown hiding strategy %r" % desc.get("strategy"))
-    strategy = adversary.less_noisy_bob(
-        _resolve(args, desc, "p_b", float, required=True), cfg.n)
+    code = _code_from_spec(args.code)
+    cfg = _commit_config(args, code)
+    if args.strategy not in (None, "less_noisy_bob"):
+        raise ValueError("unknown hiding strategy %r" % args.strategy)
+    p_b, = _need(args, "p_b")
+    strategy = adversary.less_noisy_bob(p_b, cfg.n)
     joint = strategy.view_channel.joint_with_uniform_input()
     l_b = cond_min_entropy(joint)
     params = UsncParams(n=cfg.n, p=cfg.p, eps_a=0.0, l_a=0.0,
                         eps_b=0.0, l_b=l_b)
     report = check_c3(strategy.view_channel, params)
     print("channel check: %s" % report)
-    m0 = _message_bits(desc.get("m0", "0"), cfg.hash_m)
-    m1 = _message_bits(desc.get("m1", "1"), cfg.hash_m)
+    m0 = _message_bits(args.m0, cfg.hash_m)
+    m1 = _message_bits(args.m1, cfg.hash_m)
     adv = adversary.hiding_advantage(strategy, cfg, m0, m1,
                                      for_bound_comparison=True)
     bound = bounds.hiding_bound(cfg.n, cfg.hash_m, code.k, l_b, 0.0)
@@ -303,29 +307,21 @@ def _cmd_attack(args, config) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_bounds_eval(args, config) -> int:
-    which = args.which
-    n = _resolve(args, config, "n", int, required=True)
-    get = lambda name: _resolve(args, config, name, float, required=True)
-    if which == "dc":
-        val = bounds.completeness_bound(n, get("eps"))
-    elif which == "dh":
-        val = bounds.hiding_bound(n, get("log_m"), get("log_c"), get("l_b"),
-                                  get("eps_b"))
-    elif which == "db":
-        val = bounds.binding_bound(n, get("eps"), get("sigma"), get("p"),
-                                   get("l_a"), get("eps_a"))
-    else:  # the typical-window intersection ceiling
-        val = bounds.intersection_bound(n, get("p"), get("eps"),
-                                        get("sigma"))
-    print(_fmt(val))
+# each --which as its bound and the options it takes after --n
+_BOUNDS = {"dc": (bounds.completeness_bound, "eps"),
+           "dh": (bounds.hiding_bound, "log_m", "log_c", "l_b", "eps_b"),
+           "db": (bounds.binding_bound, "eps", "sigma", "p", "l_a", "eps_a"),
+           "intersection": (bounds.intersection_bound, "p", "eps", "sigma")}
+
+
+def _cmd_bounds_eval(args) -> int:
+    bound, *keys = _BOUNDS[args.which]
+    print(_fmt(bound(args.n, *_need(args, *keys))))
     return 0
 
 
-def _cmd_rate_surface(args, config) -> int:
-    p = _resolve(args, config, "p", float, required=True)
-    steps = _resolve(args, config, "steps", int, default=50)
-    points = bounds.rate_surface(p, steps)
+def _cmd_rate_surface(args) -> int:
+    points = bounds.rate_surface(args.p, args.steps)
     lines = ["xi_a,xi_b,rate"]
     lines += ["%s,%s,%s" % (_fmt(pt.xi_a), _fmt(pt.xi_b), _fmt(pt.r))
               for pt in points]
@@ -339,15 +335,12 @@ def _cmd_rate_surface(args, config) -> int:
     return 0
 
 
-def _cmd_rate_point(args, config) -> int:
-    p = _resolve(args, config, "p", float, required=True)
-    xia = _resolve(args, config, "xia", float, required=True)
-    xib = _resolve(args, config, "xib", float, required=True)
+def _cmd_rate_point(args) -> int:
     # accept anchor values rounded to a few decimals at the domain edges
-    hp = bounds.binary_entropy(p)
-    xia = _clamp_near(xia, 2.0 * p, hp)
-    xib = _clamp_near(xib, 0.0, hp)
-    print(_fmt(bounds.achievable_rate(p, xia, xib)))
+    hp = bounds.binary_entropy(args.p)
+    xia = _clamp_near(args.xia, 2.0 * args.p, hp)
+    xib = _clamp_near(args.xib, 0.0, hp)
+    print(_fmt(bounds.achievable_rate(args.p, xia, xib)))
     return 0
 
 
@@ -364,12 +357,9 @@ def _clamp_near(value: float, lo: float, hi: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_oracle_intersection(args, config) -> int:
+def _cmd_oracle_intersection(args) -> int:
     from . import oracle
-    n = _resolve(args, config, "n", int, required=True)
-    p = _resolve(args, config, "p", float, required=True)
-    eps = _resolve(args, config, "eps", float, required=True)
-    report = oracle.verify_intersection_bound(n, p, eps)
+    report = oracle.verify_intersection_bound(args.n, args.p, args.eps)
     for row in report.rows:
         print("w=%2d exact=%8d bound=%s" % (row.weight, row.exact,
                                             _fmt(row.bound)))
@@ -378,23 +368,19 @@ def _cmd_oracle_intersection(args, config) -> int:
     return 0 if ok else CHECK_FAILED
 
 
-def _cmd_oracle_lhl(args, config) -> int:
+def _cmd_oracle_lhl(args) -> int:
     import numpy as np
 
     from . import adversary, oracle
-    code = _code_from_spec(_resolve(args, config, "code", str,
-                                    default="hamming74"))
-    hash_m = _resolve(args, config, "hash_m", int, default=1)
-    p_b = _resolve(args, config, "p_b", float, default=0.25)
-    n_seeds = _resolve(args, config, "seeds", int, default=0)
-    strategy = adversary.less_noisy_bob(p_b, code.n)
-    if n_seeds:
-        seed = _resolve(args, config, "seed", int, required=True)
-        res = oracle.lhl_check(code, hash_m, strategy.view_channel,
-                               seeds=n_seeds,
+    code = _code_from_spec(args.code)
+    strategy = adversary.less_noisy_bob(args.p_b, code.n)
+    if args.seeds:
+        seed, = _need(args, "seed")
+        res = oracle.lhl_check(code, args.hash_m, strategy.view_channel,
+                               seeds=args.seeds,
                                rng=np.random.default_rng([seed, 5]))
     else:
-        res = oracle.lhl_check(code, hash_m, strategy.view_channel)
+        res = oracle.lhl_check(code, args.hash_m, strategy.view_channel)
     print("lhs: %s" % _fmt(res.lhs))
     print("rhs: %s" % _fmt(res.rhs))
     print("h_min: %s" % _fmt(res.h_min))
@@ -402,12 +388,9 @@ def _cmd_oracle_lhl(args, config) -> int:
     return 0 if ok else CHECK_FAILED
 
 
-def _cmd_oracle_clipped(args, config) -> int:
+def _cmd_oracle_clipped(args) -> int:
     from . import oracle
-    n = _resolve(args, config, "n", int, required=True)
-    p = _resolve(args, config, "p", float, required=True)
-    eps = _resolve(args, config, "eps", float, required=True)
-    res = oracle.clipped_bsc_construction(n, p, eps)
+    res = oracle.clipped_bsc_construction(args.n, args.p, args.eps)
     print("gtd_actual: %s" % _fmt(res.gtd_actual))
     print("tail: %s" % _fmt(res.tail))
     print("min_entropy_per_input: %s" % _fmt(res.min_entropy_per_input))
@@ -425,16 +408,15 @@ def _cmd_oracle_clipped(args, config) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_nqs_simulate(args, config) -> int:
+def _cmd_nqs_simulate(args) -> int:
     import numpy as np
 
     from . import nqs
     from .gf2 import BitString
-    n = _resolve(args, config, "n", int, required=True)
+    n = args.n
     if not 1 <= n <= _NQS_ROUNDS_CAP:
         raise UsageError("need 1 <= n <= 2^20 rounds, got %d" % n)
-    seed = _resolve(args, config, "seed", int, required=True)
-    rng = np.random.default_rng([seed, 1])
+    rng = np.random.default_rng([args.seed, 1])
     x = BitString.random(n, rng)
     run = nqs.run_conjugate_channel(x, rng)
     lines = ["round,x,theta,theta_prime,k,z"]
@@ -455,15 +437,12 @@ def _cmd_nqs_simulate(args, config) -> int:
     return 0
 
 
-def _cmd_nqs_params(args, config) -> int:
+def _cmd_nqs_params(args) -> int:
     from . import nqs
-    n = _resolve(args, config, "n", int, required=True)
-    lam_a = _resolve(args, config, "lambda_a", float, required=True)
-    lam_b = _resolve(args, config, "lambda_b", float, required=True)
-    d = _resolve(args, config, "storage_dim", int, required=True)
     params = nqs.NqsParams(
-        n=n, lambda_a=lam_a, lambda_b=lam_b,
-        p_succ_log2=lambda bits: nqs.bounded_storage_success_log2(bits, d))
+        n=args.n, lambda_a=args.lambda_a, lambda_b=args.lambda_b,
+        p_succ_log2=lambda bits: nqs.bounded_storage_success_log2(
+            bits, args.storage_dim))
     theta = nqs.nqs_channel_params(params)
     print("p: %s" % _fmt(theta.p))
     print("eps_a: %s" % _fmt(theta.eps_a))
@@ -473,7 +452,7 @@ def _cmd_nqs_params(args, config) -> int:
     return 0
 
 
-def _cmd_nqs_povm(args, config) -> int:
+def _cmd_nqs_povm(args) -> int:
     from . import nqs
     report = nqs.povm_verify()
     print("completeness_error: %s" % _fmt(report.completeness_error))
@@ -488,46 +467,54 @@ def _cmd_nqs_povm(args, config) -> int:
 # ---------------------------------------------------------------------------
 
 
-# every command as (group or None, name, handler, options); an option is a
-# flag with its add_argument keywords, and every command also takes --config
-_S, _I, _F = {}, {"type": int}, {"type": float}
+# Every command as (group or None, name, handler, options); attack has a
+# handler per kind, picked by its positional. An option is (name, type[,
+# default[, choices]]), always required if its default is _REQ; a name
+# without dashes is a descriptor field and no flag (the field strategy
+# replaces the --strategy path once the file is read). All take --config.
+_REQ = object()
 _COMMANDS = [
     ("commit", "run", _cmd_commit_run, [
-        ("--code", _S), ("--message", _S), ("--n", _I), ("--hash-m", _I),
-        ("--seed", _I), ("--p", _F), ("--eps", _F), ("--out", _S)]),
+        ("--code", str, _REQ), ("--message", str, _REQ), ("--n", int),
+        ("--hash-m", int, _REQ), ("--seed", int, _REQ), ("--p", float, _REQ),
+        ("--eps", float, _REQ), ("--out", str)]),
     ("commit", "replay", _cmd_commit_replay, [
-        ("--transcript", {"required": True}), ("--code", _S),
-        ("--hash-m", _I), ("--p", _F), ("--eps", _F)]),
+        ("--transcript", str, _REQ), ("--code", str, _REQ),
+        ("--hash-m", int, _REQ), ("--p", float, _REQ),
+        ("--eps", float, _REQ)]),
     ("commit", "complete", _cmd_commit_complete, [
-        ("--code", _S), ("--n", _I), ("--k", _I), ("--target-d", _I),
-        ("--hash-m", _I), ("--trials", _I), ("--seed", _I), ("--p", _F),
-        ("--eps", _F)]),
-    (None, "attack", _cmd_attack, [
-        ("kind", {"choices": ["binding", "hiding"]}),
-        ("--strategy", {"required": True}),
-        ("--mode", {"choices": ["exact", "mc"], "default": "exact"}),
-        ("--trials", {"type": int, "default": 10 ** 5}), ("--seed", _I)]),
+        ("--code", str), ("--n", int), ("--k", int), ("--target-d", int),
+        ("--hash-m", int, _REQ), ("--trials", int, 10 ** 4),
+        ("--seed", int, _REQ), ("--p", float, _REQ), ("--eps", float, _REQ)]),
+    (None, "attack", {"binding": _cmd_attack_binding,
+                      "hiding": _cmd_attack_hiding}, [
+        ("--strategy", str, _REQ), ("--mode", str, "exact", ("exact", "mc")),
+        ("--trials", int, 10 ** 5), ("--seed", int),
+        ("code", str, _REQ), ("hash_m", int, 1), ("p", float, _REQ),
+        ("eps", float, _REQ), ("weight", int), ("spread", float, 0.5),
+        ("x0", str), ("x1", str), ("p_b", float), ("m0", str, "0"),
+        ("m1", str, "1"), ("strategy", str)]),
     ("bounds", "eval", _cmd_bounds_eval, [
-        ("--which", {"choices": ["dc", "dh", "db", "intersection"],
-                     "required": True}), ("--n", _I)]
-     + [(flag, _F) for flag in ("--eps", "--p", "--sigma", "--l-a", "--eps-a",
-                                "--l-b", "--eps-b", "--log-m", "--log-c")]),
+        ("--which", str, _REQ, tuple(_BOUNDS)), ("--n", int, _REQ)]
+     + [(flag, float) for flag in ("--eps", "--p", "--sigma", "--l-a",
+                                   "--eps-a", "--l-b", "--eps-b", "--log-m",
+                                   "--log-c")]),
     ("rate", "surface", _cmd_rate_surface, [
-        ("--p", _F), ("--steps", _I), ("--out", _S)]),
+        ("--p", float, _REQ), ("--steps", int, 50), ("--out", str)]),
     ("rate", "point", _cmd_rate_point, [
-        ("--p", _F), ("--xia", _F), ("--xib", _F)]),
+        ("--p", float, _REQ), ("--xia", float, _REQ), ("--xib", float, _REQ)]),
     ("oracle", "intersection", _cmd_oracle_intersection, [
-        ("--n", _I), ("--p", _F), ("--eps", _F)]),
+        ("--n", int, _REQ), ("--p", float, _REQ), ("--eps", float, _REQ)]),
     ("oracle", "lhl", _cmd_oracle_lhl, [
-        ("--code", _S), ("--hash-m", _I), ("--p-b", _F), ("--seeds", _I),
-        ("--seed", _I)]),
+        ("--code", str, "hamming74"), ("--hash-m", int, 1),
+        ("--p-b", float, 0.25), ("--seeds", int, 0), ("--seed", int)]),
     ("oracle", "clipped", _cmd_oracle_clipped, [
-        ("--n", _I), ("--p", _F), ("--eps", _F)]),
+        ("--n", int, _REQ), ("--p", float, _REQ), ("--eps", float, _REQ)]),
     ("nqs", "simulate", _cmd_nqs_simulate, [
-        ("--n", _I), ("--seed", _I), ("--out", _S)]),
+        ("--n", int, _REQ), ("--seed", int, _REQ), ("--out", str)]),
     ("nqs", "params", _cmd_nqs_params, [
-        ("--n", _I), ("--lambda-a", _F), ("--lambda-b", _F),
-        ("--storage-dim", _I)]),
+        ("--n", int, _REQ), ("--lambda-a", float, _REQ),
+        ("--lambda-b", float, _REQ), ("--storage-dim", int, _REQ)]),
     ("nqs", "povm-verify", _cmd_nqs_povm, []),
 ]
 
@@ -545,9 +532,14 @@ def build_parser() -> argparse.ArgumentParser:
                 group, allow_abbrev=False).add_subparsers(dest="sub",
                                                           required=True)
         sp = groups[group].add_parser(name, allow_abbrev=False)
-        for flag, kwargs in options + [("--config", _S)]:
-            sp.add_argument(flag, **kwargs)
-        sp.set_defaults(func=func)
+        if isinstance(func, dict):
+            sp.add_argument("kind", choices=list(func))
+        options = [(*opt, None, None)[:4] for opt in options]
+        for flag, type_fn, _, choices in options:
+            if flag[0] == "-":  # no default: a file may supply the value
+                sp.add_argument(flag, type=type_fn, choices=choices)
+        sp.add_argument("--config")
+        sp.set_defaults(func=func, options=options)
     return ap
 
 
@@ -560,8 +552,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        config = _read_config(getattr(args, "config", None))
-        return args.func(args, config)
+        _set_options(args)
+        func = args.func[args.kind] if hasattr(args, "kind") else args.func
+        return func(args)
     except (UsageError, ValueError, OSError, RuntimeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return USAGE_ERROR

@@ -6,8 +6,6 @@ constructors take an explicit ``numpy.random.Generator``.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 __all__ = [
@@ -231,6 +229,9 @@ def _check_p_block(n: int, k: int) -> None:
 
 
 def _check_distance_words(n: int, k: int) -> None:
+    if k > 24:
+        raise ValueError("exact distance enumeration limited to k <= 24 "
+                         "(got k=%d)" % k)
     words = (1 << k) * ((n + 63) // 64)
     if words > _DISTANCE_WORDS_CAP:
         raise ValueError("exact distance of an [%d,%d] code enumerates "
@@ -403,9 +404,6 @@ class LinearCode:
         popcount; the zero word is left out only at offset 0. Refuses for
         k > 24 and beyond 2^24 enumerated words.
         """
-        if self.k > 24:
-            raise ValueError("exact distance enumeration limited to k <= 24 "
-                             "(got k=%d)" % self.k)
         _check_distance_words(self.n, self.k)
         if self.k == self.n and self.k >= 1:
             return 1
@@ -430,27 +428,20 @@ def random_linear_code(n: int, k: int, target_d: int,
                        rng: np.random.Generator) -> LinearCode:
     """Random systematic [n, k] code with minimum distance >= target_d.
 
-    For k <= 24 the distance is verified exactly, drawing up to 500 codes;
-    beyond that the code is returned with an unverified design distance and
-    a warning. Existence for rates below the Gilbert-Varshamov threshold
-    k/n <= 1 - h(target_d/n) is guaranteed only asymptotically, so small
-    instances may legitimately exhaust the budget.
+    The distance is verified exactly, drawing up to 500 codes. Existence
+    for rates below the Gilbert-Varshamov threshold k/n <= 1 - h(target_d/n)
+    is guaranteed only asymptotically, so small instances may legitimately
+    exhaust the budget.
     A target above the Singleton bound n - k + 1 is refused up front: no
     such code exists. So are sizes beyond the desk caps, before anything is
-    drawn: a P block of more than 2^22 bits, and for k <= 24 a distance
-    check over more than 2^24 words.
+    drawn: a P block of more than 2^22 bits, k > 24, and a distance check
+    over more than 2^24 words.
     """
     if not (1 <= k <= n):
         raise ValueError("need 1 <= k <= n")
     if not (1 <= target_d <= n - k + 1):
         raise ValueError("need 1 <= target_d <= n - k + 1 (Singleton bound)")
     _check_p_block(n, k)
-    if k > 24:
-        code = LinearCode(rng.integers(0, 2, size=(k, n - k), dtype=np.uint8),
-                          d_claimed=target_d)
-        warnings.warn("k=%d > 24: design distance %d left unverified"
-                      % (k, target_d))
-        return code
     _check_distance_words(n, k)
     best = -1
     for _ in range(_DISTANCE_RETRIES):

@@ -44,7 +44,8 @@ class HashSeed:
         if m.ndim != 2 or m.shape[0] < 1:
             raise ValueError("seed must be a 2-D 0/1 matrix with at least "
                              "one row")
-        if gf2_rank(m) != m.shape[0]:
+        # rank <= k: more rows than columns is deficient without elimination
+        if m.shape[0] > m.shape[1] or gf2_rank(m) != m.shape[0]:
             raise ValueError("seed matrix is rank deficient")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

@@ -577,7 +577,19 @@ def _bits_to_hex(b: BitString) -> dict:
     return {"len": len(b), "hex": np.packbits(b.bits).tobytes().hex()}
 
 
-def _field_bits(obj: dict, path: str, *shape_keys: str) -> np.ndarray:
+def _json_object(obj, path: str, *keys: str) -> dict:
+    """``obj``, refused unless it is a JSON object holding every key; an
+    error names the field's path (empty at the top level)."""
+    where = "transcript field %s" % path if path else "transcript"
+    if not isinstance(obj, dict):
+        raise ValueError("%s is not a JSON object" % where)
+    for key in keys:
+        if key not in obj:
+            raise ValueError("%s missing field %r" % (where, key))
+    return obj
+
+
+def _field_bits(obj, path: str, *shape_keys: str) -> np.ndarray:
     """The bits of transcript field ``path``, shaped by its integer keys.
 
     The payload ``obj["hex"]`` must be exactly ceil(nbits / 8) bytes, nbits
@@ -585,6 +597,7 @@ def _field_bits(obj: dict, path: str, *shape_keys: str) -> np.ndarray:
     must be a nonnegative JSON integer (not a float, string or bool). An
     error names the field and the bad key, never the payload.
     """
+    obj = _json_object(obj, path, *shape_keys, "hex")
     shape = [obj[key] for key in shape_keys]
     for key, value in zip(shape_keys, shape):
         if type(value) is not int or value < 0:
@@ -599,6 +612,11 @@ def _field_bits(obj: dict, path: str, *shape_keys: str) -> np.ndarray:
     if len(raw) != (nbits + 7) // 8:
         raise ValueError("transcript field %s: %d bits do not fit its "
                          "payload of %d bytes" % (path, nbits, len(raw)))
+    for key, value in zip(shape_keys, shape):
+        # past the size check, only a zero key lets another exceed it
+        if value > 8 * len(raw):
+            raise ValueError("transcript field %s: %r is above the %d bits "
+                             "of its payload" % (path, key, 8 * len(raw)))
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
     if bits[nbits:].any():
         raise ValueError("transcript field %s has padding bits set" % path)
@@ -622,21 +640,16 @@ def transcript_to_json(t: CommitmentTranscript) -> str:
 
 def transcript_from_json(text: str) -> CommitmentTranscript:
     """Parse ``transcript_to_json`` output; malformed input raises ValueError."""
-    try:
-        obj = json.loads(text)
-        seed = HashSeed(_field_bits(obj["seed"], "seed", "m", "k"))
-        mbar, coset, z = (BitString(_field_bits(obj[name], name, "len"))
-                          for name in ("mbar", "coset", "z"))
-        opening = obj["opening"]
-        if opening is not None:
-            opening = Opening(
-                m=BitString(_field_bits(opening["m"], "opening.m", "len")),
-                x=BitString(_field_bits(opening["x"], "opening.x", "len")))
-    except KeyError as exc:
-        raise ValueError("transcript missing field %s" % exc) from exc
-    except TypeError as exc:
-        # a JSON value of the wrong type where an object or a hex string
-        # belongs
-        raise ValueError("malformed transcript: %s" % exc) from exc
+    obj = _json_object(json.loads(text), "", "seed", "mbar", "coset", "z",
+                       "opening")
+    seed = HashSeed(_field_bits(obj["seed"], "seed", "m", "k"))
+    mbar, coset, z = (BitString(_field_bits(obj[name], name, "len"))
+                      for name in ("mbar", "coset", "z"))
+    opening = obj["opening"]
+    if opening is not None:
+        opening = _json_object(opening, "opening", "m", "x")
+        opening = Opening(
+            m=BitString(_field_bits(opening["m"], "opening.m", "len")),
+            x=BitString(_field_bits(opening["x"], "opening.x", "len")))
     return CommitmentTranscript(seed=seed, mbar=mbar, coset=coset, z=z,
                                 opening=opening)

@@ -1,0 +1,164 @@
+"""The mutant catalogue: deliberate bugs that named tests must catch.
+
+Each entry names a source file under ``src``, a "before" snippet that occurs
+in it exactly once, the "after" snippet that replaces it, and the pytest
+node ids (relative to the repository root) that must each fail under the
+mutant. Run from anywhere:
+
+    python tests/mutants.py [NAME ...]
+
+For each entry (or only the named ones) the driver copies ``src`` to a
+temporary directory, applies the mutant there and runs each node in its own
+pytest process against the copy, one process at a time, each within
+``TIMEOUT_S`` seconds; a node that runs out of time counts as failing. A
+mutant survives when one of its nodes passes. The driver prints one line per
+entry and exits 1 if any mutant survives or any entry is stale (its snippet
+not found once, or a node that no longer collects). ``tests/test_mutants.py``
+checks the snippets in tier 1; this run takes minutes, so it stays outside.
+"""
+
+from __future__ import annotations
+
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+from typing import NamedTuple
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+# Seconds one node may run under a mutant; some mutants make a sampler
+# reject every draw, so a node can hang instead of failing.
+TIMEOUT_S = 300
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to src/usnc
+    before: str
+    after: str
+    nodes: tuple
+
+
+_GAUSS_JORDAN = (
+    "tests/test_protocol.py::TestKernels::"
+    "test_gauss_jordan_matches_column_reference",
+    "tests/test_protocol.py::TestStreamPins::"
+    "test_batch_fields_pinned[random[300,130]-1000]")
+_LAST_BLOCK = ("tests/test_protocol.py::TestBatchEngine::"
+               "test_last_block_counts_only_its_first_trials",)
+_LAST_SLICE = "        rejects += int((~accepted[:trials - start]).sum())\n"
+
+CATALOGUE = [
+    # the batched elimination's pivot, clears and right-hand sides
+    Mutant("gauss-jordan-highest-bit", "protocol.py",
+           "        low &= np.uint64(0) - low  # lowest set bit; 0 for an "
+           "empty row\n",
+           "        for s in (1, 2, 4, 8, 16, 32):\n"
+           "            low |= low >> np.uint64(s)\n"
+           "        low ^= low >> np.uint64(1)\n",
+           _GAUSS_JORDAN),
+    Mutant("gauss-jordan-clears-own-row", "protocol.py",
+           "        hit[j] = False\n", "", _GAUSS_JORDAN),
+    Mutant("gauss-jordan-no-rhs-update", "protocol.py",
+           "        rhs ^= hit & rhs[j]\n", "", _GAUSS_JORDAN),
+    # the completeness count's last, partial block
+    Mutant("last-block-unsliced", "protocol.py", _LAST_SLICE,
+           _LAST_SLICE.replace("[:trials - start]", ""), _LAST_BLOCK),
+    Mutant("last-block-one-short", "protocol.py", _LAST_SLICE,
+           _LAST_SLICE.replace("start]", "start - 1]"), _LAST_BLOCK),
+    Mutant("last-block-one-over", "protocol.py", _LAST_SLICE,
+           _LAST_SLICE.replace("start]", "start + 1]"), _LAST_BLOCK),
+    Mutant("from-int-big-endian", "gf2.py",
+           '        raw = value.to_bytes(8 * ((n + 63) // 64), "little")\n',
+           '        raw = value.to_bytes(8 * ((n + 63) // 64), "big")\n',
+           ("tests/test_gf2.py::TestBitString::"
+            "test_int_roundtrip_beyond_64_bits",
+            "tests/test_gf2.py::TestBitString::"
+            "test_int_codec_matches_binary_string")),
+    # one resolution order for every CLI option
+    Mutant("seed-skips-config", "cli.py",
+           "or name in _FILES:\n", 'or name in _FILES + ("--seed",):\n',
+           ("tests/test_cli_contract.py::"
+            "test_option_moved_into_a_file_keeps_the_output"
+            "[0-commit-run--seed]",
+            "tests/test_cli_contract.py::"
+            "test_option_moved_into_a_file_keeps_the_output"
+            "[15-attack-binding--seed]")),
+    Mutant("config-over-descriptor", "cli.py",
+           '_FILES = ("--strategy", "--config")\n',
+           '_FILES = ("--config", "--strategy")\n',
+           ("tests/test_cli.py::TestAttack::"
+            "test_descriptor_wins_over_config",)),
+    # one distance rule past k = 24
+    Mutant("random-code-past-k24", "gf2.py",
+           "    if k > 24:\n"
+           '        raise ValueError("exact distance enumeration limited to '
+           'k <= 24 "\n'
+           '                         "(got k=%d)" % k)\n', "",
+           ("tests/test_gf2.py::TestRandomLinearCode::"
+            "test_refused_beyond_limit",
+            "tests/test_cli.py::TestCommit::"
+            "test_complete_beyond_k24_is_usage_error")),
+    # transcript errors name their path
+    Mutant("transcript-error-without-path", "protocol.py",
+           '    where = "transcript field %s" % path if path else '
+           '"transcript"\n',
+           '    where = "transcript"\n',
+           ("tests/test_protocol.py::TestTranscriptCodec::"
+            "test_wrong_shape_names_its_path[z-int]",
+            "tests/test_cli_contract.py::"
+            "test_replay_names_the_path_of_a_wrong_shape[z-int]")),
+]
+
+
+def run_node(src: pathlib.Path, node: str) -> str:
+    """"failed", "passed" or "stale" for one node against the copy."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(src), os.environ.get("PYTHONPATH")])), PYTHONDONTWRITEBYTECODE="1")
+    try:
+        code = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p",
+             "no:cacheprovider", str(ROOT / node)], cwd=src.parent, env=env,
+            stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL, timeout=TIMEOUT_S).returncode
+    except subprocess.TimeoutExpired:
+        return "failed"
+    # 1: a test failed, 2: collection failed; 4 and 5: no such node
+    return {0: "passed", 1: "failed", 2: "failed"}.get(code, "stale")
+
+
+def run_mutant(mutant: Mutant) -> str:
+    """The entry's verdict: "killed", "SURVIVED ..." or "STALE ..."."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = pathlib.Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        target = src / "usnc" / mutant.path
+        text = target.read_text()
+        if text.count(mutant.before) != 1:
+            return "STALE: the before snippet does not occur exactly once"
+        target.write_text(text.replace(mutant.before, mutant.after))
+        for node in mutant.nodes:
+            verdict = run_node(src, node)
+            if verdict != "failed":
+                return "%s: %s" % ("SURVIVED" if verdict == "passed"
+                                   else "STALE", node)
+    return "killed"
+
+
+def main(argv=None) -> int:
+    names = set(sys.argv[1:] if argv is None else argv)
+    bad = 0
+    for mutant in CATALOGUE:
+        if names and mutant.name not in names:
+            continue
+        verdict = run_mutant(mutant)
+        bad += verdict != "killed"
+        print("%-32s %s" % (mutant.name, verdict), flush=True)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -119,7 +119,8 @@ class TestBoundsEval:
         ("-inf", "invalid literal for int() with base 10: '-inf'"),
         ("1.5", "invalid literal for int() with base 10: '1.5'")])
     def test_config_n_is_an_int(self, capsys, tmp_path, n, err):
-        # as the --n flag is: no float read and then cut to an int
+        # as the --n flag is: no float read and then cut to an int; the
+        # error names the file's flag and the key
         cfg = tmp_path / "conf.txt"
         cfg.write_text("n = %s\n" % n)
         code = main(["bounds", "eval", "--which", "dc", "--eps", "0.1",
@@ -127,7 +128,7 @@ class TestBoundsEval:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == "error: %s\n" % err
+        assert captured.err == "error: --config key n: %s\n" % err
 
     def test_infinite_entropy_floor_leaves_smoothing_term(self, capsys):
         code, out = run_cli(capsys, "bounds", "eval", "--which", "db",
@@ -370,6 +371,18 @@ class TestCommit:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
         assert "Singleton" in captured.err
+
+    def test_complete_beyond_k24_is_usage_error(self, capsys, monkeypatch):
+        # a random code with k > 24 once ran on an unverified distance
+        monkeypatch.setattr(np.random, "default_rng", lambda *args: NoDraws())
+        code = main(["commit", "complete", "--n", "40", "--k", "26",
+                     "--target-d", "5", "--hash-m", "2", "--p", "0.1",
+                     "--eps", "0.05", "--trials", "1000", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: exact distance enumeration limited " \
+            "to k <= 24 (got k=26)\n"
 
     @pytest.mark.parametrize("n,k,cap", [
         ("100000000", "16", "2^22"),  # the P block alone is 1.6 GB

@@ -10,8 +10,11 @@ same checks as flags. Every run must exit 0, 1 or 2 without a traceback, and
 an exit of 2 prints exactly one ``error:`` line. The cases are fixed lists,
 and derandomised hypothesis at ``max_examples = len(cases)`` visits each of
 them once (it draws a choice it has not drawn before until the budget runs
-out); a failure shrinks to the earliest failing case. No command starts a
-thread or a process, so no value can ask for many of them.
+out); a failure shrinks to the earliest failing case. A third arm moves each
+option an example gives, but the two files, with the example's own value
+into ``--config`` (and for ``attack`` into the descriptor): the exit code
+and stdout must stay the example's. No command starts a thread or a
+process, so no value can ask for many of them.
 """
 
 import argparse
@@ -176,6 +179,58 @@ def test_one_config_value_at_a_time_exits_cleanly(workdir):
     probe(CONFIG_CASES, with_config, workdir)
 
 
+# the options naming the files; every other option may be given in one
+FILES = ("--config", "--strategy")
+MOVES = [(i, flag) for i, argv in enumerate(EXAMPLES) for flag in argv
+         if flag.startswith("--") and flag not in FILES]
+
+
+def run_quietly(workdir, argv):
+    """Exit code and stdout of argv run in ``workdir``."""
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    finally:
+        os.chdir(cwd)
+    return code, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def expected(workdir):
+    """Exit code and stdout of each unmodified small example."""
+    return [run_quietly(workdir, argv) for argv in EXAMPLES]
+
+
+@pytest.mark.parametrize("i, flag", MOVES, ids=[
+    "%d-%s%s" % (i, "-".join(EXAMPLES[i][:2]), flag) for i, flag in MOVES])
+def test_option_moved_into_a_file_keeps_the_output(workdir, expected, i,
+                                                    flag):
+    # the example's own value moved out of argv into --config, and for
+    # attack into its descriptor too, is read as the flag was: one
+    # resolution order for every option but the two files
+    argv = list(EXAMPLES[i])
+    at = argv.index(flag)
+    line = "%s = %s\n" % (flag[2:], argv[at + 1])
+    del argv[at:at + 2]
+    with open(os.path.join(workdir, CONFIG_FILE), "w") as fh:
+        fh.write(line)
+    assert run_quietly(workdir, argv + ["--config", CONFIG_FILE]) \
+        == expected[i]
+    if argv[0] == "attack":
+        at = argv.index("--strategy") + 1
+        with open(os.path.join(workdir, argv[at])) as fh:
+            text = fh.read()
+        argv[at] = "probe-descriptor.txt"
+        with open(os.path.join(workdir, argv[at]), "w") as fh:
+            fh.write(text + line)
+        assert run_quietly(workdir, argv) == expected[i]
+
+
 def replay(workdir, edit):
     """Exit code, stdout and stderr of the README's replay example on its
     transcript after ``edit`` changes the parsed JSON in place."""
@@ -251,3 +306,18 @@ def test_replay_error_line_is_short_at_n4096(workdir):
     assert err == "error: transcript field z: 'len' is not a nonnegative " \
         "integer\n"
     assert len(err) < 200
+
+
+@pytest.mark.parametrize("edit, err", [
+    (lambda obj: obj["opening"]["x"].pop("len"),
+     "transcript field opening.x missing field 'len'"),
+    (setter(("z",), lambda z: 5), "transcript field z is not a JSON object"),
+    (setter(("mbar",), lambda mbar: [1]),
+     "transcript field mbar is not a JSON object")],
+    ids=["opening.x.len-deleted", "z-int", "mbar-list"])
+def test_replay_names_the_path_of_a_wrong_shape(workdir, edit, err):
+    # these printed "missing field 'len'", "'int' object is not
+    # subscriptable" and "list indices must be integers or slices, not str"
+    code, out, err_text = replay(workdir, edit)
+    assert (code, out) == (2, "")
+    assert err_text == "error: %s\n" % err

@@ -16,6 +16,13 @@ def bs(s):
     return BitString.from01(s)
 
 
+class NoDraws:
+    """Stands in for a generator; any draw fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError("a random draw was reached")
+
+
 def binary_string_int(bits):
     """0/1 entries as an int with bit i = entry i, read as a binary string
     (the last entry is the most significant digit)."""
@@ -341,10 +348,16 @@ class TestRandomLinearCode:
         code = random_linear_code(6, 1, 6, np.random.default_rng(0))
         assert code.min_distance_exact() == 6
 
-    def test_unverified_beyond_limit(self):
-        with pytest.warns(UserWarning, match="unverified"):
-            code = random_linear_code(64, 30, 8, np.random.default_rng(0))
-        assert code.d_claimed == 8
+    def test_refused_beyond_limit(self):
+        # k > 24 has no exact distance check, so no code is drawn for it;
+        # the Singleton and P-block checks still come first
+        with pytest.raises(ValueError, match=r"^exact distance enumeration "
+                           r"limited to k <= 24 \(got k=30\)$"):
+            random_linear_code(64, 30, 8, NoDraws())
+        with pytest.raises(ValueError, match="Singleton"):
+            random_linear_code(64, 30, 36, NoDraws())
+        with pytest.raises(ValueError, match="P block"):
+            random_linear_code(300000, 30, 1, NoDraws())
 
     def test_gen_rows_are_codewords(self):
         code = random_linear_code(15, 5, 5, np.random.default_rng(11))
@@ -373,10 +386,6 @@ class TestPBlockCap:
             make(n)
 
     def test_random_code_refused_before_drawing(self):
-        class NoDraws:
-            def __getattr__(self, name):
-                raise AssertionError("a random draw was reached")
-
         with pytest.raises(ValueError, match=r"^an \[300000,16\] code has a "
                            r"P block of k\(n-k\) = 4799744 bits, above the "
                            r"cap of 2\^22$"):

@@ -304,6 +304,68 @@ class TestTranscriptCodec:
                                r"opening.x: 'hex' is not a hex string$"):
                 transcript_from_json(json.dumps(obj))
 
+    @pytest.mark.parametrize("path, value, err", [
+        (("opening", "x", "len"), None,
+         "transcript field opening.x missing field 'len'"),
+        (("seed", "hex"), None, "transcript field seed missing field 'hex'"),
+        (("z",), 5, "transcript field z is not a JSON object"),
+        (("mbar",), [1], "transcript field mbar is not a JSON object"),
+        (("opening",), "x", "transcript field opening is not a JSON object"),
+        (("opening", "m"), [],
+         "transcript field opening.m is not a JSON object"),
+        (("coset",), None, "transcript missing field 'coset'"),
+        ((), [], "transcript is not a JSON object")],
+        ids=["x-len-missing", "seed-hex-missing", "z-int", "mbar-list",
+             "opening-string", "opening-m-list", "coset-missing",
+             "top-level-list"])
+    def test_wrong_shape_names_its_path(self, cfg, path, value, err):
+        # a missing key (value None deletes it) or a non-object where an
+        # object belongs; these once printed a bare key, "'int' object is
+        # not subscriptable" or "list indices must be integers"
+        run = run_honest(BitString.from01("1"), cfg,
+                         np.random.default_rng(29))
+        obj = json.loads(transcript_to_json(run.transcript))
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        if not path:
+            obj = value
+        elif value is None:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        with pytest.raises(ValueError) as exc:
+            transcript_from_json(json.dumps(obj))
+        assert str(exc.value) == err
+
+    @pytest.mark.parametrize("m", [1 << 62, 1 << 63, 10 ** 30])
+    def test_zero_width_seed_with_huge_m_refused_by_name(self, cfg, m):
+        # an empty payload holds m rows of k = 0 bits for any m; numpy once
+        # refused the reshape of the larger ones without naming the field,
+        # and 2^62 rows reached the rank elimination
+        run = run_honest(BitString.from01("1"), cfg,
+                         np.random.default_rng(30))
+        obj = json.loads(transcript_to_json(run.transcript))
+        obj["seed"] = {"m": m, "k": 0, "hex": ""}
+        with pytest.raises(ValueError, match=r"^transcript field seed: 'm' "
+                           r"is above the 0 bits of its payload$"):
+            transcript_from_json(json.dumps(obj))
+
+    def test_seed_with_more_rows_than_columns_refused_at_once(
+            self, monkeypatch):
+        # such a seed is rank deficient without an elimination, which would
+        # hold a Python int per row
+        def fail(matrix):
+            raise AssertionError("the seed's rank was eliminated")
+
+        monkeypatch.setattr("usnc.hashing.gf2_rank", fail)
+        with pytest.raises(ValueError, match="^seed matrix is rank "
+                           "deficient$"):
+            HashSeed(np.zeros((1 << 62, 0), dtype=np.uint8))
+        with pytest.raises(ValueError, match="^seed matrix is rank "
+                           "deficient$"):
+            HashSeed(np.ones((3, 2), dtype=np.uint8))
+
     def test_roundtrip_arbitrary_shapes(self):
         # codec handles bit lengths away from byte boundaries
         from usnc.hashing import sample_seed
