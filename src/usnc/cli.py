@@ -1,11 +1,13 @@
 """Command-line front end: protocol runs, bounds, oracles, rate surfaces.
 
 Every randomized command requires --seed and is bit-reproducible: the same
-command line writes byte-identical outputs. Numbers print with 12 significant
-digits. Exit codes: 0 success, 1 a verified check failed, 2 usage error.
-Every option of a command is declared once in ``_COMMANDS`` and resolved in
-``_set_options``: its flag, else ``attack``'s descriptor field, else its
-``--config`` key, else its default.
+command line writes byte-identical outputs. Every handler ends in
+``_report``: one ``key: value`` line per field, numbers with 12 significant
+digits, then its check's ``<name>: PASS|FAIL`` line. Exit codes: 0 success,
+1 exactly when that line reads FAIL, 2 usage error. Every option of a
+command is declared once in ``_COMMANDS`` and resolved in ``_set_options``:
+its flag, else ``attack``'s descriptor field, else its ``--config`` key, else
+its default.
 
 Each handler imports the modules its command needs, so the closed-form
 commands (``bounds eval``, ``rate point``, ``rate surface``) start without
@@ -43,9 +45,29 @@ def _fmt(x) -> str:
     return "%.12g" % x
 
 
-def _pass_line(name: str, ok: bool) -> bool:
+def _report(lines, check=None) -> int:
+    """Print each (key, value) line, a number with ``_fmt`` and a None key
+    as the bare value, then the (name, ok) check's verdict; the exit code."""
+    for key, value in lines:
+        if isinstance(value, (int, float)):
+            value = _fmt(value)
+        print(value if key is None else "%s: %s" % (key, value))
+    if check is None:
+        return 0
+    name, ok = check
     print("%s: %s" % (name, "PASS" if ok else "FAIL"))
-    return ok
+    return 0 if ok else CHECK_FAILED
+
+
+def _write(text: str, out, wrote=None) -> list:
+    """Write an --out body to the file ``out``, else to stdout; the report
+    line naming ``wrote`` and the file, if both are given."""
+    if not out:
+        sys.stdout.write(text)
+        return []
+    with open(out, "w") as fh:
+        fh.write(text)
+    return [(None, "wrote %s to %s" % (wrote, out))] if wrote else []
 
 
 def _read_config(path) -> dict:
@@ -169,15 +191,8 @@ def _cmd_commit_run(args) -> int:
     cfg = _commit_config(args, code)
     m = _message_bits(args.message, cfg.hash_m)
     run = protocol.run_honest(m, cfg, np.random.default_rng([args.seed, 0]))
-    text = protocol.transcript_to_json(run.transcript)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    print("flag: %s" % run.flag)
-    print("m_hat: %s" % run.m_hat.to01())
-    return 0
+    _write(protocol.transcript_to_json(run.transcript) + "\n", args.out)
+    return _report([("flag", run.flag), ("m_hat", run.m_hat.to01())])
 
 
 def _cmd_commit_replay(args) -> int:
@@ -189,10 +204,8 @@ def _cmd_commit_replay(args) -> int:
         raise UsageError("transcript has no opening to replay")
     batch = protocol.TranscriptBatch.from_transcripts([t], cfg)
     accepted = protocol.bob_verify_batch(batch, cfg)[0]
-    flag = protocol.ACC if accepted else protocol.REJ
-    print("flag: %s" % flag)
-    print("m_hat: %s" % t.opening.m.to01())
-    return 0
+    return _report([("flag", protocol.ACC if accepted else protocol.REJ),
+                    ("m_hat", t.opening.m.to01())])
 
 
 def _cmd_commit_complete(args) -> int:
@@ -212,12 +225,13 @@ def _cmd_commit_complete(args) -> int:
     cfg = _commit_config(args, code)
     est = protocol.estimate_completeness(cfg, args.trials, args.seed)
     bound = bounds.completeness_bound(cfg.n, cfg.eps)
-    print("reject_rate: %s" % _fmt(est.reject_rate))
-    print("wilson_99: [%s, %s]" % (_fmt(est.wilson_low), _fmt(est.wilson_high)))
-    print("bound: %s" % _fmt(bound))
-    ok = _pass_line("completeness tail bound", est.reject_rate <= bound
-                    or est.wilson_low <= bound)
-    return 0 if ok else CHECK_FAILED
+    return _report(
+        [("reject_rate", est.reject_rate),
+         ("wilson_99", "[%s, %s]" % (_fmt(est.wilson_low),
+                                     _fmt(est.wilson_high))),
+         ("bound", bound)],
+        ("completeness tail bound",
+         est.reject_rate <= bound or est.wilson_low <= bound))
 
 
 # ---------------------------------------------------------------------------
@@ -258,19 +272,16 @@ def _cmd_attack_binding(args) -> int:
     l_a = min_entropy(law)
     params = UsncParams(n=cfg.n, p=cfg.p, eps_a=0.0, l_a=l_a,
                         eps_b=0.0, l_b=0.0)
-    report = check_c2(strategy.channel, params)
-    print("channel check: %s" % report)
+    _report([("channel check", check_c2(strategy.channel, params))])
     success = adversary.binding_success(
         strategy, cfg, mode=args.mode, trials=args.trials, rng=rng,
         for_bound_comparison=True)
     sigma = (x0 ^ x1).weight() / (2.0 * cfg.n)
     bound = bounds.binding_bound(cfg.n, cfg.eps, sigma, cfg.p, l_a, 0.0)
-    print("success: %s" % _fmt(success))
-    print("bound: %s" % _fmt(bound))
     slack = 0.0 if args.mode == "exact" else 3.0 * np.sqrt(
         max(success, bound) / max(args.trials, 1))
-    ok = _pass_line("double-opening success bound", success <= bound + slack)
-    return 0 if ok else CHECK_FAILED
+    return _report([("success", success), ("bound", bound)],
+                   ("double-opening success bound", success <= bound + slack))
 
 
 def _cmd_attack_hiding(args) -> int:
@@ -289,17 +300,14 @@ def _cmd_attack_hiding(args) -> int:
     l_b = cond_min_entropy(joint)
     params = UsncParams(n=cfg.n, p=cfg.p, eps_a=0.0, l_a=0.0,
                         eps_b=0.0, l_b=l_b)
-    report = check_c3(strategy.view_channel, params)
-    print("channel check: %s" % report)
+    _report([("channel check", check_c3(strategy.view_channel, params))])
     m0 = _message_bits(args.m0, cfg.hash_m)
     m1 = _message_bits(args.m1, cfg.hash_m)
     adv = adversary.hiding_advantage(strategy, cfg, m0, m1,
                                      for_bound_comparison=True)
     bound = bounds.hiding_bound(cfg.n, cfg.hash_m, code.k, l_b, 0.0)
-    print("advantage: %s" % _fmt(adv))
-    print("bound: %s" % _fmt(bound))
-    ok = _pass_line("view-distance bound", adv <= bound)
-    return 0 if ok else CHECK_FAILED
+    return _report([("advantage", adv), ("bound", bound)],
+                   ("view-distance bound", adv <= bound))
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +324,7 @@ _BOUNDS = {"dc": (bounds.completeness_bound, "eps"),
 
 def _cmd_bounds_eval(args) -> int:
     bound, *keys = _BOUNDS[args.which]
-    print(_fmt(bound(args.n, *_need(args, *keys))))
-    return 0
+    return _report([(None, bound(args.n, *_need(args, *keys)))])
 
 
 def _cmd_rate_surface(args) -> int:
@@ -325,14 +332,8 @@ def _cmd_rate_surface(args) -> int:
     lines = ["xi_a,xi_b,rate"]
     lines += ["%s,%s,%s" % (_fmt(pt.xi_a), _fmt(pt.xi_b), _fmt(pt.r))
               for pt in points]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print("wrote %d points to %s" % (len(points), args.out))
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _report(_write("\n".join(lines) + "\n", args.out,
+                          "%d points" % len(points)))
 
 
 def _cmd_rate_point(args) -> int:
@@ -340,8 +341,7 @@ def _cmd_rate_point(args) -> int:
     hp = bounds.binary_entropy(args.p)
     xia = _clamp_near(args.xia, 2.0 * args.p, hp)
     xib = _clamp_near(args.xib, 0.0, hp)
-    print(_fmt(bounds.achievable_rate(args.p, xia, xib)))
-    return 0
+    return _report([(None, bounds.achievable_rate(args.p, xia, xib))])
 
 
 def _clamp_near(value: float, lo: float, hi: float) -> float:
@@ -360,12 +360,11 @@ def _clamp_near(value: float, lo: float, hi: float) -> float:
 def _cmd_oracle_intersection(args) -> int:
     from . import oracle
     report = oracle.verify_intersection_bound(args.n, args.p, args.eps)
-    for row in report.rows:
-        print("w=%2d exact=%8d bound=%s" % (row.weight, row.exact,
-                                            _fmt(row.bound)))
-    print("max_ratio: %s" % _fmt(report.max_ratio))
-    ok = _pass_line("typical-set intersection bound", report.passed)
-    return 0 if ok else CHECK_FAILED
+    rows = [(None, "w=%2d exact=%8d bound=%s"
+             % (row.weight, row.exact, _fmt(row.bound)))
+            for row in report.rows]
+    return _report(rows + [("max_ratio", report.max_ratio)],
+                   ("typical-set intersection bound", report.passed))
 
 
 def _cmd_oracle_lhl(args) -> int:
@@ -381,26 +380,20 @@ def _cmd_oracle_lhl(args) -> int:
                                rng=np.random.default_rng([seed, 5]))
     else:
         res = oracle.lhl_check(code, args.hash_m, strategy.view_channel)
-    print("lhs: %s" % _fmt(res.lhs))
-    print("rhs: %s" % _fmt(res.rhs))
-    print("h_min: %s" % _fmt(res.h_min))
-    ok = _pass_line("leftover-hash inequality", res.passed)
-    return 0 if ok else CHECK_FAILED
+    return _report([("lhs", res.lhs), ("rhs", res.rhs), ("h_min", res.h_min)],
+                   ("leftover-hash inequality", res.passed))
 
 
 def _cmd_oracle_clipped(args) -> int:
     from . import oracle
     res = oracle.clipped_bsc_construction(args.n, args.p, args.eps)
-    print("gtd_actual: %s" % _fmt(res.gtd_actual))
-    print("tail: %s" % _fmt(res.tail))
-    print("min_entropy_per_input: %s" % _fmt(res.min_entropy_per_input))
-    print("entropy_floor: %s" % _fmt(res.entropy_floor))
-    print("cond_min_entropy: %s" % _fmt(res.cond_min_entropy))
+    fields = ("gtd_actual", "tail", "min_entropy_per_input", "entropy_floor",
+              "cond_min_entropy")
     ok = (abs(res.gtd_actual - res.tail) <= 1e-12
           and res.min_entropy_per_input >= res.entropy_floor - 1e-9
           and res.cond_min_entropy >= res.entropy_floor - 1e-9)
-    ok = _pass_line("clipped-channel construction", ok)
-    return 0 if ok else CHECK_FAILED
+    return _report([(f, getattr(res, f)) for f in fields],
+                   ("clipped-channel construction", ok))
 
 
 # ---------------------------------------------------------------------------
@@ -425,16 +418,9 @@ def _cmd_nqs_simulate(args) -> int:
         lines.append("%d,%d,%d,%d,%d,%d" % (i, x.bits[i], run.theta[i],
                                             run.theta_prime[i], run.k[i],
                                             zbits[i]))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print("wrote %d rounds to %s" % (n, args.out))
-    else:
-        sys.stdout.write(text)
+    wrote = _write("\n".join(lines) + "\n", args.out, "%d rounds" % n)
     flips = int(np.count_nonzero(zbits != x.bits))
-    print("flip_rate: %s" % _fmt(flips / n))
-    return 0
+    return _report(wrote + [("flip_rate", flips / n)])
 
 
 def _cmd_nqs_params(args) -> int:
@@ -444,22 +430,16 @@ def _cmd_nqs_params(args) -> int:
         p_succ_log2=lambda bits: nqs.bounded_storage_success_log2(
             bits, args.storage_dim))
     theta = nqs.nqs_channel_params(params)
-    print("p: %s" % _fmt(theta.p))
-    print("eps_a: %s" % _fmt(theta.eps_a))
-    print("l_a: %s" % _fmt(theta.l_a))
-    print("eps_b: %s" % _fmt(theta.eps_b))
-    print("l_b: %s" % _fmt(theta.l_b))
-    return 0
+    return _report([(f, getattr(theta, f))
+                    for f in ("p", "eps_a", "l_a", "eps_b", "l_b")])
 
 
 def _cmd_nqs_povm(args) -> int:
     from . import nqs
     report = nqs.povm_verify()
-    print("completeness_error: %s" % _fmt(report.completeness_error))
-    print("min_eigenvalue: %s" % _fmt(report.min_eigenvalue))
-    print("max_eigenvalue_err: %s" % _fmt(report.max_eigenvalue_err))
-    ok = _pass_line("measurement operator pair", report.passed)
-    return 0 if ok else CHECK_FAILED
+    return _report([(f, getattr(report, f)) for f in (
+        "completeness_error", "min_eigenvalue", "max_eigenvalue_err")],
+        ("measurement operator pair", report.passed))
 
 
 # ---------------------------------------------------------------------------

@@ -367,15 +367,6 @@ class LinearCode:
         return bool(np.array_equal(self._check_words(x.bits[: self.k]),
                                    _pack_u64(x.bits[self.k:])))
 
-    def syndrome(self, x: BitString) -> BitString:
-        """Syndrome H x, the n - k bits naming x's coset; zero exactly on
-        codewords."""
-        if len(x) != self.n:
-            raise ValueError("length %d != n=%d" % (len(x), self.n))
-        r = self.n - self.k
-        words = self._check_words(x.bits[: self.k]) ^ _pack_u64(x.bits[self.k:])
-        return BitString._wrap(_unpack_u64(words, r))
-
     def coset_representative(self, syndrome: BitString) -> BitString:
         """Deterministic coset element: syndrome in the check positions.
 

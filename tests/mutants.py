@@ -49,6 +49,18 @@ _GAUSS_JORDAN = (
 _LAST_BLOCK = ("tests/test_protocol.py::TestBatchEngine::"
                "test_last_block_counts_only_its_first_trials",)
 _LAST_SLICE = "        rejects += int((~accepted[:trials - start]).sum())\n"
+_GRID = "    return [i * step + start for i in range(num - 1)] + [stop]\n"
+_GRID_PIN = ("tests/test_bounds.py::TestRateSurface::"
+             "test_grid_equals_linspace_bit_for_bit",)
+_BASIS = ("    return on_pivots(ncols), [1 << f | on_pivots(f) for f in "
+          "range(ncols)\n")
+_BRUTE_FORCE = ("tests/test_gf2.py::TestIntRows::"
+                "test_solution_space_equals_brute_force")
+_FAILED_CHECK = tuple(
+    "tests/test_cli_contract.py::test_failed_check_exits_1[%s]" % command
+    for command in ("commit-complete", "attack-binding", "attack-hiding",
+                    "oracle-intersection", "oracle-lhl", "oracle-clipped",
+                    "nqs-povm-verify"))
 
 CATALOGUE = [
     # the batched elimination's pivot, clears and right-hand sides
@@ -110,6 +122,58 @@ CATALOGUE = [
             "test_wrong_shape_names_its_path[z-int]",
             "tests/test_cli_contract.py::"
             "test_replay_names_the_path_of_a_wrong_shape[z-int]")),
+    # one renderer for every command's output and exit code
+    Mutant("report-ignores-verdict", "cli.py",
+           "    return 0 if ok else CHECK_FAILED\n", "    return 0\n",
+           _FAILED_CHECK),
+    Mutant("report-fail-as-pass", "cli.py",
+           '    print("%s: %s" % (name, "PASS" if ok else "FAIL"))\n',
+           '    print("%s: PASS" % name)\n', _FAILED_CHECK),
+    Mutant("report-numbers-as-str", "cli.py",
+           "            value = _fmt(value)\n",
+           "            value = str(value)\n",
+           ("tests/test_cli_golden.py::"
+            "test_readme_examples_print_golden_bytes",)),
+    # the doubling kernel and the numpy-free linspace
+    Mutant("xor-span-rows-reversed", "gf2.py",
+           "        np.bitwise_xor(span[..., : 1 << i, :], rows[..., i, None, "
+           ":],\n",
+           "        np.bitwise_xor(span[..., : 1 << i, :], rows[..., r - 1 - i, "
+           "None, :],\n",
+           ("tests/test_gf2.py::TestXorSpan::"
+            "test_equals_subset_xors[lead0-int64]",
+            "tests/test_gf2.py::TestXorSpan::"
+            "test_equals_subset_xors[lead2-uint64]")),
+    Mutant("grid-without-stop", "bounds.py", _GRID,
+           "    return [i * step + start for i in range(num)]\n", _GRID_PIN),
+    Mutant("grid-by-division", "bounds.py", _GRID,
+           "    return [start + (stop - start) * i / (num - 1) "
+           "for i in range(num - 1)] + [stop]\n", _GRID_PIN),
+    # the scalar solver's kernel basis, one int per free column
+    Mutant("kernel-basis-reversed", "gf2.py", _BASIS,
+           _BASIS.replace("range(ncols)", "range(ncols)[::-1]"),
+           (_BRUTE_FORCE,
+            "tests/test_gf2.py::TestIntRows::test_wide_solution_spaces[70]")),
+    Mutant("kernel-basis-pivot-bit-dropped", "gf2.py", _BASIS,
+           _BASIS.replace("on_pivots(f) for",
+                          "on_pivots(f) & (on_pivots(f) - 1) for"),
+           (_BRUTE_FORCE,
+            "tests/test_gf2.py::test_kernel_basis_spans_kernel")),
+    # the BSC flip threshold and the encoder's byte tables
+    Mutant("flip-threshold-floor", "protocol.py",
+           "    return math.ceil(p * 2.0 ** 53)\n",
+           "    return math.floor(p * 2.0 ** 53)\n",
+           ("tests/test_protocol.py::TestKernels::"
+            "test_flip_threshold_is_random_below_p[1e-09]",
+            "tests/test_protocol.py::TestKernels::"
+            "test_flip_threshold_is_random_below_p[0.1]")),
+    Mutant("check-words-last-table-dropped", "gf2.py",
+           "        for b in range(1, table.shape[0]):\n",
+           "        for b in range(1, table.shape[0] - 1):\n",
+           ("tests/test_gf2.py::TestCheckWordsBatch::"
+            "test_matches_per_bit_reference[9]",
+            "tests/test_gf2.py::TestCheckWordsBatch::"
+            "test_matches_per_bit_reference[130]")),
 ]
 
 

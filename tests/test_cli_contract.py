@@ -13,12 +13,16 @@ them once (it draws a choice it has not drawn before until the budget runs
 out); a failure shrinks to the earliest failing case. A third arm moves each
 option an example gives, but the two files, with the example's own value
 into ``--config`` (and for ``attack`` into the descriptor): the exit code
-and stdout must stay the example's. No command starts a thread or a
-process, so no value can ask for many of them.
+and stdout must stay the example's. Each of the seven check commands'
+README example, with its library result stubbed to a failing one, must
+print its check's FAIL line last and exit 1. No command starts a thread or
+a process, so no value can ask for many of them.
 """
 
 import argparse
 import contextlib
+import dataclasses
+import importlib
 import io
 import json
 import os
@@ -321,3 +325,55 @@ def test_replay_names_the_path_of_a_wrong_shape(workdir, edit, err):
     code, out, err_text = replay(workdir, edit)
     assert (code, out) == (2, "")
     assert err_text == "error: %s\n" % err
+
+
+# each check command, its check line, and the library results stubbed to
+# fail it: (module, function, the failing result's fields or the value)
+FAILING = [
+    ("commit complete", "completeness tail bound",
+     [("protocol", "estimate_completeness",
+       {"reject_rate": 1.0, "wilson_low": 1.0, "wilson_high": 1.0})]),
+    ("attack binding", "double-opening success bound",
+     [("adversary", "binding_success", 1.0)]),
+    # the README instance's bound is above 1, so it is stubbed too
+    ("attack hiding", "view-distance bound",
+     [("adversary", "hiding_advantage", 1.0),
+      ("bounds", "hiding_bound", 0.5)]),
+    ("oracle intersection", "typical-set intersection bound",
+     [("oracle", "verify_intersection_bound", {"passed": False})]),
+    ("oracle lhl", "leftover-hash inequality",
+     [("oracle", "lhl_check", {"lhs": 2.0, "rhs": 1.0})]),
+    ("oracle clipped", "clipped-channel construction",
+     [("oracle", "clipped_bsc_construction", {"tail": 1.0})]),
+    ("nqs povm-verify", "measurement operator pair",
+     [("nqs", "povm_verify", {"passed": False})]),
+]
+
+
+def failing(real, result):
+    """``real`` with its result's fields replaced, or returning a value."""
+    if isinstance(result, dict):
+        return lambda *a, **kw: dataclasses.replace(real(*a, **kw), **result)
+    return lambda *a, **kw: result
+
+
+@pytest.mark.parametrize("command, check, stubs", FAILING,
+                         ids=[c.replace(" ", "-") for c, _, _ in FAILING])
+def test_failed_check_exits_1(tmp_path, monkeypatch, command, check, stubs):
+    # the README example with a failing library result prints the FAIL
+    # line last and exits 1, with nothing on stderr: the one signal that a
+    # bound broke
+    argv = next(a for a in (shlex.split(c)[1:] for c in readme_commands())
+                if a[:2] == command.split())
+    for module, name, result in stubs:
+        module = importlib.import_module("usnc." + module)
+        monkeypatch.setattr(module, name,
+                            failing(getattr(module, name), result))
+    write_descriptors(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert code == 1
+    assert out.getvalue().splitlines()[-1] == "%s: FAIL" % check
+    assert err.getvalue() == ""
