@@ -149,11 +149,12 @@ def rate_tradeoff_inverse(y: float, p: float) -> float:
 
 def achievable_rate(p: float, xi_a: float, xi_b: float) -> float:
     """Commitment bits per channel use: max(0, xi_b - h(2 * inverse(xi_a)))."""
-    return _rate_row(p, xi_a, [xi_b])[0]
+    return max(0.0, _rate_row(p, xi_a, [xi_b])[0])
 
 
 def _rate_row(p: float, xi_a: float, xi_bs) -> list[float]:
-    """``achievable_rate(p, xi_a, xi_b)`` for every xi_b, inverting once."""
+    """The unclamped xi_b - h(2 * inverse(xi_a)) for every xi_b, inverting
+    once; the one evaluation of the rate formula."""
     _check_p(p)
     hp = binary_entropy(p)
     if not 2.0 * p - 1e-12 <= xi_a <= hp + 1e-12:
@@ -163,21 +164,15 @@ def _rate_row(p: float, xi_a: float, xi_bs) -> list[float]:
             raise ValueError("xi_b must be in [0, h(p)]")
     sigma = rate_tradeoff_inverse(xi_a, p)
     cost = binary_entropy(min(2.0 * sigma, 1.0))
-    return [max(0.0, xi_b - cost) for xi_b in xi_bs]
+    return [xi_b - cost for xi_b in xi_bs]
 
 
-def iid_rate(p: float, p_a: float, p_b: float, clamp: bool = True) -> float:
-    """Achievable rate when both adversarial channels are themselves BSCs.
-
-    The formula value is clamped at zero by default (negative means no
-    commitment); pass clamp=False for the raw formula.
-    """
-    _check_iid_domain(p, p_a)
-    if not 0.0 < p_b <= p:
-        raise ValueError("need 0 < p_b <= p")
-    sigma = rate_tradeoff_inverse(binary_entropy(p_a), p)
-    raw = binary_entropy(p_b) - binary_entropy(min(2.0 * sigma, 1.0))
-    return max(0.0, raw) if clamp else raw
+def iid_rate(p: float, p_a: float, p_b: float) -> float:
+    """Achievable rate when both adversarial channels are themselves BSCs:
+    ``achievable_rate(p, h(p_a), h(p_b))`` for 0 < p_a, p_b <= p."""
+    if not (0.0 < p_a <= p and 0.0 < p_b <= p):
+        raise ValueError("need 0 < p_a <= p and 0 < p_b <= p")
+    return achievable_rate(p, binary_entropy(p_a), binary_entropy(p_b))
 
 
 def iid_adversary_capacity(p: float, p_a: float) -> float:
@@ -196,17 +191,11 @@ def iid_rate_vs_capacity(p: float, p_a: float, p_b: float):
     can flip the inequality where both formulas are negative, so the
     comparison uses the unclamped values.
     """
-    r = iid_rate(p, p_a, p_b, clamp=False)
     c = iid_adversary_capacity(p, p_a)
+    if not 0.0 < p_b <= p:
+        raise ValueError("need 0 < p_b <= p")
+    r = _rate_row(p, binary_entropy(p_a), [binary_entropy(p_b)])[0]
     return r, c, c - r
-
-
-def _check_iid_domain(p: float, p_a: float) -> None:
-    _check_p(p)
-    if not 0.0 < p_a <= p:
-        raise ValueError("need 0 < p_a <= p")
-    if binary_entropy(p_a) < 2.0 * p - 1e-12:
-        raise ValueError("h(p_a) < 2p: outside the achievable-rate domain")
 
 
 def iid_entropy_floor(n: int, p: float):
@@ -279,7 +268,7 @@ def rate_surface(p: float, grid_steps: int) -> list[RatePoint]:
     hp = binary_entropy(p)
     xas = _grid(2.0 * p, hp, grid_steps)
     xbs = _grid(0.0, hp, grid_steps)
-    return [RatePoint(xa, xb, r) for xa in xas
+    return [RatePoint(xa, xb, max(0.0, r)) for xa in xas
             for xb, r in zip(xbs, _rate_row(p, xa, xbs))]
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .entropy import (ClassicalDistribution, JointDistribution,
                       smooth_cond_min_entropy, smooth_min_entropy)
-from .gf2 import BitString, hamming_distance
+from .gf2 import BitString
 
 __all__ = [
     "UsncParams",
@@ -120,7 +120,7 @@ def typical_window_mask(n: int, centers, p: float, eps: float) -> np.ndarray:
 def typical_membership(x: BitString, z: BitString, p: float,
                        eps: float) -> bool:
     """n(p - eps) <= HD(x, z) <= n(p + eps), inclusive, at exact edges."""
-    d = hamming_distance(x, z)  # refuses a length mismatch
+    d = (x ^ z).weight()  # refuses a length mismatch
     w_lo, w_hi = typical_window(len(x), p, eps)
     return w_lo <= d <= w_hi
 

@@ -11,7 +11,6 @@ import numpy as np
 __all__ = [
     "BitString",
     "LinearCode",
-    "hamming_distance",
     "gf2_rank",
     "gf2_solution_space",
     "all_bits",
@@ -109,13 +108,6 @@ class BitString:
         if len(s) > 48:
             s = s[:45] + "..."
         return "BitString(%r)" % s
-
-
-def hamming_distance(x: BitString, y: BitString) -> int:
-    """Number of positions where x and y differ."""
-    if len(x) != len(y):
-        raise ValueError("length mismatch: %d vs %d" % (len(x), len(y)))
-    return int(np.count_nonzero(x.bits != y.bits))
 
 
 # ---------------------------------------------------------------------------
@@ -284,18 +276,6 @@ class LinearCode:
         self.d_claimed = d_claimed
         self._p_words = _pack_u64(p)
         self._byte_table = None  # built by the first check_words_batch
-
-    # -- construction -------------------------------------------------------
-
-    @classmethod
-    def from_generator(cls, gen: np.ndarray) -> "LinearCode":
-        g = np.asarray(gen, dtype=np.uint8) & 1
-        k, n = g.shape
-        if k > n:
-            raise ValueError("k > n")
-        if not np.array_equal(g[:, :k], np.eye(k, dtype=np.uint8)):
-            raise ValueError("generator is not in systematic form [I_k | P]")
-        return cls(g[:, k:])
 
     # -- matrices -----------------------------------------------------------
 
@@ -495,4 +475,8 @@ def load_code(path) -> LinearCode:
             raise ValueError("row %d is not %d characters of 0/1" % (i, n))
     gen = (np.frombuffer("".join(lines[1:]).encode(), dtype=np.uint8)
            - ord("0")).reshape(k, n)
-    return LinearCode.from_generator(gen)
+    if k > n:
+        raise ValueError("k > n")
+    if not np.array_equal(gen[:, :k], np.eye(k, dtype=np.uint8)):
+        raise ValueError("generator is not in systematic form [I_k | P]")
+    return LinearCode(gen[:, k:])

@@ -23,7 +23,6 @@ from .hashing import (count_full_rank, digest_table,
                       enumerate_full_rank_seeds, sample_seed)
 
 __all__ = [
-    "typical_intersection_exact",
     "IntersectionRow",
     "IntersectionReport",
     "verify_intersection_bound",
@@ -32,17 +31,6 @@ __all__ = [
     "LhlResult",
     "lhl_check",
 ]
-
-
-def typical_intersection_exact(n: int, p: float, eps: float, x: BitString,
-                               y: BitString) -> int:
-    """Size of the typical-window overlap, enumerating all 2^n strings."""
-    if n > 20:
-        raise ValueError("exact intersection enumeration needs n <= 20")
-    if len(x) != n or len(y) != n:
-        raise ValueError("length mismatch")
-    both = typical_window_mask(n, [x.to_int(), y.to_int()], p, eps)
-    return int(np.count_nonzero(both.all(axis=0)))
 
 
 @dataclass(frozen=True)
@@ -105,6 +93,15 @@ class ClippedBscResult:
     min_entropy_per_input: float
     entropy_floor: float
     cond_min_entropy: float | None
+
+    @property
+    def passed(self) -> bool:
+        """The distance equals the tail within 1e-12, and each measured
+        entropy is at least the floor - 1e-9."""
+        return (abs(self.gtd_actual - self.tail) <= 1e-12
+                and self.min_entropy_per_input >= self.entropy_floor - 1e-9
+                and (self.cond_min_entropy is None
+                     or self.cond_min_entropy >= self.entropy_floor - 1e-9))
 
 
 def clipped_bsc_construction(n: int, p: float, eps: float,

@@ -75,6 +75,9 @@ class CommitConfig:
     eps: float
 
     def __post_init__(self):
+        if self.code.k == self.code.n:
+            raise ValueError("an [n, n] code has no syndrome to name a coset; "
+                             "the protocol needs k < n")
         if self.code.d_claimed is None:
             raise ValueError("protocol code needs a (possibly unverified) distance")
         if not self.code.d_claimed < self.code.n / 2:

@@ -12,9 +12,10 @@ temporary directory, applies the mutant there and runs each node in its own
 pytest process against the copy, one process at a time, each within
 ``TIMEOUT_S`` seconds; a node that runs out of time counts as failing. A
 mutant survives when one of its nodes passes. The driver prints one line per
-entry and exits 1 if any mutant survives or any entry is stale (its snippet
-not found once, or a node that no longer collects). ``tests/test_mutants.py``
-checks the snippets in tier 1; this run takes minutes, so it stays outside.
+entry, its verdict and wall time, and exits 1 if any mutant survives or any
+entry is stale (its snippet not found once, or a node that no longer
+collects). ``tests/test_mutants.py`` checks the snippets in tier 1; this run
+takes minutes, so it stays outside.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from typing import NamedTuple
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -61,6 +63,26 @@ _FAILED_CHECK = tuple(
     for command in ("commit-complete", "attack-binding", "attack-hiding",
                     "oracle-intersection", "oracle-lhl", "oracle-clipped",
                     "nqs-povm-verify"))
+
+_KEY = "    key = ((a.label << (n - k) | a.coset) << n | a.x0) << n | a.x1\n"
+_GROUPED = ("tests/test_adversary.py::TestGroupedBindingMatchesReference::"
+            "test_hand_built_tables_with_invalid_reveals",
+            "tests/test_adversary.py::TestGroupedBindingMatchesReference::"
+            "test_random_tables_with_invalid_openings[random12x6-m2]")
+_OPENINGS = tuple(
+    "tests/test_adversary.py::TestPackedOpeningTest::"
+    "test_one_check_faults_match_scalar_reference[%s]" % case
+    for case in ("k=6,n=7-3", "k=9-3"))
+_LHL_BLOCKS = tuple(
+    "tests/test_oracle.py::TestLhlCheck::"
+    "test_seed_blocks_neither_drop_nor_repeat_seeds[%s-1]" % case
+    for case in ("hamming74-m3", "even7-m3-sampled"))
+_DISTANCES = ("tests/test_channel.py::TestHammingDistances::"
+              "test_equals_uint32_xor_reference[9]",
+              "tests/test_channel.py::TestHammingDistances::"
+              "test_equals_uint32_xor_reference[20]")
+_DISTANCE_SUM = ("    return (d_high[..., None] + d_low[..., None, :])"
+                 ".reshape(\n")
 
 CATALOGUE = [
     # the batched elimination's pivot, clears and right-hand sides
@@ -174,6 +196,102 @@ CATALOGUE = [
             "test_matches_per_bit_reference[9]",
             "tests/test_gf2.py::TestCheckWordsBatch::"
             "test_matches_per_bit_reference[130]")),
+    # the digest's bit order and exact binding's packed group key
+    Mutant("digest-bits-reversed", "hashing.py",
+           "        @ (1 << np.arange(seeds.shape[-2]))\n",
+           "        @ (1 << np.arange(seeds.shape[-2]))[::-1]\n",
+           ("tests/test_hashing.py::TestHash::"
+            "test_digest_table_matches_hash_codeword[2-hamming74]",)
+           + _OPENINGS),
+    Mutant("binding-key-x1-primary", "adversary.py", _KEY,
+           "    key = ((a.x1 << (n - k) | a.coset) << n | a.x0) << n "
+           "| a.label\n",
+           _GROUPED + ("tests/test_adversary.py::"
+                       "TestGroupedBindingMatchesReference::"
+                       "test_each_label_built_once_per_call",)),
+    Mutant("binding-key-x1-before-x0", "adversary.py", _KEY,
+           _KEY.replace("a.x0) << n | a.x1", "a.x1) << n | a.x0"), _GROUPED),
+    # the packed opening test: membership and every digest bit
+    Mutant("openings-membership-dropped", "protocol.py",
+           "    return member & (digest == m ^ mbar).all(axis=1)\n",
+           "    return (digest == m ^ mbar).all(axis=1)\n",
+           _OPENINGS + ("tests/test_protocol.py::TestBatchEngine::"
+                        "test_replay_verdicts_equal_scalar[even:14]",)),
+    Mutant("openings-first-digest-bit-only", "protocol.py",
+           "    for j in range(hm):\n", "    for j in range(1):\n",
+           _OPENINGS + ("tests/test_protocol.py::TestBatchEngine::"
+                        "test_replay_verdicts_equal_scalar[random[200,70]]",)),
+    # the block edges of the leftover-hash and clipped oracles
+    Mutant("lhl-block-drops-last-seed", "oracle.py",
+           "    for start in range(0, len(seeds), block):\n",
+           "    for start in range(0, len(seeds) - 1, block):\n", _LHL_BLOCKS),
+    Mutant("lhl-block-shifted-one-seed", "oracle.py",
+           "        stack = seeds[start:start + block]\n",
+           "        stack = seeds[start + 1:start + block + 1]\n",
+           _LHL_BLOCKS),
+    Mutant("clipped-block-drops-last-row", "oracle.py",
+           "        zc = np.arange(start, min(start + block, size))\n",
+           "        zc = np.arange(start, min(start + block, size - 1))\n",
+           ("tests/test_oracle.py::TestClippedRankGather::"
+            "test_row_blocks_neither_drop_nor_repeat_rows[9-3]",
+            "tests/test_oracle.py::TestClippedRankGather::"
+            "test_bit_identical_to_float_gather[7-0.1-0.1]")),
+    # the strategy table's label check and hiding's joint reads
+    Mutant("table-label-unchecked", "adversary.py",
+           "    limits = dict(seed=len(strategy.seeds), "
+           "label=len(strategy.channel.labels),\n",
+           "    limits = dict(seed=len(strategy.seeds), label=1 << 62,\n",
+           ("tests/test_adversary.py::TestGroupedBindingMatchesReference::"
+            "test_table_outside_configuration_refused[label-1]",)),
+    Mutant("hiding-joint-at-reversed-masks", "adversary.py",
+           "    return gtd(np.take(table, m0.to_int() ^ masks, axis=1)"
+           ".ravel(),\n",
+           "    return gtd(np.take(table, (m0.to_int() ^ masks)[::-1], "
+           "axis=1).ravel(),\n",
+           ("tests/test_adversary.py::TestHidingAdvantage::"
+            "test_every_message_pair_gives_one_advantage[0.25-hamming74]",
+            "tests/test_cli.py::TestAttack::"
+            "test_descriptor_wins_over_config")),
+    # the byte-split distance kernel
+    Mutant("distances-high-part-dropped", "channel.py", _DISTANCE_SUM,
+           _DISTANCE_SUM.replace("(d_high", "(0 * d_high"), _DISTANCES),
+    Mutant("distances-broadcast-swapped", "channel.py", _DISTANCE_SUM,
+           "    return (d_high[..., None, :] + d_low[..., None])"
+           ".reshape(\n", _DISTANCES),
+    # the folded membership test, code loader and rate clamp
+    Mutant("membership-exclusive-at-w-lo", "channel.py",
+           "    return w_lo <= d <= w_hi\n", "    return w_lo < d <= w_hi\n",
+           ("tests/test_channel.py::TestTypicalMembership::"
+            "test_inclusive_boundaries",
+            "tests/test_protocol.py::TestBatchEngine::"
+            "test_replay_verdicts_equal_scalar[hamming74]")),
+    Mutant("load-code-systematic-check-dropped", "gf2.py",
+           "    if not np.array_equal(gen[:, :k], np.eye(k, dtype=np.uint8)):"
+           "\n"
+           '        raise ValueError("generator is not in systematic form '
+           '[I_k | P]")\n', "",
+           ("tests/test_gf2.py::TestLinearCode::test_systematic_required",)),
+    Mutant("rate-surface-unclamped", "bounds.py",
+           "    return [RatePoint(xa, xb, max(0.0, r)) for xa in xas\n",
+           "    return [RatePoint(xa, xb, r) for xa in xas\n",
+           ("tests/test_bounds.py::TestRateSurface::"
+            "test_every_point_is_achievable_rate[0.1]",
+            "tests/test_cli_golden.py::"
+            "test_readme_examples_print_golden_bytes")),
+    # the refusals of a file key that names no option and of an [n, n] code
+    Mutant("file-key-naming-no-option-read", "cli.py",
+           "        if unknown:\n", "        if False:\n",
+           ("tests/test_cli_contract.py::"
+            "test_descriptor_key_naming_no_option_exits_2[sprad]",
+            "tests/test_cli_contract.py::"
+            "test_config_key_naming_no_option_exits_2[hashm-first]")),
+    Mutant("square-code-committed", "protocol.py",
+           "        if self.code.k == self.code.n:\n", "        if False:\n",
+           ("tests/test_protocol.py::TestConfigValidation::"
+            "test_square_code_refused[4]",
+            "tests/test_cli_contract.py::"
+            "test_square_code_refused_by_every_protocol_command"
+            "[commit-replay]")),
 ]
 
 
@@ -218,9 +336,11 @@ def main(argv=None) -> int:
     for mutant in CATALOGUE:
         if names and mutant.name not in names:
             continue
+        start = time.perf_counter()
         verdict = run_mutant(mutant)
         bad += verdict != "killed"
-        print("%-32s %s" % (mutant.name, verdict), flush=True)
+        print("%-36s %s (%.1f s)" % (mutant.name, verdict,
+                                     time.perf_counter() - start), flush=True)
     return 1 if bad else 0
 
 

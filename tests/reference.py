@@ -7,12 +7,14 @@
 - ``constant_view``: a receiver channel whose view is independent of its
   input.
 - ``honest_alice_strategy``: the honest committer cast as a sender strategy.
+- ``typical_intersection_exact``: the typical-window overlap of one pair of
+  centres, counted over all 2^n strings.
 """
 
 import numpy as np
 
 from usnc.adversary import ATOM_DTYPE, AliceStrategy
-from usnc.channel import AliceChannel, BobChannel
+from usnc.channel import AliceChannel, BobChannel, typical_window_mask
 from usnc.protocol import alice_commit
 
 _MAX_LP_CELLS = 1 << 16
@@ -82,3 +84,13 @@ def honest_alice_strategy(cfg, m, rng, n_atoms: int = 64) -> AliceStrategy:
     return AliceStrategy(
         seeds=np.stack([wire.seed.matrix for _, wire, _ in draws]),
         atoms=atoms, channel=ch)
+
+
+def typical_intersection_exact(n: int, p: float, eps: float, x, y) -> int:
+    """Size of the typical-window overlap, enumerating all 2^n strings."""
+    if n > 20:
+        raise ValueError("exact intersection enumeration needs n <= 20")
+    if len(x) != n or len(y) != n:
+        raise ValueError("length mismatch")
+    both = typical_window_mask(n, [x.to_int(), y.to_int()], p, eps)
+    return int(np.count_nonzero(both.all(axis=0)))

@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from reference import constant_view, honest_alice_strategy
+from reference import (constant_view, honest_alice_strategy,
+                       typical_intersection_exact)
 from usnc.adversary import (ATOM_DTYPE, AliceStrategy, BobStrategy,
                             _int_words, _split_words, _view_table,
                             binding_success, hiding_advantage,
@@ -20,7 +21,6 @@ from usnc.hashing import (HashSeed, _digests, digest_table,
                           enumerate_full_rank_seeds,
                           exact_collision_probability, hash_codeword,
                           sample_seed)
-from usnc.oracle import typical_intersection_exact
 from usnc.protocol import (ACC, CommitConfig, CommitmentTranscript,
                            _openings_pass, _pack_split, bob_verify)
 
@@ -527,7 +527,9 @@ class TestGroupedBindingMatchesReference:
 
 
 OPENING_CODES = {
-    "k=n": lambda: LinearCode(np.zeros((6, 0), dtype=np.uint8), d_claimed=1),
+    # one check bit: CommitConfig refuses k = n, which has no syndrome
+    "k=6,n=7": lambda: LinearCode(np.zeros((6, 1), dtype=np.uint8),
+                                  d_claimed=1),
     "k=8": lambda: random_systematic_code(8, 2, 21),  # one message byte
     "k=9": lambda: random_systematic_code(9, 2, 22),  # two message bytes
 }
@@ -548,9 +550,7 @@ class TestPackedOpeningTest:
         def draw():
             return codeword(code, int(rng.integers(1 << k)))
 
-        # at k = n every string is a codeword
-        kinds = ("valid", "digest", "equal") + (("membership",) if k < n
-                                                 else ())
+        kinds = ("valid", "digest", "equal", "membership")
         out = []
         while len(out) < 12:
             si, mbar = int(rng.integers(len(seeds))), int(rng.integers(1 << hm))
@@ -602,9 +602,8 @@ class TestPackedOpeningTest:
                 scalar.append(code.contains(x) and hash_codeword(
                     seed, code, x) == m ^ mbar)
             assert packed.tolist() == scalar
-        faults = {fault for fault, _ in rows}
-        assert faults == ({"valid", "digest", "equal"} if k == n
-                          else {"valid", "membership", "digest", "equal"})
+        assert {fault for fault, _ in rows} == {"valid", "membership",
+                                                 "digest", "equal"}
         for fault, row in rows:
             value = exact_binding_checked(
                 hand_built_strategy(cfg, [row], seeds, laws), cfg)

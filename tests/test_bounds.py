@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from usnc.bounds import (_grid, achievable_rate, asymptotic_protocol_params,
+from usnc.bounds import (_grid, _rate_row, achievable_rate, asymptotic_protocol_params,
                          binary_entropy, binding_bound, completeness_bound,
                          hiding_bound, iid_entropy_floor, iid_rate,
                          iid_rate_vs_capacity, intersection_bound,
@@ -223,6 +223,35 @@ class TestIidComparison:
         # h(p_a) below 2p falls outside the tradeoff curve's range
         with pytest.raises(ValueError):
             iid_rate(0.2, 0.01, 0.1)
+
+    @pytest.mark.parametrize("p_a, p_b", [
+        (0.0, 0.1), (0.21, 0.1), (0.8, 0.1), (0.1, 0.0), (0.1, 0.21),
+        (0.1, 0.8), (0.1, -0.1), (math.nan, 0.1), (0.1, math.nan)])
+    def test_bsc_parameters_outside_zero_to_p_refused(self, p_a, p_b):
+        # h(0.8) = h(0.2) lies in [2p, h(p)], so the rate formula's own
+        # domain check would pass p_a = 0.8 at p = 0.2
+        for f in (iid_rate, iid_rate_vs_capacity):
+            with pytest.raises(ValueError, match="<= p"):
+                f(0.2, p_a, p_b)
+
+    # every p_a with h(p_a) >= 2p, and p_b across (0, p]
+    IID_GRID = [(p, p * a, p * b)
+                for p in (0.05, 0.1, 0.2, 0.25, 0.3, 0.45)
+                for a in (0.5, 0.6, 0.75, 0.9, 1.0)
+                for b in (0.01, 0.2, 0.5, 0.8, 1.0)
+                if binary_entropy(p * a) >= 2 * p]
+
+    def test_iid_rate_is_the_rate_formula_at_bsc_entropies(self):
+        raw = []
+        for p, p_a, p_b in self.IID_GRID:
+            h_a, h_b = binary_entropy(p_a), binary_entropy(p_b)
+            assert iid_rate(p, p_a, p_b) == achievable_rate(p, h_a, h_b)
+            r, c, gap = iid_rate_vs_capacity(p, p_a, p_b)
+            assert r == _rate_row(p, h_a, [h_b])[0]
+            assert gap == c - r
+            raw.append(r)
+        # the grid holds clamped points, where the two values differ
+        assert min(raw) < 0.0 < max(raw) and len(raw) >= 60
 
 
 class TestIidEntropyFloor:

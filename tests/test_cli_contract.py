@@ -15,8 +15,10 @@ option an example gives, but the two files, with the example's own value
 into ``--config`` (and for ``attack`` into the descriptor): the exit code
 and stdout must stay the example's. Each of the seven check commands'
 README example, with its library result stubbed to a failing one, must
-print its check's FAIL line last and exit 1. No command starts a thread or
-a process, so no value can ask for many of them.
+print its check's FAIL line last and exit 1. A file key that names no
+option of its command, and an [n, n] code in any protocol command, exit 2
+with one ``error:`` line. No command starts a thread or a process, so no
+value can ask for many of them.
 """
 
 import argparse
@@ -190,24 +192,30 @@ MOVES = [(i, flag) for i, argv in enumerate(EXAMPLES) for flag in argv
 
 
 def run_quietly(workdir, argv):
-    """Exit code and stdout of argv run in ``workdir``."""
+    """Exit code, stdout and stderr of argv run in ``workdir``."""
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
         with contextlib.redirect_stdout(io.StringIO()) as out, \
-                contextlib.redirect_stderr(io.StringIO()):
+                contextlib.redirect_stderr(io.StringIO()) as err:
             code = main(argv)
     except SystemExit as exc:  # argparse's usage errors
         code = exc.code
     finally:
         os.chdir(cwd)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def readme_example(words):
+    """The README example of the command ``words``, as argv."""
+    return next(a for a in (shlex.split(c)[1:] for c in readme_commands())
+                if a[:len(words)] == words)
 
 
 @pytest.fixture(scope="module")
 def expected(workdir):
     """Exit code and stdout of each unmodified small example."""
-    return [run_quietly(workdir, argv) for argv in EXAMPLES]
+    return [run_quietly(workdir, argv)[:2] for argv in EXAMPLES]
 
 
 @pytest.mark.parametrize("i, flag", MOVES, ids=[
@@ -223,7 +231,7 @@ def test_option_moved_into_a_file_keeps_the_output(workdir, expected, i,
     del argv[at:at + 2]
     with open(os.path.join(workdir, CONFIG_FILE), "w") as fh:
         fh.write(line)
-    assert run_quietly(workdir, argv + ["--config", CONFIG_FILE]) \
+    assert run_quietly(workdir, argv + ["--config", CONFIG_FILE])[:2] \
         == expected[i]
     if argv[0] == "attack":
         at = argv.index("--strategy") + 1
@@ -232,7 +240,7 @@ def test_option_moved_into_a_file_keeps_the_output(workdir, expected, i,
         argv[at] = "probe-descriptor.txt"
         with open(os.path.join(workdir, argv[at]), "w") as fh:
             fh.write(text + line)
-        assert run_quietly(workdir, argv) == expected[i]
+        assert run_quietly(workdir, argv)[:2] == expected[i]
 
 
 def replay(workdir, edit):
@@ -363,8 +371,7 @@ def test_failed_check_exits_1(tmp_path, monkeypatch, command, check, stubs):
     # the README example with a failing library result prints the FAIL
     # line last and exits 1, with nothing on stderr: the one signal that a
     # bound broke
-    argv = next(a for a in (shlex.split(c)[1:] for c in readme_commands())
-                if a[:2] == command.split())
+    argv = readme_example(command.split())
     for module, name, result in stubs:
         module = importlib.import_module("usnc." + module)
         monkeypatch.setattr(module, name,
@@ -377,3 +384,112 @@ def test_failed_check_exits_1(tmp_path, monkeypatch, command, check, stubs):
     assert code == 1
     assert out.getvalue().splitlines()[-1] == "%s: FAIL" % check
     assert err.getvalue() == ""
+
+
+@pytest.mark.parametrize("edit, err", [
+    # a typo used to run the README instance at spread 0.5 and print PASS
+    (("spread = 0.5", "sprad = 0.1"), "--strategy key sprad"),
+    (("weight = 6", "weigth = 6"), "--strategy key weigth"),
+    (("kind = binding", "kind = binding\nconfig = x.cfg"),
+     "--strategy key config")], ids=["sprad", "weigth", "config"])
+def test_descriptor_key_naming_no_option_exits_2(tmp_path, edit, err):
+    write_descriptors(tmp_path)
+    desc = tmp_path / "binding.txt"
+    text = desc.read_text()
+    assert text.count(edit[0]) == 1
+    desc.write_text(text.replace(*edit))
+    code, out, err_text = run_quietly(tmp_path, readme_example(["attack"]))
+    assert (code, out) == (2, "")
+    assert err_text == "error: %s: not an option of this command\n" % err
+
+
+@pytest.mark.parametrize("command, lines, key", [
+    # a config file with these keys ran commit run unchanged, exit 0
+    (["commit", "run"], "hashm = 9\nbogus = 1\n", "hashm"),
+    (["commit", "run"], "bogus = 1\nhashm = 9\n", "bogus"),
+    (["commit", "run"], "kind = binding\n", "kind"),
+    (["rate", "point"], "steps = 5\n", "steps"),
+    (["attack"], "sprad = 0.1\n", "sprad")],
+    ids=["hashm-first", "bogus-first", "kind", "rate-point", "attack"])
+def test_config_key_naming_no_option_exits_2(tmp_path, command, lines, key):
+    write_descriptors(tmp_path)
+    (tmp_path / "probe.cfg").write_text(lines)
+    argv = readme_example(command) + ["--config", "probe.cfg"]
+    code, out, err = run_quietly(tmp_path, argv)
+    assert (code, out) == (2, "")
+    assert err == "error: --config key %s: not an option of this command\n" \
+        % key
+
+
+def test_attack_files_may_name_the_kind(tmp_path):
+    # attack's positional kind stays legal in either file
+    write_descriptors(tmp_path)
+    argv = readme_example(["attack"])
+    expected = run_quietly(tmp_path, argv)
+    assert expected[0] == 0
+    (tmp_path / "probe.cfg").write_text("kind = binding\n")
+    assert run_quietly(tmp_path, argv + ["--config", "probe.cfg"]) == expected
+
+
+def test_missing_descriptor_field_is_named_as_a_field(tmp_path):
+    # "weigth = 6" left the field unset; the error named a --weight flag
+    # that attack does not have
+    write_descriptors(tmp_path)
+    desc = tmp_path / "binding.txt"
+    desc.write_text("".join(line for line in desc.read_text().splitlines(
+        keepends=True) if not line.startswith("weight")))
+    code, out, err = run_quietly(tmp_path, readme_example(["attack"]))
+    assert (code, out) == (2, "")
+    assert err == "error: missing required descriptor field weight\n"
+
+
+def code_file(path, header, rows):
+    path.write_text(header + "\n" + "".join(row + "\n" for row in rows))
+    return str(path)
+
+
+PROTOCOL_COMMANDS = [
+    ["commit", "run", "--message", "1", "--seed", "3", "--out", "t.json"],
+    ["commit", "replay", "--transcript", "t.json"],
+    ["commit", "complete", "--trials", "1000", "--seed", "3"],
+    ["attack", "binding", "--strategy", "square.txt"],
+    ["attack", "hiding", "--strategy", "square.txt"]]
+
+
+@pytest.mark.parametrize("argv", PROTOCOL_COMMANDS,
+                         ids=["-".join(a[:2]) for a in PROTOCOL_COMMANDS])
+def test_square_code_refused_by_every_protocol_command(tmp_path, argv):
+    # an [n, n] code used to commit with an empty coset, and the replay of
+    # that transcript failed on the empty bit string
+    code = code_file(tmp_path / "square.code", "4 4",
+                     ["1000", "0100", "0010", "0001"])
+    (tmp_path / "t.json").write_text("{}")
+    kind = argv[1] if argv[0] == "attack" else None
+    (tmp_path / "square.txt").write_text(
+        "kind = %s\ncode = %s\np = 0.1\neps = 0.1\nweight = 1\np_b = 0.1\n"
+        % (kind, code))
+    if kind is None:
+        argv = argv + ["--code", code, "--hash-m", "1", "--p", "0.1",
+                       "--eps", "0.1"]
+    result = run_quietly(tmp_path, argv)
+    assert result == (2, "", "error: an [n, n] code has no syndrome to name "
+                      "a coset; the protocol needs k < n\n")
+
+
+def test_one_check_bit_code_round_trips(tmp_path):
+    # [4, 3] with distance 1: the coset is one bit, and replay reads it
+    code = code_file(tmp_path / "c.code", "4 3", ["1000", "0101", "0011"])
+    common = ["--code", code, "--hash-m", "2", "--p", "0.1", "--eps", "0.1"]
+    flags = set()
+    for seed in ("1", "2", "3"):
+        code_run, out_run, err_run = run_quietly(tmp_path, [
+            "commit", "run", "--message", "2", "--seed", seed,
+            "--out", "t.json"] + common)
+        assert (code_run, err_run) == (0, "")
+        transcript = json.loads((tmp_path / "t.json").read_text())
+        assert transcript["coset"]["len"] == 1
+        flags.add(out_run.splitlines()[0])
+        assert run_quietly(tmp_path, ["commit", "replay", "--transcript",
+                                 "t.json"] + common) == (0, out_run, "")
+    # the window at n = 4 is HD 0 only: seed 1 is accepted, seed 2 not
+    assert flags == {"flag: acc", "flag: rej"}

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pathlib
 
@@ -6,7 +7,8 @@ import pytest
 
 from scipy.special import xlogy
 
-from reference import constant_view, smooth_entropy_lp
+from reference import (constant_view, smooth_entropy_lp,
+                       typical_intersection_exact)
 from usnc import oracle
 from usnc.adversary import less_noisy_bob
 from usnc.bounds import intersection_bound
@@ -18,7 +20,7 @@ from usnc.entropy import (ClassicalDistribution, JointDistribution,
 from usnc.gf2 import BitString, all_bits, even_weight_code, hamming_7_4
 from usnc.hashing import digest_table, enumerate_full_rank_seeds, sample_seed
 from usnc.oracle import (clipped_bsc_construction, lhl_check,
-                         typical_intersection_exact, verify_intersection_bound)
+                         verify_intersection_bound)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "oracle_golden.txt"
 
@@ -99,6 +101,23 @@ class TestClippedConstruction:
         res = clipped_bsc_construction(10, 0.1, 0.1)
         assert res.min_entropy_per_input >= res.entropy_floor - 1e-12
         assert res.cond_min_entropy >= res.entropy_floor - 1e-12
+
+    @pytest.mark.parametrize("with_conditional", [True, False])
+    def test_passed_is_the_cli_rule(self, with_conditional):
+        # gtd equal to the tail within 1e-12, both entropies at least the
+        # floor - 1e-9; an unmeasured conditional entropy is not checked
+        res = clipped_bsc_construction(10, 0.1, 0.1, with_conditional)
+        assert res.passed
+        floor = res.entropy_floor
+        for fields, passed in [
+                ({"tail": res.gtd_actual + 0.5e-12}, True),
+                ({"tail": res.gtd_actual + 3e-12}, False),
+                ({"tail": res.gtd_actual - 3e-12}, False),
+                ({"min_entropy_per_input": floor - 1e-9}, True),
+                ({"min_entropy_per_input": floor - 2e-9}, False),
+                ({"cond_min_entropy": floor - 2e-9}, False),
+                ({"cond_min_entropy": None}, True)]:
+            assert dataclasses.replace(res, **fields).passed == passed, fields
 
     def test_conditional_never_below_per_input(self):
         res = clipped_bsc_construction(8, 0.25, 0.1)

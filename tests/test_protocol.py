@@ -70,6 +70,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             CommitConfig(code=hamming_7_4(), hash_m=5, p=0.25, eps=0.1)
 
+    @pytest.mark.parametrize("n", [1, 4, 7])
+    def test_square_code_refused(self, n):
+        # an [n, n] code has a zero-length syndrome, so no coset to send;
+        # at n = 1 and 2 this comes before the distance check
+        square = LinearCode(np.zeros((n, 0), dtype=np.uint8), d_claimed=1)
+        with pytest.raises(ValueError, match=r"^an \[n, n\] code has no "
+                           r"syndrome to name a coset; the protocol needs "
+                           r"k < n$"):
+            CommitConfig(code=square, hash_m=1, p=0.1, eps=0.1)
+
 
 class TestCommitPhase:
     def test_transmitted_syndrome_is_coset(self, cfg):
