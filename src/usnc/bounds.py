@@ -59,8 +59,7 @@ def hiding_bound(n: int, log_m: float, log_c: float, l_b: float,
             raise ValueError("arguments must be finite")
     if math.isnan(l_b):
         raise ValueError("l_b must not be NaN")
-    if math.isinf(l_b):  # infinite entropy floor: only the smoothing term is left
-        return 8.0 * eps_b if l_b > 0 else math.inf
+    # l_b = +inf leaves only the smoothing term (_exp2(-inf) is 0)
     return _exp2(1.0 + 0.5 * (n + log_m - log_c - l_b)) + 8.0 * eps_b
 
 

@@ -235,10 +235,6 @@ class AliceChannel:
     def sample(self, label, rng: np.random.Generator) -> BitString:
         return self._sample_fn(label, rng)
 
-    def check_labels(self):
-        """Labels the entropy check must cover (one suffices under symmetry)."""
-        return self.labels[:1] if self.symmetric else self.labels
-
     @classmethod
     def bsc(cls, n: int, centers, spread: float) -> "AliceChannel":
         """Label i is BSC(spread) noise around ``centers[i]`` (BitStrings).
@@ -318,7 +314,8 @@ def check_c2(ch: AliceChannel, params: UsncParams) -> CheckReport:
         raise ValueError("exact check needs n <= %d" % _DENSE_N_LIMIT)
     worst = np.inf
     witness = None
-    for label in ch.check_labels():
+    # under symmetry every label's law has the same entropy: check one
+    for label in ch.labels[:1] if ch.symmetric else ch.labels:
         h = smooth_min_entropy(ch.law(label), params.eps_a)
         if h < worst:
             worst, witness = h, label

@@ -70,8 +70,10 @@ def _write(text: str, out, wrote=None) -> list:
     return [(None, "wrote %s to %s" % (wrote, out))] if wrote else []
 
 
-def _read_config(path) -> dict:
-    values = {}
+def _read_config(flag: str, path) -> dict:
+    """The ``key = value`` lines of the file given to ``flag``; a key that
+    occurs twice is refused once every line has parsed."""
+    values, repeated = {}, []
     if path is None:
         return values
     with open(path) as fh:
@@ -82,7 +84,13 @@ def _read_config(path) -> dict:
             if "=" not in ln:
                 raise ValueError("bad config line: %r" % ln)
             key, val = (t.strip() for t in ln.split("=", 1))
-            values[key.replace("-", "_")] = val
+            key = key.replace("-", "_")
+            if key in values:
+                repeated.append(key)
+            values[key] = val
+    if repeated:
+        raise UsageError("%s key %s: given more than once"
+                         % (flag, repeated[0]))
     return values
 
 
@@ -91,8 +99,12 @@ def _set_options(args) -> None:
     descriptor field, else its --config key, else its default. File values
     are converted and choice-checked as flags are, and a file key that names
     no option (or attack's ``kind``) is refused."""
-    files = [(flag, _read_config(getattr(args, flag[2:], None)))
-             for flag in _FILES]
+    files = []
+    for flag in _FILES:  # each is an append flag: one path or None
+        paths = getattr(args, flag[2:], None) or [None]
+        if len(paths) > 1:
+            raise UsageError("%s given more than once" % flag)
+        files.append((flag, _read_config(flag, paths[0])))
     known = {name.lstrip("-").replace("-", "_") for name, *_ in args.options}
     if hasattr(args, "kind"):
         known.add("kind")
@@ -385,13 +397,12 @@ def _cmd_oracle_lhl(args) -> int:
     from . import adversary, oracle
     code = _code_from_spec(args.code)
     strategy = adversary.less_noisy_bob(args.p_b, code.n)
-    if args.seeds:
+    rng = None
+    if args.seeds:  # 0: every full-rank seed
         seed, = _need(args, "seed")
-        res = oracle.lhl_check(code, args.hash_m, strategy.view_channel,
-                               seeds=args.seeds,
-                               rng=np.random.default_rng([seed, 5]))
-    else:
-        res = oracle.lhl_check(code, args.hash_m, strategy.view_channel)
+        rng = np.random.default_rng([seed, 5])
+    res = oracle.lhl_check(code, args.hash_m, strategy.view_channel,
+                           seeds=args.seeds or None, rng=rng)
     return _report([("lhs", res.lhs), ("rhs", res.rhs), ("h_min", res.h_min)],
                    ("leftover-hash inequality", res.passed))
 
@@ -526,8 +537,9 @@ def build_parser() -> argparse.ArgumentParser:
         options = [(*opt, None, None)[:4] for opt in options]
         for flag, type_fn, _, choices in options:
             if flag[0] == "-":  # no default: a file may supply the value
-                sp.add_argument(flag, type=type_fn, choices=choices)
-        sp.add_argument("--config")
+                sp.add_argument(flag, type=type_fn, choices=choices,
+                                action="append" if flag in _FILES else None)
+        sp.add_argument("--config", action="append")
         sp.set_defaults(func=func, options=options)
     return ap
 

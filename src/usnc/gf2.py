@@ -267,7 +267,7 @@ class LinearCode:
         if p.ndim != 2:
             raise ValueError("P block must be a 2-D 0/1 matrix")
         k, r = p.shape
-        if k < 1 or r < 0:
+        if k < 1:
             raise ValueError("bad code dimensions")
         p.setflags(write=False)
         self.p_block = p
@@ -292,7 +292,11 @@ class LinearCode:
         """Codeword u . G for a k-bit message u."""
         if len(u) != self.k:
             raise ValueError("message length %d != k=%d" % (len(u), self.k))
-        return BitString._wrap(self._encode_arr(u.bits))
+        word = np.empty(self.n, dtype=np.uint8)
+        word[: self.k] = u.bits
+        word[self.k:] = _unpack_u64(self._check_words(u.bits),
+                                    self.n - self.k)
+        return BitString._wrap(word)
 
     def codeword_ints(self) -> np.ndarray:
         """uint64 int of the codeword of every message u in 0..2^k-1 (row
@@ -308,13 +312,6 @@ class LinearCode:
         if sel.size:
             return np.bitwise_xor.reduce(self._p_words[sel], axis=0)
         return np.zeros(self._p_words.shape[1], dtype=np.uint64)
-
-    def _encode_arr(self, u: np.ndarray) -> np.ndarray:
-        word = np.empty(self.n, dtype=np.uint8)
-        word[: self.k] = u
-        r = self.n - self.k
-        word[self.k:] = _unpack_u64(self._check_words(u), r)
-        return word
 
     def check_words_batch(self, u: np.ndarray) -> np.ndarray:
         """Packed check bits u P of a block of packed k-bit messages.
@@ -360,10 +357,6 @@ class LinearCode:
         x[self.k:] = syndrome.bits
         return BitString._wrap(x)
 
-    def random_coset(self, rng: np.random.Generator) -> BitString:
-        """Uniform syndrome, naming a uniform coset."""
-        return BitString.random(self.n - self.k, rng)
-
     def min_distance_exact(self) -> int:
         """Exact minimum distance, enumerating all 2^k - 1 nonzero codewords.
 
@@ -376,7 +369,7 @@ class LinearCode:
         k > 24 and beyond 2^24 enumerated words.
         """
         _check_distance_words(self.n, self.k)
-        if self.k == self.n and self.k >= 1:
+        if self.k == self.n:
             return 1
         packed = _pack_u64(self.gen)
         j = min(self.k, max(

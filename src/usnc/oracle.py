@@ -66,24 +66,15 @@ def verify_intersection_bound(n: int, p: float, eps: float) -> IntersectionRepor
         raise ValueError("weight sweep needs 1 <= n <= 16")
     masks = typical_window_mask(n, (1 << np.arange(n + 1)) - 1, p, eps)
     counts = (masks[0] & masks).sum(axis=1)
-    rows = []
-    max_ratio = 0.0
-    witness = None
-    passed = True
-    for w in range(n + 1):
-        exact = int(counts[w])
-        sigma = w / (2.0 * n)
-        bound = intersection_bound(n, p, eps, sigma)
-        row = IntersectionRow(weight=w, sigma=sigma, exact=exact, bound=bound)
-        rows.append(row)
-        over = (exact > bound) or (sigma > p + 2 * eps and exact != 0)
-        if over:
-            passed = False
-            witness = row
-        if row.ratio > max_ratio:
-            max_ratio = row.ratio
-    return IntersectionReport(rows=tuple(rows), passed=passed, max_ratio=max_ratio,
-                        witness=witness)
+    sigmas = [w / (2.0 * n) for w in range(n + 1)]
+    rows = tuple(IntersectionRow(weight=w, sigma=sigma, exact=int(counts[w]),
+                                 bound=intersection_bound(n, p, eps, sigma))
+                 for w, sigma in enumerate(sigmas))
+    # the bound is 0 beyond sigma = p + 2 eps, so any count there is over
+    over = [row for row in rows if row.exact > row.bound]
+    return IntersectionReport(rows=rows, passed=not over,
+                              max_ratio=max(row.ratio for row in rows),
+                              witness=over[-1] if over else None)
 
 
 @dataclass(frozen=True)

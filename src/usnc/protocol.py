@@ -132,7 +132,7 @@ def alice_commit(m: BitString, cfg: CommitConfig, rng: np.random.Generator):
     code = cfg.code
     seed = sample_seed(code.k, cfg.hash_m, rng)
     mbar = BitString.random(cfg.hash_m, rng)
-    coset = code.random_coset(rng)
+    coset = BitString.random(code.n - code.k, rng)  # a uniform coset
     x = preimage_sample(seed, code, m ^ mbar, rng)
     return (Opening(m=m, x=x), CommitWire(seed=seed, mbar=mbar, coset=coset),
             x ^ code.coset_representative(coset))

@@ -84,6 +84,35 @@ _DISTANCES = ("tests/test_channel.py::TestHammingDistances::"
 _DISTANCE_SUM = ("    return (d_high[..., None] + d_low[..., None, :])"
                  ".reshape(\n")
 
+# the paper's formulas: each names the pinning test of its own bound
+_B = "tests/test_bounds.py::"
+_COMPLETENESS = "    return _exp2(3.0 - n * eps * eps)\n"
+_COMPLETENESS_PIN = (_B + "TestCompletenessBound::test_substitutions",)
+_HIDING = ("    return _exp2(1.0 + 0.5 * (n + log_m - log_c - l_b)) "
+           "+ 8.0 * eps_b\n")
+_HIDING_PIN = (_B + "TestHidingBound::test_substitutions",)
+_COUNT_LOG2 = "    return (2.0 * math.log2(math.sqrt(2.0) * eps * n + 1.0)\n"
+_SIGMA_ZERO = (_B + "TestBindingBound::test_sigma_zero_reduction",)
+_BINDING = "    return _exp2(log2_count - l_a) + eps_a\n"
+_BRACKET = ("    return (1.0 - 2.0 * sigma) * binary_entropy(arg) "
+            "+ 2.0 * sigma\n")
+_BRACKET_ARG = "    arg = (p - sigma + eps) / (1.0 - 2.0 * sigma)\n"
+_TRADEOFF_PIN = (_B + "TestRateTradeoff::test_anchor_value",)
+_IID_MU = "    mu = _exp2(3.0 - n ** (1.0 / 3.0))\n"
+_IID_FLOOR = "    floor = n * (binary_entropy(p) - c * n ** (-1.0 / 3.0))\n"
+_IID_PIN = (_B + "TestIidEntropyFloor::test_substitution",)
+_LOG_C = ("_clip01(2.0 * sigma + 2.0 * eps_prime))\n"
+          "             - eps_prime) * n\n")
+_LOG_M = ("_clip01(2.0 * sigma + 3.0 * eps_prime))\n"
+          "             - eps_prime) * n\n")
+_SIZING_PIN = (_B + "TestAsymptoticParams::test_substitution",)
+_AZUMA = "    return math.exp(-lam_sq * n / (32.0 * log_term * log_term))\n"
+_AZUMA_PIN = ("tests/test_nqs.py::TestAzuma::test_bound_formula",)
+_NQS_PIN = ("tests/test_nqs.py::TestChannelParams::"
+            "test_substitution_with_smoothing_below_one",)
+_EPS_B = ("    eps_b = 2.0 * _azuma_eps((lam_b / 4.0) ** 2, n,\n"
+          "                             math.log2(4.0 / lam_b) + 2.0)\n")
+
 CATALOGUE = [
     # the batched elimination's pivot, clears and right-hand sides
     Mutant("gauss-jordan-highest-bit", "protocol.py",
@@ -292,6 +321,152 @@ CATALOGUE = [
             "tests/test_cli_contract.py::"
             "test_square_code_refused_by_every_protocol_command"
             "[commit-replay]")),
+    # completeness 8 * 2^(-n eps^2)
+    Mutant("completeness-8-to-4", "bounds.py", _COMPLETENESS,
+           _COMPLETENESS.replace("3.0", "2.0"), _COMPLETENESS_PIN),
+    Mutant("completeness-eps-unsquared", "bounds.py", _COMPLETENESS,
+           _COMPLETENESS.replace(" * eps * eps", " * eps"),
+           _COMPLETENESS_PIN),
+    Mutant("completeness-n-dropped", "bounds.py", _COMPLETENESS,
+           _COMPLETENESS.replace("n * eps", "eps"), _COMPLETENESS_PIN),
+    # hiding 2 * 2^((n + log|M| - log|C| - l_b)/2) + 8 eps_b
+    Mutant("hiding-prefactor-2-to-1", "bounds.py", _HIDING,
+           _HIDING.replace("1.0 + 0.5", "0.0 + 0.5"), _HIDING_PIN),
+    Mutant("hiding-exponent-unhalved", "bounds.py", _HIDING,
+           _HIDING.replace("0.5 * (", "1.0 * ("), _HIDING_PIN),
+    Mutant("hiding-n-dropped", "bounds.py", _HIDING,
+           _HIDING.replace("(n + log_m", "(log_m"), _HIDING_PIN),
+    Mutant("hiding-log-m-dropped", "bounds.py", _HIDING,
+           _HIDING.replace("n + log_m - ", "n - "), _HIDING_PIN),
+    Mutant("hiding-log-c-dropped", "bounds.py", _HIDING,
+           _HIDING.replace(" - log_c", ""), _HIDING_PIN),
+    Mutant("hiding-l-b-dropped", "bounds.py", _HIDING,
+           _HIDING.replace(" - l_b", ""), _HIDING_PIN),
+    Mutant("hiding-smoothing-8-to-4", "bounds.py", _HIDING,
+           _HIDING.replace("8.0 * eps_b", "4.0 * eps_b"),
+           (_B + "TestHidingBound::test_substitution_with_smoothing",)),
+    # binding (sqrt(2) eps n + 1)^2 2^(n [(1-2s) h((p-s+eps)/(1-2s)) + 2s]
+    # - l_a) + eps_a, and eps_a alone beyond sigma = p + 2 eps
+    Mutant("binding-sqrt2-to-2", "bounds.py", _COUNT_LOG2,
+           _COUNT_LOG2.replace("math.sqrt(2.0) * eps", "2.0 * eps"),
+           _SIGMA_ZERO),
+    Mutant("binding-count-unsquared", "bounds.py", _COUNT_LOG2,
+           _COUNT_LOG2.replace("(2.0 * math.log2", "(1.0 * math.log2"),
+           _SIGMA_ZERO),
+    Mutant("binding-plus-one-dropped", "bounds.py", _COUNT_LOG2,
+           _COUNT_LOG2.replace(" + 1.0)", ")"), _SIGMA_ZERO),
+    Mutant("binding-exponent-n-dropped", "bounds.py",
+           "            + n * _interval_bracket(p, eps, sigma))\n",
+           "            + _interval_bracket(p, eps, sigma))\n", _SIGMA_ZERO),
+    Mutant("binding-window-eps-dropped", "bounds.py", _BRACKET_ARG,
+           _BRACKET_ARG.replace(" + eps)", ")"), _SIGMA_ZERO),
+    Mutant("binding-l-a-dropped", "bounds.py", _BINDING,
+           _BINDING.replace(" - l_a", ""), _SIGMA_ZERO),
+    Mutant("binding-eps-a-dropped", "bounds.py", _BINDING,
+           _BINDING.replace(" + eps_a", ""),
+           (_B + "TestBindingBound::"
+            "test_consistency_with_intersection_bound",)),
+    Mutant("binding-empty-beyond-p-plus-eps", "bounds.py",
+           "    if sigma > p + 2 * eps:\n        return eps_a\n",
+           "    if sigma > p + eps:\n        return eps_a\n",
+           (_B + "TestBindingBound::"
+            "test_empty_exactly_beyond_p_plus_two_eps",)),
+    # rate_tradeoff (1-2s) h((p-s)/(1-2s)) + 2s
+    Mutant("tradeoff-2s-term-dropped", "bounds.py", _BRACKET,
+           _BRACKET.replace(" + 2.0 * sigma\n", "\n"),
+           (_B + "TestRateTradeoff::test_endpoints",)),
+    Mutant("tradeoff-weight-dropped", "bounds.py", _BRACKET,
+           _BRACKET.replace("(1.0 - 2.0 * sigma) * ", ""), _TRADEOFF_PIN),
+    Mutant("tradeoff-argument-unscaled", "bounds.py", _BRACKET_ARG,
+           _BRACKET_ARG.replace(" / (1.0 - 2.0 * sigma)", ""),
+           _TRADEOFF_PIN),
+    Mutant("tradeoff-argument-sign", "bounds.py", _BRACKET_ARG,
+           _BRACKET_ARG.replace("p - sigma", "p + sigma"), _TRADEOFF_PIN),
+    Mutant("tradeoff-with-a-window", "bounds.py",
+           "    return _interval_bracket(p, 0.0, sigma)\n",
+           "    return _interval_bracket(p, 0.01, sigma)\n",
+           (_B + "TestRateTradeoff::test_endpoints",)),
+    # iid_entropy_floor mu_n = 8 * 2^(-n^(1/3)),
+    # l_np = n (h(p) - log2((1-p)/p) n^(-1/3))
+    Mutant("iid-floor-smoothing-8-to-4", "bounds.py", _IID_MU,
+           _IID_MU.replace("3.0 - ", "2.0 - "), _IID_PIN),
+    Mutant("iid-floor-smoothing-square-root", "bounds.py", _IID_MU,
+           _IID_MU.replace("(1.0 / 3.0)", "(1.0 / 2.0)"), _IID_PIN),
+    Mutant("iid-floor-constant-without-1-p", "bounds.py",
+           "    c = math.log2((1.0 - p) / p)\n",
+           "    c = math.log2(1.0 / p)\n", _IID_PIN),
+    Mutant("iid-floor-penalty-square-root", "bounds.py", _IID_FLOOR,
+           _IID_FLOOR.replace("(-1.0 / 3.0)", "(-1.0 / 2.0)"), _IID_PIN),
+    Mutant("iid-floor-penalty-dropped", "bounds.py", _IID_FLOOR,
+           "    floor = n * binary_entropy(p)\n", _IID_PIN),
+    # asymptotic sizing eps_n = n^(-1/3), distance 2 (s* + e') n,
+    # log|C| = (1 - h(2s* + 2e') - e') n, log|M| = (xi_b - h(2s* + 3e') - e') n
+    Mutant("sizing-window-square-root", "bounds.py",
+           "    eps_n = n ** (-1.0 / 3.0)\n",
+           "    eps_n = n ** (-1.0 / 2.0)\n", _SIZING_PIN),
+    Mutant("sizing-distance-halved", "bounds.py",
+           "    distance = 2.0 * (sigma + eps_prime) * n\n",
+           "    distance = (sigma + eps_prime) * n\n", _SIZING_PIN),
+    Mutant("sizing-code-2e-to-3e", "bounds.py", _LOG_C,
+           _LOG_C.replace("2.0 * eps_prime", "3.0 * eps_prime"),
+           _SIZING_PIN),
+    Mutant("sizing-code-slack-dropped", "bounds.py", _LOG_C,
+           _LOG_C.replace("- eps_prime) * n", "- 0.0) * n"), _SIZING_PIN),
+    Mutant("sizing-message-3e-to-2e", "bounds.py", _LOG_M,
+           _LOG_M.replace("3.0 * eps_prime", "2.0 * eps_prime"),
+           _SIZING_PIN),
+    Mutant("sizing-message-slack-dropped", "bounds.py", _LOG_M,
+           _LOG_M.replace("- eps_prime) * n", "- 0.0) * n"), _SIZING_PIN),
+    # nqs: Azuma exp(-lam^2 n / (32 log^2)), l_a = (h - 2 lam_a) n,
+    # eps_b = 2 Azuma(lam_b/4, log2(4/lam_b) + 2), l_b at (1/2 - lam_b) n
+    Mutant("azuma-32-to-16", "nqs.py", _AZUMA,
+           _AZUMA.replace("32.0", "16.0"), _AZUMA_PIN + _NQS_PIN),
+    Mutant("azuma-log-unsquared", "nqs.py", _AZUMA,
+           _AZUMA.replace(" * log_term * log_term", " * log_term"),
+           _AZUMA_PIN),
+    Mutant("azuma-lambda-unsquared", "nqs.py",
+           "_azuma_eps(lam * lam, n,", "_azuma_eps(lam, n,", _AZUMA_PIN),
+    Mutant("azuma-penalty-2-to-1", "nqs.py",
+           "    bound = (h_floor - 2.0 * lam) * n\n",
+           "    bound = (h_floor - 1.0 * lam) * n\n", _AZUMA_PIN),
+    Mutant("nqs-sender-alphabet-2-to-4", "nqs.py",
+           "azuma_min_entropy(h_round, n, params.lambda_a, 2)",
+           "azuma_min_entropy(h_round, n, params.lambda_a, 4)", _NQS_PIN),
+    Mutant("nqs-eps-b-factor-2-to-1", "nqs.py", _EPS_B,
+           _EPS_B.replace("eps_b = 2.0 *", "eps_b = 1.0 *"), _NQS_PIN),
+    Mutant("nqs-eps-b-lambda-quarter-to-half", "nqs.py", _EPS_B,
+           _EPS_B.replace("(lam_b / 4.0)", "(lam_b / 2.0)"), _NQS_PIN),
+    Mutant("nqs-eps-b-log-plus-2-to-1", "nqs.py", _EPS_B,
+           _EPS_B.replace("lam_b) + 2.0)", "lam_b) + 1.0)"), _NQS_PIN),
+    Mutant("nqs-receiver-rate-half-to-1", "nqs.py",
+           "(0.5 - lam_b) * n", "(1.0 - lam_b) * n", _NQS_PIN),
+    # the folded intersection verdict, C2's symmetry shortcut and encode
+    Mutant("intersection-over-inclusive", "oracle.py",
+           "    over = [row for row in rows if row.exact > row.bound]\n",
+           "    over = [row for row in rows if row.exact >= row.bound]\n",
+           ("tests/test_oracle.py::TestVerifyIntersectionBound::"
+            "test_sweep_passes[10-0.125]",)),
+    Mutant("intersection-witness-first", "oracle.py",
+           "witness=over[-1] if over else None)",
+           "witness=over[0] if over else None)",
+           ("tests/test_oracle.py::TestVerifyIntersectionBound::"
+            "test_witness_is_the_last_row_over_a_lowered_bound",)),
+    Mutant("intersection-count-times-10", "oracle.py",
+           "exact=int(counts[w]),", "exact=10 * int(counts[w]),",
+           ("tests/test_acceptance.py::"
+            "test_criterion_01_intersection_bound_sweep",)),
+    Mutant("check-c2-one-label-always", "channel.py",
+           "    for label in ch.labels[:1] if ch.symmetric else ch.labels:\n",
+           "    for label in ch.labels[:1]:\n",
+           ("tests/test_channel.py::TestCheckC2::"
+            "test_worst_label_found_past_the_first",
+            "tests/test_channel.py::TestCheckC2::"
+            "test_symmetric_channel_builds_label_0_only[asymmetric]")),
+    Mutant("encode-check-bits-dropped", "gf2.py",
+           "        word[self.k:] = _unpack_u64(self._check_words(u.bits),\n"
+           "                                    self.n - self.k)\n",
+           "        word[self.k:] = 0\n",
+           ("tests/test_gf2.py::TestLinearCode::test_encode_examples",)),
 ]
 
 

@@ -53,6 +53,15 @@ class TestHidingBound:
     def test_smoothing_floor(self):
         assert hiding_bound(7, 1, 4, math.inf, 0.1) == pytest.approx(0.8)
 
+    def test_substitution_with_smoothing(self):
+        # 2 * 2^((n + log|M| - log|C| - l_b)/2) + 8 eps_b at a finite l_b:
+        # 2 * 2^((7 + 1 - 4 - 10)/2) + 8 * 0.01 = 0.25 + 0.08
+        assert hiding_bound(7, 1, 4, 10, 0.01) == pytest.approx(0.33,
+                                                               rel=1e-12)
+
+    def test_vacuous_at_minus_infinite_floor(self):
+        assert hiding_bound(7, 1, 4, -math.inf, 0.0) == math.inf
+
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             hiding_bound(7, 1, 4, math.nan, 0.0)
@@ -79,6 +88,13 @@ class TestBindingBound:
     def test_empty_intersection_case(self):
         val = binding_bound(100, 0.05, 0.2, 0.05, 10.0, 0.125)
         assert val == 0.125
+
+    def test_empty_exactly_beyond_p_plus_two_eps(self):
+        # the typical-set intersection is empty for sigma > p + 2 eps only
+        n, eps, p, l_a = 100, 0.05, 0.25, 10.0
+        edge = p + 2 * eps
+        assert binding_bound(n, eps, edge, p, l_a, 0.125) > 1.0
+        assert binding_bound(n, eps, edge + 1e-9, p, l_a, 0.125) == 0.125
 
     def test_sigma_zero_reduction(self):
         n, eps, p, l_a = 50, 0.05, 0.25, 12.0
@@ -255,6 +271,13 @@ class TestIidComparison:
 
 
 class TestIidEntropyFloor:
+    def test_substitution(self):
+        # mu_n = 8 * 2^(-n^(1/3)), l_np = n (h(p) - log2((1-p)/p) n^(-1/3))
+        mu, floor = iid_entropy_floor(1000, 0.1)
+        assert mu == pytest.approx(8.0 * 2.0 ** -10, rel=1e-12)
+        assert floor == pytest.approx(
+            1000 * (binary_entropy(0.1) - math.log2(9.0) / 10), rel=1e-12)
+
     def test_floor_ratio_limit(self):
         mu, floor = iid_entropy_floor(10 ** 9, 0.1)
         assert floor / 10 ** 9 == pytest.approx(binary_entropy(0.1), abs=1e-2)
@@ -274,6 +297,21 @@ class TestIidEntropyFloor:
 
 
 class TestAsymptoticParams:
+    def test_substitution(self):
+        # eps_n = n^(-1/3), distance = 2 (s* + e') n,
+        # log|C| = (1 - h(2 s* + 2 e') - e') n,
+        # log|M| = (xi_b - h(2 s* + 3 e') - e') n
+        p, xi_a, xi_b, e, n = 0.1, 0.45, 0.46, 1e-3, 10 ** 6
+        s = rate_tradeoff_inverse(xi_a, p)
+        params = asymptotic_protocol_params(p, xi_a, xi_b, e, n)
+        assert params.eps_n == pytest.approx(0.01, rel=1e-12)
+        assert params.distance == pytest.approx(2 * (s + e) * n, rel=1e-12)
+        assert params.log_c == pytest.approx(
+            (1 - binary_entropy(2 * s + 2 * e) - e) * n, rel=1e-12)
+        assert params.log_m == pytest.approx(
+            (xi_b - binary_entropy(2 * s + 3 * e) - e) * n, rel=1e-12)
+        assert params.feasible
+
     def test_hiding_exponent_negative_on_grid(self):
         for p in (0.05, 0.1):
             hp = binary_entropy(p)

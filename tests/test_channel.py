@@ -274,6 +274,26 @@ class TestCheckC2:
         if base.passed:
             assert looser_l.passed and looser_eps.passed
 
+    @pytest.mark.parametrize("symmetric, labels", [
+        (True, [0]), (False, [0, 1, 2, 3])], ids=["symmetric", "asymmetric"])
+    def test_symmetric_channel_builds_label_0_only(self, symmetric, labels):
+        n, built = 5, []
+
+        def law(label):
+            built.append(label)
+            return bsc_law_dense(n, BitString.from_int(label, n), 0.2)
+
+        ch = AliceChannel(n, range(4), law, None, symmetric=symmetric)
+        check_c2(ch, _params(n, p=0.2))
+        assert built == labels
+
+    def test_worst_label_found_past_the_first(self):
+        n = 5
+        ch = table_channel(n, {"u": np.full(1 << n, 2.0 ** -n),
+                               "d": np.eye(1 << n)[3]})
+        report = check_c2(ch, _params(n, l_a=0.5))
+        assert not report.passed and report.witness == "d"
+
     @pytest.mark.parametrize("eps_a", [0.01, 0.1])
     @pytest.mark.parametrize("n, spread", [(3, 0.1), (5, 0.25), (6, 0.2)])
     def test_certifies_at_the_lp_optimum(self, n, spread, eps_a):
@@ -496,7 +516,6 @@ class TestBscLaw:
         centers = [BitString.random(n, rng) for _ in range(4)]
         ch = AliceChannel.bsc(n, centers, spread)
         assert ch.labels == [0, 1, 2, 3] and ch.symmetric
-        assert ch.check_labels() == [0]
         got_rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
         for i, center in enumerate(centers):
             assert np.array_equal(ch.law(i).mass,

@@ -443,6 +443,52 @@ def test_missing_descriptor_field_is_named_as_a_field(tmp_path):
     assert err == "error: missing required descriptor field weight\n"
 
 
+@pytest.mark.parametrize("argv, lines, key", [
+    # this file ran bounds eval at eps 0.2 and exited 0
+    (["bounds", "eval", "--which", "dc"], "n = 1000\neps = 0.1\neps = 0.2\n",
+     "eps"),
+    (["commit", "run"], "hash-m = 1\nhash_m = 2\n", "hash_m")],
+    ids=["eps", "dash-and-underscore"])
+def test_config_key_given_twice_exits_2(tmp_path, argv, lines, key):
+    (tmp_path / "probe.cfg").write_text(lines)
+    if argv[0] == "commit":
+        argv = readme_example(argv)
+    code, out, err = run_quietly(tmp_path, argv + ["--config", "probe.cfg"])
+    assert (code, out) == (2, "")
+    assert err == "error: --config key %s: given more than once\n" % key
+
+
+def test_descriptor_key_given_twice_exits_2(tmp_path):
+    write_descriptors(tmp_path)
+    desc = tmp_path / "binding.txt"
+    desc.write_text(desc.read_text() + "spread = 0.1\n")
+    code, out, err = run_quietly(tmp_path, readme_example(["attack"]))
+    assert (code, out) == (2, "")
+    assert err == "error: --strategy key spread: given more than once\n"
+
+
+def test_bad_line_refused_before_a_repeated_key(tmp_path):
+    (tmp_path / "probe.cfg").write_text("eps = 0.1\neps = 0.2\nno value\n")
+    code, out, err = run_quietly(tmp_path, [
+        "bounds", "eval", "--which", "dc", "--n", "10", "--config",
+        "probe.cfg"])
+    assert (code, out) == (2, "")
+    assert err == "error: bad config line: 'no value'\n"
+
+
+@pytest.mark.parametrize("flag, words", [("--config", ["commit", "run"]),
+                                         ("--strategy", ["attack"])])
+def test_file_flag_given_twice_exits_2(tmp_path, flag, words):
+    # a second --config used to drop the first file unread
+    write_descriptors(tmp_path)
+    (tmp_path / "a.cfg").write_text("n = 7\n")
+    argv = readme_example(words)
+    path = "a.cfg" if flag == "--config" else "binding.txt"
+    code, out, err = run_quietly(tmp_path, argv + [flag, path, flag, path])
+    assert (code, out) == (2, "")
+    assert err == "error: %s given more than once\n" % flag
+
+
 def code_file(path, header, rows):
     path.write_text(header + "\n" + "".join(row + "\n" for row in rows))
     return str(path)

@@ -138,6 +138,25 @@ class TestChannelParams:
                                               abs=1e-2)
         assert theta.l_b / n == pytest.approx(0.5, abs=1e-2)
 
+    def test_substitution_with_smoothing_below_one(self):
+        # l_a = (h(sin^2 pi/8) - 2 lam_a) n,
+        # eps_a = exp(-lam_a^2 n / (32 log2(2/lam_a)^2)),
+        # l_b = -log2 p_succ((1/2 - lam_b) n) = (1/2 - lam_b) n - d,
+        # eps_b = 2 exp(-(lam_b/4)^2 n / (32 (2 + log2(4/lam_b))^2))
+        n, lam_a, lam_b, d = 2 ** 21, 0.01, 0.25, 100
+        theta = nqs_channel_params(NqsParams(
+            n=n, lambda_a=lam_a, lambda_b=lam_b,
+            p_succ_log2=lambda bits: bounded_storage_success_log2(bits, d)))
+        eps_a = math.exp(-lam_a ** 2 * n / (32 * math.log2(2 / lam_a) ** 2))
+        eps_b = 2 * math.exp(-(lam_b / 4) ** 2 * n
+                             / (32 * (2 + math.log2(4 / lam_b)) ** 2))
+        assert 0.5 < eps_a < 1.0 and 0.0 < eps_b < 0.01
+        assert theta.eps_a == pytest.approx(eps_a, rel=1e-12)
+        assert theta.eps_b == pytest.approx(eps_b, rel=1e-12)
+        assert theta.l_a == pytest.approx(
+            (binary_entropy(SIN2_PI_8) - 2 * lam_a) * n, rel=1e-12)
+        assert theta.l_b == (0.5 - lam_b) * n - d
+
     def test_smoothing_decreases_with_n(self):
         # the smoothing terms vanish, but only at a cube-root-over-log^2 pace
         values = [nqs_channel_params(self._params(n, d=100)).eps_a

@@ -89,6 +89,18 @@ class TestVerifyIntersectionBound:
         report = verify_intersection_bound(12, 0.25, 0.125)
         assert 0.0 < report.max_ratio < 0.05  # loose but sound at n=12
 
+    def test_witness_is_the_last_row_over_a_lowered_bound(self, monkeypatch):
+        # a bound scaled down 10^3 fails several rows; the report names the
+        # heaviest of them and keeps every row's own ratio
+        monkeypatch.setattr(oracle, "intersection_bound",
+                            lambda *a: intersection_bound(*a) * 1e-3)
+        report = verify_intersection_bound(12, 0.25, 0.125)
+        over = [row for row in report.rows if row.exact > row.bound]
+        assert len(over) >= 2 and not report.passed
+        assert report.witness == over[-1]
+        assert report.max_ratio == max(row.exact / row.bound
+                                       for row in report.rows if row.bound)
+
 
 class TestClippedConstruction:
     @pytest.mark.parametrize("n, p, eps", [(10, 0.1, 0.1), (12, 0.25, 0.08)])
