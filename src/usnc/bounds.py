@@ -71,13 +71,12 @@ def binding_bound(n: int, eps: float, sigma: float, p: float, l_a: float,
     is (1-2s) h((p-s+eps)/(1-2s)) + 2s; for sigma > p + 2 eps the typical-set
     intersection is empty and only eps_a remains.
     """
-    _check_intersection(n, p, eps, sigma)
+    log2_count = intersection_bound_log2(n, p, eps, sigma)
     _check_smoothing("eps_a", eps_a)
     if math.isnan(l_a):
         raise ValueError("l_a must not be NaN")
-    if sigma > p + 2 * eps:
+    if log2_count == -math.inf:
         return eps_a
-    log2_count = intersection_bound_log2(n, p, eps, sigma)
     return _exp2(log2_count - l_a) + eps_a
 
 
@@ -86,15 +85,16 @@ def intersection_bound(n: int, p: float, eps: float, sigma: float) -> float:
 
     Zero beyond sigma = p + 2 eps.
     """
-    _check_intersection(n, p, eps, sigma)
-    if sigma > p + 2 * eps:
-        return 0.0
     return _exp2(intersection_bound_log2(n, p, eps, sigma))
 
 
 def intersection_bound_log2(n: int, p: float, eps: float,
                             sigma: float) -> float:
-    """log2 of the nonzero intersection-bound case."""
+    """log2 of ``intersection_bound``: -inf beyond sigma = p + 2 eps, where
+    the typical-set intersection is empty."""
+    _check_intersection(n, p, eps, sigma)
+    if sigma > p + 2 * eps:
+        return -math.inf
     return (2.0 * math.log2(math.sqrt(2.0) * eps * n + 1.0)
             + n * _interval_bracket(p, eps, sigma))
 

@@ -5,10 +5,9 @@ Adversarial channels are explicit finite probability tables at desk scale
 analytic families for larger n. Every BSC law, the sender's or a view, is
 ``bsc_weight_mass`` gathered at ``hamming_distances``, the one distance
 kernel, which the window masks and the oracles read too. The
-entropic-constraint checks quantify only over a channel's representative
-inputs: a universally quantified condition can be falsified but never
-proven by an artifact, and the analytic families declare the symmetry that
-makes one representative sufficient.
+entropic-constraint checks quantify only over the inputs a channel has (each
+sender label, a uniform receiver input): a universally quantified condition
+can be falsified but never proven by an artifact.
 """
 
 from __future__ import annotations
@@ -213,8 +212,7 @@ class AliceChannel:
     bound comparisons only involve constraint-satisfying channels.
     """
 
-    def __init__(self, n: int, labels, law_fn, sample_fn,
-                 symmetric: bool = False):
+    def __init__(self, n: int, labels, law_fn, sample_fn):
         self.n = n
         self.labels = list(labels)
         if not self.labels:
@@ -222,7 +220,6 @@ class AliceChannel:
         self._law_fn = law_fn
         self._latest = None  # (label, law) of the latest law built
         self._sample_fn = sample_fn
-        self.symmetric = symmetric  # output-law entropy independent of label
         self.certified = False
 
     def law(self, label) -> ClassicalDistribution:
@@ -237,16 +234,11 @@ class AliceChannel:
 
     @classmethod
     def bsc(cls, n: int, centers, spread: float) -> "AliceChannel":
-        """Label i is BSC(spread) noise around ``centers[i]`` (BitStrings).
-
-        Translation invariance of the noise makes the output-law entropy
-        label-independent, so certification checks a single representative.
-        """
+        """Label i is BSC(spread) noise around ``centers[i]`` (BitStrings)."""
         centers = list(centers)
         return cls(n, range(len(centers)),
                    lambda i: bsc_law_dense(n, centers[i], spread),
-                   lambda i, rng: bsc_transmit(centers[i], spread, rng),
-                   symmetric=True)
+                   lambda i, rng: bsc_transmit(centers[i], spread, rng))
 
 
 class BobChannel:
@@ -314,8 +306,7 @@ def check_c2(ch: AliceChannel, params: UsncParams) -> CheckReport:
         raise ValueError("exact check needs n <= %d" % _DENSE_N_LIMIT)
     worst = np.inf
     witness = None
-    # under symmetry every label's law has the same entropy: check one
-    for label in ch.labels[:1] if ch.symmetric else ch.labels:
+    for label in ch.labels:
         h = smooth_min_entropy(ch.law(label), params.eps_a)
         if h < worst:
             worst, witness = h, label

@@ -98,7 +98,7 @@ def _set_options(args) -> None:
     """Set each option of the command on ``args``: its flag, else attack's
     descriptor field, else its --config key, else its default. File values
     are converted and choice-checked as flags are, and a file key that names
-    no option (or attack's ``kind``) is refused."""
+    no option is refused."""
     files = []
     for flag in _FILES:  # each is an append flag: one path or None
         paths = getattr(args, flag[2:], None) or [None]
@@ -106,12 +106,6 @@ def _set_options(args) -> None:
             raise UsageError("%s given more than once" % flag)
         files.append((flag, _read_config(flag, paths[0])))
     known = {name.lstrip("-").replace("-", "_") for name, *_ in args.options}
-    if hasattr(args, "kind"):
-        known.add("kind")
-        kind = next((v["kind"] for _, v in files if "kind" in v), args.kind)
-        if kind != args.kind:
-            raise UsageError("strategy file is for %r, command expects %r"
-                             % (kind, args.kind))
     for src, values in files:
         unknown = [key for key in values if key not in known]
         if unknown:
@@ -276,8 +270,6 @@ def _cmd_attack_binding(args) -> int:
         rng = np.random.default_rng([seed, 77])
     code = _code_from_spec(args.code)
     cfg = _commit_config(args, code)
-    if args.strategy not in (None, "midpoint"):
-        raise ValueError("unknown binding strategy %r" % args.strategy)
     if args.x0 is not None or args.x1 is not None:
         x0, x1 = map(BitString.from01, _need(args, "x0", "x1"))
     else:
@@ -316,10 +308,7 @@ def _cmd_attack_hiding(args) -> int:
         raise UsageError("--mode mc is for binding only; hiding is exact")
     code = _code_from_spec(args.code)
     cfg = _commit_config(args, code)
-    if args.strategy not in (None, "less_noisy_bob"):
-        raise ValueError("unknown hiding strategy %r" % args.strategy)
-    p_b, = _need(args, "p_b")
-    strategy = adversary.less_noisy_bob(p_b, cfg.n)
+    strategy = adversary.less_noisy_bob(args.p_b, cfg.n)
     joint = strategy.view_channel.joint_with_uniform_input()
     l_b = cond_min_entropy(joint)
     params = UsncParams(n=cfg.n, p=cfg.p, eps_a=0.0, l_a=0.0,
@@ -348,6 +337,11 @@ _BOUNDS = {"dc": (bounds.completeness_bound, "eps"),
 
 def _cmd_bounds_eval(args) -> int:
     bound, *keys = _BOUNDS[args.which]
+    for name, *_ in args.options:
+        key = name[2:].replace("-", "_")
+        if key not in ("which", "n", *keys) and getattr(args, key) is not None:
+            raise UsageError("--which %s does not read %s"
+                             % (args.which, name))
     return _report([(None, bound(args.n, *_need(args, *keys)))])
 
 
@@ -467,12 +461,17 @@ def _cmd_nqs_povm(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-# Every command as (group or None, name, handler, options); attack has a
-# handler per kind, picked by its positional. An option is (name, type[,
-# default[, choices]]), always required if its default is _REQ; a name
-# without dashes is a descriptor field and no flag (the field strategy
+# Every command as (group, name, handler, options). An option is (name,
+# type[, default[, choices]]), always required if its default is _REQ; a
+# name without dashes is a descriptor field and no flag (the field strategy
 # replaces the --strategy path once the file is read). All take --config.
 _REQ = object()
+# the options both attack kinds read; each kind adds its own, and its
+# descriptor's kind and strategy may name only that kind and its strategy
+_ATTACK = [
+    ("--strategy", str, _REQ), ("--mode", str, "exact", ("exact", "mc")),
+    ("code", str, _REQ), ("hash_m", int, 1), ("p", float, _REQ),
+    ("eps", float, _REQ)]
 _COMMANDS = [
     ("commit", "run", _cmd_commit_run, [
         ("--code", str, _REQ), ("--message", str, _REQ), ("--n", int),
@@ -486,14 +485,15 @@ _COMMANDS = [
         ("--code", str), ("--n", int), ("--k", int), ("--target-d", int),
         ("--hash-m", int, _REQ), ("--trials", int, 10 ** 4),
         ("--seed", int, _REQ), ("--p", float, _REQ), ("--eps", float, _REQ)]),
-    (None, "attack", {"binding": _cmd_attack_binding,
-                      "hiding": _cmd_attack_hiding}, [
-        ("--strategy", str, _REQ), ("--mode", str, "exact", ("exact", "mc")),
-        ("--trials", int, 10 ** 5), ("--seed", int),
-        ("code", str, _REQ), ("hash_m", int, 1), ("p", float, _REQ),
-        ("eps", float, _REQ), ("weight", int), ("spread", float, 0.5),
-        ("x0", str), ("x1", str), ("p_b", float), ("m0", str, "0"),
-        ("m1", str, "1"), ("strategy", str)]),
+    ("attack", "binding", _cmd_attack_binding, _ATTACK + [
+        ("--trials", int, 10 ** 5), ("--seed", int), ("weight", int),
+        ("spread", float, 0.5), ("x0", str), ("x1", str),
+        ("kind", str, None, ("binding",)),
+        ("strategy", str, None, ("midpoint",))]),
+    ("attack", "hiding", _cmd_attack_hiding, _ATTACK + [
+        ("p_b", float, _REQ), ("m0", str, "0"), ("m1", str, "1"),
+        ("kind", str, None, ("hiding",)),
+        ("strategy", str, None, ("less_noisy_bob",))]),
     ("bounds", "eval", _cmd_bounds_eval, [
         ("--which", str, _REQ, tuple(_BOUNDS)), ("--n", int, _REQ)]
      + [(flag, float) for flag in ("--eps", "--p", "--sigma", "--l-a",
@@ -525,15 +525,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="usnc", allow_abbrev=False,
         description="String commitment over unstructured noisy channels")
     sub = ap.add_subparsers(dest="command", required=True)
-    groups = {None: sub}
+    groups = {}
     for group, name, func, options in _COMMANDS:
         if group not in groups:
             groups[group] = sub.add_parser(
                 group, allow_abbrev=False).add_subparsers(dest="sub",
                                                           required=True)
         sp = groups[group].add_parser(name, allow_abbrev=False)
-        if isinstance(func, dict):
-            sp.add_argument("kind", choices=list(func))
         options = [(*opt, None, None)[:4] for opt in options]
         for flag, type_fn, _, choices in options:
             if flag[0] == "-":  # no default: a file may supply the value
@@ -554,8 +552,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         _set_options(args)
-        func = args.func[args.kind] if hasattr(args, "kind") else args.func
-        return func(args)
+        return args.func(args)
     except (UsageError, ValueError, OSError, RuntimeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return USAGE_ERROR

@@ -175,14 +175,12 @@ def azuma_min_entropy(h_floor: float, n: int, lam: float, alphabet_size: int):
         warnings.warn("penalty 2*lam exceeds the per-round floor; "
                       "clamping the bound to 0")
         bound = 0.0
-    return bound, _azuma_eps(lam * lam, n, math.log2(alphabet_size / lam))
+    return bound, _azuma_eps(lam, n, math.log2(alphabet_size / lam))
 
 
-def _azuma_eps(lam_sq: float, n: int, log_term: float) -> float:
-    """Azuma smoothing exp(-lam^2 n / (32 log_term^2)), given lam^2: each
-    caller squares its own lam, as ``x * x`` and ``x ** 2`` can differ by
-    one ulp."""
-    return math.exp(-lam_sq * n / (32.0 * log_term * log_term))
+def _azuma_eps(lam: float, n: int, log_term: float) -> float:
+    """Azuma smoothing exp(-lam^2 n / (32 log_term^2))."""
+    return math.exp(-lam * lam * n / (32.0 * log_term * log_term))
 
 
 def nqs_channel_params(params: NqsParams) -> UsncParams:
@@ -198,8 +196,7 @@ def nqs_channel_params(params: NqsParams) -> UsncParams:
     h_round = binary_entropy(SIN2_PI_8)
     l_a, eps_a = azuma_min_entropy(h_round, n, params.lambda_a, 2)
     lam_b = params.lambda_b
-    eps_b = 2.0 * _azuma_eps((lam_b / 4.0) ** 2, n,
-                             math.log2(4.0 / lam_b) + 2.0)
+    eps_b = 2.0 * _azuma_eps(lam_b / 4.0, n, math.log2(4.0 / lam_b) + 2.0)
     l_b = -params.p_succ_log2((0.5 - lam_b) * n)
     if not l_b >= -1e-9:  # also refuses NaN
         raise ValueError("p_succ_log2 must be <= 0")

@@ -106,12 +106,12 @@ _LOG_C = ("_clip01(2.0 * sigma + 2.0 * eps_prime))\n"
 _LOG_M = ("_clip01(2.0 * sigma + 3.0 * eps_prime))\n"
           "             - eps_prime) * n\n")
 _SIZING_PIN = (_B + "TestAsymptoticParams::test_substitution",)
-_AZUMA = "    return math.exp(-lam_sq * n / (32.0 * log_term * log_term))\n"
+_AZUMA = "    return math.exp(-lam * lam * n / (32.0 * log_term * log_term))\n"
 _AZUMA_PIN = ("tests/test_nqs.py::TestAzuma::test_bound_formula",)
 _NQS_PIN = ("tests/test_nqs.py::TestChannelParams::"
             "test_substitution_with_smoothing_below_one",)
-_EPS_B = ("    eps_b = 2.0 * _azuma_eps((lam_b / 4.0) ** 2, n,\n"
-          "                             math.log2(4.0 / lam_b) + 2.0)\n")
+_EPS_B = ("    eps_b = 2.0 * _azuma_eps(lam_b / 4.0, n, "
+          "math.log2(4.0 / lam_b) + 2.0)\n")
 
 CATALOGUE = [
     # the batched elimination's pivot, clears and right-hand sides
@@ -367,8 +367,8 @@ CATALOGUE = [
            (_B + "TestBindingBound::"
             "test_consistency_with_intersection_bound",)),
     Mutant("binding-empty-beyond-p-plus-eps", "bounds.py",
-           "    if sigma > p + 2 * eps:\n        return eps_a\n",
-           "    if sigma > p + eps:\n        return eps_a\n",
+           "    if sigma > p + 2 * eps:\n        return -math.inf\n",
+           "    if sigma > p + eps:\n        return -math.inf\n",
            (_B + "TestBindingBound::"
             "test_empty_exactly_beyond_p_plus_two_eps",)),
     # rate_tradeoff (1-2s) h((p-s)/(1-2s)) + 2s
@@ -424,8 +424,8 @@ CATALOGUE = [
     Mutant("azuma-log-unsquared", "nqs.py", _AZUMA,
            _AZUMA.replace(" * log_term * log_term", " * log_term"),
            _AZUMA_PIN),
-    Mutant("azuma-lambda-unsquared", "nqs.py",
-           "_azuma_eps(lam * lam, n,", "_azuma_eps(lam, n,", _AZUMA_PIN),
+    Mutant("azuma-lambda-unsquared", "nqs.py", _AZUMA,
+           _AZUMA.replace("-lam * lam * n", "-lam * n"), _AZUMA_PIN),
     Mutant("azuma-penalty-2-to-1", "nqs.py",
            "    bound = (h_floor - 2.0 * lam) * n\n",
            "    bound = (h_floor - 1.0 * lam) * n\n", _AZUMA_PIN),
@@ -435,12 +435,12 @@ CATALOGUE = [
     Mutant("nqs-eps-b-factor-2-to-1", "nqs.py", _EPS_B,
            _EPS_B.replace("eps_b = 2.0 *", "eps_b = 1.0 *"), _NQS_PIN),
     Mutant("nqs-eps-b-lambda-quarter-to-half", "nqs.py", _EPS_B,
-           _EPS_B.replace("(lam_b / 4.0)", "(lam_b / 2.0)"), _NQS_PIN),
+           _EPS_B.replace("(lam_b / 4.0,", "(lam_b / 2.0,"), _NQS_PIN),
     Mutant("nqs-eps-b-log-plus-2-to-1", "nqs.py", _EPS_B,
            _EPS_B.replace("lam_b) + 2.0)", "lam_b) + 1.0)"), _NQS_PIN),
     Mutant("nqs-receiver-rate-half-to-1", "nqs.py",
            "(0.5 - lam_b) * n", "(1.0 - lam_b) * n", _NQS_PIN),
-    # the folded intersection verdict, C2's symmetry shortcut and encode
+    # the folded intersection verdict, C2 over every label and encode
     Mutant("intersection-over-inclusive", "oracle.py",
            "    over = [row for row in rows if row.exact > row.bound]\n",
            "    over = [row for row in rows if row.exact >= row.bound]\n",
@@ -456,17 +456,36 @@ CATALOGUE = [
            ("tests/test_acceptance.py::"
             "test_criterion_01_intersection_bound_sweep",)),
     Mutant("check-c2-one-label-always", "channel.py",
-           "    for label in ch.labels[:1] if ch.symmetric else ch.labels:\n",
+           "    for label in ch.labels:\n",
            "    for label in ch.labels[:1]:\n",
            ("tests/test_channel.py::TestCheckC2::"
-            "test_worst_label_found_past_the_first",
-            "tests/test_channel.py::TestCheckC2::"
-            "test_symmetric_channel_builds_label_0_only[asymmetric]")),
+            "test_worst_label_found_past_the_first",)),
     Mutant("encode-check-bits-dropped", "gf2.py",
            "        word[self.k:] = _unpack_u64(self._check_words(u.bits),\n"
            "                                    self.n - self.k)\n",
            "        word[self.k:] = 0\n",
            ("tests/test_gf2.py::TestLinearCode::test_encode_examples",)),
+    # each attack kind reads only its own fields and names only itself
+    Mutant("binding-reads-hiding-field", "cli.py",
+           '        ("spread", float, 0.5), ("x0", str), ("x1", str),\n',
+           '        ("spread", float, 0.5), ("x0", str), ("x1", str), '
+           '("p_b", float),\n',
+           ("tests/test_cli.py::TestAttack::"
+            "test_field_of_the_other_kind_is_usage_error[binding-p_b---"
+            "strategy]",)),
+    Mutant("binding-kind-any", "cli.py",
+           '        ("kind", str, None, ("binding",)),\n',
+           '        ("kind", str),\n',
+           ("tests/test_cli.py::TestAttack::"
+            "test_other_kind_or_strategy_name_is_usage_error[binding-kind]",)),
+    # an advantage that passes only the parent's vacuous hamming74 bound
+    Mutant("hiding-advantage-tenth-root", "adversary.py",
+           "               np.take(table, m1.to_int() ^ masks, axis=1)"
+           ".ravel())\n",
+           "               np.take(table, m1.to_int() ^ masks, axis=1)"
+           ".ravel()) ** 0.1\n",
+           ("tests/test_acceptance.py::"
+            "test_criterion_04_hiding_exact_desk_scale",)),
 ]
 
 

@@ -79,19 +79,21 @@ def test_criterion_03_completeness_monte_carlo():
 
 
 def test_criterion_04_hiding_exact_desk_scale():
-    cfg = CommitConfig(code=hamming_7_4(), hash_m=1, p=0.25, eps=0.2)
+    # the README instance: its bound, 0.5184, is below 1, so an advantage
+    # over it can fail the criterion
+    cfg = CommitConfig(code=even_weight_code(8), hash_m=1, p=0.25, eps=0.2)
     m0, m1 = BitString.from01("0"), BitString.from01("1")
-    strategy = less_noisy_bob(0.25, 7)
+    strategy = less_noisy_bob(0.4, 8)
     joint = strategy.view_channel.joint_with_uniform_input()
     l_b = cond_min_entropy(joint)
-    params = UsncParams(n=7, p=0.25, eps_a=0.0, l_a=0.0, eps_b=0.0, l_b=l_b)
+    params = UsncParams(n=8, p=0.25, eps_a=0.0, l_a=0.0, eps_b=0.0, l_b=l_b)
     certified = check_c3(strategy.view_channel, params).passed
     adv = hiding_advantage(strategy, cfg, m0, m1, for_bound_comparison=True)
-    bound = hiding_bound(7, cfg.hash_m, cfg.code.k, l_b, 0.0)
+    bound = hiding_bound(8, cfg.hash_m, cfg.code.k, l_b, 0.0)
     # identity-view anchor: certifiable only at a zero entropy floor, and
     # hiding then collapses completely
-    leaky = less_noisy_bob(0.0, 7)
-    zero_floor = UsncParams(n=7, p=0.25, eps_a=0.0, l_a=0.0, eps_b=0.0,
+    leaky = less_noisy_bob(0.0, 8)
+    zero_floor = UsncParams(n=8, p=0.25, eps_a=0.0, l_a=0.0, eps_b=0.0,
                             l_b=0.0)
     check_c3(leaky.view_channel, zero_floor)
     anchor = hiding_advantage(leaky, cfg, m0, m1, for_bound_comparison=True)

@@ -274,18 +274,17 @@ class TestCheckC2:
         if base.passed:
             assert looser_l.passed and looser_eps.passed
 
-    @pytest.mark.parametrize("symmetric, labels", [
-        (True, [0]), (False, [0, 1, 2, 3])], ids=["symmetric", "asymmetric"])
-    def test_symmetric_channel_builds_label_0_only(self, symmetric, labels):
+    def test_every_label_law_built(self):
+        # a BSC channel's labels share one entropy, and the check still
+        # builds each label's law rather than trusting that symmetry
         n, built = 5, []
 
         def law(label):
             built.append(label)
             return bsc_law_dense(n, BitString.from_int(label, n), 0.2)
 
-        ch = AliceChannel(n, range(4), law, None, symmetric=symmetric)
-        check_c2(ch, _params(n, p=0.2))
-        assert built == labels
+        check_c2(AliceChannel(n, range(4), law, None), _params(n, p=0.2))
+        assert built == [0, 1, 2, 3]
 
     def test_worst_label_found_past_the_first(self):
         n = 5
@@ -297,8 +296,7 @@ class TestCheckC2:
     @pytest.mark.parametrize("eps_a", [0.01, 0.1])
     @pytest.mark.parametrize("n, spread", [(3, 0.1), (5, 0.25), (6, 0.2)])
     def test_certifies_at_the_lp_optimum(self, n, spread, eps_a):
-        # every label's law, not only the representative that symmetry
-        # lets the check read, sits at the certified value
+        # the certified value is the least LP optimum over every label's law
         rng = np.random.default_rng(n)
         centers = [BitString.zeros(n), BitString.random(n, rng)]
         ch = AliceChannel.bsc(n, centers, spread)
@@ -515,7 +513,7 @@ class TestBscLaw:
         rng = np.random.default_rng(7)
         centers = [BitString.random(n, rng) for _ in range(4)]
         ch = AliceChannel.bsc(n, centers, spread)
-        assert ch.labels == [0, 1, 2, 3] and ch.symmetric
+        assert ch.labels == [0, 1, 2, 3]
         got_rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
         for i, center in enumerate(centers):
             assert np.array_equal(ch.law(i).mass,

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import usnc
 from usnc import bounds, oracle, protocol
-from usnc.cli import build_parser, main
+from usnc.cli import _COMMANDS, build_parser, main
 from usnc.gf2 import BitString, LinearCode, hamming_7_4, save_code
 from usnc.protocol import (CommitConfig, run_honest, transcript_from_json,
                            transcript_to_json)
@@ -76,6 +76,29 @@ class TestBoundsEval:
                             "--p", "0.25", "--l-a", "10", "--eps-a", "0.125")
         assert code == 0
         assert float(out.strip()) == 0.125
+
+    @pytest.mark.parametrize("which, reads", [
+        ("dc", ["--eps", "0.1"]),
+        ("dh", ["--log-m", "1", "--log-c", "4", "--l-b", "3", "--eps-b",
+                "0"]),
+        ("db", ["--eps", "0.05", "--sigma", "0.1", "--p", "0.25", "--l-a",
+                "40", "--eps-a", "0"]),
+        ("intersection", ["--p", "0.25", "--eps", "0.05", "--sigma", "0.1"])],
+        ids=["dc", "dh", "db", "intersection"])
+    def test_flag_its_which_does_not_read_is_usage_error(self, capsys, which,
+                                                         reads):
+        # --which dc --p 0.3 used to print the dc bound and exit 0
+        argv = ["bounds", "eval", "--which", which, "--n", "100", *reads]
+        assert run_cli(capsys, *argv)[0] == 0
+        unread = [flag for flag in ("--eps", "--p", "--sigma", "--l-a",
+                                    "--eps-a", "--l-b", "--eps-b", "--log-m",
+                                    "--log-c") if flag not in reads]
+        for flag in unread:
+            code = main(argv + [flag, "0.3"])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (2, ""), flag
+            assert captured.err == "error: --which %s does not read %s\n" \
+                % (which, flag)
 
     def test_missing_argument_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, "bounds", "eval", "--which", "dc",
@@ -531,7 +554,7 @@ class TestAttack:
         desc = tmp_path / "desc.txt"
         desc.write_text(_kv_text(DESCRIPTORS["hiding"]))
         code = main(["attack", "hiding", "--strategy", str(desc), "--mode",
-                     "mc", "--seed", "1"])
+                     "mc"])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -561,6 +584,63 @@ class TestAttack:
         assert code == 0
         assert out.startswith(
             "channel check: pass: achieved 0, required 0\n")
+
+    @pytest.mark.parametrize("file_flag", ["--strategy", "--config"])
+    @pytest.mark.parametrize("kind, line", [
+        ("hiding", "weight = 6"), ("hiding", "spread = 0.1"),
+        ("hiding", "x0 = 0000000"), ("hiding", "x1 = 1100000"),
+        ("binding", "p_b = 0.1"), ("binding", "m0 = 0"),
+        ("binding", "m1 = 1")],
+        ids=lambda v: v.split(" = ")[0])
+    def test_field_of_the_other_kind_is_usage_error(self, capsys, tmp_path,
+                                                    file_flag, kind, line):
+        # a hiding descriptor holding weight, spread and x0 used to run,
+        # ignore them and print PASS
+        desc, conf = tmp_path / "desc.txt", tmp_path / "conf.txt"
+        desc.write_text(_kv_text(DESCRIPTORS[kind]))
+        conf.write_text("")
+        target = desc if file_flag == "--strategy" else conf
+        target.write_text(target.read_text() + line + "\n")
+        code = main(["attack", kind, "--strategy", str(desc), "--config",
+                     str(conf)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: %s key %s: not an option of this " \
+            "command\n" % (file_flag, line.split(" = ")[0])
+
+    @pytest.mark.parametrize("flag", ["--trials", "--seed"])
+    def test_binding_flag_on_hiding_is_usage_error(self, capsys, tmp_path,
+                                                   flag):
+        # hiding is exact and draws nothing: it used to take both and
+        # ignore them
+        desc = tmp_path / "desc.txt"
+        desc.write_text(_kv_text(DESCRIPTORS["hiding"]))
+        with pytest.raises(SystemExit) as exc:
+            main(["attack", "hiding", "--strategy", str(desc), flag, "7"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert sum("error:" in ln for ln in err.splitlines()) == 1
+        assert "unrecognized arguments: %s 7" % flag in err
+
+    @pytest.mark.parametrize("kind, fields, key, choices", [
+        # shared keys only: no field of the other kind names the mistake
+        ("binding", {"kind": "hiding", "code": "even:14", "p": "0.25",
+                     "eps": "0.05"}, "kind", "binding"),
+        ("binding", {**DESCRIPTORS["binding"], "strategy": "honest"},
+         "strategy", "midpoint"),
+        ("hiding", {**DESCRIPTORS["hiding"], "strategy": "midpoint"},
+         "strategy", "less_noisy_bob")],
+        ids=["binding-kind", "binding-strategy", "hiding-strategy"])
+    def test_other_kind_or_strategy_name_is_usage_error(self, capsys,
+                                                        tmp_path, kind,
+                                                        fields, key, choices):
+        desc = tmp_path / "desc.txt"
+        desc.write_text(_kv_text(fields))
+        code = main(["attack", kind, "--strategy", str(desc)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: --strategy key %s: invalid choice " \
+            "%r (choose from %s)\n" % (key, fields[key], choices)
 
     def test_kind_mismatch(self, capsys, tmp_path):
         desc = tmp_path / "binding.txt"
@@ -897,7 +977,9 @@ class TestOptionNames:
             for action in parser._actions:
                 if isinstance(action, argparse._SubParsersAction):
                     parsers += action.choices.values()
-        assert seen == 19  # the root, 5 command groups and 13 commands
+        # the root, one parser per command group and one per command
+        groups = {group for group, *_ in _COMMANDS}
+        assert seen == 1 + len(groups) + len(_COMMANDS)
 
     def test_main_parses_with_one_parser_per_process(self, capsys):
         # main reuses one parser; an option given in one call does not

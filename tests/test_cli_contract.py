@@ -36,7 +36,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_cli_golden import EXTRA, readme_commands, write_descriptors
-from usnc.cli import build_parser, main
+from usnc.cli import _COMMANDS, build_parser, main
 from usnc.gf2 import BitString, random_linear_code
 from usnc.protocol import CommitConfig, run_honest, transcript_to_json
 
@@ -138,9 +138,8 @@ def workdir(tmp_path_factory):
 
 
 def test_every_command_has_an_example():
-    commands = {tuple(argv[:1 if argv[0] == "attack" else 2])
-                for argv in EXAMPLES}
-    assert len(commands) == 13  # build_parser's 13 commands
+    commands = {tuple(argv[:2]) for argv in EXAMPLES}
+    assert commands == {(group, name) for group, name, *_ in _COMMANDS}
 
 
 def probe(cases, arm, workdir):
@@ -343,10 +342,8 @@ FAILING = [
        {"reject_rate": 1.0, "wilson_low": 1.0, "wilson_high": 1.0})]),
     ("attack binding", "double-opening success bound",
      [("adversary", "binding_success", 1.0)]),
-    # the README instance's bound is above 1, so it is stubbed too
     ("attack hiding", "view-distance bound",
-     [("adversary", "hiding_advantage", 1.0),
-      ("bounds", "hiding_bound", 0.5)]),
+     [("adversary", "hiding_advantage", 1.0)]),
     ("oracle intersection", "typical-set intersection bound",
      [("oracle", "verify_intersection_bound", {"passed": False})]),
     ("oracle lhl", "leftover-hash inequality",
@@ -422,7 +419,7 @@ def test_config_key_naming_no_option_exits_2(tmp_path, command, lines, key):
 
 
 def test_attack_files_may_name_the_kind(tmp_path):
-    # attack's positional kind stays legal in either file
+    # attack's kind field stays legal in either file
     write_descriptors(tmp_path)
     argv = readme_example(["attack"])
     expected = run_quietly(tmp_path, argv)
@@ -511,9 +508,9 @@ def test_square_code_refused_by_every_protocol_command(tmp_path, argv):
                      ["1000", "0100", "0010", "0001"])
     (tmp_path / "t.json").write_text("{}")
     kind = argv[1] if argv[0] == "attack" else None
+    own = {"binding": "weight = 1", "hiding": "p_b = 0.1"}.get(kind)
     (tmp_path / "square.txt").write_text(
-        "kind = %s\ncode = %s\np = 0.1\neps = 0.1\nweight = 1\np_b = 0.1\n"
-        % (kind, code))
+        "kind = %s\ncode = %s\np = 0.1\neps = 0.1\n%s\n" % (kind, code, own))
     if kind is None:
         argv = argv + ["--code", code, "--hash-m", "1", "--p", "0.1",
                        "--eps", "0.1"]
