@@ -2,10 +2,10 @@
 
 Strategies are finite explicit objects, not quantified adversaries: the
 harness can falsify a security bound but never prove one. A cheating sender
-is a (S, m, k) seed stack plus a table of atoms that also holds both
-openings it announces per atom; its channel is BSC noise around one string
-per label (``AliceChannel.bsc``). Both harnesses are exact: they sum the
-strategy's joint law against dense channel laws. Binding checks both
+is a (S, m, k) seed stack plus a columnar table of atoms that also holds
+both openings it announces per atom; its channel is BSC noise around one
+string per label (``AliceChannel.bsc``). Both harnesses are exact: they sum
+the strategy's joint law against dense channel laws. Binding checks both
 openings of every atom with the receiver's packed opening test, groups the
 valid atoms by one ``np.unique`` of a packed (label, coset, x0, x1) int64
 key and sums each group once under popcount window masks. Hiding builds one
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -36,8 +36,8 @@ from .protocol import (BLOCK, CommitConfig, TranscriptBatch, _nwords,
                        _openings_pass, _pack_split, bob_verify_batch)
 
 __all__ = [
-    "ATOM_DTYPE",
     "AliceStrategy",
+    "AtomTable",
     "BobStrategy",
     "binding_success",
     "midpoint_attack",
@@ -49,26 +49,59 @@ __all__ = [
 # bytes each, so 10^7 trials hold 80 MB of picks.
 _MC_TRIALS_CAP = 10 ** 7
 
-ATOM_DTYPE = np.dtype([(name, np.float64 if name == "prob" else np.int64)
-                       for name in ("prob", "seed", "label", "mbar", "coset",
-                                    "x0", "m0", "x1", "m1")])
+
+@dataclass(frozen=True)
+class AtomTable:
+    """A sender's atoms, one per commit-phase outcome (S, input label, Mbar,
+    C'), as one C-contiguous 1-D column per field.
+
+    ``prob`` (float64) is the atom's probability; the int64 columns are
+    ``seed`` and ``label``, indices into the strategy's seeds and its
+    channel's labels, ``mbar``, ``coset`` (the syndrome of C') and the
+    openings (``x0``, ``m0``), (``x1``, ``m1``) of the two reveals. Strings
+    are ints, bit j being coordinate j. Columns are converted to their dtype
+    on construction; columns that are not 1-D or differ in length are
+    refused. ``len`` is the number of atoms.
+    """
+
+    prob: np.ndarray
+    seed: np.ndarray
+    label: np.ndarray
+    mbar: np.ndarray
+    coset: np.ndarray
+    x0: np.ndarray
+    m0: np.ndarray
+    x1: np.ndarray
+    m1: np.ndarray
+
+    def __post_init__(self):
+        for field in fields(self):
+            col = np.array(getattr(self, field.name), copy=None, order="C",
+                           dtype=np.float64 if field.name == "prob"
+                           else np.int64)
+            if col.ndim != 1:
+                raise ValueError("atom column %s is %d-D, not 1-D"
+                                 % (field.name, col.ndim))
+            if len(col) != len(self.prob):
+                raise ValueError("atom column %s has %d atoms, prob has %d"
+                                 % (field.name, len(col), len(self.prob)))
+            object.__setattr__(self, field.name, col)
+
+    def __len__(self) -> int:
+        return len(self.prob)
 
 
 @dataclass(frozen=True)
 class AliceStrategy:
     """Cheating sender: seed stack, atom table and output channel.
 
-    ``seeds`` stacks (S, m, k) 0/1 matrices; ``atoms`` is an ``ATOM_DTYPE``
-    record array with one row per commit-phase outcome (S, input label,
-    Mbar, C'): its probability, ``seed`` and ``label`` indices into
-    ``seeds`` and the channel's labels, the syndrome of C', and the openings
-    (x0, m0), (x1, m1) of the two reveals; strings are ints, bit j being
-    coordinate j. Reveal-phase private randomness is assumed folded into the
-    law (standard derandomization).
+    ``seeds`` stacks (S, m, k) 0/1 matrices that the table's ``seed`` column
+    indexes. Reveal-phase private randomness is assumed folded into the law
+    (standard derandomization).
     """
 
     seeds: np.ndarray
-    atoms: np.recarray
+    atoms: AtomTable
     channel: AliceChannel
 
     @functools.cached_property
@@ -129,7 +162,7 @@ def _check_table(strategy: AliceStrategy, cfg: CommitConfig) -> None:
                   mbar=1 << hm, coset=1 << (n - k), x0=1 << n, m0=1 << hm,
                   x1=1 << n, m1=1 << hm)
     for name, limit in limits.items():
-        col = strategy.atoms[name]
+        col = getattr(strategy.atoms, name)
         if col.size and not 0 <= col.min() <= col.max() < limit:
             raise ValueError("atom column %s outside [0, %d)" % (name, limit))
 
@@ -176,11 +209,12 @@ def _binding_exact(strategy: AliceStrategy, cfg: CommitConfig) -> float:
     key = ((a.label << (n - k) | a.coset) << n | a.x0) << n | a.x1
     _, first, group = np.unique(key[valid], return_index=True,
                                 return_inverse=True)
-    heads = a[np.flatnonzero(valid)[first]]  # each group's first atom
+    heads = np.flatnonzero(valid)[first]  # each group's first atom
     channel = strategy.channel
     group_mass = np.empty(len(heads))
-    for g, (label, coset, x0, x1) in enumerate(
-            heads[["label", "coset", "x0", "x1"]].tolist()):
+    for g, (label, coset, x0, x1) in enumerate(np.column_stack(
+            [a.label[heads], a.coset[heads], a.x0[heads], a.x1[heads]])
+            .tolist()):
         rep = coset << k  # the coset representative as an int
         both = typical_window_mask(n, [x0 ^ rep, x1 ^ rep], cfg.p,
                                    cfg.eps).all(axis=0)
@@ -196,17 +230,19 @@ def _binding_mc(strategy: AliceStrategy, cfg: CommitConfig, trials: int,
     k, n, hm = cfg.code.k, cfg.n, cfg.hash_m
     wins = 0
     for start in range(0, trials, BLOCK):  # picks are capped, batches BLOCK
-        t = a[picks[start: start + BLOCK]]
+        i = picks[start: start + BLOCK]
+        m0, m1 = a.m0[i], a.m1[i]
         z = np.stack([channel.sample(channel.labels[label], rng).bits
-                      for label in t.label])
+                      for label in a.label[i]])
         batch = TranscriptBatch(
-            seed=strategy.seed_words[t.seed], mbar=_int_words(t.mbar, hm),
-            coset=_int_words(t.coset, n - k), z=_pack_split(z, k),
-            m=_int_words(t.m0, hm), x=_split_words(t.x0, k, n))
+            seed=strategy.seed_words[a.seed[i]],
+            mbar=_int_words(a.mbar[i], hm),
+            coset=_int_words(a.coset[i], n - k), z=_pack_split(z, k),
+            m=_int_words(m0, hm), x=_split_words(a.x0[i], k, n))
         accepted = bob_verify_batch(batch, cfg) & bob_verify_batch(
-            replace(batch, m=_int_words(t.m1, hm),
-                    x=_split_words(t.x1, k, n)), cfg)
-        wins += int((accepted & (t.m0 != t.m1)).sum())
+            replace(batch, m=_int_words(m1, hm),
+                    x=_split_words(a.x1[i], k, n)), cfg)
+        wins += int((accepted & (m0 != m1)).sum())
     return wins / trials
 
 
@@ -241,12 +277,13 @@ def midpoint_attack(cfg: CommitConfig, x0: BitString, x1: BitString,
                                        x1.bits[: code.k]])).T
     seed = np.repeat(np.arange(len(seeds)), 1 << cfg.hash_m)
     mbar = np.tile(np.arange(1 << cfg.hash_m), len(seeds))
-    atoms = np.recarray(seed.size, dtype=ATOM_DTYPE)
-    atoms.prob = 1.0 / seed.size
-    atoms.seed, atoms.mbar = seed, mbar
-    atoms.label = atoms.coset = 0
-    atoms.x0, atoms.m0 = x0.to_int(), d0[seed] ^ mbar
-    atoms.x1, atoms.m1 = x1.to_int(), d1[seed] ^ mbar
+    size = seed.size
+    atoms = AtomTable(
+        prob=np.full(size, 1.0 / size), seed=seed,
+        label=np.zeros(size, np.int64), mbar=mbar,
+        coset=np.zeros(size, np.int64), x0=np.full(size, x0.to_int()),
+        m0=d0[seed] ^ mbar, x1=np.full(size, x1.to_int()),
+        m1=d1[seed] ^ mbar)
     return AliceStrategy(seeds=seeds, atoms=atoms, channel=channel)
 
 

@@ -96,39 +96,54 @@ def _read_config(flag: str, path) -> dict:
 
 def _set_options(args) -> None:
     """Set each option of the command on ``args``: its flag, else attack's
-    descriptor field, else its --config key, else its default. File values
-    are converted and choice-checked as flags are, and a file key that names
-    no option is refused."""
+    descriptor field, else its --config key, else its default. Each value's
+    source goes to ``args.sources``: its flag, ``<file flag> key <key>`` or
+    ``default``. File values are converted and choice-checked as flags are.
+    A descriptor's kind is resolved first, so a file of the other kind is
+    refused by its kind; then a file key that names no option is refused."""
     files = []
     for flag in _FILES:  # each is an append flag: one path or None
         paths = getattr(args, flag[2:], None) or [None]
         if len(paths) > 1:
             raise UsageError("%s given more than once" % flag)
         files.append((flag, _read_config(flag, paths[0])))
+    args.sources = {}
+    kind = [option for option in args.options if option[0] == "kind"]
+    for option in kind:
+        _resolve(args, files, *option)
     known = {name.lstrip("-").replace("-", "_") for name, *_ in args.options}
     for src, values in files:
         unknown = [key for key in values if key not in known]
         if unknown:
             raise UsageError("%s key %s: not an option of this command"
                              % (src, unknown[0]))
-    for name, type_fn, default, choices in args.options:
-        key = name.lstrip("-").replace("-", "_")
-        value = getattr(args, key) if name[0] == "-" else None
-        for src, values in files:
-            if value is not None or key not in values or name in _FILES:
-                continue
-            try:
-                value = type_fn(values[key])
-            except ValueError as exc:
-                raise UsageError("%s key %s: %s" % (src, key, exc)) from None
-            if choices and value not in choices:
-                raise UsageError("%s key %s: invalid choice %r (choose from "
-                                 "%s)" % (src, key, value, ", ".join(choices)))
-        if value is None and default is not _REQ:
-            value = default
-        setattr(args, key, value)
-        if default is _REQ:
-            _need(args, key)
+    for option in args.options:
+        if option not in kind:
+            _resolve(args, files, *option)
+
+
+def _resolve(args, files, name, type_fn, default, choices) -> None:
+    """Set one option's value and its source on ``args``."""
+    key = name.lstrip("-").replace("-", "_")
+    value = getattr(args, key) if name[0] == "-" else None
+    source = name if value is not None else "default"
+    for src, values in files:
+        if value is not None or key not in values or name in _FILES:
+            continue
+        source = "%s key %s" % (src, key)
+        try:
+            value = type_fn(values[key])
+        except ValueError as exc:
+            raise UsageError("%s: %s" % (source, exc)) from None
+        if choices and value not in choices:
+            raise UsageError("%s: invalid choice %r (choose from %s)"
+                             % (source, value, ", ".join(choices)))
+    if value is None and default is not _REQ:
+        value = default
+    setattr(args, key, value)
+    args.sources[key] = source
+    if default is _REQ:
+        _need(args, key)
 
 
 def _need(args, *keys: str) -> list:
@@ -341,7 +356,7 @@ def _cmd_bounds_eval(args) -> int:
         key = name[2:].replace("-", "_")
         if key not in ("which", "n", *keys) and getattr(args, key) is not None:
             raise UsageError("--which %s does not read %s"
-                             % (args.which, name))
+                             % (args.which, args.sources[key]))
     return _report([(None, bound(args.n, *_need(args, *keys)))])
 
 
@@ -527,9 +542,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     groups = {}
     for group, name, func, options in _COMMANDS:
-        if group not in groups:
+        if group not in groups:  # argparse's errors name a group's dest
             groups[group] = sub.add_parser(
-                group, allow_abbrev=False).add_subparsers(dest="sub",
+                group, allow_abbrev=False).add_subparsers(dest="subcommand",
                                                           required=True)
         sp = groups[group].add_parser(name, allow_abbrev=False)
         options = [(*opt, None, None)[:4] for opt in options]

@@ -265,6 +265,30 @@ CATALOGUE = [
             "test_row_blocks_neither_drop_nor_repeat_rows[9-3]",
             "tests/test_oracle.py::TestClippedRankGather::"
             "test_bit_identical_to_float_gather[7-0.1-0.1]")),
+    # the columnar atom table: group heads, the Monte Carlo gather and the
+    # table's shape refusals
+    Mutant("binding-heads-at-first", "adversary.py",
+           "    heads = np.flatnonzero(valid)[first]  # each group's first "
+           "atom\n",
+           "    heads = first  # each group's first atom\n", _GROUPED),
+    Mutant("binding-mc-coset-not-gathered", "adversary.py",
+           "            coset=_int_words(a.coset[i], n - k), "
+           "z=_pack_split(z, k),\n",
+           "            coset=_int_words(a.coset[:len(i)], n - k), "
+           "z=_pack_split(z, k),\n",
+           ("tests/test_adversary.py::TestGroupedBindingMatchesReference::"
+            "test_hand_built_tables_with_invalid_reveals",
+            "tests/test_adversary.py::TestGroupedBindingMatchesReference::"
+            "test_honest_strategy_with_a_second_opening")),
+    Mutant("atom-table-lengths-unchecked", "adversary.py",
+           "            if len(col) != len(self.prob):\n",
+           "            if False:\n",
+           ("tests/test_adversary.py::TestAtomTable::"
+            "test_columns_of_unequal_length_refused[m1]",)),
+    Mutant("atom-table-ndim-unchecked", "adversary.py",
+           "            if col.ndim != 1:\n", "            if False:\n",
+           ("tests/test_adversary.py::TestAtomTable::"
+            "test_columns_that_are_not_1d_refused[label]",)),
     # the strategy table's label check and hiding's joint reads
     Mutant("table-label-unchecked", "adversary.py",
            "    limits = dict(seed=len(strategy.seeds), "
@@ -478,6 +502,26 @@ CATALOGUE = [
            '        ("kind", str),\n',
            ("tests/test_cli.py::TestAttack::"
             "test_other_kind_or_strategy_name_is_usage_error[binding-kind]",)),
+    # the kind first, each value named by its source, readable subcommands
+    Mutant("kind-checked-after-other-keys", "cli.py",
+           '    kind = [option for option in args.options if option[0] == '
+           '"kind"]\n', "    kind = []\n",
+           ("tests/test_cli.py::TestAttack::"
+            "test_file_of_the_other_kind_is_refused_by_its_kind"
+            "[hiding-shared---strategy]",
+            "tests/test_cli.py::TestAttack::"
+            "test_file_of_the_other_kind_is_refused_by_its_kind"
+            "[binding-full---config]")),
+    Mutant("unread-value-named-by-flag", "cli.py",
+           "                             % (args.which, args.sources[key]))\n",
+           "                             % (args.which, name))\n",
+           ("tests/test_cli.py::TestBoundsEval::"
+            "test_flag_its_which_does_not_read_is_usage_error[dc]",)),
+    Mutant("subcommand-dest-internal", "cli.py",
+           'add_subparsers(dest="subcommand",\n',
+           'add_subparsers(dest="sub",\n',
+           ("tests/test_cli.py::TestOptionNames::"
+            "test_unknown_subcommand_names_the_argument[attack]",)),
     # an advantage that passes only the parent's vacuous hamming74 bound
     Mutant("hiding-advantage-tenth-root", "adversary.py",
            "               np.take(table, m1.to_int() ^ masks, axis=1)"

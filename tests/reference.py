@@ -13,7 +13,7 @@
 
 import numpy as np
 
-from usnc.adversary import ATOM_DTYPE, AliceStrategy
+from usnc.adversary import AliceStrategy, AtomTable
 from usnc.channel import AliceChannel, BobChannel, typical_window_mask
 from usnc.protocol import alice_commit
 
@@ -74,13 +74,14 @@ def honest_alice_strategy(cfg, m, rng, n_atoms: int = 64) -> AliceStrategy:
     """
     draws = [alice_commit(m, cfg, rng) for _ in range(n_atoms)]
     ch = AliceChannel.bsc(cfg.n, [xbar for _, _, xbar in draws], cfg.p)
-    atoms = np.recarray(n_atoms, dtype=ATOM_DTYPE)
-    atoms.prob = 1.0 / n_atoms
-    atoms.seed = atoms.label = np.arange(n_atoms)
-    atoms.mbar = [wire.mbar.to_int() for _, wire, _ in draws]
-    atoms.coset = [wire.coset.to_int() for _, wire, _ in draws]
-    atoms.x0 = atoms.x1 = [opening.x.to_int() for opening, _, _ in draws]
-    atoms.m0 = atoms.m1 = m.to_int()
+    xs = [opening.x.to_int() for opening, _, _ in draws]
+    atoms = AtomTable(
+        prob=np.full(n_atoms, 1.0 / n_atoms), seed=np.arange(n_atoms),
+        label=np.arange(n_atoms),
+        mbar=[wire.mbar.to_int() for _, wire, _ in draws],
+        coset=[wire.coset.to_int() for _, wire, _ in draws], x0=xs,
+        m0=np.full(n_atoms, m.to_int()), x1=xs,
+        m1=np.full(n_atoms, m.to_int()))
     return AliceStrategy(
         seeds=np.stack([wire.seed.matrix for _, wire, _ in draws]),
         atoms=atoms, channel=ch)

@@ -1,12 +1,12 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from reference import (constant_view, honest_alice_strategy,
                        typical_intersection_exact)
-from usnc.adversary import (ATOM_DTYPE, AliceStrategy, BobStrategy,
+from usnc.adversary import (AliceStrategy, AtomTable, BobStrategy,
                             _int_words, _split_words, _view_table,
                             binding_success, hiding_advantage,
                             less_noisy_bob, midpoint_attack)
@@ -270,10 +270,9 @@ def hand_built_strategy(cfg, rows, seeds, laws):
 
     channel = AliceChannel(cfg.n, range(len(dists)), dists.__getitem__,
                            sample)
-    records = [tuple(v.to_int() if isinstance(v, BitString) else v
-                     for v in row) for row in rows]
-    return AliceStrategy(seeds=seeds,
-                         atoms=np.rec.fromrecords(records, dtype=ATOM_DTYPE),
+    columns = zip(*([v.to_int() if isinstance(v, BitString) else v
+                     for v in row] for row in rows))
+    return AliceStrategy(seeds=seeds, atoms=AtomTable(*columns),
                          channel=channel)
 
 
@@ -321,9 +320,8 @@ class TestGroupedBindingMatchesReference:
                              cfg74.code, x) ^ BitString.from_int(
                                  int(a.mbar[i]), 1)).to_int()
               for i, x in enumerate(x1)]
-        atoms = a.copy()
-        atoms.x1, atoms.m1 = [x.to_int() for x in x1], m1
-        equivocating = replace(strategy, atoms=atoms)
+        equivocating = replace(strategy, atoms=replace(
+            a, x1=[x.to_int() for x in x1], m1=m1))
         assert assert_matches_references(equivocating, cfg74) > 0.0
 
     def test_hand_built_tables_with_invalid_reveals(self):
@@ -432,8 +430,8 @@ class TestGroupedBindingMatchesReference:
     def test_table_outside_configuration_refused(self, cfg74, column, shift):
         strategy = midpoint_attack(cfg74, codeword(cfg74.code, 0),
                                    codeword(cfg74.code, 0b0011), 0.3)
-        atoms = strategy.atoms.copy()
-        atoms[column] += shift
+        atoms = replace(strategy.atoms, **{
+            column: getattr(strategy.atoms, column) + shift})
         for mode in ("exact", "mc"):
             with pytest.raises(ValueError, match="column %s outside" % column):
                 binding_success(replace(strategy, atoms=atoms), cfg74,
@@ -526,6 +524,40 @@ class TestGroupedBindingMatchesReference:
             assert built == [0]
 
 
+class TestAtomTable:
+    """The columnar table: one contiguous typed column per field, all of one
+    length."""
+
+    @pytest.fixture
+    def atoms(self, cfg74):
+        return midpoint_attack(cfg74, codeword(cfg74.code, 0),
+                               codeword(cfg74.code, 0b0011), 0.3).atoms
+
+    def test_midpoint_columns_contiguous_and_typed(self, atoms):
+        assert len(atoms) == 2 * 15  # every full-rank 1 x 4 seed and mask
+        for field in fields(atoms):
+            col = getattr(atoms, field.name)
+            assert col.flags.c_contiguous and col.shape == (len(atoms),)
+            assert col.dtype == (np.float64 if field.name == "prob"
+                                 else np.int64), field.name
+
+    @pytest.mark.parametrize("column",
+                             [f.name for f in fields(AtomTable)][1:])
+    def test_columns_of_unequal_length_refused(self, atoms, column):
+        size = len(atoms)  # prob's length
+        with pytest.raises(ValueError, match=r"^atom column %s has %d "
+                           r"atoms, prob has %d$" % (column, size - 1, size)):
+            replace(atoms, **{column: getattr(atoms, column)[:-1]})
+
+    @pytest.mark.parametrize("column", ["prob", "label", "m1"])
+    def test_columns_that_are_not_1d_refused(self, atoms, column):
+        col = getattr(atoms, column)
+        for bad, ndim in ((col[:, None], 2), (col[0], 0)):
+            with pytest.raises(ValueError, match=r"^atom column %s is "
+                               r"%d-D, not 1-D$" % (column, ndim)):
+                replace(atoms, **{column: bad})
+
+
 OPENING_CODES = {
     # one check bit: CommitConfig refuses k = n, which has no syndrome
     "k=6,n=7": lambda: LinearCode(np.zeros((6, 1), dtype=np.uint8),
@@ -593,8 +625,8 @@ class TestPackedOpeningTest:
         for side in ("0", "1"):
             packed = _openings_pass(
                 cfg, strategy.seed_words[a.seed], _int_words(a.mbar, hash_m),
-                _int_words(a["m" + side], hash_m),
-                _split_words(a["x" + side], k, n))
+                _int_words(getattr(a, "m" + side), hash_m),
+                _split_words(getattr(a, "x" + side), k, n))
             scalar = []
             for i in range(len(a)):
                 seed, mbar, _, *openings = _atom(strategy, cfg, i)

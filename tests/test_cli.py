@@ -85,20 +85,28 @@ class TestBoundsEval:
                 "40", "--eps-a", "0"]),
         ("intersection", ["--p", "0.25", "--eps", "0.05", "--sigma", "0.1"])],
         ids=["dc", "dh", "db", "intersection"])
-    def test_flag_its_which_does_not_read_is_usage_error(self, capsys, which,
+    def test_flag_its_which_does_not_read_is_usage_error(self, capsys,
+                                                         tmp_path, which,
                                                          reads):
-        # --which dc --p 0.3 used to print the dc bound and exit 0
+        # --which dc --p 0.3 used to print the dc bound and exit 0; the
+        # error names the flag, or the --config key that set the value
         argv = ["bounds", "eval", "--which", which, "--n", "100", *reads]
         assert run_cli(capsys, *argv)[0] == 0
         unread = [flag for flag in ("--eps", "--p", "--sigma", "--l-a",
                                     "--eps-a", "--l-b", "--eps-b", "--log-m",
                                     "--log-c") if flag not in reads]
+        conf = tmp_path / "conf.txt"
         for flag in unread:
-            code = main(argv + [flag, "0.3"])
-            captured = capsys.readouterr()
-            assert (code, captured.out) == (2, ""), flag
-            assert captured.err == "error: --which %s does not read %s\n" \
-                % (which, flag)
+            key = flag[2:].replace("-", "_")
+            conf.write_text("%s = 0.3\n" % key)
+            for extra, source in (([flag, "0.3"], flag),
+                                  (["--config", str(conf)],
+                                   "--config key " + key)):
+                code = main(argv + extra)
+                captured = capsys.readouterr()
+                assert (code, captured.out) == (2, ""), extra
+                assert captured.err == "error: --which %s does not read " \
+                    "%s\n" % (which, source)
 
     def test_missing_argument_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, "bounds", "eval", "--which", "dc",
@@ -649,6 +657,32 @@ class TestAttack:
         code, _ = run_cli(capsys, "attack", "hiding", "--strategy", str(desc))
         assert code == 2
 
+    @pytest.mark.parametrize("file_flag", ["--strategy", "--config"])
+    @pytest.mark.parametrize("kind, other, shared_only", [
+        ("hiding", "binding", True), ("hiding", "binding", False),
+        ("binding", "hiding", True), ("binding", "hiding", False)],
+        ids=["hiding-shared", "hiding-full", "binding-shared",
+             "binding-full"])
+    def test_file_of_the_other_kind_is_refused_by_its_kind(
+            self, capsys, tmp_path, file_flag, kind, other, shared_only):
+        # the kind is checked before any other key: a binding file on
+        # attack hiding used to be refused for its missing p_b or its
+        # weight key
+        fields = DESCRIPTORS[other]
+        if shared_only:
+            fields = {key: fields[key]
+                      for key in ("kind", "code", "p", "eps")}
+        desc, conf = tmp_path / "desc.txt", tmp_path / "conf.txt"
+        desc.write_text(_kv_text(fields) if file_flag == "--strategy"
+                        else "")
+        conf.write_text(_kv_text(fields) if file_flag == "--config" else "")
+        code = main(["attack", kind, "--strategy", str(desc), "--config",
+                     str(conf)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: %s key kind: invalid choice %r " \
+            "(choose from %s)\n" % (file_flag, other, kind)
+
 
 class TestOracleCommands:
     def test_intersection(self, capsys):
@@ -853,6 +887,26 @@ class TestOversizedInputs:
 
 
 class TestConfigPrecedence:
+    def test_each_value_records_its_source(self, tmp_path):
+        from usnc.cli import _set_options
+        desc, conf = tmp_path / "desc.txt", tmp_path / "conf.txt"
+        desc.write_text("kind = hiding\nstrategy = less_noisy_bob\n"
+                        "code = hamming74\np = 0.25\n")
+        conf.write_text("eps = 0.2\np = 0.3\np_b = 0.1\n")
+        args = build_parser().parse_args(
+            ["attack", "hiding", "--strategy", str(desc), "--config",
+             str(conf), "--mode", "exact"])
+        _set_options(args)
+        assert (args.strategy, args.p, args.eps, args.p_b, args.m0) == (
+            "less_noisy_bob", 0.25, 0.2, 0.1, "0")
+        assert args.sources == {
+            # the descriptor's strategy field replaces the --strategy path
+            "strategy": "--strategy key strategy", "mode": "--mode",
+            "code": "--strategy key code", "hash_m": "default",
+            "p": "--strategy key p", "eps": "--config key eps",
+            "p_b": "--config key p_b", "m0": "default", "m1": "default",
+            "kind": "--strategy key kind"}
+
     def test_flag_overrides_config(self, capsys, tmp_path):
         cfg = tmp_path / "conf.txt"
         cfg.write_text("n = 1000\neps = 0.2\n")
@@ -960,6 +1014,21 @@ class TestKeyValueFiles:
 
 
 class TestOptionNames:
+    @pytest.mark.parametrize("group", list(dict.fromkeys(
+        group for group, *_ in _COMMANDS)))
+    def test_unknown_subcommand_names_the_argument(self, capsys, group):
+        # the error used to name argparse's internal dest: "argument sub"
+        with pytest.raises(SystemExit) as exc:
+            main([group, "foo"])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        error, = [ln for ln in captured.err.splitlines() if "error:" in ln]
+        prefix = "usnc %s: error: argument subcommand: invalid choice: " \
+            "'foo' (choose from " % group
+        assert error.startswith(prefix)
+        assert re.findall(r"[\w-]+", error[len(prefix):]) == [
+            name for group_, name, *_ in _COMMANDS if group_ == group]
+
     def test_abbreviated_option_is_usage_error(self, capsys):
         # argparse's prefix matching once read --p as --p-b and passed
         with pytest.raises(SystemExit) as exc:
