@@ -60,7 +60,8 @@ class AtomTable:
     channel's labels, ``mbar``, ``coset`` (the syndrome of C') and the
     openings (``x0``, ``m0``), (``x1``, ``m1``) of the two reveals. Strings
     are ints, bit j being coordinate j. Columns are converted to their dtype
-    on construction; columns that are not 1-D or differ in length are
+    on construction (an int64 column as it is); columns whose values change
+    in the conversion, that are not 1-D or that differ in length are
     refused. ``len`` is the number of atoms.
     """
 
@@ -76,9 +77,11 @@ class AtomTable:
 
     def __post_init__(self):
         for field in fields(self):
-            col = np.array(getattr(self, field.name), copy=None, order="C",
-                           dtype=np.float64 if field.name == "prob"
-                           else np.int64)
+            col = np.asarray(getattr(self, field.name))
+            dtype = np.float64 if field.name == "prob" else np.int64
+            if col.dtype != dtype:
+                col = _cast_exact(col, dtype, field.name)
+            col = np.array(col, copy=None, order="C")
             if col.ndim != 1:
                 raise ValueError("atom column %s is %d-D, not 1-D"
                                  % (field.name, col.ndim))
@@ -89,6 +92,22 @@ class AtomTable:
 
     def __len__(self) -> int:
         return len(self.prob)
+
+
+def _cast_exact(values: np.ndarray, dtype, name: str) -> np.ndarray:
+    """Atom column ``name`` converted to ``dtype``, refused where the
+    conversion changes a value."""
+    try:
+        # NaN and floats past 2^63 convert to int64 changed, with a warning;
+        # ints past 2^64 do not convert at all
+        with np.errstate(invalid="ignore"):
+            col = values.astype(dtype)
+        if np.array_equal(col, values):
+            return col
+    except (OverflowError, TypeError, ValueError):
+        pass
+    raise ValueError("atom column %s holds values that %s does not keep"
+                     % (name, np.dtype(dtype)))
 
 
 @dataclass(frozen=True)

@@ -105,12 +105,16 @@ def clipped_bsc_construction(n: int, p: float, eps: float,
     n (h(p) - eps log2((1-p)/p)), and, with with_conditional, the
     conditional min-entropy of the clipped joint under a uniform input.
     Both enumerate densely, so n outside 1..16 is refused before anything
-    is built, as are a non-finite p or eps, p outside (0, 1/2) and eps < 0.
+    is built, as are a non-finite p or eps, p outside (0, 1/2), eps < 0 and
+    an empty window, which leaves no mass to measure.
     """
     if not 1 <= n <= 16:
         raise ValueError("dense construction needs 1 <= n <= 16")
-    window = typical_window(n, p, eps)  # refuses NaN and inf first
+    lo, hi = typical_window(n, p, eps)  # refuses NaN and inf first
     tail = typicality_tail_exact(n, p, eps)  # then the ranges of p and eps
+    if lo > hi:
+        raise ValueError("typical window of n = %d, p = %r, eps = %r is "
+                         "empty: w_lo %d > w_hi %d" % (n, p, eps, lo, hi))
     zero = BitString.zeros(n)
     full = bsc_law_dense(n, zero, p).mass
     clipped = np.where(typical_window_mask(n, 0, p, eps), full, 0.0)
@@ -120,41 +124,49 @@ def clipped_bsc_construction(n: int, p: float, eps: float,
     floor = n * (binary_entropy(p) - eps * float(c))
     cond = None
     if with_conditional:
-        cond = _clipped_cond_min_entropy(n, p, *window)
+        cond = _clipped_cond_min_entropy(n, p, lo, hi)
     return ClippedBscResult(gtd_actual=gtd_actual, tail=tail,
                             min_entropy_per_input=h_in, entropy_floor=floor,
                             cond_min_entropy=cond)
 
 
-# Most (z, x) pairs one row block of ``_clipped_cond_min_entropy`` holds:
-# 2^19 uint8 distances (512 KiB) and their compare masks stay in a 2 MiB L2.
-_CLIPPED_BLOCK_PAIRS = 1 << 19
+# Outputs one slab of ``_clipped_cond_min_entropy`` covers, all in one high
+# part: at n = 13 the (2^5, 64, 2^8) bool slab is 512 KiB and stays in a
+# 2 MiB L2. Of 16, 32, 64 and 128 rows, 64 was fastest or within 5% of it
+# at n = 13 and n = 16 on a 2-core x86 host.
+_CLIPPED_BLOCK_ROWS = 64
 
 
 def _clipped_cond_min_entropy(n: int, p: float, lo: int, hi: int) -> float:
-    """Conditional min-entropy of the clipped joint, in cache-sized row blocks.
+    """Conditional min-entropy of the clipped joint, in slabs of outputs.
 
     The joint is 2^-n Q(z|x) over all (x, z); per output z the guessing mass
-    max over x is found by enumerating every input. Each block of outputs
-    takes the uint8 Hamming distance of every (z, x) pair, at most
-    ``_CLIPPED_BLOCK_PAIRS`` of them, from ``hamming_distances``. The mass
-    depends on x only through that distance, so ``_top_mass_per_row`` reads
-    each output's maximum off which distances its row contains. The maxima
-    are then summed over the rows of 2^22 pairs at a time, the order of
-    gathering the float64 mass of every pair in 2^22-pair chunks, so the
-    result is the same bit for bit.
+    max over x is found by enumerating every input. Strings split into a low
+    byte and a high part, z = zh 2^8 + zl, so d(z, x) = d_low[zl, xl] +
+    d_high[zh, xh], both tables from ``hamming_distances``. Outputs are taken
+    ``_CLIPPED_BLOCK_ROWS`` at a time within one high part (the last block
+    of each may be short), and ``_top_mass_per_row`` reads each output's
+    maximum off which distances its pairs reach. The maxima are then summed
+    over the rows of 2^22 pairs at a time, the order of gathering the
+    float64 mass of every pair in 2^22-pair chunks, so the result is the
+    same bit for bit.
     """
     w = np.arange(n + 1)
     pmf_w = np.where((w >= lo) & (w <= hi), bsc_weight_mass(n, p), 0.0)
+    order = np.argsort(pmf_w, kind="stable")[::-1]
+    low = min(n, 8)
+    d_low = hamming_distances(low, np.arange(1 << low))
+    d_high = hamming_distances(n - low, np.arange(1 << (n - low)))
+    rows = _CLIPPED_BLOCK_ROWS
+    slab = np.empty((len(d_high), rows, 1 << low), dtype=bool)
     size = 1 << n
     best = np.zeros(size)
-    block = max(1, _CLIPPED_BLOCK_PAIRS // size)
-    for start in range(0, size, block):
-        zc = np.arange(start, min(start + block, size))
-        # named: freeing the last block's table before this one is built
-        # hands its pages back to the OS to fault in again, 5x slower
-        dists = hamming_distances(n, zc)
-        best[start:start + len(zc)] = _top_mass_per_row(dists, pmf_w)
+    for zh, high in enumerate(d_high):
+        for zl in range(0, 1 << low, rows):
+            block = d_low[zl:zl + rows]
+            start = (zh << low) + zl
+            best[start:start + len(block)] = _top_mass_per_row(
+                block, high, pmf_w, order, slab)
     chunk = max(1, (1 << 22) // size)
     total = 0.0
     for start in range(0, size, chunk):
@@ -162,23 +174,33 @@ def _clipped_cond_min_entropy(n: int, p: float, lo: int, hi: int) -> float:
     return -float(np.log2(total / size))
 
 
-def _top_mass_per_row(dists: np.ndarray, pmf_w: np.ndarray) -> np.ndarray:
-    """``pmf_w[dists].max(axis=1)`` for a uint8 distance matrix, by scanning.
+def _top_mass_per_row(d_low: np.ndarray, d_high: np.ndarray,
+                      pmf_w: np.ndarray, order: np.ndarray,
+                      slab: np.ndarray) -> np.ndarray:
+    """``pmf_w[d_low[:, None, :] + d_high[:, None]].max(axis=(1, 2))`` for
+    uint8 low distances (rows, 2^low) and high distances (2^high,), by
+    scanning.
 
-    Distances are tried from the highest mass down; each row takes the mass
-    of the first one it contains, and the scan stops once every row has
-    one. Rows need not contain every distance.
+    Distances d are tried in ``order``, highest mass first. For each, the
+    ``slab`` buffer (at least (2^high, rows, 2^low)) takes d_low == d - d_high
+    for every high offset at once; a row contains d where any of its
+    entries is set. Each row takes the mass of the first distance it
+    contains, and the scan stops once every row has one. Rows need not
+    contain every distance. Below zero, uint8 d - d_high wraps to 248 or
+    more, past every low distance.
     """
-    best = np.zeros(len(dists))
-    todo = np.arange(len(dists))
-    for d in np.argsort(pmf_w, kind="stable")[::-1]:
+    best = np.zeros(len(d_low))
+    todo = np.arange(len(d_low))
+    for d in order:
         if todo.size == 0:
             break
-        rows = dists if todo.size == len(dists) else dists[todo]
-        # a uint8 scalar keeps the comparison in uint8 (NEP 50)
-        hit = (rows == np.uint8(d)).any(axis=1)
-        best[todo[hit]] = pmf_w[d]
-        todo = todo[~hit]
+        rows = d_low if todo.size == len(d_low) else d_low[todo]
+        hits = slab[:, :len(rows)]
+        # a uint8 scalar keeps the subtraction in uint8 (NEP 50)
+        np.equal(rows, (np.uint8(d) - d_high)[:, None, None], out=hits)
+        found = np.logical_or.reduce(hits, axis=0).any(axis=1)
+        best[todo[found]] = pmf_w[d]
+        todo = todo[~found]
     return best
 
 

@@ -77,6 +77,9 @@ _LHL_BLOCKS = tuple(
     "tests/test_oracle.py::TestLhlCheck::"
     "test_seed_blocks_neither_drop_nor_repeat_seeds[%s-1]" % case
     for case in ("hamming74-m3", "even7-m3-sampled"))
+_CLIPPED_ROWS = ("tests/test_oracle.py::TestClippedRankGather::"
+                 "test_row_blocks_neither_drop_nor_repeat_rows[%d-%d]")
+_CLIPPED_BLOCKS = (_CLIPPED_ROWS % (9, 3), _CLIPPED_ROWS % (13, 3))
 _DISTANCES = ("tests/test_channel.py::TestHammingDistances::"
               "test_equals_uint32_xor_reference[9]",
               "tests/test_channel.py::TestHammingDistances::"
@@ -250,7 +253,8 @@ CATALOGUE = [
            "    for j in range(hm):\n", "    for j in range(1):\n",
            _OPENINGS + ("tests/test_protocol.py::TestBatchEngine::"
                         "test_replay_verdicts_equal_scalar[random[200,70]]",)),
-    # the block edges of the leftover-hash and clipped oracles
+    # the block edges of the leftover-hash and clipped oracles, the
+    # clipped slab's high offsets and its empty-window refusal
     Mutant("lhl-block-drops-last-seed", "oracle.py",
            "    for start in range(0, len(seeds), block):\n",
            "    for start in range(0, len(seeds) - 1, block):\n", _LHL_BLOCKS),
@@ -259,14 +263,32 @@ CATALOGUE = [
            "        stack = seeds[start + 1:start + block + 1]\n",
            _LHL_BLOCKS),
     Mutant("clipped-block-drops-last-row", "oracle.py",
-           "        zc = np.arange(start, min(start + block, size))\n",
-           "        zc = np.arange(start, min(start + block, size - 1))\n",
+           "        for zl in range(0, 1 << low, rows):\n",
+           "        for zl in range(0, (1 << low) - 1, rows):\n",
+           _CLIPPED_BLOCKS + (_CLIPPED_ROWS % (9, 1),)),
+    Mutant("clipped-block-runs-past-its-high-part", "oracle.py",
+           "    for zh, high in enumerate(d_high):\n"
+           "        for zl in range(0, 1 << low, rows):\n",
+           "    for start in range(0, 1 << n, rows):\n"
+           "        for zh, zl in [divmod(start, 1 << low)]:\n"
+           "            high = d_high[zh]\n",
+           _CLIPPED_BLOCKS + (_CLIPPED_ROWS % (9, 100),)),
+    Mutant("clipped-slab-skips-last-high-offset", "oracle.py",
+           "        found = np.logical_or.reduce(hits, axis=0).any(axis=1)\n",
+           "        found = np.logical_or.reduce(hits[:-1], axis=0)"
+           ".any(axis=1)\n",
            ("tests/test_oracle.py::TestClippedRankGather::"
-            "test_row_blocks_neither_drop_nor_repeat_rows[9-3]",
+            "test_scan_equals_gather_when_rows_miss_distances[rows0]",
             "tests/test_oracle.py::TestClippedRankGather::"
-            "test_bit_identical_to_float_gather[7-0.1-0.1]")),
+            "test_bit_identical_to_float_gather[9-0.1-0.1]")),
+    Mutant("clipped-empty-window-unrefused", "oracle.py",
+           "    if lo > hi:\n", "    if False:\n",
+           ("tests/test_oracle.py::TestClippedConstruction::"
+            "test_empty_window_refused_before_enumeration[9-0.2-0.0-2-1]",
+            "tests/test_cli.py::TestOracleCommands::"
+            "test_clipped_empty_window_is_usage_error")),
     # the columnar atom table: group heads, the Monte Carlo gather and the
-    # table's shape refusals
+    # table's shape and cast refusals
     Mutant("binding-heads-at-first", "adversary.py",
            "    heads = np.flatnonzero(valid)[first]  # each group's first "
            "atom\n",
@@ -289,6 +311,16 @@ CATALOGUE = [
            "            if col.ndim != 1:\n", "            if False:\n",
            ("tests/test_adversary.py::TestAtomTable::"
             "test_columns_that_are_not_1d_refused[label]",)),
+    Mutant("atom-table-cast-unchecked", "adversary.py",
+           "        if np.array_equal(col, values):\n",
+           "        if True:\n",
+           ("tests/test_adversary.py::TestAtomTable::"
+            "test_values_the_cast_changes_refused[fraction]",)),
+    Mutant("atom-table-overflow-uncaught", "adversary.py",
+           "    except (OverflowError, TypeError, ValueError):\n",
+           "    except (TypeError, ValueError):\n",
+           ("tests/test_adversary.py::TestAtomTable::"
+            "test_values_the_cast_changes_refused[2^64]",)),
     # the strategy table's label check and hiding's joint reads
     Mutant("table-label-unchecked", "adversary.py",
            "    limits = dict(seed=len(strategy.seeds), "

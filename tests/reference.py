@@ -9,12 +9,16 @@
 - ``honest_alice_strategy``: the honest committer cast as a sender strategy.
 - ``typical_intersection_exact``: the typical-window overlap of one pair of
   centres, counted over all 2^n strings.
+- ``clipped_cond_min_entropy_blocks`` and ``top_mass_per_row``: the clipped
+  oracle's conditional min-entropy from a full distance table per block of
+  outputs, the loop the oracle's slabs replaced.
 """
 
 import numpy as np
 
 from usnc.adversary import AliceStrategy, AtomTable
-from usnc.channel import AliceChannel, BobChannel, typical_window_mask
+from usnc.channel import (AliceChannel, BobChannel, bsc_weight_mass,
+                          hamming_distances, typical_window_mask)
 from usnc.protocol import alice_commit
 
 _MAX_LP_CELLS = 1 << 16
@@ -95,3 +99,42 @@ def typical_intersection_exact(n: int, p: float, eps: float, x, y) -> int:
         raise ValueError("length mismatch")
     both = typical_window_mask(n, [x.to_int(), y.to_int()], p, eps)
     return int(np.count_nonzero(both.all(axis=0)))
+
+
+def clipped_cond_min_entropy_blocks(n: int, p: float, lo: int,
+                                    hi: int) -> float:
+    """Conditional min-entropy of the clipped joint from full distance
+    tables: each block of 2^19 // 2^n outputs takes the uint8 distance of
+    every (z, x) pair from ``hamming_distances`` and ``top_mass_per_row``
+    reads each output's maximum off it. The maxima are summed in the
+    oracle's 2^22-pair chunks."""
+    w = np.arange(n + 1)
+    pmf_w = np.where((w >= lo) & (w <= hi), bsc_weight_mass(n, p), 0.0)
+    size = 1 << n
+    best = np.zeros(size)
+    block = max(1, (1 << 19) // size)
+    for start in range(0, size, block):
+        zc = np.arange(start, min(start + block, size))
+        best[start:start + len(zc)] = top_mass_per_row(
+            hamming_distances(n, zc), pmf_w)
+    chunk = max(1, (1 << 22) // size)
+    total = 0.0
+    for start in range(0, size, chunk):
+        total += float(best[start:start + chunk].sum())
+    return -float(np.log2(total / size))
+
+
+def top_mass_per_row(dists: np.ndarray, pmf_w: np.ndarray) -> np.ndarray:
+    """``pmf_w[dists].max(axis=1)`` for a uint8 distance matrix, by scanning
+    distances from the highest mass down; each row takes the mass of the
+    first one it contains, and the scan stops once every row has one."""
+    best = np.zeros(len(dists))
+    todo = np.arange(len(dists))
+    for d in np.argsort(pmf_w, kind="stable")[::-1]:
+        if todo.size == 0:
+            break
+        rows = dists if todo.size == len(dists) else dists[todo]
+        hit = (rows == np.uint8(d)).any(axis=1)
+        best[todo[hit]] = pmf_w[d]
+        todo = todo[~hit]
+    return best

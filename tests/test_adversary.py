@@ -557,6 +557,32 @@ class TestAtomTable:
                                r"%d-D, not 1-D$" % (column, ndim)):
                 replace(atoms, **{column: bad})
 
+    def test_int64_columns_kept_without_a_copy(self, atoms):
+        kept = replace(atoms)
+        for field in fields(atoms):
+            assert getattr(kept, field.name) is getattr(atoms, field.name)
+
+    @pytest.mark.parametrize("column, values", [
+        ("seed", [1.5]), ("seed", [2 ** 63]), ("seed", [2 ** 64]),
+        ("x0", [float("nan")]), ("x0", [1e19]), ("label", [-0.5]),
+        ("m1", ["1"]), ("prob", ["0.5"])],
+        ids=["fraction", "2^63", "2^64", "nan", "1e19", "negative-fraction",
+             "int-string", "float-string"])
+    def test_values_the_cast_changes_refused(self, column, values):
+        row = {f.name: [0] for f in fields(AtomTable)}
+        with pytest.raises(ValueError, match=r"^atom column %s holds values "
+                           r"that %s does not keep$" % (column, "float64"
+                           if column == "prob" else "int64")):
+            AtomTable(**{**row, "prob": [1.0], column: values})
+
+    def test_values_the_cast_keeps_accepted(self):
+        atoms = AtomTable([1], [1.0], [True], np.array([3], np.uint64),
+                          [2 ** 63 - 1], [-(2 ** 63)], [0], [5], [1])
+        assert atoms.prob.tolist() == [1.0] and atoms.seed.tolist() == [1]
+        assert atoms.label.tolist() == [1] and atoms.mbar.tolist() == [3]
+        assert atoms.coset.tolist() == [2 ** 63 - 1]
+        assert atoms.x0.tolist() == [-(2 ** 63)]
+
 
 OPENING_CODES = {
     # one check bit: CommitConfig refuses k = n, which has no syndrome

@@ -800,6 +800,16 @@ class TestOracleCommands:
         assert captured.out == ""
         assert captured.err == "error: dense construction needs 1 <= n <= 16\n"
 
+    def test_clipped_empty_window_is_usage_error(self, capsys):
+        # n (p - eps) = 1.8 and n (p + eps) = 1.8: no weight in between
+        code = main(["oracle", "clipped", "--n", "9", "--p", "0.2",
+                     "--eps", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == ("error: typical window of n = 9, p = 0.2, "
+                                "eps = 0.0 is empty: w_lo 2 > w_hi 1\n")
+
 
 class TestNqsCommands:
     def test_simulate_csv(self, capsys, tmp_path):

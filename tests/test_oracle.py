@@ -7,8 +7,8 @@ import pytest
 
 from scipy.special import xlogy
 
-from reference import (constant_view, smooth_entropy_lp,
-                       typical_intersection_exact)
+from reference import (clipped_cond_min_entropy_blocks, constant_view,
+                       smooth_entropy_lp, typical_intersection_exact)
 from usnc import oracle
 from usnc.adversary import less_noisy_bob
 from usnc.bounds import intersection_bound
@@ -136,6 +136,21 @@ class TestClippedConstruction:
         assert res.cond_min_entropy >= res.entropy_floor - 1e-12
         assert res.cond_min_entropy <= res.min_entropy_per_input + 1e-12
 
+    @pytest.mark.parametrize("n, p, eps, lo, hi", [(9, 0.2, 0.0, 2, 1),
+                                                   (5, 0.3, 0.05, 2, 1)])
+    def test_empty_window_refused_before_enumeration(self, monkeypatch, n, p,
+                                                     eps, lo, hi):
+        def fail(*args):
+            raise AssertionError("a law was enumerated")
+
+        monkeypatch.setattr(oracle, "bsc_law_dense", fail)
+        monkeypatch.setattr(oracle, "_clipped_cond_min_entropy", fail)
+        assert typical_window(n, p, eps) == (lo, hi)
+        with pytest.raises(ValueError, match=r"^typical window of n = %d, "
+                           r"p = %r, eps = %r is empty: w_lo %d > w_hi %d$"
+                           % (n, p, eps, lo, hi)):
+            clipped_bsc_construction(n, p, eps)
+
 
 def float_gather_cond_min_entropy(n, p, lo, hi):
     """Reference clipped conditional min-entropy: gathers the float64 mass
@@ -166,8 +181,9 @@ CLIPPED_GRID += [(13, 0.1, 0.1), (14, 0.1, 0.1)]
 
 
 class TestClippedRankGather:
-    """The clipped oracle's byte-popcount kernel and presence scan against
-    the float64 gather of every pair's mass."""
+    """The clipped oracle's slabs of split distances and presence scan
+    against the float64 gather of every pair's mass and against the loop
+    over full distance tables that the slabs replaced."""
 
     @pytest.mark.parametrize("n, p, eps", CLIPPED_GRID)
     def test_bit_identical_to_float_gather(self, n, p, eps):
@@ -175,12 +191,19 @@ class TestClippedRankGather:
         got = oracle._clipped_cond_min_entropy(n, p, lo, hi)
         assert got == float_gather_cond_min_entropy(n, p, lo, hi)
 
-    @pytest.mark.parametrize("rows", [1, 3])
-    @pytest.mark.parametrize("n", [9, 13])
+    @pytest.mark.parametrize("n, p, eps", CLIPPED_GRID)
+    def test_equals_block_loop_reference(self, n, p, eps):
+        lo, hi = typical_window(n, p, eps)
+        got = oracle._clipped_cond_min_entropy(n, p, lo, hi)
+        assert got == clipped_cond_min_entropy_blocks(n, p, lo, hi)
+
+    @pytest.mark.parametrize("rows", [1, 3, 100])
+    @pytest.mark.parametrize("n", [5, 8, 9, 13])
     def test_row_blocks_neither_drop_nor_repeat_rows(self, monkeypatch, n,
                                                      rows):
-        # 3 rows leave a short last block; 1 row makes every row its own
-        monkeypatch.setattr(oracle, "_CLIPPED_BLOCK_PAIRS", rows << n)
+        # 3 and 100 rows leave a short last block in each high part (100
+        # exceeds all 32 outputs at n = 5); 1 row makes every row its own
+        monkeypatch.setattr(oracle, "_CLIPPED_BLOCK_ROWS", rows)
         lo, hi = typical_window(n, 0.1, 0.1)
         got = oracle._clipped_cond_min_entropy(n, 0.1, lo, hi)
         assert got == float_gather_cond_min_entropy(n, 0.1, lo, hi)
@@ -196,14 +219,20 @@ class TestClippedRankGather:
                    0.1 ** np.arange(7) * 0.9 ** (6 - np.arange(7)), 0.0)
 
     @pytest.mark.parametrize("rows", [
-        [[0, 2, 3, 2], [1, 1, 0, 6], [3, 3, 3, 3]],   # rows miss distance 1
-        [[0, 4, 5, 6], [6, 6, 6, 6], [2, 0, 4, 1]],   # miss the whole window
-        [[1, 2, 3, 0], [0, 1, 2, 3], [3, 2, 1, 0]],   # every row has all
+        # rows miss distance 1; the second row reaches it only at the last
+        # high offset
+        ([[0, 2], [1, 3], [3, 3], [4, 0]], [2, 2, 0]),
+        ([[4, 4], [0, 0], [6, 5]], [0, 0]),           # miss the whole window
+        ([[1, 2], [0, 3], [3, 1], [2, 0]], [0, 1]),   # every row has 1..3
     ])
     def test_scan_equals_gather_when_rows_miss_distances(self, rows):
-        dists = np.array(rows, dtype=np.uint8)
-        got = oracle._top_mass_per_row(dists, self.PMF)
-        assert np.array_equal(got, self.PMF[dists].max(axis=1))
+        d_low, d_high = (np.array(t, dtype=np.uint8) for t in rows)
+        order = np.argsort(self.PMF, kind="stable")[::-1]
+        # the oracle's slab has room for more rows than a short block holds
+        slab = np.empty((len(d_high), len(d_low) + 2, d_low.shape[1]), bool)
+        got = oracle._top_mass_per_row(d_low, d_high, self.PMF, order, slab)
+        pairs = d_low[:, None, :] + d_high[:, None]
+        assert np.array_equal(got, self.PMF[pairs].max(axis=(1, 2)))
 
 
 def lhl_loop_reference(code, hash_m, view_law, seeds):
