@@ -62,7 +62,8 @@ class AtomTable:
     are ints, bit j being coordinate j. Columns are converted to their dtype
     on construction (an int64 column as it is); columns whose values change
     in the conversion, that are not 1-D or that differ in length are
-    refused. ``len`` is the number of atoms.
+    refused, and so is a negative or non-finite probability (weights above
+    1 are allowed). ``len`` is the number of atoms.
     """
 
     prob: np.ndarray
@@ -88,6 +89,10 @@ class AtomTable:
             if len(col) != len(self.prob):
                 raise ValueError("atom column %s has %d atoms, prob has %d"
                                  % (field.name, len(col), len(self.prob)))
+            if field.name == "prob" and not (
+                    (col >= 0.0) & (col < np.inf)).all():  # NaN fails both
+                raise ValueError("atom column prob holds a negative or "
+                                 "non-finite probability")
             object.__setattr__(self, field.name, col)
 
     def __len__(self) -> int:

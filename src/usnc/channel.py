@@ -304,17 +304,9 @@ def check_c2(ch: AliceChannel, params: UsncParams) -> CheckReport:
     _check_length(ch, params)
     if ch.n > _DENSE_N_LIMIT:
         raise ValueError("exact check needs n <= %d" % _DENSE_N_LIMIT)
-    worst = np.inf
-    witness = None
-    for label in ch.labels:
-        h = smooth_min_entropy(ch.law(label), params.eps_a)
-        if h < worst:
-            worst, witness = h, label
-    passed = bool(worst >= params.l_a)
-    ch.certified = passed
-    return CheckReport(passed=passed, achieved=float(worst),
-                       required=params.l_a,
-                       witness=None if passed else witness)
+    worst, index = min((smooth_min_entropy(ch.law(label), params.eps_a), i)
+                       for i, label in enumerate(ch.labels))
+    return _verdict(ch, worst, params.l_a, ch.labels[index])
 
 
 def check_c3(ch: BobChannel, params: UsncParams) -> CheckReport:
@@ -322,10 +314,18 @@ def check_c3(ch: BobChannel, params: UsncParams) -> CheckReport:
     a uniform input given the view is >= l_b at smoothing eps_b."""
     _check_length(ch, params)
     joint = ch.joint_with_uniform_input()
-    h = smooth_cond_min_entropy(joint, params.eps_b)
-    passed = bool(h >= params.l_b)
+    return _verdict(ch, smooth_cond_min_entropy(joint, params.eps_b),
+                    params.l_b)
+
+
+def _verdict(ch, achieved: float, required: float,
+             witness=None) -> CheckReport:
+    """The report of a channel check, with the witness only on failure;
+    sets ch.certified to whether achieved >= required."""
+    passed = bool(achieved >= required)
     ch.certified = passed
-    return CheckReport(passed=passed, achieved=float(h), required=params.l_b)
+    return CheckReport(passed=passed, achieved=float(achieved),
+                       required=required, witness=None if passed else witness)
 
 
 def _check_length(ch, params: UsncParams) -> None:

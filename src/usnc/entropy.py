@@ -38,8 +38,10 @@ def _checked_mass(mass, ndim: int) -> np.ndarray:
         raise ValueError("mass must be a " + shape)
     if arr.size > _MAX_DENSE:
         raise ValueError("dense %s limited to 2^20 entries" % kind)
-    if arr.min(initial=0.0) < -_MASS_TOL:
-        raise ValueError("negative probability mass")
+    low = arr.min(initial=0.0)  # NaN if any entry is NaN
+    if not low >= -_MASS_TOL:
+        raise ValueError("%s probability mass" % (
+            "NaN" if np.isnan(low) else "negative"))
     if arr.sum() > 1.0 + _MASS_TOL:
         raise ValueError("total mass exceeds 1")
     arr = np.maximum(arr, 0.0)
@@ -54,10 +56,6 @@ class ClassicalDistribution:
 
     def __init__(self, mass):
         self.mass = _checked_mass(mass, 1)
-
-    @property
-    def size(self) -> int:
-        return self.mass.size
 
 
 class JointDistribution:
@@ -90,49 +88,49 @@ def gtd(p, q) -> float:
 
 def min_entropy(p: ClassicalDistribution) -> float:
     """-log2 of the largest mass; +0.0 for a point mass."""
-    top = float(p.mass.max())
-    if top <= 0.0:
-        raise ValueError("zero distribution has no min-entropy")
-    return 0.0 - np.log2(top)  # 0.0 - x, unlike -x, is never -0.0
+    return _smooth_guess_entropy(p.mass, 0.0)
 
 
 def cond_min_entropy(j: JointDistribution) -> float:
     """-log2 sum_z max_x j(x, z); +0.0 when the view determines x."""
-    s = float(j.mass.max(axis=0).sum())
-    if s <= 0.0:
-        raise ValueError("zero distribution has no min-entropy")
-    return 0.0 - np.log2(s)
+    return _smooth_guess_entropy(j.mass, 0.0)
 
 
 def smooth_min_entropy(p: ClassicalDistribution, eps: float) -> float:
     """Max min-entropy over the distance-eps ball of subnormalized vectors:
     the conditional case with a single side-information column."""
-    if eps == 0.0:
-        return min_entropy(p)
-    return _smooth_guess_entropy(p.mass[:, None], eps)
+    return _smooth_guess_entropy(p.mass, eps)
 
 
 def smooth_cond_min_entropy(j: JointDistribution, eps: float) -> float:
     """Max conditional min-entropy over the distance-eps ball."""
-    if eps == 0.0:
-        return cond_min_entropy(j)
     return _smooth_guess_entropy(j.mass, eps)
 
 
 def _smooth_guess_entropy(mass: np.ndarray, eps: float) -> float:
     """-log2 of the least guessing mass sum_z t_z with removal
-    sum_z sum_x max(j(x,z) - t_z, 0) <= eps.
+    sum_z sum_x max(j(x,z) - t_z, 0) <= eps; a 1-D mass is one column z.
 
-    Solved exactly: the objective is the guessing mass, its reduction per
-    column is piecewise linear with integer slopes, and spending the removal
-    budget on segments of ascending slope is optimal (the one-sided removal
-    argument in the module docstring turns the eps-ball into this budget).
+    At eps = 0 that is sum_z max_x j(x, z), a flat max for a 1-D mass (the
+    faster form). Otherwise it is solved exactly: the objective is the
+    guessing mass, its reduction per column is piecewise linear with
+    integer slopes, and spending the removal budget on segments of
+    ascending slope is optimal (the one-sided removal argument in the
+    module docstring turns the eps-ball into this budget).
     """
+    if eps == 0.0:
+        guess = float(mass.max() if mass.ndim == 1
+                      else mass.max(axis=0).sum())
+        if guess <= 0.0:
+            raise ValueError("zero distribution has no min-entropy")
+        return 0.0 - np.log2(guess)  # 0.0 - x, unlike -x, is never -0.0
     if not eps >= 0.0:  # also refuses NaN
         raise ValueError("eps must be nonnegative, got %r" % eps)
     total = float(mass.sum())
     if eps >= total:
         raise ValueError("eps >= total mass: entropy unbounded")
+    if mass.ndim == 1:
+        mass = mass[:, None]
     rates, widths, guess0 = _column_segments(mass)
     order = np.argsort(rates, kind="stable")
     rates, widths = rates[order], widths[order]

@@ -131,29 +131,32 @@ def clipped_bsc_construction(n: int, p: float, eps: float,
 
 
 # Outputs one slab of ``_clipped_cond_min_entropy`` covers, all in one high
-# part: at n = 13 the (2^5, 64, 2^8) bool slab is 512 KiB and stays in a
-# 2 MiB L2. Of 16, 32, 64 and 128 rows, 64 was fastest or within 5% of it
-# at n = 13 and n = 16 on a 2-core x86 host.
+# part: at n = 13 the (2^5, 64, 2^8) bool slab of presence tests is 512 KiB
+# and stays in a 2 MiB L2. Of 16, 32, 64 and 128 rows, 64 was fastest or
+# within 5% of it at n = 13 and n = 16 on a 2-core x86 host.
 _CLIPPED_BLOCK_ROWS = 64
 
 
 def _clipped_cond_min_entropy(n: int, p: float, lo: int, hi: int) -> float:
     """Conditional min-entropy of the clipped joint, in slabs of outputs.
 
-    The joint is 2^-n Q(z|x) over all (x, z); per output z the guessing mass
-    max over x is found by enumerating every input. Strings split into a low
-    byte and a high part, z = zh 2^8 + zl, so d(z, x) = d_low[zl, xl] +
-    d_high[zh, xh], both tables from ``hamming_distances``. Outputs are taken
+    The joint is 2^-n Q(z|x) over all (x, z), and Q(z|x) is the window mass
+    ``pmf_w`` at d(z, x). Each output z has an input at every distance
+    0..n, so its guessing mass max over x is the top window mass
+    ``pmf_w[d*]``, d* = ``pmf_w.argmax()``. That is checked for every
+    output, not assumed: strings split into a low byte and a high part,
+    z = zh 2^8 + zl, so d(z, x) = d_low[zl, xl] + d_high[zh, xh], both
+    tables from ``hamming_distances``. Outputs are taken
     ``_CLIPPED_BLOCK_ROWS`` at a time within one high part (the last block
-    of each may be short), and ``_top_mass_per_row`` reads each output's
-    maximum off which distances its pairs reach. The maxima are then summed
-    over the rows of 2^22 pairs at a time, the order of gathering the
-    float64 mass of every pair in 2^22-pair chunks, so the result is the
-    same bit for bit.
+    of each may be short), ``_reaches`` tests each against every input,
+    and an output with no input at d* is refused as an oracle fault. The
+    masses are then summed over the rows of 2^22 pairs at a time, the order
+    of gathering the float64 mass of every pair in 2^22-pair chunks, so the
+    result is the same bit for bit.
     """
     w = np.arange(n + 1)
     pmf_w = np.where((w >= lo) & (w <= hi), bsc_weight_mass(n, p), 0.0)
-    order = np.argsort(pmf_w, kind="stable")[::-1]
+    top = int(pmf_w.argmax())
     low = min(n, 8)
     d_low = hamming_distances(low, np.arange(1 << low))
     d_high = hamming_distances(n - low, np.arange(1 << (n - low)))
@@ -165,8 +168,12 @@ def _clipped_cond_min_entropy(n: int, p: float, lo: int, hi: int) -> float:
         for zl in range(0, 1 << low, rows):
             block = d_low[zl:zl + rows]
             start = (zh << low) + zl
-            best[start:start + len(block)] = _top_mass_per_row(
-                block, high, pmf_w, order, slab)
+            found = _reaches(block, high, top, slab)
+            if not found.all():
+                raise RuntimeError(
+                    "clipped oracle fault: output z = %d has no input at "
+                    "distance %d" % (start + int(found.argmin()), top))
+            best[start:start + len(block)] = pmf_w[top]
     chunk = max(1, (1 << 22) // size)
     total = 0.0
     for start in range(0, size, chunk):
@@ -174,34 +181,21 @@ def _clipped_cond_min_entropy(n: int, p: float, lo: int, hi: int) -> float:
     return -float(np.log2(total / size))
 
 
-def _top_mass_per_row(d_low: np.ndarray, d_high: np.ndarray,
-                      pmf_w: np.ndarray, order: np.ndarray,
-                      slab: np.ndarray) -> np.ndarray:
-    """``pmf_w[d_low[:, None, :] + d_high[:, None]].max(axis=(1, 2))`` for
-    uint8 low distances (rows, 2^low) and high distances (2^high,), by
-    scanning.
+def _reaches(d_low: np.ndarray, d_high: np.ndarray, d: int,
+             slab: np.ndarray) -> np.ndarray:
+    """Whether each row reaches distance d: ``(d_low[:, None, :] +
+    d_high[:, None] == d).any(axis=(1, 2))`` for uint8 low distances
+    (rows, 2^low) and high distances (2^high,).
 
-    Distances d are tried in ``order``, highest mass first. For each, the
-    ``slab`` buffer (at least (2^high, rows, 2^low)) takes d_low == d - d_high
-    for every high offset at once; a row contains d where any of its
-    entries is set. Each row takes the mass of the first distance it
-    contains, and the scan stops once every row has one. Rows need not
-    contain every distance. Below zero, uint8 d - d_high wraps to 248 or
-    more, past every low distance.
+    The ``slab`` buffer (at least (2^high, rows, 2^low)) takes
+    d_low == d - d_high for every high offset at once, so each pair is
+    compared once. Below zero, uint8 d - d_high wraps to 248 or more, past
+    every low distance.
     """
-    best = np.zeros(len(d_low))
-    todo = np.arange(len(d_low))
-    for d in order:
-        if todo.size == 0:
-            break
-        rows = d_low if todo.size == len(d_low) else d_low[todo]
-        hits = slab[:, :len(rows)]
-        # a uint8 scalar keeps the subtraction in uint8 (NEP 50)
-        np.equal(rows, (np.uint8(d) - d_high)[:, None, None], out=hits)
-        found = np.logical_or.reduce(hits, axis=0).any(axis=1)
-        best[todo[found]] = pmf_w[d]
-        todo = todo[~found]
-    return best
+    hits = slab[:, :len(d_low)]
+    # a uint8 scalar keeps the subtraction in uint8 (NEP 50)
+    np.equal(d_low, (np.uint8(d) - d_high)[:, None, None], out=hits)
+    return np.logical_or.reduce(hits, axis=0).any(axis=1)
 
 
 # Most seeds ``lhl_check`` walks; all 2^18 take a few seconds in seed blocks.

@@ -274,13 +274,16 @@ CATALOGUE = [
            "            high = d_high[zh]\n",
            _CLIPPED_BLOCKS + (_CLIPPED_ROWS % (9, 100),)),
     Mutant("clipped-slab-skips-last-high-offset", "oracle.py",
-           "        found = np.logical_or.reduce(hits, axis=0).any(axis=1)\n",
-           "        found = np.logical_or.reduce(hits[:-1], axis=0)"
-           ".any(axis=1)\n",
+           "    return np.logical_or.reduce(hits, axis=0).any(axis=1)\n",
+           "    return np.logical_or.reduce(hits[:-1], axis=0).any(axis=1)\n",
            ("tests/test_oracle.py::TestClippedRankGather::"
-            "test_scan_equals_gather_when_rows_miss_distances[rows0]",
+            "test_presence_equals_gather_on_split_tables[rows0]",
             "tests/test_oracle.py::TestClippedRankGather::"
             "test_bit_identical_to_float_gather[9-0.1-0.1]")),
+    Mutant("clipped-missing-top-distance-unrefused", "oracle.py",
+           "            if not found.all():\n", "            if False:\n",
+           ("tests/test_oracle.py::TestClippedRankGather::"
+            "test_output_without_top_distance_refused",)),
     Mutant("clipped-empty-window-unrefused", "oracle.py",
            "    if lo > hi:\n", "    if False:\n",
            ("tests/test_oracle.py::TestClippedConstruction::"
@@ -288,7 +291,7 @@ CATALOGUE = [
             "tests/test_cli.py::TestOracleCommands::"
             "test_clipped_empty_window_is_usage_error")),
     # the columnar atom table: group heads, the Monte Carlo gather and the
-    # table's shape and cast refusals
+    # table's shape, cast and probability refusals
     Mutant("binding-heads-at-first", "adversary.py",
            "    heads = np.flatnonzero(valid)[first]  # each group's first "
            "atom\n",
@@ -321,6 +324,13 @@ CATALOGUE = [
            "    except (TypeError, ValueError):\n",
            ("tests/test_adversary.py::TestAtomTable::"
             "test_values_the_cast_changes_refused[2^64]",)),
+    Mutant("atom-table-probability-unchecked", "adversary.py",
+           "            if field.name == \"prob\" and not (\n",
+           "            if False and not (\n",
+           ("tests/test_adversary.py::TestAtomTable::"
+            "test_negative_or_non_finite_probability_refused[nan]",
+            "tests/test_adversary.py::TestAtomTable::"
+            "test_negated_midpoint_table_refused")),
     # the strategy table's label check and hiding's joint reads
     Mutant("table-label-unchecked", "adversary.py",
            "    limits = dict(seed=len(strategy.seeds), "
@@ -496,7 +506,8 @@ CATALOGUE = [
            _EPS_B.replace("lam_b) + 2.0)", "lam_b) + 1.0)"), _NQS_PIN),
     Mutant("nqs-receiver-rate-half-to-1", "nqs.py",
            "(0.5 - lam_b) * n", "(1.0 - lam_b) * n", _NQS_PIN),
-    # the folded intersection verdict, C2 over every label and encode
+    # the folded intersection verdict, C2 over every label, the NaN-mass
+    # refusal and encode
     Mutant("intersection-over-inclusive", "oracle.py",
            "    over = [row for row in rows if row.exact > row.bound]\n",
            "    over = [row for row in rows if row.exact >= row.bound]\n",
@@ -512,10 +523,15 @@ CATALOGUE = [
            ("tests/test_acceptance.py::"
             "test_criterion_01_intersection_bound_sweep",)),
     Mutant("check-c2-one-label-always", "channel.py",
-           "    for label in ch.labels:\n",
-           "    for label in ch.labels[:1]:\n",
+           "                       for i, label in enumerate(ch.labels))\n",
+           "                       for i, label in enumerate(ch.labels[:1]))\n",
            ("tests/test_channel.py::TestCheckC2::"
             "test_worst_label_found_past_the_first",)),
+    Mutant("nan-mass-unrefused", "entropy.py",
+           "    if not low >= -_MASS_TOL:\n", "    if low < -_MASS_TOL:\n",
+           ("tests/test_entropy.py::TestValidation::"
+            "test_nan_mass_refused[distribution]",
+            "tests/test_channel.py::TestCheckC2::test_nan_spread_refused")),
     Mutant("encode-check-bits-dropped", "gf2.py",
            "        word[self.k:] = _unpack_u64(self._check_words(u.bits),\n"
            "                                    self.n - self.k)\n",

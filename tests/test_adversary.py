@@ -575,6 +575,26 @@ class TestAtomTable:
                            if column == "prob" else "int64")):
             AtomTable(**{**row, "prob": [1.0], column: values})
 
+    @pytest.mark.parametrize("bad", [-1e-3, -math.inf, math.inf, math.nan])
+    def test_negative_or_non_finite_probability_refused(self, atoms, bad):
+        prob = atoms.prob.copy()
+        prob[-1] = bad
+        with pytest.raises(ValueError, match=r"^atom column prob holds a "
+                           r"negative or non-finite probability$"):
+            replace(atoms, prob=prob)
+        prob[-1] = 1.5  # weights above 1 stay allowed
+        assert replace(atoms, prob=prob).prob[-1] == 1.5
+
+    def test_negated_midpoint_table_refused(self):
+        # negated, this table's exact binding success would read -0.0118,
+        # under every bound
+        cfg = CommitConfig(code=even_weight_code(8), hash_m=1, p=0.25,
+                           eps=0.05)
+        atoms = midpoint_attack(cfg, BitString.zeros(8),
+                                BitString.from01("11110000"), 0.5).atoms
+        with pytest.raises(ValueError, match="^atom column prob holds"):
+            replace(atoms, prob=-atoms.prob)
+
     def test_values_the_cast_keeps_accepted(self):
         atoms = AtomTable([1], [1.0], [True], np.array([3], np.uint64),
                           [2 ** 63 - 1], [-(2 ** 63)], [0], [5], [1])

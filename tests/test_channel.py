@@ -293,6 +293,21 @@ class TestCheckC2:
         report = check_c2(ch, _params(n, l_a=0.5))
         assert not report.passed and report.witness == "d"
 
+    def test_tie_goes_to_the_first_label(self):
+        n = 5
+        ch = table_channel(n, {"d": np.eye(1 << n)[3],
+                               "e": np.eye(1 << n)[7]})
+        report = check_c2(ch, _params(n, l_a=0.5))
+        assert not report.passed and report.witness == "d"
+
+    def test_nan_spread_refused(self):
+        # NaN entropies fall below no floor, so a NaN law must be refused
+        ch = AliceChannel.bsc(4, [BitString.zeros(4)], math.nan)
+        with pytest.raises(ValueError, match="^NaN probability mass$"):
+            check_c2(ch, UsncParams(n=4, p=0.1, eps_a=0.0, l_a=3.0,
+                                    eps_b=0.0, l_b=0.0))
+        assert not ch.certified
+
     @pytest.mark.parametrize("eps_a", [0.01, 0.1])
     @pytest.mark.parametrize("n, spread", [(3, 0.1), (5, 0.25), (6, 0.2)])
     def test_certifies_at_the_lp_optimum(self, n, spread, eps_a):

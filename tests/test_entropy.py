@@ -185,6 +185,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="negative"):
             ClassicalDistribution([0.5, -0.1])
 
+    @pytest.mark.parametrize("make, mass", [
+        (ClassicalDistribution, [math.nan, 0.5]),
+        (JointDistribution, [[0.25, 0.25], [0.25, math.nan]])],
+        ids=["distribution", "joint"])
+    def test_nan_mass_refused(self, make, mass):
+        # NaN compares false both below zero and above a total of 1
+        with pytest.raises(ValueError, match="^NaN probability mass$"):
+            make(mass)
+
     def test_excess_mass(self):
         with pytest.raises(ValueError, match="exceeds"):
             ClassicalDistribution([0.9, 0.2])

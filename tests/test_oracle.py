@@ -12,7 +12,8 @@ from reference import (clipped_cond_min_entropy_blocks, constant_view,
 from usnc import oracle
 from usnc.adversary import less_noisy_bob
 from usnc.bounds import intersection_bound
-from usnc.channel import (BobChannel, bsc_law_dense, typical_window,
+from usnc.channel import (BobChannel, bsc_law_dense, bsc_weight_mass,
+                          hamming_distances, typical_window,
                           typicality_tail_exact)
 from usnc.entropy import (ClassicalDistribution, JointDistribution,
                           cond_min_entropy, min_entropy,
@@ -181,9 +182,10 @@ CLIPPED_GRID += [(13, 0.1, 0.1), (14, 0.1, 0.1)]
 
 
 class TestClippedRankGather:
-    """The clipped oracle's slabs of split distances and presence scan
-    against the float64 gather of every pair's mass and against the loop
-    over full distance tables that the slabs replaced."""
+    """The clipped oracle's slabs of split distances and presence tests
+    against the float64 gather of every pair's mass, against the loop over
+    full distance tables that the slabs replaced and against the top window
+    mass."""
 
     @pytest.mark.parametrize("n, p, eps", CLIPPED_GRID)
     def test_bit_identical_to_float_gather(self, n, p, eps):
@@ -214,6 +216,17 @@ class TestClippedRankGather:
         got = oracle._clipped_cond_min_entropy(16, 0.1, lo, hi)
         assert got == 2.4320494951208156
 
+    @pytest.mark.parametrize("n, p, eps", CLIPPED_GRID + [(16, 0.1, 0.1)])
+    def test_equals_top_window_mass(self, n, p, eps):
+        # every output has an input at every distance, so the guessing mass
+        # is the top window mass; the chunked sum rounds differently from
+        # this closed form (by up to 1.6e-14 at n = 16), hence the tolerance
+        lo, hi = typical_window(n, p, eps)
+        w = np.arange(n + 1)
+        pmf_w = np.where((w >= lo) & (w <= hi), bsc_weight_mass(n, p), 0.0)
+        got = oracle._clipped_cond_min_entropy(n, p, lo, hi)
+        assert got == pytest.approx(-np.log2(pmf_w.max()), rel=1e-12, abs=0)
+
     # n = 6, window 1..3 of p = 0.1: distance 1 has the top mass
     PMF = np.where((np.arange(7) >= 1) & (np.arange(7) <= 3),
                    0.1 ** np.arange(7) * 0.9 ** (6 - np.arange(7)), 0.0)
@@ -225,14 +238,31 @@ class TestClippedRankGather:
         ([[4, 4], [0, 0], [6, 5]], [0, 0]),           # miss the whole window
         ([[1, 2], [0, 3], [3, 1], [2, 0]], [0, 1]),   # every row has 1..3
     ])
-    def test_scan_equals_gather_when_rows_miss_distances(self, rows):
+    def test_presence_equals_gather_on_split_tables(self, rows):
         d_low, d_high = (np.array(t, dtype=np.uint8) for t in rows)
-        order = np.argsort(self.PMF, kind="stable")[::-1]
+        top = int(self.PMF.argmax())
         # the oracle's slab has room for more rows than a short block holds
         slab = np.empty((len(d_high), len(d_low) + 2, d_low.shape[1]), bool)
-        got = oracle._top_mass_per_row(d_low, d_high, self.PMF, order, slab)
+        got = oracle._reaches(d_low, d_high, top, slab)
         pairs = d_low[:, None, :] + d_high[:, None]
-        assert np.array_equal(got, self.PMF[pairs].max(axis=(1, 2)))
+        assert np.array_equal(got, (pairs == top).any(axis=(1, 2)))
+
+    def test_output_without_top_distance_refused(self, monkeypatch):
+        # n = 9, window 0..1: distance 0 has the top mass. Raising the one
+        # zero of low row 37 leaves output 37 no input at distance 0 (its
+        # high offsets are 0 and 1), so the oracle must refuse, not return
+        # some other mass
+        def split_tables(n, centers):
+            d = hamming_distances(n, centers)
+            if n == 8:
+                d[37, 37] = 2
+            return d
+
+        monkeypatch.setattr(oracle, "hamming_distances", split_tables)
+        lo, hi = typical_window(9, 0.1, 0.1)
+        with pytest.raises(RuntimeError, match=r"^clipped oracle fault: "
+                           r"output z = 37 has no input at distance 0$"):
+            oracle._clipped_cond_min_entropy(9, 0.1, lo, hi)
 
 
 def lhl_loop_reference(code, hash_m, view_law, seeds):
