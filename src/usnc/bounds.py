@@ -42,8 +42,9 @@ def binary_entropy(q: float) -> float:
 
 def completeness_bound(n: int, eps: float) -> float:
     """Honest-run failure ceiling 8 * 2^(-n eps^2)."""
-    if n < 1 or eps <= 0:
-        raise ValueError("need n >= 1 and eps > 0")
+    _check_n(n)
+    if eps <= 0:
+        raise ValueError("need eps > 0")
     if not math.isfinite(eps):
         raise ValueError("eps must be finite")
     return _exp2(3.0 - n * eps * eps)
@@ -203,8 +204,7 @@ def iid_entropy_floor(n: int, p: float):
     Returns (mu_n, l_np) with mu_n = 8 * 2^(-n^(1/3)) and
     l_np = n (h(p) - c n^(-1/3)), c = log2((1-p)/p); l_np/n -> h(p).
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _check_n(n)
     _check_p(p)  # p >= 1/2 would make the constant c nonpositive
     c = math.log2((1.0 - p) / p)
     mu = _exp2(3.0 - n ** (1.0 / 3.0))
@@ -237,8 +237,7 @@ def asymptotic_protocol_params(p: float, xi_a: float, xi_b: float,
     """
     if eps_prime <= 0:
         raise ValueError("need eps_prime > 0")
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _check_n(n)
     sigma = rate_tradeoff_inverse(xi_a, p)
     hp = binary_entropy(p)
     if not -1e-12 <= xi_b <= hp + 1e-12:

@@ -45,7 +45,12 @@ _DENSE_N_LIMIT = 20
 
 @dataclass(frozen=True)
 class UsncParams:
-    """Channel model parameters (p, eps_a, l_a, eps_b, l_b) at block length n."""
+    """Channel model parameters (p, eps_a, l_a, eps_b, l_b) at block length n.
+
+    n is a positive int. Each entropy floor is nonnegative, never NaN, and
+    may be inf: ``nqs.nqs_channel_params`` reports the receiver floor of a
+    storage channel that never succeeds as l_b = inf.
+    """
 
     n: int
     p: float
@@ -55,8 +60,8 @@ class UsncParams:
     l_b: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need n >= 1")
+        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+            raise ValueError("need an int n >= 1, got %r" % (self.n,))
         if not 0.0 < self.p < 0.5:
             raise ValueError("need 0 < p < 1/2")
         for name in ("eps_a", "eps_b"):
@@ -64,7 +69,7 @@ class UsncParams:
             if not 0.0 <= v <= 1.0:
                 raise ValueError("%s must be in [0, 1]" % name)
         for name in ("l_a", "l_b"):
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:  # also refuses NaN
                 raise ValueError("%s must be nonnegative" % name)
 
 

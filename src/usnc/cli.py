@@ -5,12 +5,12 @@ command line writes byte-identical outputs. Every handler ends in
 ``_report``: one ``key: value`` line per field, numbers with 12 significant
 digits, then its check's ``<name>: PASS|FAIL`` line. Exit codes: 0 success,
 1 exactly when that line reads FAIL, 2 usage error. Every option of a
-command is declared once in ``_COMMANDS`` and resolved in ``_set_options``:
-its flag, else ``attack``'s descriptor field, else its ``--config`` key, else
+command is a flag, declared once in ``_COMMANDS`` and resolved in
+``_set_options``: its flag, else its key in the one ``--config`` file, else
 its default.
 
 Each handler imports the modules its command needs, so the closed-form
-commands (``bounds eval``, ``rate point``, ``rate surface``) start without
+commands (``bounds``, ``rate point``, ``rate surface``) start without
 numpy.
 """
 
@@ -33,8 +33,6 @@ CHECK_FAILED = 1
 _NQS_ROUNDS_CAP = 1 << 20
 # How far below 2p or above h(p) a rounded ``rate point`` anchor may lie.
 _CLAMP_TOL = 1e-3
-# The files other options are read from, by precedence; no file sets them.
-_FILES = ("--strategy", "--config")
 
 
 class UsageError(Exception):
@@ -70,8 +68,8 @@ def _write(text: str, out, wrote=None) -> list:
     return [(None, "wrote %s to %s" % (wrote, out))] if wrote else []
 
 
-def _read_config(flag: str, path) -> dict:
-    """The ``key = value`` lines of the file given to ``flag``; a key that
+def _read_config(path) -> dict:
+    """The ``key = value`` lines of the --config file ``path``; a key that
     occurs twice is refused once every line has parsed."""
     values, repeated = {}, []
     if path is None:
@@ -89,73 +87,48 @@ def _read_config(flag: str, path) -> dict:
                 repeated.append(key)
             values[key] = val
     if repeated:
-        raise UsageError("%s key %s: given more than once"
-                         % (flag, repeated[0]))
+        raise UsageError("--config key %s: given more than once" % repeated[0])
     return values
 
 
 def _set_options(args) -> None:
-    """Set each option of the command on ``args``: its flag, else attack's
-    descriptor field, else its --config key, else its default. Each value's
-    source goes to ``args.sources``: its flag, ``<file flag> key <key>`` or
-    ``default``. File values are converted and choice-checked as flags are.
-    A descriptor's kind is resolved first, so a file of the other kind is
-    refused by its kind; then a file key that names no option is refused."""
-    files = []
-    for flag in _FILES:  # each is an append flag: one path or None
-        paths = getattr(args, flag[2:], None) or [None]
-        if len(paths) > 1:
-            raise UsageError("%s given more than once" % flag)
-        files.append((flag, _read_config(flag, paths[0])))
-    args.sources = {}
-    kind = [option for option in args.options if option[0] == "kind"]
-    for option in kind:
-        _resolve(args, files, *option)
-    known = {name.lstrip("-").replace("-", "_") for name, *_ in args.options}
-    for src, values in files:
-        unknown = [key for key in values if key not in known]
-        if unknown:
-            raise UsageError("%s key %s: not an option of this command"
-                             % (src, unknown[0]))
-    for option in args.options:
-        if option not in kind:
-            _resolve(args, files, *option)
-
-
-def _resolve(args, files, name, type_fn, default, choices) -> None:
-    """Set one option's value and its source on ``args``."""
-    key = name.lstrip("-").replace("-", "_")
-    value = getattr(args, key) if name[0] == "-" else None
-    source = name if value is not None else "default"
-    for src, values in files:
-        if value is not None or key not in values or name in _FILES:
-            continue
-        source = "%s key %s" % (src, key)
-        try:
-            value = type_fn(values[key])
-        except ValueError as exc:
-            raise UsageError("%s: %s" % (source, exc)) from None
-        if choices and value not in choices:
-            raise UsageError("%s: invalid choice %r (choose from %s)"
-                             % (source, value, ", ".join(choices)))
-    if value is None and default is not _REQ:
-        value = default
-    setattr(args, key, value)
-    args.sources[key] = source
-    if default is _REQ:
-        _need(args, key)
+    """Set each option of the command on ``args``: its flag, else its
+    --config key, else its default. A config value is converted and
+    choice-checked as its flag's would be, and a config key that names no
+    option of the command is refused before any value is read."""
+    paths = args.config or [None]  # an append flag: one path or None
+    if len(paths) > 1:
+        raise UsageError("--config given more than once")
+    values = _read_config(paths[0])
+    keys = [name[2:].replace("-", "_") for name, *_ in args.options]
+    unknown = [key for key in values if key not in keys]
+    if unknown:
+        raise UsageError("--config key %s: not an option of this command"
+                         % unknown[0])
+    for key, (name, type_fn, default, choices) in zip(keys, args.options):
+        value = getattr(args, key)
+        if value is None and key in values:
+            source = "--config key %s" % key
+            try:
+                value = type_fn(values[key])
+            except ValueError as exc:
+                raise UsageError("%s: %s" % (source, exc)) from None
+            if choices and value not in choices:
+                raise UsageError("%s: invalid choice %r (choose from %s)"
+                                 % (source, value, ", ".join(choices)))
+        if value is None:
+            if default is _REQ:
+                raise UsageError("missing required option %s" % name)
+            value = default
+        setattr(args, key, value)
 
 
 def _need(args, *keys: str) -> list:
-    """The values of ``keys``, refusing the run if one is unset; the error
-    names its flag, or its descriptor field if no flag sets it."""
+    """The values of ``keys``, refusing the run if one is unset."""
     values = [getattr(args, key) for key in keys]
     if None in values:
-        key = keys[values.index(None)]
-        flag = "--" + key.replace("_", "-")
-        if any(name == flag for name, *_ in args.options):
-            raise UsageError("missing required option %s" % flag)
-        raise UsageError("missing required descriptor field %s" % key)
+        raise UsageError("missing required option --%s"
+                         % keys[values.index(None)].replace("_", "-"))
     return values
 
 
@@ -174,7 +147,7 @@ def _code_from_spec(spec: str) -> LinearCode:
     return code
 
 
-def _check_code_params(code: LinearCode, n, k=None, target_d=None) -> None:
+def _check_code_params(code: LinearCode, n, k, target_d) -> None:
     """Refuse an --n other than the code's length, a --k other than its
     dimension and a --target-d above its distance."""
     if n not in (None, code.n):
@@ -219,9 +192,7 @@ def _cmd_commit_run(args) -> int:
     import numpy as np
 
     from . import protocol
-    code = _code_from_spec(args.code)
-    _check_code_params(code, args.n)
-    cfg = _commit_config(args, code)
+    cfg = _commit_config(args, _code_from_spec(args.code))
     m = _message_bits(args.message, cfg.hash_m)
     run = protocol.run_honest(m, cfg, np.random.default_rng([args.seed, 0]))
     _write(protocol.transcript_to_json(run.transcript) + "\n", args.out)
@@ -297,7 +268,7 @@ def _cmd_attack_binding(args) -> int:
         x1 = BitString(bits)
         if not code.contains(x1):
             raise ValueError("weight-%d prefix string is not a codeword; "
-                             "give x0/x1 explicitly" % w)
+                             "give --x0 and --x1" % w)
     strategy = adversary.midpoint_attack(cfg, x0, x1, args.spread)
     law = strategy.channel.law(strategy.channel.labels[0])
     l_a = min_entropy(law)
@@ -319,8 +290,6 @@ def _cmd_attack_hiding(args) -> int:
     from . import adversary
     from .channel import UsncParams, check_c3
     from .entropy import cond_min_entropy
-    if args.mode == "mc":
-        raise UsageError("--mode mc is for binding only; hiding is exact")
     code = _code_from_spec(args.code)
     cfg = _commit_config(args, code)
     strategy = adversary.less_noisy_bob(args.p_b, cfg.n)
@@ -343,21 +312,17 @@ def _cmd_attack_hiding(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-# each --which as its bound and the options it takes after --n
+# each bounds command as its bound and the options it reads after --n
 _BOUNDS = {"dc": (bounds.completeness_bound, "eps"),
            "dh": (bounds.hiding_bound, "log_m", "log_c", "l_b", "eps_b"),
            "db": (bounds.binding_bound, "eps", "sigma", "p", "l_a", "eps_a"),
            "intersection": (bounds.intersection_bound, "p", "eps", "sigma")}
 
 
-def _cmd_bounds_eval(args) -> int:
-    bound, *keys = _BOUNDS[args.which]
-    for name, *_ in args.options:
-        key = name[2:].replace("-", "_")
-        if key not in ("which", "n", *keys) and getattr(args, key) is not None:
-            raise UsageError("--which %s does not read %s"
-                             % (args.which, args.sources[key]))
-    return _report([(None, bound(args.n, *_need(args, *keys)))])
+def _cmd_bounds(args) -> int:
+    bound, *keys = _BOUNDS[args.subcommand]
+    return _report([(None, bound(args.n, *(getattr(args, key)
+                                           for key in keys)))])
 
 
 def _cmd_rate_surface(args) -> int:
@@ -476,20 +441,16 @@ def _cmd_nqs_povm(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-# Every command as (group, name, handler, options). An option is (name,
-# type[, default[, choices]]), always required if its default is _REQ; a
-# name without dashes is a descriptor field and no flag (the field strategy
-# replaces the --strategy path once the file is read). All take --config.
+# Every command as (group, name, handler, options). An option is (flag,
+# type[, default[, choices]]), always required if its default is _REQ, and
+# its --config key is the flag's name with "_" for "-". All take --config.
 _REQ = object()
-# the options both attack kinds read; each kind adds its own, and its
-# descriptor's kind and strategy may name only that kind and its strategy
-_ATTACK = [
-    ("--strategy", str, _REQ), ("--mode", str, "exact", ("exact", "mc")),
-    ("code", str, _REQ), ("hash_m", int, 1), ("p", float, _REQ),
-    ("eps", float, _REQ)]
+# the options both attack commands read; each adds its own
+_ATTACK = [("--code", str, _REQ), ("--hash-m", int, 1), ("--p", float, _REQ),
+           ("--eps", float, _REQ)]
 _COMMANDS = [
     ("commit", "run", _cmd_commit_run, [
-        ("--code", str, _REQ), ("--message", str, _REQ), ("--n", int),
+        ("--code", str, _REQ), ("--message", str, _REQ),
         ("--hash-m", int, _REQ), ("--seed", int, _REQ), ("--p", float, _REQ),
         ("--eps", float, _REQ), ("--out", str)]),
     ("commit", "replay", _cmd_commit_replay, [
@@ -501,19 +462,14 @@ _COMMANDS = [
         ("--hash-m", int, _REQ), ("--trials", int, 10 ** 4),
         ("--seed", int, _REQ), ("--p", float, _REQ), ("--eps", float, _REQ)]),
     ("attack", "binding", _cmd_attack_binding, _ATTACK + [
-        ("--trials", int, 10 ** 5), ("--seed", int), ("weight", int),
-        ("spread", float, 0.5), ("x0", str), ("x1", str),
-        ("kind", str, None, ("binding",)),
-        ("strategy", str, None, ("midpoint",))]),
+        ("--mode", str, "exact", ("exact", "mc")), ("--trials", int, 10 ** 5),
+        ("--seed", int), ("--weight", int), ("--spread", float, 0.5),
+        ("--x0", str), ("--x1", str)]),
     ("attack", "hiding", _cmd_attack_hiding, _ATTACK + [
-        ("p_b", float, _REQ), ("m0", str, "0"), ("m1", str, "1"),
-        ("kind", str, None, ("hiding",)),
-        ("strategy", str, None, ("less_noisy_bob",))]),
-    ("bounds", "eval", _cmd_bounds_eval, [
-        ("--which", str, _REQ, tuple(_BOUNDS)), ("--n", int, _REQ)]
-     + [(flag, float) for flag in ("--eps", "--p", "--sigma", "--l-a",
-                                   "--eps-a", "--l-b", "--eps-b", "--log-m",
-                                   "--log-c")]),
+        ("--p-b", float, _REQ), ("--m0", str, "0"), ("--m1", str, "1")]),
+    *[("bounds", name, _cmd_bounds, [("--n", int, _REQ)] + [
+        ("--" + key.replace("_", "-"), float, _REQ) for key in keys])
+      for name, (_, *keys) in _BOUNDS.items()],
     ("rate", "surface", _cmd_rate_surface, [
         ("--p", float, _REQ), ("--steps", int, 50), ("--out", str)]),
     ("rate", "point", _cmd_rate_point, [
@@ -549,9 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp = groups[group].add_parser(name, allow_abbrev=False)
         options = [(*opt, None, None)[:4] for opt in options]
         for flag, type_fn, _, choices in options:
-            if flag[0] == "-":  # no default: a file may supply the value
-                sp.add_argument(flag, type=type_fn, choices=choices,
-                                action="append" if flag in _FILES else None)
+            # no default: the config file may supply the value
+            sp.add_argument(flag, type=type_fn, choices=choices)
         sp.add_argument("--config", action="append")
         sp.set_defaults(func=func, options=options)
     return ap

@@ -55,7 +55,7 @@ class NqsParams:
     p_succ_log2: Callable[[float], float]
 
     def __post_init__(self):
-        if self.n < 1:
+        if not self.n >= 1:
             raise ValueError("need n >= 1")
         for name in ("lambda_a", "lambda_b"):
             v = getattr(self, name)
@@ -168,7 +168,7 @@ def azuma_min_entropy(h_floor: float, n: int, lam: float, alphabet_size: int):
     """
     if not 0.0 < lam < 0.5:
         raise ValueError("need 0 < lam < 1/2")
-    if n < 1 or alphabet_size < 2 or h_floor < 0:
+    if not (n >= 1 and alphabet_size >= 2 and h_floor >= 0):
         raise ValueError("bad arguments")
     bound = (h_floor - 2.0 * lam) * n
     if bound < 0.0:
@@ -209,6 +209,8 @@ def nqs_channel_params(params: NqsParams) -> UsncParams:
 
 def bounded_storage_success_log2(n_r: float, d: int) -> float:
     """log2 min(1, 2^(d - nR)): success of storing nR bits in d qubits."""
-    if d < 0:
+    if not d >= 0:
         raise ValueError("need d >= 0")
+    if not n_r >= 0:
+        raise ValueError("need nR >= 0")
     return min(0.0, d - n_r)

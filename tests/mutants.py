@@ -145,18 +145,14 @@ CATALOGUE = [
             "test_int_codec_matches_binary_string")),
     # one resolution order for every CLI option
     Mutant("seed-skips-config", "cli.py",
-           "or name in _FILES:\n", 'or name in _FILES + ("--seed",):\n',
+           "        if value is None and key in values:\n",
+           '        if value is None and key in values and key != "seed":\n',
            ("tests/test_cli_contract.py::"
             "test_option_moved_into_a_file_keeps_the_output"
             "[0-commit-run--seed]",
             "tests/test_cli_contract.py::"
             "test_option_moved_into_a_file_keeps_the_output"
             "[15-attack-binding--seed]")),
-    Mutant("config-over-descriptor", "cli.py",
-           '_FILES = ("--strategy", "--config")\n',
-           '_FILES = ("--config", "--strategy")\n',
-           ("tests/test_cli.py::TestAttack::"
-            "test_descriptor_wins_over_config",)),
     # one distance rule past k = 24
     Mutant("random-code-past-k24", "gf2.py",
            "    if k > 24:\n"
@@ -345,8 +341,8 @@ CATALOGUE = [
            "axis=1).ravel(),\n",
            ("tests/test_adversary.py::TestHidingAdvantage::"
             "test_every_message_pair_gives_one_advantage[0.25-hamming74]",
-            "tests/test_cli.py::TestAttack::"
-            "test_descriptor_wins_over_config")),
+            "tests/test_cli_golden.py::"
+            "test_readme_examples_print_golden_bytes")),
     # the byte-split distance kernel
     Mutant("distances-high-part-dropped", "channel.py", _DISTANCE_SUM,
            _DISTANCE_SUM.replace("(d_high", "(0 * d_high"), _DISTANCES),
@@ -375,9 +371,9 @@ CATALOGUE = [
             "test_readme_examples_print_golden_bytes")),
     # the refusals of a file key that names no option and of an [n, n] code
     Mutant("file-key-naming-no-option-read", "cli.py",
-           "        if unknown:\n", "        if False:\n",
+           "    if unknown:\n", "    if False:\n",
            ("tests/test_cli_contract.py::"
-            "test_descriptor_key_naming_no_option_exits_2[sprad]",
+            "test_config_key_naming_no_option_exits_2[attack]",
             "tests/test_cli_contract.py::"
             "test_config_key_naming_no_option_exits_2[hashm-first]")),
     Mutant("square-code-committed", "protocol.py",
@@ -537,39 +533,78 @@ CATALOGUE = [
            "                                    self.n - self.k)\n",
            "        word[self.k:] = 0\n",
            ("tests/test_gf2.py::TestLinearCode::test_encode_examples",)),
-    # each attack kind reads only its own fields and names only itself
+    # each command reads only its own options, readable subcommands
     Mutant("binding-reads-hiding-field", "cli.py",
-           '        ("spread", float, 0.5), ("x0", str), ("x1", str),\n',
-           '        ("spread", float, 0.5), ("x0", str), ("x1", str), '
-           '("p_b", float),\n',
+           '        ("--x0", str), ("--x1", str)]),\n',
+           '        ("--x0", str), ("--x1", str), ("--p-b", float)]),\n',
            ("tests/test_cli.py::TestAttack::"
-            "test_field_of_the_other_kind_is_usage_error[binding-p_b---"
-            "strategy]",)),
-    Mutant("binding-kind-any", "cli.py",
-           '        ("kind", str, None, ("binding",)),\n',
-           '        ("kind", str),\n',
-           ("tests/test_cli.py::TestAttack::"
-            "test_other_kind_or_strategy_name_is_usage_error[binding-kind]",)),
-    # the kind first, each value named by its source, readable subcommands
-    Mutant("kind-checked-after-other-keys", "cli.py",
-           '    kind = [option for option in args.options if option[0] == '
-           '"kind"]\n', "    kind = []\n",
-           ("tests/test_cli.py::TestAttack::"
-            "test_file_of_the_other_kind_is_refused_by_its_kind"
-            "[hiding-shared---strategy]",
+            "test_field_of_the_other_kind_is_usage_error[binding-p_b-flag]",
             "tests/test_cli.py::TestAttack::"
-            "test_file_of_the_other_kind_is_refused_by_its_kind"
-            "[binding-full---config]")),
-    Mutant("unread-value-named-by-flag", "cli.py",
-           "                             % (args.which, args.sources[key]))\n",
-           "                             % (args.which, name))\n",
+            "test_field_of_the_other_kind_is_usage_error"
+            "[binding-p_b---config]")),
+    Mutant("bounds-row-drops-a-key", "cli.py",
+           '        ("--" + key.replace("_", "-"), float, _REQ) for key in '
+           'keys])\n',
+           '        ("--" + key.replace("_", "-"), float, _REQ) for key in '
+           'keys[:-1]])\n',
            ("tests/test_cli.py::TestBoundsEval::"
-            "test_flag_its_which_does_not_read_is_usage_error[dc]",)),
+            "test_completeness_substitution",
+            "tests/test_cli.py::TestBoundsEval::test_binding_zero_case")),
     Mutant("subcommand-dest-internal", "cli.py",
            'add_subparsers(dest="subcommand",\n',
            'add_subparsers(dest="sub",\n',
            ("tests/test_cli.py::TestOptionNames::"
             "test_unknown_subcommand_names_the_argument[attack]",)),
+    # NaN and non-int lengths and floors, refused by a "not x >= ..." test
+    Mutant("usnc-params-nan-floor", "channel.py",
+           "            if not getattr(self, name) >= 0.0:  # also refuses "
+           "NaN\n",
+           "            if getattr(self, name) < 0.0:\n",
+           ("tests/test_channel.py::TestUsncParams::"
+            "test_nan_floor_refused[l_a]",
+            "tests/test_channel.py::TestUsncParams::"
+            "test_nan_floor_refused[l_b]")),
+    Mutant("usnc-params-float-length", "channel.py",
+           "        if not isinstance(self.n, (int, np.integer)) or "
+           "self.n < 1:\n",
+           "        if self.n < 1:\n",
+           ("tests/test_channel.py::TestUsncParams::"
+            "test_length_not_a_positive_int_refused[2.5]",)),
+    Mutant("completeness-n-unchecked", "bounds.py",
+           "    _check_n(n)\n    if eps <= 0:\n", "    if eps <= 0:\n",
+           (_B + "TestCompletenessBound::"
+            "test_length_below_one_or_nan_refused[nan]",)),
+    Mutant("iid-floor-n-unchecked", "bounds.py",
+           "    _check_n(n)\n    _check_p(p)  # p >= 1/2",
+           "    _check_p(p)  # p >= 1/2",
+           (_B + "TestIidEntropyFloor::"
+            "test_length_below_one_or_nan_refused[nan]",)),
+    Mutant("sizing-n-unchecked", "bounds.py",
+           '        raise ValueError("need eps_prime > 0")\n    _check_n(n)\n',
+           '        raise ValueError("need eps_prime > 0")\n',
+           (_B + "TestAsymptoticParams::"
+            "test_length_below_one_or_nan_refused[nan]",)),
+    Mutant("storage-bits-nan-unrefused", "nqs.py",
+           "    if not n_r >= 0:\n", "    if n_r < 0:\n",
+           ("tests/test_nqs.py::TestBoundedStorage::"
+            "test_nan_or_negative_refused[bits-nan]",)),
+    Mutant("storage-qubits-nan-unrefused", "nqs.py",
+           "    if not d >= 0:\n", "    if d < 0:\n",
+           ("tests/test_nqs.py::TestBoundedStorage::"
+            "test_nan_or_negative_refused[d-nan]",)),
+    Mutant("azuma-nan-unrefused", "nqs.py",
+           "    if not (n >= 1 and alphabet_size >= 2 and h_floor >= 0):\n",
+           "    if n < 1 or alphabet_size < 2 or h_floor < 0:\n",
+           ("tests/test_nqs.py::TestAzuma::"
+            "test_nan_or_out_of_domain_refused[h-nan]",
+            "tests/test_nqs.py::TestAzuma::"
+            "test_nan_or_out_of_domain_refused[n-nan]",
+            "tests/test_nqs.py::TestAzuma::"
+            "test_nan_or_out_of_domain_refused[alphabet-nan]")),
+    Mutant("nqs-params-nan-length", "nqs.py",
+           "        if not self.n >= 1:\n", "        if self.n < 1:\n",
+           ("tests/test_nqs.py::TestChannelParams::"
+            "test_length_below_one_or_nan_refused[nan]",)),
     # an advantage that passes only the parent's vacuous hamming74 bound
     Mutant("hiding-advantage-tenth-root", "adversary.py",
            "               np.take(table, m1.to_int() ^ masks, axis=1)"

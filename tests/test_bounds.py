@@ -44,6 +44,13 @@ class TestCompletenessBound:
         with pytest.raises(ValueError):
             completeness_bound(10, 0.0)
 
+    @pytest.mark.parametrize("n", [math.nan, 0.5])
+    def test_length_below_one_or_nan_refused(self, n):
+        # NaN < 1 is False: completeness_bound(nan, 0.1) returned nan
+        with pytest.raises(ValueError, match="need n >= 1"):
+            completeness_bound(n, 0.1)
+        assert completeness_bound(1, 0.1) == 2.0 ** (3.0 - 0.01)
+
 
 class TestHidingBound:
     def test_substitutions(self):
@@ -295,8 +302,22 @@ class TestIidEntropyFloor:
         with pytest.raises(ValueError):
             iid_entropy_floor(100, 0.5)
 
+    @pytest.mark.parametrize("n", [math.nan, 0.5])
+    def test_length_below_one_or_nan_refused(self, n):
+        # iid_entropy_floor(nan, 0.1) returned (nan, nan)
+        with pytest.raises(ValueError, match="need n >= 1"):
+            iid_entropy_floor(n, 0.1)
+        assert iid_entropy_floor(1, 0.1)[0] == 4.0
+
 
 class TestAsymptoticParams:
+    @pytest.mark.parametrize("n", [math.nan, 0.5])
+    def test_length_below_one_or_nan_refused(self, n):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            asymptotic_protocol_params(0.1, 0.4, 0.3, 1e-3, n)
+        assert asymptotic_protocol_params(0.1, 0.4, 0.3, 1e-3, 1).eps_n \
+            == 1.0
+
     def test_substitution(self):
         # eps_n = n^(-1/3), distance = 2 (s* + e') n,
         # log|C| = (1 - h(2 s* + 2 e') - e') n,

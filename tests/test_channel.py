@@ -587,3 +587,29 @@ class TestUsncParams:
             UsncParams(n=4, p=0.1, eps_a=1.5, l_a=0, eps_b=0, l_b=0)
         with pytest.raises(ValueError):
             UsncParams(n=4, p=0.1, eps_a=0, l_a=-1, eps_b=0, l_b=0)
+
+    @pytest.mark.parametrize("name", ["l_a", "l_b"])
+    def test_nan_floor_refused(self, name):
+        # NaN < 0 is False: a NaN floor used to build, and check_c2 then
+        # reported "required nan" for any channel
+        floors = dict(l_a=0.0, l_b=0.0)
+        with pytest.raises(ValueError, match="%s must be nonnegative" % name):
+            UsncParams(n=4, p=0.1, eps_a=0, eps_b=0,
+                       **{**floors, name: math.nan})
+        assert getattr(UsncParams(n=4, p=0.1, eps_a=0, eps_b=0, **floors),
+                       name) == 0.0
+
+    def test_infinite_floor_allowed(self):
+        # the unbounded receiver floor nqs_channel_params reports
+        params = UsncParams(n=4, p=0.1, eps_a=0, l_a=math.inf, eps_b=0,
+                            l_b=math.inf)
+        assert params.l_a == params.l_b == math.inf
+
+    @pytest.mark.parametrize("n", [2.5, 4.0, math.nan, math.inf, 0, -1])
+    def test_length_not_a_positive_int_refused(self, n):
+        with pytest.raises(ValueError, match="need an int n >= 1"):
+            UsncParams(n=n, p=0.1, eps_a=0, l_a=0, eps_b=0, l_b=0)
+
+    @pytest.mark.parametrize("n", [1, np.int64(4)])
+    def test_positive_int_length_accepted(self, n):
+        assert UsncParams(n=n, p=0.1, eps_a=0, l_a=0, eps_b=0, l_b=0).n == n

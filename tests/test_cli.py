@@ -65,13 +65,13 @@ def _with_field(path, value):
 
 class TestBoundsEval:
     def test_completeness_substitution(self, capsys):
-        code, out = run_cli(capsys, "bounds", "eval", "--which", "dc",
-                            "--n", "1000", "--eps", "0.1")
+        code, out = run_cli(capsys, "bounds", "dc", "--n", "1000", "--eps",
+                            "0.1")
         assert code == 0
         assert out.strip() == "0.0078125"
 
     def test_binding_zero_case(self, capsys):
-        code, out = run_cli(capsys, "bounds", "eval", "--which", "db",
+        code, out = run_cli(capsys, "bounds", "db",
                             "--n", "100", "--eps", "0.05", "--sigma", "0.4",
                             "--p", "0.25", "--l-a", "10", "--eps-a", "0.125")
         assert code == 0
@@ -85,32 +85,34 @@ class TestBoundsEval:
                 "40", "--eps-a", "0"]),
         ("intersection", ["--p", "0.25", "--eps", "0.05", "--sigma", "0.1"])],
         ids=["dc", "dh", "db", "intersection"])
-    def test_flag_its_which_does_not_read_is_usage_error(self, capsys,
+    def test_flag_its_bound_does_not_read_is_usage_error(self, capsys,
                                                          tmp_path, which,
                                                          reads):
-        # --which dc --p 0.3 used to print the dc bound and exit 0; the
-        # error names the flag, or the --config key that set the value
-        argv = ["bounds", "eval", "--which", which, "--n", "100", *reads]
+        # bounds eval --which dc --p 0.3 used to print the dc bound and
+        # exit 0; each bound's parser now refuses the flag, and the config
+        # file its key
+        argv = ["bounds", which, "--n", "100", *reads]
         assert run_cli(capsys, *argv)[0] == 0
         unread = [flag for flag in ("--eps", "--p", "--sigma", "--l-a",
                                     "--eps-a", "--l-b", "--eps-b", "--log-m",
                                     "--log-c") if flag not in reads]
         conf = tmp_path / "conf.txt"
         for flag in unread:
+            with pytest.raises(SystemExit) as exc:
+                main(argv + [flag, "0.3"])
+            captured = capsys.readouterr()
+            assert (exc.value.code, captured.out) == (2, ""), flag
+            assert "unrecognized arguments: %s 0.3" % flag in captured.err
             key = flag[2:].replace("-", "_")
             conf.write_text("%s = 0.3\n" % key)
-            for extra, source in (([flag, "0.3"], flag),
-                                  (["--config", str(conf)],
-                                   "--config key " + key)):
-                code = main(argv + extra)
-                captured = capsys.readouterr()
-                assert (code, captured.out) == (2, ""), extra
-                assert captured.err == "error: --which %s does not read " \
-                    "%s\n" % (which, source)
+            code = main(argv + ["--config", str(conf)])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (2, ""), key
+            assert captured.err == "error: --config key %s: not an option " \
+                "of this command\n" % key
 
     def test_missing_argument_is_usage_error(self, capsys):
-        code, _ = run_cli(capsys, "bounds", "eval", "--which", "dc",
-                          "--n", "1000")
+        code, _ = run_cli(capsys, "bounds", "dc", "--n", "1000")
         assert code == 2
 
     @pytest.mark.parametrize("args", [
@@ -125,7 +127,7 @@ class TestBoundsEval:
         ids=["dc-eps-nan", "dc-eps-inf", "db-l_a-nan", "db-eps_a-nan",
              "db-eps_a-nan-beyond"])
     def test_non_finite_inputs_are_usage_errors(self, capsys, args):
-        code = main(["bounds", "eval", "--which", *args])
+        code = main(["bounds", *args])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
@@ -139,7 +141,7 @@ class TestBoundsEval:
           "--p", "0.25"), "need n >= 1, got -5")],
         ids=["dh-eps_b-negative", "intersection-n-negative"])
     def test_out_of_domain_inputs_are_usage_errors(self, capsys, args, err):
-        code = main(["bounds", "eval", "--which", *args])
+        code = main(["bounds", *args])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
@@ -154,15 +156,14 @@ class TestBoundsEval:
         # error names the file's flag and the key
         cfg = tmp_path / "conf.txt"
         cfg.write_text("n = %s\n" % n)
-        code = main(["bounds", "eval", "--which", "dc", "--eps", "0.1",
-                     "--config", str(cfg)])
+        code = main(["bounds", "dc", "--eps", "0.1", "--config", str(cfg)])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert captured.err == "error: --config key n: %s\n" % err
 
     def test_infinite_entropy_floor_leaves_smoothing_term(self, capsys):
-        code, out = run_cli(capsys, "bounds", "eval", "--which", "db",
+        code, out = run_cli(capsys, "bounds", "db",
                             "--n", "10", "--eps", "0.05", "--sigma", "0.1",
                             "--p", "0.1", "--l-a", "inf", "--eps-a", "0.01")
         assert code == 0
@@ -230,11 +231,9 @@ class TestCommit:
         assert code == 0
         transcript_from_json(out_path.read_text())
 
-    @pytest.mark.parametrize("command", [
-        ["run", "--message", "1"], ["complete", "--trials", "10"]])
-    def test_n_other_than_the_code_length_is_usage_error(self, capsys,
-                                                        command):
-        code = main(["commit", *command, "--code", "hamming74", "--n", "99",
+    def test_n_other_than_the_code_length_is_usage_error(self, capsys):
+        code = main(["commit", "complete", "--trials", "10", "--code",
+                     "hamming74", "--n", "99",
                      "--hash-m", "1", "--p", "0.1", "--eps", "0.3",
                      "--seed", "1"])
         captured = capsys.readouterr()
@@ -461,57 +460,52 @@ class TestCommit:
         assert captured.err == err
 
     def test_mismatched_n_rejected(self, capsys):
-        code, _ = run_cli(capsys, "commit", "run", "--code", "hamming74",
-                          "--n", "9", "--hash-m", "1", "--p", "0.25",
-                          "--eps", "0.2", "--message", "1", "--seed", "1")
-        assert code == 2
+        # commit run has no --n: the code alone gives the length
+        with pytest.raises(SystemExit) as exc:
+            main(["commit", "run", "--code", "hamming74", "--n", "9",
+                  "--hash-m", "1", "--p", "0.25", "--eps", "0.2",
+                  "--message", "1", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --n 9" in capsys.readouterr().err
 
 
-DESCRIPTORS = {
-    "binding": {"kind": "binding", "code": "even:14", "hash_m": "1",
-                "p": "0.25", "eps": "0.05", "weight": "6"},
-    "binding-pair": {"kind": "binding", "code": "even:14", "p": "0.25",
-                     "eps": "0.05", "x0": "0" * 14,
-                     "x1": "1" * 6 + "0" * 8},
-    "hiding": {"kind": "hiding", "code": "hamming74", "hash_m": "1",
-               "p": "0.25", "eps": "0.2", "p_b": "0.25"},
+ATTACKS = {
+    "binding": {"code": "even:14", "hash_m": "1", "p": "0.25", "eps": "0.05",
+                "weight": "6"},
+    "binding-pair": {"code": "even:14", "p": "0.25", "eps": "0.05",
+                     "x0": "0" * 14, "x1": "1" * 6 + "0" * 8},
+    "hiding": {"code": "hamming74", "hash_m": "1", "p": "0.25", "eps": "0.2",
+               "p_b": "0.25"},
 }
 
 
-def _kv_text(fields, drop=()):
-    """``key = value`` lines of ``fields``, leaving out the keys in ``drop``."""
-    return "".join("%s = %s\n" % item for item in fields.items()
-                   if item[0] not in drop)
+def _attack(name, drop=(), **changes):
+    """argv of the ``ATTACKS`` instance ``name`` with ``changes`` made to its
+    fields, leaving out the fields in ``drop``."""
+    argv = ["attack", name.split("-")[0]]
+    for key, value in {**ATTACKS[name], **changes}.items():
+        if key not in drop:
+            argv += ["--" + key.replace("_", "-"), value]
+    return argv
 
 
 class TestAttack:
-    def test_binding_exact(self, capsys, tmp_path):
-        desc = tmp_path / "binding.txt"
-        desc.write_text(
-            "kind = binding\nstrategy = midpoint\ncode = even:14\n"
-            "hash_m = 1\np = 0.25\neps = 0.05\nweight = 6\nspread = 0.5\n")
-        code, out = run_cli(capsys, "attack", "binding",
-                            "--strategy", str(desc))
+    def test_binding_exact(self, capsys):
+        argv = _attack("binding", spread="0.5")
+        code, out = run_cli(capsys, *argv)
         assert code == 0
         assert "success: 0.00549383469662\n" in out
         assert "double-opening success bound: PASS" in out
-        code, out = run_cli(capsys, "attack", "binding", "--strategy",
-                            str(desc), "--mode", "mc", "--seed", "11",
+        code, out = run_cli(capsys, *argv, "--mode", "mc", "--seed", "11",
                             "--trials", "20000")
         assert code == 0
         assert "success: 0.00545\n" in out
-        code = main(["attack", "binding", "--strategy", str(desc), "--mode",
-                     "mc", "--seed", "11", "--trials", "0"])
+        code = main(argv + ["--mode", "mc", "--seed", "11", "--trials", "0"])
         assert code == 2
         assert capsys.readouterr().err == "error: need trials >= 1\n"
 
-    def test_hiding_exact(self, capsys, tmp_path):
-        desc = tmp_path / "hiding.txt"
-        desc.write_text(
-            "kind = hiding\nstrategy = less_noisy_bob\ncode = hamming74\n"
-            "hash_m = 1\np = 0.25\neps = 0.2\np_b = 0.25\nm0 = 0\nm1 = 1\n")
-        code, out = run_cli(capsys, "attack", "hiding",
-                            "--strategy", str(desc))
+    def test_hiding_exact(self, capsys):
+        code, out = run_cli(capsys, *_attack("hiding", m0="0", m1="1"))
         assert code == 0
         assert "view-distance bound: PASS" in out
 
@@ -520,62 +514,27 @@ class TestAttack:
         ("binding", "weight"), ("binding-pair", "x0"),
         ("binding-pair", "x1"), ("hiding", "code"), ("hiding", "p"),
         ("hiding", "eps"), ("hiding", "p_b")])
-    def test_incomplete_descriptor_is_usage_error(self, capsys, tmp_path,
-                                                  name, key):
-        fields = DESCRIPTORS[name]
-        desc = tmp_path / "desc.txt"
-        desc.write_text(_kv_text(fields, drop=(key,)))
-        code = main(["attack", fields["kind"], "--strategy", str(desc)])
+    def test_missing_required_flag_is_usage_error(self, capsys, name, key):
+        code = main(_attack(name, drop=(key,)))
         err = capsys.readouterr().err
         assert code == 2
-        # attack has no flag for these: the error names the field
-        assert err == "error: missing required descriptor field %s\n" % key
+        assert err == "error: missing required option --%s\n" \
+            % key.replace("_", "-")
 
-    def test_config_supplies_missing_descriptor_key(self, capsys, tmp_path):
-        desc = tmp_path / "desc.txt"
-        desc.write_text(_kv_text(DESCRIPTORS["binding"], drop=("eps",)))
-        conf = tmp_path / "conf.txt"
-        conf.write_text("eps = 0.05\n")
-        code, out = run_cli(capsys, "attack", "binding", "--strategy",
-                            str(desc), "--config", str(conf))
-        assert code == 0
-        assert "double-opening success bound: PASS" in out
-
-    def test_descriptor_wins_over_config(self, capsys, tmp_path):
-        desc = tmp_path / "desc.txt"
-        desc.write_text(_kv_text(DESCRIPTORS["hiding"]))
-        conf = tmp_path / "conf.txt"
-        conf.write_text("p_b = 0\neps = 0.1\nhash_m = 2\n")
-        args = ["attack", "hiding", "--strategy", str(desc)]
-        code, alone = run_cli(capsys, *args)
-        code2, with_config = run_cli(capsys, *args, "--config", str(conf))
-        assert code == code2 == 0
-        assert with_config == alone
-        assert "advantage: 0.418880208333" in alone
-        # a key the descriptor lacks comes from the config file
-        desc.write_text(_kv_text(DESCRIPTORS["hiding"], drop=("p_b",)))
-        code3, out3 = run_cli(capsys, *args, "--config", str(conf))
-        assert code3 == 0
-        assert "advantage: 1\n" in out3
-
-    def test_hiding_monte_carlo_is_usage_error(self, capsys, tmp_path):
-        desc = tmp_path / "desc.txt"
-        desc.write_text(_kv_text(DESCRIPTORS["hiding"]))
-        code = main(["attack", "hiding", "--strategy", str(desc), "--mode",
-                     "mc"])
+    def test_hiding_monte_carlo_is_usage_error(self, capsys):
+        # hiding is exact only, so it has no --mode
+        with pytest.raises(SystemExit) as exc:
+            main(_attack("hiding") + ["--mode", "mc"])
         err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "binding only" in err
+        assert exc.value.code == 2
+        assert sum("error:" in ln for ln in err.splitlines()) == 1
+        assert "unrecognized arguments: --mode mc" in err
 
     @pytest.mark.parametrize("weight", ["-2", "0", "15", "100"])
     def test_binding_weight_outside_length_is_usage_error(self, capsys,
-                                                          tmp_path, weight):
+                                                          weight):
         # a slice bits[:w] would silently run another weight's instance
-        desc = tmp_path / "desc.txt"
-        desc.write_text(_kv_text({**DESCRIPTORS["binding"],
-                                  "weight": weight}))
-        code = main(["attack", "binding", "--strategy", str(desc)])
+        code = main(_attack("binding", weight=weight))
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
@@ -584,16 +543,13 @@ class TestAttack:
     @pytest.mark.parametrize("kind, field", [
         ("binding", ("spread", "0")), ("hiding", ("p_b", "1"))])
     def test_point_mass_channel_check_prints_positive_zero(self, capsys,
-                                                           tmp_path, kind,
-                                                           field):
-        desc = tmp_path / "desc.txt"
-        desc.write_text(_kv_text({**DESCRIPTORS[kind], field[0]: field[1]}))
-        code, out = run_cli(capsys, "attack", kind, "--strategy", str(desc))
+                                                           kind, field):
+        code, out = run_cli(capsys, *_attack(kind, **dict([field])))
         assert code == 0
         assert out.startswith(
             "channel check: pass: achieved 0, required 0\n")
 
-    @pytest.mark.parametrize("file_flag", ["--strategy", "--config"])
+    @pytest.mark.parametrize("via", ["flag", "--config"])
     @pytest.mark.parametrize("kind, line", [
         ("hiding", "weight = 6"), ("hiding", "spread = 0.1"),
         ("hiding", "x0 = 0000000"), ("hiding", "x1 = 1100000"),
@@ -601,87 +557,60 @@ class TestAttack:
         ("binding", "m1 = 1")],
         ids=lambda v: v.split(" = ")[0])
     def test_field_of_the_other_kind_is_usage_error(self, capsys, tmp_path,
-                                                    file_flag, kind, line):
-        # a hiding descriptor holding weight, spread and x0 used to run,
-        # ignore them and print PASS
-        desc, conf = tmp_path / "desc.txt", tmp_path / "conf.txt"
-        desc.write_text(_kv_text(DESCRIPTORS[kind]))
-        conf.write_text("")
-        target = desc if file_flag == "--strategy" else conf
-        target.write_text(target.read_text() + line + "\n")
-        code = main(["attack", kind, "--strategy", str(desc), "--config",
-                     str(conf)])
+                                                    via, kind, line):
+        # a hiding file holding weight, spread and x0 used to run, ignore
+        # them and print PASS
+        key, value = line.split(" = ")
+        if via == "flag":
+            with pytest.raises(SystemExit) as exc:
+                main(_attack(kind) + ["--" + key.replace("_", "-"), value])
+            captured = capsys.readouterr()
+            assert (exc.value.code, captured.out) == (2, "")
+            assert "unrecognized arguments: --%s" % key.replace("_", "-") \
+                in captured.err
+            return
+        conf = tmp_path / "conf.txt"
+        conf.write_text(line + "\n")
+        code = main(_attack(kind) + ["--config", str(conf)])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
-        assert captured.err == "error: %s key %s: not an option of this " \
-            "command\n" % (file_flag, line.split(" = ")[0])
+        assert captured.err == "error: --config key %s: not an option of " \
+            "this command\n" % key
 
     @pytest.mark.parametrize("flag", ["--trials", "--seed"])
-    def test_binding_flag_on_hiding_is_usage_error(self, capsys, tmp_path,
-                                                   flag):
+    def test_binding_flag_on_hiding_is_usage_error(self, capsys, flag):
         # hiding is exact and draws nothing: it used to take both and
         # ignore them
-        desc = tmp_path / "desc.txt"
-        desc.write_text(_kv_text(DESCRIPTORS["hiding"]))
         with pytest.raises(SystemExit) as exc:
-            main(["attack", "hiding", "--strategy", str(desc), flag, "7"])
+            main(_attack("hiding") + [flag, "7"])
         err = capsys.readouterr().err
         assert exc.value.code == 2
         assert sum("error:" in ln for ln in err.splitlines()) == 1
         assert "unrecognized arguments: %s 7" % flag in err
 
-    @pytest.mark.parametrize("kind, fields, key, choices", [
-        # shared keys only: no field of the other kind names the mistake
-        ("binding", {"kind": "hiding", "code": "even:14", "p": "0.25",
-                     "eps": "0.05"}, "kind", "binding"),
-        ("binding", {**DESCRIPTORS["binding"], "strategy": "honest"},
-         "strategy", "midpoint"),
-        ("hiding", {**DESCRIPTORS["hiding"], "strategy": "midpoint"},
-         "strategy", "less_noisy_bob")],
+    @pytest.mark.parametrize("kind, line", [
+        ("binding", "kind = hiding"), ("binding", "strategy = honest"),
+        ("hiding", "strategy = midpoint")],
         ids=["binding-kind", "binding-strategy", "hiding-strategy"])
     def test_other_kind_or_strategy_name_is_usage_error(self, capsys,
-                                                        tmp_path, kind,
-                                                        fields, key, choices):
-        desc = tmp_path / "desc.txt"
-        desc.write_text(_kv_text(fields))
-        code = main(["attack", kind, "--strategy", str(desc)])
+                                                        tmp_path, kind, line):
+        # each command is one kind with one strategy, so neither is an
+        # option: a config file that names either is refused
+        conf = tmp_path / "conf.txt"
+        conf.write_text(line + "\n")
+        code = main(_attack(kind) + ["--config", str(conf)])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
-        assert captured.err == "error: --strategy key %s: invalid choice " \
-            "%r (choose from %s)\n" % (key, fields[key], choices)
+        assert captured.err == "error: --config key %s: not an option of " \
+            "this command\n" % line.split(" = ")[0]
 
-    def test_kind_mismatch(self, capsys, tmp_path):
-        desc = tmp_path / "binding.txt"
-        desc.write_text("kind = binding\ncode = even:14\np = 0.25\n"
-                        "eps = 0.05\nweight = 6\n")
-        code, _ = run_cli(capsys, "attack", "hiding", "--strategy", str(desc))
-        assert code == 2
-
-    @pytest.mark.parametrize("file_flag", ["--strategy", "--config"])
-    @pytest.mark.parametrize("kind, other, shared_only", [
-        ("hiding", "binding", True), ("hiding", "binding", False),
-        ("binding", "hiding", True), ("binding", "hiding", False)],
-        ids=["hiding-shared", "hiding-full", "binding-shared",
-             "binding-full"])
-    def test_file_of_the_other_kind_is_refused_by_its_kind(
-            self, capsys, tmp_path, file_flag, kind, other, shared_only):
-        # the kind is checked before any other key: a binding file on
-        # attack hiding used to be refused for its missing p_b or its
-        # weight key
-        fields = DESCRIPTORS[other]
-        if shared_only:
-            fields = {key: fields[key]
-                      for key in ("kind", "code", "p", "eps")}
-        desc, conf = tmp_path / "desc.txt", tmp_path / "conf.txt"
-        desc.write_text(_kv_text(fields) if file_flag == "--strategy"
-                        else "")
-        conf.write_text(_kv_text(fields) if file_flag == "--config" else "")
-        code = main(["attack", kind, "--strategy", str(desc), "--config",
-                     str(conf)])
-        captured = capsys.readouterr()
-        assert (code, captured.out) == (2, "")
-        assert captured.err == "error: %s key kind: invalid choice %r " \
-            "(choose from %s)\n" % (file_flag, other, kind)
+    def test_kind_mismatch(self, capsys):
+        # the binding instance on attack hiding: --weight is not its flag
+        argv = _attack("binding")
+        with pytest.raises(SystemExit) as exc:
+            main(["attack", "hiding"] + argv[2:])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --weight 6" in capsys.readouterr().err
 
 
 class TestOracleCommands:
@@ -882,60 +811,44 @@ class TestOversizedInputs:
                                      "1"],
                             "need 1 <= n <= 2^20 rounds, got %s" % n)
 
-    def test_binding_monte_carlo_trials(self, capsys, monkeypatch, tmp_path):
-        desc = tmp_path / "binding.txt"
-        desc.write_text(
-            "kind = binding\nstrategy = midpoint\ncode = even:14\n"
-            "hash_m = 1\np = 0.25\neps = 0.05\nweight = 6\nspread = 0.5\n")
+    def test_binding_monte_carlo_trials(self, capsys, monkeypatch):
         monkeypatch.setattr(np.random, "default_rng", lambda *args: NoDraws())
         # the channel check runs before the trial count is read
         self.assert_refused(
-            capsys, ["attack", "binding", "--strategy", str(desc), "--mode",
-                     "mc", "--seed", "3", "--trials", str(10 ** 12)],
+            capsys, _attack("binding") + ["--mode", "mc", "--seed", "3",
+                                          "--trials", str(10 ** 12)],
             "1000000000000 Monte Carlo trials are above the cap of 10^7",
             out="channel check: pass: achieved 14, required 14\n")
 
 
 class TestConfigPrecedence:
-    def test_each_value_records_its_source(self, tmp_path):
+    def test_flag_then_config_then_default(self, tmp_path):
         from usnc.cli import _set_options
-        desc, conf = tmp_path / "desc.txt", tmp_path / "conf.txt"
-        desc.write_text("kind = hiding\nstrategy = less_noisy_bob\n"
-                        "code = hamming74\np = 0.25\n")
-        conf.write_text("eps = 0.2\np = 0.3\np_b = 0.1\n")
+        conf = tmp_path / "conf.txt"
+        conf.write_text("eps = 0.2\np = 0.3\np-b = 0.1\nm1 = 3\n")
         args = build_parser().parse_args(
-            ["attack", "hiding", "--strategy", str(desc), "--config",
-             str(conf), "--mode", "exact"])
+            ["attack", "hiding", "--code", "hamming74", "--p", "0.25",
+             "--config", str(conf)])
         _set_options(args)
-        assert (args.strategy, args.p, args.eps, args.p_b, args.m0) == (
-            "less_noisy_bob", 0.25, 0.2, 0.1, "0")
-        assert args.sources == {
-            # the descriptor's strategy field replaces the --strategy path
-            "strategy": "--strategy key strategy", "mode": "--mode",
-            "code": "--strategy key code", "hash_m": "default",
-            "p": "--strategy key p", "eps": "--config key eps",
-            "p_b": "--config key p_b", "m0": "default", "m1": "default",
-            "kind": "--strategy key kind"}
+        assert (args.code, args.hash_m, args.p, args.eps, args.p_b, args.m0,
+                args.m1) == ("hamming74", 1, 0.25, 0.2, 0.1, "0", "3")
 
     def test_flag_overrides_config(self, capsys, tmp_path):
         cfg = tmp_path / "conf.txt"
         cfg.write_text("n = 1000\neps = 0.2\n")
         # config supplies n, flag overrides eps
-        code, out = run_cli(capsys, "bounds", "eval", "--which", "dc",
-                            "--eps", "0.1", "--config", str(cfg))
+        code, out = run_cli(capsys, "bounds", "dc", "--eps", "0.1",
+                            "--config", str(cfg))
         assert code == 0
         assert out.strip() == "0.0078125"
-        code2, out2 = run_cli(capsys, "bounds", "eval", "--which", "dc",
-                              "--config", str(cfg))
+        code2, out2 = run_cli(capsys, "bounds", "dc", "--config", str(cfg))
         assert code2 == 0
         assert float(out2.strip()) == pytest.approx(8 * 2 ** (-1000 * 0.04))
 
 
-# desk-scale values for every key a descriptor or a commit config reads,
+# desk-scale values for every key an attack or commit run config reads,
 # valid and invalid; the codes keep each exact harness call short
 KEY_VALUES = {
-    "kind": ["binding", "hiding", "other"],
-    "strategy": ["midpoint", "less_noisy_bob", "other"],
     "code": ["hamming74", "even:5", "even:6", "rep:3", "even:1", "even:40",
              "even:x", "no-such-file"],
     "hash_m": ["0", "1", "2", "5", "-1", "1.5", "x"],
@@ -948,23 +861,20 @@ KEY_VALUES = {
     "x1": ["000000", "0000000", "110000", "1110000", "11", "01x"],
     "m0": ["0", "1", "3", "ff", "-1", "zz"],
     "m1": ["0", "1", "3", "ff", "-1", "zz"],
-    "n": ["5", "7", "0", "x"],
     "message": ["0", "1", "3", "zz"],
     "seed": ["0", "7", "-1", "x"],
 }
 # complete files each fuzzed input starts from
 BASE_FIELDS = {
-    "binding": {"kind": "binding", "strategy": "midpoint", "code": "even:6",
-                "hash_m": "1", "p": "0.25", "eps": "0.2", "weight": "2",
-                "spread": "0.5"},
-    "hiding": DESCRIPTORS["hiding"],
+    "binding": {"code": "even:6", "hash_m": "1", "p": "0.25", "eps": "0.2",
+                "weight": "2", "spread": "0.5"},
+    "hiding": ATTACKS["hiding"],
     "commit": {"code": "hamming74", "hash_m": "1", "p": "0.25", "eps": "0.2",
                "message": "1", "seed": "7"},
 }
 # the keys each command's files may hold; any other key exits 2 at once
-FILE_KEYS = {"attack": sorted(set(KEY_VALUES) - {"n", "message"}),
-             "commit": ["code", "hash_m", "p", "eps", "n", "message",
-                        "seed"]}
+FILE_KEYS = {"attack": sorted(set(KEY_VALUES) - {"message"}),
+             "commit": ["code", "hash_m", "p", "eps", "message", "seed"]}
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
 
 
@@ -983,8 +893,7 @@ def kv_file(draw, base, command):
     """``base`` with a few keys dropped, a few drawn values of command's
     keys and junk lines, as the text of a key = value file."""
     fields = dict(base)
-    for key in draw(st.sets(st.sampled_from(sorted(fields)), max_size=3)
-                    if fields else st.just(())):
+    for key in draw(st.sets(st.sampled_from(sorted(fields)), max_size=3)):
         del fields[key]
     fields.update(draw(st.lists(kv_pair(command), max_size=3)))
     lines = ["%s = %s" % item for item in fields.items()]
@@ -997,26 +906,16 @@ class TestKeyValueFiles:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data(),
            command=st.sampled_from(["binding", "hiding", "commit"]))
-    def test_any_descriptor_or_config_exits_cleanly(self, capsys, tmp_path,
-                                                    data, command):
-        # the first file is the attack descriptor, or the --config file that
-        # gives ``commit run`` every field; attacks may also get a config
+    def test_any_config_exits_cleanly(self, capsys, tmp_path, data, command):
+        # the --config file gives ``commit run`` or the attack every option
+        # before the draw drops, adds and garbles lines
         kind = "commit" if command == "commit" else "attack"
-        first = data.draw(kv_file(BASE_FIELDS[command], kind), label="first")
-        path = tmp_path / "first.txt"
-        path.write_text(first, encoding="utf-8")
-        if command == "commit":
-            argv = ["commit", "run", "--config", str(path)]
-        else:
-            argv = ["attack", command, "--strategy", str(path)]
-            config = data.draw(st.none() | kv_file({}, kind),
-                               label="config")
-            if config is not None:
-                conf_path = tmp_path / "conf.txt"
-                conf_path.write_text(config, encoding="utf-8")
-                argv += ["--config", str(conf_path)]
+        text = data.draw(kv_file(BASE_FIELDS[command], kind), label="config")
+        path = tmp_path / "conf.txt"
+        path.write_text(text, encoding="utf-8")
+        argv = ["commit", "run"] if kind == "commit" else ["attack", command]
         capsys.readouterr()
-        code = main(argv)
+        code = main(argv + ["--config", str(path)])
         err = capsys.readouterr().err
         assert code in (0, 1, 2)
         if code == 2:
@@ -1065,7 +964,7 @@ class TestOptionNames:
         # carry over to the next, which gets the defaults of a fresh parser
         from usnc import cli
         parser = cli._parser()
-        argv = ["attack", "binding", "--strategy", "honest"]
+        argv = ["attack", "binding", "--code", "even:14"]
         parser.parse_args(argv + ["--mode", "mc", "--trials", "7"])
         assert vars(parser.parse_args(argv)) == \
             vars(build_parser().parse_args(argv))
@@ -1089,7 +988,7 @@ def test_bounds_import_loads_no_numpy():
 
 
 @pytest.mark.parametrize("argv", [
-    ["bounds", "eval", "--which", "dc", "--n", "1000", "--eps", "0.1"],
+    ["bounds", "dc", "--n", "1000", "--eps", "0.1"],
     ["rate", "point", "--p", "0.1", "--xia", "0.469", "--xib", "0.469"]],
     ids=["bounds-eval", "rate-point"])
 def test_closed_form_commands_load_no_numpy(argv):

@@ -1,9 +1,9 @@
 """The CLI contract on every option of every README example.
 
-Each README example (and the golden file's Monte Carlo binding run) runs at
-small sizes with one option replaced, or added, at a time: every option the
-command's parser takes, except the file, mode and selector options and
-``attack``'s ``--trials``, set to each value of ``VALUES`` in turn. A second
+Each README example (and the golden file's extra runs) runs at small sizes
+with one option replaced, or added, at a time: every option the command's
+parser takes, except the file and mode options and ``attack``'s
+``--trials``, set to each value of ``VALUES`` in turn. A second
 arm moves each such option out of argv into a ``--config`` file instead, set
 to each value of ``CONFIG_VALUES``, so config values are read through the
 same checks as flags. Every run must exit 0, 1 or 2 without a traceback, and
@@ -11,13 +11,12 @@ an exit of 2 prints exactly one ``error:`` line. The cases are fixed lists,
 and derandomised hypothesis at ``max_examples = len(cases)`` visits each of
 them once (it draws a choice it has not drawn before until the budget runs
 out); a failure shrinks to the earliest failing case. A third arm moves each
-option an example gives, but the two files, with the example's own value
-into ``--config`` (and for ``attack`` into the descriptor): the exit code
-and stdout must stay the example's. Each of the seven check commands'
-README example, with its library result stubbed to a failing one, must
-print its check's FAIL line last and exit 1. A file key that names no
-option of its command, and an [n, n] code in any protocol command, exit 2
-with one ``error:`` line. No command starts a thread or a process, so no
+option an example gives, with the example's own value, into ``--config``:
+the exit code and stdout must stay the example's. Each of the seven check
+commands' README example, with its library result stubbed to a failing
+one, must print its check's FAIL line last and exit 1. A config key that
+names no option of its command, and an [n, n] code in any protocol command,
+exit 2 with one ``error:`` line. No command starts a thread or a process, so no
 value can ask for many of them.
 """
 
@@ -35,7 +34,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_cli_golden import EXTRA, readme_commands, write_descriptors
+from test_cli_golden import EXTRA, readme_commands
 from usnc.cli import _COMMANDS, build_parser, main
 from usnc.gf2 import BitString, random_linear_code
 from usnc.protocol import CommitConfig, run_honest, transcript_to_json
@@ -45,9 +44,8 @@ VALUES = ["0", "-1", "nan", "inf", "-inf", "1e300", str(10 ** 20), "junk",
 CONFIG_VALUES = ["inf", "-inf", "nan", "1.5", "junk", "-1", str(10 ** 20),
                  "1e300", "0"]
 CONFIG_FILE = "probe.cfg"
-# file, mode and selector options keep the example's value
-KEPT = {"-h", "--strategy", "--transcript", "--mode", "--which", "--out",
-        "--config"}
+# file and mode options keep the example's value
+KEPT = {"-h", "--transcript", "--mode", "--out", "--config"}
 # README sizes -> small ones; attack --trials is kept, so it is set small
 SMALL = [("--n 4096 --k 16 --target-d 1024 --hash-m 8",
           "--n 64 --k 8 --target-d 8 --hash-m 2"),
@@ -59,8 +57,8 @@ SMALL = [("--n 4096 --k 16 --target-d 1024 --hash-m 8",
 
 
 def small_examples():
-    """The README examples plus the golden Monte Carlo run, at small sizes,
-    as argv lists."""
+    """The README examples plus the golden file's extra runs, at small
+    sizes, as argv lists."""
     examples = []
     for command in readme_commands() + EXTRA:
         for readme, small in SMALL:
@@ -122,10 +120,9 @@ CONFIG_CASES = [(argv, flag, value) for argv in EXAMPLES
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
-    """A directory with the README descriptors and the transcript that the
-    unmodified small examples write; each of them exits 0."""
+    """A directory with the transcript that the unmodified small examples
+    write; each of them exits 0."""
     path = tmp_path_factory.mktemp("cli-contract")
-    write_descriptors(path)
     cwd = os.getcwd()
     os.chdir(path)
     try:
@@ -184,10 +181,9 @@ def test_one_config_value_at_a_time_exits_cleanly(workdir):
     probe(CONFIG_CASES, with_config, workdir)
 
 
-# the options naming the files; every other option may be given in one
-FILES = ("--config", "--strategy")
+# every option but --config may be given in the config file
 MOVES = [(i, flag) for i, argv in enumerate(EXAMPLES) for flag in argv
-         if flag.startswith("--") and flag not in FILES]
+         if flag.startswith("--") and flag != "--config"]
 
 
 def run_quietly(workdir, argv):
@@ -221,9 +217,8 @@ def expected(workdir):
     "%d-%s%s" % (i, "-".join(EXAMPLES[i][:2]), flag) for i, flag in MOVES])
 def test_option_moved_into_a_file_keeps_the_output(workdir, expected, i,
                                                     flag):
-    # the example's own value moved out of argv into --config, and for
-    # attack into its descriptor too, is read as the flag was: one
-    # resolution order for every option but the two files
+    # the example's own value moved out of argv into --config is read as
+    # the flag was: one resolution order for every option
     argv = list(EXAMPLES[i])
     at = argv.index(flag)
     line = "%s = %s\n" % (flag[2:], argv[at + 1])
@@ -232,14 +227,6 @@ def test_option_moved_into_a_file_keeps_the_output(workdir, expected, i,
         fh.write(line)
     assert run_quietly(workdir, argv + ["--config", CONFIG_FILE])[:2] \
         == expected[i]
-    if argv[0] == "attack":
-        at = argv.index("--strategy") + 1
-        with open(os.path.join(workdir, argv[at])) as fh:
-            text = fh.read()
-        argv[at] = "probe-descriptor.txt"
-        with open(os.path.join(workdir, argv[at]), "w") as fh:
-            fh.write(text + line)
-        assert run_quietly(workdir, argv)[:2] == expected[i]
 
 
 def replay(workdir, edit):
@@ -373,7 +360,6 @@ def test_failed_check_exits_1(tmp_path, monkeypatch, command, check, stubs):
         module = importlib.import_module("usnc." + module)
         monkeypatch.setattr(module, name,
                             failing(getattr(module, name), result))
-    write_descriptors(tmp_path)
     monkeypatch.chdir(tmp_path)
     with contextlib.redirect_stdout(io.StringIO()) as out, \
             contextlib.redirect_stderr(io.StringIO()) as err:
@@ -381,23 +367,6 @@ def test_failed_check_exits_1(tmp_path, monkeypatch, command, check, stubs):
     assert code == 1
     assert out.getvalue().splitlines()[-1] == "%s: FAIL" % check
     assert err.getvalue() == ""
-
-
-@pytest.mark.parametrize("edit, err", [
-    # a typo used to run the README instance at spread 0.5 and print PASS
-    (("spread = 0.5", "sprad = 0.1"), "--strategy key sprad"),
-    (("weight = 6", "weigth = 6"), "--strategy key weigth"),
-    (("kind = binding", "kind = binding\nconfig = x.cfg"),
-     "--strategy key config")], ids=["sprad", "weigth", "config"])
-def test_descriptor_key_naming_no_option_exits_2(tmp_path, edit, err):
-    write_descriptors(tmp_path)
-    desc = tmp_path / "binding.txt"
-    text = desc.read_text()
-    assert text.count(edit[0]) == 1
-    desc.write_text(text.replace(*edit))
-    code, out, err_text = run_quietly(tmp_path, readme_example(["attack"]))
-    assert (code, out) == (2, "")
-    assert err_text == "error: %s: not an option of this command\n" % err
 
 
 @pytest.mark.parametrize("command, lines, key", [
@@ -409,7 +378,6 @@ def test_descriptor_key_naming_no_option_exits_2(tmp_path, edit, err):
     (["attack"], "sprad = 0.1\n", "sprad")],
     ids=["hashm-first", "bogus-first", "kind", "rate-point", "attack"])
 def test_config_key_naming_no_option_exits_2(tmp_path, command, lines, key):
-    write_descriptors(tmp_path)
     (tmp_path / "probe.cfg").write_text(lines)
     argv = readme_example(command) + ["--config", "probe.cfg"]
     code, out, err = run_quietly(tmp_path, argv)
@@ -418,32 +386,9 @@ def test_config_key_naming_no_option_exits_2(tmp_path, command, lines, key):
         % key
 
 
-def test_attack_files_may_name_the_kind(tmp_path):
-    # attack's kind field stays legal in either file
-    write_descriptors(tmp_path)
-    argv = readme_example(["attack"])
-    expected = run_quietly(tmp_path, argv)
-    assert expected[0] == 0
-    (tmp_path / "probe.cfg").write_text("kind = binding\n")
-    assert run_quietly(tmp_path, argv + ["--config", "probe.cfg"]) == expected
-
-
-def test_missing_descriptor_field_is_named_as_a_field(tmp_path):
-    # "weigth = 6" left the field unset; the error named a --weight flag
-    # that attack does not have
-    write_descriptors(tmp_path)
-    desc = tmp_path / "binding.txt"
-    desc.write_text("".join(line for line in desc.read_text().splitlines(
-        keepends=True) if not line.startswith("weight")))
-    code, out, err = run_quietly(tmp_path, readme_example(["attack"]))
-    assert (code, out) == (2, "")
-    assert err == "error: missing required descriptor field weight\n"
-
-
 @pytest.mark.parametrize("argv, lines, key", [
     # this file ran bounds eval at eps 0.2 and exited 0
-    (["bounds", "eval", "--which", "dc"], "n = 1000\neps = 0.1\neps = 0.2\n",
-     "eps"),
+    (["bounds", "dc"], "n = 1000\neps = 0.1\neps = 0.2\n", "eps"),
     (["commit", "run"], "hash-m = 1\nhash_m = 2\n", "hash_m")],
     ids=["eps", "dash-and-underscore"])
 def test_config_key_given_twice_exits_2(tmp_path, argv, lines, key):
@@ -455,33 +400,21 @@ def test_config_key_given_twice_exits_2(tmp_path, argv, lines, key):
     assert err == "error: --config key %s: given more than once\n" % key
 
 
-def test_descriptor_key_given_twice_exits_2(tmp_path):
-    write_descriptors(tmp_path)
-    desc = tmp_path / "binding.txt"
-    desc.write_text(desc.read_text() + "spread = 0.1\n")
-    code, out, err = run_quietly(tmp_path, readme_example(["attack"]))
-    assert (code, out) == (2, "")
-    assert err == "error: --strategy key spread: given more than once\n"
-
-
 def test_bad_line_refused_before_a_repeated_key(tmp_path):
     (tmp_path / "probe.cfg").write_text("eps = 0.1\neps = 0.2\nno value\n")
     code, out, err = run_quietly(tmp_path, [
-        "bounds", "eval", "--which", "dc", "--n", "10", "--config",
-        "probe.cfg"])
+        "bounds", "dc", "--n", "10", "--config", "probe.cfg"])
     assert (code, out) == (2, "")
     assert err == "error: bad config line: 'no value'\n"
 
 
-@pytest.mark.parametrize("flag, words", [("--config", ["commit", "run"]),
-                                         ("--strategy", ["attack"])])
+@pytest.mark.parametrize("flag, words", [("--config", ["commit", "run"])])
 def test_file_flag_given_twice_exits_2(tmp_path, flag, words):
     # a second --config used to drop the first file unread
-    write_descriptors(tmp_path)
-    (tmp_path / "a.cfg").write_text("n = 7\n")
+    (tmp_path / "a.cfg").write_text("seed = 7\n")
     argv = readme_example(words)
-    path = "a.cfg" if flag == "--config" else "binding.txt"
-    code, out, err = run_quietly(tmp_path, argv + [flag, path, flag, path])
+    code, out, err = run_quietly(tmp_path, argv + [flag, "a.cfg", flag,
+                                                   "a.cfg"])
     assert (code, out) == (2, "")
     assert err == "error: %s given more than once\n" % flag
 
@@ -495,8 +428,8 @@ PROTOCOL_COMMANDS = [
     ["commit", "run", "--message", "1", "--seed", "3", "--out", "t.json"],
     ["commit", "replay", "--transcript", "t.json"],
     ["commit", "complete", "--trials", "1000", "--seed", "3"],
-    ["attack", "binding", "--strategy", "square.txt"],
-    ["attack", "hiding", "--strategy", "square.txt"]]
+    ["attack", "binding", "--weight", "1"],
+    ["attack", "hiding", "--p-b", "0.1"]]
 
 
 @pytest.mark.parametrize("argv", PROTOCOL_COMMANDS,
@@ -507,14 +440,8 @@ def test_square_code_refused_by_every_protocol_command(tmp_path, argv):
     code = code_file(tmp_path / "square.code", "4 4",
                      ["1000", "0100", "0010", "0001"])
     (tmp_path / "t.json").write_text("{}")
-    kind = argv[1] if argv[0] == "attack" else None
-    own = {"binding": "weight = 1", "hiding": "p_b = 0.1"}.get(kind)
-    (tmp_path / "square.txt").write_text(
-        "kind = %s\ncode = %s\np = 0.1\neps = 0.1\n%s\n" % (kind, code, own))
-    if kind is None:
-        argv = argv + ["--code", code, "--hash-m", "1", "--p", "0.1",
-                       "--eps", "0.1"]
-    result = run_quietly(tmp_path, argv)
+    result = run_quietly(tmp_path, argv + ["--code", code, "--hash-m", "1",
+                                           "--p", "0.1", "--eps", "0.1"])
     assert result == (2, "", "error: an [n, n] code has no syndrome to name "
                       "a coset; the protocol needs k < n\n")
 

@@ -1,13 +1,13 @@
 """Golden stdout and exit codes of the README's CLI examples.
 
 Every ``usnc ...`` line of the README's code blocks runs in a scratch
-directory that holds the README's two strategy descriptors, and its stdout,
-the sha256 of each ``--out`` file and its exit code must equal
-``golden/cli_golden.txt`` byte for byte, rendered in a fresh interpreter that
-refuses to import scipy. The completeness example runs at 20,000 trials
-instead of the README's 100,000, and the golden file adds one Monte Carlo
-binding run. Run this file as a script to rewrite the golden file from the
-current code.
+directory, and its stdout, the sha256 of each ``--out`` file and its exit
+code must equal ``golden/cli_golden.txt`` byte for byte, rendered in a fresh
+interpreter that refuses to import scipy. The completeness example runs at
+20,000 trials instead of the README's 100,000, and the golden file adds one
+Monte Carlo binding run, with its openings given as ``--x0`` and ``--x1``,
+and one run of each bound the README shows no example of. Run this file as
+a script to rewrite the golden file from the current code.
 """
 
 import contextlib
@@ -28,19 +28,19 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
 GOLDEN = ROOT / "tests" / "golden" / "cli_golden.txt"
 README_TRIALS, GOLDEN_TRIALS = "--trials 100000", "--trials 20000"
-EXTRA = ["usnc attack binding --strategy binding.txt --mode mc --seed 3"]
-
-
-def _readme_blocks():
-    return re.findall(r"^```\n(.*?)^```", README.read_text(),
-                      flags=re.MULTILINE | re.DOTALL)
+EXTRA = ["usnc attack binding --code even:14 --hash-m 1 --p 0.25 --eps 0.05 "
+         "--x0 00000000000000 --x1 11111100000000 --spread 0.5 --mode mc "
+         "--seed 3",
+         "usnc bounds dh --n 8 --log-m 1 --log-c 7 --l-b 5.89572 --eps-b 0",
+         "usnc bounds intersection --n 12 --p 0.25 --eps 0.125 --sigma 0.25"]
 
 
 def readme_commands():
     """The README's example commands, continuations joined, at golden
     trial counts."""
     commands = []
-    for block in _readme_blocks():
+    for block in re.findall(r"^```\n(.*?)^```", README.read_text(),
+                            flags=re.MULTILINE | re.DOTALL):
         for line in block.replace("\\\n", " ").splitlines():
             line = " ".join(line.split())
             if line.startswith("usnc "):
@@ -48,20 +48,11 @@ def readme_commands():
     return commands
 
 
-def write_descriptors(directory: pathlib.Path) -> None:
-    """The README's descriptor blocks as ``<kind>.txt`` files."""
-    for block in _readme_blocks():
-        if block.startswith("kind = "):
-            kind = block.split("\n", 1)[0].split("=", 1)[1].strip()
-            (directory / ("%s.txt" % kind)).write_text(block)
-
-
 def render(commands) -> str:
     """Each command, its stdout, its ``--out`` file digests and exit code."""
     chunks = []
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        write_descriptors(pathlib.Path(tmp))
         os.chdir(tmp)
         try:
             for command in commands:

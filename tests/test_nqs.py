@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,23 @@ class TestAzuma:
         with pytest.raises(ValueError):
             azuma_min_entropy(0.6, 100, 0.6, 2)
 
+    @pytest.mark.parametrize("args", [
+        (math.nan, 100, 0.1, 2), (0.6, math.nan, 0.1, 2),
+        (0.6, 100, 0.1, math.nan), (-0.1, 100, 0.1, 2),
+        (0.6, 0.5, 0.1, 2), (0.6, 100, 0.1, 1)],
+        ids=["h-nan", "n-nan", "alphabet-nan", "h-negative", "n-half",
+             "alphabet-1"])
+    def test_nan_or_out_of_domain_refused(self, args):
+        # azuma_min_entropy(nan, 100, 0.1, 2) returned (nan, 0.998)
+        with pytest.raises(ValueError, match="bad arguments"):
+            azuma_min_entropy(*args)
+
+    def test_domain_edges_accepted(self):
+        # h_floor = 2 lam gives a zero bound with no clamp; n = 1, alphabet 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert azuma_min_entropy(0.2, 1, 0.1, 2)[0] == 0.0
+
 
 class TestBoundedStorage:
     def test_fits_exactly(self):
@@ -121,6 +139,19 @@ class TestBoundedStorage:
 
     def test_never_above_one(self):
         assert 2.0 ** bounded_storage_success_log2(5.0, 100) == 1.0
+
+    @pytest.mark.parametrize("n_r, d", [(math.nan, 3), (-1.0, 3),
+                                        (5.0, math.nan), (5.0, -1)],
+                             ids=["bits-nan", "bits-negative", "d-nan",
+                                  "d-negative"])
+    def test_nan_or_negative_refused(self, n_r, d):
+        # min(0.0, nan) is 0.0: a NaN bit count read as success 1
+        with pytest.raises(ValueError, match="need"):
+            bounded_storage_success_log2(n_r, d)
+
+    def test_zero_bits_and_qubits_accepted(self):
+        assert bounded_storage_success_log2(0.0, 0) == 0.0
+        assert bounded_storage_success_log2(math.inf, 0) == -math.inf
 
 
 class TestChannelParams:
@@ -198,6 +229,14 @@ class TestChannelParams:
         with pytest.raises(ValueError):
             NqsParams(n=10, lambda_a=0.5, lambda_b=0.1,
                       p_succ_log2=lambda b: 0.0)
+
+    @pytest.mark.parametrize("n", [math.nan, 0.5])
+    def test_length_below_one_or_nan_refused(self, n):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            NqsParams(n=n, lambda_a=0.1, lambda_b=0.1,
+                      p_succ_log2=lambda b: 0.0)
+        assert NqsParams(n=1, lambda_a=0.1, lambda_b=0.1,
+                         p_succ_log2=lambda b: 0.0).n == 1
 
 
 class TestComposedCommitment:
