@@ -43,6 +43,12 @@ __all__ = [
 _DENSE_N_LIMIT = 20
 
 
+def _check_block_length(n) -> None:
+    """Refuse a block length n that is not an int (numpy ints pass) >= 1."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError("need an int n >= 1, got %r" % (n,))
+
+
 @dataclass(frozen=True)
 class UsncParams:
     """Channel model parameters (p, eps_a, l_a, eps_b, l_b) at block length n.
@@ -60,8 +66,7 @@ class UsncParams:
     l_b: float
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ValueError("need an int n >= 1, got %r" % (self.n,))
+        _check_block_length(self.n)
         if not 0.0 < self.p < 0.5:
             raise ValueError("need 0 < p < 1/2")
         for name in ("eps_a", "eps_b"):

@@ -29,6 +29,8 @@ if TYPE_CHECKING:
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+# Trials ``attack binding --mode mc`` draws when --trials is not given.
+_MC_TRIALS = 10 ** 5
 # Most rounds ``nqs simulate`` draws and prints (one CSV line each).
 _NQS_ROUNDS_CAP = 1 << 20
 # How far below 2p or above h(p) a rounded ``rate point`` anchor may lie.
@@ -130,6 +132,15 @@ def _need(args, *keys: str) -> list:
         raise UsageError("missing required option --%s"
                          % keys[values.index(None)].replace("_", "-"))
     return values
+
+
+def _refuse_unread(args, why: str, *keys: str) -> None:
+    """Refuse the run if one of ``keys`` is set, as its command does not
+    read it ``why``."""
+    for key in keys:
+        if getattr(args, key) is not None:
+            raise UsageError("--%s is not read %s"
+                             % (key.replace("_", "-"), why))
 
 
 def _code_from_spec(spec: str) -> LinearCode:
@@ -254,10 +265,15 @@ def _cmd_attack_binding(args) -> int:
     if args.mode == "mc":
         seed, = _need(args, "seed")
         rng = np.random.default_rng([seed, 77])
+        if args.trials is None:
+            args.trials = _MC_TRIALS
+    else:
+        _refuse_unread(args, "under --mode exact", "trials", "seed")
     code = _code_from_spec(args.code)
     cfg = _commit_config(args, code)
     if args.x0 is not None or args.x1 is not None:
         x0, x1 = map(BitString.from01, _need(args, "x0", "x1"))
+        _refuse_unread(args, "with --x0 and --x1", "weight")
     else:
         w, = _need(args, "weight")
         if not 1 <= w <= code.n:
@@ -462,7 +478,7 @@ _COMMANDS = [
         ("--hash-m", int, _REQ), ("--trials", int, 10 ** 4),
         ("--seed", int, _REQ), ("--p", float, _REQ), ("--eps", float, _REQ)]),
     ("attack", "binding", _cmd_attack_binding, _ATTACK + [
-        ("--mode", str, "exact", ("exact", "mc")), ("--trials", int, 10 ** 5),
+        ("--mode", str, "exact", ("exact", "mc")), ("--trials", int),
         ("--seed", int), ("--weight", int), ("--spread", float, 0.5),
         ("--x0", str), ("--x1", str)]),
     ("attack", "hiding", _cmd_attack_hiding, _ATTACK + [

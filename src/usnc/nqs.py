@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .bounds import binary_entropy
-from .channel import UsncParams
+from .channel import UsncParams, _check_block_length
 from .gf2 import BitString
 
 __all__ = [
@@ -55,8 +55,7 @@ class NqsParams:
     p_succ_log2: Callable[[float], float]
 
     def __post_init__(self):
-        if not self.n >= 1:
-            raise ValueError("need n >= 1")
+        _check_block_length(self.n)
         for name in ("lambda_a", "lambda_b"):
             v = getattr(self, name)
             if not 0.0 < v < 0.5:

@@ -18,7 +18,7 @@ from .channel import (BobChannel, bsc_law_dense, bsc_weight_mass,
                       typicality_tail_exact)
 from .entropy import (ClassicalDistribution, JointDistribution,
                       cond_min_entropy, gtd, min_entropy)
-from .gf2 import BitString, LinearCode
+from .gf2 import BitString, LinearCode, _pack_u64
 from .hashing import (count_full_rank, digest_table,
                       enumerate_full_rank_seeds, sample_seed)
 
@@ -130,15 +130,8 @@ def clipped_bsc_construction(n: int, p: float, eps: float,
                             cond_min_entropy=cond)
 
 
-# Outputs one slab of ``_clipped_cond_min_entropy`` covers, all in one high
-# part: at n = 13 the (2^5, 64, 2^8) bool slab of presence tests is 512 KiB
-# and stays in a 2 MiB L2. Of 16, 32, 64 and 128 rows, 64 was fastest or
-# within 5% of it at n = 13 and n = 16 on a 2-core x86 host.
-_CLIPPED_BLOCK_ROWS = 64
-
-
 def _clipped_cond_min_entropy(n: int, p: float, lo: int, hi: int) -> float:
-    """Conditional min-entropy of the clipped joint, in slabs of outputs.
+    """Conditional min-entropy of the clipped joint, one high part at a time.
 
     The joint is 2^-n Q(z|x) over all (x, z), and Q(z|x) is the window mass
     ``pmf_w`` at d(z, x). Each output z has an input at every distance
@@ -146,13 +139,13 @@ def _clipped_cond_min_entropy(n: int, p: float, lo: int, hi: int) -> float:
     ``pmf_w[d*]``, d* = ``pmf_w.argmax()``. That is checked for every
     output, not assumed: strings split into a low byte and a high part,
     z = zh 2^8 + zl, so d(z, x) = d_low[zl, xl] + d_high[zh, xh], both
-    tables from ``hamming_distances``. Outputs are taken
-    ``_CLIPPED_BLOCK_ROWS`` at a time within one high part (the last block
-    of each may be short), ``_reaches`` tests each against every input,
-    and an output with no input at d* is refused as an oracle fault. The
-    masses are then summed over the rows of 2^22 pairs at a time, the order
-    of gathering the float64 mass of every pair in 2^22-pair chunks, so the
-    result is the same bit for bit.
+    tables from ``hamming_distances``. The low table is packed once into
+    presence planes (``_presence_planes``); for each high part ``_reaches``
+    tests its outputs against every input, each (z, x) pair one bit of an
+    OR, and an output with no input at d* is refused as an oracle fault.
+    The masses are then summed over the rows of 2^22 pairs at a time, the
+    order of gathering the float64 mass of every pair in 2^22-pair chunks,
+    so the result is the same bit for bit.
     """
     w = np.arange(n + 1)
     pmf_w = np.where((w >= lo) & (w <= hi), bsc_weight_mass(n, p), 0.0)
@@ -160,20 +153,17 @@ def _clipped_cond_min_entropy(n: int, p: float, lo: int, hi: int) -> float:
     low = min(n, 8)
     d_low = hamming_distances(low, np.arange(1 << low))
     d_high = hamming_distances(n - low, np.arange(1 << (n - low)))
-    rows = _CLIPPED_BLOCK_ROWS
-    slab = np.empty((len(d_high), rows, 1 << low), dtype=bool)
+    planes = _presence_planes(d_low)
     size = 1 << n
     best = np.zeros(size)
     for zh, high in enumerate(d_high):
-        for zl in range(0, 1 << low, rows):
-            block = d_low[zl:zl + rows]
-            start = (zh << low) + zl
-            found = _reaches(block, high, top, slab)
-            if not found.all():
-                raise RuntimeError(
-                    "clipped oracle fault: output z = %d has no input at "
-                    "distance %d" % (start + int(found.argmin()), top))
-            best[start:start + len(block)] = pmf_w[top]
+        found = _reaches(planes, high, top)
+        start = zh << low
+        if not found.all():
+            raise RuntimeError(
+                "clipped oracle fault: output z = %d has no input at "
+                "distance %d" % (start + int(found.argmin()), top))
+        best[start:start + len(found)] = pmf_w[top]
     chunk = max(1, (1 << 22) // size)
     total = 0.0
     for start in range(0, size, chunk):
@@ -181,21 +171,30 @@ def _clipped_cond_min_entropy(n: int, p: float, lo: int, hi: int) -> float:
     return -float(np.log2(total / size))
 
 
-def _reaches(d_low: np.ndarray, d_high: np.ndarray, d: int,
-             slab: np.ndarray) -> np.ndarray:
-    """Whether each row reaches distance d: ``(d_low[:, None, :] +
-    d_high[:, None] == d).any(axis=(1, 2))`` for uint8 low distances
-    (rows, 2^low) and high distances (2^high,).
+def _presence_planes(d_low: np.ndarray) -> np.ndarray:
+    """Packed presence planes of a uint8 low-distance table (rows, cols):
+    ``planes[t, zl]`` holds bit xl (``_pack_u64`` words) exactly where
+    ``d_low[zl, xl] == t``, for t = 0..max + 1. No entry exceeds the max,
+    so the last plane is all zero."""
+    ts = np.arange(int(d_low.max()) + 2, dtype=np.uint8)
+    return _pack_u64(d_low == ts[:, None, None])
 
-    The ``slab`` buffer (at least (2^high, rows, 2^low)) takes
-    d_low == d - d_high for every high offset at once, so each pair is
-    compared once. Below zero, uint8 d - d_high wraps to 248 or more, past
-    every low distance.
+
+def _reaches(planes: np.ndarray, d_high: np.ndarray, d: int) -> np.ndarray:
+    """Whether each low row reaches distance d through some high offset:
+    ``(d_low[:, None, :] + d_high[:, None] == d).any(axis=(1, 2))`` for the
+    low table behind ``planes`` and one high part's uint8 distances
+    (2^high,).
+
+    Offset xh needs the low distance d - d_high[xh], so its plane is
+    gathered for every xh and the planes are ORed over xh: each (row, xl,
+    xh) pair is one bit of the OR. Below zero, uint8 d - d_high wraps to
+    248 or more, and it and every target past the table's max map to the
+    zero plane.
     """
-    hits = slab[:, :len(d_low)]
     # a uint8 scalar keeps the subtraction in uint8 (NEP 50)
-    np.equal(d_low, (np.uint8(d) - d_high)[:, None, None], out=hits)
-    return np.logical_or.reduce(hits, axis=0).any(axis=1)
+    target = np.minimum(np.uint8(d) - d_high, len(planes) - 1)
+    return np.bitwise_or.reduce(planes[target], axis=0).any(axis=1)
 
 
 # Most seeds ``lhl_check`` walks; all 2^18 take a few seconds in seed blocks.

@@ -77,9 +77,14 @@ _LHL_BLOCKS = tuple(
     "tests/test_oracle.py::TestLhlCheck::"
     "test_seed_blocks_neither_drop_nor_repeat_seeds[%s-1]" % case
     for case in ("hamming74-m3", "even7-m3-sampled"))
-_CLIPPED_ROWS = ("tests/test_oracle.py::TestClippedRankGather::"
-                 "test_row_blocks_neither_drop_nor_repeat_rows[%d-%d]")
-_CLIPPED_BLOCKS = (_CLIPPED_ROWS % (9, 3), _CLIPPED_ROWS % (13, 3))
+_CLIPPED_EDGES = tuple(
+    "tests/test_oracle.py::TestClippedRankGather::"
+    "test_high_part_edges_neither_drop_nor_repeat_outputs[%s]" % case
+    for case in ("9-1-255", "13-31-255"))
+_CLIPPED_PLANES = tuple(
+    "tests/test_oracle.py::TestClippedRankGather::"
+    "test_planes_equal_slab_reference_on_random_split_tables[%d]" % n
+    for n in (9, 16))
 _DISTANCES = ("tests/test_channel.py::TestHammingDistances::"
               "test_equals_uint32_xor_reference[9]",
               "tests/test_channel.py::TestHammingDistances::"
@@ -249,8 +254,8 @@ CATALOGUE = [
            "    for j in range(hm):\n", "    for j in range(1):\n",
            _OPENINGS + ("tests/test_protocol.py::TestBatchEngine::"
                         "test_replay_verdicts_equal_scalar[random[200,70]]",)),
-    # the block edges of the leftover-hash and clipped oracles, the
-    # clipped slab's high offsets and its empty-window refusal
+    # the block edges of the leftover-hash oracle, the clipped oracle's
+    # high parts, presence planes and fault and empty-window refusals
     Mutant("lhl-block-drops-last-seed", "oracle.py",
            "    for start in range(0, len(seeds), block):\n",
            "    for start in range(0, len(seeds) - 1, block):\n", _LHL_BLOCKS),
@@ -258,28 +263,35 @@ CATALOGUE = [
            "        stack = seeds[start:start + block]\n",
            "        stack = seeds[start + 1:start + block + 1]\n",
            _LHL_BLOCKS),
-    Mutant("clipped-block-drops-last-row", "oracle.py",
-           "        for zl in range(0, 1 << low, rows):\n",
-           "        for zl in range(0, (1 << low) - 1, rows):\n",
-           _CLIPPED_BLOCKS + (_CLIPPED_ROWS % (9, 1),)),
-    Mutant("clipped-block-runs-past-its-high-part", "oracle.py",
-           "    for zh, high in enumerate(d_high):\n"
-           "        for zl in range(0, 1 << low, rows):\n",
-           "    for start in range(0, 1 << n, rows):\n"
-           "        for zh, zl in [divmod(start, 1 << low)]:\n"
-           "            high = d_high[zh]\n",
-           _CLIPPED_BLOCKS + (_CLIPPED_ROWS % (9, 100),)),
+    Mutant("clipped-last-high-part-unchecked", "oracle.py",
+           "    for zh, high in enumerate(d_high):\n",
+           "    for zh, high in enumerate(d_high[:-1]):\n",
+           _CLIPPED_EDGES + ("tests/test_oracle.py::TestClippedRankGather::"
+                             "test_bit_identical_to_float_gather[9-0.1-0.1]",)),
     Mutant("clipped-slab-skips-last-high-offset", "oracle.py",
-           "    return np.logical_or.reduce(hits, axis=0).any(axis=1)\n",
-           "    return np.logical_or.reduce(hits[:-1], axis=0).any(axis=1)\n",
-           ("tests/test_oracle.py::TestClippedRankGather::"
-            "test_presence_equals_gather_on_split_tables[rows0]",
-            "tests/test_oracle.py::TestClippedRankGather::"
-            "test_bit_identical_to_float_gather[9-0.1-0.1]")),
-    Mutant("clipped-missing-top-distance-unrefused", "oracle.py",
-           "            if not found.all():\n", "            if False:\n",
+           "    return np.bitwise_or.reduce(planes[target], axis=0)"
+           ".any(axis=1)\n",
+           "    return np.bitwise_or.reduce(planes[target[:-1]], axis=0)"
+           ".any(axis=1)\n",
+           _CLIPPED_PLANES + (
+               "tests/test_oracle.py::TestClippedRankGather::"
+               "test_presence_equals_gather_on_split_tables[rows0]",)),
+    Mutant("clipped-plane-drops-last-word", "oracle.py",
+           "    return np.bitwise_or.reduce(planes[target], axis=0)"
+           ".any(axis=1)\n",
+           "    return np.bitwise_or.reduce(planes[target], axis=0)"
+           "[:, :-1].any(axis=1)\n",
+           _CLIPPED_PLANES),
+    Mutant("clipped-target-outside-reads-live-plane", "oracle.py",
+           "    target = np.minimum(np.uint8(d) - d_high, len(planes) - 1)\n",
+           "    target = np.minimum(np.uint8(d) - d_high, len(planes) - 2)\n",
            ("tests/test_oracle.py::TestClippedRankGather::"
             "test_output_without_top_distance_refused",)),
+    Mutant("clipped-missing-top-distance-unrefused", "oracle.py",
+           "        if not found.all():\n", "        if False:\n",
+           ("tests/test_oracle.py::TestClippedRankGather::"
+            "test_output_without_top_distance_refused",)
+           + _CLIPPED_EDGES[:1]),
     Mutant("clipped-empty-window-unrefused", "oracle.py",
            "    if lo > hi:\n", "    if False:\n",
            ("tests/test_oracle.py::TestClippedConstruction::"
@@ -555,6 +567,19 @@ CATALOGUE = [
            'add_subparsers(dest="sub",\n',
            ("tests/test_cli.py::TestOptionNames::"
             "test_unknown_subcommand_names_the_argument[attack]",)),
+    Mutant("binding-exact-reads-no-trials-silently", "cli.py",
+           '        _refuse_unread(args, "under --mode exact", "trials", '
+           '"seed")\n',
+           '        _refuse_unread(args, "under --mode exact", "seed")\n',
+           ("tests/test_cli.py::TestAttack::"
+            "test_binding_value_it_never_reads_is_usage_error"
+            "[binding-trials-20000-under --mode exact-flag]",)),
+    Mutant("binding-pair-ignores-weight-silently", "cli.py",
+           '        _refuse_unread(args, "with --x0 and --x1", "weight")\n',
+           "",
+           ("tests/test_cli.py::TestAttack::"
+            "test_binding_value_it_never_reads_is_usage_error"
+            "[binding-pair-weight-6-with --x0 and --x1---config]",)),
     # NaN and non-int lengths and floors, refused by a "not x >= ..." test
     Mutant("usnc-params-nan-floor", "channel.py",
            "            if not getattr(self, name) >= 0.0:  # also refuses "
@@ -565,11 +590,12 @@ CATALOGUE = [
             "tests/test_channel.py::TestUsncParams::"
             "test_nan_floor_refused[l_b]")),
     Mutant("usnc-params-float-length", "channel.py",
-           "        if not isinstance(self.n, (int, np.integer)) or "
-           "self.n < 1:\n",
-           "        if self.n < 1:\n",
+           "    if not isinstance(n, (int, np.integer)) or n < 1:\n",
+           "    if n < 1:\n",
            ("tests/test_channel.py::TestUsncParams::"
-            "test_length_not_a_positive_int_refused[2.5]",)),
+            "test_length_not_a_positive_int_refused[2.5]",
+            "tests/test_nqs.py::TestChannelParams::"
+            "test_length_not_a_positive_int_refused[2.5]")),
     Mutant("completeness-n-unchecked", "bounds.py",
            "    _check_n(n)\n    if eps <= 0:\n", "    if eps <= 0:\n",
            (_B + "TestCompletenessBound::"
@@ -602,7 +628,9 @@ CATALOGUE = [
             "tests/test_nqs.py::TestAzuma::"
             "test_nan_or_out_of_domain_refused[alphabet-nan]")),
     Mutant("nqs-params-nan-length", "nqs.py",
-           "        if not self.n >= 1:\n", "        if self.n < 1:\n",
+           "        _check_block_length(self.n)\n",
+           "        if self.n < 1:\n"
+           "            raise ValueError(\"need an int n >= 1\")\n",
            ("tests/test_nqs.py::TestChannelParams::"
             "test_length_below_one_or_nan_refused[nan]",)),
     # an advantage that passes only the parent's vacuous hamming74 bound

@@ -11,7 +11,9 @@
   centres, counted over all 2^n strings.
 - ``clipped_cond_min_entropy_blocks`` and ``top_mass_per_row``: the clipped
   oracle's conditional min-entropy from a full distance table per block of
-  outputs, the loop the oracle's slabs replaced.
+  outputs, the loop the oracle's split tables replaced.
+- ``reaches_in_slabs``: the clipped oracle's presence test in bool slabs of
+  split distances, the loop its packed presence planes replaced.
 """
 
 import numpy as np
@@ -138,3 +140,28 @@ def top_mass_per_row(dists: np.ndarray, pmf_w: np.ndarray) -> np.ndarray:
         best[todo[hit]] = pmf_w[d]
         todo = todo[~hit]
     return best
+
+
+# Outputs one slab of ``reaches_in_slabs`` covers, all in one high part.
+SLAB_ROWS = 64
+
+
+def reaches_in_slabs(d_low: np.ndarray, d_high: np.ndarray, d: int,
+                     rows: int = SLAB_ROWS) -> np.ndarray:
+    """Whether each output z = zh 2^low + zl reaches distance d, i.e.
+    ``d_low[zl, xl] + d_high[zh, xh] == d`` for some input, in z order, for
+    uint8 split tables (2^low, 2^low) and (2^high, 2^high). Outputs go
+    ``rows`` at a time within one high part, and one bool slab
+    (2^high, rows, 2^low) takes d_low == d - d_high for every high offset
+    at once. Below zero, uint8 d - d_high wraps to 248 or more, past every
+    low distance."""
+    slab = np.empty((len(d_high), rows, d_low.shape[1]), dtype=bool)
+    found = []
+    for high in d_high:
+        for zl in range(0, len(d_low), rows):
+            block = d_low[zl:zl + rows]
+            hits = slab[:, :len(block)]
+            # a uint8 scalar keeps the subtraction in uint8 (NEP 50)
+            np.equal(block, (np.uint8(d) - high)[:, None, None], out=hits)
+            found.append(np.logical_or.reduce(hits, axis=0).any(axis=1))
+    return np.concatenate(found)

@@ -504,6 +504,45 @@ class TestAttack:
         assert code == 2
         assert capsys.readouterr().err == "error: need trials >= 1\n"
 
+    @pytest.mark.parametrize("via", ["flag", "--config"])
+    @pytest.mark.parametrize("name, key, value, why", [
+        ("binding", "trials", "20000", "under --mode exact"),
+        ("binding", "seed", "11", "under --mode exact"),
+        ("binding-pair", "weight", "6", "with --x0 and --x1")])
+    def test_binding_value_it_never_reads_is_usage_error(
+            self, capsys, tmp_path, via, name, key, value, why):
+        argv = _attack(name, spread="0.5")
+        if via == "flag":
+            argv += ["--" + key, value]
+        else:
+            conf = tmp_path / "conf.txt"
+            conf.write_text("%s = %s\n" % (key, value))
+            argv += ["--config", str(conf)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: --%s is not read %s\n" % (key, why)
+
+    def test_binding_reads_trials_and_seed_in_mc_and_weight_alone(
+            self, capsys, monkeypatch):
+        # the other side of the refusals: --trials and --seed under --mode
+        # mc and --weight without --x0/--x1 run, and 10^5 trials are the
+        # default in mc mode only
+        from usnc import adversary
+        seen = []
+
+        def success(strategy, cfg, mode, trials, rng, for_bound_comparison):
+            seen.append((mode, trials, rng is None))
+            return 0.0
+
+        monkeypatch.setattr(adversary, "binding_success", success)
+        mc = ["--mode", "mc", "--seed", "3"]
+        for argv in ([], mc, mc + ["--trials", "7"]):
+            assert main(_attack("binding", weight="6") + argv) == 0
+        assert main(_attack("binding-pair") + mc) == 0
+        assert seen == [("exact", None, True), ("mc", 10 ** 5, False),
+                        ("mc", 7, False), ("mc", 10 ** 5, False)]
+
     def test_hiding_exact(self, capsys):
         code, out = run_cli(capsys, *_attack("hiding", m0="0", m1="1"))
         assert code == 0

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -232,11 +233,25 @@ class TestChannelParams:
 
     @pytest.mark.parametrize("n", [math.nan, 0.5])
     def test_length_below_one_or_nan_refused(self, n):
-        with pytest.raises(ValueError, match="need n >= 1"):
+        with pytest.raises(ValueError, match="need an int n >= 1"):
             NqsParams(n=n, lambda_a=0.1, lambda_b=0.1,
                       p_succ_log2=lambda b: 0.0)
         assert NqsParams(n=1, lambda_a=0.1, lambda_b=0.1,
                          p_succ_log2=lambda b: 0.0).n == 1
+
+    @pytest.mark.parametrize("n", [2.5, 4.0, math.inf, 0, -1])
+    def test_length_not_a_positive_int_refused(self, n):
+        # the rule and message of UsncParams, which the params feed
+        with pytest.raises(ValueError, match=r"^need an int n >= 1, got %s$"
+                           % re.escape(repr(n))):
+            NqsParams(n=n, lambda_a=0.1, lambda_b=0.1,
+                      p_succ_log2=lambda b: 0.0)
+
+    @pytest.mark.parametrize("n", [1, 100, np.int64(100)])
+    def test_positive_int_length_accepted(self, n):
+        params = NqsParams(n=n, lambda_a=0.1, lambda_b=0.1,
+                           p_succ_log2=lambda b: 0.0)
+        assert params.n == n
 
 
 class TestComposedCommitment:

@@ -8,7 +8,8 @@ import pytest
 from scipy.special import xlogy
 
 from reference import (clipped_cond_min_entropy_blocks, constant_view,
-                       smooth_entropy_lp, typical_intersection_exact)
+                       reaches_in_slabs, smooth_entropy_lp,
+                       typical_intersection_exact)
 from usnc import oracle
 from usnc.adversary import less_noisy_bob
 from usnc.bounds import intersection_bound
@@ -175,6 +176,28 @@ def _window_nonempty(n, p, eps):
     return lo <= hi
 
 
+def random_split_tables(n):
+    """Synthetic uint8 split tables of the shapes the clipped oracle gives n:
+    (2^low, 2^low) and (2^high, 2^high), low = min(n, 8). Each row draws
+    from two values in 0..bits + 1, so some outputs miss a target."""
+    rng = np.random.default_rng(n)
+    low = min(n, 8)
+    tables = []
+    for bits in (low, n - low):
+        values = rng.integers(0, bits + 2, (1 << bits, 2), dtype=np.uint8)
+        pick = rng.integers(0, 2, (1 << bits, 1 << bits))
+        tables.append(np.take_along_axis(values, pick, axis=1))
+    return tables
+
+
+def planes_presence(d_low, d_high, d):
+    """The oracle's presence test for every output z = zh 2^low + zl, in z
+    order: planes built once, one ``_reaches`` per high part."""
+    planes = oracle._presence_planes(d_low)
+    return np.concatenate([oracle._reaches(planes, high, d)
+                           for high in d_high])
+
+
 CLIPPED_GRID = [(n, p, eps) for n in (1, 4, 7, 8, 9, 10, 12)
                 for p in (0.05, 0.1, 0.25, 0.5) for eps in (0.05, 0.1, 0.2)
                 if _window_nonempty(n, p, eps)]
@@ -182,10 +205,10 @@ CLIPPED_GRID += [(13, 0.1, 0.1), (14, 0.1, 0.1)]
 
 
 class TestClippedRankGather:
-    """The clipped oracle's slabs of split distances and presence tests
-    against the float64 gather of every pair's mass, against the loop over
-    full distance tables that the slabs replaced and against the top window
-    mass."""
+    """The clipped oracle's presence planes of split distances against the
+    float64 gather of every pair's mass, against the loop over full
+    distance tables that the split tables replaced, against the bool slabs
+    that the planes replaced and against the top window mass."""
 
     @pytest.mark.parametrize("n, p, eps", CLIPPED_GRID)
     def test_bit_identical_to_float_gather(self, n, p, eps):
@@ -199,16 +222,29 @@ class TestClippedRankGather:
         got = oracle._clipped_cond_min_entropy(n, p, lo, hi)
         assert got == clipped_cond_min_entropy_blocks(n, p, lo, hi)
 
-    @pytest.mark.parametrize("rows", [1, 3, 100])
-    @pytest.mark.parametrize("n", [5, 8, 9, 13])
-    def test_row_blocks_neither_drop_nor_repeat_rows(self, monkeypatch, n,
-                                                     rows):
-        # 3 and 100 rows leave a short last block in each high part (100
-        # exceeds all 32 outputs at n = 5); 1 row makes every row its own
-        monkeypatch.setattr(oracle, "_CLIPPED_BLOCK_ROWS", rows)
-        lo, hi = typical_window(n, 0.1, 0.1)
-        got = oracle._clipped_cond_min_entropy(n, 0.1, lo, hi)
-        assert got == float_gather_cond_min_entropy(n, 0.1, lo, hi)
+    @pytest.mark.parametrize("zl", [0, 255])
+    @pytest.mark.parametrize("n, zh", [(9, 0), (9, 1), (13, 0), (13, 31)])
+    def test_high_part_edges_neither_drop_nor_repeat_outputs(
+            self, monkeypatch, n, zh, zl):
+        # n = 9 and 13, window 1..1 of p = 0.1: distance 1 has the top mass.
+        # Raising the ones of low row zl and of high row zh to 3 leaves
+        # output zh 2^8 + zl alone without an input at distance 1 (every
+        # other output still pairs a 0 with a 1), so the first and the last
+        # output of the first and the last high part must each be refused
+        # by their own number
+        def split_tables(bits, centers):
+            d = hamming_distances(bits, centers)
+            row = d[zl] if bits == 8 else d[zh]
+            row[row == 1] = 3
+            return d
+
+        monkeypatch.setattr(oracle, "hamming_distances", split_tables)
+        lo, hi = typical_window(n, 0.1, 0.05)
+        assert (lo, hi) == (1, 1)
+        with pytest.raises(RuntimeError, match=r"^clipped oracle fault: "
+                           r"output z = %d has no input at distance 1$"
+                           % ((zh << 8) + zl)):
+            oracle._clipped_cond_min_entropy(n, 0.1, lo, hi)
 
     def test_bit_identical_to_float_gather_at_sixteen_bits(self):
         # the float gather's value, recorded: at n = 16 it takes about 30 s
@@ -241,11 +277,39 @@ class TestClippedRankGather:
     def test_presence_equals_gather_on_split_tables(self, rows):
         d_low, d_high = (np.array(t, dtype=np.uint8) for t in rows)
         top = int(self.PMF.argmax())
-        # the oracle's slab has room for more rows than a short block holds
-        slab = np.empty((len(d_high), len(d_low) + 2, d_low.shape[1]), bool)
-        got = oracle._reaches(d_low, d_high, top, slab)
+        got = oracle._reaches(oracle._presence_planes(d_low), d_high, top)
         pairs = d_low[:, None, :] + d_high[:, None]
         assert np.array_equal(got, (pairs == top).any(axis=(1, 2)))
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_planes_equal_slab_reference_on_random_split_tables(self, n):
+        # every (2^low, 2^high) shape the oracle splits n = 1..16 into. Below
+        # n = 6 a low row is narrower than one word and packing pads it
+        tables = random_split_tables(n)
+        found = []
+        for top in range(n + 1) if n <= 12 else (0, n // 2, n):
+            d_low, d_high = (t.copy() for t in tables)
+            # the last output reaches top only at the last bit of its low
+            # row's last word and at the last high offset
+            d_low[-1], d_high[-1] = top + 1, top + 1
+            d_low[-1, -1], d_high[-1, -1] = top, 0
+            got = planes_presence(d_low, d_high, top)
+            assert np.array_equal(got, reaches_in_slabs(d_low, d_high, top))
+            assert got[-1]
+            found.append(got)
+        assert not np.all(found)
+
+    @pytest.mark.parametrize("rows", [1, 3, 100])
+    @pytest.mark.parametrize("n", [5, 8, 9, 13])
+    def test_row_blocks_neither_drop_nor_repeat_rows(self, n, rows):
+        # the slab reference in blocks of one row, of 3 and of 100 rows (3
+        # and 100 leave a short last block in each high part, and 100
+        # exceeds all 32 outputs at n = 5) marks the outputs the planes mark
+        d_low, d_high = random_split_tables(n)
+        for top in (0, n // 2, n):
+            want = planes_presence(d_low, d_high, top)
+            got = reaches_in_slabs(d_low, d_high, top, rows)
+            assert np.array_equal(got, want)
 
     def test_output_without_top_distance_refused(self, monkeypatch):
         # n = 9, window 0..1: distance 0 has the top mass. Raising the one
