@@ -8,10 +8,11 @@ string per label (``AliceChannel.bsc``). Both harnesses are exact: they sum
 the strategy's joint law against dense channel laws. Binding checks both
 openings of every atom with the receiver's packed opening test, groups the
 valid atoms by one ``np.unique`` of a packed (label, coset, x0, x1) int64
-key and sums each group once under popcount window masks. Hiding builds one
-message-free table, a 0/1 digest match of the whole seed family against the
-receiver's view-law table (rows gathered at codeword ints), and reads both
-messages' joints off it. Binding also has a Monte Carlo mode that samples
+key and sums each group once under popcount window masks. Hiding reads the
+trace distance off the Walsh-Hadamard spectrum, over the message axis, of
+the receiver's view laws gathered at coset-shifted codeword ints: in the
+difference of the two messages' joints only the characters odd on m0 + m1
+survive. Binding also has a Monte Carlo mode that samples
 channel outputs and runs the batched verifier, an independent code path
 cross-checked against the exact sum. Hiding has none: its view space is the
 exact mode's own enumeration, and an empirical trace distance over it only
@@ -27,11 +28,12 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .channel import AliceChannel, BobChannel, typical_window_mask
+# gtd and hash_codeword are not called here; benchmarks/tracing.py wraps
+# them by name
 from .entropy import gtd
-from .gf2 import BitString, _pack_u64
-# hash_codeword is not called here; benchmarks/tracing.py wraps it by name
-from .hashing import (_digests, count_full_rank, digest_table,
-                      enumerate_full_rank_seeds, hash_codeword)
+from .gf2 import BitString, _pack_u64, _xor_span
+from .hashing import (_digests, count_full_rank, enumerate_full_rank_seeds,
+                      hash_codeword)
 from .protocol import (BLOCK, CommitConfig, TranscriptBatch, _nwords,
                        _openings_pass, _pack_split, bob_verify_batch)
 
@@ -318,8 +320,22 @@ def hiding_advantage(strategy: BobStrategy, cfg: CommitConfig,
 
     The view is (channel output, S, Mbar, C') conditioned on the committed
     message; the joint is enumerated exactly over all full-rank seeds, masks,
-    cosets, and view symbols; both are read off one ``_view_table``. A view
-    channel whose n is not the code's is refused.
+    cosets and view symbols, and read off the Walsh-Hadamard spectrum of the
+    codewords' view laws over the message axis. With L[u] the view law of
+    codeword u shifted into coset C' and L^[b] = sum_u (-1)^(b.u) L[u], the
+    cell of digest d under seed S is
+
+        sum_{u : S u = d} L[u] = 2^-hm sum_{a in F2^hm} (-1)^(a.d) L^[S^T a],
+
+    and in T[S, d] - T[S, d + delta], delta = m0 + m1, only the characters a
+    with a.delta odd survive, so
+
+        advantage = sum_{S, d, C', v} |sum_{a.delta odd} (-1)^(a.d)
+                    L^[S^T a, C', v]| / (#seeds * #cosets * 2^k * 2^hm).
+
+    m0 = m1 has no odd character and gives exactly 0.0. The desk-scale and
+    2^24-cell refusals run before the view-law table is built. A view channel
+    whose n is not the code's is refused.
     """
     if strategy.view_channel.n != cfg.n:
         raise ValueError("view channel has n = %d, the code has n = %d"
@@ -327,21 +343,6 @@ def hiding_advantage(strategy: BobStrategy, cfg: CommitConfig,
     _require_certifiable(strategy.view_channel, for_bound_comparison)
     if len(m0) != cfg.hash_m or len(m1) != cfg.hash_m:
         raise ValueError("message length mismatch")
-    table = _view_table(strategy, cfg)
-    masks = np.arange(1 << cfg.hash_m)
-    return gtd(np.take(table, m0.to_int() ^ masks, axis=1).ravel(),
-               np.take(table, m1.to_int() ^ masks, axis=1).ravel())
-
-
-def _view_table(strategy: BobStrategy, cfg: CommitConfig) -> np.ndarray:
-    """Message-free view table, axes (seed, digest, coset x view symbol).
-
-    Cell (S, d, C') sums the view laws of c + rep(C') over the codewords c
-    whose digest under S is d: one 0/1 match of the digest table against
-    every digest, times the table of shifted view laws, in seed chunks that
-    keep every intermediate within 2^24 entries. Normalised as a joint, its
-    digest m + Mbar is the cell (S, Mbar, C') of message m's joint.
-    """
     code, hm = cfg.code, cfg.hash_m
     if code.k > 16 or code.k * hm > 24:
         raise ValueError("exact hiding enumeration is desk-scale only")
@@ -352,22 +353,24 @@ def _view_table(strategy: BobStrategy, cfg: CommitConfig) -> np.ndarray:
     if cells > 1 << 24:
         raise ValueError("view space too large for exact mode "
                          "(%d cells > 2^24)" % cells)
-    seeds = enumerate_full_rank_seeds(code.k, hm)
     # codeword u shifted into coset c: its int with c in the check positions
     shifted = code.codeword_ints()[:, None] ^ (
         np.arange(n_cosets, dtype=np.uint64) << np.uint64(code.k))
-    laws = view.law_table()[shifted].reshape(1 << code.k, -1)
-    out = np.empty((n_seeds, 1 << hm, laws.shape[1]))
-    step = max(1, (1 << 24) >> (hm + code.k))
-    for lo in range(0, n_seeds, step):
-        match = digest_table(seeds[lo: lo + step])[:, None, :] \
-            == np.arange(1 << hm)[:, None]
-        out[lo: lo + step] = (match.reshape(-1, 1 << code.k) @ laws) \
-            .reshape(-1, 1 << hm, laws.shape[1])
-    # priors 1/(#seeds * |M| * #cosets), preimage weight |M|/|C|
-    out /= n_seeds * (1 << hm) * n_cosets
-    out /= 1 << (code.k - hm)
-    return out
+    spectrum = view.law_table()[shifted].reshape(1 << code.k, -1)
+    for i in range(code.k):  # butterfly on message bit i, in place
+        pairs = spectrum.reshape(-1, 2, 1 << i, spectrum.shape[1])
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        lo += hi
+        hi *= -2.0
+        hi += lo  # (lo + hi) - 2 hi = lo - hi
+    chars = np.arange(1 << hm)
+    odd = chars[np.bitwise_count(chars & (m0 ^ m1).to_int()) & 1 == 1]
+    sign = 1.0 - 2.0 * (np.bitwise_count(chars[:, None] & odd) & 1)
+    rows = _xor_span(_pack_u64(enumerate_full_rank_seeds(code.k, hm)))
+    spans = spectrum[rows[:, odd, 0].T]  # (odd a, seed, C' x v): L^[S^T a]
+    cell_sums = sign @ spans.reshape(len(odd), n_seeds * spectrum.shape[1])
+    total = np.abs(cell_sums, out=cell_sums).sum()
+    return float(total / (n_seeds * n_cosets * (1 << (code.k + hm))))
 
 
 def less_noisy_bob(p_b: float, n: int) -> BobStrategy:

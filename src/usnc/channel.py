@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .entropy import (ClassicalDistribution, JointDistribution,
+from .entropy import (_MASS_TOL, ClassicalDistribution, JointDistribution,
                       smooth_cond_min_entropy, smooth_min_entropy)
 from .gf2 import BitString
 
@@ -270,10 +270,26 @@ class BobChannel:
         """(2^n, view_size) view laws of every input; row x is the law of
         the n-bit string whose bit i is coordinate i.
 
-        Built on the first call and returned read-only from then on.
+        Built on the first call, as float64, and returned read-only from then
+        on. The first call refuses a table of another shape, a NaN or
+        negative entry, or a row whose mass is above 1 (both up to the
+        tolerance of ``entropy._checked_mass``).
         """
         if self._law_table is None:
-            table = self._build_table()
+            table = np.asarray(self._build_table(), dtype=np.float64)
+            if table.shape != (1 << self.n, self.view_size):
+                raise ValueError("view-law table has shape %s, not (2^n, "
+                                 "view_size) = (%d, %d)" % (
+                                     table.shape, 1 << self.n, self.view_size))
+            low = table.min(initial=0.0)  # NaN if any entry is NaN
+            if not low >= -_MASS_TOL:
+                raise ValueError("view-law table holds %s probability mass"
+                                 % ("NaN" if np.isnan(low) else "negative"))
+            row_mass = table.sum(axis=1)
+            row = int(row_mass.argmax())
+            if row_mass[row] > 1.0 + _MASS_TOL:
+                raise ValueError("view law of input %d has mass %r > 1"
+                                 % (row, float(row_mass[row])))
             table.setflags(write=False)
             self._law_table = table
         return self._law_table

@@ -77,13 +77,19 @@ def gtd(p, q) -> float:
     """Generalized trace distance between two (sub)normalized mass vectors.
 
     Half the l1 distance plus half the difference of total masses; equals
-    total variation distance when both arguments are normalized.
+    total variation distance when both arguments are normalized. A NaN or
+    infinite result, from a NaN or infinite entry, is refused.
     """
     pm = _mass_of(p)
     qm = _mass_of(q)
     if pm.shape != qm.shape:
         raise ValueError("index spaces differ: %s vs %s" % (pm.shape, qm.shape))
-    return 0.5 * float(np.abs(pm - qm).sum()) + 0.5 * abs(float(pm.sum() - qm.sum()))
+    dist = 0.5 * float(np.abs(pm - qm).sum()) \
+        + 0.5 * abs(float(pm.sum() - qm.sum()))
+    if not dist < np.inf:  # NaN or inf, from a NaN or infinite entry
+        raise ValueError("%s probability mass"
+                         % ("NaN" if np.isnan(dist) else "infinite"))
+    return dist
 
 
 def min_entropy(p: ClassicalDistribution) -> float:

@@ -64,6 +64,12 @@ _FAILED_CHECK = tuple(
                     "oracle-intersection", "oracle-lhl", "oracle-clipped",
                     "nqs-povm-verify"))
 
+_ODD = ("    odd = chars[np.bitwise_count(chars & (m0 ^ m1).to_int()) & 1 == "
+        "1]\n")
+_SPECTRUM_PIN = ("tests/test_adversary.py::TestSpectrumMatchesViewTable::"
+                 "test_advantage_equals_table_distance[even8-1-0.25]",
+                 "tests/test_cli_golden.py::"
+                 "test_readme_examples_print_golden_bytes")
 _KEY = "    key = ((a.label << (n - k) | a.coset) << n | a.x0) << n | a.x1\n"
 _GROUPED = ("tests/test_adversary.py::TestGroupedBindingMatchesReference::"
             "test_hand_built_tables_with_invalid_reveals",
@@ -346,15 +352,48 @@ CATALOGUE = [
            "    limits = dict(seed=len(strategy.seeds), label=1 << 62,\n",
            ("tests/test_adversary.py::TestGroupedBindingMatchesReference::"
             "test_table_outside_configuration_refused[label-1]",)),
-    Mutant("hiding-joint-at-reversed-masks", "adversary.py",
-           "    return gtd(np.take(table, m0.to_int() ^ masks, axis=1)"
-           ".ravel(),\n",
-           "    return gtd(np.take(table, (m0.to_int() ^ masks)[::-1], "
-           "axis=1).ravel(),\n",
+    # m0's joint read at reversed masks Mbar + (2^m - 1): delta gains every
+    # bit, so at m = 1 the two messages' joints coincide
+    Mutant("hiding-joint-at-reversed-masks", "adversary.py", _ODD,
+           _ODD.replace("(m0 ^ m1).to_int()",
+                        "((m0 ^ m1).to_int() ^ (len(chars) - 1))"),
            ("tests/test_adversary.py::TestHidingAdvantage::"
             "test_every_message_pair_gives_one_advantage[0.25-hamming74]",
             "tests/test_cli_golden.py::"
             "test_readme_examples_print_golden_bytes")),
+    # the Walsh-Hadamard spectrum, its odd characters and their signs
+    Mutant("hiding-wht-skips-last-pass", "adversary.py",
+           "    for i in range(code.k):  # butterfly on message bit i, "
+           "in place\n",
+           "    for i in range(code.k - 1):  # butterfly on message bit i, "
+           "in place\n", _SPECTRUM_PIN),
+    Mutant("hiding-even-characters", "adversary.py", _ODD,
+           _ODD.replace("& 1 == 1]", "& 1 == 0]"),
+           ("tests/test_adversary.py::TestHidingAdvantage::"
+            "test_equal_messages_indistinguishable",) + _SPECTRUM_PIN),
+    Mutant("hiding-sign-parity-dropped", "adversary.py",
+           "    sign = 1.0 - 2.0 * (np.bitwise_count(chars[:, None] & odd) "
+           "& 1)\n",
+           "    sign = np.ones((len(chars), len(odd)))\n",
+           # on a BSC view every seed family sums to the same value with
+           # all signs +1, so only the random view tells the two apart
+           tuple("tests/test_adversary.py::TestSpectrumMatchesViewTable::"
+                 "test_advantage_equals_table_distance[%s-2-random]" % code
+                 for code in ("hamming74", "even8"))),
+    # a view-law table of another shape, and a NaN trace distance
+    Mutant("law-table-shape-unchecked", "channel.py",
+           "            if table.shape != (1 << self.n, self.view_size):\n",
+           "            if False:\n",
+           ("tests/test_channel.py::TestLawTable::"
+            "test_malformed_table_refused_on_first_call[wide]",
+            "tests/test_adversary.py::TestSpectrumMatchesViewTable::"
+            "test_malformed_view_table_refused")),
+    Mutant("gtd-nan-unrefused", "entropy.py",
+           "    if not dist < np.inf:  # NaN or inf, from a NaN or infinite "
+           "entry\n",
+           "    if False:\n",
+           ("tests/test_entropy.py::TestGtd::"
+            "test_non_finite_result_refused[nan]",)),
     # the byte-split distance kernel
     Mutant("distances-high-part-dropped", "channel.py", _DISTANCE_SUM,
            _DISTANCE_SUM.replace("(d_high", "(0 * d_high"), _DISTANCES),
@@ -635,10 +674,10 @@ CATALOGUE = [
             "test_length_below_one_or_nan_refused[nan]",)),
     # an advantage that passes only the parent's vacuous hamming74 bound
     Mutant("hiding-advantage-tenth-root", "adversary.py",
-           "               np.take(table, m1.to_int() ^ masks, axis=1)"
-           ".ravel())\n",
-           "               np.take(table, m1.to_int() ^ masks, axis=1)"
-           ".ravel()) ** 0.1\n",
+           "    return float(total / (n_seeds * n_cosets * (1 << (code.k + "
+           "hm))))\n",
+           "    return float(total / (n_seeds * n_cosets * (1 << (code.k + "
+           "hm)))) ** 0.1\n",
            ("tests/test_acceptance.py::"
             "test_criterion_04_hiding_exact_desk_scale",)),
 ]

@@ -14,6 +14,9 @@
   outputs, the loop the oracle's split tables replaced.
 - ``reaches_in_slabs``: the clipped oracle's presence test in bool slabs of
   split distances, the loop its packed presence planes replaced.
+- ``view_table``: exact hiding's message-free view table from a 0/1
+  digest-match matmul, the reference for ``adversary.hiding_advantage``'s
+  Walsh-Hadamard path.
 """
 
 import numpy as np
@@ -21,6 +24,8 @@ import numpy as np
 from usnc.adversary import AliceStrategy, AtomTable
 from usnc.channel import (AliceChannel, BobChannel, bsc_weight_mass,
                           hamming_distances, typical_window_mask)
+from usnc.hashing import (count_full_rank, digest_table,
+                          enumerate_full_rank_seeds)
 from usnc.protocol import alice_commit
 
 _MAX_LP_CELLS = 1 << 16
@@ -165,3 +170,42 @@ def reaches_in_slabs(d_low: np.ndarray, d_high: np.ndarray, d: int,
             np.equal(block, (np.uint8(d) - high)[:, None, None], out=hits)
             found.append(np.logical_or.reduce(hits, axis=0).any(axis=1))
     return np.concatenate(found)
+
+
+def view_table(strategy, cfg) -> np.ndarray:
+    """Message-free view table, axes (seed, digest, coset x view symbol).
+
+    Cell (S, d, C') sums the view laws of c + rep(C') over the codewords c
+    whose digest under S is d: one 0/1 match of the digest table against
+    every digest, times the table of shifted view laws, in seed chunks that
+    keep every intermediate within 2^24 entries. Normalised as a joint, its
+    digest m + Mbar is the cell (S, Mbar, C') of message m's joint, so the
+    hiding advantage is ``gtd`` of the table read at m0 + Mbar and at
+    m1 + Mbar. Refuses what ``hiding_advantage`` refuses, with its texts.
+    """
+    code, hm = cfg.code, cfg.hash_m
+    if code.k > 16 or code.k * hm > 24:
+        raise ValueError("exact hiding enumeration is desk-scale only")
+    n_cosets = 1 << (code.n - code.k)
+    view = strategy.view_channel
+    n_seeds = count_full_rank(code.k, hm)
+    cells = n_seeds * (1 << hm) * n_cosets * view.view_size
+    if cells > 1 << 24:
+        raise ValueError("view space too large for exact mode "
+                         "(%d cells > 2^24)" % cells)
+    seeds = enumerate_full_rank_seeds(code.k, hm)
+    # codeword u shifted into coset c: its int with c in the check positions
+    shifted = code.codeword_ints()[:, None] ^ (
+        np.arange(n_cosets, dtype=np.uint64) << np.uint64(code.k))
+    laws = view.law_table()[shifted].reshape(1 << code.k, -1)
+    out = np.empty((n_seeds, 1 << hm, laws.shape[1]))
+    step = max(1, (1 << 24) >> (hm + code.k))
+    for lo in range(0, n_seeds, step):
+        match = digest_table(seeds[lo: lo + step])[:, None, :] \
+            == np.arange(1 << hm)[:, None]
+        out[lo: lo + step] = (match.reshape(-1, 1 << code.k) @ laws) \
+            .reshape(-1, 1 << hm, laws.shape[1])
+    # priors 1/(#seeds * |M| * #cosets), preimage weight |M|/|C|
+    out /= n_seeds * (1 << hm) * n_cosets
+    out /= 1 << (code.k - hm)
+    return out

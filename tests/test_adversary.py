@@ -5,16 +5,17 @@ import numpy as np
 import pytest
 
 from reference import (constant_view, honest_alice_strategy,
-                       typical_intersection_exact)
+                       typical_intersection_exact, view_table)
 from usnc.adversary import (AliceStrategy, AtomTable, BobStrategy,
-                            _int_words, _split_words, _view_table,
-                            binding_success, hiding_advantage,
-                            less_noisy_bob, midpoint_attack)
+                            _int_words, _split_words, binding_success,
+                            hiding_advantage, less_noisy_bob,
+                            midpoint_attack)
 from usnc.bounds import binding_bound, hiding_bound
 from usnc.channel import (AliceChannel, BobChannel, UsncParams, bsc_law_dense,
                           check_c2, check_c3, hamming_distances,
                           typical_window, typical_window_mask)
-from usnc.entropy import ClassicalDistribution, cond_min_entropy, min_entropy
+from usnc.entropy import (ClassicalDistribution, cond_min_entropy, gtd,
+                          min_entropy)
 from usnc.gf2 import (BitString, LinearCode, _pack_u64, _unpack_u64,
                       all_bits, even_weight_code, hamming_7_4)
 from usnc.hashing import (HashSeed, _digests, digest_table,
@@ -821,7 +822,7 @@ class TestViewJointMatchesReference:
             view = BobChannel.bsc_view(code.n, p_b)
             view_law = lambda x: bsc_law_dense(code.n, x, p_b).mass
         strategy = BobStrategy(view_channel=view)
-        table = _view_table(strategy, cfg)
+        table = view_table(strategy, cfg)
         masks = np.arange(1 << hash_m)
         for m_int in (0, (1 << hash_m) - 1):
             m = BitString.from_int(m_int, hash_m)
@@ -832,16 +833,94 @@ class TestViewJointMatchesReference:
             assert joint.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_refusals_keep_their_texts(self):
+        # each refusal runs before the view-law table is built
+        def fail():
+            raise AssertionError("the view table was built")
+
         big = CommitConfig(code=even_weight_code(18), hash_m=1, p=0.25,
                            eps=0.05)
         wide = CommitConfig(code=even_weight_code(14), hash_m=2, p=0.25,
                             eps=0.05)
         many = CommitConfig(code=even_weight_code(14), hash_m=1, p=0.25,
                             eps=0.05)
-        for cfg in (big, wide):
-            strategy = less_noisy_bob(0.1, cfg.n)
-            with pytest.raises(ValueError, match="desk-scale only"):
-                _view_table(strategy, cfg)
-        with pytest.raises(ValueError, match=r"\(%d cells > 2\^24\)"
-                           % (8191 * 2 * 2 * (1 << 14))):
-            _view_table(less_noisy_bob(0.1, 14), many)
+        dense = CommitConfig(code=even_weight_code(8), hash_m=2, p=0.25,
+                             eps=0.05)
+        cases = [(big, "desk-scale only"), (wide, "desk-scale only"),
+                 (many, r"\(%d cells > 2\^24\)" % (8191 * 2 * 2 * (1 << 14))),
+                 (dense, r"\(%d cells > 2\^24\)" % (16002 * 4 * 2 * 256))]
+        for cfg, match in cases:
+            strategy = BobStrategy(view_channel=BobChannel(
+                cfg.n, 1 << cfg.n, fail))
+            m0 = BitString.zeros(cfg.hash_m)
+            m1 = BitString.from_int(1, cfg.hash_m)
+            with pytest.warns(UserWarning, match="not certified"):
+                with pytest.raises(ValueError, match=match):
+                    hiding_advantage(strategy, cfg, m0, m1)
+
+
+_PIN_CODES = {"hamming74": hamming_7_4(), "even6": even_weight_code(6),
+              "even8": even_weight_code(8), "even10": even_weight_code(10)}
+
+
+class TestSpectrumMatchesViewTable:
+    """``hiding_advantage`` reads the advantage off the Walsh-Hadamard
+    spectrum; the reference is ``gtd`` of the message-free view table read
+    at both messages."""
+
+    @staticmethod
+    def pin_view(n, view):
+        """A BSC(p_b) view, the constant view, or four-symbol laws drawn
+        at random: the one view whose seed sums lack the BSC's symmetry
+        between characters (all signs +1 gives the same sum on a BSC)."""
+        if view == "constant":
+            return constant_view(n)
+        if view == "random":
+            table = np.random.default_rng(n).dirichlet(np.ones(4), 1 << n)
+            return BobChannel(n, 4, lambda: table)
+        return BobChannel.bsc_view(n, view)
+
+    @pytest.mark.parametrize("code_name,hash_m,view", [
+        (code_name, hash_m, view)
+        for code_name, hash_m in [("hamming74", 1), ("hamming74", 2),
+                                  ("even6", 1), ("even6", 2), ("even8", 1),
+                                  ("even8", 2), ("even10", 1)]
+        for view in (0.0, 0.1, 0.25, 0.4, "constant", "random")
+        # a BSC view of even:8 at m = 2 is above the 2^24-cell cap
+        if not (code_name == "even8" and hash_m == 2
+                and view not in ("constant", "random"))])
+    @pytest.mark.filterwarnings("ignore:channel not certified")
+    def test_advantage_equals_table_distance(self, code_name, hash_m, view):
+        code = _PIN_CODES[code_name]
+        cfg = CommitConfig(code=code, hash_m=hash_m, p=0.25, eps=0.2)
+        strategy = BobStrategy(view_channel=self.pin_view(code.n, view))
+        table = view_table(strategy, cfg)
+        masks = np.arange(1 << hash_m)
+        messages = range(1 << hash_m)
+        for m0 in messages:
+            for m1 in messages:
+                adv = hiding_advantage(strategy, cfg,
+                                       BitString.from_int(m0, hash_m),
+                                       BitString.from_int(m1, hash_m))
+                if m0 == m1:
+                    assert adv == 0.0
+                    continue
+                ref = gtd(table[:, m0 ^ masks].ravel(),
+                          table[:, m1 ^ masks].ravel())
+                assert abs(adv - ref) <= 1e-15, (m0, m1, adv, ref)
+                if view == 0.0:
+                    assert adv == pytest.approx(1.0, abs=1e-12)
+
+    def test_malformed_view_table_refused(self, cfg74):
+        # past the checks, a short table would index past its rows, a wide
+        # one would be read under the declared view size, and NaN laws
+        # would give a NaN advantage
+        for shape, fill, match in (
+                ((64, 2), 0.5, r"view-law table has shape \(64, 2\)"),
+                ((128, 3), 0.25, r"view-law table has shape \(128, 3\)"),
+                ((128, 2), math.nan, "NaN probability mass")):
+            strategy = BobStrategy(view_channel=BobChannel(
+                7, 2, lambda: np.full(shape, fill)))
+            with pytest.warns(UserWarning, match="not certified"):
+                with pytest.raises(ValueError, match=match):
+                    hiding_advantage(strategy, cfg74, BitString.from01("0"),
+                                     BitString.from01("1"))

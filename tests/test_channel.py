@@ -433,6 +433,46 @@ class TestLawTable:
         table = constant_view(n).law_table()
         assert np.array_equal(table, np.ones((1 << n, 1)))
 
+    @pytest.mark.parametrize("rows,cols,fill,match", [
+        (128, 3, 0.25, r"shape \(128, 3\), not \(2\^n, view_size\) = "
+                       r"\(128, 2\)"),
+        (64, 2, 0.5, r"shape \(64, 2\), not .* = \(128, 2\)"),
+        (128, 2, math.nan, "^view-law table holds NaN probability mass$"),
+        (128, 2, -0.5, "^view-law table holds negative probability mass$"),
+        (128, 2, 0.75, "^view law of input 0 has mass 1.5 > 1$"),
+        (128, 2, math.inf, "^view law of input 0 has mass inf > 1$")],
+        ids=["wide", "short", "nan", "negative", "heavy", "inf"])
+    def test_malformed_table_refused_on_first_call(self, rows, cols, fill,
+                                                   match):
+        calls = []
+
+        def build():
+            calls.append(1)
+            return np.full((rows, cols), fill)
+
+        ch = BobChannel(7, 2, build)
+        for read in (ch.law_table, ch.joint_with_uniform_input):
+            with pytest.raises(ValueError, match=match):
+                read()
+        assert len(calls) == 2  # a refused table is not kept
+
+    def test_row_mass_tolerance_and_witness(self):
+        table = np.full((16, 2), 0.5)
+        table[5, 0] += 0.5e-12  # inside the tolerance, kept as given
+        table[9] = [-0.5e-12, 1.0]
+        kept = BobChannel(4, 2, lambda: table.copy()).law_table()
+        assert np.array_equal(kept, table)
+        table[11, 1] += 1e-9
+        with pytest.raises(ValueError, match="^view law of input 11 has "
+                           "mass 1.000000001"):
+            BobChannel(4, 2, lambda: table).law_table()
+
+    def test_int_table_kept_as_float(self):
+        table = BobChannel(3, 8, lambda: np.eye(8, dtype=np.int64)) \
+            .law_table()
+        assert table.dtype == np.float64
+        assert np.array_equal(table, np.eye(8))
+
 
 def uint32_xor_distances(n, centers):
     """Reference distance table: every centre XORed against every n-bit

@@ -38,6 +38,15 @@ class TestGtd:
         with pytest.raises(ValueError):
             gtd(dist(1.0), dist(0.5, 0.5))
 
+    @pytest.mark.parametrize("entry,kind", [
+        (math.nan, "NaN"), (math.inf, "infinite")], ids=["nan", "inf"])
+    def test_non_finite_result_refused(self, entry, kind):
+        # raw vectors skip the mass check, so the result is what is tested
+        for p, q in (([entry, 0.5], [0.5, 0.5]), ([0.5, 0.5], [0.5, entry])):
+            with pytest.raises(ValueError,
+                               match="^%s probability mass$" % kind):
+                gtd(p, q)
+
     @given(st.integers(2, 6), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
     def test_triangle_inequality(self, size, rnd):
