@@ -31,9 +31,9 @@ from .channel import AliceChannel, BobChannel, typical_window_mask
 # gtd and hash_codeword are not called here; benchmarks/tracing.py wraps
 # them by name
 from .entropy import gtd
-from .gf2 import BitString, _pack_u64, _xor_span
-from .hashing import (_digests, count_full_rank, enumerate_full_rank_seeds,
-                      hash_codeword)
+from .gf2 import BitString, _pack_u64
+from .hashing import (_digest_spectrum_l1, _digests, count_full_rank,
+                      enumerate_full_rank_seeds, hash_codeword)
 from .protocol import (BLOCK, CommitConfig, TranscriptBatch, _nwords,
                        _openings_pass, _pack_split, bob_verify_batch)
 
@@ -328,7 +328,7 @@ def hiding_advantage(strategy: BobStrategy, cfg: CommitConfig,
         sum_{u : S u = d} L[u] = 2^-hm sum_{a in F2^hm} (-1)^(a.d) L^[S^T a],
 
     and in T[S, d] - T[S, d + delta], delta = m0 + m1, only the characters a
-    with a.delta odd survive, so
+    with a.delta odd survive, so (``hashing._digest_spectrum_l1`` over them)
 
         advantage = sum_{S, d, C', v} |sum_{a.delta odd} (-1)^(a.d)
                     L^[S^T a, C', v]| / (#seeds * #cosets * 2^k * 2^hm).
@@ -356,20 +356,11 @@ def hiding_advantage(strategy: BobStrategy, cfg: CommitConfig,
     # codeword u shifted into coset c: its int with c in the check positions
     shifted = code.codeword_ints()[:, None] ^ (
         np.arange(n_cosets, dtype=np.uint64) << np.uint64(code.k))
-    spectrum = view.law_table()[shifted].reshape(1 << code.k, -1)
-    for i in range(code.k):  # butterfly on message bit i, in place
-        pairs = spectrum.reshape(-1, 2, 1 << i, spectrum.shape[1])
-        lo, hi = pairs[:, 0], pairs[:, 1]
-        lo += hi
-        hi *= -2.0
-        hi += lo  # (lo + hi) - 2 hi = lo - hi
+    laws = view.law_table()[shifted].reshape(1 << code.k, -1)
     chars = np.arange(1 << hm)
     odd = chars[np.bitwise_count(chars & (m0 ^ m1).to_int()) & 1 == 1]
-    sign = 1.0 - 2.0 * (np.bitwise_count(chars[:, None] & odd) & 1)
-    rows = _xor_span(_pack_u64(enumerate_full_rank_seeds(code.k, hm)))
-    spans = spectrum[rows[:, odd, 0].T]  # (odd a, seed, C' x v): L^[S^T a]
-    cell_sums = sign @ spans.reshape(len(odd), n_seeds * spectrum.shape[1])
-    total = np.abs(cell_sums, out=cell_sums).sum()
+    total = _digest_spectrum_l1(
+        laws, enumerate_full_rank_seeds(code.k, hm), odd).sum()
     return float(total / (n_seeds * n_cosets * (1 << (code.k + hm))))
 
 

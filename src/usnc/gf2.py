@@ -13,7 +13,6 @@ __all__ = [
     "LinearCode",
     "gf2_rank",
     "gf2_solution_space",
-    "all_bits",
     "random_linear_code",
     "hamming_7_4",
     "even_weight_code",
@@ -113,11 +112,6 @@ class BitString:
 # ---------------------------------------------------------------------------
 # GF(2) matrix routines: rows packed into Python ints, bit i = column i
 # ---------------------------------------------------------------------------
-
-
-def all_bits(k: int) -> np.ndarray:
-    """All k-bit vectors as a (2^k, k) uint8 array; row u holds the bits of u."""
-    return _unpack_u64(np.arange(1 << k, dtype=np.uint64)[:, None], k)
 
 
 def _xor_span(rows: np.ndarray) -> np.ndarray:

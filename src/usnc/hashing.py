@@ -7,8 +7,8 @@ preimages are affine subspaces of equal size 2^(k-m)) and the family is
 since Pr[T w = 0] = (2^(k-m) - 1)/(2^k - 1) < 2^-m for w != 0.
 
 A single seed is a ``HashSeed``; a family of seeds, such as the whole
-enumerated family, is one (S, m, k) uint8 stack, and ``digest_table`` digests
-every message under every seed of a stack at once.
+enumerated family, is one (S, m, k) uint8 stack; ``_digest_spectrum_l1`` reads
+per-digest sums off a Walsh-Hadamard spectrum (exact hiding, leftover hash).
 """
 
 from __future__ import annotations
@@ -18,15 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import (_P_BLOCK_BITS_CAP, BitString, LinearCode, _unpack_u64,
-                  _xor_span, all_bits, gf2_rank, gf2_solution_space)
+from .gf2 import (_P_BLOCK_BITS_CAP, BitString, LinearCode, _pack_u64,
+                  _unpack_u64, _xor_span, gf2_rank, gf2_solution_space)
 
 __all__ = [
     "HashSeed",
     "sample_seed",
     "hash_codeword",
     "preimage_sample",
-    "digest_table",
     "exact_collision_probability",
     "enumerate_full_rank_seeds",
     "count_full_rank",
@@ -125,14 +124,43 @@ def _digests(seeds: np.ndarray, u: np.ndarray) -> np.ndarray:
         @ (1 << np.arange(seeds.shape[-2]))
 
 
-def digest_table(seeds: np.ndarray) -> np.ndarray:
-    """Digest of every k-bit message under a stack (..., m, k) of matrices.
+# Most floats one seed block of ``_digest_spectrum_l1`` covers: 2^m digest
+# rows of the table width per seed, 2^19 floats (4 MiB) in all.
+_SPECTRUM_BLOCK_FLOATS = 1 << 19
 
-    Returns (..., 2^k): entry u is for row u of ``gf2.all_bits(k)``, as an
-    int (see ``_digests``). One m x k matrix gives one row of 2^k digests.
-    The matrices may be rank deficient.
+
+def _digest_spectrum_l1(table: np.ndarray, seeds: np.ndarray,
+                        chars: np.ndarray) -> np.ndarray:
+    """Per seed S of a (S, m, k) stack, sum_{d, col} |sum_{a in chars}
+    (-1)^(a.d) L^[S^T a, col]|, where L^[b] = sum_u (-1)^(b.u) table[u] is
+    the Walsh-Hadamard spectrum of a message-indexed (2^k, w) table.
+
+    Over all a in F2^m the inner sum is 2^m times the digest cell, the sum
+    of the rows u with S u = d; its a = 0 term is the column sums. ``table``
+    becomes its spectrum in place (k butterfly passes). Seed blocks of 2^m w
+    floats per seed gather S^T a from one XOR span of the packed seeds and
+    apply the (2^m x len(chars)) +-1 sign matrix.
     """
-    return _digests(seeds, all_bits(seeds.shape[-1]))
+    _, m, k = seeds.shape
+    width = table.shape[1]
+    for i in range(k):  # butterfly on message bit i, in place
+        pairs = table.reshape(-1, 2, 1 << i, width)
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        lo += hi
+        hi *= -2.0
+        hi += lo  # (lo + hi) - 2 hi = lo - hi
+    digests = np.arange(1 << m)[:, None]
+    sign = 1.0 - 2.0 * (np.bitwise_count(digests & chars) & 1)
+    out = np.zeros(len(seeds))
+    block = max(1, _SPECTRUM_BLOCK_FLOATS // ((1 << m) * width))
+    for start in range(0, len(seeds), block):
+        stack = seeds[start:start + block]
+        rows = _xor_span(_pack_u64(stack))[:, chars, 0].T  # (a, seed): S^T a
+        # explicit: chars may be empty (a -1 would not resolve)
+        sums = sign @ table[rows].reshape(len(chars), len(stack) * width)
+        out[start:start + len(stack)] = np.abs(sums, out=sums).reshape(
+            1 << m, len(stack), width).sum(axis=(0, 2))
+    return out
 
 
 def exact_collision_probability(k: int, m: int) -> float:

@@ -163,11 +163,14 @@ def azuma_min_entropy(h_floor: float, n: int, lam: float, alphabet_size: int):
 
     Returns (bound, eps) with bound = (h_floor - 2 lam) n, clamped at zero
     with a warning when the penalty swallows the floor, and
-    eps = exp(-lam^2 n / (32 log2(alphabet/lam)^2)).
+    eps = exp(-lam^2 n / (32 log2(alphabet/lam)^2)). n and alphabet_size
+    are ints; a floor outside [0, log2(alphabet_size)], or NaN, is refused.
     """
     if not 0.0 < lam < 0.5:
         raise ValueError("need 0 < lam < 1/2")
-    if not (n >= 1 and alphabet_size >= 2 and h_floor >= 0):
+    ints = all(isinstance(v, (int, np.integer)) for v in (n, alphabet_size))
+    if not (ints and n >= 1 and alphabet_size >= 2
+            and 0.0 <= h_floor <= math.log2(alphabet_size)):
         raise ValueError("bad arguments")
     bound = (h_floor - 2.0 * lam) * n
     if bound < 0.0:

@@ -2,8 +2,9 @@
 
 Everything here enumerates rather than derives: string spaces are walked as
 integer ranges with the channel's distance kernel, BSC masses are the
-channel's one per-distance law, and probabilities are summed directly. The
-oracles refuse beyond their size limits rather than approximate.
+channel's one per-distance law, and probabilities are summed directly (per
+seed and digest in the leftover-hash check, off a Walsh-Hadamard spectrum).
+The oracles refuse beyond their size limits rather than approximate.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .channel import (BobChannel, bsc_law_dense, bsc_weight_mass,
 from .entropy import (ClassicalDistribution, JointDistribution,
                       cond_min_entropy, gtd, min_entropy)
 from .gf2 import BitString, LinearCode, _pack_u64
-from .hashing import (count_full_rank, digest_table,
+from .hashing import (_digest_spectrum_l1, count_full_rank,
                       enumerate_full_rank_seeds, sample_seed)
 
 __all__ = [
@@ -199,9 +200,6 @@ def _reaches(planes: np.ndarray, d_high: np.ndarray, d: int) -> np.ndarray:
 
 # Most seeds ``lhl_check`` walks; all 2^18 take a few seconds in seed blocks.
 _LHL_MAX_SEEDS = 1 << 18
-# Most codeword-row floats one seed block of ``lhl_check`` covers: 2^k rows of
-# the view width per seed, 2^19 floats (4 MiB) in all.
-_LHL_BLOCK_FLOATS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -230,13 +228,11 @@ def lhl_check(code: LinearCode, hash_m: int, view_channel: BobChannel,
     Either way a family of more than 2^18 seeds is refused before any seed
     is built.
 
-    Seeds are walked in blocks of ``_LHL_BLOCK_FLOATS`` codeword-row floats.
-    Every seed is balanced, so a stable argsort of its digest row lists each
-    digest's 2^(k-m) codewords together in increasing order, and the
-    digest's law is their joint rows added one group position at a time:
-    the order in which ``np.add.at`` adds them. The per-seed distances are
-    then summed in seed order, so ``lhs`` is the same bit for bit as adding
-    one seed at a time.
+    Under seed S the joint summed over digest d's codewords is 2^-m
+    sum_a (-1)^(a.d) J^[S^T a], J^ the joint's Walsh-Hadamard spectrum over
+    the message axis; its a = 0 term is the target marginal / 2^m, so the
+    seed's distance is 2^-m ``hashing._digest_spectrum_l1`` over the
+    characters 1..2^m - 1. The distances are summed in seed order.
     """
     k, n = code.k, code.n
     if n > 10 or k > 6:
@@ -261,22 +257,9 @@ def lhl_check(code: LinearCode, hash_m: int, view_channel: BobChannel,
         seeds = np.stack([sample_seed(k, hash_m, rng).matrix
                           for _ in range(seeds)])
     laws = view_channel.law_table()[code.codeword_ints()]  # (2^k, V)
-    ncw = laws.shape[0]
-    marginal = laws.mean(axis=0)
-    joint = laws / ncw
+    joint = laws / laws.shape[0]
     h_min = cond_min_entropy(JointDistribution(joint))
-    target = np.tile(marginal / (1 << hash_m), (1 << hash_m, 1))
-    dists = np.zeros(len(seeds))
-    block = max(1, _LHL_BLOCK_FLOATS // joint.size)
-    for start in range(0, len(seeds), block):
-        stack = seeds[start:start + block]
-        order = np.argsort(digest_table(stack), axis=1, kind="stable")
-        groups = order.reshape(len(stack), 1 << hash_m, -1)
-        per_digest = joint[groups[:, :, 0]]
-        for j in range(1, groups.shape[2]):
-            per_digest += joint[groups[:, :, j]]
-        dists[start:start + len(stack)] = np.abs(per_digest - target).reshape(
-            len(stack), -1).sum(axis=1)
-    lhs = float(np.cumsum(dists)[-1]) / len(seeds)  # cumsum adds in order
+    dists = _digest_spectrum_l1(joint, seeds, np.arange(1, 1 << hash_m))
+    lhs = float(np.cumsum(dists)[-1]) / (len(seeds) << hash_m)  # in order
     rhs = 2.0 * 2.0 ** (0.5 * (hash_m - h_min))
     return LhlResult(lhs=lhs, rhs=rhs, h_min=h_min, n_seeds=len(seeds))

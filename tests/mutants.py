@@ -82,7 +82,9 @@ _OPENINGS = tuple(
 _LHL_BLOCKS = tuple(
     "tests/test_oracle.py::TestLhlCheck::"
     "test_seed_blocks_neither_drop_nor_repeat_seeds[%s-1]" % case
-    for case in ("hamming74-m3", "even7-m3-sampled"))
+    for case in ("hamming74-m3", "even7-m3-sampled")) + (
+    "tests/test_adversary.py::TestSpectrumMatchesViewTable::"
+    "test_seed_blocks_neither_drop_nor_repeat_seeds[1]",)
 _CLIPPED_EDGES = tuple(
     "tests/test_oracle.py::TestClippedRankGather::"
     "test_high_part_edges_neither_drop_nor_repeat_outputs[%s]" % case
@@ -126,6 +128,11 @@ _NQS_PIN = ("tests/test_nqs.py::TestChannelParams::"
             "test_substitution_with_smoothing_below_one",)
 _EPS_B = ("    eps_b = 2.0 * _azuma_eps(lam_b / 4.0, n, "
           "math.log2(4.0 / lam_b) + 2.0)\n")
+_AZUMA_DOMAIN = ("    if not (ints and n >= 1 and alphabet_size >= 2\n"
+                 "            and 0.0 <= h_floor <= "
+                 "math.log2(alphabet_size)):\n")
+_AZUMA_REFUSED = ("tests/test_nqs.py::TestAzuma::"
+                  "test_nan_or_out_of_domain_refused[%s]")
 
 CATALOGUE = [
     # the batched elimination's pivot, clears and right-hand sides
@@ -260,15 +267,26 @@ CATALOGUE = [
            "    for j in range(hm):\n", "    for j in range(1):\n",
            _OPENINGS + ("tests/test_protocol.py::TestBatchEngine::"
                         "test_replay_verdicts_equal_scalar[random[200,70]]",)),
-    # the block edges of the leftover-hash oracle, the clipped oracle's
-    # high parts, presence planes and fault and empty-window refusals
-    Mutant("lhl-block-drops-last-seed", "oracle.py",
+    # the seed-block edges of the per-digest spectrum kernel (both the
+    # leftover-hash oracle and hiding), the oracle's dropped zero character,
+    # the clipped oracle's high parts, presence planes and fault and
+    # empty-window refusals
+    Mutant("lhl-block-drops-last-seed", "hashing.py",
            "    for start in range(0, len(seeds), block):\n",
            "    for start in range(0, len(seeds) - 1, block):\n", _LHL_BLOCKS),
-    Mutant("lhl-block-shifted-one-seed", "oracle.py",
+    Mutant("lhl-block-shifted-one-seed", "hashing.py",
            "        stack = seeds[start:start + block]\n",
            "        stack = seeds[start + 1:start + block + 1]\n",
            _LHL_BLOCKS),
+    Mutant("lhl-zero-character-kept", "oracle.py",
+           "    dists = _digest_spectrum_l1(joint, seeds, "
+           "np.arange(1, 1 << hash_m))\n",
+           "    dists = _digest_spectrum_l1(joint, seeds, "
+           "np.arange(1 << hash_m))\n",
+           ("tests/test_oracle.py::TestLhlCheck::"
+            "test_table_rows_equal_encode_law_loop[pb0.25-hamming74-m1]",
+            "tests/test_oracle.py::TestLhlCheck::"
+            "test_spectrum_within_1e15_of_loop[pb0.1-even6-m2]")),
     Mutant("clipped-last-high-part-unchecked", "oracle.py",
            "    for zh, high in enumerate(d_high):\n",
            "    for zh, high in enumerate(d_high[:-1]):\n",
@@ -361,20 +379,19 @@ CATALOGUE = [
             "test_every_message_pair_gives_one_advantage[0.25-hamming74]",
             "tests/test_cli_golden.py::"
             "test_readme_examples_print_golden_bytes")),
-    # the Walsh-Hadamard spectrum, its odd characters and their signs
-    Mutant("hiding-wht-skips-last-pass", "adversary.py",
-           "    for i in range(code.k):  # butterfly on message bit i, "
-           "in place\n",
-           "    for i in range(code.k - 1):  # butterfly on message bit i, "
+    # the Walsh-Hadamard spectrum (in the shared kernel), its odd characters
+    # and their signs
+    Mutant("hiding-wht-skips-last-pass", "hashing.py",
+           "    for i in range(k):  # butterfly on message bit i, in place\n",
+           "    for i in range(k - 1):  # butterfly on message bit i, "
            "in place\n", _SPECTRUM_PIN),
     Mutant("hiding-even-characters", "adversary.py", _ODD,
            _ODD.replace("& 1 == 1]", "& 1 == 0]"),
            ("tests/test_adversary.py::TestHidingAdvantage::"
             "test_equal_messages_indistinguishable",) + _SPECTRUM_PIN),
-    Mutant("hiding-sign-parity-dropped", "adversary.py",
-           "    sign = 1.0 - 2.0 * (np.bitwise_count(chars[:, None] & odd) "
-           "& 1)\n",
-           "    sign = np.ones((len(chars), len(odd)))\n",
+    Mutant("hiding-sign-parity-dropped", "hashing.py",
+           "    sign = 1.0 - 2.0 * (np.bitwise_count(digests & chars) & 1)\n",
+           "    sign = np.ones((len(digests), len(chars)))\n",
            # on a BSC view every seed family sums to the same value with
            # all signs +1, so only the random view tells the two apart
            tuple("tests/test_adversary.py::TestSpectrumMatchesViewTable::"
@@ -657,15 +674,21 @@ CATALOGUE = [
            "    if not d >= 0:\n", "    if d < 0:\n",
            ("tests/test_nqs.py::TestBoundedStorage::"
             "test_nan_or_negative_refused[d-nan]",)),
-    Mutant("azuma-nan-unrefused", "nqs.py",
-           "    if not (n >= 1 and alphabet_size >= 2 and h_floor >= 0):\n",
-           "    if n < 1 or alphabet_size < 2 or h_floor < 0:\n",
-           ("tests/test_nqs.py::TestAzuma::"
-            "test_nan_or_out_of_domain_refused[h-nan]",
-            "tests/test_nqs.py::TestAzuma::"
-            "test_nan_or_out_of_domain_refused[n-nan]",
-            "tests/test_nqs.py::TestAzuma::"
-            "test_nan_or_out_of_domain_refused[alphabet-nan]")),
+    # a NaN floor, a non-int length or alphabet, a floor above log2(alphabet)
+    Mutant("azuma-nan-unrefused", "nqs.py", _AZUMA_DOMAIN,
+           "    if not ints or n < 1 or alphabet_size < 2 or h_floor < 0 \\\n"
+           "            or h_floor > math.log2(alphabet_size):\n",
+           (_AZUMA_REFUSED % "h-nan",)),
+    Mutant("azuma-non-int-accepted", "nqs.py",
+           "    ints = all(isinstance(v, (int, np.integer)) for v in (n, "
+           "alphabet_size))\n",
+           "    ints = True\n",
+           tuple(_AZUMA_REFUSED % case for case in (
+               "n-inf", "n-2.5", "alphabet-inf", "alphabet-2.5"))),
+    Mutant("azuma-log-alphabet-cap-dropped", "nqs.py", _AZUMA_DOMAIN,
+           _AZUMA_DOMAIN.replace(" <= math.log2(alphabet_size)", ""),
+           tuple(_AZUMA_REFUSED % case
+                 for case in ("h-inf", "h-above-log-alphabet"))),
     Mutant("nqs-params-nan-length", "nqs.py",
            "        _check_block_length(self.n)\n",
            "        if self.n < 1:\n"

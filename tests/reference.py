@@ -17,6 +17,10 @@
 - ``view_table``: exact hiding's message-free view table from a 0/1
   digest-match matmul, the reference for ``adversary.hiding_advantage``'s
   Walsh-Hadamard path.
+- ``all_bits`` and ``digest_table``: every k-bit message as a row of bits,
+  and its digest under each matrix of a stack; both hiding and the
+  leftover-hash oracle read per-digest sums off a spectrum instead
+  (``hashing._digest_spectrum_l1``).
 """
 
 import numpy as np
@@ -24,7 +28,8 @@ import numpy as np
 from usnc.adversary import AliceStrategy, AtomTable
 from usnc.channel import (AliceChannel, BobChannel, bsc_weight_mass,
                           hamming_distances, typical_window_mask)
-from usnc.hashing import (count_full_rank, digest_table,
+from usnc.gf2 import _unpack_u64
+from usnc.hashing import (_digests, count_full_rank,
                           enumerate_full_rank_seeds)
 from usnc.protocol import alice_commit
 
@@ -170,6 +175,21 @@ def reaches_in_slabs(d_low: np.ndarray, d_high: np.ndarray, d: int,
             np.equal(block, (np.uint8(d) - high)[:, None, None], out=hits)
             found.append(np.logical_or.reduce(hits, axis=0).any(axis=1))
     return np.concatenate(found)
+
+
+def all_bits(k: int) -> np.ndarray:
+    """All k-bit vectors as a (2^k, k) uint8 array; row u holds the bits of u."""
+    return _unpack_u64(np.arange(1 << k, dtype=np.uint64)[:, None], k)
+
+
+def digest_table(seeds: np.ndarray) -> np.ndarray:
+    """Digest of every k-bit message under a stack (..., m, k) of matrices.
+
+    Returns (..., 2^k): entry u is for row u of ``all_bits(k)``, as an int
+    (see ``hashing._digests``). One m x k matrix gives one row of 2^k
+    digests. The matrices may be rank deficient.
+    """
+    return _digests(seeds, all_bits(seeds.shape[-1]))
 
 
 def view_table(strategy, cfg) -> np.ndarray:

@@ -4,8 +4,10 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from reference import (constant_view, honest_alice_strategy,
-                       typical_intersection_exact, view_table)
+from reference import (all_bits, constant_view, digest_table,
+                       honest_alice_strategy, typical_intersection_exact,
+                       view_table)
+from usnc import hashing
 from usnc.adversary import (AliceStrategy, AtomTable, BobStrategy,
                             _int_words, _split_words, binding_success,
                             hiding_advantage, less_noisy_bob,
@@ -17,9 +19,8 @@ from usnc.channel import (AliceChannel, BobChannel, UsncParams, bsc_law_dense,
 from usnc.entropy import (ClassicalDistribution, cond_min_entropy, gtd,
                           min_entropy)
 from usnc.gf2 import (BitString, LinearCode, _pack_u64, _unpack_u64,
-                      all_bits, even_weight_code, hamming_7_4)
-from usnc.hashing import (HashSeed, _digests, digest_table,
-                          enumerate_full_rank_seeds,
+                      even_weight_code, hamming_7_4)
+from usnc.hashing import (HashSeed, _digests, enumerate_full_rank_seeds,
                           exact_collision_probability, hash_codeword,
                           sample_seed)
 from usnc.protocol import (ACC, CommitConfig, CommitmentTranscript,
@@ -909,6 +910,29 @@ class TestSpectrumMatchesViewTable:
                 assert abs(adv - ref) <= 1e-15, (m0, m1, adv, ref)
                 if view == 0.0:
                     assert adv == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("per_block", [1, 7])
+    def test_seed_blocks_neither_drop_nor_repeat_seeds(self, monkeypatch,
+                                                       per_block):
+        # hamming74 at m = 2 has 210 seeds, two blocks at the default size;
+        # 1 seed makes every seed its own, 7 give 30 blocks. A seed block
+        # holds 2^m digest rows of the (coset x view) width per seed
+        code = hamming_7_4()
+        cfg = CommitConfig(code=code, hash_m=2, p=0.25, eps=0.2)
+        strategy = less_noisy_bob(0.25, code.n)
+        width = (1 << (code.n - code.k)) * (1 << code.n)
+        monkeypatch.setattr(hashing, "_SPECTRUM_BLOCK_FLOATS",
+                            per_block * 4 * width)
+        table = view_table(strategy, cfg)
+        masks = np.arange(4)
+        for m0, m1 in [(0, 1), (0, 3), (1, 2)]:
+            with pytest.warns(UserWarning, match="not certified"):
+                adv = hiding_advantage(strategy, cfg,
+                                       BitString.from_int(m0, 2),
+                                       BitString.from_int(m1, 2))
+            ref = gtd(table[:, m0 ^ masks].ravel(),
+                      table[:, m1 ^ masks].ravel())
+            assert abs(adv - ref) <= 1e-15, (m0, m1, adv, ref)
 
     def test_malformed_view_table_refused(self, cfg74):
         # past the checks, a short table would index past its rows, a wide

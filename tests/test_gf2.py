@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import all_bits
 from usnc.gf2 import (BitString, LinearCode, _pack_rows, _pack_u64, _xor_span,
-                      all_bits, even_weight_code, gf2_rank,
-                      gf2_solution_space, hamming_7_4, load_code,
-                      random_linear_code, repetition_code, save_code)
+                      even_weight_code, gf2_rank, gf2_solution_space,
+                      hamming_7_4, load_code, random_linear_code,
+                      repetition_code, save_code)
 
 
 def bs(s):

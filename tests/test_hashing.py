@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from reference import all_bits, digest_table
 from usnc import hashing
-from usnc.gf2 import (BitString, LinearCode, all_bits, even_weight_code,
-                      hamming_7_4)
-from usnc.hashing import (HashSeed, count_full_rank, digest_table,
-                          enumerate_full_rank_seeds,
+from usnc.gf2 import BitString, LinearCode, even_weight_code, hamming_7_4
+from usnc.hashing import (HashSeed, count_full_rank, enumerate_full_rank_seeds,
                           exact_collision_probability, hash_codeword,
                           preimage_sample, sample_seed)
 

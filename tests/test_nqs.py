@@ -115,19 +115,28 @@ class TestAzuma:
     @pytest.mark.parametrize("args", [
         (math.nan, 100, 0.1, 2), (0.6, math.nan, 0.1, 2),
         (0.6, 100, 0.1, math.nan), (-0.1, 100, 0.1, 2),
-        (0.6, 0.5, 0.1, 2), (0.6, 100, 0.1, 1)],
+        (0.6, 0.5, 0.1, 2), (0.6, 100, 0.1, 1), (math.inf, 100, 0.1, 2),
+        (5.0, 100, 0.1, 2), (0.6, math.inf, 0.1, 2), (0.6, 2.5, 0.1, 2),
+        (0.6, 100, 0.1, math.inf), (0.6, 100, 0.1, 2.5)],
         ids=["h-nan", "n-nan", "alphabet-nan", "h-negative", "n-half",
-             "alphabet-1"])
+             "alphabet-1", "h-inf", "h-above-log-alphabet", "n-inf", "n-2.5",
+             "alphabet-inf", "alphabet-2.5"])
     def test_nan_or_out_of_domain_refused(self, args):
-        # azuma_min_entropy(nan, 100, 0.1, 2) returned (nan, 0.998)
+        # azuma_min_entropy(nan, 100, 0.1, 2) returned (nan, 0.998), and
+        # (5.0, 100, 0.1, 2) a floor of 4.8 bits per binary round
         with pytest.raises(ValueError, match="bad arguments"):
             azuma_min_entropy(*args)
 
     def test_domain_edges_accepted(self):
-        # h_floor = 2 lam gives a zero bound with no clamp; n = 1, alphabet 2
+        # h_floor = 2 lam gives a zero bound with no clamp; n = 1, alphabet 2;
+        # h_floor = log2(alphabet), numpy ints included
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert azuma_min_entropy(0.2, 1, 0.1, 2)[0] == 0.0
+            assert azuma_min_entropy(1.0, 100, 0.1, 2)[0] \
+                == pytest.approx(80.0)
+            assert azuma_min_entropy(2.0, np.int64(100), 0.1,
+                                     np.int64(4))[0] == pytest.approx(180.0)
 
 
 class TestBoundedStorage:

@@ -7,10 +7,10 @@ import pytest
 
 from scipy.special import xlogy
 
-from reference import (clipped_cond_min_entropy_blocks, constant_view,
-                       reaches_in_slabs, smooth_entropy_lp,
-                       typical_intersection_exact)
-from usnc import oracle
+from reference import (all_bits, clipped_cond_min_entropy_blocks,
+                       constant_view, digest_table, reaches_in_slabs,
+                       smooth_entropy_lp, typical_intersection_exact)
+from usnc import hashing, oracle
 from usnc.adversary import less_noisy_bob
 from usnc.bounds import intersection_bound
 from usnc.channel import (BobChannel, bsc_law_dense, bsc_weight_mass,
@@ -19,8 +19,8 @@ from usnc.channel import (BobChannel, bsc_law_dense, bsc_weight_mass,
 from usnc.entropy import (ClassicalDistribution, JointDistribution,
                           cond_min_entropy, min_entropy,
                           smooth_cond_min_entropy, smooth_min_entropy)
-from usnc.gf2 import BitString, all_bits, even_weight_code, hamming_7_4
-from usnc.hashing import digest_table, enumerate_full_rank_seeds, sample_seed
+from usnc.gf2 import BitString, even_weight_code, hamming_7_4
+from usnc.hashing import enumerate_full_rank_seeds, sample_seed
 from usnc.oracle import (clipped_bsc_construction, lhl_check,
                          verify_intersection_bound)
 
@@ -346,6 +346,29 @@ def lhl_loop_reference(code, hash_m, view_law, seeds):
     return dist_sum / len(seeds), h_min
 
 
+def lhl_and_loop(code, hash_m, sampled, p_b):
+    """(result, lhs, h_min, seed count): ``lhl_check`` on the BSC(p_b) view
+    (the constant view at None) over every full-rank seed, or over
+    ``sampled`` seeds drawn from ``default_rng(3)``, and
+    ``lhl_loop_reference`` on the same seeds."""
+    if p_b is None:
+        view, view_law = constant_view(code.n), lambda x: np.ones(1)
+    else:
+        view = less_noisy_bob(p_b, code.n).view_channel
+        view_law = lambda x: bsc_law_dense(code.n, x, p_b).mass
+    if sampled is None:
+        res = lhl_check(code, hash_m, view)
+        seeds = enumerate_full_rank_seeds(code.k, hash_m)
+    else:
+        res = lhl_check(code, hash_m, view, seeds=sampled,
+                        rng=np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        seeds = [sample_seed(code.k, hash_m, rng).matrix
+                 for _ in range(sampled)]
+    return (res, *lhl_loop_reference(code, hash_m, view_law, seeds),
+            len(seeds))
+
+
 class TestLhlCheck:
     @pytest.mark.parametrize("code, hash_m, sampled", [
         (hamming_7_4(), 1, None), (hamming_7_4(), 3, None),
@@ -356,23 +379,8 @@ class TestLhlCheck:
     def test_table_rows_equal_encode_law_loop(self, code, hash_m, sampled,
                                               p_b):
         # even:7 at m = 3 has 234,360 seeds; a sample keeps the walk short
-        if p_b is None:
-            view, view_law = constant_view(code.n), \
-                lambda x: np.ones(1)
-        else:
-            view = less_noisy_bob(p_b, code.n).view_channel
-            view_law = lambda x: bsc_law_dense(code.n, x, p_b).mass
-        if sampled is None:
-            res = lhl_check(code, hash_m, view)
-            seeds = enumerate_full_rank_seeds(code.k, hash_m)
-        else:
-            res = lhl_check(code, hash_m, view, seeds=sampled,
-                            rng=np.random.default_rng(3))
-            rng = np.random.default_rng(3)
-            seeds = [sample_seed(code.k, hash_m, rng).matrix
-                     for _ in range(sampled)]
-        lhs, h_min = lhl_loop_reference(code, hash_m, view_law, seeds)
-        assert res.n_seeds == len(seeds)
+        res, lhs, h_min, n_seeds = lhl_and_loop(code, hash_m, sampled, p_b)
+        assert res.n_seeds == n_seeds
         assert res.lhs == lhs
         assert res.h_min == h_min
 
@@ -382,11 +390,13 @@ class TestLhlCheck:
         ids=["hamming74-m3", "even7-m3-sampled"])
     def test_seed_blocks_neither_drop_nor_repeat_seeds(
             self, monkeypatch, code, sampled, per_block):
-        # 7 seeds leave a short last block (2,520 and 200 seeds); 1 seed
-        # makes every seed its own
+        # 7 seeds leave a short last block of the 200 sampled ones (2,520
+        # is 360 full blocks); 1 seed makes every seed its own. A seed
+        # block holds 2^m digest rows of the view width per seed
         view = less_noisy_bob(0.25, code.n).view_channel
-        floats = (1 << code.k) * view.law_table().shape[1]
-        monkeypatch.setattr(oracle, "_LHL_BLOCK_FLOATS", per_block * floats)
+        floats = (1 << 3) * view.law_table().shape[1]
+        monkeypatch.setattr(hashing, "_SPECTRUM_BLOCK_FLOATS",
+                            per_block * floats)
         if sampled is None:
             res = lhl_check(code, 3, view)
             seeds = enumerate_full_rank_seeds(code.k, 3)
@@ -400,6 +410,25 @@ class TestLhlCheck:
         lhs, h_min = lhl_loop_reference(code, 3, view_law, seeds)
         assert res.n_seeds == len(seeds)
         assert res.lhs == lhs
+        assert res.h_min == h_min
+
+    @pytest.mark.parametrize("code, hash_m, sampled", [
+        (hamming_7_4(), 1, None), (hamming_7_4(), 2, None),
+        (hamming_7_4(), 3, None), (even_weight_code(7), 1, None),
+        (even_weight_code(7), 3, 200), (even_weight_code(6), 2, None),
+        (even_weight_code(4), 3, None)],
+        ids=["hamming74-m1", "hamming74-m2", "hamming74-m3", "even7-m1",
+             "even7-m3-sampled", "even6-m2", "even4-m3"])
+    @pytest.mark.parametrize("p_b", [0.0, 0.1, 0.25, 0.4, None],
+                             ids=["pb0", "pb0.1", "pb0.25", "pb0.4",
+                                  "constant"])
+    def test_spectrum_within_1e15_of_loop(self, code, hash_m, sampled, p_b):
+        # the spectrum adds the codeword laws in another order than the
+        # loop: where the masses are not dyadic (p_b = 0.1 and 0.4) the sums
+        # may differ in the last bits
+        res, lhs, h_min, n_seeds = lhl_and_loop(code, hash_m, sampled, p_b)
+        assert res.n_seeds == n_seeds
+        assert abs(res.lhs - lhs) <= 1e-15, (res.lhs, lhs)
         assert res.h_min == h_min
 
     def test_hamming_instance(self):
